@@ -31,7 +31,7 @@ from repro.core.registry import (
     register_system,
     system_names,
 )
-from repro.core.system import HiRepSystem, TransactionOutcome
+from repro.core.system import HiRepSystem
 from repro.baselines.voting import PureVotingSystem
 from repro.errors import ReproError
 
@@ -44,7 +44,6 @@ __all__ = [
     "Outcome",
     "ReputationSystem",
     "SystemRegistry",
-    "TransactionOutcome",
     "PureVotingSystem",
     "ReproError",
     "build_system",

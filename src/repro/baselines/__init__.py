@@ -1,6 +1,6 @@
 """Baseline reputation systems compared against hiREP."""
 
-from repro.baselines.base import BaselineOutcome, BaselineSystem, draw_vote
+from repro.baselines.base import BaselineSystem, draw_vote
 from repro.baselines.eigentrust import (
     EigenTrustSystem,
     eigentrust,
@@ -16,7 +16,6 @@ __all__ = [
     "CredibilityVotingSystem",
     "GossipSystem",
     "LocalReputationSystem",
-    "BaselineOutcome",
     "BaselineSystem",
     "draw_vote",
     "EigenTrustSystem",

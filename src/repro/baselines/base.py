@@ -11,19 +11,21 @@ treats hiREP and every baseline uniformly (they all satisfy
 from __future__ import annotations
 
 from repro.core.config import HiRepConfig
-from repro.core.interface import Outcome
 from repro.core.runtime import TransactionRuntime, draw_vote
 from repro.core.world import World
 from repro.net.latency import LatencyModel
 
-__all__ = ["BaselineOutcome", "BaselineSystem", "draw_vote"]
-
-#: Historical alias — baseline outcomes now use the unified kernel record.
-BaselineOutcome = Outcome
+__all__ = ["BaselineSystem", "draw_vote"]
 
 
 class BaselineSystem(TransactionRuntime):
-    """Base class for baselines: world construction over the shared runtime."""
+    """Base class for baselines: world construction over the shared runtime.
+
+    A baseline implements only its operator,
+    :meth:`~repro.core.runtime.TransactionRuntime._execute`: poll for an
+    estimate of ``provider``, learn from the transaction, and report the
+    per-query traffic in :class:`~repro.core.runtime.Estimate`.
+    """
 
     def __init__(
         self,

@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines.base import BaselineOutcome, BaselineSystem, draw_vote
+from repro.baselines.base import BaselineSystem, draw_vote
+from repro.core.runtime import Estimate
 from repro.core.config import HiRepConfig
 from repro.core.expertise import consistent
 from repro.net.flooding import flood_bfs
@@ -59,12 +60,7 @@ class CredibilityVotingSystem(BaselineSystem):
     def credibility_of(self, requestor: int, voter: int) -> float:
         return self._credibility[requestor].get(voter, 1.0)
 
-    def run_transaction(
-        self, requestor: int | None = None, provider: int | None = None
-    ) -> BaselineOutcome:
-        req, prov = self.pick_pair(requestor)
-        if provider is not None:
-            prov = provider
+    def _execute(self, req: int, prov: int) -> Estimate:
         truth = float(self.truth[prov])
 
         flood = flood_bfs(
@@ -117,16 +113,9 @@ class CredibilityVotingSystem(BaselineSystem):
             cred[voter] = self.alpha * a_c + (1.0 - self.alpha) * prev
             counts[voter] = counts.get(voter, 0) + 1
 
-        response_time = self._serialize_at(req, arrivals)
-        outcome = BaselineOutcome(
-            index=self.transactions_run,
-            requestor=req,
-            provider=prov,
-            estimate=estimate,
-            truth=truth,
-            squared_error=(estimate - truth) ** 2,
-            response_time_ms=response_time,
+        return Estimate(
+            estimate,
+            self._serialize_at(req, arrivals),
             messages=flood.messages + vote_messages,
             voters=len(votes),
         )
-        return self._record(outcome)

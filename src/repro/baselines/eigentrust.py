@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines.base import BaselineOutcome, BaselineSystem, draw_vote
+from repro.baselines.base import BaselineSystem, draw_vote
+from repro.core.runtime import Estimate
 from repro.errors import ConfigError
 
 __all__ = ["eigentrust", "normalize_local_trust", "EigenTrustSystem"]
@@ -100,7 +101,9 @@ class EigenTrustSystem(BaselineSystem):
 
     RECOMPUTE_EVERY = 10
 
-    def _lazy_init(self) -> None:
+    def _ensure_ready(self) -> None:
+        if hasattr(self, "_local"):
+            return
         from repro.structured.chord import ChordRing, DHTStore
 
         n = self.config.network_size
@@ -118,14 +121,7 @@ class EigenTrustSystem(BaselineSystem):
         for peer in range(self.config.network_size):
             self._dht.put(peer, self._score_key(peer), float(self._global[peer]))
 
-    def run_transaction(
-        self, requestor: int | None = None, provider: int | None = None
-    ) -> BaselineOutcome:
-        if not hasattr(self, "_local"):
-            self._lazy_init()
-        req, prov = self.pick_pair(requestor)
-        if provider is not None:
-            prov = provider
+    def _execute(self, req: int, prov: int) -> Estimate:
         truth = float(self.truth[prov])
 
         before = self.counter.total
@@ -147,15 +143,6 @@ class EigenTrustSystem(BaselineSystem):
         )
         self._local[req, prov] += rating
 
-        outcome = BaselineOutcome(
-            index=self.transactions_run,
-            requestor=req,
-            provider=prov,
-            estimate=estimate,
-            truth=truth,
-            squared_error=(estimate - truth) ** 2,
-            response_time_ms=float("nan"),
-            messages=self.counter.total - before,
-            voters=0,
+        return Estimate(
+            estimate, float("nan"), messages=self.counter.total - before
         )
-        return self._record(outcome)

@@ -25,7 +25,8 @@ for the recipe it follows).
 
 from __future__ import annotations
 
-from repro.baselines.base import BaselineOutcome, BaselineSystem, draw_vote
+from repro.baselines.base import BaselineSystem, draw_vote
+from repro.core.runtime import Estimate
 from repro.core.config import HiRepConfig
 from repro.net.latency import LatencyModel
 from repro.net.messages import Category
@@ -86,12 +87,7 @@ class GossipSystem(BaselineSystem):
         path.reverse()
         return path
 
-    def run_transaction(
-        self, requestor: int | None = None, provider: int | None = None
-    ) -> BaselineOutcome:
-        req, prov = self.pick_pair(requestor)
-        if provider is not None:
-            prov = provider
+    def _execute(self, req: int, prov: int) -> Estimate:
         truth = float(self.truth[prov])
 
         parent = self._gossip_tree(req)
@@ -123,16 +119,9 @@ class GossipSystem(BaselineSystem):
             arrivals.append(2.0 * self.network.path_latency(path))
         self.counter.count(Category.FLOOD_RESPONSE, vote_messages)
 
-        estimate = num / den if den > 0 else 0.5
-        outcome = BaselineOutcome(
-            index=self.transactions_run,
-            requestor=req,
-            provider=prov,
-            estimate=estimate,
-            truth=truth,
-            squared_error=(estimate - truth) ** 2,
-            response_time_ms=self._serialize_at(req, arrivals),
+        return Estimate(
+            num / den if den > 0 else 0.5,
+            self._serialize_at(req, arrivals),
             messages=query_messages + vote_messages,
             voters=voters,
         )
-        return self._record(outcome)

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines.base import BaselineOutcome, BaselineSystem, draw_vote
+from repro.baselines.base import BaselineSystem, draw_vote
+from repro.core.runtime import Estimate
 from repro.core.config import HiRepConfig
 from repro.net.latency import LatencyModel
 
@@ -72,12 +73,7 @@ class LocalReputationSystem(BaselineSystem):
         self.coverage_misses += 1
         return 0.5, messages  # never met: uninformative prior
 
-    def run_transaction(
-        self, requestor: int | None = None, provider: int | None = None
-    ) -> BaselineOutcome:
-        req, prov = self.pick_pair(requestor)
-        if provider is not None:
-            prov = provider
+    def _execute(self, req: int, prov: int) -> Estimate:
         truth = float(self.truth[prov])
         estimate, messages = self._estimate(req, prov)
         self.counter.count("control", messages)
@@ -91,18 +87,11 @@ class LocalReputationSystem(BaselineSystem):
         )
         self._history[req].setdefault(prov, []).append(observed)
 
-        outcome = BaselineOutcome(
-            index=self.transactions_run,
-            requestor=req,
-            provider=prov,
-            estimate=estimate,
-            truth=truth,
-            squared_error=(estimate - truth) ** 2,
-            response_time_ms=float("nan") if messages == 0 else float(messages),
+        return Estimate(
+            estimate,
+            float("nan") if messages == 0 else float(messages),
             messages=messages,
-            voters=0,
         )
-        return self._record(outcome)
 
     def coverage(self) -> float:
         """Fraction of trust checks answered by any first/second-hand data."""

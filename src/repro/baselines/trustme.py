@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines.base import BaselineOutcome, BaselineSystem, draw_vote
+from repro.baselines.base import BaselineSystem, draw_vote
+from repro.core.runtime import Estimate
 from repro.core.config import HiRepConfig
 from repro.net.flooding import flood_bfs
 from repro.net.latency import LatencyModel
@@ -60,12 +61,7 @@ class TrustMeSystem(BaselineSystem):
 
     # -- protocol ----------------------------------------------------------
 
-    def run_transaction(
-        self, requestor: int | None = None, provider: int | None = None
-    ) -> BaselineOutcome:
-        req, prov = self.pick_pair(requestor)
-        if provider is not None:
-            prov = provider
+    def _execute(self, req: int, prov: int) -> Estimate:
         truth = float(self.truth[prov])
 
         # 1. Broadcast trust query; THAs of the provider respond.
@@ -102,19 +98,12 @@ class TrustMeSystem(BaselineSystem):
             if tha in report_flood.visited:
                 self._stores[tha].setdefault(prov, []).append(reported)
 
-        response_time = self._serialize_at(req, arrivals)
-        outcome = BaselineOutcome(
-            index=self.transactions_run,
-            requestor=req,
-            provider=prov,
-            estimate=estimate,
-            truth=truth,
-            squared_error=(estimate - truth) ** 2,
-            response_time_ms=response_time,
+        return Estimate(
+            estimate,
+            self._serialize_at(req, arrivals),
             messages=flood.messages + response_messages + report_flood.messages,
             voters=len(responses),
         )
-        return self._record(outcome)
 
     def _tha_value(self, tha: int, subject: int) -> float | None:
         reports = self._stores[tha].get(subject)

@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines.base import BaselineOutcome, BaselineSystem, draw_vote
+from repro.baselines.base import BaselineSystem, draw_vote
+from repro.core.runtime import Estimate
 from repro.net.flooding import flood_bfs
 from repro.net.messages import Category
 
@@ -31,12 +32,7 @@ __all__ = ["PureVotingSystem"]
 class PureVotingSystem(BaselineSystem):
     """Flooding-based polling reputation system."""
 
-    def run_transaction(
-        self, requestor: int | None = None, provider: int | None = None
-    ) -> BaselineOutcome:
-        req, prov = self.pick_pair(requestor)
-        if provider is not None:
-            prov = provider
+    def _execute(self, req: int, prov: int) -> Estimate:
         truth = float(self.truth[prov])
 
         flood = flood_bfs(
@@ -66,17 +62,9 @@ class PureVotingSystem(BaselineSystem):
             arrivals.append(2.0 * one_way)
         self.counter.count(Category.FLOOD_RESPONSE, vote_messages)
 
-        estimate = float(np.mean(votes)) if votes else 0.5
-        response_time = self._serialize_at(req, arrivals)
-        outcome = BaselineOutcome(
-            index=self.transactions_run,
-            requestor=req,
-            provider=prov,
-            estimate=estimate,
-            truth=truth,
-            squared_error=(estimate - truth) ** 2,
-            response_time_ms=response_time,
+        return Estimate(
+            float(np.mean(votes)) if votes else 0.5,
+            self._serialize_at(req, arrivals),
             messages=flood.messages + vote_messages,
             voters=len(votes),
         )
-        return self._record(outcome)

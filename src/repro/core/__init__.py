@@ -19,7 +19,10 @@ from repro.core.registry import (
     system_names,
 )
 from repro.core.runtime import (
+    Estimate,
+    HiRepRuntime,
     MetricsPipeline,
+    Ticket,
     TransactionRuntime,
     draw_vote,
     serialize_arrivals,
@@ -45,7 +48,7 @@ from repro.core.messages import (
 )
 from repro.core.peer import HiRepPeer, PendingQuery, QueryResult
 from repro.core.ranking import merge_ranks, rank_within_list, select_agents
-from repro.core.system import HiRepSystem, TransactionOutcome
+from repro.core.system import HiRepSystem
 from repro.core.trust_models import (
     EWMAReportModel,
     QualityDrivenModel,
@@ -81,13 +84,14 @@ __all__ = [
     "rank_within_list",
     "select_agents",
     "HiRepSystem",
-    "TransactionOutcome",
     "EWMAReportModel",
     "QualityDrivenModel",
     "ReportAverageModel",
     "TrustModel",
     "DEFAULT_REGISTRY",
     "DispatchRecord",
+    "Estimate",
+    "HiRepRuntime",
     "KeyRotationService",
     "MaintenanceService",
     "MetricsPipeline",
@@ -97,6 +101,7 @@ __all__ = [
     "RecordingTracer",
     "ReputationSystem",
     "SystemRegistry",
+    "Ticket",
     "Tracer",
     "TransactionRuntime",
     "Wiring",

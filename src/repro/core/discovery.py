@@ -25,7 +25,12 @@ from repro.core.messages import AgentListEntry, AgentListReply
 from repro.errors import ConfigError
 from repro.net.topology import Topology
 
-__all__ = ["DiscoveryOutcome", "discover_agent_lists"]
+__all__ = [
+    "DiscoveryOutcome",
+    "bootstrap_lists",
+    "discover_agent_lists",
+    "maintain_list",
+]
 
 
 @dataclass
@@ -149,3 +154,50 @@ def discover_agent_lists(
                     carry -= 1
         fan_out(node, carry, depth, came_from)
     return outcome
+
+
+def bootstrap_lists(
+    rounds: int,
+    peers: int,
+    rng: np.random.Generator,
+    *,
+    online: Callable[[int], bool],
+    shortfall: Callable[[int], int],
+    discover: Callable[[int, int], object],
+) -> None:
+    """§3.4.1 bootstrap: give every peer an initial trusted-agent list.
+
+    Each round visits the peers in a fresh shuffle of ``rng``; an online
+    peer whose list is ``shortfall(p) > 0`` entries below capacity runs
+    one ``discover(p, wanted)``.  Two rounds are the norm: the first
+    seeds from agent self-entries, the second propagates the now-existing
+    lists so peers reach capacity — "the reputation list initialization
+    is executed only once for each peer" (§4.1), so experiments reset the
+    message counter afterwards.
+    """
+    order = np.arange(peers)
+    for _ in range(rounds):
+        rng.shuffle(order)
+        for i in order:
+            p = int(i)
+            if online(p):
+                wanted = shortfall(p)
+                if wanted > 0:
+                    discover(p, wanted)
+
+
+def maintain_list(
+    length: Callable[[], int],
+    capacity: int,
+    threshold: int,
+    *,
+    probe: Callable[[], object],
+    discover: Callable[[int], object],
+) -> None:
+    """§3.4.3 maintenance of one list: below the refill ``threshold`` it
+    probes its parked backups, and rediscovers up to ``capacity`` when
+    that did not restore enough."""
+    if length() < threshold:
+        probe()
+        if length() < threshold:
+            discover(capacity - length())

@@ -6,11 +6,10 @@ uniformly: build one (via :mod:`repro.core.registry`), run transactions,
 read the same metric collectors, and get back the same per-transaction
 :class:`Outcome` record.
 
-:class:`Outcome` is the superset of the two records the pre-kernel tree
-used (``TransactionOutcome`` for hiREP, ``BaselineOutcome`` for the
-baselines); both names survive as aliases, and every historical field
-keeps its meaning — fields a given system does not produce stay at their
-neutral defaults.
+:class:`Outcome` is the superset of what hiREP and the baselines report;
+fields a given system does not produce stay at their neutral defaults.
+It is constructed in exactly one place,
+:meth:`repro.core.runtime.TransactionRuntime.finish`.
 """
 
 from __future__ import annotations

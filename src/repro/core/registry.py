@@ -7,9 +7,9 @@ serializable dimension: ``repro.exec`` job specs carry ``system="voting"``
 like any other kwarg, so ``baseline_comparison`` fans out one cacheable
 job per (system, cell).
 
-Builders are registered lazily — the target module is imported only when
-its name is first built — so importing this module stays cheap and free
-of circular imports.
+The bundled systems are one ``name → (module, class, summary)`` table,
+imported lazily — the target module is loaded only when its name is first
+built — so importing this module stays cheap and free of circular imports.
 
 Adding a backend (full recipe in ``docs/architecture.md``)::
 
@@ -23,6 +23,7 @@ Adding a backend (full recipe in ``docs/architecture.md``)::
 
 from __future__ import annotations
 
+from importlib import import_module
 from typing import TYPE_CHECKING, Callable
 
 from repro.errors import ConfigError
@@ -123,90 +124,66 @@ def system_names() -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# Bundled systems.  Imports happen inside the builders so constructing the
-# registry never drags in the full protocol stack (and cannot go circular).
+# Bundled systems: name -> (module, class, summary).  The module is imported
+# when the name is first built, so constructing the registry never drags in
+# the full protocol stack (and cannot go circular).
 # ---------------------------------------------------------------------------
 
-
-@register_system("hirep", summary="hiREP: hierarchical reputation agents (the paper)")
-def _build_hirep(config: "HiRepConfig | None", **opts: object) -> "ReputationSystem":
-    from repro.core.system import HiRepSystem
-
-    return HiRepSystem(config, **opts)
-
-
-@register_system(
-    "hirep-array",
-    summary="hiREP on the struct-of-arrays kernel (repro.vector), for 100k+ peers",
-)
-def _build_hirep_array(
-    config: "HiRepConfig | None", **opts: object
-) -> "ReputationSystem":
-    from repro.vector.system import ArrayHiRepSystem
-
-    return ArrayHiRepSystem(config, **opts)
-
-
-@register_system("voting", summary="pure flooding poll, votes weighted equally (§5.2)")
-def _build_voting(config: "HiRepConfig | None", **opts: object) -> "ReputationSystem":
-    from repro.baselines.voting import PureVotingSystem
-
-    return PureVotingSystem(config, **opts)
-
-
-@register_system(
-    "credibility", summary="flooding poll with per-voter credibility EWMA (P2PREP)"
-)
-def _build_credibility(
-    config: "HiRepConfig | None", **opts: object
-) -> "ReputationSystem":
-    from repro.baselines.credibility import CredibilityVotingSystem
-
-    return CredibilityVotingSystem(config, **opts)
-
-
-@register_system(
-    "trustme", summary="broadcast queries to random trust-holding agents (TrustMe)"
-)
-def _build_trustme(config: "HiRepConfig | None", **opts: object) -> "ReputationSystem":
-    from repro.baselines.trustme import TrustMeSystem
-
-    return TrustMeSystem(config, **opts)
-
-
-@register_system(
-    "local", summary="first-hand (plus friend-set) history only, zero messages"
-)
-def _build_local(config: "HiRepConfig | None", **opts: object) -> "ReputationSystem":
-    from repro.baselines.local import LocalReputationSystem
-
-    return LocalReputationSystem(config, **opts)
+_BUNDLED: dict[str, tuple[str, str, str]] = {
+    "hirep": (
+        "repro.core.system",
+        "HiRepSystem",
+        "hiREP: hierarchical reputation agents (the paper)",
+    ),
+    "hirep-array": (
+        "repro.vector.system",
+        "ArrayHiRepSystem",
+        "hiREP on the struct-of-arrays kernel (repro.vector), for 100k+ peers",
+    ),
+    "voting": (
+        "repro.baselines.voting",
+        "PureVotingSystem",
+        "pure flooding poll, votes weighted equally (§5.2)",
+    ),
+    "credibility": (
+        "repro.baselines.credibility",
+        "CredibilityVotingSystem",
+        "flooding poll with per-voter credibility EWMA (P2PREP)",
+    ),
+    "trustme": (
+        "repro.baselines.trustme",
+        "TrustMeSystem",
+        "broadcast queries to random trust-holding agents (TrustMe)",
+    ),
+    "local": (
+        "repro.baselines.local",
+        "LocalReputationSystem",
+        "first-hand (plus friend-set) history only, zero messages",
+    ),
+    "eigentrust": (
+        "repro.baselines.eigentrust",
+        "EigenTrustSystem",
+        "global trust by power iteration over a Chord DHT",
+    ),
+    "gossip": (
+        "repro.baselines.gossip",
+        "GossipSystem",
+        "randomized gossip poll, votes discounted by relay distance",
+    ),
+    "serve": (
+        "repro.serve.system",
+        "ServeSystem",
+        "hiREP as a live service: asyncio actors over real transports",
+    ),
+}
 
 
-@register_system(
-    "eigentrust", summary="global trust by power iteration over a Chord DHT"
-)
-def _build_eigentrust(
-    config: "HiRepConfig | None", **opts: object
-) -> "ReputationSystem":
-    from repro.baselines.eigentrust import EigenTrustSystem
+def _lazy_builder(module: str, cls: str) -> SystemBuilder:
+    def build(config: "HiRepConfig | None", **opts: object) -> "ReputationSystem":
+        return getattr(import_module(module), cls)(config, **opts)
 
-    return EigenTrustSystem(config, **opts)
+    return build
 
 
-@register_system(
-    "gossip", summary="randomized gossip poll, votes discounted by relay distance"
-)
-def _build_gossip(config: "HiRepConfig | None", **opts: object) -> "ReputationSystem":
-    from repro.baselines.gossip import GossipSystem
-
-    return GossipSystem(config, **opts)
-
-
-@register_system(
-    "serve", summary="hiREP as a live service: asyncio actors over real transports"
-)
-def _build_serve(config: "HiRepConfig | None", **opts: object) -> "ReputationSystem":
-    from repro.serve.system import ServeSystem
-
-    return ServeSystem(config, **opts)
+for _name, (_module, _cls, _summary) in _BUNDLED.items():
+    DEFAULT_REGISTRY.register(_name, _lazy_builder(_module, _cls), summary=_summary)

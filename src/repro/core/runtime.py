@@ -10,8 +10,16 @@ single home for all of it:
   response time) plus the per-transaction :class:`~repro.core.interface.Outcome`
   log, recorded identically for every system;
 * :class:`TransactionRuntime` — base class every reputation system
-  extends: workload pair selection, the batch ``run`` loop,
-  ``reset_metrics``, and outcome recording;
+  extends, and the **only** definition of the paper's transaction cycle
+  (§3.6/§5.2): :meth:`~TransactionRuntime.begin` (ensure-ready → churn →
+  pick pair → validate provider → maintain → snapshot counters) and
+  :meth:`~TransactionRuntime.finish` (build the one
+  :class:`~repro.core.interface.Outcome` → record) around the operator a
+  system owns, :meth:`~TransactionRuntime._execute`;
+* :class:`HiRepRuntime` — what the three hiREP executors (object kernel,
+  array kernel, live service plane) share around that cycle: the
+  once-only bootstrap guard, trust-traffic accounting and the agent
+  population helpers;
 * :func:`draw_vote` — the §5.2 rating model (honest peers rate with the
   truth, malicious peers invert);
 * :func:`serialize_arrivals` — FIFO serialization of response arrivals on
@@ -20,18 +28,26 @@ single home for all of it:
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import NamedTuple, Sequence
+
 import numpy as np
 
 from repro.core.config import HiRepConfig
 from repro.core.interface import Outcome
+from repro.core.semantics import TRUST_TRAFFIC_CATEGORIES
 from repro.core.world import World
 from repro.errors import SimulationError
+from repro.net.churn import ChurnModel
 from repro.net.messages import DEFAULT_MESSAGE_BYTES
 from repro.net.network import P2PNetwork
 from repro.sim.metrics import MessageCounter, MSETracker, ResponseTimeTracker
 
 __all__ = [
+    "Estimate",
+    "HiRepRuntime",
     "MetricsPipeline",
+    "Ticket",
     "TransactionRuntime",
     "draw_vote",
     "serialize_arrivals",
@@ -79,6 +95,34 @@ def serialize_arrivals(
     return done
 
 
+@dataclass
+class Estimate:
+    """What a system's operator hands back to the cycle template.
+
+    hiREP executors fill ``answered``/``asked`` (agent response coverage),
+    baselines ``messages``/``voters`` (per-query traffic, opinion sources
+    reached); every other :class:`~repro.core.interface.Outcome` field is
+    the template's to fill.
+    """
+
+    estimate: float
+    response_time_ms: float
+    answered: int = 0
+    asked: int = 0
+    messages: int = 0
+    voters: int = 0
+
+
+class Ticket(NamedTuple):
+    """One admitted transaction: who, and the traffic counters before it ran."""
+
+    index: int
+    requestor: int
+    provider: int
+    trust_before: int
+    total_before: int
+
+
 class MetricsPipeline:
     """The paper's three metrics plus the per-transaction outcome log.
 
@@ -93,6 +137,14 @@ class MetricsPipeline:
         self.response_times = ResponseTimeTracker()
         self.outcomes: list[Outcome] = []
         self.transactions_run = 0
+        self._admitted = 0
+
+    def next_index(self) -> int:
+        """Allocate an ``Outcome.index``: unique and monotone even while
+        earlier transactions are still in flight (the live service plane)."""
+        index = self._admitted
+        self._admitted += 1
+        return index
 
     def record(self, outcome: Outcome) -> Outcome:
         """Fold one finished transaction into every collector."""
@@ -111,14 +163,20 @@ class MetricsPipeline:
         self.response_times.reset()
         self.outcomes.clear()
         self.transactions_run = 0
+        self._admitted = 0
 
 
 class TransactionRuntime:
-    """Base class for every reputation system: workload + metrics loop.
+    """Base class for every reputation system: the cycle, workload, metrics.
 
-    Subclasses implement :meth:`run_transaction`; everything else — pair
-    selection, the batch loop, metric plumbing — lives here once.
+    :meth:`run_transaction` is the one statement of the transaction cycle;
+    a subclass supplies the operator it owns (:meth:`_execute`) and, where
+    it has them, the :meth:`_ensure_ready` / :meth:`_maintain` /
+    :meth:`_traffic` steps.
     """
+
+    #: Optional liveness churn, stepped once at the top of every cycle.
+    churn: ChurnModel | None = None
 
     def __init__(
         self, config: HiRepConfig, world: World
@@ -154,10 +212,6 @@ class TransactionRuntime:
     def transactions_run(self) -> int:
         return self.metrics.transactions_run
 
-    @transactions_run.setter
-    def transactions_run(self, value: int) -> None:
-        self.metrics.transactions_run = value
-
     # -- workload ----------------------------------------------------------
 
     def pick_pair(self, requestor: int | None = None) -> tuple[int, int]:
@@ -172,10 +226,81 @@ class TransactionRuntime:
             provider = online[int(self.rng.integers(0, len(online)))]
         return requestor, provider
 
+    # -- the transaction cycle (§3.6, §5.2) --------------------------------
+
     def run_transaction(
         self, requestor: int | None = None, provider: int | None = None
     ) -> Outcome:
-        """Execute one transaction cycle."""
+        """Execute one full transaction cycle and record metrics.
+
+        An explicitly requested ``provider`` must exist and be online —
+        querying trust about a node that cannot serve the download is a
+        caller bug, so it raises :class:`~repro.errors.SimulationError`
+        instead of silently producing a meaningless estimate.
+        """
+        tx = self.begin(requestor, provider)
+        return self.finish(tx, self._execute(tx.requestor, tx.provider))
+
+    def begin(
+        self, requestor: int | None = None, provider: int | None = None
+    ) -> Ticket:
+        """Everything before the operator; synchronous, so an awaitable
+        executor calls the same function in front of its ``await``."""
+        self._ensure_ready()
+        if self.churn is not None:
+            # Shield the requestor for this step only — a permanent
+            # protected-set entry would exempt every past requestor from
+            # churn for the rest of the run.
+            protect = {requestor} if requestor is not None else set()
+            self.churn.step(self.network, self.rng, extra_protected=protect)
+        req, prov = self.pick_pair(requestor)
+        if provider is not None:
+            if not 0 <= provider < self.config.network_size:
+                raise SimulationError(f"provider {provider} does not exist")
+            if not self.network.is_online(provider):
+                raise SimulationError(f"provider {provider} is offline")
+            prov = provider
+        self._maintain(req)
+        trust, total = self._traffic()
+        return Ticket(self.metrics.next_index(), req, prov, trust, total)
+
+    def finish(self, tx: Ticket, result: Estimate) -> Outcome:
+        """Everything after the operator: the one Outcome, recorded."""
+        truth = float(self.truth[tx.provider])
+        err = float(result.estimate) - truth
+        trust, total = self._traffic()
+        return self.metrics.record(
+            Outcome(
+                index=tx.index,
+                requestor=tx.requestor,
+                provider=tx.provider,
+                estimate=result.estimate,
+                truth=truth,
+                squared_error=err * err,
+                response_time_ms=result.response_time_ms,
+                trust_messages=trust - tx.trust_before,
+                total_messages=total - tx.total_before,
+                answered=result.answered,
+                asked=result.asked,
+                messages=result.messages,
+                voters=result.voters,
+            )
+        )
+
+    def _ensure_ready(self) -> None:
+        """Lazy set-up that must precede the first pair draw (none here)."""
+
+    def _maintain(self, requestor: int) -> None:
+        """Pre-query upkeep of the requestor's state (none here)."""
+
+    def _traffic(self) -> tuple[int, int]:
+        """(trust-process, all-category) message totals billed per
+        transaction; baselines bill ``Estimate.messages`` instead."""
+        return 0, 0
+
+    def _execute(self, requestor: int, provider: int) -> Estimate:
+        """The operator: estimate ``provider``'s trust for ``requestor``
+        and apply whatever the system learns from the transaction."""
         raise NotImplementedError
 
     def run(
@@ -188,9 +313,6 @@ class TransactionRuntime:
         """Zero every collector (typically right after bootstrap)."""
         self.metrics.reset()
 
-    def _record(self, outcome: Outcome) -> Outcome:
-        return self.metrics.record(outcome)
-
     def _serialize_at(self, req: int, arrivals: list[float]) -> float:
         """FIFO response serialization at ``req`` under this config."""
         return serialize_arrivals(
@@ -199,3 +321,56 @@ class TransactionRuntime:
             arrivals,
             model_transmission=self.config.model_transmission,
         )
+
+
+class HiRepRuntime(TransactionRuntime):
+    """What the three hiREP executors share around the cycle.
+
+    A subclass provides ``agent_quality`` (from
+    :meth:`~repro.core.world.World.draw_agents`), :meth:`_bootstrap`,
+    :meth:`_maintain` and its operator.
+    """
+
+    #: Agent ip → good (True) or poor (False), §5.2.
+    agent_quality: dict[int, bool]
+    #: Per-peer protocol objects; the array kernel keeps none, so its
+    #: retry accounting is structurally zero.
+    peers: Sequence = ()
+    _bootstrapped = False
+
+    def bootstrap(self, rounds: int = 2) -> None:
+        """Give every peer an initial trusted-agent list (§3.4.1), once."""
+        if not self._bootstrapped:
+            self._bootstrap(rounds)
+            self._bootstrapped = True
+
+    def _bootstrap(self, rounds: int) -> None:
+        raise NotImplementedError
+
+    def _ensure_ready(self) -> None:
+        self.bootstrap()
+
+    def _traffic(self) -> tuple[int, int]:
+        return self._trust_traffic(), self.counter.total
+
+    def _trust_traffic(self) -> int:
+        by_category = self.counter.by_category
+        return sum(by_category.get(cat, 0) for cat in TRUST_TRAFFIC_CATEGORIES)
+
+    def retry_stats(self) -> dict[str, int]:
+        """Aggregate timeout/retry accounting across every peer."""
+        return {
+            name: sum(getattr(peer, name) for peer in self.peers)
+            for name in (
+                "retries_sent",
+                "queries_timed_out",
+                "unresponsive_parked",
+                "circuits_rebuilt",
+            )
+        }
+
+    def good_agent_ips(self) -> list[int]:
+        return [ip for ip, good in self.agent_quality.items() if good]
+
+    def poor_agent_ips(self) -> list[int]:
+        return [ip for ip, good in self.agent_quality.items() if not good]

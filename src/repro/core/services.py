@@ -25,11 +25,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-import numpy as np
-
 from repro.core.agent import ReputationAgent
 from repro.core.config import HiRepConfig
-from repro.core.discovery import discover_agent_lists
+from repro.core.discovery import (
+    bootstrap_lists,
+    discover_agent_lists,
+    maintain_list,
+)
 from repro.core.dispatch import ProtocolDispatcher, Tracer
 from repro.core.messages import (
     AgentListEntry,
@@ -40,8 +42,7 @@ from repro.core.messages import (
 )
 from repro.core.peer import HiRepPeer, QueryResult
 from repro.core.ranking import rank_within_list, select_agents
-from repro.core.trust_models import QualityDrivenModel, TrustModel
-from repro.core.world import World
+from repro.core.world import ModelFactory, World
 from repro.crypto.hashing import NodeID
 from repro.crypto.keys import PeerKeys
 from repro.crypto.nonce import NonceRegistry
@@ -61,9 +62,6 @@ __all__ = [
     "build_wiring",
 ]
 
-#: (good, rng) -> TrustModel — per-agent trust-model override.
-ModelFactory = Callable[[bool, np.random.Generator], TrustModel]
-
 #: Attack hook: node index -> forged trusted-agent list (None = honest).
 DiscoveryHook = Callable[[int], "list[AgentListEntry] | None"]
 
@@ -80,9 +78,6 @@ class Wiring:
     agents: dict[int, ReputationAgent]
     agent_quality: dict[int, bool]
     truth_by_id: dict[NodeID, float] = field(default_factory=dict)
-
-    def relay_pool_of(self, world: World) -> list[int]:
-        return world.network.online_nodes()
 
 
 def build_wiring(
@@ -129,23 +124,8 @@ def build_wiring(
 
     # Reputation agents: agent-capable nodes, split good/poor (§5.2).
     agents: dict[int, ReputationAgent] = {}
-    factory = model_factory or (
-        lambda good, rng: QualityDrivenModel(
-            good, config.good_rating, config.bad_rating
-        )
-    )
-    capable = network.agent_capable_nodes()
-    poor_count = int(round(config.poor_agent_fraction * len(capable)))
-    poor_set = set(
-        int(i)
-        for i in world.rng_agents.choice(
-            capable, size=min(poor_count, len(capable)), replace=False
-        )
-    )
-    agent_rngs = spawn(world.rng_agents, len(capable))
-    for agent_rng, ip in zip(agent_rngs, capable):
-        good = ip not in poor_set
-        model: TrustModel = factory(good, agent_rng)
+    agent_quality: dict[int, bool] = {}
+    for ip, good, agent_rng, model in world.draw_agents(model_factory):
         agents[ip] = ReputationAgent(
             ip=ip,
             keys=peers[ip].keys,
@@ -154,7 +134,7 @@ def build_wiring(
             rng=agent_rng,
             truth_oracle=lambda node_id: truth_by_id.get(node_id, 0.5),
         )
-    agent_quality = {ip: ip not in poor_set for ip in capable}
+        agent_quality[ip] = good
 
     wiring = Wiring(
         backend=backend,
@@ -227,7 +207,6 @@ class MaintenanceService:
         self.world = world
         self.wiring = wiring
         self.network = world.network
-        self.bootstrapped = False
         #: Attack hook (repro.attacks): when set, discovery consults it
         #: first so compromised nodes can return forged trusted-agent
         #: lists (§4.2.1's recommendation-manipulation attack).
@@ -291,36 +270,32 @@ class MaintenanceService:
         return peer.adopt_entries(selected)
 
     def bootstrap(self, rounds: int = 2) -> None:
-        """Give every peer an initial trusted-agent list.
+        """Run the §3.4.1 bootstrap rounds over every peer's list.
 
-        Two rounds by default: the first seeds from agent self-entries, the
-        second propagates the now-existing lists so peers reach capacity —
-        "the reputation list initialization is executed only once for each
-        peer" (§4.1), so experiments reset the message counter afterwards.
+        Not idempotent: the once-only guard is the owning system's
+        (:meth:`repro.core.runtime.HiRepRuntime.bootstrap`).
         """
-        if self.bootstrapped:
-            return
         peers = self.wiring.peers
-        order = np.arange(len(peers))
-        for _ in range(rounds):
-            self.world.rng_workload.shuffle(order)
-            for i in order:
-                peer = peers[int(i)]
-                if not self.network.is_online(peer.ip):
-                    continue
-                wanted = peer.agent_list.capacity - len(peer.agent_list)
-                if wanted > 0:
-                    self.discover_for(peer, wanted)
-        self.bootstrapped = True
+        bootstrap_lists(
+            rounds,
+            len(peers),
+            self.world.rng_workload,
+            online=self.network.is_online,
+            shortfall=lambda p: peers[p].agent_list.capacity
+            - len(peers[p].agent_list),
+            discover=lambda p, wanted: self.discover_for(peers[p], wanted),
+        )
 
     def maintain(self, peer: HiRepPeer) -> None:
         """§3.4.3 list maintenance: probe backups, rediscover if short."""
-        if not peer.agent_list.needs_refill(self.config.refill_threshold):
-            return
-        peer.probe_backups()
-        if peer.agent_list.needs_refill(self.config.refill_threshold):
-            wanted = peer.agent_list.capacity - len(peer.agent_list)
-            self.discover_for(peer, wanted)
+        agent_list = peer.agent_list
+        maintain_list(
+            agent_list.__len__,
+            agent_list.capacity,
+            self.config.refill_threshold,
+            probe=peer.probe_backups,
+            discover=lambda wanted: self.discover_for(peer, wanted),
+        )
 
 
 class QueryService:
@@ -335,30 +310,49 @@ class QueryService:
         """The nodeID of peer ``ip`` (what trust queries are keyed by)."""
         return self.wiring.peers[ip].node_id
 
-    def execute(self, req: int, prov: int) -> QueryResult:
-        """Run one trust query from ``req`` about ``prov``, then settle.
+    def start(self, req: int, prov: int) -> QueryResult | None:
+        """Send ``req``'s trust requests about ``prov``.
 
-        When the requestor has no trusted agents this round the query is
-        impossible: the blind prior (0.5) is returned with no settlement,
-        matching the pre-kernel fallback.
+        Returns ``None`` while answers are awaited.  When the requestor
+        has no trusted agents the query is impossible and the blind prior
+        (0.5) comes back at once.
         """
-        peer = self.wiring.peers[req]
-        relay_pool = self.network.online_nodes()
+        subject = self.truth_key(prov)
         try:
-            peer.start_query(self.truth_key(prov), relay_pool)
+            self.wiring.peers[req].start_query(subject, self.network.online_nodes())
         except NoTrustedAgentsError:
             return QueryResult(
-                subject=self.truth_key(prov),
+                subject=subject,
                 estimate=0.5,
                 responses=[],
                 response_time_ms=float("nan"),
                 answered=0,
                 asked=0,
             )
+        return None
+
+    def settle(
+        self, req: int, prov: int, blind: QueryResult | None = None
+    ) -> QueryResult:
+        """Close the query (unless it was ``blind``) and settle the
+        transaction: expertise updates, eviction, parking, reports."""
+        peer = self.wiring.peers[req]
+        result = peer.finish_query() if blind is None else blind
+        peer.settle_transaction(
+            result, float(self.world.truth[prov]), self.network.online_nodes()
+        )
+        return result
+
+    def execute(self, req: int, prov: int) -> QueryResult:
+        """One trust query + settlement, each drained to DES quiescence.
+
+        A blind query has nothing to settle and nothing in flight.
+        """
+        blind = self.start(req, prov)
+        if blind is not None:
+            return blind
         self.network.run()
-        result = peer.finish_query()
-        truth = float(self.world.truth[prov])
-        peer.settle_transaction(result, truth, self.network.online_nodes())
+        result = self.settle(req, prov)
         self.network.run()
         return result
 

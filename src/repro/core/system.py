@@ -6,12 +6,13 @@ paper's transaction workload over it (§3.6, §5.2).
 :class:`~repro.core.world.World` and the protocol wiring
 (:func:`~repro.core.services.build_wiring`, which owns the
 :class:`~repro.core.dispatch.ProtocolDispatcher` routing table), and the
-transaction cycle composes the services:
+transaction cycle — written once, in
+:class:`~repro.core.runtime.TransactionRuntime` — runs over the services:
 
-1. churn step (optional);
-2. requestor list maintenance (:class:`~repro.core.services.MaintenanceService`);
-3. trust query + settlement (:class:`~repro.core.services.QueryService`);
-4. metric recording (:class:`~repro.core.runtime.MetricsPipeline`).
+* bootstrap and requestor list maintenance
+  (:class:`~repro.core.services.MaintenanceService`);
+* the operator: trust query + settlement, each drained to DES quiescence
+  (:class:`~repro.core.services.QueryService`).
 
 Every message travels hop-by-hop through the DES engine, so traffic
 counts (Fig. 5), accuracy (Figs. 6–7) and response times (Fig. 8) all
@@ -22,40 +23,28 @@ from __future__ import annotations
 
 from repro.core.config import HiRepConfig
 from repro.core.dispatch import Tracer
-from repro.core.interface import Outcome
 from repro.core.messages import AgentListEntry
 from repro.core.peer import HiRepPeer
-from repro.core.runtime import TransactionRuntime
+from repro.core.runtime import Estimate, HiRepRuntime
 from repro.core.services import (
     DiscoveryHook,
     KeyRotationService,
     MaintenanceService,
-    ModelFactory,
     QueryService,
     build_wiring,
 )
-from repro.core.world import World
+from repro.core.world import ModelFactory, World
 from repro.crypto.backend import get_backend
 from repro.crypto.hashing import NodeID
 from repro.crypto.keys import PeerKeys
-from repro.errors import SimulationError
 from repro.net.churn import ChurnModel
 from repro.net.faults import FaultPlane
 from repro.net.latency import LatencyModel
-from repro.core.semantics import TRUST_TRAFFIC_CATEGORIES as _TRUST_TRAFFIC_CATEGORIES
 
-__all__ = ["HiRepSystem", "TransactionOutcome"]
-
-#: Categories that constitute the paper's "trust query process" traffic.
-#: Canonical definition lives in the shared semantics seam; re-exported
-#: here for backwards compatibility (repro.serve imports it from us).
-TRUST_TRAFFIC_CATEGORIES = _TRUST_TRAFFIC_CATEGORIES
-
-#: Historical alias — hiREP outcomes now use the unified kernel record.
-TransactionOutcome = Outcome
+__all__ = ["HiRepSystem"]
 
 
-class HiRepSystem(TransactionRuntime):
+class HiRepSystem(HiRepRuntime):
     """A full hiREP deployment over a simulated unstructured P2P network."""
 
     def __init__(
@@ -146,20 +135,11 @@ class HiRepSystem(TransactionRuntime):
     def discovery_list_hook(self, hook: DiscoveryHook | None) -> None:
         self.maintenance.discovery_list_hook = hook
 
-    @property
-    def _bootstrapped(self) -> bool:
-        return self.maintenance.bootstrapped
-
-    @_bootstrapped.setter
-    def _bootstrapped(self, value: bool) -> None:
-        self.maintenance.bootstrapped = value
-
     def self_entry_for(self, ip: int) -> AgentListEntry | None:
         """A reputation agent's self-advertisement during discovery."""
         return self.maintenance.self_entry_for(ip)
 
-    def bootstrap(self, rounds: int = 2) -> None:
-        """Give every peer an initial trusted-agent list (§3.4.1)."""
+    def _bootstrap(self, rounds: int) -> None:
         self.maintenance.bootstrap(rounds)
 
     def maintain(self, peer: HiRepPeer) -> None:
@@ -170,54 +150,15 @@ class HiRepSystem(TransactionRuntime):
     # Transactions (§3.6, §5.2)
     # ------------------------------------------------------------------
 
-    def run_transaction(
-        self, requestor: int | None = None, provider: int | None = None
-    ) -> Outcome:
-        """Execute one full transaction cycle and record metrics.
+    def _maintain(self, requestor: int) -> None:
+        self.maintain(self.peers[requestor])
 
-        An explicitly requested ``provider`` must exist and be online —
-        querying trust about a node that cannot serve the download is a
-        caller bug, so it raises :class:`~repro.errors.SimulationError`
-        instead of silently producing a meaningless estimate.
-        """
-        if not self._bootstrapped:
-            self.bootstrap()
-        if self.churn is not None:
-            # Shield the requestor for this step only — a permanent
-            # protected-set entry would exempt every past requestor from
-            # churn for the rest of the run.
-            protect = {requestor} if requestor is not None else set()
-            self.churn.step(self.network, self.rng, extra_protected=protect)
-        req, prov = self.pick_pair(requestor)
-        if provider is not None:
-            if not 0 <= provider < len(self.peers):
-                raise SimulationError(f"provider {provider} does not exist")
-            if not self.network.is_online(provider):
-                raise SimulationError(f"provider {provider} is offline")
-            prov = provider
-
-        self.maintain(self.peers[req])
-
-        trust_before = self._trust_traffic()
-        total_before = self.counter.total
-        result = self.queries.execute(req, prov)
-
-        truth = float(self.truth[prov])
-        err = float(result.estimate) - truth
-        outcome = Outcome(
-            index=self.transactions_run,
-            requestor=req,
-            provider=prov,
-            estimate=result.estimate,
-            truth=truth,
-            squared_error=err * err,
-            response_time_ms=result.response_time_ms,
-            trust_messages=self._trust_traffic() - trust_before,
-            total_messages=self.counter.total - total_before,
-            answered=result.answered,
-            asked=result.asked,
+    def _execute(self, requestor: int, provider: int) -> Estimate:
+        """The operator: one query + settlement over the DES network."""
+        result = self.queries.execute(requestor, provider)
+        return Estimate(
+            result.estimate, result.response_time_ms, result.answered, result.asked
         )
-        return self._record(outcome)
 
     # ------------------------------------------------------------------
     # Periodic key update (§3.5, last paragraph)
@@ -234,24 +175,3 @@ class HiRepSystem(TransactionRuntime):
     def truth_key(self, ip: int) -> NodeID:
         """The nodeID of peer ``ip`` (what trust queries are keyed by)."""
         return self.queries.truth_key(ip)
-
-    def _trust_traffic(self) -> int:
-        return sum(
-            self.counter.by_category.get(cat, 0)
-            for cat in TRUST_TRAFFIC_CATEGORIES
-        )
-
-    def retry_stats(self) -> dict[str, int]:
-        """Aggregate timeout/retry accounting across every peer."""
-        return {
-            "retries_sent": sum(p.retries_sent for p in self.peers),
-            "queries_timed_out": sum(p.queries_timed_out for p in self.peers),
-            "unresponsive_parked": sum(p.unresponsive_parked for p in self.peers),
-            "circuits_rebuilt": sum(p.circuits_rebuilt for p in self.peers),
-        }
-
-    def good_agent_ips(self) -> list[int]:
-        return [ip for ip, good in self.agent_quality.items() if good]
-
-    def poor_agent_ips(self) -> list[int]:
-        return [ip for ip, good in self.agent_quality.items() if not good]

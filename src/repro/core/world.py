@@ -16,12 +16,16 @@ from typing import Callable
 import numpy as np
 
 from repro.core.config import HiRepConfig
+from repro.core.trust_models import QualityDrivenModel, TrustModel
 from repro.net.latency import LatencyModel
 from repro.net.network import P2PNetwork
 from repro.net.topology import Topology, topology_for_degree
 from repro.sim.rng import spawn
 
-__all__ = ["World"]
+__all__ = ["ModelFactory", "World"]
+
+#: (good, rng) -> TrustModel — per-agent trust-model override.
+ModelFactory = Callable[[bool, np.random.Generator], TrustModel]
 
 
 @dataclass
@@ -113,3 +117,34 @@ class World:
     @property
     def n(self) -> int:
         return self.config.network_size
+
+    def draw_agents(
+        self, model_factory: ModelFactory | None = None
+    ) -> list[tuple[int, bool, np.random.Generator, TrustModel]]:
+        """The §5.2 reputation-agent population, drawn from ``rng_agents``.
+
+        One ``(ip, good, stream, model)`` per agent-capable node: the poor
+        subset is chosen first, then one stream per agent is spawned, then
+        ``model_factory(good, stream)`` (default: the paper's
+        quality-driven model) is called in node order.  Every hiREP
+        executor builds its agents from this one draw, which is what keeps
+        their populations identical for a given config.
+        """
+        cfg = self.config
+        factory = model_factory or (
+            lambda good, rng: QualityDrivenModel(
+                good, cfg.good_rating, cfg.bad_rating
+            )
+        )
+        capable = self.network.agent_capable_nodes()
+        poor_count = int(round(cfg.poor_agent_fraction * len(capable)))
+        poor_set = set(
+            int(i)
+            for i in self.rng_agents.choice(
+                capable, size=min(poor_count, len(capable)), replace=False
+            )
+        )
+        return [
+            (ip, (good := ip not in poor_set), rng, factory(good, rng))
+            for ip, rng in zip(capable, spawn(self.rng_agents, len(capable)))
+        ]

@@ -9,13 +9,15 @@ real transport, and the clock is the host's
 :class:`~repro.serve.supervisor.Supervisor` runs one actor per node on a
 private asyncio loop.
 
-The transaction cycle mirrors the simulator's exactly (maintenance →
-query → settle → metrics); the only structural difference is *how* the
-query reaches quiescence: the DES drains an event queue, the service
-plane awaits the requestor actor's activity until every outstanding
-request is answered (or a wall-clock window closes).  With a serialized
-load (one transaction at a time) the two backends make identical RNG
-draws, which is what the determinism-guard test pins.
+The transaction cycle *is* the simulator's:
+:meth:`~repro.core.runtime.TransactionRuntime.begin` and
+:meth:`~repro.core.runtime.TransactionRuntime.finish` run unchanged around
+the one awaited step.  The only structural difference is *how* the query
+reaches quiescence: the DES drains an event queue, the service plane
+awaits the requestor actor's activity until every outstanding request is
+answered (or a wall-clock window closes).  With a serialized load (one
+transaction at a time) the two backends make identical RNG draws, which
+is what the determinism-guard test pins.
 
 Wall-clock telemetry (transaction/query/report spans, msgs-per-tx,
 fleet counters) accumulates on an owned :class:`~repro.obs.plane.
@@ -29,13 +31,12 @@ from typing import Any
 
 from repro.core.config import HiRepConfig
 from repro.core.interface import Outcome
-from repro.core.peer import HiRepPeer, QueryResult
-from repro.core.runtime import TransactionRuntime
-from repro.core.services import MaintenanceService, build_wiring
-from repro.core.system import TRUST_TRAFFIC_CATEGORIES
+from repro.core.peer import HiRepPeer
+from repro.core.runtime import Estimate, HiRepRuntime, Ticket
+from repro.core.services import MaintenanceService, QueryService, build_wiring
 from repro.core.world import World
 from repro.crypto.backend import get_backend
-from repro.errors import NoTrustedAgentsError, SimulationError
+from repro.errors import ConfigError
 from repro.net.latency import LatencyModel
 from repro.obs.plane import TelemetryPlane
 from repro.serve.engine import WallEngine
@@ -48,8 +49,17 @@ __all__ = ["ServeSystem"]
 #: Message-count buckets for the per-transaction traffic histogram.
 _MSGS_PER_TX_BOUNDS = (2.0, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 500.0)
 
+#: Build options other hiREP executors take, and which of them to use.
+_UNSUPPORTED = {
+    "churn": "'hirep' or 'hirep-array'",
+    "faults": "'hirep'",
+    "tracer": "'hirep'",
+    "topology": "'hirep' or 'hirep-array'",
+    "model_factory": "'hirep' or 'hirep-array'",
+}
 
-class ServeSystem(TransactionRuntime):
+
+class ServeSystem(HiRepRuntime):
     """A live hiREP fleet: asyncio actors over a real transport."""
 
     def __init__(
@@ -62,14 +72,27 @@ class ServeSystem(TransactionRuntime):
         checkpoint_every: int = 32,
         query_window_ms: float = 5_000.0,
         drain_window_ms: float = 5_000.0,
+        **unsupported: object,
     ) -> None:
         """Build the fleet (not yet running; see :meth:`up`).
 
         ``query_window_ms`` bounds how long one query waits for the last
         trust response before finishing with whatever arrived;
         ``drain_window_ms`` bounds the post-settlement wait for transport
-        quiescence when draining per transaction.
+        quiescence when draining per transaction.  The simulators' build
+        options (``churn``, ``faults``, ``tracer``, ``topology``,
+        ``model_factory``) have no live-plane counterpart and raise
+        :class:`~repro.errors.ConfigError`.
         """
+        for name, value in unsupported.items():
+            if name not in _UNSUPPORTED:
+                raise TypeError(
+                    f"ServeSystem() got an unexpected keyword argument {name!r}"
+                )
+            if value is not None:
+                raise ConfigError(
+                    f"serve does not support {name}=; use {_UNSUPPORTED[name]}"
+                )
         config = config or HiRepConfig()
         self.engine = WallEngine()
         self.transport: Transport = (
@@ -93,7 +116,9 @@ class ServeSystem(TransactionRuntime):
         self.dispatcher = self.wiring.dispatcher
         self.peers = self.wiring.peers
         self.agents = self.wiring.agents
+        self.agent_quality = self.wiring.agent_quality
         self.maintenance = MaintenanceService(config, world, self.wiring)
+        self.queries = QueryService(world, self.wiring)
         self.supervisor = Supervisor(
             self.wiring,
             self.network,
@@ -128,9 +153,7 @@ class ServeSystem(TransactionRuntime):
         self._loop.run_until_complete(self.supervisor.start())
         # Bootstrap consumes rng_workload draws before the first pick_pair,
         # in the same stream order as the simulator's lazy bootstrap.
-        if not self.maintenance.bootstrapped:
-            self.maintenance.bootstrap()
-            self.supervisor.checkpoint_all()
+        self.bootstrap()
 
     def down(self) -> None:
         """Stop actors and transport and close the private loop."""
@@ -166,71 +189,62 @@ class ServeSystem(TransactionRuntime):
     async def run_transaction_async(
         self, requestor: int | None = None, provider: int | None = None
     ) -> Outcome:
-        """One full transaction cycle over the live transport.
+        """One full transaction cycle over the live transport: the shared
+        ``begin``/``finish`` around the awaited round trip."""
+        await self._ready()
+        tx = self.begin(requestor, provider)
+        outcome = self.finish(tx, await self._round_trip(tx))
+        self.telemetry.registry.histogram(
+            "serve.msgs_per_tx", bounds=_MSGS_PER_TX_BOUNDS
+        ).observe(float(outcome.total_messages))
+        return outcome
 
-        Mirrors :meth:`repro.core.system.HiRepSystem.run_transaction`:
-        same pair selection, maintenance, query, settlement, and outcome
-        accounting — only delivery is asynchronous.
+    def _bootstrap(self, rounds: int) -> None:
+        self.maintenance.bootstrap(rounds)
+        self.supervisor.checkpoint_all()
+
+    async def _ready(self) -> None:
+        """Bootstrap a fleet that was started without :meth:`up`.
+
+        Fleet-wide bootstrap is seconds of synchronous compute; run on
+        the loop it would stall every actor (TNT002), so offload to a
+        worker thread.  The lock serializes concurrent first
+        transactions: one bootstraps, the rest wait and re-check.  Safe
+        off-loop: discovery is direct compute + counters, it never posts
+        transport frames.
         """
-        if not self.maintenance.bootstrapped:
-            # Fleet-wide bootstrap is seconds of synchronous compute; run
-            # on the loop it would stall every actor (TNT002), so offload
-            # to a worker thread.  The lock serializes concurrent first
-            # transactions: one bootstraps, the rest wait and re-check.
-            # Safe off-loop: discovery is direct compute + counters, it
-            # never posts transport frames.
-            async with self._bootstrap_lock:
-                if not self.maintenance.bootstrapped:
-                    await asyncio.to_thread(self.maintenance.bootstrap)
-                    self.supervisor.checkpoint_all()
-        req, prov = self.pick_pair(requestor)
-        if provider is not None:
-            if not 0 <= provider < len(self.peers):
-                raise SimulationError(f"provider {provider} does not exist")
-            if not self.network.is_online(provider):
-                raise SimulationError(f"provider {provider} is offline")
-            prov = provider
+        if self._bootstrapped:
+            return
+        async with self._bootstrap_lock:
+            if not self._bootstrapped:
+                await asyncio.to_thread(self.maintenance.bootstrap)
+                self.supervisor.checkpoint_all()
+                self._bootstrapped = True
 
-        self.maintenance.maintain(self.peers[req])
+    def _maintain(self, requestor: int) -> None:
+        self.maintenance.maintain(self.peers[requestor])
 
-        trust_before = self._trust_traffic()
-        total_before = self.counter.total
-        index = self.transactions_run
+    async def _round_trip(self, tx: Ticket) -> Estimate:
+        """The operator: query, await the answers, settle, (drain)."""
         spans = self.telemetry.spans
         t0 = self.engine.now
         txn = spans.begin(
             "transaction",
             start_ms=t0,
             category="txn",
-            index=index,
-            requestor=req,
-            provider=prov,
+            index=tx.index,
+            requestor=tx.requestor,
+            provider=tx.provider,
         )
-
-        peer = self.peers[req]
-        relay_pool = self.network.online_nodes()
-        subject = self.peers[prov].node_id
-        try:
-            peer.start_query(subject, relay_pool)
-        except NoTrustedAgentsError:
-            result = QueryResult(
-                subject=subject,
-                estimate=0.5,
-                responses=[],
-                response_time_ms=float("nan"),
-                answered=0,
-                asked=0,
-            )
-        else:
-            await self._await_responses(peer)
-            result = peer.finish_query()
+        blind = self.queries.start(tx.requestor, tx.provider)
+        if blind is None:
+            await self._await_responses(self.peers[tx.requestor])
         t_query = self.engine.now
         self._observe_span(
             spans.emit("query", t0, t_query, category="phase", parent=txn)
         )
 
-        truth = float(self.truth[prov])
-        peer.settle_transaction(result, truth, self.network.online_nodes())
+        result = self.queries.settle(tx.requestor, tx.provider, blind)
         if self.drain_per_tx:
             await self.drain()
         t_end = self.engine.now
@@ -239,25 +253,7 @@ class ServeSystem(TransactionRuntime):
         )
         spans.finish(txn, t_end)
         self._observe_span(txn)
-
-        err = float(result.estimate) - truth
-        outcome = Outcome(
-            index=index,
-            requestor=req,
-            provider=prov,
-            estimate=result.estimate,
-            truth=truth,
-            squared_error=err * err,
-            response_time_ms=t_end - t0,
-            trust_messages=self._trust_traffic() - trust_before,
-            total_messages=self.counter.total - total_before,
-            answered=result.answered,
-            asked=result.asked,
-        )
-        self.telemetry.registry.histogram(
-            "serve.msgs_per_tx", bounds=_MSGS_PER_TX_BOUNDS
-        ).observe(float(outcome.total_messages))
-        return self._record(outcome)
+        return Estimate(result.estimate, t_end - t0, result.answered, result.asked)
 
     async def _await_responses(self, peer: HiRepPeer) -> None:
         """Sleep until every outstanding request is answered (or window ends)."""
@@ -342,7 +338,3 @@ class ServeSystem(TransactionRuntime):
         self.telemetry.registry.histogram(f"span_ms[{span.name}]").observe(
             span.duration_ms
         )
-
-    def _trust_traffic(self) -> int:
-        by_category = self.counter.by_category
-        return sum(by_category.get(c, 0) for c in TRUST_TRAFFIC_CATEGORIES)

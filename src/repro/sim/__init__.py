@@ -11,7 +11,6 @@ from repro.sim.metrics import (
     MessageCounter,
     MSETracker,
     ResponseTimeTracker,
-    TransactionRecord,
 )
 from repro.sim.process import ProcessHandle, spawn as spawn_process
 from repro.sim.trace import TraceEntry, Tracer, tap_network
@@ -38,7 +37,6 @@ __all__ = [
     "MessageCounter",
     "MSETracker",
     "ResponseTimeTracker",
-    "TransactionRecord",
     "make_rng",
     "spawn",
     "choice_without",

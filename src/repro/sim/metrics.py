@@ -15,7 +15,6 @@ HPC guides (vectorize aggregation, not per-event bookkeeping).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,7 +22,6 @@ __all__ = [
     "MessageCounter",
     "MSETracker",
     "ResponseTimeTracker",
-    "TransactionRecord",
 ]
 
 
@@ -155,22 +153,3 @@ class ResponseTimeTracker:
 
     def reset(self) -> None:
         self._times.clear()
-
-
-@dataclass
-class TransactionRecord:
-    """One transaction's outcome, as recorded by experiment harnesses."""
-
-    index: int
-    requestor: int
-    provider: int
-    estimate: float
-    truth: float
-    messages: int
-    response_time_ms: float
-    extras: dict[str, float] = field(default_factory=dict)
-
-    @property
-    def squared_error(self) -> float:
-        err = self.estimate - self.truth
-        return err * err

@@ -12,13 +12,20 @@ kernel's RNG stream usage **draw for draw**:
 
 * :class:`~repro.core.world.World` construction is shared, so topology,
   bandwidths, truth and maliciousness are bit-identical.
-* Wiring draws follow ``build_wiring`` order exactly: the per-peer
-  streams are spawned first, then the poor-agent choice and per-agent
-  streams from ``rng_agents``.  The object kernel's key-generation draws
-  live on the isolated ``rng_keys`` stream, so skipping key material
-  entirely (this kernel signs nothing) perturbs no other stream.
-* Bootstrap/maintenance reuse :func:`~repro.core.discovery.discover_agent_lists`
-  and :func:`~repro.core.ranking.select_agents` **verbatim** via array-backed
+* The transaction cycle itself (bootstrap guard, churn step, pair draw,
+  provider validation, maintenance, outcome record) is
+  :class:`~repro.core.runtime.TransactionRuntime`'s — the same code the
+  object kernel runs; this module only supplies the closed-form operator.
+* The agent population is :meth:`World.draw_agents
+  <repro.core.world.World.draw_agents>`, the same draw ``build_wiring``
+  makes.  The object kernel's key-generation draws live on the isolated
+  ``rng_keys`` stream, so skipping key material entirely (this kernel
+  signs nothing) perturbs no other stream.
+* Bootstrap/maintenance are the shared
+  :func:`~repro.core.discovery.bootstrap_lists` /
+  :func:`~repro.core.discovery.maintain_list` rules, and discovery reuses
+  :func:`~repro.core.discovery.discover_agent_lists` and
+  :func:`~repro.core.ranking.select_agents` **verbatim** via array-backed
   callbacks, with the same per-peer generators.
 * Queries draw the same selection shuffle, per-request nonces, handshake
   nonces and trust-model evaluations in the same stream order.
@@ -38,26 +45,27 @@ require the object kernel's event engine.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from repro.core.config import HiRepConfig
-from repro.core.discovery import discover_agent_lists
-from repro.core.interface import Outcome
+from repro.core.discovery import (
+    bootstrap_lists,
+    discover_agent_lists,
+    maintain_list,
+)
 from repro.core.messages import AgentListEntry
 from repro.core.ranking import rank_within_list, select_agents
-from repro.core.runtime import TransactionRuntime
+from repro.core.runtime import Estimate, HiRepRuntime
 from repro.core.semantics import (
-    TRUST_TRAFFIC_CATEGORIES,
     aggregate_estimate,
     confidence,
     consistency_bit,
     ewma_update,
     selection_order,
 )
-from repro.core.trust_models import QualityDrivenModel, TrustModel
-from repro.core.world import World
+from repro.core.trust_models import TrustModel
+from repro.core.world import ModelFactory, World
 from repro.crypto.hashing import NodeID
 from repro.crypto.nonce import NonceRegistry
 from repro.errors import ConfigError, SimulationError
@@ -76,8 +84,6 @@ __all__ = ["ArrayHiRepSystem", "PathSnapshot"]
 
 #: A full anonymity-key handshake costs four wire messages (Fig. 3).
 _HANDSHAKE_MESSAGES = 4
-
-ModelFactory = Callable[[bool, np.random.Generator], TrustModel]
 
 
 def _nid(ip: int) -> NodeID:
@@ -98,17 +104,6 @@ class PathSnapshot:
     relays: tuple[int, ...] | None = None
 
 
-@dataclass
-class _QueryResult:
-    estimate: float
-    rows: list[int]
-    hosts: list[int]
-    values: list[float]
-    response_time_ms: float
-    answered: int
-    asked: int
-
-
 def _mean_latency_ms(model: LatencyModel) -> float:
     """Expected per-hop latency, used for the analytic response-time model."""
     if isinstance(model, ConstantLatency):
@@ -124,7 +119,7 @@ def _mean_latency_ms(model: LatencyModel) -> float:
     return float(np.mean([model.sample(probe) for _ in range(512)]))
 
 
-class ArrayHiRepSystem(TransactionRuntime):
+class ArrayHiRepSystem(HiRepRuntime):
     """hiREP on the array kernel: one deployment, state as numpy arrays."""
 
     def __init__(
@@ -168,34 +163,18 @@ class ArrayHiRepSystem(TransactionRuntime):
         super().__init__(config, world)
         self.churn = churn
         self.bootstrap_mode = bootstrap_mode
-        self._bootstrapped = False
 
         n = config.network_size
         net: ArrayNetwork = self.network
-        # build_wiring draw order: per-peer streams first.  The object
+        # Per-peer streams, exactly as build_wiring spawns them.  The object
         # kernel then generates per-peer keys from rng_keys — an isolated
         # stream this kernel simply never touches.
         self._peer_rngs = spawn(world.rng_peers, n)
-        capable = net.agent_capable_nodes()
-        poor_count = int(round(config.poor_agent_fraction * len(capable)))
-        poor_set = set(
-            int(i)
-            for i in world.rng_agents.choice(
-                capable, size=min(poor_count, len(capable)), replace=False
-            )
-        )
-        agent_rngs = spawn(world.rng_agents, len(capable))
-        factory = model_factory or (
-            lambda good, rng: QualityDrivenModel(
-                good, config.good_rating, config.bad_rating
-            )
-        )
         self._models: dict[int, TrustModel] = {}
         self._agent_rng: dict[int, np.random.Generator] = {}
         self.agent_quality: dict[int, bool] = {}
-        for agent_rng, ip in zip(agent_rngs, capable):
-            good = ip not in poor_set
-            self._models[ip] = factory(good, agent_rng)
+        for ip, good, agent_rng, model in world.draw_agents(model_factory):
+            self._models[ip] = model
             self._agent_rng[ip] = agent_rng
             self.agent_quality[ip] = good
 
@@ -435,26 +414,19 @@ class ArrayHiRepSystem(TransactionRuntime):
         )
         return self._adopt(p, selected)
 
-    def bootstrap(self, rounds: int = 2) -> None:
-        """Give every peer an initial trusted-agent list (§3.4.1)."""
-        if self._bootstrapped:
-            return
+    def _bootstrap(self, rounds: int) -> None:
         if self.bootstrap_mode == "seeded":
             self._bootstrap_seeded()
-            self._bootstrapped = True
             return
-        n = self.config.network_size
-        order = np.arange(n)
-        for _ in range(rounds):
-            self.world.rng_workload.shuffle(order)
-            for i in order:
-                p = int(i)
-                if not self.network.is_online(p):
-                    continue
-                wanted = self.state.capacity - int(self.state.live_len[p])
-                if wanted > 0:
-                    self._discover_for(p, wanted)
-        self._bootstrapped = True
+        st = self.state
+        bootstrap_lists(
+            rounds,
+            self.config.network_size,
+            self.world.rng_workload,
+            online=self.network.is_online,
+            shortfall=lambda p: st.capacity - int(st.live_len[p]),
+            discover=self._discover_for,
+        )
 
     def _bootstrap_seeded(self) -> None:
         """O(n·C) direct seeding for 100k+ sweeps (documented non-parity).
@@ -513,12 +485,14 @@ class ArrayHiRepSystem(TransactionRuntime):
 
     def _maintain(self, p: int) -> None:
         """§3.4.3 list maintenance: probe backups, rediscover if short."""
-        if int(self.state.live_len[p]) >= self.config.refill_threshold:
-            return
-        self._probe_backups(p)
-        if int(self.state.live_len[p]) < self.config.refill_threshold:
-            wanted = self.state.capacity - int(self.state.live_len[p])
-            self._discover_for(p, wanted)
+        st = self.state
+        maintain_list(
+            lambda: int(st.live_len[p]),
+            st.capacity,
+            self.config.refill_threshold,
+            probe=lambda: self._probe_backups(p),
+            discover=lambda wanted: self._discover_for(p, wanted),
+        )
 
     def _probe_backups(self, p: int) -> int:
         """Probe parked agents; restore the ones that answered."""
@@ -558,54 +532,14 @@ class ArrayHiRepSystem(TransactionRuntime):
             provider = int(online[int(self.rng.integers(0, count))])
         return requestor, provider
 
-    def run_transaction(
-        self, requestor: int | None = None, provider: int | None = None
-    ) -> Outcome:
-        """Execute one full transaction cycle and record metrics."""
-        if not self._bootstrapped:
-            self.bootstrap()
-        if self.churn is not None:
-            protect = {requestor} if requestor is not None else set()
-            self.churn.step(self.network, self.rng, extra_protected=protect)
-        req, prov = self.pick_pair(requestor)
-        if provider is not None:
-            if not 0 <= provider < self.config.network_size:
-                raise SimulationError(f"provider {provider} does not exist")
-            if not self.network.is_online(provider):
-                raise SimulationError(f"provider {provider} is offline")
-            prov = provider
-
-        self._maintain(req)
-
-        trust_before = self._trust_traffic()
-        total_before = self.counter.total
-        result = self._execute_query(req, prov)
-
-        truth = float(self.truth[prov])
-        err = float(result.estimate) - truth
-        outcome = Outcome(
-            index=self.transactions_run,
-            requestor=req,
-            provider=prov,
-            estimate=result.estimate,
-            truth=truth,
-            squared_error=err * err,
-            response_time_ms=result.response_time_ms,
-            trust_messages=self._trust_traffic() - trust_before,
-            total_messages=self.counter.total - total_before,
-            answered=result.answered,
-            asked=result.asked,
-        )
-        return self._record(outcome)
-
-    def _execute_query(self, req: int, prov: int) -> _QueryResult:
-        """One trust query + settlement (QueryService.execute, closed form)."""
+    def _execute(self, req: int, prov: int) -> Estimate:
+        """The operator: one trust query + settlement, in closed form."""
         cfg = self.config
         st = self.state
         m = int(st.live_len[req])
         if m == 0:
             # No trusted agents: blind prior, no settlement.
-            return _QueryResult(0.5, [], [], [], float("nan"), 0, 0)
+            return Estimate(0.5, float("nan"))
         order = selection_order(
             st.live_val[req, :m], st.live_upd[req, :m], self._peer_rngs[req]
         )
@@ -708,9 +642,7 @@ class ArrayHiRepSystem(TransactionRuntime):
             response_time = float("nan")
 
         self._settle(req, rows, values, hosts, truth, subject)
-        return _QueryResult(
-            estimate, rows, hosts, values, response_time, len(rows), asked
-        )
+        return Estimate(estimate, response_time, len(rows), asked)
 
     def _settle(
         self,
@@ -781,27 +713,6 @@ class ArrayHiRepSystem(TransactionRuntime):
     def truth_key(self, ip: int) -> NodeID:
         """The nodeID trust queries about peer ``ip`` are keyed by."""
         return _nid(ip)
-
-    def _trust_traffic(self) -> int:
-        return sum(
-            self.counter.by_category.get(cat, 0)
-            for cat in TRUST_TRAFFIC_CATEGORIES
-        )
-
-    def retry_stats(self) -> dict[str, int]:
-        """Timeout/retry accounting — structurally zero (no timeout plane)."""
-        return {
-            "retries_sent": 0,
-            "queries_timed_out": 0,
-            "unresponsive_parked": 0,
-            "circuits_rebuilt": 0,
-        }
-
-    def good_agent_ips(self) -> list[int]:
-        return [ip for ip, good in self.agent_quality.items() if good]
-
-    def poor_agent_ips(self) -> list[int]:
-        return [ip for ip, good in self.agent_quality.items() if not good]
 
     def state_nbytes(self) -> int:
         """Resident bytes of the trust-state arrays (docs/benchmarks)."""

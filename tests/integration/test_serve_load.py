@@ -41,6 +41,14 @@ def test_concurrent_load_loses_nothing(fleet):
     assert fleet.transport.in_flight() == 0
 
 
+def test_outcome_indices_are_unique_and_monotone_under_concurrency(fleet):
+    """Two in-flight transactions must never share an Outcome.index."""
+    report = LoadGenerator(fleet, make_trace(fleet, 40), concurrency=2).run()
+    assert report.lost == 0
+    assert sorted(o.index for o in report.outcomes) == list(range(40))
+    assert fleet.transactions_run == 40
+
+
 def test_slo_summary_has_percentiles_and_traffic(fleet, tmp_path):
     trace = make_trace(fleet, 40)
     report = LoadGenerator(fleet, trace, concurrency=4).run()

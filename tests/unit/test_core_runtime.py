@@ -1,0 +1,105 @@
+"""The transaction cycle is written once: guards on `repro.core.runtime`.
+
+Nine registered systems share `TransactionRuntime.run_transaction`; each
+owns only its operator.  These tests fail the moment a system grows its
+own copy of the cycle again, and pin the properties the shared template
+guarantees by construction (provider validation everywhere, one pair
+draw and one agent-population draw for the three hiREP executors).
+"""
+
+import pytest
+
+from repro import build_system, system_names
+from repro.core.config import HiRepConfig
+from repro.core.runtime import Estimate, TransactionRuntime
+from repro.errors import SimulationError
+from repro.serve.system import ServeSystem
+from repro.vector.system import ArrayHiRepSystem
+
+HIREP_EXECUTORS = ("hirep", "hirep-array", "serve")
+
+
+def small(seed: int = 11) -> HiRepConfig:
+    return HiRepConfig(network_size=24, seed=seed)
+
+
+@pytest.fixture
+def built():
+    """build(name, config) -> system; live fleets are torn down afterwards."""
+    systems = []
+
+    def build(name: str, config: HiRepConfig | None = None):
+        systems.append(build_system(name, config or small()))
+        return systems[-1]
+
+    yield build
+    for system in systems:
+        if isinstance(system, ServeSystem):
+            system.down()
+
+
+# ------------------------------------------------------- written-once guard
+
+
+@pytest.mark.parametrize("name", system_names())
+def test_every_system_inherits_the_one_cycle(name, built):
+    cls = type(built(name))
+    assert issubclass(cls, TransactionRuntime)
+    for method in ("begin", "finish", "run"):
+        assert getattr(cls, method) is getattr(TransactionRuntime, method), method
+    if cls is ServeSystem:
+        # The only override: a sync façade over the awaitable path, which
+        # itself is begin -> awaited operator -> finish.
+        assert "run_transaction" in vars(ServeSystem)
+    else:
+        assert cls.run_transaction is TransactionRuntime.run_transaction
+    overrides_pick_pair = cls.pick_pair is not TransactionRuntime.pick_pair
+    assert overrides_pick_pair == (cls is ArrayHiRepSystem)
+
+
+@pytest.mark.parametrize("name", [n for n in system_names() if n != "serve"])
+def test_operator_contract(name, built):
+    """`_execute` returns an Estimate and leaves recording to the template."""
+    system = built(name)
+    tx = system.begin()
+    result = system._execute(tx.requestor, tx.provider)
+    assert isinstance(result, Estimate)
+    assert system.transactions_run == 0 and system.outcomes == []
+    outcome = system.finish(tx, result)
+    assert system.outcomes == [outcome]
+    assert (outcome.index, outcome.requestor, outcome.provider) == tx[:3]
+    hirep = name in HIREP_EXECUTORS
+    assert (outcome.trust_messages > 0) == hirep  # baselines bill `messages`
+    assert (outcome.total_messages > 0) == hirep
+
+
+# --------------------------------------------- provider validation, all nine
+
+
+@pytest.mark.parametrize("name", system_names())
+def test_explicit_provider_must_exist_and_be_online(name, built):
+    system = built(name)
+    with pytest.raises(SimulationError, match="does not exist"):
+        system.run_transaction(0, provider=system.config.network_size)
+    with pytest.raises(SimulationError, match="does not exist"):
+        system.run_transaction(0, provider=-1)
+    system.network.set_online(5, False)
+    with pytest.raises(SimulationError, match="offline"):
+        system.run_transaction(0, provider=5)
+    assert system.outcomes == []
+    assert system.run_transaction(0, provider=7).index == 0
+
+
+# ------------------------------- one pair draw, one agent draw, three executors
+
+
+@pytest.mark.parametrize("seed", [3, 7, 2006])
+def test_hirep_executors_share_pair_sequence_and_agent_population(seed, built):
+    pairs, quality = {}, {}
+    for name in HIREP_EXECUTORS:
+        system = built(name, small(seed))
+        pairs[name] = [(o.requestor, o.provider) for o in system.run(8)]
+        quality[name] = system.agent_quality
+    assert pairs["hirep"] == pairs["hirep-array"] == pairs["serve"]
+    assert quality["hirep"] == quality["hirep-array"] == quality["serve"]
+    assert False in quality["hirep"].values() and True in quality["hirep"].values()

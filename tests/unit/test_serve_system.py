@@ -7,6 +7,8 @@ import pytest
 
 from repro.core.config import HiRepConfig
 from repro.core.registry import build_system, system_names
+from repro.errors import ConfigError
+from repro.net.churn import ChurnModel
 from repro.serve.engine import WallEngine
 from repro.serve.system import ServeSystem
 
@@ -42,6 +44,26 @@ def test_wall_engine_schedules_on_running_loop():
 
 def test_registry_exposes_serve():
     assert "serve" in system_names()
+
+
+@pytest.mark.parametrize(
+    "option, supported_by",
+    [
+        ("churn", "hirep-array"),
+        ("faults", "hirep"),
+        ("tracer", "hirep"),
+        ("topology", "hirep-array"),
+        ("model_factory", "hirep-array"),
+    ],
+)
+def test_simulator_build_options_are_rejected_loudly(small, option, supported_by):
+    value = ChurnModel(0.1, 0.5) if option == "churn" else object()
+    with pytest.raises(ConfigError, match=f"{option}=.*'{supported_by}'"):
+        build_system("serve", small, **{option: value})
+    # Passing nothing for it is fine; a keyword nobody knows is still a TypeError.
+    assert not build_system("serve", small, **{option: None}).running
+    with pytest.raises(TypeError, match="no_such_option"):
+        build_system("serve", small, no_such_option=1)
 
 
 def test_up_down_idempotent(small):

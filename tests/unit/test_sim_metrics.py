@@ -9,7 +9,6 @@ from repro.sim.metrics import (
     MessageCounter,
     MSETracker,
     ResponseTimeTracker,
-    TransactionRecord,
 )
 
 
@@ -125,17 +124,3 @@ class TestResponseTimeTracker:
         t.record(1.0)
         t.reset()
         assert len(t) == 0
-
-
-class TestTransactionRecord:
-    def test_squared_error(self):
-        record = TransactionRecord(
-            index=0,
-            requestor=1,
-            provider=2,
-            estimate=0.7,
-            truth=1.0,
-            messages=10,
-            response_time_ms=100.0,
-        )
-        assert record.squared_error == pytest.approx(0.09)
