@@ -1,6 +1,6 @@
 """Developer tooling that ships with the library but is not imported by it.
 
-Currently one subpackage: :mod:`repro.devtools.lint`, the ``hirep-lint``
-static analyzer that enforces the determinism and scheduler invariants the
-simulation's reproducibility guarantees rest on.
+One subpackage: :mod:`repro.devtools.lint`, the ``hirep-lint`` static
+analyzer that enforces the determinism, scheduler, serving and layering
+invariants the simulation's reproducibility guarantees rest on.
 """

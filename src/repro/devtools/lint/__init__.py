@@ -1,15 +1,15 @@
-"""hirep-lint: AST static analysis for hiREP's reproducibility invariants.
+"""hirep-lint: static analysis for hiREP's reproducibility invariants.
 
 Generic linters can't see that this codebase's correctness rests on seeded
-``np.random.Generator`` injection, simulated time, byte-stable JSON exports
-and picklable scheduler callables.  This package encodes those invariants
-as pluggable AST rules with inline pragmas and a committed, shrink-only
-(ratcheting) baseline.  See ``docs/static-analysis.md``.
+``np.random.Generator`` injection, simulated time, byte-stable JSON exports,
+picklable scheduler callables, a non-blocking service loop and a layered
+import DAG.  This package encodes those invariants as pluggable rules —
+per-file AST rules and whole-program rules over an import/call graph, in
+one registry, behind one CLI — with inline pragmas as the only
+suppression.  See ``docs/static-analysis.md``.
 """
 
-from repro.devtools.lint.baseline import Baseline, Partition, partition
 from repro.devtools.lint.cli import main
-from repro.devtools.lint.config import LintConfig, load_config
 from repro.devtools.lint.engine import (
     FileContext,
     LintResult,
@@ -18,27 +18,20 @@ from repro.devtools.lint.engine import (
     module_name_for,
     parse_pragmas,
 )
-from repro.devtools.lint.findings import Finding, Severity, sort_findings
-from repro.devtools.lint.registry import Rule, all_rules, get_rule, register, resolve_rules
+from repro.devtools.lint.findings import Finding, sort_findings
+from repro.devtools.lint.registry import Rule, all_rules, register, resolve_rules
 
 __all__ = [
-    "Baseline",
     "FileContext",
     "Finding",
-    "LintConfig",
     "LintResult",
-    "Partition",
     "Rule",
-    "Severity",
     "all_rules",
-    "get_rule",
     "lint_paths",
     "lint_source",
-    "load_config",
     "main",
     "module_name_for",
     "parse_pragmas",
-    "partition",
     "register",
     "resolve_rules",
     "sort_findings",

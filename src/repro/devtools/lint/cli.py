@@ -1,168 +1,100 @@
 """The ``hirep-lint`` command-line interface.
 
-Exit codes: 0 clean (or everything baselined), 1 new findings / stale
-baseline entries / unreadable files, 2 bad invocation.
+* ``hirep-lint [paths...]`` — parse each file once, run every per-file
+  and whole-program rule, report.  Exit codes: 0 clean, 1 findings or
+  unreadable files, 2 bad invocation.  A finding is sanctioned only by an
+  inline ``# lint: allow[RULE]`` pragma on its line.
+* ``hirep-lint graph [paths...]`` — dump the import graph and call graph
+  the whole-program rules run over as deterministic JSON (sorted keys,
+  sorted edges; byte-identical under any ``PYTHONHASHSEED``).
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from pathlib import Path
 from typing import Sequence, TextIO
 
-from repro.devtools.lint import baseline as baseline_mod
-from repro.devtools.lint.config import load_config
-from repro.devtools.lint.engine import lint_paths
+from repro.devtools.lint.engine import build_project, lint_paths, load_files
 from repro.devtools.lint.registry import all_rules, resolve_rules
 from repro.devtools.lint.reporters import REPORTERS
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(graph: bool = False) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="hirep-lint",
-        description="AST linter for hiREP determinism & scheduler invariants",
+        prog="hirep-lint graph" if graph else "hirep-lint",
+        description=(
+            "dump the import and call graphs as deterministic JSON"
+            if graph
+            else "static analysis for hiREP's determinism, scheduler, serving "
+            "and layering invariants (`hirep-lint graph` dumps the graphs)"
+        ),
     )
     parser.add_argument(
         "paths", nargs="*", default=["src"], help="files or directories (default: src)"
     )
     parser.add_argument(
-        "--format", choices=sorted(REPORTERS), default="text", help="output format"
+        "--root", default=".", help="repo root that relative paths resolve against"
     )
-    parser.add_argument(
-        "--baseline", default=None, help="baseline file (default: from config)"
-    )
-    parser.add_argument(
-        "--no-baseline", action="store_true", help="ignore the baseline entirely"
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="drop stale entries from the baseline (shrink-only ratchet)",
-    )
-    parser.add_argument(
-        "--init-baseline",
-        action="store_true",
-        help="(re)create the baseline from all current findings",
-    )
-    parser.add_argument("--select", action="append", help="only run these rule codes")
-    parser.add_argument("--ignore", action="append", help="skip these rule codes")
-    parser.add_argument(
-        "--root", default=".", help="repo root for config and relative paths"
-    )
-    parser.add_argument(
-        "--list-rules", action="store_true", help="print registered rules and exit"
-    )
-    parser.add_argument(
-        "--project",
-        action="store_true",
-        help="also run the whole-program rules (TNT*/LAY*) over the same paths",
-    )
+    if not graph:
+        parser.add_argument(
+            "--format", choices=sorted(REPORTERS), default="text", help="output format"
+        )
+        parser.add_argument("--select", action="append", help="only run these rule codes")
+        parser.add_argument(
+            "--list-rules", action="store_true", help="print registered rules and exit"
+        )
     return parser
 
 
 def _list_rules(stream: TextIO) -> None:
     for rule in all_rules():
-        scope = ", ".join(rule.packages) if rule.packages else "all modules"
-        print(f"{rule.code}  [{rule.severity.value}]  {rule.name}  ({scope})", file=stream)
+        if rule.whole_program:
+            scope = "whole program"
+        else:
+            scope = ", ".join(rule.packages) if rule.packages else "all modules"
+        print(f"{rule.code}  {rule.name}  ({scope})", file=stream)
+
+
+def _dump_graph(targets: list[Path], root: Path, stream: TextIO) -> int:
+    files, errors = load_files(targets, root)
+    project, duplicates = build_project(files)
+    errors += duplicates
+    payload = {
+        "modules": sorted(project.summaries),
+        "imports": project.imports.to_dict(),
+        "calls": project.calls.to_dict(),
+        "errors": sorted(errors),
+    }
+    print(json.dumps(payload, indent=2, sort_keys=True), file=stream)
+    return 1 if errors else 0
 
 
 def main(argv: Sequence[str] | None = None, stream: TextIO | None = None) -> int:
     out = stream if stream is not None else sys.stdout
-    args = build_parser().parse_args(argv)
-    if args.list_rules:
-        _list_rules(out)
-        return 0
-
-    root = Path(args.root).resolve()
-    config = load_config(root)
-    select = args.select or config.select
-    ignore = args.ignore or config.ignore
-    project_codes: set[str] = set()
-    if args.project:
-        # project rules live in a separate registry; carve their codes out
-        # of --select so `--project --select TNT001` means "only TNT001".
-        from repro.devtools.analyze.rules import all_project_rules
-
-        project_codes = {r.code for r in all_project_rules()}
-    try:
-        file_select = [c for c in select if c not in project_codes] if select else None
-        if select and not file_select:
-            rules = []  # only project codes selected
-        else:
-            rules = resolve_rules(file_select, ignore)
-    except KeyError as exc:
-        print(f"hirep-lint: {exc.args[0]}", file=sys.stderr)
-        return 2
+    argv = list(sys.argv[1:] if argv is None else argv)
+    graph = argv[:1] == ["graph"]
+    args = build_parser(graph).parse_args(argv[1:] if graph else argv)
 
     # relative paths are relative to --root, so `hirep-lint src --root X`
     # behaves the same from any working directory
-    targets = [
-        path if path.is_absolute() else root / path
-        for path in (Path(p) for p in args.paths)
-    ]
-    result = lint_paths(
-        targets,
-        repo_root=root,
-        rules=rules,
-        exclude=config.exclude,
-        severity_overrides=config.severity,
-    )
-
-    if args.project:
-        from repro.devtools.analyze.cache import DEFAULT_CACHE_DIR, SummaryCache
-        from repro.devtools.analyze.project import analyze_project
-        from repro.devtools.lint.findings import sort_findings
-
-        wanted = [
-            r
-            for r in all_project_rules()
-            if (not select or r.code in set(select))
-            and (not ignore or r.code not in set(ignore))
-        ]
-        if wanted:
-            analysis = analyze_project(
-                targets,
-                repo_root=root,
-                cache=SummaryCache(directory=root / DEFAULT_CACHE_DIR),
-                exclude=config.exclude,
-                rules=wanted,
-                severity_overrides=config.severity,
-            )
-            result.findings = sort_findings(result.findings + analysis.findings)
-            result.errors.extend(analysis.errors)
-
-    baseline_path = root / (args.baseline or config.baseline)
-    if args.no_baseline:
-        baseline = baseline_mod.Baseline(path=baseline_path)
-    else:
-        try:
-            baseline = baseline_mod.Baseline.load(baseline_path)
-        except ValueError as exc:
-            print(f"hirep-lint: {exc}", file=sys.stderr)
-            return 2
-
-    if args.init_baseline:
-        baseline_mod.init(baseline, result.findings)
-        baseline.save()
-        print(
-            f"hirep-lint: baseline initialised with {len(baseline.entries)} "
-            f"finding(s) at {baseline.path}",
-            file=out,
-        )
+    root = Path(args.root).resolve()
+    targets = [root / path for path in args.paths]
+    if graph:
+        return _dump_graph(targets, root, out)
+    if args.list_rules:
+        _list_rules(out)
         return 0
-
-    part = baseline_mod.partition(result.findings, baseline)
-
-    if args.update_baseline and part.stale:
-        removed = baseline_mod.shrink(baseline, part)
-        baseline.save()
-        print(f"hirep-lint: baseline shrank by {removed} entr"
-              f"{'y' if removed == 1 else 'ies'}", file=out)
-        part = baseline_mod.partition(result.findings, baseline)
-
-    REPORTERS[args.format](part, result.errors, out)
-    return 1 if (part.fails or result.errors) else 0
+    try:
+        rules = resolve_rules(args.select)
+    except KeyError as exc:
+        print(f"hirep-lint: {exc.args[0]}", file=sys.stderr)
+        return 2
+    result = lint_paths(targets, repo_root=root, rules=rules)
+    REPORTERS[args.format](result.findings, result.errors, out)
+    return 1 if (result.findings or result.errors) else 0
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -1,9 +1,12 @@
-"""The linting engine: file walking, pragma handling, rule dispatch.
+"""The linting engine: file walking, parsing, rule dispatch, pragmas.
 
-The engine parses each file once, hands every active rule a
-:class:`FileContext` (AST + source lines + helpers), collects findings,
-drops the ones suppressed by an inline ``# lint: allow[RULE]`` pragma and
-fingerprints the rest for the baseline.
+One pass: every file is read and ``ast.parse``-d exactly once into a
+:class:`FileContext`.  Per-file rules walk that tree; when a whole-program
+rule is active the same trees are digested into module summaries and
+assembled into the import/call graphs (:mod:`repro.devtools.lint.graphs`)
+those rules run over.  Findings of both kinds are then dropped where an
+inline ``# lint: allow[RULE]`` pragma sits on the reported line — the
+only suppression there is.
 """
 
 from __future__ import annotations
@@ -14,8 +17,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
-from repro.devtools.lint.findings import Finding, Severity, sort_findings
+from repro.devtools.lint.findings import Finding, sort_findings
+from repro.devtools.lint.graphs import Project, build_graphs
 from repro.devtools.lint.registry import Rule, resolve_rules
+from repro.devtools.lint.summaries import ModuleSummary, extract_summary
 
 #: inline suppression: ``# lint: allow[DET002]`` or ``# lint: allow[DET002,API001]``
 #: (``*`` allows every rule on that line).  Must sit on the physical line the
@@ -39,7 +44,7 @@ def module_name_for(path: Path) -> str | None:
     """Infer the dotted module name from a file path.
 
     Walks up from the file collecting package directories (those with an
-    ``__init__.py``); returns ``None`` for scripts outside any package.
+    ``__init__.py``); a script outside any package gets its bare stem.
     """
     if path.suffix != ".py":
         return None
@@ -57,67 +62,79 @@ def module_name_for(path: Path) -> str | None:
 
 @dataclass
 class FileContext:
-    """Everything a rule needs to inspect one file."""
+    """One parsed file: everything a rule needs to inspect it."""
 
     path: str  # as reported in findings (repo-relative posix)
     module: str | None
-    tree: ast.AST
-    lines: list[str]
+    tree: ast.Module
+    pragmas: dict[int, set[str]]
 
-    def source_line(self, lineno: int) -> str:
-        if 1 <= lineno <= len(self.lines):
-            return self.lines[lineno - 1]
-        return ""
+    @classmethod
+    def parse(cls, source: str, *, path: str, module: str | None) -> "FileContext":
+        """The one ``ast.parse`` per file; raises :class:`SyntaxError`."""
+        return cls(
+            path=path,
+            module=module,
+            tree=ast.parse(source, filename=path),
+            pragmas=parse_pragmas(source.splitlines()),
+        )
 
-    def finding(
-        self, rule: Rule, node: ast.AST, message: str, severity: Severity | None = None
-    ) -> Finding:
-        lineno = getattr(node, "lineno", 1)
-        col = getattr(node, "col_offset", 0) + 1
+    def finding(self, rule: Rule, node: ast.AST, message: str) -> Finding:
         return Finding(
             rule=rule.code,
             message=message,
             path=self.path,
-            line=lineno,
-            col=col,
-            severity=severity if severity is not None else rule.severity,
-            source_line=self.source_line(lineno),
+            line=getattr(node, "lineno", 1),
+            col=getattr(node, "col_offset", 0) + 1,
         )
 
 
 @dataclass
 class LintResult:
-    """Findings of one run, partitioned against the baseline by the caller."""
+    """Findings of one run plus files that could not be analyzed."""
 
     findings: list[Finding] = field(default_factory=list)
     errors: list[str] = field(default_factory=list)  # unparseable files etc.
 
-    def extend(self, other: "LintResult") -> None:
-        self.findings.extend(other.findings)
-        self.errors.extend(other.errors)
 
-
-def _dedupe_occurrences(findings: list[Finding]) -> list[Finding]:
-    """Assign occurrence indices so identical lines fingerprint uniquely."""
-    seen: dict[tuple[str, str, str], int] = {}
-    out: list[Finding] = []
-    for f in sort_findings(findings):
-        key = (f.path, f.rule, f.source_line.strip())
-        occ = seen.get(key, 0)
-        seen[key] = occ + 1
-        if occ:
-            f = Finding(
-                rule=f.rule,
-                message=f.message,
-                path=f.path,
-                line=f.line,
-                col=f.col,
-                severity=f.severity,
-                source_line=f.source_line,
-                occurrence=occ,
+def build_project(files: Iterable[FileContext]) -> tuple[Project, list[str]]:
+    """Summarize every named module and assemble the whole-program graphs."""
+    summaries: dict[str, ModuleSummary] = {}
+    errors: list[str] = []
+    for ctx in files:
+        if ctx.module is None:
+            continue
+        if ctx.module in summaries:
+            errors.append(
+                f"{ctx.path}: duplicate module name {ctx.module} "
+                f"(also {summaries[ctx.module].path}); keeping the first"
             )
-        out.append(f)
-    return out
+            continue
+        summaries[ctx.module] = extract_summary(ctx)
+    return Project(summaries, *build_graphs(summaries)), errors
+
+
+def lint_files(files: list[FileContext], rules: Iterable[Rule] | None = None) -> LintResult:
+    """Run the active rules over already-parsed files."""
+    active = list(rules) if rules is not None else resolve_rules()
+    result = LintResult()
+    raw: list[Finding] = []
+    for ctx in files:
+        for rule in active:
+            if not rule.whole_program and rule.applies_to(ctx.module):
+                raw.extend(rule.check(ctx))
+    project_rules = [rule for rule in active if rule.whole_program]
+    if project_rules:
+        project, result.errors = build_project(files)
+        for rule in project_rules:
+            raw.extend(rule.check_project(project))
+    pragmas = {ctx.path: ctx.pragmas for ctx in files}
+    for finding in raw:
+        allowed = pragmas[finding.path].get(finding.line, ())
+        if finding.rule not in allowed and "*" not in allowed:
+            result.findings.append(finding)
+    result.findings = sort_findings(result.findings)
+    return result
 
 
 def lint_source(
@@ -126,44 +143,16 @@ def lint_source(
     path: str = "<snippet>",
     module: str | None = None,
     rules: Iterable[Rule] | None = None,
-    severity_overrides: dict[str, Severity] | None = None,
 ) -> LintResult:
     """Lint one in-memory source blob (the unit-test entry point)."""
-    result = LintResult()
-    active = list(rules) if rules is not None else resolve_rules()
     try:
-        tree = ast.parse(source, filename=path)
+        ctx = FileContext.parse(source, path=path, module=module)
     except SyntaxError as exc:
-        result.errors.append(f"{path}: syntax error: {exc.msg} (line {exc.lineno})")
-        return result
-    lines = source.splitlines()
-    ctx = FileContext(path=path, module=module, tree=tree, lines=lines)
-    pragmas = parse_pragmas(lines)
-    overrides = severity_overrides or {}
-    raw: list[Finding] = []
-    for rule in active:
-        if not rule.applies_to(module):
-            continue
-        for finding in rule.check(ctx):
-            allowed = pragmas.get(finding.line, ())
-            if finding.rule in allowed or "*" in allowed:
-                continue
-            if finding.rule in overrides and overrides[finding.rule] != finding.severity:
-                finding = Finding(
-                    rule=finding.rule,
-                    message=finding.message,
-                    path=finding.path,
-                    line=finding.line,
-                    col=finding.col,
-                    severity=overrides[finding.rule],
-                    source_line=finding.source_line,
-                )
-            raw.append(finding)
-    result.findings = _dedupe_occurrences(raw)
-    return result
+        return LintResult(errors=[f"{path}: syntax error: {exc.msg} (line {exc.lineno})"])
+    return lint_files([ctx], rules)
 
 
-def iter_python_files(paths: Iterable[Path], exclude: Iterable[str] = ()) -> list[Path]:
+def iter_python_files(paths: Iterable[Path]) -> list[Path]:
     """Expand files/directories into a sorted list of ``.py`` files."""
     out: set[Path] = set()
     for root in paths:
@@ -172,28 +161,17 @@ def iter_python_files(paths: Iterable[Path], exclude: Iterable[str] = ()) -> lis
                 out.add(root)
         elif root.is_dir():
             out.update(p for p in root.rglob("*.py"))
-    exclude = tuple(exclude)
-
-    def excluded(p: Path) -> bool:
-        posix = p.as_posix()
-        return any(frag in posix for frag in exclude) or "__pycache__" in posix
-
-    return sorted(p for p in out if not excluded(p))
+    return sorted(p for p in out if "__pycache__" not in p.as_posix())
 
 
-def lint_paths(
-    paths: Iterable[Path],
-    *,
-    repo_root: Path | None = None,
-    rules: Iterable[Rule] | None = None,
-    exclude: Iterable[str] = (),
-    severity_overrides: dict[str, Severity] | None = None,
-) -> LintResult:
-    """Lint files and/or directory trees; paths in findings are repo-relative."""
+def load_files(
+    paths: Iterable[Path], repo_root: Path | None = None
+) -> tuple[list[FileContext], list[str]]:
+    """Read and parse every file under ``paths``; paths come out repo-relative."""
     root = (repo_root or Path.cwd()).resolve()
-    active = list(rules) if rules is not None else resolve_rules()
-    result = LintResult()
-    for file_path in iter_python_files(paths, exclude):
+    files: list[FileContext] = []
+    errors: list[str] = []
+    for file_path in iter_python_files(paths):
         resolved = file_path.resolve()
         try:
             rel = resolved.relative_to(root).as_posix()
@@ -201,17 +179,24 @@ def lint_paths(
             rel = resolved.as_posix()
         try:
             source = resolved.read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError) as exc:
-            result.errors.append(f"{rel}: unreadable: {exc}")
-            continue
-        result.extend(
-            lint_source(
-                source,
-                path=rel,
-                module=module_name_for(resolved),
-                rules=active,
-                severity_overrides=severity_overrides,
+            files.append(
+                FileContext.parse(source, path=rel, module=module_name_for(resolved))
             )
-        )
-    result.findings = sort_findings(result.findings)
+        except (OSError, UnicodeDecodeError) as exc:
+            errors.append(f"{rel}: unreadable: {exc}")
+        except SyntaxError as exc:
+            errors.append(f"{rel}: syntax error: {exc.msg} (line {exc.lineno})")
+    return files, errors
+
+
+def lint_paths(
+    paths: Iterable[Path],
+    *,
+    repo_root: Path | None = None,
+    rules: Iterable[Rule] | None = None,
+) -> LintResult:
+    """Lint files and/or directory trees; paths in findings are repo-relative."""
+    files, errors = load_files(paths, repo_root)
+    result = lint_files(files, rules)
+    result.errors = errors + result.errors
     return result

@@ -1,41 +1,16 @@
-"""Finding and severity primitives shared by rules, engine and reporters."""
+"""The finding primitive shared by rules, engine and reporters."""
 
 from __future__ import annotations
 
-import enum
-import hashlib
-from dataclasses import dataclass, field
-
-
-class Severity(enum.Enum):
-    """How a finding affects the exit code.
-
-    ``ERROR`` findings fail the run unless baselined or pragma'd;
-    ``WARNING`` findings are reported but never fail the run and are not
-    tracked in the baseline.
-    """
-
-    ERROR = "error"
-    WARNING = "warning"
-
-    @classmethod
-    def parse(cls, value: str) -> "Severity":
-        try:
-            return cls(value.lower())
-        except ValueError:
-            raise ValueError(
-                f"unknown severity {value!r}; expected 'error' or 'warning'"
-            ) from None
+from dataclasses import asdict, dataclass
 
 
 @dataclass(frozen=True)
 class Finding:
     """One rule violation at one source location.
 
-    ``fingerprint`` identifies the finding across runs for the baseline: it
-    hashes the path, rule and the *text* of the offending line (plus an
-    occurrence counter for identical lines), so findings survive unrelated
-    edits that shift line numbers.
+    Every finding fails the run; the only way to sanction one is an
+    inline ``# lint: allow[RULE]`` pragma on the line it is reported at.
     """
 
     rule: str
@@ -43,33 +18,13 @@ class Finding:
     path: str  # repo-relative posix path
     line: int
     col: int
-    severity: Severity = Severity.ERROR
-    source_line: str = ""
-    occurrence: int = 0
-    fingerprint: str = field(default="", compare=False)
-
-    def __post_init__(self) -> None:
-        if not self.fingerprint:
-            payload = "\x1f".join(
-                (self.path, self.rule, self.source_line.strip(), str(self.occurrence))
-            )
-            digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
-            object.__setattr__(self, "fingerprint", digest)
 
     @property
     def location(self) -> str:
         return f"{self.path}:{self.line}:{self.col}"
 
     def to_dict(self) -> dict:
-        return {
-            "rule": self.rule,
-            "message": self.message,
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "severity": self.severity.value,
-            "fingerprint": self.fingerprint,
-        }
+        return asdict(self)
 
 
 def sort_findings(findings: list[Finding]) -> list[Finding]:

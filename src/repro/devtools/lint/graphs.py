@@ -11,25 +11,27 @@ leakage, byte-identical JSON dumps under any ``PYTHONHASHSEED``):
 * :class:`CallGraph` — best-effort interprocedural edges.  Call chains
   resolve through import aliases, module paths, ``self.``/base-class
   method tables, constructor-typed locals (``x = ClassName(...)``) and
-  constructor-typed attributes (``self.x = ClassName(...)``).  Anything
-  unresolvable is kept as an *external* call under its normalized dotted
-  name — which is exactly what the taint rules match sink patterns
-  against — or dropped as unknown.
+  constructor-typed attributes (``self.x = ClassName(...)``).  A call
+  that leaves the project is kept as an *external* call under its
+  import-normalized dotted name, a method on an untypeable receiver under
+  its name as written — which is exactly what the reachability rules
+  match sink patterns against; unresolvable bare names are dropped.
 
 Resolution is deliberately conservative: a missed edge can only cause a
-missed finding, never a false one, and the per-file rules still cover the
-intraprocedural ground.
+missed finding, never a false one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
 
-from repro.devtools.analyze.summaries import (
+from repro.devtools.lint.findings import Finding
+from repro.devtools.lint.registry import Rule
+from repro.devtools.lint.summaries import (
     MODULE_SCOPE,
     CallSite,
     FunctionInfo,
+    ImportRecord,
     ModuleSummary,
 )
 
@@ -40,6 +42,7 @@ __all__ = [
     "ProjectIndex",
     "ImportGraph",
     "CallGraph",
+    "Project",
     "build_graphs",
 ]
 
@@ -116,9 +119,11 @@ class ProjectIndex:
             return None
         return summary.functions.get(qual)
 
-    def summary_of(self, key: FuncKey) -> ModuleSummary | None:
-        mod, _, _ = key.partition("::")
-        return self.summaries.get(mod)
+    def import_target(self, rec: ImportRecord) -> str | None:
+        """The project module an import record lands in, if any."""
+        return self.longest_module_prefix(
+            f"{rec.module}.{rec.name}" if rec.name else rec.module
+        )
 
     def longest_module_prefix(self, dotted: str) -> str | None:
         """The longest known module that is a dotted prefix of ``dotted``."""
@@ -243,7 +248,7 @@ class ProjectIndex:
                 cls = summary.classes.get(fn.class_name)
                 attr_chain = cls.attr_types.get(chain[1]) if cls else None
                 if attr_chain is not None:
-                    located = self._locate_class_via_chain(mod, attr_chain)
+                    located = self._locate_class(mod, attr_chain)
                     if located is not None:
                         found = self.resolve_method(located[0], located[1], chain[2])
                         if found is not None:
@@ -253,7 +258,7 @@ class ProjectIndex:
 
         # x.method() where x = ClassName(...) earlier in the same body
         if fn is not None and head in fn.local_constructs and len(chain) == 2:
-            located = self._locate_class_via_chain(mod, fn.local_constructs[head])
+            located = self._locate_class(mod, fn.local_constructs[head])
             if located is not None:
                 found = self.resolve_method(located[0], located[1], chain[1])
                 if found is not None:
@@ -303,27 +308,9 @@ class ProjectIndex:
             return ("unknown", None)
         return ("external", dotted)
 
-    def _locate_class_via_chain(
-        self, mod: str, chain: tuple[str, ...]
-    ) -> tuple[str, str] | None:
-        return self._locate_class(mod, chain)
-
 
 #: single-name builtins the rules care about (blocking / dynamic exec).
 _KNOWN_BUILTINS = {"open", "input", "eval", "exec", "compile", "print"}
-
-#: method attributes that are sinks *regardless of receiver type* —
-#: ``loop.run_until_complete(...)``, ``sock.recv(...)``.  The receiver is
-#: usually a parameter the resolver cannot type, so these unknown chains
-#: are kept as external calls (dotted as written) instead of dropped;
-#: rules suffix-match them like any other external name.
-_METHOD_SINK_ATTRS = {
-    "run_until_complete",
-    "recv",
-    "recv_into",
-    "recvfrom",
-    "sendall",
-}
 
 
 @dataclass
@@ -406,25 +393,18 @@ class CallGraph:
 
     edges: list[CallEdge] = field(default_factory=list)
     external: list[ExternalCall] = field(default_factory=list)
-    #: caller -> sorted unique callee keys (derived adjacency)
-    adjacency: dict[FuncKey, list[FuncKey]] = field(default_factory=dict)
     #: caller -> edges out of it, in source order
     edges_from: dict[FuncKey, list[CallEdge]] = field(default_factory=dict)
     #: caller -> external calls out of it, in source order
     external_from: dict[FuncKey, list[ExternalCall]] = field(default_factory=dict)
 
     def finalize(self) -> None:
-        adjacency: dict[FuncKey, list[FuncKey]] = {}
         edges_from: dict[FuncKey, list[CallEdge]] = {}
         external_from: dict[FuncKey, list[ExternalCall]] = {}
         for edge in self.edges:
             edges_from.setdefault(edge.caller, []).append(edge)
-            adjacency.setdefault(edge.caller, [])
-            if edge.callee not in adjacency[edge.caller]:
-                adjacency[edge.caller].append(edge.callee)
         for call in self.external:
             external_from.setdefault(call.caller, []).append(call)
-        self.adjacency = {k: sorted(v) for k, v in adjacency.items()}
         self.edges_from = edges_from
         self.external_from = external_from
 
@@ -453,17 +433,6 @@ class CallGraph:
         }
 
 
-def _import_target_module(index: ProjectIndex, rec_module: str, rec_name: str | None) -> str | None:
-    """The project module an import record lands in, if any."""
-    if rec_name is not None:
-        dotted = f"{rec_module}.{rec_name}"
-        if dotted in index.modules:
-            return dotted
-    if rec_module in index.modules:
-        return rec_module
-    return index.longest_module_prefix(rec_module)
-
-
 def build_graphs(
     summaries: dict[str, ModuleSummary],
 ) -> tuple[ProjectIndex, ImportGraph, CallGraph]:
@@ -477,7 +446,7 @@ def build_graphs(
         for rec in summaries[mod].imports:
             if rec.type_checking:
                 continue
-            target = _import_target_module(index, rec.module, rec.name)
+            target = index.import_target(rec)
             if target is None or target == mod:
                 continue
             (module_targets if rec.scope == "module" else local_targets).add(target)
@@ -502,11 +471,10 @@ def build_graphs(
                     calls.external.append(
                         ExternalCall(caller=caller, dotted=str(target), site=site)
                     )
-                elif (
-                    kind == "unknown"
-                    and len(site.chain) >= 2
-                    and site.chain[-1] in _METHOD_SINK_ATTRS
-                ):
+                elif len(site.chain) >= 2:
+                    # a method on a receiver the resolver cannot type
+                    # (``loop.run_until_complete``, ``sock.recv``): kept,
+                    # dotted as written, so rules can suffix-match it.
                     calls.external.append(
                         ExternalCall(
                             caller=caller, dotted=".".join(site.chain), site=site
@@ -514,3 +482,24 @@ def build_graphs(
                     )
     calls.finalize()
     return index, imports, calls
+
+
+@dataclass
+class Project:
+    """The assembled whole-program view the whole-program rules run against."""
+
+    summaries: dict[str, ModuleSummary]
+    index: ProjectIndex
+    imports: ImportGraph
+    calls: CallGraph
+
+    def finding(
+        self, rule: Rule, module: str, lineno: int, col: int, message: str
+    ) -> Finding:
+        return Finding(
+            rule=rule.code,
+            message=message,
+            path=self.summaries[module].path,
+            line=lineno,
+            col=col,
+        )

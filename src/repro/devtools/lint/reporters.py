@@ -5,53 +5,22 @@ from __future__ import annotations
 import json
 from typing import TextIO
 
-from repro.devtools.lint.baseline import Partition
 from repro.devtools.lint.findings import Finding
 
 
-def _line(f: Finding, tag: str = "") -> str:
-    suffix = f" [{tag}]" if tag else ""
-    return f"{f.location}: {f.rule} {f.message}{suffix}"
-
-
-def report_text(part: Partition, errors: list[str], stream: TextIO) -> None:
-    for f in part.new:
-        print(_line(f), file=stream)
-    for f in part.baselined:
-        print(_line(f, "baselined"), file=stream)
-    for f in part.warnings:
-        print(_line(f, "warning"), file=stream)
-    for fp, ctx in sorted(part.stale.items(), key=lambda kv: kv[1].get("path", "")):
-        print(
-            f"stale baseline entry {fp}: {ctx.get('rule', '?')} at "
-            f"{ctx.get('path', '?')}:{ctx.get('line', '?')} no longer found "
-            "-- run with --update-baseline to shrink the baseline",
-            file=stream,
-        )
+def report_text(findings: list[Finding], errors: list[str], stream: TextIO) -> None:
+    for f in findings:
+        print(f"{f.location}: {f.rule} {f.message}", file=stream)
     for err in errors:
         print(f"error: {err}", file=stream)
     print(
-        f"hirep-lint: {len(part.new)} new, {len(part.baselined)} baselined, "
-        f"{len(part.warnings)} warning(s), {len(part.stale)} stale baseline "
-        f"entr{'y' if len(part.stale) == 1 else 'ies'}",
+        f"hirep-lint: {len(findings)} finding(s), {len(errors)} error(s)",
         file=stream,
     )
 
 
-def report_json(part: Partition, errors: list[str], stream: TextIO) -> None:
-    payload = {
-        "new": [f.to_dict() for f in part.new],
-        "baselined": [f.to_dict() for f in part.baselined],
-        "warnings": [f.to_dict() for f in part.warnings],
-        "stale": part.stale,
-        "errors": errors,
-        "summary": {
-            "new": len(part.new),
-            "baselined": len(part.baselined),
-            "warnings": len(part.warnings),
-            "stale": len(part.stale),
-        },
-    }
+def report_json(findings: list[Finding], errors: list[str], stream: TextIO) -> None:
+    payload = {"findings": [f.to_dict() for f in findings], "errors": errors}
     print(json.dumps(payload, indent=2, sort_keys=True), file=stream)
 
 
@@ -60,27 +29,12 @@ def _escape_gh(text: str) -> str:
     return text.replace("%", "%25").replace("\r", "%0D").replace("\n", "%0A")
 
 
-def report_github(part: Partition, errors: list[str], stream: TextIO) -> None:
-    """``::error``/``::warning`` annotations GitHub renders inline on PRs."""
-    for f in part.new:
+def report_github(findings: list[Finding], errors: list[str], stream: TextIO) -> None:
+    """``::error`` annotations GitHub renders inline on PRs."""
+    for f in findings:
         print(
             f"::error file={f.path},line={f.line},col={f.col},"
             f"title={f.rule}::{_escape_gh(f.message)}",
-            file=stream,
-        )
-    for f in part.warnings + part.baselined:
-        tag = "baselined" if f in part.baselined else "warning"
-        print(
-            f"::warning file={f.path},line={f.line},col={f.col},"
-            f"title={f.rule} ({tag})::{_escape_gh(f.message)}",
-            file=stream,
-        )
-    for fp, ctx in sorted(part.stale.items()):
-        print(
-            f"::error title=hirep-lint stale baseline::entry {fp} "
-            f"({ctx.get('rule', '?')} at {ctx.get('path', '?')}:"
-            f"{ctx.get('line', '?')}) no longer matches; run "
-            "hirep-lint --update-baseline",
             file=stream,
         )
     for err in errors:

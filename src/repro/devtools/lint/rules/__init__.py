@@ -11,6 +11,7 @@ from repro.devtools.lint.rules import (
     campaigns,
     determinism,
     execution,
+    layering,
     observability,
     serving,
 )
@@ -21,6 +22,7 @@ __all__ = [
     "campaigns",
     "determinism",
     "execution",
+    "layering",
     "observability",
     "serving",
 ]

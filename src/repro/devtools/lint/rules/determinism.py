@@ -3,7 +3,10 @@
 These encode the three properties every hiREP experiment leans on: results
 are a pure function of the seed (DET001), simulated time is the only time
 (DET002), and exported/cached JSON is byte-stable so content-addressed
-cache keys and ``--jobs N == --jobs 1`` comparisons hold (DET003).
+cache keys and ``--jobs N == --jobs 1`` comparisons hold (DET003).  All
+three apply to every ``repro.*`` module — there is no list of
+"deterministic packages" to fall out of date; the audited escape hatches
+(:mod:`repro.obs.clock`, the scheduler watchdog) carry inline pragmas.
 """
 
 from __future__ import annotations
@@ -14,50 +17,86 @@ from typing import Iterator
 from repro.devtools.lint.engine import FileContext
 from repro.devtools.lint.findings import Finding
 from repro.devtools.lint.registry import Rule, register
+from repro.devtools.lint.summaries import attr_chain
 
 #: ``np.random.<attr>`` access that does *not* touch the hidden global
 #: stream — types used in annotations plus the seeded-generator factory.
 _NP_RANDOM_OK = {"Generator", "BitGenerator", "SeedSequence", "default_rng"}
 
+#: modules that are nothing but hidden global state / kernel entropy:
+#: importing them at all is the finding.
+_ENTROPY_MODULES = {
+    "random": "stdlib `random` has hidden global state",
+    "secrets": "`secrets` reads kernel entropy",
+}
 
-def _attr_chain(node: ast.AST) -> list[str]:
-    """``a.b.c`` -> ``["a", "b", "c"]``; empty list if not a pure name chain."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return list(reversed(parts))
-    return []
+#: module × function entropy reads in otherwise-innocent modules.
+_ENTROPY_ATTRS = {"os": {"urandom"}, "uuid": {"uuid1", "uuid4"}}
+
+_SEEDED = "draw from an injected np.random.Generator (see repro.sim.rng)"
+
+
+def table_reads(
+    tree: ast.AST, table: dict[str, set[str]]
+) -> Iterator[tuple[ast.AST, str]]:
+    """Every read of a ``module -> attrs`` table entry: ``(node, "module.attr")``.
+
+    Three shapes: the ``from module import attr`` statement itself, a call
+    of the name it bound, and an attribute chain ending in ``module.attr``
+    (``import module as alias`` included).
+    """
+    modules = {module: module for module in table}  # local name -> module
+    imported: dict[str, str] = {}  # local name -> "module.attr"
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name in table:
+                    modules[alias.asname or alias.name] = alias.name
+        elif isinstance(node, ast.ImportFrom) and node.module in table:
+            for alias in node.names:
+                if alias.name in table[node.module]:
+                    dotted = f"{node.module}.{alias.name}"
+                    imported[alias.asname or alias.name] = dotted
+                    yield node, dotted
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            chain = attr_chain(node)
+            module = modules.get(chain[-2]) if len(chain) >= 2 else None
+            if module is not None and chain[-1] in table[module]:
+                yield node, f"{module}.{chain[-1]}"
+        elif isinstance(node, ast.Call):
+            if isinstance(node.func, ast.Name) and node.func.id in imported:
+                yield node, imported[node.func.id]
 
 
 @register
 class NoGlobalRandomness(Rule):
-    """DET001: all randomness must flow through an injected, seeded Generator."""
+    """DET001: all randomness must flow through an injected, seeded Generator.
+
+    Covers the stdlib ``random`` module, numpy's hidden global stream,
+    unseeded ``default_rng()`` and the kernel-entropy reads (``secrets``,
+    ``os.urandom``, ``uuid.uuid1``/``uuid4``) that no seed can replay.
+    """
 
     code = "DET001"
-    name = "no stdlib random / global numpy RNG / unseeded default_rng"
+    name = "no stdlib random / global numpy RNG / unseeded default_rng / entropy"
     packages = ("repro",)
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
+        for node, dotted in table_reads(ctx.tree, _ENTROPY_ATTRS):
+            yield ctx.finding(
+                self, node, f"{dotted} reads entropy no seed can replay; {_SEEDED}"
+            )
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:
-                    if alias.name == "random" or alias.name.startswith("random."):
-                        yield ctx.finding(
-                            self,
-                            node,
-                            "stdlib `random` has hidden global state; draw from "
-                            "an injected np.random.Generator (see repro.sim.rng)",
-                        )
+                    why = _ENTROPY_MODULES.get(alias.name.split(".")[0])
+                    if why is not None:
+                        yield ctx.finding(self, node, f"{why}; {_SEEDED}")
             elif isinstance(node, ast.ImportFrom):
-                if node.module == "random":
+                if node.module in _ENTROPY_MODULES:
                     yield ctx.finding(
-                        self,
-                        node,
-                        "stdlib `random` has hidden global state; draw from "
-                        "an injected np.random.Generator (see repro.sim.rng)",
+                        self, node, f"{_ENTROPY_MODULES[node.module]}; {_SEEDED}"
                     )
                 elif node.module in ("numpy.random", "np.random"):
                     bad = [a.name for a in node.names if a.name not in _NP_RANDOM_OK]
@@ -69,7 +108,7 @@ class NoGlobalRandomness(Rule):
                             "stream; thread a seeded Generator instead",
                         )
             elif isinstance(node, ast.Attribute):
-                chain = _attr_chain(node)
+                chain = attr_chain(node)
                 if (
                     len(chain) == 3
                     and chain[0] in ("np", "numpy")
@@ -83,9 +122,9 @@ class NoGlobalRandomness(Rule):
                         "RNG; thread a seeded Generator instead",
                     )
             elif isinstance(node, ast.Call):
-                chain = _attr_chain(node.func)
-                is_default_rng = chain[-1:] == ["default_rng"] and (
-                    len(chain) == 1 or chain[:-1] in (["np", "random"], ["numpy", "random"])
+                chain = attr_chain(node.func)
+                is_default_rng = chain[-1:] == ("default_rng",) and (
+                    len(chain) == 1 or chain[:-1] in (("np", "random"), ("numpy", "random"))
                 )
                 if is_default_rng and not node.args and not node.keywords:
                     yield ctx.finding(
@@ -115,63 +154,29 @@ _CLOCK_ATTRS = {
 
 @register
 class NoWallClock(Rule):
-    """DET002: sim/core/net/exec/experiments code never reads the wall clock.
+    """DET002: nothing under ``repro`` reads the wall clock.
 
     Simulated time comes from :mod:`repro.sim.clock`; anything else makes a
-    run depend on host load.  Telemetry call sites (progress lines, manifest
-    timestamps, wall-time summaries) are legitimate — mark them with
+    run depend on host load.  Telemetry goes through
+    :class:`repro.obs.clock.WallClock` — the one sanctioned host-clock
+    seam, for the live service plane too; the few other legitimate sites
+    (manifest timestamps, the scheduler watchdog) are marked with
     ``# lint: allow[DET002]``.
     """
 
     code = "DET002"
-    name = "no wall-clock reads in deterministic code"
-    packages = (
-        "repro.sim",
-        "repro.core",
-        "repro.net",
-        "repro.exec",
-        "repro.experiments",
-        "repro.obs",
-    )
+    name = "no wall-clock reads outside repro.obs.clock.WallClock"
+    packages = ("repro",)
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        imported_clocks: set[str] = set()
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.ImportFrom) and node.module in _CLOCK_ATTRS:
-                for alias in node.names:
-                    if alias.name in _CLOCK_ATTRS[node.module]:
-                        imported_clocks.add(alias.asname or alias.name)
-                        yield ctx.finding(
-                            self,
-                            node,
-                            f"importing {node.module}.{alias.name} pulls the "
-                            "wall clock into deterministic code; use the "
-                            "simulation clock (repro.sim.clock)",
-                        )
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.Attribute):
-                chain = _attr_chain(node)
-                # time.time / datetime.now / datetime.datetime.now(...)
-                if (
-                    len(chain) >= 2
-                    and chain[-2] in _CLOCK_ATTRS
-                    and chain[-1] in _CLOCK_ATTRS[chain[-2]]
-                ):
-                    yield ctx.finding(
-                        self,
-                        node,
-                        f"{'.'.join(chain)} reads the wall clock; use the "
-                        "simulation clock (repro.sim.clock) or pragma a "
-                        "telemetry site with `# lint: allow[DET002]`",
-                    )
-            elif isinstance(node, ast.Call):
-                if isinstance(node.func, ast.Name) and node.func.id in imported_clocks:
-                    yield ctx.finding(
-                        self,
-                        node,
-                        f"{node.func.id}() reads the wall clock; use the "
-                        "simulation clock (repro.sim.clock)",
-                    )
+        for node, dotted in table_reads(ctx.tree, _CLOCK_ATTRS):
+            yield ctx.finding(
+                self,
+                node,
+                f"{dotted} reads the wall clock; use the simulation clock "
+                "(repro.sim.clock), time through repro.obs.clock.WallClock, "
+                "or pragma a telemetry site with `# lint: allow[DET002]`",
+            )
 
 
 @register
@@ -191,8 +196,8 @@ class SortedJSONExports(Rule):
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue
-            chain = _attr_chain(node.func)
-            if chain not in (["json", "dump"], ["json", "dumps"]):
+            chain = attr_chain(node.func)
+            if chain not in (("json", "dump"), ("json", "dumps")):
                 continue
             sort_kw = None
             has_star_kwargs = any(kw.arg is None for kw in node.keywords)

@@ -1,11 +1,15 @@
-"""EXC001: callables handed to the repro.exec scheduler must be module-level.
+"""EXC001/TNT003: callables handed to the repro.exec scheduler must pickle.
 
 The scheduler ships work to ``ProcessPoolExecutor`` workers and keys the
 result cache on a fingerprint of the *module source* that will run.
 Lambdas and nested functions break both: they don't pickle, and their code
 lives outside any fingerprinted module.  ``functools.partial`` over a
 module-level function is fine — the partial pickles and the target's module
-is fingerprinted — so the rule unwraps partials before judging.
+is fingerprinted — so the rules unwrap partials before judging.
+
+EXC001 judges the expression written at the sink; TNT003 follows a *name*
+handed to the sink through imports, re-exports and module-level aliases
+back to its definition, which only the whole-program view can do.
 """
 
 from __future__ import annotations
@@ -15,14 +19,12 @@ from typing import Iterator
 
 from repro.devtools.lint.engine import FileContext
 from repro.devtools.lint.findings import Finding
+from repro.devtools.lint.graphs import Project
 from repro.devtools.lint.registry import Rule, register
-
-#: call sites whose callable arguments end up pickled or fingerprinted:
-#: ``<pool>.submit(fn, ...)`` / ``<pool>.map(fn, ...)`` (first positional
-#: argument) and ``SweepPlan(assemble=...)`` / ``replace(plan, assemble=...)``
-#: (keyword).
-_METHOD_SINKS = {"submit", "map"}
-_KWARG_SINKS = {"SweepPlan": "assemble"}
+from repro.devtools.lint.summaries import (
+    SCHEDULER_SINK_KWARGS,
+    SCHEDULER_SINK_METHODS,
+)
 
 
 def _local_function_names(tree: ast.AST) -> set[str]:
@@ -100,16 +102,96 @@ class ModuleLevelCallables(Rule):
             if not isinstance(node, ast.Call):
                 continue
             func = node.func
-            if isinstance(func, ast.Attribute) and func.attr in _METHOD_SINKS:
+            if isinstance(func, ast.Attribute) and func.attr in SCHEDULER_SINK_METHODS:
                 if node.args:
                     yield from self._judge(
                         ctx, node.args[0], locals_, f".{func.attr}()"
                     )
             callee = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
-            if callee in _KWARG_SINKS:
-                wanted = _KWARG_SINKS[callee]
+            if callee in SCHEDULER_SINK_KWARGS:
+                wanted = SCHEDULER_SINK_KWARGS[callee]
                 for kw in node.keywords:
                     if kw.arg == wanted:
                         yield from self._judge(
                             ctx, kw.value, locals_, f"{callee}({wanted}=...)"
+                        )
+
+
+@register
+class PickleSafety(Rule):
+    """TNT003: scheduler callables must resolve to module-level functions.
+
+    EXC001 judges the expression at the call site; this rule resolves
+    *references* — through module aliases, re-exports and ``from``-imports
+    across files — and flags callables that pickle by qualified name but
+    cannot round-trip: module-level ``name = lambda ...`` bindings and
+    lambdas captured inside ``functools.partial`` arguments.
+    """
+
+    code = "TNT003"
+    name = "scheduler callables must resolve picklable through the reference chain"
+    whole_program = True
+
+    def _lambda_binding_of(
+        self, project: Project, module: str, chain: tuple[str, ...], depth: int = 0
+    ) -> tuple[str, str] | None:
+        """Follow a reference chain to a module-level lambda binding."""
+        if depth > 8 or not chain:
+            return None
+        summary = project.summaries.get(module)
+        if summary is None:
+            return None
+        head = chain[0]
+        if len(chain) == 1:
+            if head in summary.lambda_bindings:
+                return (module, head)
+            alias = summary.aliases.get(head)
+            if alias is not None and alias != chain:
+                return self._lambda_binding_of(project, module, alias, depth + 1)
+        binding = project.index.bindings.get(module, {}).get(head)
+        if binding is None:
+            return None
+        if binding[0] == "symbol":
+            _, target_mod, symbol = binding
+            if target_mod in project.summaries:
+                return self._lambda_binding_of(
+                    project, target_mod, (symbol,) + chain[1:], depth + 1
+                )
+            return None
+        dotted = ".".join((binding[1],) + chain[1:])
+        prefix = project.index.longest_module_prefix(dotted)
+        if prefix is None or len(dotted) == len(prefix):
+            return None
+        rest = tuple(dotted[len(prefix) + 1 :].split("."))
+        return self._lambda_binding_of(project, prefix, rest, depth + 1)
+
+    def check_project(self, project: Project) -> Iterator[Finding]:
+        for module in sorted(project.summaries):
+            summary = project.summaries[module]
+            for ref in summary.callable_refs:
+                if ref.kind == "captured_lambda":
+                    yield project.finding(
+                        self,
+                        module,
+                        ref.lineno,
+                        ref.col,
+                        f"lambda captured in a functools.partial argument "
+                        f"handed to {ref.sink}: the partial pickles its "
+                        "bound arguments too, and lambdas cannot — bind a "
+                        "module-level function instead",
+                    )
+                elif ref.kind == "name":
+                    located = self._lambda_binding_of(project, module, ref.chain)
+                    if located is not None:
+                        target_mod, name = located
+                        yield project.finding(
+                            self,
+                            module,
+                            ref.lineno,
+                            ref.col,
+                            f"`{'.'.join(ref.chain)}` handed to {ref.sink} "
+                            f"resolves to the module-level lambda binding "
+                            f"`{name}` in {target_mod}: it pickles by "
+                            'qualname "<lambda>" and cannot round-trip to '
+                            "a worker — def a module-level function",
                         )

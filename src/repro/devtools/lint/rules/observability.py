@@ -21,7 +21,8 @@ from typing import Iterator
 
 from repro.devtools.lint.engine import FileContext
 from repro.devtools.lint.findings import Finding
-from repro.devtools.lint.registry import Rule, register
+from repro.devtools.lint.registry import Rule, in_packages, register
+from repro.devtools.lint.rules.determinism import table_reads
 
 #: modules whose job *is* terminal output.
 _EXEMPT = ("repro.exec.progress", "repro.obs.cli")
@@ -36,12 +37,7 @@ class NoBarePrint(Rule):
     packages = ("repro.sim", "repro.net", "repro.core", "repro.exec", "repro.obs")
 
     def applies_to(self, module: str | None) -> bool:
-        if module is not None and any(
-            module == exempt or module.startswith(exempt + ".")
-            for exempt in _EXEMPT
-        ):
-            return False
-        return super().applies_to(module)
+        return super().applies_to(module) and not in_packages(module, _EXEMPT)
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         for node in ast.walk(ctx.tree):
@@ -64,7 +60,7 @@ class NoBarePrint(Rule):
 _OBS002_EXEMPT = ("repro.obs.clock", "repro.obs.prof")
 
 #: ``time.<attr>`` reads that belong behind :class:`repro.obs.WallClock`.
-_RAW_TIMERS = {"perf_counter", "perf_counter_ns"}
+_RAW_TIMERS = {"time": {"perf_counter", "perf_counter_ns"}}
 
 
 @register
@@ -88,67 +84,26 @@ class RawPerfInstrumentation(Rule):
     packages = None  # applies to everything linted, benchmarks/ scripts included
 
     def applies_to(self, module: str | None) -> bool:
-        if module is not None and any(
-            module == exempt or module.startswith(exempt + ".")
-            for exempt in _OBS002_EXEMPT
-        ):
-            return False
-        return True
+        return not in_packages(module, _OBS002_EXEMPT)
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        imported_timers: set[str] = set()
         for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    if alias.name == "tracemalloc":
-                        yield ctx.finding(
-                            self,
-                            node,
-                            "import tracemalloc outside repro.obs.prof; use "
-                            "Profiler(memory=True) so watermarks land in "
-                            "profile.json with everything else",
-                        )
-            elif isinstance(node, ast.ImportFrom):
-                if node.module == "tracemalloc":
-                    yield ctx.finding(
-                        self,
-                        node,
-                        "import tracemalloc outside repro.obs.prof; use "
-                        "Profiler(memory=True) so watermarks land in "
-                        "profile.json with everything else",
-                    )
-                elif node.module == "time":
-                    for alias in node.names:
-                        if alias.name in _RAW_TIMERS:
-                            imported_timers.add(alias.asname or alias.name)
-                            yield ctx.finding(
-                                self,
-                                node,
-                                f"importing time.{alias.name} bypasses the "
-                                "sanctioned clock; time through "
-                                "repro.obs.WallClock",
-                            )
-            elif isinstance(node, ast.Attribute):
-                if (
-                    node.attr in _RAW_TIMERS
-                    and isinstance(node.value, ast.Name)
-                    and node.value.id == "time"
-                ):
-                    yield ctx.finding(
-                        self,
-                        node,
-                        f"time.{node.attr} is a raw host-clock read; time "
-                        "through repro.obs.WallClock (or repro.obs.prof for "
-                        "profiles) so perf numbers share one seam",
-                    )
-            elif isinstance(node, ast.Call):
-                if (
-                    isinstance(node.func, ast.Name)
-                    and node.func.id in imported_timers
-                ):
-                    yield ctx.finding(
-                        self,
-                        node,
-                        f"{node.func.id}() is a raw host-clock read; time "
-                        "through repro.obs.WallClock",
-                    )
+            if (
+                isinstance(node, ast.Import)
+                and any(alias.name == "tracemalloc" for alias in node.names)
+            ) or (isinstance(node, ast.ImportFrom) and node.module == "tracemalloc"):
+                yield ctx.finding(
+                    self,
+                    node,
+                    "import tracemalloc outside repro.obs.prof; use "
+                    "Profiler(memory=True) so watermarks land in "
+                    "profile.json with everything else",
+                )
+        for node, dotted in table_reads(ctx.tree, _RAW_TIMERS):
+            yield ctx.finding(
+                self,
+                node,
+                f"{dotted} is a raw host-clock read; time through "
+                "repro.obs.WallClock (or repro.obs.prof for profiles) so "
+                "perf numbers share one seam",
+            )

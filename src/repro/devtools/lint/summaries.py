@@ -1,32 +1,25 @@
 """Per-module summaries: everything the project analysis needs from one file.
 
-A :class:`ModuleSummary` is a flat, JSON-round-trippable digest of one
-module's AST — imports (with scope and ``TYPE_CHECKING`` gating), function
-definitions with their outgoing call sites, class definitions with their
-method tables and ``self.<attr> = ClassName(...)`` attribute types, the
-callables handed to scheduler sinks, and the file's lint pragmas.  The
-whole-program passes (:mod:`repro.devtools.analyze.graphs`) work only on
-summaries, never on ASTs, which is what makes the on-disk cache
-(:mod:`repro.devtools.analyze.cache`) sufficient for warm runs: an
-unchanged file is never re-parsed, and a cached summary carries enough
-source text (one line per recorded site) to build findings without
-re-reading the file.
-
-Summaries are content-addressed by :func:`source_digest` (SHA-256 of the
-source bytes) and versioned by :data:`SUMMARY_SCHEMA`; bumping the schema
-invalidates every cached entry at once.
+A :class:`ModuleSummary` is a flat digest of one module's AST — imports
+(with scope and ``TYPE_CHECKING`` gating), function definitions with their
+outgoing call sites, class definitions with their method tables and
+``self.<attr> = ClassName(...)`` attribute types, and the callables handed
+to scheduler sinks.  The whole-program passes
+(:mod:`repro.devtools.lint.graphs`) work only on summaries, never on ASTs;
+the engine extracts each one from the tree it already parsed for the
+per-file rules.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from repro.devtools.lint.engine import parse_pragmas
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.devtools.lint.engine import FileContext
 
 __all__ = [
-    "SUMMARY_SCHEMA",
     "CallSite",
     "CallableRef",
     "ImportRecord",
@@ -34,32 +27,25 @@ __all__ = [
     "ClassInfo",
     "ModuleSummary",
     "extract_summary",
-    "source_digest",
     "MODULE_SCOPE",
+    "SCHEDULER_SINK_METHODS",
+    "SCHEDULER_SINK_KWARGS",
 ]
-
-#: Bump when the extraction below changes shape — cached summaries with a
-#: different schema are discarded, so extractor upgrades never need a
-#: manual cache wipe.
-SUMMARY_SCHEMA = 1
 
 #: Pseudo-qualname holding module-level call sites (import-time execution).
 MODULE_SCOPE = "<module>"
 
-#: Scheduler sinks whose callable arguments must stay picklable: method
-#: names taking the callable as first positional arg, and constructors
-#: taking it as a keyword.
-_SINK_METHODS = {"submit", "map"}
-_SINK_KWARGS = {"SweepPlan": "assemble"}
+#: Call sites whose callable arguments end up pickled or fingerprinted by
+#: the ``repro.exec`` scheduler: ``<pool>.submit(fn, ...)`` / ``.map(fn,
+#: ...)`` (first positional argument) and ``SweepPlan(assemble=...)``
+#: (keyword).  EXC001 judges the expression at these sites, TNT003 the
+#: references recorded from them.
+SCHEDULER_SINK_METHODS = {"submit", "map"}
+SCHEDULER_SINK_KWARGS = {"SweepPlan": "assemble"}
 
 
-def source_digest(source: str) -> str:
-    """Content address of one module's source text."""
-    return hashlib.sha256(source.encode("utf-8")).hexdigest()
-
-
-def _attr_chain(node: ast.AST) -> tuple[str, ...]:
-    """``a.b.c(...)`` -> ``("a", "b", "c")``; empty if not a pure name chain."""
+def attr_chain(node: ast.AST) -> tuple[str, ...]:
+    """``a.b.c`` -> ``("a", "b", "c")``; empty if not a pure name chain."""
     parts: list[str] = []
     while isinstance(node, ast.Attribute):
         parts.append(node.attr)
@@ -78,29 +64,6 @@ class CallSite:
     lineno: int
     col: int
     awaited: bool
-    n_args: int
-    source_line: str
-
-    def to_dict(self) -> dict:
-        return {
-            "chain": list(self.chain),
-            "lineno": self.lineno,
-            "col": self.col,
-            "awaited": self.awaited,
-            "n_args": self.n_args,
-            "source_line": self.source_line,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CallSite":
-        return cls(
-            chain=tuple(data["chain"]),
-            lineno=data["lineno"],
-            col=data["col"],
-            awaited=data["awaited"],
-            n_args=data["n_args"],
-            source_line=data["source_line"],
-        )
 
 
 @dataclass(frozen=True)
@@ -120,31 +83,6 @@ class CallableRef:
     chain: tuple[str, ...]
     lineno: int
     col: int
-    source_line: str
-    in_function: str
-
-    def to_dict(self) -> dict:
-        return {
-            "sink": self.sink,
-            "kind": self.kind,
-            "chain": list(self.chain),
-            "lineno": self.lineno,
-            "col": self.col,
-            "source_line": self.source_line,
-            "in_function": self.in_function,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CallableRef":
-        return cls(
-            sink=data["sink"],
-            kind=data["kind"],
-            chain=tuple(data["chain"]),
-            lineno=data["lineno"],
-            col=data["col"],
-            source_line=data["source_line"],
-            in_function=data["in_function"],
-        )
 
 
 @dataclass(frozen=True)
@@ -164,30 +102,6 @@ class ImportRecord:
     lineno: int
     scope: str
     type_checking: bool
-    source_line: str
-
-    def to_dict(self) -> dict:
-        return {
-            "module": self.module,
-            "name": self.name,
-            "binding": self.binding,
-            "lineno": self.lineno,
-            "scope": self.scope,
-            "type_checking": self.type_checking,
-            "source_line": self.source_line,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ImportRecord":
-        return cls(
-            module=data["module"],
-            name=data["name"],
-            binding=data["binding"],
-            lineno=data["lineno"],
-            scope=data["scope"],
-            type_checking=data["type_checking"],
-            source_line=data["source_line"],
-        )
 
 
 @dataclass
@@ -196,7 +110,6 @@ class FunctionInfo:
 
     qualname: str
     name: str
-    lineno: int
     is_async: bool
     nested: bool
     class_name: str | None
@@ -205,66 +118,17 @@ class FunctionInfo:
     #: method resolution of ``x.method()`` later in the body.
     local_constructs: dict[str, tuple[str, ...]] = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "qualname": self.qualname,
-            "name": self.name,
-            "lineno": self.lineno,
-            "is_async": self.is_async,
-            "nested": self.nested,
-            "class_name": self.class_name,
-            "calls": [c.to_dict() for c in self.calls],
-            "local_constructs": {
-                k: list(v) for k, v in sorted(self.local_constructs.items())
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FunctionInfo":
-        return cls(
-            qualname=data["qualname"],
-            name=data["name"],
-            lineno=data["lineno"],
-            is_async=data["is_async"],
-            nested=data["nested"],
-            class_name=data["class_name"],
-            calls=[CallSite.from_dict(c) for c in data["calls"]],
-            local_constructs={
-                k: tuple(v) for k, v in data["local_constructs"].items()
-            },
-        )
-
 
 @dataclass
 class ClassInfo:
     """One class: bases, method table, and constructor-typed attributes."""
 
     name: str
-    lineno: int
     bases: list[tuple[str, ...]] = field(default_factory=list)
     methods: list[str] = field(default_factory=list)
     #: ``self.attr = ClassName(...)`` seen in any method — a best-effort
     #: attribute type table for resolving ``self.attr.method()``.
     attr_types: dict[str, tuple[str, ...]] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "lineno": self.lineno,
-            "bases": [list(b) for b in self.bases],
-            "methods": sorted(self.methods),
-            "attr_types": {k: list(v) for k, v in sorted(self.attr_types.items())},
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ClassInfo":
-        return cls(
-            name=data["name"],
-            lineno=data["lineno"],
-            bases=[tuple(b) for b in data["bases"]],
-            methods=list(data["methods"]),
-            attr_types={k: tuple(v) for k, v in data["attr_types"].items()},
-        )
 
 
 @dataclass
@@ -273,64 +137,21 @@ class ModuleSummary:
 
     module: str
     path: str
-    digest: str
     imports: list[ImportRecord] = field(default_factory=list)
     functions: dict[str, FunctionInfo] = field(default_factory=dict)
     classes: dict[str, ClassInfo] = field(default_factory=dict)
     #: module-level ``name = lambda ...`` bindings (unpicklable by name).
-    lambda_bindings: dict[str, int] = field(default_factory=dict)
+    lambda_bindings: set[str] = field(default_factory=set)
     #: module-level ``name = other.thing`` aliases (re-exports to follow).
     aliases: dict[str, tuple[str, ...]] = field(default_factory=dict)
     callable_refs: list[CallableRef] = field(default_factory=list)
-    #: 1-based line -> rule codes allowed by an inline pragma on that line.
-    pragmas: dict[int, list[str]] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "schema": SUMMARY_SCHEMA,
-            "module": self.module,
-            "path": self.path,
-            "digest": self.digest,
-            "imports": [i.to_dict() for i in self.imports],
-            "functions": {
-                q: f.to_dict() for q, f in sorted(self.functions.items())
-            },
-            "classes": {n: c.to_dict() for n, c in sorted(self.classes.items())},
-            "lambda_bindings": dict(sorted(self.lambda_bindings.items())),
-            "aliases": {k: list(v) for k, v in sorted(self.aliases.items())},
-            "callable_refs": [r.to_dict() for r in self.callable_refs],
-            "pragmas": {str(k): sorted(v) for k, v in sorted(self.pragmas.items())},
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ModuleSummary":
-        return cls(
-            module=data["module"],
-            path=data["path"],
-            digest=data["digest"],
-            imports=[ImportRecord.from_dict(i) for i in data["imports"]],
-            functions={
-                q: FunctionInfo.from_dict(f) for q, f in data["functions"].items()
-            },
-            classes={n: ClassInfo.from_dict(c) for n, c in data["classes"].items()},
-            lambda_bindings=dict(data["lambda_bindings"]),
-            aliases={k: tuple(v) for k, v in data["aliases"].items()},
-            callable_refs=[CallableRef.from_dict(r) for r in data["callable_refs"]],
-            pragmas={int(k): list(v) for k, v in data["pragmas"].items()},
-        )
-
-    def allows(self, lineno: int, code: str) -> bool:
-        """True when a pragma on ``lineno`` suppresses rule ``code``."""
-        allowed = self.pragmas.get(lineno, ())
-        return code in allowed or "*" in allowed
 
 
 class _Extractor(ast.NodeVisitor):
     """One pass over a module AST filling a :class:`ModuleSummary`."""
 
-    def __init__(self, summary: ModuleSummary, lines: list[str]) -> None:
+    def __init__(self, summary: ModuleSummary) -> None:
         self.summary = summary
-        self.lines = lines
         self._func_stack: list[FunctionInfo] = []
         self._class_stack: list[ClassInfo] = []
         self._type_checking_depth = 0
@@ -338,7 +159,6 @@ class _Extractor(ast.NodeVisitor):
         module_fn = FunctionInfo(
             qualname=MODULE_SCOPE,
             name=MODULE_SCOPE,
-            lineno=1,
             is_async=False,
             nested=False,
             class_name=None,
@@ -347,11 +167,6 @@ class _Extractor(ast.NodeVisitor):
         self._module_fn = module_fn
 
     # -- helpers -----------------------------------------------------------
-
-    def _line(self, lineno: int) -> str:
-        if 1 <= lineno <= len(self.lines):
-            return self.lines[lineno - 1]
-        return ""
 
     def _current_fn(self) -> FunctionInfo:
         return self._func_stack[-1] if self._func_stack else self._module_fn
@@ -381,7 +196,6 @@ class _Extractor(ast.NodeVisitor):
                     lineno=node.lineno,
                     scope=self._import_scope(),
                     type_checking=self._type_checking_depth > 0,
-                    source_line=self._line(node.lineno),
                 )
             )
 
@@ -399,14 +213,13 @@ class _Extractor(ast.NodeVisitor):
                     lineno=node.lineno,
                     scope=self._import_scope(),
                     type_checking=self._type_checking_depth > 0,
-                    source_line=self._line(node.lineno),
                 )
             )
 
     def visit_If(self, node: ast.If) -> None:
         # `if TYPE_CHECKING:` / `if typing.TYPE_CHECKING:` bodies never run.
         test = node.test
-        chain = _attr_chain(test) if isinstance(test, (ast.Name, ast.Attribute)) else ()
+        chain = attr_chain(test) if isinstance(test, (ast.Name, ast.Attribute)) else ()
         if chain and chain[-1] == "TYPE_CHECKING":
             self._type_checking_depth += 1
             for stmt in node.body:
@@ -424,7 +237,6 @@ class _Extractor(ast.NodeVisitor):
         info = FunctionInfo(
             qualname=self._qualname(node.name),
             name=node.name,
-            lineno=node.lineno,
             is_async=isinstance(node, ast.AsyncFunctionDef),
             nested=bool(self._func_stack),
             class_name=self._class_stack[-1].name if in_class else None,
@@ -444,9 +256,9 @@ class _Extractor(ast.NodeVisitor):
         self._visit_function(node)
 
     def visit_ClassDef(self, node: ast.ClassDef) -> None:
-        info = ClassInfo(name=node.name, lineno=node.lineno)
+        info = ClassInfo(name=node.name)
         for base in node.bases:
-            chain = _attr_chain(base)
+            chain = attr_chain(base)
             if chain:
                 info.bases.append(chain)
         self.summary.classes[node.name] = info
@@ -465,13 +277,13 @@ class _Extractor(ast.NodeVisitor):
                 if not self._func_stack and not self._class_stack:
                     # module level: lambda bindings + simple aliases
                     if isinstance(value, ast.Lambda):
-                        self.summary.lambda_bindings[target.id] = node.lineno
+                        self.summary.lambda_bindings.add(target.id)
                     else:
-                        chain = _attr_chain(value)
+                        chain = attr_chain(value)
                         if chain:
                             self.summary.aliases[target.id] = chain
                 elif self._func_stack and isinstance(value, ast.Call):
-                    chain = _attr_chain(value.func)
+                    chain = attr_chain(value.func)
                     if chain:
                         self._current_fn().local_constructs.setdefault(
                             target.id, chain
@@ -483,7 +295,7 @@ class _Extractor(ast.NodeVisitor):
                 and self._class_stack
                 and isinstance(value, ast.Call)
             ):
-                chain = _attr_chain(value.func)
+                chain = attr_chain(value.func)
                 if chain:
                     self._class_stack[-1].attr_types.setdefault(target.attr, chain)
         self.generic_visit(node)
@@ -498,13 +310,13 @@ class _Extractor(ast.NodeVisitor):
         func = node.func
         sink = None
         args: list[ast.expr] = []
-        if isinstance(func, ast.Attribute) and func.attr in _SINK_METHODS:
+        if isinstance(func, ast.Attribute) and func.attr in SCHEDULER_SINK_METHODS:
             if node.args:
                 sink = f".{func.attr}()"
                 args = [node.args[0]]
         callee = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
-        if callee in _SINK_KWARGS:
-            wanted = _SINK_KWARGS[callee]
+        if callee in SCHEDULER_SINK_KWARGS:
+            wanted = SCHEDULER_SINK_KWARGS[callee]
             for kw in node.keywords:
                 if kw.arg == wanted:
                     sink = f"{callee}({wanted}=...)"
@@ -516,8 +328,6 @@ class _Extractor(ast.NodeVisitor):
                 self.summary.callable_refs.append(ref)
 
     def _judge_callable(self, arg: ast.expr, sink: str) -> list[CallableRef]:
-        fn = self._current_fn()
-
         def ref(kind: str, chain: tuple[str, ...], node: ast.expr) -> CallableRef:
             return CallableRef(
                 sink=sink,
@@ -525,15 +335,13 @@ class _Extractor(ast.NodeVisitor):
                 chain=chain,
                 lineno=node.lineno,
                 col=node.col_offset + 1,
-                source_line=self._line(node.lineno),
-                in_function=fn.qualname,
             )
 
         # functools.partial(fn, ...): judge fn AND every bound argument —
         # a lambda captured in a partial is just as unpicklable as the
         # partial's target.
         if isinstance(arg, ast.Call):
-            chain = _attr_chain(arg.func)
+            chain = attr_chain(arg.func)
             if chain and chain[-1] == "partial" and arg.args:
                 out: list[CallableRef] = []
                 out.extend(self._judge_callable(arg.args[0], sink))
@@ -544,13 +352,13 @@ class _Extractor(ast.NodeVisitor):
             return [ref("other", (), arg)]
         if isinstance(arg, ast.Lambda):
             return [ref("lambda", (), arg)]
-        chain = _attr_chain(arg)
+        chain = attr_chain(arg)
         if chain:
             return [ref("name", chain, arg)]
         return [ref("other", (), arg)]
 
     def visit_Call(self, node: ast.Call) -> None:
-        chain = _attr_chain(node.func)
+        chain = attr_chain(node.func)
         if chain:
             self._current_fn().calls.append(
                 CallSite(
@@ -558,27 +366,15 @@ class _Extractor(ast.NodeVisitor):
                     lineno=node.lineno,
                     col=node.col_offset + 1,
                     awaited=id(node) in self._awaited,
-                    n_args=len(node.args) + len(node.keywords),
-                    source_line=self._line(node.lineno),
                 )
             )
         self._record_callable_refs(node)
         self.generic_visit(node)
 
 
-def extract_summary(source: str, *, module: str, path: str) -> ModuleSummary:
-    """Parse one module and digest it into a :class:`ModuleSummary`.
-
-    Raises :class:`SyntaxError` for unparseable source — callers surface
-    that as an analysis error rather than a finding.
-    """
-    tree = ast.parse(source, filename=path)
-    lines = source.splitlines()
-    summary = ModuleSummary(
-        module=module,
-        path=path,
-        digest=source_digest(source),
-        pragmas={k: sorted(v) for k, v in parse_pragmas(lines).items()},
-    )
-    _Extractor(summary, lines).visit(tree)
+def extract_summary(ctx: "FileContext") -> ModuleSummary:
+    """Digest one parsed, named module into a :class:`ModuleSummary`."""
+    assert ctx.module is not None
+    summary = ModuleSummary(module=ctx.module, path=ctx.path)
+    _Extractor(summary).visit(ctx.tree)
     return summary

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from repro.core.registry import build_system
 from repro.experiments.common import ExperimentResult, Series
+from repro.sim.stats import convergence_point
 from repro.workloads.scenarios import fig6_config
 
 __all__ = ["run", "main", "THRESHOLDS"]
@@ -58,8 +59,6 @@ def run(
         result.scalars[f"{name}_tail_mse"] = hirep.mse.tail_mse()
         # Convergence: where the windowed MSE settles into its final band
         # (the paper's "after a training process of about 100 transactions").
-        from repro.analysis.convergence import convergence_point
-
         report = convergence_point(hirep.mse.windowed_mse())
         result.scalars[f"{name}_convergence_tx"] = (
             float(report.index) if report.converged else float("nan")

@@ -152,6 +152,11 @@ class TelemetryPlane:
         ``sys1``, ``sys2``, ... so multi-system captures (e.g. a baseline
         comparison) keep their metric namespaces apart.
         """
+        if not hasattr(system.network, "engine"):
+            raise ConfigError(
+                f"{type(system).__name__} has no event engine or protocol "
+                "dispatcher for the telemetry plane to tap; capture on 'hirep'"
+            )
         if label is None and self._attachments:
             label = f"sys{len(self._attachments)}"
         att = _Attachment(system, label)

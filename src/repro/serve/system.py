@@ -134,7 +134,6 @@ class ServeSystem(HiRepRuntime):
         self.drain_per_tx = True
         self.lost_transactions = 0
         self._loop: asyncio.AbstractEventLoop | None = None
-        self._bootstrap_lock = asyncio.Lock()
         self._install_taps()
 
     # ------------------------------------------------------------------
@@ -191,7 +190,6 @@ class ServeSystem(HiRepRuntime):
     ) -> Outcome:
         """One full transaction cycle over the live transport: the shared
         ``begin``/``finish`` around the awaited round trip."""
-        await self._ready()
         tx = self.begin(requestor, provider)
         outcome = self.finish(tx, await self._round_trip(tx))
         self.telemetry.registry.histogram(
@@ -202,24 +200,6 @@ class ServeSystem(HiRepRuntime):
     def _bootstrap(self, rounds: int) -> None:
         self.maintenance.bootstrap(rounds)
         self.supervisor.checkpoint_all()
-
-    async def _ready(self) -> None:
-        """Bootstrap a fleet that was started without :meth:`up`.
-
-        Fleet-wide bootstrap is seconds of synchronous compute; run on
-        the loop it would stall every actor (TNT002), so offload to a
-        worker thread.  The lock serializes concurrent first
-        transactions: one bootstraps, the rest wait and re-check.  Safe
-        off-loop: discovery is direct compute + counters, it never posts
-        transport frames.
-        """
-        if self._bootstrapped:
-            return
-        async with self._bootstrap_lock:
-            if not self._bootstrapped:
-                await asyncio.to_thread(self.maintenance.bootstrap)
-                self.supervisor.checkpoint_all()
-                self._bootstrapped = True
 
     def _maintain(self, requestor: int) -> None:
         self.maintenance.maintain(self.peers[requestor])

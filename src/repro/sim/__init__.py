@@ -16,8 +16,10 @@ from repro.sim.process import ProcessHandle, spawn as spawn_process
 from repro.sim.trace import TraceEntry, Tracer, tap_network
 from repro.sim.rng import choice_without, make_rng, sample_unique, spawn
 from repro.sim.stats import (
+    ConvergenceReport,
     SeriesSummary,
     confidence_interval,
+    convergence_point,
     crossover_index,
     downsample,
     moving_average,
@@ -41,10 +43,12 @@ __all__ = [
     "spawn",
     "choice_without",
     "sample_unique",
+    "ConvergenceReport",
     "SeriesSummary",
     "summarize",
     "downsample",
     "moving_average",
     "confidence_interval",
+    "convergence_point",
     "crossover_index",
 ]

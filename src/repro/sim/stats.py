@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.errors import ConfigError
+
 __all__ = [
     "SeriesSummary",
     "summarize",
@@ -18,6 +20,8 @@ __all__ = [
     "moving_average",
     "confidence_interval",
     "crossover_index",
+    "ConvergenceReport",
+    "convergence_point",
 ]
 
 
@@ -119,3 +123,56 @@ def crossover_index(a: np.ndarray | list[float], b: np.ndarray | list[float]) ->
         raise ValueError(f"shape mismatch: {aa.shape} vs {bb.shape}")
     hits = np.nonzero(aa <= bb)[0]
     return int(hits[0]) if hits.size else None
+
+
+@dataclass(frozen=True)
+class ConvergenceReport:
+    """Where and to what a series converged."""
+
+    converged: bool
+    index: int               # first index of sustained convergence (-1 if never)
+    final_level: float       # mean over the settle window
+    band: float              # tolerance used
+
+    def __str__(self) -> str:
+        if not self.converged:
+            return f"not converged (final level {self.final_level:.4g})"
+        return f"converged at index {self.index} to {self.final_level:.4g} (±{self.band:.4g})"
+
+
+def convergence_point(
+    series: np.ndarray | list[float],
+    *,
+    settle_fraction: float = 0.2,
+    band_fraction: float = 0.25,
+    min_band: float = 0.01,
+) -> ConvergenceReport:
+    """First index after which the series stays inside the final band.
+
+    Fig. 6's narrative needs a number: *when* has the system trained?  The
+    paper eyeballs "about 100 transactions"; this makes it a measurement.
+
+    Parameters
+    ----------
+    settle_fraction:
+        The trailing fraction of the series used to define the final level.
+    band_fraction:
+        Band half-width as a fraction of the final level.
+    min_band:
+        Absolute floor on the band (handles final levels near zero).
+    """
+    arr = np.asarray(series, dtype=np.float64)
+    if arr.size < 5:
+        raise ConfigError(f"series too short to assess convergence ({arr.size})")
+    if not 0.0 < settle_fraction < 1.0:
+        raise ConfigError(f"settle_fraction must be in (0,1), got {settle_fraction}")
+    settle = max(2, int(arr.size * settle_fraction))
+    final_level = float(np.mean(arr[-settle:]))
+    band = max(abs(final_level) * band_fraction, min_band)
+    inside = np.abs(arr - final_level) <= band
+    # Find the first index from which `inside` holds for the whole tail.
+    outside_idx = np.nonzero(~inside)[0]
+    first = 0 if outside_idx.size == 0 else int(outside_idx[-1]) + 1
+    if first >= arr.size:
+        return ConvergenceReport(False, -1, final_level, band)
+    return ConvergenceReport(True, first, final_level, band)

@@ -278,21 +278,6 @@ class ArrayHiRepSystem(HiRepRuntime):
             return
         self._rebuild_onion(host)
 
-    def _fresh_onion(self, host: int) -> None:
-        """Reuse the current path with a fresh seq (HiRepPeer.fresh_onion).
-
-        Sequence numbers only exist to make receivers adopt the newest
-        onion; the host's path is authoritative here, so only the rebuild
-        condition matters.
-        """
-        relays = self._own_relays(host)
-        if (
-            not self._own_built[host]
-            or relays.size == 0
-            or not bool(self.network.online_mask[relays].all())
-        ):
-            self._ensure_onion(host)
-
     def _entry_relays(self, p: int, row: int) -> list[int]:
         """The onion snapshot stored in peer ``p``'s row (owner-current
         until snapshots are materialized)."""
@@ -592,13 +577,11 @@ class ArrayHiRepSystem(HiRepRuntime):
         request_hops: list[int] = []
         own_hops = int(self._own_plen[req]) + 1
         for row, host, hops in delivered:
-            if fast:
-                # All relays alive and the path already built: fresh_onion
-                # is a pure seq bump, no draws, no state change.
-                if not self._own_built[host]:
-                    self._ensure_onion(host)
-            else:
-                self._fresh_onion(host)
+            # HiRepPeer.fresh_onion: with all relays alive and the path
+            # built it is a pure seq bump (no draws, no state change), so
+            # only the rebuild condition matters — and that is _ensure_onion's.
+            if not (fast and self._own_built[host]):
+                self._ensure_onion(host)
             known = self._known.setdefault(host, set())
             if req not in known:
                 known.add(req)

@@ -1,15 +1,11 @@
-"""Unit tests for the analysis package."""
+"""Post-run analysis: convergence detection (``repro.sim.stats``), the
+measurement behind Fig. 6's "trained after about 100 transactions"."""
 
 import numpy as np
 import pytest
 
-from repro.analysis import (
-    breakdown,
-    compare_convergence,
-    convergence_point,
-)
 from repro.errors import ConfigError
-from repro.sim.metrics import MessageCounter
+from repro.sim.stats import convergence_point
 
 
 class TestConvergence:
@@ -41,13 +37,6 @@ class TestConvergence:
         with pytest.raises(ConfigError):
             convergence_point([1.0] * 10, settle_fraction=1.5)
 
-    def test_compare_many(self):
-        reports = compare_convergence(
-            {"fast": [0.5, 0.1, 0.1, 0.1, 0.1, 0.1],
-             "slow": [0.5, 0.5, 0.5, 0.4, 0.2, 0.1, 0.1, 0.1, 0.1, 0.1]}
-        )
-        assert reports["fast"].index <= reports["slow"].index
-
     def test_hirep_converges_faster_than_never(self, trained_system):
         series = trained_system.mse.windowed_mse()
         report = convergence_point(series)
@@ -55,38 +44,3 @@ class TestConvergence:
 
     def test_str_forms(self):
         assert "converged at" in str(convergence_point([0.1] * 10))
-
-
-class TestTrafficBreakdown:
-    def make_counter(self):
-        counter = MessageCounter()
-        counter.count("trust_query", 30)
-        counter.count("trust_response", 30)
-        counter.count("transaction_report", 30)
-        counter.count("agent_discovery", 8)
-        counter.count("key_exchange", 2)
-        counter.count("weird_custom", 5)
-        return counter
-
-    def test_phases_aggregated(self):
-        report = breakdown(self.make_counter())
-        assert report.total == 105
-        assert report.by_phase["trust distribution"] == 90
-        assert report.by_phase["agent discovery"] == 8
-        assert report.by_phase["other"] == 5
-
-    def test_share(self):
-        report = breakdown(self.make_counter())
-        assert report.share("trust distribution") == pytest.approx(90 / 105)
-        import math
-
-        assert math.isnan(breakdown(MessageCounter()).share("anything"))
-
-    def test_render(self):
-        text = breakdown(self.make_counter()).render()
-        assert "trust distribution" in text
-        assert "105" in text
-
-    def test_live_system_dominated_by_trust_traffic(self, trained_system):
-        report = breakdown(trained_system.counter)
-        assert report.share("trust distribution") > 0.5

@@ -1,4 +1,4 @@
-"""hirep-analyze CLI: exit codes, baseline ratchet, graph determinism."""
+"""hirep-lint CLI over a multi-module tree: whole-program rules, graph dump."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ import sys
 import textwrap
 from pathlib import Path
 
-from repro.devtools.analyze.cli import main
+from repro.devtools.lint.cli import main
 
 SRC_ROOT = Path(__file__).resolve().parents[2] / "src"
 
@@ -43,7 +43,7 @@ def run(root: Path, *extra: str) -> tuple[int, str]:
 def test_clean_tree_exits_zero(tmp_path):
     code, out = run(make_repo(tmp_path))
     assert code == 0
-    assert "0 new" in out
+    assert "0 finding(s)" in out
 
 
 def test_upward_import_exits_one(tmp_path):
@@ -52,14 +52,15 @@ def test_upward_import_exits_one(tmp_path):
     assert "LAY001" in out
 
 
-def test_select_and_ignore(tmp_path):
+def test_select(tmp_path):
     root = make_repo(tmp_path, UPWARD)
-    code, _ = run(root, "--ignore", "LAY001")
-    assert code == 0
     code, _ = run(root, "--select", "LAY001")
     assert code == 1
-    code, _ = run(root, "--select", "TNT001")
+    code, _ = run(root, "--select", "TNT003")
     assert code == 0
+    # a per-file and a whole-program code select together
+    code, out = run(root, "--select", "DET001", "--select", "LAY001")
+    assert code == 1 and "LAY001" in out
 
 
 def test_unknown_rule_code_exits_two(tmp_path):
@@ -70,63 +71,22 @@ def test_unknown_rule_code_exits_two(tmp_path):
 def test_list_rules(tmp_path):
     code, out = run(make_repo(tmp_path), "--list-rules")
     assert code == 0
-    assert [line.split()[0] for line in out.strip().splitlines()] == [
-        "LAY001",
-        "TNT001",
-        "TNT002",
-        "TNT003",
-    ]
-
-
-def test_stats_reports_warm_cache(tmp_path):
-    root = make_repo(tmp_path)
-    code, out = run(root, "--stats")
-    assert code == 0
-    # three empty __init__.py files share one digest: 3 misses, 2 hits
-    assert "3 miss(es)" in out and "3 stored" in out
-    code, out = run(root, "--stats")
-    assert "5 hit(s), 0 miss(es), 0 stored" in out
+    listed = {line.split()[0]: line for line in out.strip().splitlines()}
+    for code in ("LAY001", "SRV001", "TNT003"):
+        assert "(whole program)" in listed[code]
+    assert "(repro)" in listed["DET001"]
 
 
 def test_json_format(tmp_path):
     code, out = run(make_repo(tmp_path, UPWARD), "--format", "json")
     payload = json.loads(out)
-    assert payload["summary"]["new"] == 1
-    assert payload["new"][0]["rule"] == "LAY001"
+    assert [f["rule"] for f in payload["findings"]] == ["LAY001"]
 
 
 def test_github_format_emits_annotations(tmp_path):
     code, out = run(make_repo(tmp_path, UPWARD), "--format", "github")
     assert out.startswith("::error file=")
     assert "LAY001" in out
-
-
-def test_project_baseline_is_separate_and_ratchets(tmp_path):
-    root = make_repo(tmp_path, UPWARD)
-    # baseline the finding by hand via the shared machinery
-    from repro.devtools.lint.baseline import Baseline
-    from repro.devtools.analyze import analyze_project
-    from repro.devtools.analyze.cli import DEFAULT_PROJECT_BASELINE
-
-    result = analyze_project([root / "src"], repo_root=root)
-    baseline = Baseline(path=root / DEFAULT_PROJECT_BASELINE)
-    baseline.entries = {
-        f.fingerprint: Baseline.entry_for(f) for f in result.findings
-    }
-    baseline.save()
-
-    code, out = run(root)
-    assert code == 0 and "1 baselined" in out
-    assert not (root / ".hirep-lint-baseline.json").exists()
-
-    # fix the violation: the entry goes stale, the ratchet forces a shrink
-    (root / "src/repro/net/mod.py").write_text(CLEAN)
-    code, out = run(root)
-    assert code == 1 and "stale" in out
-    code, out = run(root, "--update-baseline")
-    assert code == 0
-    saved = json.loads((root / DEFAULT_PROJECT_BASELINE).read_text())
-    assert saved["findings"] == {}
 
 
 def test_graph_subcommand_dumps_deterministic_json(tmp_path):
@@ -152,12 +112,11 @@ def test_graph_json_is_byte_identical_across_hash_seeds(tmp_path):
             [
                 sys.executable,
                 "-m",
-                "repro.devtools.analyze.cli",
+                "repro.devtools.lint.cli",
                 "graph",
                 "src",
                 "--root",
                 str(root),
-                "--no-cache",
             ],
             capture_output=True,
             env=env,
@@ -165,27 +124,3 @@ def test_graph_json_is_byte_identical_across_hash_seeds(tmp_path):
         )
         dumps.append(proc.stdout)
     assert dumps[0] == dumps[1]
-
-
-def test_hirep_lint_project_flag_merges_findings(tmp_path):
-    from repro.devtools.lint.cli import main as lint_main
-
-    root = make_repo(tmp_path, UPWARD)
-    out = io.StringIO()
-    code = lint_main(["src", "--root", str(root), "--project"], stream=out)
-    assert code == 1
-    assert "LAY001" in out.getvalue()
-    # without --project the per-file rules alone see nothing
-    out = io.StringIO()
-    assert lint_main(["src", "--root", str(root)], stream=out) == 0
-
-
-def test_hirep_lint_project_select_only_project_rule(tmp_path):
-    from repro.devtools.lint.cli import main as lint_main
-
-    root = make_repo(tmp_path, UPWARD)
-    out = io.StringIO()
-    code = lint_main(
-        ["src", "--root", str(root), "--project", "--select", "LAY001"], stream=out
-    )
-    assert code == 1 and "LAY001" in out.getvalue()

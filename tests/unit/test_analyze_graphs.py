@@ -4,16 +4,19 @@ from __future__ import annotations
 
 import textwrap
 
-from repro.devtools.analyze import extract_summary
-from repro.devtools.analyze.graphs import build_graphs, func_key
+from repro.devtools.lint import FileContext
+from repro.devtools.lint.graphs import build_graphs, func_key
+from repro.devtools.lint.summaries import extract_summary
 
 
 def graphs(files: dict[str, str]):
     summaries = {
         module: extract_summary(
-            textwrap.dedent(source),
-            module=module,
-            path=f"src/{module.replace('.', '/')}.py",
+            FileContext.parse(
+                textwrap.dedent(source),
+                module=module,
+                path=f"src/{module.replace('.', '/')}.py",
+            )
         )
         for module, source in files.items()
     }
@@ -144,6 +147,16 @@ def test_unresolved_calls_become_external_with_dotted_name():
     )
     ext = {(c.caller, c.dotted) for c in calls.external}
     assert (func_key("pkg.a", "go"), "time.sleep") in ext
+
+
+def test_untyped_receiver_methods_stay_external_as_written():
+    _, _, calls = graphs(
+        {"pkg.a": "def go(conn):\n    conn.read()\n    helper()\n"}
+    )
+    # the method keeps its name for suffix-matching; the unbound bare name is dropped
+    assert {(c.caller, c.dotted) for c in calls.external} == {
+        (func_key("pkg.a", "go"), "conn.read")
+    }
 
 
 def test_known_builtins_stay_recognizable():

@@ -1,16 +1,19 @@
-"""Each project rule (TNT001/TNT002/TNT003/LAY001) against fixture trees."""
+"""Whole-program rules (SRV001/TNT003/LAY001) against multi-module fixture
+trees, plus the cross-module determinism fixtures the per-file DET rules
+inherited from the retired reachability rule."""
 
 from __future__ import annotations
 
 import textwrap
 from pathlib import Path
 
-from repro.devtools.analyze import analyze_project
-from repro.devtools.analyze.rules import resolve_project_rules
+import pytest
+
+from repro.devtools.lint import lint_paths, resolve_rules
 
 
 def analyze(tmp_path: Path, files: dict[str, str], select: list[str] | None = None):
-    """Materialize ``module -> source`` as a package tree and analyze it."""
+    """Materialize ``module -> source`` as a package tree and lint it."""
     src = tmp_path / "src"
     for module, source in files.items():
         path = src.joinpath(*module.split(".")).with_suffix(".py")
@@ -20,9 +23,7 @@ def analyze(tmp_path: Path, files: dict[str, str], select: list[str] | None = No
             (parent / "__init__.py").touch()
             parent = parent.parent
         path.write_text(textwrap.dedent(source))
-    result = analyze_project(
-        [src], repo_root=tmp_path, rules=resolve_project_rules(select)
-    )
+    result = lint_paths([src], repo_root=tmp_path, rules=resolve_rules(select))
     assert not result.errors, result.errors
     return result.findings
 
@@ -31,7 +32,7 @@ def codes(findings) -> list[str]:
     return [f.rule for f in findings]
 
 
-# ---------------------------------------------------------------- TNT001
+# ------------------------------------------------- DET001/DET002 across modules
 
 
 CLOCK_HELPER = {
@@ -42,16 +43,33 @@ CLOCK_HELPER = {
 }
 
 
-def test_tnt001_flags_cross_module_clock_reach(tmp_path):
-    findings = analyze(tmp_path, CLOCK_HELPER, ["TNT001"])
-    assert codes(findings) == ["TNT001"]
+@pytest.mark.parametrize(
+    "helper, caller",
+    [
+        # a helper package the old DET002 scope list never named
+        pytest.param("repro.workloads.util", "repro.sim.run", id="unlisted-pkg"),
+        # inside the old scope (was carved out of the reachability rule)
+        pytest.param("repro.obs.clockish", "repro.sim.run", id="obs"),
+        # reached only from the live plane (was not an entry package)
+        pytest.param("repro.workloads.util", "repro.serve.run", id="from-serve"),
+    ],
+)
+def test_det002_flags_clock_helper_wherever_it_lives(tmp_path, helper, caller):
+    findings = analyze(
+        tmp_path,
+        {
+            helper: "import time\n\ndef stamp():\n    return time.time()\n",
+            caller: f"from {helper} import stamp\n\ndef go():\n    return stamp()\n",
+        },
+        ["DET002"],
+    )
+    assert codes(findings) == ["DET002"]
     f = findings[0]
-    assert f.path.endswith("workloads/util.py")  # anchored at the sink
-    assert "repro.sim.run.go" in f.message  # entry
-    assert " -> " in f.message and "util.py:4" in f.message  # hops w/ file:line
+    assert f.path == "src/" + helper.replace(".", "/") + ".py"
+    assert f.line == 4 and "time.time" in f.message  # anchored at the read
 
 
-def test_tnt001_flags_entropy_sources(tmp_path):
+def test_det001_flags_entropy_sources(tmp_path):
     findings = analyze(
         tmp_path,
         {
@@ -65,50 +83,22 @@ def test_tnt001_flags_entropy_sources(tmp_path):
                 "def go():\n    return salt(), tag()\n"
             ),
         },
-        ["TNT001"],
+        ["DET001"],
     )
-    assert codes(findings) == ["TNT001", "TNT001"]
+    assert codes(findings) == ["DET001", "DET001"]
+    assert all(f.path.endswith("workloads/util.py") for f in findings)
 
 
-def test_tnt001_skips_clock_sinks_in_det002_scope(tmp_path):
-    # a clock read inside repro.obs is the per-file rule's (DET002) ground
-    findings = analyze(
-        tmp_path,
-        {
-            "repro.obs.clockish": "import time\n\ndef stamp():\n    return time.time()\n",
-            "repro.sim.run": (
-                "from repro.obs.clockish import stamp\n\ndef go():\n    return stamp()\n"
-            ),
-        },
-        ["TNT001"],
-    )
-    assert findings == []
-
-
-def test_tnt001_ignores_entries_outside_deterministic_packages(tmp_path):
-    findings = analyze(
-        tmp_path,
-        {
-            "repro.workloads.util": "import time\n\ndef stamp():\n    return time.time()\n",
-            "repro.serve.run": (
-                "from repro.workloads.util import stamp\n\ndef go():\n    return stamp()\n"
-            ),
-        },
-        ["TNT001"],
-    )
-    assert findings == []
-
-
-def test_tnt001_pragma_at_sink_sanctions_every_path(tmp_path):
+def test_det002_pragma_at_the_read_sanctions_every_caller(tmp_path):
     files = dict(CLOCK_HELPER)
     files["repro.workloads.util"] = (
         "import time\n\ndef stamp():\n"
         "    return time.time()  # lint: allow[DET002]\n"
     )
-    assert analyze(tmp_path, files, ["TNT001"]) == []
+    assert analyze(tmp_path, files, ["DET002"]) == []
 
 
-# ---------------------------------------------------------------- TNT002
+# ---------------------------------------------------------------- SRV001
 
 
 BLOCKING_HELPER = {
@@ -120,16 +110,19 @@ BLOCKING_HELPER = {
 }
 
 
-def test_tnt002_flags_blocking_reach_through_sync_helper(tmp_path):
-    findings = analyze(tmp_path, BLOCKING_HELPER, ["TNT002"])
-    assert codes(findings) == ["TNT002"]
+def test_srv001_flags_blocking_reach_through_sync_helper(tmp_path):
+    findings = analyze(tmp_path, BLOCKING_HELPER, ["SRV001"])
+    assert codes(findings) == ["SRV001"]
     f = findings[0]
-    assert f.path.endswith("core/util.py")
-    assert "repro.serve.actor.run" in f.message
+    assert f.path.endswith("core/util.py")  # anchored at the sink
     assert "time.sleep" in f.message
+    assert (
+        "call path: repro.serve.actor.run -> repro.core.util::settle "
+        "(src/repro/serve/actor.py:4) -> time.sleep (src/repro/core/util.py:4)"
+    ) in f.message
 
 
-def test_tnt002_flags_run_until_complete_and_open(tmp_path):
+def test_srv001_flags_run_until_complete_and_open_behind_helpers(tmp_path):
     findings = analyze(
         tmp_path,
         {
@@ -143,12 +136,12 @@ def test_tnt002_flags_run_until_complete_and_open(tmp_path):
                 "async def run(loop, coro, p):\n    reenter(loop, coro)\n    slurp(p)\n"
             ),
         },
-        ["TNT002"],
+        ["SRV001"],
     )
-    assert codes(findings) == ["TNT002", "TNT002"]
+    assert codes(findings) == ["SRV001", "SRV001"]
 
 
-def test_tnt002_leaves_direct_coroutine_blocking_to_srv001(tmp_path):
+def test_srv001_direct_sink_is_the_depth_zero_path(tmp_path):
     findings = analyze(
         tmp_path,
         {
@@ -156,18 +149,38 @@ def test_tnt002_leaves_direct_coroutine_blocking_to_srv001(tmp_path):
                 "import time\n\nasync def run():\n    time.sleep(1)\n"
             )
         },
-        ["TNT002"],
+        ["SRV001"],
     )
-    assert findings == []
+    assert codes(findings) == ["SRV001"]
+    assert (
+        "call path: repro.serve.actor.run -> time.sleep (src/repro/serve/actor.py:4)"
+    ) in findings[0].message
 
 
-def test_tnt002_srv001_pragma_suppresses(tmp_path):
+def test_srv001_non_awaited_read_only_counts_inside_the_coroutine(tmp_path):
+    findings = analyze(
+        tmp_path,
+        {
+            "repro.core.util": "def slurp(fh):\n    return fh.read()\n",
+            "repro.serve.actor": (
+                "from repro.core.util import slurp\n\n"
+                "async def run(reader, fh):\n    slurp(fh)\n    return reader.read(8)\n"
+            ),
+        },
+        ["SRV001"],
+    )
+    assert [(f.rule, f.path) for f in findings] == [
+        ("SRV001", "src/repro/serve/actor.py")
+    ]
+
+
+def test_srv001_pragma_at_sink_sanctions_every_path(tmp_path):
     files = dict(BLOCKING_HELPER)
     files["repro.core.util"] = (
         "import time\n\ndef settle():\n"
         "    time.sleep(0.1)  # lint: allow[SRV001]\n"
     )
-    assert analyze(tmp_path, files, ["TNT002"]) == []
+    assert analyze(tmp_path, files, ["SRV001"]) == []
 
 
 # ---------------------------------------------------------------- TNT003
@@ -368,8 +381,9 @@ def test_all_rules_run_together_and_sort_stably(tmp_path):
     files["repro.net.mod"] = "from repro.core.util import settle\n"  # upward
     first = analyze(tmp_path, files)
     second = analyze(tmp_path, files)
-    assert [f.fingerprint for f in first] == [f.fingerprint for f in second]
-    assert set(codes(first)) == {"TNT001", "TNT002", "LAY001"}
+    assert first == second
+    # per-file and whole-program rules, one run (API001: `def settle():`)
+    assert set(codes(first)) == {"API001", "DET002", "SRV001", "LAY001"}
 
 
 def test_lay001_vector_must_not_import_object_kernel_internals(tmp_path):

@@ -1,26 +1,17 @@
-"""Summary extraction: imports, functions, classes, sinks, round-trip."""
+"""Summary extraction: imports, functions, classes, scheduler sinks."""
 
 from __future__ import annotations
 
 import textwrap
 
-from repro.devtools.analyze import (
-    MODULE_SCOPE,
-    ModuleSummary,
-    extract_summary,
-    source_digest,
-)
+from repro.devtools.lint import FileContext
+from repro.devtools.lint.summaries import MODULE_SCOPE, ModuleSummary, extract_summary
 
 
 def summarize(source: str, module: str = "repro.sim.mod") -> ModuleSummary:
     return extract_summary(
-        textwrap.dedent(source), module=module, path="src/fake.py"
+        FileContext.parse(textwrap.dedent(source), module=module, path="src/fake.py")
     )
-
-
-def test_digest_is_content_addressed():
-    assert source_digest("a = 1\n") == source_digest("a = 1\n")
-    assert source_digest("a = 1\n") != source_digest("a = 2\n")
 
 
 def test_import_records_scope_and_binding():
@@ -154,31 +145,3 @@ def test_callable_refs_direct_name_lambda_and_captured():
 def test_sweepplan_assemble_kwarg_is_a_sink():
     s = summarize("plan = SweepPlan(specs=[], assemble=lambda rs: rs)\n")
     assert [r.sink for r in s.callable_refs] == ["SweepPlan(assemble=...)"]
-
-
-def test_pragmas_captured_and_allows():
-    s = summarize("import time\nt = time.time()  # lint: allow[TNT001]\n")
-    assert s.allows(2, "TNT001")
-    assert not s.allows(2, "LAY001")
-    assert not s.allows(1, "TNT001")
-
-
-def test_summary_round_trips_through_json_dict():
-    s = summarize(
-        """
-        import time
-        from functools import partial
-
-        class Box:
-            def method(self):
-                self.clock = Clock()
-
-        def go(pool):
-            pool.submit(partial(work, lambda: 1))
-            return time.time()
-        """
-    )
-    restored = ModuleSummary.from_dict(s.to_dict())
-    assert restored.to_dict() == s.to_dict()
-    assert restored.functions["go"].calls == s.functions["go"].calls
-    assert restored.classes["Box"].attr_types == s.classes["Box"].attr_types

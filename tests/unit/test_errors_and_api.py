@@ -76,7 +76,6 @@ def test_top_level_exports():
         "repro.attacks",
         "repro.workloads",
         "repro.experiments",
-        "repro.filesharing",
         "repro.structured",
     ],
 )

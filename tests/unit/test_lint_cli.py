@@ -1,4 +1,4 @@
-"""hirep-lint CLI: exit codes, reporters, baseline flags."""
+"""hirep-lint CLI: exit codes, reporters, rule selection."""
 
 from __future__ import annotations
 
@@ -31,63 +31,23 @@ def run(root: Path, *extra: str) -> tuple[int, str]:
 def test_clean_tree_exits_zero(tmp_path):
     code, out = run(make_repo(tmp_path, CLEAN))
     assert code == 0
-    assert "0 new" in out
+    assert "0 finding(s)" in out
 
 
 def test_new_finding_exits_one(tmp_path):
     code, out = run(make_repo(tmp_path, VIOLATION))
     assert code == 1
-    assert "DET001" in out and "1 new" in out
-
-
-def test_init_then_baselined_exits_zero(tmp_path):
-    root = make_repo(tmp_path, VIOLATION)
-    code, _ = run(root, "--init-baseline")
-    assert code == 0
-    assert (root / ".hirep-lint-baseline.json").exists()
-    code, out = run(root)
-    assert code == 0
-    assert "[baselined]" in out and "1 baselined" in out
-
-
-def test_stale_baseline_fails_until_updated(tmp_path):
-    root = make_repo(tmp_path, VIOLATION)
-    run(root, "--init-baseline")
-    (root / "src" / "repro" / "sim" / "mod.py").write_text(CLEAN)  # fix it
-
-    code, out = run(root)
-    assert code == 1
-    assert "stale" in out and "--update-baseline" in out
-
-    code, out = run(root, "--update-baseline")
-    assert code == 0
-    assert "shrank by 1" in out
-    baseline = json.loads((root / ".hirep-lint-baseline.json").read_text())
-    assert baseline["findings"] == {}
-
-
-def test_update_baseline_does_not_absorb_new_findings(tmp_path):
-    root = make_repo(tmp_path, VIOLATION)
-    code, _ = run(root, "--update-baseline")
-    assert code == 1  # still fails; the baseline can only shrink
-    assert not (root / ".hirep-lint-baseline.json").exists()
-
-
-def test_no_baseline_flag_ignores_file(tmp_path):
-    root = make_repo(tmp_path, VIOLATION)
-    run(root, "--init-baseline")
-    code, _ = run(root, "--no-baseline")
-    assert code == 1
+    assert "DET001" in out and "1 finding(s)" in out
 
 
 def test_json_reporter(tmp_path):
     code, out = run(make_repo(tmp_path, VIOLATION), "--format", "json")
     assert code == 1
     payload = json.loads(out)
-    assert payload["summary"]["new"] == 1
-    (finding,) = payload["new"]
+    assert payload["errors"] == []
+    (finding,) = payload["findings"]
     assert finding["rule"] == "DET001"
-    assert finding["path"].endswith("mod.py") and finding["fingerprint"]
+    assert finding["path"] == "src/repro/sim/mod.py" and finding["line"] == 1
 
 
 def test_github_reporter_annotations(tmp_path):
@@ -97,12 +57,12 @@ def test_github_reporter_annotations(tmp_path):
     assert "title=DET001" in out
 
 
-def test_select_and_ignore(tmp_path):
+def test_select(tmp_path):
     root = make_repo(tmp_path, VIOLATION)
     code, _ = run(root, "--select", "DET002")
     assert code == 0  # DET001 not selected
-    code, _ = run(root, "--ignore", "DET001")
-    assert code == 0
+    code, _ = run(root, "--select", "DET002", "--select", "DET001")
+    assert code == 1
     code, _ = run(root, "--select", "NOPE999")
     assert code == 2
 
@@ -111,7 +71,8 @@ def test_list_rules(tmp_path):
     out = io.StringIO()
     assert main(["--list-rules"], stream=out) == 0
     listing = out.getvalue()
-    for code in ("DET001", "DET002", "DET003", "EXC001", "API001"):
+    # per-file and whole-program rules come out of the one registry
+    for code in ("DET001", "DET002", "DET003", "EXC001", "API001", "SRV001", "LAY001"):
         assert code in listing
 
 

@@ -1,12 +1,15 @@
 """Each bundled hirep-lint rule against planted-violation fixtures.
 
 Every rule gets: a snippet that must trigger it, a snippet that must not,
-and a pragma'd snippet that must be suppressed.
+and a pragma'd snippet that must be suppressed.  Multi-module fixtures for
+the whole-program rules live in ``test_analyze_rules.py``.
 """
 
 from __future__ import annotations
 
 import textwrap
+
+import pytest
 
 from repro.devtools.lint import lint_source
 
@@ -59,6 +62,55 @@ def test_det001_pragma_suppresses():
     assert codes("import random  # lint: allow[DET001]\n") == []
 
 
+def test_det001_flags_entropy_reads():
+    assert codes("import os\nsalt = os.urandom(8)\n") == ["DET001"]
+    assert codes("import uuid\ntag = uuid.uuid1()\n") == ["DET001"]
+    assert codes("import secrets\n") == ["DET001"]
+    assert codes("from secrets import token_hex\n") == ["DET001"]
+    # the import and the call of the name it bound, aliases included
+    src = "from os import urandom as entropy\nsalt = entropy(8)\n"
+    assert codes(src) == ["DET001", "DET001"]
+    assert codes("import uuid as u\ntag = u.uuid4()\n") == ["DET001"]
+
+
+def test_det001_allows_deterministic_os_and_uuid_use():
+    clean = """
+        import os
+        import uuid
+
+        def tag(path: str, seed: bytes) -> uuid.UUID:
+            return uuid.uuid5(uuid.NAMESPACE_URL, os.path.basename(path))
+    """
+    assert codes(clean) == []
+
+
+#: packages no determinism scope list used to name (the array kernel, the
+#: baselines, the workload/attack builders, onion/crypto, the live plane).
+_ONCE_UNCOVERED = (
+    "vector",
+    "baselines",
+    "workloads",
+    "attacks",
+    "onion",
+    "crypto",
+    "serve",
+)
+
+
+@pytest.mark.parametrize("package", _ONCE_UNCOVERED)
+@pytest.mark.parametrize(
+    "imported, read, code",
+    [
+        pytest.param("time", "time.time()", "DET002", id="clock"),
+        pytest.param("os", "os.urandom(8)", "DET001", id="urandom"),
+        pytest.param("uuid", "uuid.uuid4()", "DET001", id="uuid4"),
+    ],
+)
+def test_det_rules_cover_every_repro_package(package, imported, read, code):
+    src = f"import {imported}\n\ndef draw():\n    return {read}\n"
+    assert codes(src, module=f"repro.{package}.fake") == [code]
+
+
 # ---------------------------------------------------------------- DET002
 
 
@@ -75,9 +127,25 @@ def test_det002_flags_clock_imports_and_bare_calls():
     assert found.count("DET002") == 2  # the import and the call
 
 
-def test_det002_scope_excludes_non_deterministic_packages():
-    # repro.analysis is post-processing, not simulation — out of scope
-    assert codes("import time\nt = time.time()\n", module="repro.analysis.x") == []
+def test_det002_scoped_to_repro_package():
+    assert codes("import time\nt = time.time()\n", module="scripts.tool") == []
+    assert codes("import time\nt = time.time()\n", module=None) == []
+
+
+def test_det002_sees_through_import_aliases():
+    assert codes("import time as t\nnow = t.monotonic()\n") == ["DET002"]
+    src = "from time import time as wall\nnow = wall()\n"
+    assert codes(src) == ["DET002", "DET002"]  # the import and the call
+
+
+def test_det002_wallclock_is_the_sanctioned_clock_for_the_live_plane():
+    src = """
+        from repro.obs.clock import WallClock
+
+        async def pump() -> float:
+            return WallClock().now
+    """
+    assert codes(src, module="repro.serve.fake") == []
 
 
 def test_det002_clean_simulated_time():
@@ -537,6 +605,29 @@ def test_srv001_allows_awaited_stream_reads():
             return await reader.read(4096)
     """
     assert codes(src, module="repro.serve.fake") == []
+
+
+def test_srv001_flags_os_system_and_bare_open_in_coroutine():
+    src = """
+        import os
+
+        async def pump(path):
+            os.system("sync")
+            return open(path)
+    """
+    assert codes(src, module="repro.serve.fake") == ["SRV001", "SRV001"]
+
+
+def test_srv001_resolves_from_imports_and_exempts_awaited_calls():
+    src = """
+        import asyncio
+        from time import sleep
+
+        async def pump(path):
+            sleep(0.1)
+            return await asyncio.to_thread(open, path)
+    """
+    assert codes(src, module="repro.serve.fake") == ["SRV001"]
 
 
 def test_srv001_flags_non_awaited_read_in_coroutine():

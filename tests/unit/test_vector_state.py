@@ -195,6 +195,19 @@ def test_array_system_rejects_unsupported_options():
         ArrayHiRepSystem(cfg, bootstrap_mode="magic")
 
 
+def test_telemetry_capture_is_refused_loudly():
+    """``capture()`` around an array build names the kernel that can be
+    captured instead of dying on a missing ``engine`` attribute."""
+    from repro.core.registry import build_system
+    from repro.obs.capture import capture
+    from repro.workloads.scenarios import default_config
+
+    with capture() as plane:
+        with pytest.raises(ConfigError, match="'hirep'"):
+            build_system("hirep-array", default_config(network_size=40, seed=3))
+        assert plane.attached == 0
+
+
 def test_seeded_bootstrap_populates_every_online_peer():
     from repro.vector.system import ArrayHiRepSystem
     from repro.workloads.scenarios import default_config
