@@ -47,7 +47,7 @@ from repro.core.messages import (
     TrustValueResponse,
 )
 from repro.core.peer import HiRepPeer, PendingQuery, QueryResult
-from repro.core.ranking import merge_ranks, rank_within_list, select_agents
+from repro.core.ranking import rank_within_list, reply_block, select_agents
 from repro.core.system import HiRepSystem
 from repro.core.trust_models import (
     EWMAReportModel,
@@ -80,8 +80,8 @@ __all__ = [
     "HiRepPeer",
     "PendingQuery",
     "QueryResult",
-    "merge_ranks",
     "rank_within_list",
+    "reply_block",
     "select_agents",
     "HiRepSystem",
     "EWMAReportModel",

@@ -204,17 +204,22 @@ class TrustedAgentList:
 
     # -- sharing and selection -------------------------------------------------
 
-    def as_entries(self) -> tuple[AgentListEntry, ...]:
-        """Render the list for an agent-list reply, weights = expertise."""
-        return tuple(
-            AgentListEntry(
-                weight=agent.expertise.value,
-                agent_node_id=agent.entry.agent_node_id,
-                agent_onion=agent.entry.agent_onion,
-                agent_sp=agent.entry.agent_sp,
-                agent_ip=agent.entry.agent_ip,
-            )
-            for agent in self._agents.values()
+    def columns(self) -> tuple[list[NodeID], list[float]]:
+        """The list as an agent-list reply shares it, as columns in row
+        order: agent nodeIDs and weights (= tracked expertise)."""
+        return list(self._agents), [
+            agent.expertise.value for agent in self._agents.values()
+        ]
+
+    def shared_entry(self, node_id: NodeID) -> AgentListEntry:
+        """The reply entry for one listed agent, weight = expertise."""
+        agent = self._agents[node_id]
+        return AgentListEntry(
+            weight=agent.expertise.value,
+            agent_node_id=agent.entry.agent_node_id,
+            agent_onion=agent.entry.agent_onion,
+            agent_sp=agent.entry.agent_sp,
+            agent_ip=agent.entry.agent_ip,
         )
 
     def select_for_query(

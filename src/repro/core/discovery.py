@@ -21,7 +21,6 @@ from typing import Callable
 
 import numpy as np
 
-from repro.core.messages import AgentListEntry, AgentListReply
 from repro.errors import ConfigError
 from repro.net.topology import Topology
 
@@ -35,25 +34,33 @@ __all__ = [
 
 @dataclass
 class DiscoveryOutcome:
-    """Replies gathered by one discovery round plus its traffic bill."""
+    """Who replied to one discovery round, plus its traffic bill.
 
-    replies: list[AgentListReply] = field(default_factory=list)
+    Replies are columns, one cell per reply in flood order: the round
+    says *who* answered and how; what a responder's list holds is the
+    caller's to gather (for the winners only, after ranking).
+    """
+
+    responders: list[int] = field(default_factory=list)
+    depths: list[int] = field(default_factory=list)
+    #: True: the responder shared its trusted-agent list; False: it had
+    #: none and offered itself as an agent.
+    shared_list: list[bool] = field(default_factory=list)
     request_messages: int = 0
-    reply_messages: int = 0
-    tokens_spent: int = 0
+
+    @property
+    def reply_messages(self) -> int:
+        """Each reply routes back along its ``depth``-hop reverse path."""
+        return sum(self.depths)
+
+    @property
+    def tokens_spent(self) -> int:
+        """Every reply consumes exactly one token."""
+        return len(self.responders)
 
     @property
     def total_messages(self) -> int:
         return self.request_messages + self.reply_messages
-
-    def all_entries(self) -> list[AgentListEntry]:
-        """Every advertised agent entry across replies (lists + self-offers)."""
-        out: list[AgentListEntry] = []
-        for reply in self.replies:
-            out.extend(reply.entries)
-            if reply.self_entry is not None:
-                out.append(reply.self_entry)
-        return out
 
 
 def _split_tokens(
@@ -78,20 +85,23 @@ def discover_agent_lists(
     ttl: int,
     *,
     rng: np.random.Generator,
-    get_list: Callable[[int], tuple[AgentListEntry, ...] | None],
-    get_self_entry: Callable[[int], AgentListEntry | None],
+    has_list: Callable[[int], bool],
+    self_offer: Callable[[int], bool],
     online: Callable[[int], bool] | None = None,
 ) -> DiscoveryOutcome:
     """Run one agent-list request round from ``requestor``.
 
     Parameters
     ----------
-    get_list:
-        ``node -> entries`` — the node's trusted-agent list, or ``None`` /
-        empty when it has none (it then forwards tokens untouched).
-    get_self_entry:
-        ``node -> entry`` — the node's self-advertisement when it is a
-        reputation agent willing to serve, else ``None``.
+    has_list:
+        ``node -> bool`` — whether the node holds a (non-empty)
+        trusted-agent list to share; without one it forwards its tokens
+        untouched.
+    self_offer:
+        ``node -> bool`` — asked only of a listless node: whether it is a
+        reputation agent willing to serve.  Called at the point in the
+        flood where the node answers, so an implementation freshens the
+        agent's onion here and every RNG stream is drawn in flood order.
     online:
         Liveness predicate (offline nodes swallow tokens sent to them:
         charged but lost, like datagrams to a dead host).
@@ -129,29 +139,16 @@ def discover_agent_lists(
         if node == requestor:
             continue
         if node not in replied:
-            entries = get_list(node)
-            has_list = bool(entries)
-            if has_list:
-                outcome.replies.append(
-                    AgentListReply(responder_ip=node, entries=tuple(entries or ()))
-                )
-                outcome.reply_messages += depth
-                outcome.tokens_spent += 1
+            # "The node can return its own nodeID if it has no trusted
+            # agent list" — this also costs a token, which is how I in
+            # Fig. 4 'uses up the last token'.
+            shares_list = bool(has_list(node))
+            if shares_list or self_offer(node):
+                outcome.responders.append(node)
+                outcome.depths.append(depth)
+                outcome.shared_list.append(shares_list)
                 replied.add(node)
                 carry -= 1
-            else:
-                self_entry = get_self_entry(node)
-                if self_entry is not None:
-                    # "The node can return its own nodeID if it has no
-                    # trusted agent list" — this also costs a token, which
-                    # is how I in Fig. 4 'uses up the last token'.
-                    outcome.replies.append(
-                        AgentListReply(responder_ip=node, self_entry=self_entry)
-                    )
-                    outcome.reply_messages += depth
-                    outcome.tokens_spent += 1
-                    replied.add(node)
-                    carry -= 1
         fan_out(node, carry, depth, came_from)
     return outcome
 

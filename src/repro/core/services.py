@@ -23,9 +23,10 @@ seeds reproduce the pre-refactor runs bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 from repro.core.agent import ReputationAgent
+from repro.core.agent_list import TrustedAgentList
 from repro.core.config import HiRepConfig
 from repro.core.discovery import (
     bootstrap_lists,
@@ -41,7 +42,7 @@ from repro.core.messages import (
     TrustValueResponse,
 )
 from repro.core.peer import HiRepPeer, QueryResult
-from repro.core.ranking import rank_within_list, select_agents
+from repro.core.ranking import rank_within_list, reply_block, select_agents
 from repro.core.world import ModelFactory, World
 from repro.crypto.hashing import NodeID
 from repro.crypto.keys import PeerKeys
@@ -226,47 +227,72 @@ class MaintenanceService:
             agent_ip=ip,
         )
 
-    def discovery_list_for(self, node: int) -> list[AgentListEntry] | None:
-        """Node ``node``'s trusted-agent list as seen by discovery.
-
-        Compromised nodes (``discovery_list_hook``) may return forged lists.
-        """
-        if self.discovery_list_hook is not None:
-            forged = self.discovery_list_hook(node)
-            if forged is not None:
-                return forged
-        return self.wiring.peers[node].agent_list.as_entries() or None
-
     def discover_for(self, peer: HiRepPeer, wanted: int) -> int:
         """One discovery round for ``peer``; rank, select, adopt. Returns adds."""
         cfg = self.config
-        counter = self.network.counter
+        peers = self.wiring.peers
+        hook = self.discovery_list_hook
+        # What each visited node shares: its own list, or the forgery a
+        # compromised node (``discovery_list_hook``) returns instead; and
+        # each answering listless agent's self-advertisement, built where
+        # the flood reaches it (it freshens the agent's onion).
+        shared: dict[int, TrustedAgentList | Sequence[AgentListEntry]] = {}
+        offers: dict[int, AgentListEntry] = {}
+
+        def has_list(node: int) -> bool:
+            forged = hook(node) if hook is not None else None
+            shared[node] = peers[node].agent_list if forged is None else forged
+            return len(shared[node]) > 0
+
+        def self_offer(node: int) -> bool:
+            entry = self.self_entry_for(node)
+            if entry is not None:
+                offers[node] = entry
+            return entry is not None
+
         outcome = discover_agent_lists(
             self.world.topology,
             peer.ip,
             cfg.tokens,
             cfg.ttl,
             rng=peer.rng,
-            get_list=self.discovery_list_for,
-            get_self_entry=self.self_entry_for,
+            has_list=has_list,
+            self_offer=self_offer,
             online=self.network.is_online,
         )
+        counter = self.network.counter
         counter.count(Category.AGENT_DISCOVERY, outcome.request_messages)
         counter.count(Category.AGENT_DISCOVERY_REPLY, outcome.reply_messages)
-        per_list_ranks = []
-        candidates: dict[NodeID, AgentListEntry] = {}
-        for reply in outcome.replies:
-            entries = list(reply.entries)
-            if reply.self_entry is not None:
-                entries.append(reply.self_entry)
-            per_list_ranks.append(rank_within_list(entries, wanted))
-            for entry in entries:
-                candidates.setdefault(entry.agent_node_id, entry)
-        if not candidates:
+        if not outcome.responders:
             return 0
-        selected = select_agents(
-            list(candidates.values()), per_list_ranks, wanted, peer.rng
-        )
+        # The replies as columns.  NodeIDs are coded to per-round integers
+        # in first-appearance order, so a forged id stays its own candidate
+        # whatever ip it claims.
+        sources = [
+            shared[node] if listed else (offers[node],)
+            for node, listed in zip(outcome.responders, outcome.shared_list)
+        ]
+        codes: dict[NodeID, int] = {}
+        node_ids, code_rows, weight_rows = [], [], []
+        for source in sources:
+            if isinstance(source, TrustedAgentList):
+                row_ids, row_weights = source.columns()
+            else:
+                row_ids = [entry.agent_node_id for entry in source]
+                row_weights = [entry.weight for entry in source]
+            node_ids.append(row_ids)
+            code_rows.append([codes.setdefault(nid, len(codes)) for nid in row_ids])
+            weight_rows.append(row_weights)
+        ids, weights, lens = reply_block(code_rows, weight_rows)
+        ranks = rank_within_list(weights, lens, wanted)
+        replies, rows = select_agents(ids, ranks, wanted, peer.rng)
+        # Entry objects for the winners only.
+        selected = [
+            sources[r].shared_entry(node_ids[r][row])
+            if isinstance(sources[r], TrustedAgentList)
+            else sources[r][row]
+            for r, row in zip(replies.tolist(), rows.tolist())
+        ]
         return peer.adopt_entries(selected)
 
     def bootstrap(self, rounds: int = 2) -> None:

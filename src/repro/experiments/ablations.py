@@ -19,8 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.discovery import discover_agent_lists
-from repro.core.messages import AgentListEntry
-from repro.core.ranking import rank_within_list, select_agents
+from repro.core.ranking import rank_within_list, reply_block, select_agents
 from repro.core.registry import build_system
 from repro.core.system import HiRepSystem
 from repro.experiments.common import ExperimentResult, Series
@@ -59,12 +58,12 @@ def ablate_tokens(network_size: int, seed: int) -> Series:
             tokens,
             system.config.ttl,
             rng=np.random.default_rng(seed),
-            get_list=lambda n: None,
-            get_self_entry=system.self_entry_for,
+            has_list=lambda n: False,
+            self_offer=lambda n: system.self_entry_for(n) is not None,
             online=system.network.is_online,
         )
         xs.append(float(tokens))
-        ys.append(float(len(outcome.replies)))
+        ys.append(float(len(outcome.responders)))
     return Series(name="discovery_replies_vs_tokens", x=xs, y=ys)
 
 
@@ -79,12 +78,12 @@ def ablate_ttl(network_size: int, seed: int) -> Series:
             16,
             ttl,
             rng=np.random.default_rng(seed),
-            get_list=lambda n: None,
-            get_self_entry=system.self_entry_for,
+            has_list=lambda n: False,
+            self_offer=lambda n: system.self_entry_for(n) is not None,
             online=system.network.is_online,
         )
         xs.append(float(ttl))
-        ys.append(float(len(outcome.replies)))
+        ys.append(float(len(outcome.responders)))
     return Series(name="discovery_replies_vs_ttl", x=xs, y=ys)
 
 
@@ -121,35 +120,20 @@ def ablate_merge(network_size: int, seed: int) -> tuple[Series, str]:
     system = build_system("hirep", _cfg(network_size, seed))
     good_ip = system.good_agent_ips()[0]
     poor_ips = system.poor_agent_ips()[:3]
-    good = system.self_entry_for(good_ip)
-    poor = [system.self_entry_for(ip) for ip in poor_ips]
-    poor = [p for p in poor if p is not None]
-    assert good is not None and poor
-
-    def entry_with_weight(entry: AgentListEntry, weight: float) -> AgentListEntry:
-        return AgentListEntry(
-            weight=weight,
-            agent_node_id=entry.agent_node_id,
-            agent_onion=entry.agent_onion,
-            agent_sp=entry.agent_sp,
-            agent_ip=entry.agent_ip,
-        )
-
-    honest_list = [entry_with_weight(good, 1.0)] + [
-        entry_with_weight(p, 0.2) for p in poor
-    ]
-    attack_list = [entry_with_weight(good, 0.0)] + [
-        entry_with_weight(p, 1.0) for p in poor
-    ]
+    agents = [good_ip, *poor_ips]  # column ids: the agents' host ips
+    honest_list = [1.0] + [0.2] * len(poor_ips)
+    attack_list = [0.0] + [1.0] * len(poor_ips)
     lists = [honest_list] + [attack_list] * 10
     wanted = 2
-    ranks = [rank_within_list(lst, wanted) for lst in lists]
-    candidates = {e.agent_node_id: e for lst in lists for e in lst}
+    ids, weights, lens = reply_block([agents] * len(lists), lists)
+    ranks = rank_within_list(weights, lens, wanted)
     rng = np.random.default_rng(seed)
-    picked_max = select_agents(list(candidates.values()), ranks, wanted, rng, merge="max")
-    picked_mean = select_agents(list(candidates.values()), ranks, wanted, rng, merge="mean")
-    good_in_max = any(e.agent_node_id == good.agent_node_id for e in picked_max)
-    good_in_mean = any(e.agent_node_id == good.agent_node_id for e in picked_mean)
+    picked = {}
+    for merge in ("max", "mean"):
+        replies, rows = select_agents(ids, ranks, wanted, rng, merge=merge)
+        picked[merge] = ids[replies, rows].tolist()
+    good_in_max = good_ip in picked["max"]
+    good_in_mean = good_ip in picked["mean"]
     series = Series(
         name="good_agent_selected",
         x=[0.0, 1.0],  # 0 = max merge, 1 = mean merge

@@ -161,6 +161,47 @@ class VectorTrustState:
             self._remove_backup_row(p, brow)
         return True
 
+    def add_many(
+        self,
+        p: int,
+        hosts: np.ndarray,
+        value: float,
+        paths: np.ndarray | None = None,
+        plens: np.ndarray | None = None,
+    ) -> int:
+        """:meth:`add` each of ``hosts`` in order, as one slice write.
+
+        Returns how many rows were inserted: hosts already listed (or
+        repeated) are skipped and the list stops filling at capacity,
+        exactly as the one-by-one loop would.  ``paths[i, :plens[i]]`` is
+        host ``i``'s onion snapshot, stored only once snapshots are tracked.
+        """
+        m = int(self.live_len[p])
+        new = np.flatnonzero(~(hosts[:, None] == self.live_ip[p, :m]).any(axis=1))
+        # First occurrence of each host, in order, up to the free rows.
+        new = new[np.sort(np.unique(hosts[new], return_index=True)[1])]
+        new = new[: self.capacity - m]
+        k = int(new.size)
+        if k == 0:
+            return 0
+        self.live_ip[p, m : m + k] = hosts[new]
+        self.live_val[p, m : m + k] = value
+        self.live_upd[p, m : m + k] = 0
+        if self.paths_tracked:
+            assert self.live_path is not None and self.live_plen is not None
+            assert paths is not None and plens is not None
+            self.live_plen[p, m : m + k] = plens[new]
+            self.live_path[p, m : m + k] = np.where(
+                np.arange(self.max_relays) < plens[new, None], paths[new], -1
+            )
+        self.live_len[p] = m + k
+        # A re-added agent must not linger in backup.
+        b = int(self.back_len[p])
+        if b:
+            for ip in hosts[new]:
+                self.drop_backup(p, int(ip))
+        return k
+
     def _remove_live_row(self, p: int, row: int) -> None:
         """Order-preserving removal (shift-left compaction)."""
         m = int(self.live_len[p])

@@ -23,10 +23,14 @@ kernel's RNG stream usage **draw for draw**:
   signs nothing) perturbs no other stream.
 * Bootstrap/maintenance are the shared
   :func:`~repro.core.discovery.bootstrap_lists` /
-  :func:`~repro.core.discovery.maintain_list` rules, and discovery reuses
-  :func:`~repro.core.discovery.discover_agent_lists` and
-  :func:`~repro.core.ranking.select_agents` **verbatim** via array-backed
-  callbacks, with the same per-peer generators.
+  :func:`~repro.core.discovery.maintain_list` rules.  Discovery runs the
+  shared flood (:func:`~repro.core.discovery.discover_agent_lists`, which
+  only reports *who* replied) on the same per-peer generators, gathers
+  the responders' list rows as one ``(ids, weights, lens)`` block by
+  fancy-indexing the state arrays, and ranks it with the shared columnar
+  :func:`~repro.core.ranking.rank_within_list` /
+  :func:`~repro.core.ranking.select_agents` — no per-entry objects; onion
+  snapshots are read for the winners only.
 * Queries draw the same selection shuffle, per-request nonces, handshake
   nonces and trust-model evaluations in the same stream order.
 
@@ -44,8 +48,6 @@ require the object kernel's event engine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.core.config import HiRepConfig
@@ -54,7 +56,6 @@ from repro.core.discovery import (
     discover_agent_lists,
     maintain_list,
 )
-from repro.core.messages import AgentListEntry
 from repro.core.ranking import rank_within_list, select_agents
 from repro.core.runtime import Estimate, HiRepRuntime
 from repro.core.semantics import (
@@ -80,7 +81,7 @@ from repro.sim.rng import spawn
 from repro.vector.network import ArrayNetwork
 from repro.vector.state import VectorTrustState
 
-__all__ = ["ArrayHiRepSystem", "PathSnapshot"]
+__all__ = ["ArrayHiRepSystem"]
 
 #: A full anonymity-key handshake costs four wire messages (Fig. 3).
 _HANDSHAKE_MESSAGES = 4
@@ -89,19 +90,6 @@ _HANDSHAKE_MESSAGES = 4
 def _nid(ip: int) -> NodeID:
     """Synthetic nodeID for peer ``ip`` (bijective; no key material here)."""
     return int(ip).to_bytes(20, "big")
-
-
-@dataclass(frozen=True)
-class PathSnapshot:
-    """A lightweight stand-in for an :class:`~repro.onion.onion.Onion`.
-
-    ``relays is None`` means "the owner's current path": while no node has
-    ever gone offline, every snapshot provably equals the owner's current
-    onion, so nothing needs storing (see VectorTrustState.materialize_paths).
-    """
-
-    host: int
-    relays: tuple[int, ...] | None = None
 
 
 def _mean_latency_ms(model: LatencyModel) -> float:
@@ -313,91 +301,61 @@ class ArrayHiRepSystem(HiRepRuntime):
     # Discovery, bootstrap (§3.4.1) and maintenance (§3.4.3)
     # ------------------------------------------------------------------
 
-    def _snapshot_for(self, p: int, row: int) -> PathSnapshot:
-        host = int(self.state.live_ip[p, row])
-        if self.state.paths_tracked:
-            return PathSnapshot(host, tuple(self._entry_relays(p, row)))
-        return PathSnapshot(host)
-
-    def _discovery_entries(self, node: int) -> tuple[AgentListEntry, ...] | None:
-        """Node ``node``'s trusted-agent list as discovery shares it."""
-        st = self.state
-        m = int(st.live_len[node])
-        if m == 0:
-            return None
-        return tuple(
-            AgentListEntry(
-                weight=float(st.live_val[node, row]),
-                agent_node_id=_nid(int(st.live_ip[node, row])),
-                agent_onion=self._snapshot_for(node, row),
-                agent_sp=int(st.live_ip[node, row]),
-                agent_ip=int(st.live_ip[node, row]),
-            )
-            for row in range(m)
-        )
-
-    def _self_entry(self, node: int) -> AgentListEntry | None:
-        """An agent's self-advertisement (MaintenanceService.self_entry_for)."""
+    def _self_offer(self, node: int) -> bool:
+        """A listless agent answers discovery with itself, freshening its
+        onion on the spot (MaintenanceService.self_entry_for)."""
         if node not in self._models:
-            return None
+            return False
         self._ensure_onion(node)
-        if self.state.paths_tracked:
-            onion = PathSnapshot(node, tuple(int(r) for r in self._own_relays(node)))
-        else:
-            onion = PathSnapshot(node)
-        return AgentListEntry(
-            weight=self.config.initial_expertise,
-            agent_node_id=_nid(node),
-            agent_onion=onion,
-            agent_sp=node,
-            agent_ip=node,
-        )
-
-    def _adopt(self, p: int, selected: list[AgentListEntry]) -> int:
-        added = 0
-        own_id = _nid(p)
-        for entry in selected:
-            if entry.agent_node_id == own_id:
-                continue
-            host = int(entry.agent_ip)
-            snap = entry.agent_onion
-            relays = snap.relays if isinstance(snap, PathSnapshot) else None
-            if relays is None and self.state.paths_tracked:
-                relays = tuple(int(r) for r in self._own_relays(host))
-            if self.state.add(p, host, self.config.initial_expertise, relays):
-                added += 1
-        return added
+        return True
 
     def _discover_for(self, p: int, wanted: int) -> int:
         """One discovery round for peer ``p`` (MaintenanceService.discover_for)."""
         cfg = self.config
+        st = self.state
         outcome = discover_agent_lists(
             self.topology,
             p,
             cfg.tokens,
             cfg.ttl,
             rng=self._peer_rngs[p],
-            get_list=self._discovery_entries,
-            get_self_entry=self._self_entry,
+            has_list=lambda node: st.live_len[node] > 0,
+            self_offer=self._self_offer,
             online=self.network.is_online,
         )
         self.counter.count(Category.AGENT_DISCOVERY, outcome.request_messages)
         self.counter.count(Category.AGENT_DISCOVERY_REPLY, outcome.reply_messages)
-        per_list_ranks = []
-        candidates: dict[NodeID, AgentListEntry] = {}
-        for reply in outcome.replies:
-            entries = list(reply.entries)
-            if reply.self_entry is not None:
-                entries.append(reply.self_entry)
-            per_list_ranks.append(rank_within_list(entries, wanted))
-            for entry in entries:
-                candidates.setdefault(entry.agent_node_id, entry)
-        if not candidates:
+        if not outcome.responders:
             return 0
-        selected = select_agents(
-            list(candidates.values()), per_list_ranks, wanted, self._peer_rngs[p]
+        # The replies as columns: the responders' list rows, gathered whole;
+        # a self-offer is a one-cell row (host ips are the agent ids).
+        nodes = np.asarray(outcome.responders, dtype=np.int64)
+        offered = ~np.asarray(outcome.shared_list, dtype=bool)
+        ids = st.live_ip[nodes]
+        weights = st.live_val[nodes]
+        lens = st.live_len[nodes]
+        ids[offered, 0] = nodes[offered]
+        weights[offered, 0] = cfg.initial_expertise
+        lens[offered] = 1
+        ranks = rank_within_list(weights, lens, wanted)
+        replies, rows = select_agents(ids, ranks, wanted, self._peer_rngs[p])
+        # Adopt the winners, minus the requestor itself.  Nothing mutates
+        # list state between flood and adopt, so each winner's onion
+        # snapshot is read now from its (responder, row) cell — or from the
+        # offering agent's own path.
+        hosts = ids[replies, rows]
+        keep = hosts != p
+        replies, rows, hosts = replies[keep], rows[keep], hosts[keep]
+        if not st.paths_tracked:
+            return st.add_many(p, hosts, cfg.initial_expertise)
+        assert st.live_path is not None and st.live_plen is not None
+        listed = ~offered[replies]
+        source = nodes[replies]
+        paths = np.where(
+            listed[:, None], st.live_path[source, rows], self._own_path[hosts]
         )
-        return self._adopt(p, selected)
+        plens = np.where(listed, st.live_plen[source, rows], self._own_plen[hosts])
+        return st.add_many(p, hosts, cfg.initial_expertise, paths, plens)
 
     def _bootstrap(self, rounds: int) -> None:
         if self.bootstrap_mode == "seeded":

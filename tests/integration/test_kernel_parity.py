@@ -18,7 +18,8 @@ What is *excluded* from parity, by design (see ``docs/scaling.md``):
 Cells sweep seeds × poor-agent fraction × churn; churn parity holds
 strictly because handshakes consume a fixed number of relay-stream draws
 regardless of delivery order.  The paper-scale N=1000 cell is gated on
-``HIREP_PARITY_PAPER=1`` (it costs a few seconds).
+``HIREP_PARITY_PAPER=1`` (it costs a few seconds); the CI ``kernel-sweep``
+job sets it.
 """
 
 from __future__ import annotations
@@ -132,6 +133,33 @@ def test_parity_zero_relays_and_report_all() -> None:
     """Degenerate onion (no relays) and the widest report scope."""
     cfg = small_config(99, 0.10).with_(onion_relays=0, report_scope="all")
     obj, arr = run_pair(cfg, SMALL_TRANSACTIONS)
+    assert_strict_parity(obj, arr, SMALL_TRANSACTIONS)
+
+
+def test_parity_with_lists_served_through_the_discovery_hook() -> None:
+    """Every other node answers discovery through ``discovery_list_hook``
+    with a faithful copy of its own list.  The object kernel then converts
+    hook-built entries to columns instead of reading the list's own, and
+    must still land where the (hook-less) array kernel does — under churn,
+    so rediscovery adopts the copies' onion snapshots too."""
+    cfg = small_config(7, 0.10)
+    obj = build_system("hirep", cfg, churn=ChurnModel(leave_prob=0.05, rejoin_prob=0.4))
+    arr = build_system(
+        "hirep-array", cfg, churn=ChurnModel(leave_prob=0.05, rejoin_prob=0.4)
+    )
+    served = []
+
+    def hook(node: int):
+        if node % 2:
+            return None
+        agent_list = obj.peers[node].agent_list
+        served.append(node)
+        return [agent_list.shared_entry(nid) for nid in agent_list.columns()[0]]
+
+    obj.discovery_list_hook = hook
+    obj.run(SMALL_TRANSACTIONS)
+    arr.run(SMALL_TRANSACTIONS)
+    assert served
     assert_strict_parity(obj, arr, SMALL_TRANSACTIONS)
 
 

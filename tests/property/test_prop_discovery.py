@@ -5,20 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.discovery import discover_agent_lists
-from repro.core.messages import AgentListEntry
-from repro.crypto.backend import PublicKey
 from repro.net.topology import power_law_topology
-
-
-def entry_for(node: int) -> AgentListEntry:
-    nid = node.to_bytes(2, "big")
-    return AgentListEntry(
-        weight=1.0,
-        agent_node_id=nid,
-        agent_onion=None,
-        agent_sp=PublicKey("simulated", nid),
-        agent_ip=node,
-    )
 
 
 @given(
@@ -33,25 +20,26 @@ def test_discovery_invariants(n, tokens, ttl, seed, agent_density):
     rng = np.random.default_rng(seed)
     topo = power_law_topology(n, 4, rng)
     agents = {i for i in range(n) if rng.random() < agent_density}
-    selfs = {i: entry_for(i) for i in agents}
     out = discover_agent_lists(
         topo,
         0,
         tokens,
         ttl,
         rng=rng,
-        get_list=lambda node: None,
-        get_self_entry=lambda node: selfs.get(node),
+        has_list=lambda node: False,
+        self_offer=lambda node: node in agents,
     )
     # Replies never exceed the token budget (the protocol's whole point).
-    assert len(out.replies) <= tokens
-    assert out.tokens_spent == len(out.replies)
+    assert len(out.responders) <= tokens
+    assert out.tokens_spent == len(out.responders)
+    assert not any(out.shared_list)
     # Each node replies at most once; the requestor never replies.
-    repliers = [r.responder_ip for r in out.replies]
+    repliers = out.responders
     assert len(repliers) == len(set(repliers))
     assert 0 not in repliers
     # Only advertised agents reply in this setup.
     assert set(repliers) <= agents
     # Traffic is bounded: each token travels at most ttl request hops.
     assert out.request_messages <= tokens * ttl
+    assert out.reply_messages == sum(out.depths) <= len(repliers) * ttl
     assert out.total_messages == out.request_messages + out.reply_messages

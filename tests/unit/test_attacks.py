@@ -130,6 +130,31 @@ class TestSybil:
             assert entry.weight == 1.0
 
 
+    def test_sybils_on_one_ip_stay_distinct_candidates(self, rng):
+        """Discovery ranks by nodeID, not by ip: several forged identities
+        behind one host each compete, and win, as their own candidate."""
+        cfg = HiRepConfig(network_size=60, seed=73, trusted_agents=8,
+                          refill_threshold=4, agents_queried=3, onion_relays=1,
+                          tokens=6)
+        s = HiRepSystem(cfg)
+        host = next(iter(s.agents))
+        op = SybilOperator(s, host, count=4, rng=rng)
+        op.install(set(range(cfg.network_size)) - {host})
+        s.bootstrap()
+        sybil_ids = {keys.node_id for keys in op.identities}
+        held = [
+            sum(a.node_id in sybil_ids for a in peer.agent_list.agents())
+            for peer in s.peers
+        ]
+        assert max(held) == 4
+        assert all(
+            a.entry.agent_ip == host
+            for peer in s.peers
+            for a in peer.agent_list.agents()
+            if a.node_id in sybil_ids
+        )
+
+
 class TestDoS:
     def test_takedown_and_restore(self):
         cfg = HiRepConfig(network_size=60, seed=72, trusted_agents=8,

@@ -149,11 +149,18 @@ def test_zero_backup_capacity_removes_outright():
     assert lst.backup_agents() == []
 
 
-def test_as_entries_weights_are_expertise(lst):
+def test_shared_weights_are_expertise(lst):
+    """What a reply shares — as columns, and as the entry built for a
+    winner — carries the tracked expertise, not the adopted weight."""
     lst.add(entry(1, weight=0.123))
+    lst.add(entry(2))
     lst.update_expertise(bytes([1]), 0.2, 1.0)
-    entries = lst.as_entries()
-    assert entries[0].weight == pytest.approx(0.5)
+    node_ids, weights = lst.columns()
+    assert node_ids == [bytes([1]), bytes([2])]
+    assert weights == [pytest.approx(0.5), 1.0]
+    shared = lst.shared_entry(bytes([1]))
+    assert shared.weight == pytest.approx(0.5)
+    assert shared.agent_onion is lst.get(bytes([1])).entry.agent_onion
 
 
 def test_select_for_query_prefers_expertise_then_track_record(lst, rng):

@@ -93,6 +93,38 @@ def test_readd_purges_backup_row():
     assert st.backup_hosts(0) == []
 
 
+@pytest.mark.parametrize("tracked", [False, True])
+@pytest.mark.parametrize("seed", range(25))
+def test_add_many_equals_one_by_one_add(seed, tracked):
+    """add_many is the add loop as one slice write: same rows in the same
+    order, same count, same snapshots, backup rows purged alike."""
+    rng = np.random.default_rng(seed)
+    many, loop = make_state(capacity=5), make_state(capacity=5)
+    for st in (many, loop):
+        for ip in (1, 2, 3, 4):
+            st.add(0, ip, 0.8)
+        st.park(0, 2)
+        st.park(0, 4)
+        if tracked:
+            st.materialize_paths(
+                np.full((6, 2), -1, dtype=np.int32), np.zeros(6, dtype=np.int32)
+            )
+    # Already-listed (1, 3), parked (2, 4), new (0, 5) and repeated hosts.
+    hosts = rng.integers(0, 6, size=int(rng.integers(0, 8)))
+    paths = rng.integers(0, 6, size=(hosts.size, 2)).astype(np.int32)
+    plens = rng.integers(0, 3, size=hosts.size).astype(np.int32)
+    added = many.add_many(0, hosts, 1.0, paths, plens)
+    assert added == sum(
+        loop.add(0, int(ip), 1.0, relays=paths[i, : plens[i]])
+        for i, ip in enumerate(hosts)
+    )
+    for name in ("live_ip", "live_val", "live_upd", "live_len", "back_ip", "back_len"):
+        assert np.array_equal(getattr(many, name), getattr(loop, name)), name
+    if tracked:
+        assert np.array_equal(many.live_plen, loop.live_plen)
+        assert np.array_equal(many.live_path, loop.live_path)
+
+
 def test_evict_below_compacts_in_order():
     st = make_state()
     st.add(0, 1, 0.9)
