@@ -23,13 +23,23 @@ to ``wire_size(message)`` so the transmitted frame length *is* the modelled
 size (plus the fixed :data:`FRAME_OVERHEAD`) whenever the model's estimate
 dominates the literal encoding — which holds for the simulated crypto
 backend.  ``repro.serve`` ships these frames over real transports.
+
+One table, :data:`_WIRE_CLASSES`, declares every composite type with its
+size model; the encoder and decoder of each are planned from it once at
+import.  The two positions the onion protocol (§3.3) hides from relays —
+``OnionPacket.message`` and ``OnionLayer.inner`` — travel length-prefixed
+and decode to a :class:`WireSlice` that :func:`encode` splices back
+verbatim: a relay parses one packet header and one layer header and
+forwards the rest as the bytes it received.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import fields as dataclass_fields
-from typing import Any, Callable
+from operator import attrgetter
+from types import UnionType
+from typing import Any, Callable, Union, get_args, get_origin, get_type_hints
 
 from repro.core.messages import (
     AgentListEntry,
@@ -46,6 +56,7 @@ from repro.core.messages import (
 from repro.crypto.backend import PublicKey
 from repro.crypto.simulated import Envelope, SimSignature
 from repro.errors import WireError
+from repro.net.messages import DEFAULT_MESSAGE_BYTES
 from repro.onion.onion import Onion, OnionLayer
 from repro.onion.routing import OnionPacket
 
@@ -53,6 +64,7 @@ __all__ = [
     "wire_size",
     "encode",
     "decode",
+    "WireSlice",
     "FRAME_OVERHEAD",
     "WIRE_VERSION",
     "SEAL_BLOCK_BYTES",
@@ -81,32 +93,95 @@ def _field(n: int) -> int:
     return n + _LEN_PREFIX
 
 
-def onion_size(onion: Onion | None) -> int:
-    """An onion's wire size grows one sealed layer per relay."""
-    if onion is None:
-        return _LEN_PREFIX
-    size = _ONION_CORE_BYTES
-    # Each layer seals (next-hop IP + inner blob); depth recovered from
-    # the blob since the Onion doesn't store it.
-    for _ in range(_onion_depth(onion.blob)):
-        size = _sealed(size + _IP_BYTES)
-    return _field(size) + _field(_SIGNATURE_BYTES) + _NONCE_BYTES  # + seq
+class WireSlice:
+    """One encoded value, held as the bytes it arrived in.
+
+    Decoding leaves the two opaque positions as slices; :func:`encode`
+    writes ``raw`` back untouched, so forwarding never parses it.  Only
+    the value's owner calls :meth:`unpack`, and that is where a malformed
+    slice raises :class:`~repro.errors.WireError`.  ``size`` is the
+    modelled wire size of the value when the inbound frame told it (a
+    still-sealed message).
+    """
+
+    __slots__ = ("raw", "size", "_layers")
+
+    def __init__(self, raw: bytes, size: int | None = None) -> None:
+        self.raw = raw
+        self.size = size
+        self._layers: int | None = None
+
+    def unpack(self) -> Any:
+        """Decode the held value; nested opaque positions stay slices."""
+        value, end = _decode_value(self.raw, 0, 0)
+        if end != len(self.raw):
+            raise WireError("malformed slice: value has trailing data")
+        return value
+
+    def layers(self) -> int:
+        """Sealed onion layers nested in the slice, read off the headers
+        (``Envelope`` ▸ fingerprint ▸ ``OnionLayer`` ▸ next_ip ▸ length of
+        the next slice) without opening anything."""
+        if self._layers is None:
+            raw = self.raw
+            layers = offset = 0
+            try:
+                while raw[offset] == _ENVELOPE_TAG and raw[offset + 1] == _T_BYTES8:
+                    layers += 1
+                    offset += 3 + raw[offset + 2]
+                    if raw[offset] != _LAYER_TAG or raw[offset + 1] != _T_INT:
+                        break
+                    offset += 3 + raw[offset + 2] + _LEN_PREFIX
+            except IndexError:
+                pass  # a size estimate; whoever unpacks the slice validates it
+            self._layers = layers
+        return self._layers
+
+    def __eq__(self, other: object) -> bool:
+        """Equal to the value it encodes — compared as bytes, never opened."""
+        if isinstance(other, WireSlice):
+            return self.raw == other.raw
+        out = bytearray()
+        try:
+            _encode_value(other, out)
+        except WireError:
+            return NotImplemented
+        return out == self.raw
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"WireSlice({len(self.raw)} bytes)"
+
+
+# ---------------------------------------------------------------------------
+# Size model
+# ---------------------------------------------------------------------------
+
+#: Wire size of an onion blob by depth: a 16-byte core, then one sealed
+#: layer (next-hop IP + inner blob) per relay.  Grown on demand.
+_BLOB_BYTES = [_ONION_CORE_BYTES]
+
+
+def _blob_field(blob: Any) -> int:
+    depth = _onion_depth(blob)
+    while depth >= len(_BLOB_BYTES):
+        _BLOB_BYTES.append(_sealed(_BLOB_BYTES[-1] + _IP_BYTES))
+    return _field(_BLOB_BYTES[depth])
 
 
 def _onion_depth(blob: Any) -> int:
     """Number of sealed layers in an onion blob (both backends)."""
-    from repro.crypto.simulated import Envelope
-    from repro.onion.onion import OnionLayer
-
     depth = 0
     current = blob
     while isinstance(current, Envelope):
         depth += 1
         payload = current.payload
-        if isinstance(payload, OnionLayer):
-            current = payload.inner
-        else:
+        if not isinstance(payload, OnionLayer):
             break
+        current = payload.inner
+    if isinstance(current, WireSlice):
+        depth += current.layers()
     if depth:
         return depth
     # RSA backend: layers are opaque bytes; model depth from ciphertext
@@ -116,68 +191,94 @@ def _onion_depth(blob: Any) -> int:
     return 1
 
 
+def onion_size(onion: Onion | None) -> int:
+    """An onion's wire size grows one sealed layer per relay."""
+    if onion is None:
+        return _LEN_PREFIX
+    return _blob_field(onion.blob) + _field(_SIGNATURE_BYTES) + _NONCE_BYTES  # + seq
+
+
+_REQUEST_BYTES = _sealed(_NODE_ID_BYTES + _NONCE_BYTES) + _field(_PUBLIC_KEY_BYTES)
+_RESPONSE_BYTES = (
+    _sealed(_NODE_ID_BYTES + _VALUE_BYTES + _NONCE_BYTES) + _field(_PUBLIC_KEY_BYTES)
+)
+_REPORT_BYTES = (
+    _field(_NODE_ID_BYTES + _VALUE_BYTES + _NONCE_BYTES)
+    + _field(_SIGNATURE_BYTES)
+    + _field(_NODE_ID_BYTES)
+)
+_KEY_UPDATE_BYTES = (
+    _field(_NODE_ID_BYTES) + _field(_PUBLIC_KEY_BYTES) + _field(_SIGNATURE_BYTES)
+)
+_ENTRY_BYTES = (
+    _field(_VALUE_BYTES) + _field(_NODE_ID_BYTES) + _field(_PUBLIC_KEY_BYTES) + _IP_BYTES
+)
+
+
+def _entry_size(entry: AgentListEntry) -> int:
+    return _ENTRY_BYTES + onion_size(entry.agent_onion)
+
+
+def _reply_size(reply: AgentListReply) -> int:
+    size = _field(_IP_BYTES) + sum(_entry_size(entry) for entry in reply.entries)
+    if reply.self_entry is not None:
+        size += _entry_size(reply.self_entry)
+    return size
+
+
+#: Every composite type the codec understands, in tag order (tag is
+#: 0x20 + index — stable as long as entries are only appended), each with
+#: its size model; ``None`` leaves the type at the network default.
+#: Adding a message type is one entry here.
+_WIRE_CLASSES: dict[type, Callable[[Any], int] | None] = {
+    PublicKey: None,
+    Envelope: None,
+    SimSignature: None,
+    OnionLayer: None,
+    Onion: None,
+    # blob (one peeled onion body) + the inner protocol message.
+    OnionPacket: lambda p: _blob_field(p.blob) + wire_size(p.message),
+    TrustRequestBody: None,
+    TrustValueRequest: lambda m: _REQUEST_BYTES + onion_size(m.requestor_onion),
+    TrustResponseBody: None,
+    TrustValueResponse: lambda m: _RESPONSE_BYTES + onion_size(m.agent_onion),
+    SignedResult: None,
+    TransactionReport: lambda m: _REPORT_BYTES,
+    KeyUpdateAnnouncement: lambda m: _KEY_UPDATE_BYTES,
+    AgentListEntry: _entry_size,
+    AgentListRequest: None,
+    AgentListReply: _reply_size,
+}
+#: The positions a relay forwards unopened (§3.3): sent length-prefixed,
+#: decoded to a :class:`WireSlice`.
+_OPAQUE = {(OnionPacket, "message"), (OnionLayer, "inner")}
+
+_SIZE_OF: dict[type, Callable[[Any], int]] = {
+    cls: size for cls, size in _WIRE_CLASSES.items() if size is not None
+}
+_SIZE_OF[WireSlice] = lambda s: wire_size(s.unpack()) if s.size is None else s.size
+
+
 def wire_size(message: Any) -> int:
     """Wire size in bytes of any hiREP protocol message."""
-    if isinstance(message, OnionPacket):
-        # blob (one peeled onion body) + the inner protocol message.
-        blob_layers = _onion_depth(message.blob)
-        blob_size = _ONION_CORE_BYTES
-        for _ in range(blob_layers):
-            blob_size = _sealed(blob_size + _IP_BYTES)
-        return _field(blob_size) + wire_size(message.message)
-    if isinstance(message, TrustValueRequest):
-        body = _sealed(_NODE_ID_BYTES + _NONCE_BYTES)
-        return body + _field(_PUBLIC_KEY_BYTES) + onion_size(message.requestor_onion)
-    if isinstance(message, TrustValueResponse):
-        body = _sealed(_NODE_ID_BYTES + _VALUE_BYTES + _NONCE_BYTES)
-        return body + _field(_PUBLIC_KEY_BYTES) + onion_size(message.agent_onion)
-    if isinstance(message, TransactionReport):
-        return (
-            _field(_NODE_ID_BYTES + _VALUE_BYTES + _NONCE_BYTES)
-            + _field(_SIGNATURE_BYTES)
-            + _field(_NODE_ID_BYTES)
-        )
-    if isinstance(message, KeyUpdateAnnouncement):
-        return (
-            _field(_NODE_ID_BYTES)
-            + _field(_PUBLIC_KEY_BYTES)
-            + _field(_SIGNATURE_BYTES)
-        )
-    if isinstance(message, AgentListEntry):
-        return (
-            _field(_VALUE_BYTES)
-            + _field(_NODE_ID_BYTES)
-            + onion_size(message.agent_onion)
-            + _field(_PUBLIC_KEY_BYTES)
-            + _IP_BYTES
-        )
-    if isinstance(message, AgentListReply):
-        size = _field(_IP_BYTES)
-        for entry in message.entries:
-            size += wire_size(entry)
-        if message.self_entry is not None:
-            size += wire_size(message.self_entry)
-        return size
+    size = _SIZE_OF.get(type(message))
     # Unknown payloads fall back to the network default.
-    from repro.net.messages import DEFAULT_MESSAGE_BYTES
-
-    return DEFAULT_MESSAGE_BYTES
+    return DEFAULT_MESSAGE_BYTES if size is None else size(message)
 
 
 # ---------------------------------------------------------------------------
 # Codec: a self-describing tagged binary encoding of protocol messages.
 #
-# Scalars carry a one-byte type tag; variable-length payloads a 2-byte
-# (u16) length — the same prefix width the size model charges per field,
-# which is what lets encoded frames agree with wire_size().  Protocol
-# dataclasses are encoded as (tag, field₁, …, fieldₙ) with the field order
-# taken from the dataclass definition, so adding a message type is one
-# entry in _WIRE_CLASSES.
+# Every value carries a one-byte type tag; variable-length payloads a u8
+# or u16 length (by tag) — never wider than the prefix the size model
+# charges per field, which is what lets encoded frames agree with
+# wire_size().  Protocol dataclasses are encoded as (tag, field₁, …,
+# fieldₙ) with the field order taken from the dataclass definition.
 # ---------------------------------------------------------------------------
 
 #: Wire magic + codec version, prepended to every frame.
 _MAGIC = b"hR"
-WIRE_VERSION = 1
+WIRE_VERSION = 2
 #: Fixed framing cost: 2-byte magic + 1-byte version + u32 body length.
 FRAME_OVERHEAD = 7
 
@@ -189,144 +290,287 @@ _T_FLOAT = 0x04
 _T_STR = 0x05
 _T_BYTES = 0x06
 _T_TUPLE = 0x07
-
-#: Every composite type the codec understands, in tag order (tag is
-#: 0x20 + index — stable as long as entries are only appended).
-_WIRE_CLASSES: tuple[type, ...] = (
-    PublicKey,
-    Envelope,
-    SimSignature,
-    OnionLayer,
-    Onion,
-    OnionPacket,
-    TrustRequestBody,
-    TrustValueRequest,
-    TrustResponseBody,
-    TrustValueResponse,
-    SignedResult,
-    TransactionReport,
-    KeyUpdateAnnouncement,
-    AgentListEntry,
-    AgentListRequest,
-    AgentListReply,
-)
+_T_STR8 = 0x08      # as _T_STR / _T_BYTES with a one-byte length
+_T_BYTES8 = 0x09
 _CLASS_TAG_BASE = 0x20
-_TAG_OF_CLASS: dict[type, int] = {
-    cls: _CLASS_TAG_BASE + i for i, cls in enumerate(_WIRE_CLASSES)
-}
-_CLASS_OF_TAG: dict[int, type] = {tag: cls for cls, tag in _TAG_OF_CLASS.items()}
-_FIELDS_OF_CLASS: dict[type, tuple[str, ...]] = {
-    cls: tuple(f.name for f in dataclass_fields(cls)) for cls in _WIRE_CLASSES
-}
+_TAG_OF_CLASS = {cls: _CLASS_TAG_BASE + i for i, cls in enumerate(_WIRE_CLASSES)}
+_ENVELOPE_TAG = _TAG_OF_CLASS[Envelope]
+_LAYER_TAG = _TAG_OF_CLASS[OnionLayer]
 
+_HEADER = struct.Struct(">2sBI")
+_U8 = struct.Struct(">B")
+_U16 = struct.Struct(">H")
+_F64 = struct.Struct(">d")
 _U16_MAX = 0xFFFF
+#: Composite levels in the deepest legal message (AgentListReply ▸ tuple ▸
+#: AgentListEntry ▸ Onion ▸ Envelope ▸ OnionLayer; opaque positions end
+#: the descent).  Twice that is refused.
+_DEEPEST_LEGAL = 6
+_MAX_NESTING = 2 * _DEEPEST_LEGAL
+
+_Encoder = Callable[[Any, bytearray], None]
+_Decoder = Callable[[bytes, int, int], "tuple[Any, int]"]
+
+
+def _truncated() -> WireError:
+    return WireError("truncated frame: field runs past the end of the body")
 
 
 def _pack_len(n: int, what: str) -> bytes:
     if n > _U16_MAX:
         raise WireError(f"{what} of {n} bytes exceeds the u16 field limit")
-    return struct.pack(">H", n)
+    return _U16.pack(n)
+
+
+# -- encoding ---------------------------------------------------------------
 
 
 def _encode_value(value: Any, out: bytearray) -> None:
-    if value is None:
-        out.append(_T_NONE)
-        return
     kind = type(value)
-    if kind is bool:
-        out.append(_T_TRUE if value else _T_FALSE)
-        return
-    if isinstance(value, int) and not isinstance(value, bool):
-        # Two's-complement big-endian, minimal width (nonces need 9 bytes
-        # to cover the unsigned 64-bit range as a signed value).
-        width = max(1, (value.bit_length() + 8) // 8)
-        if width > 255:
-            raise WireError(f"integer too large to encode ({value.bit_length()} bits)")
-        out.append(_T_INT)
-        out.append(width)
-        out += value.to_bytes(width, "big", signed=True)
-        return
-    if isinstance(value, float):
-        out.append(_T_FLOAT)
-        out += struct.pack(">d", value)
-        return
-    if kind is str:
-        raw = value.encode("utf-8")
-        out.append(_T_STR)
-        out += _pack_len(len(raw), "string")
+    write = _ENCODERS.get(kind)
+    if write is None:
+        # A subclass of an encodable type (np.float64, an IntEnum) takes
+        # its base's encoder from then on.
+        write = next((_ENCODERS[b] for b in kind.__mro__ if b in _ENCODERS), None)
+        if write is None:
+            raise WireError(f"cannot encode value of type {kind.__name__!r} on the wire")
+        _ENCODERS[kind] = write
+    write(value, out)
+
+
+def _encode_int(value: int, out: bytearray) -> None:
+    # Two's-complement big-endian, minimal width (nonces need 9 bytes
+    # to cover the unsigned 64-bit range as a signed value).
+    width = (value.bit_length() + 8) // 8
+    if width > 255:
+        raise WireError(f"integer too large to encode ({value.bit_length()} bits)")
+    out.append(_T_INT)
+    out.append(width)
+    out += value.to_bytes(width, "big", signed=True)
+
+
+def _encode_float(value: float, out: bytearray) -> None:
+    out.append(_T_FLOAT)
+    out += _F64.pack(value)
+
+
+def _blob_encoder(short_tag: int, long_tag: int, what: str) -> _Encoder:
+    text = long_tag == _T_STR
+
+    def encode_blob(value: Any, out: bytearray) -> None:
+        raw = value.encode("utf-8") if text else value
+        if len(raw) <= 0xFF:
+            out.append(short_tag)
+            out.append(len(raw))
+        else:
+            out.append(long_tag)
+            out += _pack_len(len(raw), what)
         out += raw
-        return
-    if kind in (bytes, bytearray):
-        out.append(_T_BYTES)
-        out += _pack_len(len(value), "bytes")
-        out += bytes(value)
-        return
-    if kind is tuple:
-        out.append(_T_TUPLE)
-        out += _pack_len(len(value), "tuple")
-        for item in value:
-            _encode_value(item, out)
-        return
-    tag = _TAG_OF_CLASS.get(kind)
-    if tag is not None:
+
+    return encode_blob
+
+
+def _encode_tuple(value: tuple[Any, ...], out: bytearray) -> None:
+    out.append(_T_TUPLE)
+    out += _pack_len(len(value), "tuple")
+    for item in value:
+        _encode_value(item, out)
+
+
+def _encode_opaque(value: Any, out: bytearray) -> None:
+    """``u16 length | the value's own encoding`` — no tag of its own."""
+    start = len(out)
+    out += b"\x00\x00"
+    _encode_value(value, out)
+    out[start : start + _LEN_PREFIX] = _pack_len(len(out) - start - _LEN_PREFIX, "slice")
+
+
+def _class_encoder(cls: type, names: tuple[str, ...]) -> _Encoder:
+    tag = _TAG_OF_CLASS[cls]
+    read = attrgetter(*names)
+    writers = tuple(
+        _encode_opaque if (cls, name) in _OPAQUE else _encode_value for name in names
+    )
+
+    def encode_class(value: Any, out: bytearray) -> None:
         out.append(tag)
-        for name in _FIELDS_OF_CLASS[kind]:
-            _encode_value(getattr(value, name), out)
-        return
-    raise WireError(f"cannot encode value of type {kind.__name__!r} on the wire")
+        for write, item in zip(writers, read(value)):
+            write(item, out)
+
+    return encode_class
 
 
-def _need(buf: bytes, offset: int, n: int) -> None:
-    if offset + n > len(buf):
-        raise WireError("truncated frame: field runs past the end of the body")
+# -- decoding ---------------------------------------------------------------
 
 
-def _decode_value(buf: bytes, offset: int) -> tuple[Any, int]:
-    _need(buf, offset, 1)
-    tag = buf[offset]
-    offset += 1
-    if tag == _T_NONE:
-        return None, offset
-    if tag == _T_FALSE:
-        return False, offset
-    if tag == _T_TRUE:
-        return True, offset
-    if tag == _T_INT:
-        _need(buf, offset, 1)
-        width = buf[offset]
-        offset += 1
-        _need(buf, offset, width)
-        value = int.from_bytes(buf[offset : offset + width], "big", signed=True)
-        return value, offset + width
-    if tag == _T_FLOAT:
-        _need(buf, offset, 8)
-        (value,) = struct.unpack_from(">d", buf, offset)
-        return value, offset + 8
-    if tag in (_T_STR, _T_BYTES, _T_TUPLE):
-        _need(buf, offset, 2)
-        (length,) = struct.unpack_from(">H", buf, offset)
-        offset += 2
-        if tag == _T_TUPLE:
-            items = []
-            for _ in range(length):
-                item, offset = _decode_value(buf, offset)
-                items.append(item)
-            return tuple(items), offset
-        _need(buf, offset, length)
-        raw = bytes(buf[offset : offset + length])
-        offset += length
-        return (raw.decode("utf-8") if tag == _T_STR else raw), offset
-    cls = _CLASS_OF_TAG.get(tag)
-    if cls is None:
-        raise WireError(f"unknown wire tag 0x{tag:02x}")
-    kwargs: dict[str, Any] = {}
-    for name in _FIELDS_OF_CLASS[cls]:
-        kwargs[name], offset = _decode_value(buf, offset)
-    factory: Callable[..., Any] = cls
-    return factory(**kwargs), offset
+def _decode_value(buf: bytes, offset: int, depth: int) -> tuple[Any, int]:
+    try:
+        read = _DECODERS[buf[offset]]
+    except IndexError:
+        raise _truncated() from None
+    return read(buf, offset + 1, depth)
 
 
-def encode(message: Any) -> bytes:
+def _field_decoder(allowed: frozenset[int], what: str) -> _Decoder:
+    """``_decode_value`` for a field only some wire tags can fill."""
+
+    def decode_field(buf: bytes, offset: int, depth: int) -> tuple[Any, int]:
+        try:
+            tag = buf[offset]
+        except IndexError:
+            raise _truncated() from None
+        if tag not in allowed:
+            raise WireError(f"wire tag 0x{tag:02x} cannot fill {what}")
+        return _DECODERS[tag](buf, offset + 1, depth)
+
+    return decode_field
+
+
+def _decode_unknown(buf: bytes, offset: int, depth: int) -> tuple[Any, int]:
+    raise WireError(f"unknown wire tag 0x{buf[offset - 1]:02x}")
+
+
+def _decode_int(buf: bytes, offset: int, depth: int) -> tuple[Any, int]:
+    try:
+        end = offset + 1 + buf[offset]
+    except IndexError:
+        raise _truncated() from None
+    if end > len(buf):
+        raise _truncated()
+    return int.from_bytes(buf[offset + 1 : end], "big", signed=True), end
+
+
+def _decode_float(buf: bytes, offset: int, depth: int) -> tuple[Any, int]:
+    try:
+        return _F64.unpack_from(buf, offset)[0], offset + 8
+    except struct.error:
+        raise _truncated() from None
+
+
+def _blob_decoder(length: struct.Struct, wrap: Callable[[bytes], Any]) -> _Decoder:
+    """Length-prefixed payload: bytes, text, or a :class:`WireSlice`."""
+    prefix = length.size
+
+    def decode_blob(buf: bytes, offset: int, depth: int) -> tuple[Any, int]:
+        try:
+            (n,) = length.unpack_from(buf, offset)
+        except struct.error:
+            raise _truncated() from None
+        end = offset + prefix + n
+        if end > len(buf):
+            raise _truncated()
+        return wrap(buf[offset + prefix : end]), end
+
+    return decode_blob
+
+
+def _text(raw: bytes) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise WireError(f"malformed string: {exc}") from None
+
+
+def _too_deep(depth: int) -> None:
+    if depth >= _MAX_NESTING:
+        raise WireError(f"values nested deeper than {_MAX_NESTING} levels")
+
+
+def _decode_tuple(buf: bytes, offset: int, depth: int) -> tuple[Any, int]:
+    _too_deep(depth)
+    try:
+        (count,) = _U16.unpack_from(buf, offset)
+    except struct.error:
+        raise _truncated() from None
+    offset += _LEN_PREFIX
+    items = []
+    for _ in range(count):
+        item, offset = _decode_value(buf, offset, depth + 1)
+        items.append(item)
+    return tuple(items), offset
+
+
+def _class_decoder(cls: type, readers: tuple[_Decoder, ...]) -> _Decoder:
+    def decode_class(buf: bytes, offset: int, depth: int) -> tuple[Any, int]:
+        _too_deep(depth)
+        depth += 1
+        values = []
+        for read in readers:
+            value, offset = read(buf, offset, depth)
+            values.append(value)
+        return cls(*values), offset
+
+    return decode_class
+
+
+# -- the plan: one encoder per type, one decoder per tag, built at import ----
+
+_ENCODERS: dict[type, _Encoder] = {
+    type(None): lambda value, out: out.append(_T_NONE),
+    bool: lambda value, out: out.append(_T_TRUE if value else _T_FALSE),
+    int: _encode_int,
+    float: _encode_float,
+    str: _blob_encoder(_T_STR8, _T_STR, "string"),
+    bytes: _blob_encoder(_T_BYTES8, _T_BYTES, "bytes"),
+    bytearray: _blob_encoder(_T_BYTES8, _T_BYTES, "bytes"),
+    tuple: _encode_tuple,
+    # A slice outside an opaque position (a peeled blob) is its own bytes.
+    WireSlice: lambda value, out: out.extend(value.raw),
+}
+_DECODERS: list[_Decoder] = [_decode_unknown] * 256
+_DECODERS[_T_NONE] = lambda buf, offset, depth: (None, offset)
+_DECODERS[_T_FALSE] = lambda buf, offset, depth: (False, offset)
+_DECODERS[_T_TRUE] = lambda buf, offset, depth: (True, offset)
+_DECODERS[_T_INT] = _decode_int
+_DECODERS[_T_FLOAT] = _decode_float
+_DECODERS[_T_STR] = _blob_decoder(_U16, _text)
+_DECODERS[_T_BYTES] = _blob_decoder(_U16, bytes)
+_DECODERS[_T_TUPLE] = _decode_tuple
+_DECODERS[_T_STR8] = _blob_decoder(_U8, _text)
+_DECODERS[_T_BYTES8] = _blob_decoder(_U8, bytes)
+_decode_opaque = _blob_decoder(_U16, WireSlice)
+
+#: Wire tags that can fill a field of each concrete annotation (an int is
+#: a legal float); anything else — ``Any`` above all — stays open.
+_TAGS_OF_TYPE: dict[Any, frozenset[int]] = {
+    int: frozenset({_T_INT}),
+    float: frozenset({_T_FLOAT, _T_INT}),
+    str: frozenset({_T_STR, _T_STR8}),
+    bytes: frozenset({_T_BYTES, _T_BYTES8}),
+    tuple: frozenset({_T_TUPLE}),
+    type(None): frozenset({_T_NONE}),
+    **{cls: frozenset({tag}) for cls, tag in _TAG_OF_CLASS.items()},
+}
+
+
+def _tags_for(annotation: Any) -> frozenset[int] | None:
+    if get_origin(annotation) in (Union, UnionType):
+        parts = [_tags_for(arm) for arm in get_args(annotation)]
+        return None if None in parts else frozenset().union(*parts)
+    return _TAGS_OF_TYPE.get(get_origin(annotation) or annotation)
+
+
+def _plan(cls: type) -> None:
+    names = tuple(f.name for f in dataclass_fields(cls))
+    hints = get_type_hints(cls)
+    readers = []
+    for name in names:
+        allowed = _tags_for(hints[name])
+        if (cls, name) in _OPAQUE:
+            readers.append(_decode_opaque)
+        elif allowed is None:  # Any, or a type the wire does not know
+            readers.append(_decode_value)
+        else:
+            readers.append(_field_decoder(allowed, f"{cls.__name__}.{name}"))
+    _ENCODERS[cls] = _class_encoder(cls, names)
+    _DECODERS[_TAG_OF_CLASS[cls]] = _class_decoder(cls, tuple(readers))
+
+
+for _cls in _WIRE_CLASSES:
+    _plan(_cls)
+
+
+def encode(message: Any, size: int | None = None) -> bytes:
     """Serialize a protocol message into one framed byte string.
 
     The frame is ``magic(2) | version(1) | body_len(4, u32) | body | pad``
@@ -334,39 +578,41 @@ def encode(message: Any) -> bytes:
     frame length equals ``wire_size(message) + FRAME_OVERHEAD`` whenever
     the model's estimate covers the literal encoding (always true for the
     simulated crypto backend), so serving traffic reproduces the modelled
-    byte counts exactly.
+    byte counts exactly.  A caller that already holds ``wire_size(message)``
+    passes it as ``size`` to spare the second computation.
     """
-    body = bytearray()
-    _encode_value(message, body)
-    pad = max(0, wire_size(message) - len(body))
-    return b"".join(
-        (
-            _MAGIC,
-            bytes((WIRE_VERSION,)),
-            struct.pack(">I", len(body)),
-            bytes(body),
-            b"\x00" * pad,
-        )
-    )
+    out = bytearray(FRAME_OVERHEAD)
+    _encode_value(message, out)
+    body_len = len(out) - FRAME_OVERHEAD
+    _HEADER.pack_into(out, 0, _MAGIC, WIRE_VERSION, body_len)
+    pad = (wire_size(message) if size is None else size) - body_len
+    if pad > 0:
+        out += bytes(pad)
+    return bytes(out)
 
 
 def decode(frame: bytes | bytearray) -> Any:
     """Deserialize one frame produced by :func:`encode`.
 
-    Raises :class:`~repro.errors.WireError` on bad magic, version, length,
-    or any malformed field.
+    Raises :class:`~repro.errors.WireError` — and nothing else — on bad
+    magic, version, length, or any malformed field.  Opaque positions come
+    back as :class:`WireSlice`; their contents are checked when unpacked.
     """
     buf = bytes(frame)
     if len(buf) < FRAME_OVERHEAD:
         raise WireError(f"frame of {len(buf)} bytes is shorter than the header")
-    if buf[:2] != _MAGIC:
+    magic, version, body_len = _HEADER.unpack_from(buf)
+    if magic != _MAGIC:
         raise WireError("bad frame magic")
-    if buf[2] != WIRE_VERSION:
-        raise WireError(f"unsupported wire version {buf[2]}")
-    (body_len,) = struct.unpack_from(">I", buf, 3)
+    if version != WIRE_VERSION:
+        raise WireError(f"unsupported wire version {version}")
     if FRAME_OVERHEAD + body_len > len(buf):
         raise WireError("truncated frame: declared body exceeds frame length")
-    value, end = _decode_value(buf[: FRAME_OVERHEAD + body_len], FRAME_OVERHEAD)
-    if end != FRAME_OVERHEAD + body_len:
+    value, end = _decode_value(buf[FRAME_OVERHEAD : FRAME_OVERHEAD + body_len], 0, 0)
+    if end != body_len:
         raise WireError("malformed frame: body has trailing data")
+    if type(value) is OnionPacket and type(value.message) is WireSlice:
+        # The frame was padded to wire_size(packet): what the blob does not
+        # account for is the sealed message's modelled size.
+        value.message.size = len(buf) - FRAME_OVERHEAD - _blob_field(value.blob)
     return value

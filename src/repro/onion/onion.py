@@ -118,7 +118,7 @@ def peel(backend: CipherBackend, ar: PrivateKey, blob: Any) -> PeelOutcome:
         raise OnionPeelError(f"cannot peel onion layer: {exc}") from exc
     if not isinstance(layer, OnionLayer):
         raise OnionPeelError("peeled data is not an onion layer")
-    if layer.inner == _FAKE_ONION or layer.next_ip < 0:
+    if layer.next_ip < 0 or layer.inner == _FAKE_ONION:
         return PeelOutcome(delivered=True, next_ip=None, inner=None)
     return PeelOutcome(delivered=False, next_ip=layer.next_ip, inner=layer.inner)
 

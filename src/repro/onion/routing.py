@@ -113,10 +113,17 @@ class OnionRouter:
             self.dropped += 1
             return True
         if outcome.delivered:
+            # Over a real wire the message travelled sealed; only here, at
+            # its owner, is it opened (a malformed one raises WireError).
+            from repro.core.wire import WireSlice
+
+            message = packet.message
+            if isinstance(message, WireSlice):
+                message = message.unpack()
             self.delivered += 1
             endpoint = self._endpoints.get(here)
             if endpoint is not None:
-                endpoint(packet.message, packet.sent_at)
+                endpoint(message, packet.sent_at)
             return True
         # Forward the peeled packet one hop inward.
         inner = OnionPacket(

@@ -7,10 +7,11 @@ the actual work synchronously.  All protocol state mutation therefore
 happens inside the single event loop, one frame at a time per node, which
 is exactly the actor model's serialization guarantee.
 
-A raised exception (a poisoned frame, a cancelled task) terminates the
-loop; the :class:`~repro.serve.supervisor.Supervisor` notices the dead
-task and restarts the actor, recovering agent state from its last
-checkpoint.  The inbox itself lives in the transport, so frames that
+A malformed frame never gets this far: the network edge drops it and
+counts it (``ServeNetwork.frames_rejected``).  What terminates the loop
+is an exception raised by a protocol handler, or a cancelled task; the
+:class:`~repro.serve.supervisor.Supervisor` notices the dead task and
+restarts the actor, recovering agent state from its last checkpoint.  The inbox itself lives in the transport, so frames that
 arrive while an actor is down are processed after the restart, not lost.
 """
 

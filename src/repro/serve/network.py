@@ -7,9 +7,10 @@ world derives from the same RNG streams either way.  Only delivery
 changes: instead of scheduling a discrete event, :meth:`send` encodes the
 payload through the real wire codec and posts the resulting frame on the
 transport; the destination's actor pulls it, decodes it, and feeds the
-registered handler.  Fault planes and observers keep working — they hook
-the send path before the frame is posted, exactly where the simulator
-hooks them.
+registered handler.  Observers keep working — they hook the send path
+before the frame is posted, exactly where the simulator hooks them.  A
+frame the codec refuses is dropped and counted, never raised into the
+actor.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Any
 import numpy as np
 
 from repro.core.wire import decode, encode
-from repro.errors import NetworkError
+from repro.errors import NetworkError, WireError
 from repro.net.latency import LatencyModel
 from repro.net.messages import Category, NetMessage
 from repro.net.network import P2PNetwork
@@ -53,6 +54,8 @@ class ServeNetwork(P2PNetwork):
         self.transport = transport
         self.frames_sent = 0
         self.frames_received = 0
+        #: Inbound frames dropped as malformed before any handler ran.
+        self.frames_rejected = 0
 
     def send(
         self,
@@ -68,16 +71,16 @@ class ServeNetwork(P2PNetwork):
 
         Mirrors the simulator's send contract: offline senders raise,
         the counter charges the sender whether or not the destination is
-        up, observers and the fault plane see every message, and injected
-        drops never reach the wire.  ``size_bytes`` is ignored in favour
-        of the true encoded frame length — on this plane the bytes are
-        real.
+        up, and observers see every message.  ``size_bytes`` is the
+        sender's ``wire_size(payload)`` when it already paid for one (the
+        onion router does); the message is charged the true encoded frame
+        length either way — on this plane the bytes are real.
         """
         src_node = self.node(src)
         self.node(dst)  # validates the index
         if not src_node.online:
             raise NetworkError(f"node {src} is offline and cannot send")
-        encoded = encode(payload)
+        encoded = encode(payload, size_bytes)
         msg = NetMessage(
             src=src,
             dst=dst,
@@ -90,17 +93,6 @@ class ServeNetwork(P2PNetwork):
             self.counter.count(category)
         for observer in self.observers:
             observer(msg)
-        if self.faults is not None:
-            verdict = self.faults.on_send(msg, self.engine.now)
-            if verdict.drop:
-                for fault_observer in self.fault_observers:
-                    fault_observer("drop", msg, 0.0)
-                return msg
-            if verdict.extra_latency_ms > 0.0:
-                # Latency spikes are advisory on the live plane (the real
-                # network sets the pace); announce them for telemetry parity.
-                for fault_observer in self.fault_observers:
-                    fault_observer("delay", msg, verdict.extra_latency_ms)
         self.transport.post(
             Frame(
                 src=src,
@@ -118,25 +110,36 @@ class ServeNetwork(P2PNetwork):
 
         Called from the destination's actor loop.  Offline destinations
         drop the frame on the floor (cost already charged at send time),
-        matching the simulator's delivery semantics.
+        matching the simulator's delivery semantics.  A frame naming a
+        node outside the fleet, or one the codec refuses — at decode, or
+        when the onion's owner opens a malformed sealed message — is
+        dropped and counted in ``frames_rejected``; no protocol handler
+        has run on it.
         """
-        node = self.nodes[frame.dst]
-        if not node.online:
+        n = len(self.nodes)
+        if not (0 <= frame.src < n and 0 <= frame.dst < n):
+            self.frames_rejected += 1
+            return
+        if not self.nodes[frame.dst].online:
             return
         handler = self._handlers.get(frame.dst)
         if handler is None:
             return
-        payload = decode(frame.payload)
-        msg = NetMessage(
-            src=frame.src,
-            dst=frame.dst,
-            payload=payload,
-            category=frame.category,
-            sent_at=frame.sent_at,
-        )
-        msg.size_bytes = len(frame.payload)
-        self.frames_received += 1
-        handler(msg)
+        try:
+            handler(
+                NetMessage(
+                    src=frame.src,
+                    dst=frame.dst,
+                    payload=decode(frame.payload),
+                    category=frame.category,
+                    size_bytes=len(frame.payload),
+                    sent_at=frame.sent_at,
+                )
+            )
+        except WireError:
+            self.frames_rejected += 1
+        else:
+            self.frames_received += 1
 
     def run(self, **kwargs: Any) -> int:
         """No event queue to drain: actors deliver as frames arrive."""

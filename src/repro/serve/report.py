@@ -80,6 +80,7 @@ def slo_summary(system: "ServeSystem", report: "LoadReport") -> dict[str, Any]:
             "trust_msgs_per_tx": (trust_messages / completed) if completed else 0.0,
             "frames_posted": system.transport.frames_posted,
             "bytes_posted": system.transport.bytes_posted,
+            "frames_rejected": system.network.frames_rejected,
         },
         "supervision": {
             "crashes_detected": system.supervisor.crashes_detected,
@@ -103,7 +104,8 @@ def render_slo(summary: dict[str, Any]) -> str:
         f"throughput: {thr['tx_per_sec']:.1f} tx/s over {thr['wall_ms']:.0f} ms "
         f"(concurrency {thr['concurrency']})",
         f"traffic: {traffic['msgs_per_tx']:.1f} msgs/tx "
-        f"({traffic['frames_posted']} frames, {traffic['bytes_posted']} bytes)",
+        f"({traffic['frames_posted']} frames, {traffic['bytes_posted']} bytes, "
+        f"{traffic.get('frames_rejected', 0)} rejected)",
         f"supervision: {sup['crashes_detected']} crashes, "
         f"{sup['actor_restarts']} restarts",
         f"{'phase':<12} {'count':>6} {'mean':>8} {'p50':>8} {'p95':>8} "

@@ -306,6 +306,7 @@ class ServeSystem(HiRepRuntime):
             "serve.actor_restarts": float(self.supervisor.restarts),
             "serve.crashes_detected": float(self.supervisor.crashes_detected),
             "serve.frames_posted": float(self.transport.frames_posted),
+            "serve.frames_rejected": float(self.network.frames_rejected),
             "serve.frames_in_flight": float(self.transport.in_flight()),
             "serve.bytes_posted": float(self.transport.bytes_posted),
             "trust.mse": self.mse.mse(),

@@ -12,7 +12,7 @@ from repro.core.config import HiRepConfig
 from repro.errors import ConfigError
 from repro.obs.bundle import load_bundle, store_bundle
 from repro.serve import LoadGenerator, ServeSystem, build_trace
-from repro.serve.report import load_slo, slo_summary, write_slo
+from repro.serve.report import load_slo, render_slo, slo_summary, write_slo
 from repro.workloads import Transaction
 
 
@@ -59,6 +59,8 @@ def test_slo_summary_has_percentiles_and_traffic(fleet, tmp_path):
         assert 0.0 < stats["p50"] <= stats["p95"] <= stats["p99"] <= stats["max"]
     assert summary["traffic"]["msgs_per_tx"] > 0.0
     assert summary["transactions"] == {"offered": 40, "completed": 40, "lost": 0}
+    assert summary["traffic"]["frames_rejected"] == 0
+    assert "0 rejected)" in render_slo(summary)
     path = write_slo(summary, tmp_path / "slo.json")
     assert load_slo(path) == summary
 

@@ -1,10 +1,12 @@
-"""Integration: supervisor detects a killed actor mid-load and recovers it.
+"""Integration: the fleet's fault story — crashes recover, bad frames bounce.
 
 The acceptance scenario for the service plane's fault story: kill an
 agent actor with amnesia (blank in-memory state) while a load run is in
 flight, and require that the monitor notices the crash, restores the
 agent from its last checkpoint, restarts the actor on the same inbox,
-and the load run completes with zero lost transactions.
+and the load run completes with zero lost transactions.  Malformed
+frames are the other half: the network edge drops and counts them, and no
+actor ever restarts over one.
 """
 
 import asyncio
@@ -12,7 +14,11 @@ import asyncio
 import numpy as np
 
 from repro.core.config import HiRepConfig
+from repro.core.wire import WireSlice, encode
+from repro.onion.onion import build_onion
+from repro.onion.routing import OnionPacket
 from repro.serve import LoadGenerator, ServeSystem, build_trace
+from repro.serve.transport import Frame
 
 
 def test_kill_and_restart_mid_load_loses_nothing():
@@ -82,3 +88,57 @@ def test_restore_agent_reinstates_checkpointed_state():
         # Dispatch resolves agents at call time, so the fleet keeps
         # routing to the restored instance without rewiring.
         assert system.wiring.agents[victim] is restored
+
+
+def test_bad_frames_mid_load_are_rejected_not_crashes():
+    config = HiRepConfig(network_size=32, seed=21)
+    rng = np.random.default_rng(8)
+    with ServeSystem(config) as system:
+        trace = build_trace("pooled", 32, 40, np.random.default_rng(3))
+        generator = LoadGenerator(system, trace, concurrency=4)
+
+        def frame(dst, payload, src=0):
+            return Frame(
+                src=src, dst=dst, category="trust_query", sent_at=0.0, payload=payload
+            )
+
+        def sealed_junk(owner):
+            """A well-formed packet to ``owner`` whose sealed message is junk:
+            only the owner's unpack can tell."""
+            keys = system.peers[owner].keys
+            onion = build_onion(system.backend, keys.ap, keys.sr, owner, [], seq=1)
+            junk = WireSlice(b"\x05\x00\x09\xff", size=64)
+            return encode(OnionPacket(onion.blob, junk, "trust_query", 0.0))
+
+        valid = sealed_junk(5)
+        bad_frames = (
+            [frame(int(rng.integers(32)), rng.bytes(int(rng.integers(1, 4096))))
+             for _ in range(20)]
+            + [frame(3, valid[: len(valid) // 2]), frame(4, valid[:7])]
+            + [frame(6, sealed_junk(6), src=src) for src in (-1, 32, 10_000)]
+            + [frame(owner, sealed_junk(owner)) for owner in (5, 9, 17)]
+        )
+
+        async def scenario():
+            async def injector():
+                for bad in bad_frames:
+                    await asyncio.sleep(0.005)  # spread across the run
+                    system.transport.post(bad)
+
+            inject = asyncio.get_running_loop().create_task(injector())
+            report = await generator.run_async()
+            await inject
+            assert await system.drain()
+            return report
+
+        assert system._loop is not None
+        report = system._loop.run_until_complete(scenario())
+
+        assert (report.completed, report.lost) == (40, 0)
+        assert system.supervisor.crashes_detected == 0
+        assert system.supervisor.restarts == 0
+        assert all(actor.alive for actor in system.supervisor.actors.values())
+        assert system.network.frames_rejected == len(bad_frames)
+        metrics = system._fleet_metrics()
+        assert metrics["serve.frames_rejected"] == len(bad_frames)
+        assert metrics["serve.lost_transactions"] == 0

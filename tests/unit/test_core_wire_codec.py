@@ -14,11 +14,19 @@ from repro.core.messages import (
     TrustValueRequest,
     TrustValueResponse,
 )
-from repro.core.wire import FRAME_OVERHEAD, WIRE_VERSION, decode, encode, wire_size
+from repro.core import wire
+from repro.core.wire import (
+    FRAME_OVERHEAD,
+    WIRE_VERSION,
+    WireSlice,
+    decode,
+    encode,
+    wire_size,
+)
 from repro.crypto.backend import get_backend
 from repro.crypto.keys import PeerKeys
 from repro.errors import WireError
-from repro.onion.onion import build_onion
+from repro.onion.onion import OnionLayer, build_onion
 from repro.onion.routing import OnionPacket
 
 
@@ -165,3 +173,81 @@ def test_decode_rejects_unknown_tag(setup):
 def test_encode_rejects_unknown_payload():
     with pytest.raises(WireError):
         encode({"arbitrary": 1})
+
+
+# -- hostile input: WireError and nothing else -------------------------------
+
+
+def frame_of(body: bytes) -> bytes:
+    """A well-formed frame header around an arbitrary body."""
+    return b"hR" + bytes((WIRE_VERSION,)) + len(body).to_bytes(4, "big") + body
+
+
+def test_decode_caps_nesting_instead_of_recursing():
+    body = b"\x07\x00\x01" * 5000 + b"\x00"  # 5 000 one-element tuples
+    with pytest.raises(WireError, match="nested deeper"):
+        decode(frame_of(body))
+
+
+@pytest.mark.parametrize("head", [b"\x05\x00\x02", b"\x08\x02"])
+def test_decode_wraps_invalid_utf8(head):
+    with pytest.raises(WireError, match="malformed string"):
+        decode(frame_of(head + b"\xff\xfe"))
+
+
+def test_decode_rejects_a_tag_that_cannot_fill_a_typed_field():
+    """An OnionPacket of four Nones used to decode, then die in the router."""
+    with pytest.raises(WireError, match="cannot fill OnionPacket.category"):
+        decode(frame_of(b"\x25\x00\x00\x00\x00"))
+    # None where a node id (bytes) belongs:
+    with pytest.raises(WireError, match="cannot fill TrustRequestBody.subject"):
+        decode(frame_of(b"\x26\x00\x03\x01\x07"))
+    # ...while an Any-typed field stays open to every tag:
+    assert decode(frame_of(b"\x21\x09\x01k\x00")).payload is None
+
+
+def test_nesting_cap_is_twice_the_deepest_legal_message(setup, monkeypatch):
+    backend, keys = setup
+    frames = [encode(m) for m in all_messages(backend, keys)]
+    assert wire._MAX_NESTING == 2 * wire._DEEPEST_LEGAL
+    monkeypatch.setattr(wire, "_MAX_NESTING", wire._DEEPEST_LEGAL)
+    for frame in frames:
+        decode(frame)
+    monkeypatch.setattr(wire, "_MAX_NESTING", wire._DEEPEST_LEGAL - 1)
+    with pytest.raises(WireError, match="nested deeper"):
+        for frame in frames:
+            decode(frame)
+
+
+# -- opaque positions ---------------------------------------------------------
+
+
+def test_opaque_positions_decode_to_slices_and_splice_back(setup):
+    backend, keys = setup
+    request = make_request(backend, keys)
+    packet = OnionPacket(
+        blob=make_onion(backend, keys).blob, message=request, category="c", sent_at=1.5
+    )
+    frame = encode(packet)
+    decoded = decode(frame)
+    assert type(decoded.message) is WireSlice
+    layer = decoded.blob.payload
+    assert isinstance(layer, OnionLayer) and type(layer.inner) is WireSlice
+    assert encode(decoded) == frame  # byte-identical, nothing re-derived
+    assert decoded.message.unpack() == request
+    assert decoded.message == request and request == decoded.message
+    assert decoded.message != make_request(backend, keys, relays=2)
+    assert wire_size(decoded) == wire_size(packet)
+
+
+def test_malformed_slice_surfaces_only_when_its_owner_unpacks_it(setup):
+    backend, keys = setup
+    packet = OnionPacket(
+        blob=make_onion(backend, keys).blob,
+        message=WireSlice(b"\x05\x00\x02\xff\xfe", size=128),
+        category="c",
+        sent_at=0.0,
+    )
+    relayed = decode(encode(packet))  # a relay's view: header only, no error
+    with pytest.raises(WireError):
+        relayed.message.unpack()
