@@ -5,53 +5,62 @@ plane attached must run the exact pre-telemetry code path.  The guard
 test times identical simulations with and without an attached plane and
 asserts the *untraced* runs sit within noise of the historical untraced
 baseline — implemented as a ratio check against a fresh untraced run so
-the assertion holds on any machine.
+the assertion holds on any machine.  Both kernels reach the plane through
+the same seam (``TransactionRuntime.begin`` / ``finish``), so the guard
+runs on both.
 """
 
 from __future__ import annotations
 
+import pytest
+
+from repro import build_system
 from repro.core.config import HiRepConfig
-from repro.core.system import HiRepSystem
 from repro.obs.clock import WallClock
 from repro.obs.plane import TelemetryPlane
 
 _CFG = dict(network_size=100, seed=11)
-_TXNS = 10
+#: backend -> transactions per timed run (the array kernel is ~30x faster
+#: per transaction; its run is lengthened so the timer sees milliseconds).
+_TXNS = {"hirep": 10, "hirep-array": 200}
 
 
-def _run(attach: bool) -> float:
-    system = HiRepSystem(HiRepConfig(**_CFG))
+def _build(backend: str = "hirep"):
+    system = build_system(backend, HiRepConfig(**_CFG))
     system.bootstrap()
+    return system
+
+
+def _run(backend: str, attach: bool) -> float:
+    system = _build(backend)
     if attach:
         TelemetryPlane().attach(system)
     clock = WallClock()
-    system.run(_TXNS)
+    system.run(_TXNS[backend])
     return clock.now / 1000.0
 
 
 def test_bench_transaction_untraced(benchmark):
     def untraced():
-        system = HiRepSystem(HiRepConfig(**_CFG))
-        system.bootstrap()
-        system.run(_TXNS)
+        system = _build()
+        system.run(_TXNS["hirep"])
         return system.transactions_run
 
-    assert benchmark(untraced) == _TXNS
+    assert benchmark(untraced) == _TXNS["hirep"]
 
 
 def test_bench_transaction_traced(benchmark):
     def traced():
-        system = HiRepSystem(HiRepConfig(**_CFG))
-        system.bootstrap()
-        plane = TelemetryPlane()
-        plane.attach(system)
-        system.run(_TXNS)
+        system = _build()
+        plane = TelemetryPlane().attach(system)
+        system.run(_TXNS["hirep"])
         return len(plane.spans)
 
     assert benchmark(traced) > 0
 
 
-def test_disabled_overhead_is_noise(perf):
+@pytest.mark.parametrize("backend", list(_TXNS))
+def test_disabled_overhead_is_noise(backend, perf):
     """Runs without a plane attached pay nothing for telemetry existing.
 
     Times a batch of untraced runs before telemetry is ever used in the
@@ -60,20 +69,22 @@ def test_disabled_overhead_is_noise(perf):
     noise: attach() must leave no global residue (lingering observers,
     dispatcher taps, capture state) that would tax later untraced runs,
     and the instrumentation seams themselves (observer list checks, the
-    registry build hook) must stay O(1) no-ops.
+    registry build hook, the runtime's two ``is None`` tests) must stay
+    O(1) no-ops.
     """
     # warm up imports/allocator caches off the clock
-    _run(attach=False)
-    before = sorted(_run(attach=False) for _ in range(5))
-    _run(attach=True)  # exercise the full telemetry machinery once
-    after = sorted(_run(attach=False) for _ in range(5))
+    _run(backend, attach=False)
+    before = sorted(_run(backend, attach=False) for _ in range(5))
+    _run(backend, attach=True)  # exercise the full telemetry machinery once
+    after = sorted(_run(backend, attach=False) for _ in range(5))
     median_before, median_after = before[2], after[2]
     ratio = max(median_before, median_after) / min(median_before, median_after)
     perf.record(
         "obs-overhead",
         {"untraced_run_s": median_after, "disabled_overhead_ratio": ratio},
+        backend=backend,
         network_size=_CFG["network_size"],
-        transactions=_TXNS,
+        transactions=_TXNS[backend],
     )
     assert ratio < 1.5, (
         f"untraced runs disagree by {ratio:.2f}x after telemetry use — "

@@ -4,12 +4,7 @@ from repro.core.agent import AgentStats, ReputationAgent
 from repro.core.agent_list import TrustedAgent, TrustedAgentList
 from repro.core.config import DEFAULT_CONFIG, HiRepConfig, TABLE1_ROWS
 from repro.core.discovery import DiscoveryOutcome, discover_agent_lists
-from repro.core.dispatch import (
-    DispatchRecord,
-    ProtocolDispatcher,
-    RecordingTracer,
-    Tracer,
-)
+from repro.core.dispatch import ProtocolDispatcher
 from repro.core.interface import Outcome, ReputationSystem
 from repro.core.registry import (
     DEFAULT_REGISTRY,
@@ -89,7 +84,6 @@ __all__ = [
     "ReportAverageModel",
     "TrustModel",
     "DEFAULT_REGISTRY",
-    "DispatchRecord",
     "Estimate",
     "HiRepRuntime",
     "KeyRotationService",
@@ -98,11 +92,9 @@ __all__ = [
     "Outcome",
     "ProtocolDispatcher",
     "QueryService",
-    "RecordingTracer",
     "ReputationSystem",
     "SystemRegistry",
     "Ticket",
-    "Tracer",
     "TransactionRuntime",
     "Wiring",
     "build_system",

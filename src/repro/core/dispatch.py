@@ -10,7 +10,7 @@ message type) → handler:
   registered for a role simply never sees messages at nodes outside it —
   exactly the old behaviour of ``agents.get(ip) is None: drop``;
 * **handlers** are ``(ip, message, sent_at) -> None`` callables;
-* an optional :class:`Tracer` tap observes every dispatch —
+* an optional :attr:`~ProtocolDispatcher.tap` observes every dispatch —
   handled or dropped — without touching protocol code.
 
 ``dispatcher.endpoint(ip)`` adapts a node's dispatch entry to the
@@ -19,63 +19,26 @@ message type) → handler:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Protocol
+from typing import Any, Callable
 
 from repro.errors import ConfigError
 
-__all__ = [
-    "DispatchRecord",
-    "ProtocolDispatcher",
-    "RecordingTracer",
-    "Tracer",
-]
+__all__ = ["ProtocolDispatcher"]
 
 #: A protocol-message handler at a node: (ip, message, sent_at) -> None.
 Handler = Callable[[int, Any, float], None]
 
-
-@dataclass
-class DispatchRecord:
-    """One dispatched message as seen by a tracer."""
-
-    ip: int
-    message: Any
-    sent_at: float
-    role: str | None  #: role whose handler ran (None = no handler: dropped)
-
-    @property
-    def handled(self) -> bool:
-        return self.role is not None
-
-
-class Tracer(Protocol):
-    """Passive tap on every protocol-message dispatch."""
-
-    def __call__(self, record: DispatchRecord) -> None: ...
-
-
-@dataclass
-class RecordingTracer:
-    """A tracer that keeps every :class:`DispatchRecord` (tests, debugging)."""
-
-    records: list[DispatchRecord] = field(default_factory=list)
-
-    def __call__(self, record: DispatchRecord) -> None:
-        self.records.append(record)
-
-    def handled(self) -> list[DispatchRecord]:
-        return [r for r in self.records if r.handled]
-
-    def dropped(self) -> list[DispatchRecord]:
-        return [r for r in self.records if not r.handled]
+#: A passive tap on every dispatch: (ip, message, sent_at, role) -> None,
+#: ``role`` being the role whose handler ran (None = no handler: dropped).
+Tap = Callable[[int, Any, float, str | None], None]
 
 
 class ProtocolDispatcher:
     """Message-type → handler registry, scoped per node role."""
 
-    def __init__(self, *, tracer: Tracer | None = None) -> None:
-        self.tracer = tracer
+    def __init__(self) -> None:
+        #: The one observer slot (the telemetry plane sets it on attach).
+        self.tap: Tap | None = None
         #: role name -> membership predicate over node indices.
         self._roles: dict[str, Callable[[int], bool]] = {}
         #: role name -> message type -> handler (insertion-ordered).
@@ -113,7 +76,7 @@ class ProtocolDispatcher:
         Roles are consulted in definition order; within a role, the
         message's MRO is walked so a handler registered for a base class
         also receives subclasses.  Unroutable messages are dropped (and
-        traced), mirroring a deployed node ignoring unknown traffic.
+        tapped), mirroring a deployed node ignoring unknown traffic.
         """
         for role, member in self._roles.items():
             if not member(ip):
@@ -122,12 +85,12 @@ class ProtocolDispatcher:
             for klass in type(message).__mro__:
                 handler = table.get(klass)
                 if handler is not None:
-                    if self.tracer is not None:
-                        self.tracer(DispatchRecord(ip, message, sent_at, role))
+                    if self.tap is not None:
+                        self.tap(ip, message, sent_at, role)
                     handler(ip, message, sent_at)
                     return True
-        if self.tracer is not None:
-            self.tracer(DispatchRecord(ip, message, sent_at, None))
+        if self.tap is not None:
+            self.tap(ip, message, sent_at, None)
         return False
 
     def endpoint(self, ip: int) -> Callable[[Any, float], None]:

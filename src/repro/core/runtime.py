@@ -15,7 +15,10 @@ single home for all of it:
   pick pair → validate provider → maintain → snapshot counters) and
   :meth:`~TransactionRuntime.finish` (build the one
   :class:`~repro.core.interface.Outcome` → record) around the operator a
-  system owns, :meth:`~TransactionRuntime._execute`;
+  system owns, :meth:`~TransactionRuntime._execute` — and therefore the
+  **one telemetry seam**: ``begin`` tells the listening
+  :class:`~repro.obs.plane.TelemetryPlane` a transaction was admitted,
+  ``finish`` tells it how it ended; no executor emits spans of its own;
 * :class:`HiRepRuntime` — what the three hiREP executors (object kernel,
   array kernel, live service plane) share around that cycle: the
   once-only bootstrap guard, trust-traffic accounting and the agent
@@ -29,7 +32,7 @@ single home for all of it:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Any, NamedTuple, Sequence
 
 import numpy as np
 
@@ -102,7 +105,10 @@ class Estimate:
     hiREP executors fill ``answered``/``asked`` (agent response coverage),
     baselines ``messages``/``voters`` (per-query traffic, opinion sources
     reached); every other :class:`~repro.core.interface.Outcome` field is
-    the template's to fill.
+    the template's to fill.  The operator also states where the query
+    phase ends: after ``response_time_ms`` (both kernels), or after
+    ``query_ms`` on the live plane, whose ``response_time_ms`` is the
+    client-visible round trip — settlement and drain included.
     """
 
     estimate: float
@@ -111,16 +117,19 @@ class Estimate:
     asked: int = 0
     messages: int = 0
     voters: int = 0
+    query_ms: float | None = None
 
 
 class Ticket(NamedTuple):
-    """One admitted transaction: who, and the traffic counters before it ran."""
+    """One admitted transaction: who, the traffic counters before it ran,
+    and its open ``transaction`` span when a telemetry plane listens."""
 
     index: int
     requestor: int
     provider: int
     trust_before: int
     total_before: int
+    span: Any = None
 
 
 class MetricsPipeline:
@@ -177,6 +186,10 @@ class TransactionRuntime:
 
     #: Optional liveness churn, stepped once at the top of every cycle.
     churn: ChurnModel | None = None
+    #: The one :class:`~repro.obs.plane.TelemetryPlane` listening to this
+    #: system (set by its ``attach``).  Unattached, telemetry costs one
+    #: ``is None`` test in :meth:`begin` and one in :meth:`finish`.
+    telemetry: Any = None
 
     def __init__(
         self, config: HiRepConfig, world: World
@@ -262,14 +275,18 @@ class TransactionRuntime:
             prov = provider
         self._maintain(req)
         trust, total = self._traffic()
-        return Ticket(self.metrics.next_index(), req, prov, trust, total)
+        index = self.metrics.next_index()
+        span = None
+        if self.telemetry is not None:
+            span = self.telemetry.transaction_begun(self, index)
+        return Ticket(index, req, prov, trust, total, span)
 
     def finish(self, tx: Ticket, result: Estimate) -> Outcome:
         """Everything after the operator: the one Outcome, recorded."""
         truth = float(self.truth[tx.provider])
         err = float(result.estimate) - truth
         trust, total = self._traffic()
-        return self.metrics.record(
+        outcome = self.metrics.record(
             Outcome(
                 index=tx.index,
                 requestor=tx.requestor,
@@ -286,6 +303,15 @@ class TransactionRuntime:
                 voters=result.voters,
             )
         )
+        if tx.span is not None:
+            query_ms = result.query_ms
+            self.telemetry.transaction_finished(
+                self,
+                tx.span,
+                outcome,
+                result.response_time_ms if query_ms is None else query_ms,
+            )
+        return outcome
 
     def _ensure_ready(self) -> None:
         """Lazy set-up that must precede the first pair draw (none here)."""
@@ -302,6 +328,11 @@ class TransactionRuntime:
         """The operator: estimate ``provider``'s trust for ``requestor``
         and apply whatever the system learns from the transaction."""
         raise NotImplementedError
+
+    def _telemetry_metrics(self) -> dict[str, float]:
+        """Executor-specific gauges for the telemetry snapshot, beside the
+        counters every system has (none here)."""
+        return {}
 
     def run(
         self, transactions: int, requestor: int | None = None
@@ -356,6 +387,9 @@ class HiRepRuntime(TransactionRuntime):
     def _trust_traffic(self) -> int:
         by_category = self.counter.by_category
         return sum(by_category.get(cat, 0) for cat in TRUST_TRAFFIC_CATEGORIES)
+
+    def _telemetry_metrics(self) -> dict[str, float]:
+        return {f"retry.{name}": n for name, n in self.retry_stats().items()}
 
     def retry_stats(self) -> dict[str, int]:
         """Aggregate timeout/retry accounting across every peer."""

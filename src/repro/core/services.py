@@ -33,7 +33,7 @@ from repro.core.discovery import (
     discover_agent_lists,
     maintain_list,
 )
-from repro.core.dispatch import ProtocolDispatcher, Tracer
+from repro.core.dispatch import ProtocolDispatcher
 from repro.core.messages import (
     AgentListEntry,
     KeyUpdateAnnouncement,
@@ -87,13 +87,12 @@ def build_wiring(
     backend: object,
     *,
     model_factory: ModelFactory | None = None,
-    tracer: Tracer | None = None,
 ) -> Wiring:
     """Build key material, peers, agents, and the protocol routing table."""
     network = world.network
     router = OnionRouter(network, backend)
     relay_registry = RelayRegistry()
-    dispatcher = ProtocolDispatcher(tracer=tracer)
+    dispatcher = ProtocolDispatcher()
 
     # Key material and peers.  Per-peer generators are spawned up front so
     # peer construction order cannot perturb other streams.

@@ -22,7 +22,6 @@ fall out of the same run.
 from __future__ import annotations
 
 from repro.core.config import HiRepConfig
-from repro.core.dispatch import Tracer
 from repro.core.messages import AgentListEntry
 from repro.core.peer import HiRepPeer
 from repro.core.runtime import Estimate, HiRepRuntime
@@ -56,7 +55,6 @@ class HiRepSystem(HiRepRuntime):
         model_factory: ModelFactory | None = None,
         topology=None,
         faults: FaultPlane | None = None,
-        tracer: Tracer | None = None,
     ) -> None:
         """Build the network, keys, peers, agents, and wiring.
 
@@ -74,9 +72,6 @@ class HiRepSystem(HiRepRuntime):
             the network before any traffic flows.  The plane draws from
             its own seeded generator, so passing ``None`` reproduces the
             reliable-network runs bit for bit.
-        tracer:
-            Optional :class:`~repro.core.dispatch.Tracer` observing every
-            dispatched protocol message (see ``docs/architecture.md``).
         """
         config = config or HiRepConfig()
         world = World.from_config(config, latency_model, topology=topology)
@@ -88,11 +83,7 @@ class HiRepSystem(HiRepRuntime):
 
         self.backend = get_backend(config.crypto_backend)
         self.wiring = build_wiring(
-            config,
-            world,
-            self.backend,
-            model_factory=model_factory,
-            tracer=tracer,
+            config, world, self.backend, model_factory=model_factory
         )
         self.router = self.wiring.router
         self.relay_registry = self.wiring.relay_registry

@@ -6,12 +6,15 @@
   inline ``# lint: allow[RULE]`` pragma on its line.
 * ``hirep-lint graph [paths...]`` — dump the import graph and call graph
   the whole-program rules run over as deterministic JSON (sorted keys,
-  sorted edges; byte-identical under any ``PYTHONHASHSEED``).
+  sorted edges; byte-identical under any ``PYTHONHASHSEED``), plus a
+  ``statements`` table: ``ast.stmt`` nodes per top-level package, the
+  size counter the simplicity PRs and the ROADMAP quote.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import sys
 from pathlib import Path
@@ -62,10 +65,17 @@ def _dump_graph(targets: list[Path], root: Path, stream: TextIO) -> int:
     files, errors = load_files(targets, root)
     project, duplicates = build_project(files)
     errors += duplicates
+    statements: dict[str, int] = {}
+    for ctx in files:
+        package = ".".join((ctx.module or ctx.path).split(".")[:2])
+        statements[package] = statements.get(package, 0) + sum(
+            isinstance(node, ast.stmt) for node in ast.walk(ctx.tree)
+        )
     payload = {
         "modules": sorted(project.summaries),
         "imports": project.imports.to_dict(),
         "calls": project.calls.to_dict(),
+        "statements": statements,
         "errors": sorted(errors),
     }
     print(json.dumps(payload, indent=2, sort_keys=True), file=stream)

@@ -27,9 +27,8 @@ spent the bandwidth) but never schedule a delivery, and injected latency
 spikes are added before the FIFO serialization step.  Every intervention
 is announced to ``network.fault_observers`` (``("drop"|"delay", msg,
 extra_ms)``), which is how injected failures appear on the same telemetry
-timeline as deliveries (see :func:`repro.sim.trace.tap_network` and
-:mod:`repro.obs`).  With no plane installed the send path is
-byte-for-byte the reliable one.
+timeline as deliveries (see :mod:`repro.obs`).  With no plane installed
+the send path is byte-for-byte the reliable one.
 """
 
 from __future__ import annotations

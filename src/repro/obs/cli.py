@@ -14,30 +14,22 @@ in the run manifest's ``finished`` events and printed by
 ``hirep-experiments``).
 
 Everything prints deterministically: categories, names, and metric keys
-come out sorted, and percentiles use the nearest-rank rule on sorted
-durations, so CI can golden-file this output.
+come out sorted, and percentiles (p50/p95/p99) are
+:func:`repro.sim.stats.summarize`'s — the same linear-interpolation rule
+``hirep-serve``'s SLO report uses — so CI can golden-file this output.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any
 
 from repro.obs.bundle import Bundle, load_bundle
+from repro.sim.stats import summarize
 
 __all__ = ["main"]
-
-
-def _percentile(sorted_values: Sequence[float], q: float) -> float:
-    """Nearest-rank percentile (deterministic, no interpolation)."""
-    n = len(sorted_values)
-    if n == 0:
-        return float("nan")
-    rank = min(n, max(1, math.ceil(q * n)))
-    return sorted_values[rank - 1]
 
 
 def _load(path: str) -> Bundle:
@@ -48,7 +40,7 @@ def _load(path: str) -> Bundle:
 
 
 def _span_durations(bundle: Bundle) -> dict[str, list[float]]:
-    """Span name -> sorted durations (finished spans only)."""
+    """Span name -> durations (finished spans only), names sorted."""
     durations: dict[str, list[float]] = {}
     for span in bundle.spans:
         if span.get("end_ms") is None:
@@ -56,7 +48,7 @@ def _span_durations(bundle: Bundle) -> dict[str, list[float]]:
         durations.setdefault(span["name"], []).append(
             span["end_ms"] - span["start_ms"]
         )
-    return {name: sorted(values) for name, values in sorted(durations.items())}
+    return dict(sorted(durations.items()))
 
 
 def _event_counts(bundle: Bundle) -> dict[str, int]:
@@ -91,15 +83,13 @@ def cmd_summarize(args: argparse.Namespace) -> int:
     if durations:
         print("\nspan latency (sim-ms):")
         width = max(len(n) for n in durations)
-        header = f"  {'span':<{width}}  {'count':>6} {'p50':>10} {'p90':>10} {'p99':>10} {'max':>10}"
+        header = f"  {'span':<{width}}  {'count':>6} {'p50':>10} {'p95':>10} {'p99':>10} {'max':>10}"
         print(header)
         for name, values in durations.items():
+            stats = summarize(values)
             print(
-                f"  {name:<{width}}  {len(values):>6}"
-                f" {_percentile(values, 0.50):>10.3f}"
-                f" {_percentile(values, 0.90):>10.3f}"
-                f" {_percentile(values, 0.99):>10.3f}"
-                f" {values[-1]:>10.3f}"
+                f"  {name:<{width}}  {stats.n:>6} {stats.p50:>10.3f}"
+                f" {stats.p95:>10.3f} {stats.p99:>10.3f} {stats.maximum:>10.3f}"
             )
 
     if args.metrics:

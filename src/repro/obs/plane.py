@@ -6,25 +6,30 @@
   network send, protocol dispatch, and fault-plane intervention as an
   instant event at simulated time;
 * a **span recorder** (:class:`~repro.obs.spans.SpanRecorder`): one span
-  per transaction, with derived protocol-phase children
-  (``query`` / ``votes`` / ``report``) and per-message flight spans;
+  per transaction with its two protocol phases (``transaction → query →
+  report``), plus per-message flight spans;
 * a **metric registry** (:class:`~repro.obs.metrics.Registry`): live
-  histograms of span durations plus pull-model collectors that absorb the
-  pre-existing metric silos (message counter, MSE, response times, fault
-  stats, retry stats) at snapshot time.
+  histograms of span durations and messages per transaction, plus one
+  pull-model collector per system that absorbs the pre-existing metric
+  silos (message counter, MSE, response times, fault stats, retry stats)
+  at snapshot time.
 
-:meth:`TelemetryPlane.attach` instruments a system *from the outside*:
-it taps the :class:`~repro.core.dispatch.ProtocolDispatcher` tracer slot
-(chaining any tracer already installed), appends network and fault
-observers, and wraps the system's bound ``run_transaction`` — protocol
-code is untouched, and a system without a plane attached runs the exact
-pre-telemetry code path.  Everything recorded is keyed to simulation
-time, so output is a pure function of the seed.
+Transactions reach the plane through the one seam every executor shares:
+:meth:`~repro.core.runtime.TransactionRuntime.begin` calls
+:meth:`TelemetryPlane.transaction_begun`, ``finish`` calls
+:meth:`TelemetryPlane.transaction_finished`, and the operator *states*
+where its query phase ended — nothing is re-derived from message
+categories.  :meth:`TelemetryPlane.attach` therefore only sets
+``system.telemetry`` and hooks whatever else the system **has**: network
+observer lists (per-send and fault events), a protocol dispatcher (its
+``tap`` slot), the metric collectors.  A system without a plane runs the
+exact pre-telemetry code path.  Everything recorded is keyed to the
+system's own clock, so simulator output is a pure function of the seed.
 """
 
 from __future__ import annotations
 
-from typing import Any, TYPE_CHECKING
+from typing import Any, Callable, TYPE_CHECKING
 
 from repro.errors import ConfigError
 from repro.obs.metrics import Registry
@@ -36,45 +41,33 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["TelemetryPlane"]
 
-#: Event categories that open/extend the derived protocol-phase spans.
-#: Maps accounting category -> phase name (hiREP and flooding baselines
-#: share the taxonomy: a query fans out, votes come back, reports settle).
-_PHASE_OF_CATEGORY = {
-    "trust_query": "query",
-    "flood_query": "query",
-    "trust_response": "votes",
-    "flood_response": "votes",
-    "transaction_report": "report",
-}
-
-#: Order phases are emitted in when present (dict order is insertion
-#: order, but the contract deserves to be explicit).
-_PHASE_ORDER = ("query", "votes", "report")
+#: Message-count buckets for the per-transaction traffic histogram.
+_MSGS_PER_TX_BOUNDS = (2.0, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 500.0)
 
 
 class _Attachment:
-    """Per-system instrumentation state (one per :meth:`attach` call)."""
+    """Per-system state: label, clock, and the transactions in flight."""
 
-    __slots__ = ("system", "label", "engine", "txn_span", "phase_windows")
+    __slots__ = ("system", "label", "prefix", "tag", "engine", "elapsed_ms", "open")
 
     def __init__(self, system: Any, label: str | None) -> None:
         self.system = system
-        self.label = label
-        self.engine = system.network.engine
-        #: the open transaction span, if a transaction is in flight.
-        self.txn_span: Span | None = None
-        #: phase name -> [first_ms, last_ms] observed inside the open txn.
-        self.phase_windows: dict[str, list[float]] = {}
+        self.label = label or ""
+        #: metric-name prefix, and the ``sys`` field stamped on this
+        #: system's events and spans (both empty for the first system).
+        self.prefix = f"{label}." if label else ""
+        self.tag = {"sys": label} if label else {}
+        #: DES or wall engine; None where time is billed analytically.
+        self.engine = getattr(system.network, "engine", None)
+        #: The clock of an engine-less executor: cumulative response time,
+        #: i.e. the y-axis of Fig. 8.
+        self.elapsed_ms = 0.0
+        #: span id -> open transaction span, oldest first.
+        self.open: dict[int, Span] = {}
 
-    def mark_phase(self, category: str, now: float) -> None:
-        phase = _PHASE_OF_CATEGORY.get(category)
-        if phase is None or self.txn_span is None:
-            return
-        window = self.phase_windows.get(phase)
-        if window is None:
-            self.phase_windows[phase] = [now, now]
-        else:
-            window[1] = now
+    @property
+    def now(self) -> float:
+        return self.elapsed_ms if self.engine is None else self.engine.now
 
 
 class TelemetryPlane:
@@ -88,9 +81,11 @@ class TelemetryPlane:
         Optional category allow-list for the event timeline (spans and
         metrics are unaffected).
     flight_spans:
-        Record one span per dispatched protocol message (sent → handled).
-        On by default; disable for huge runs where per-message spans
-        dominate the bundle.
+        Tap the protocol dispatcher: one ``dispatch.handled`` /
+        ``dispatch.dropped`` event and one ``msg.*`` span (sent →
+        handled) per delivered protocol message.  On by default; disable
+        where per-message records would dominate (huge runs, and the
+        always-on plane of a live fleet).
     """
 
     def __init__(
@@ -106,7 +101,10 @@ class TelemetryPlane:
         self.registry = Registry()
         self.flight_spans = flight_spans
         self.profiler: "Profiler | None" = None
-        self._attachments: list[_Attachment] = []
+        #: id(system) -> its attachment (the plane keeps the system alive).
+        self._attachments: dict[int, _Attachment] = {}
+        #: span id -> wall-clock ms at begin, while a profiler is joined.
+        self._wall_t0: dict[int, float] = {}
         self.registry.register_collector(self._self_collector)
         if profiler is not None:
             self.set_profiler(profiler)
@@ -115,10 +113,11 @@ class TelemetryPlane:
         """Join a :class:`~repro.obs.prof.Profiler` to this plane.
 
         The profiler's watermark gauges (``prof.*``) enter the metric
-        snapshot, transaction spans gain a ``wall_ms`` attribute, and
-        samples taken inside a transaction are attributed to the
-        ``transaction`` context.  Starting/stopping the profiler stays
-        the caller's job (``capture(profile=True)`` does both).
+        snapshot, every transaction span's wall-clock cost is noted in
+        the profiler's ``span_wall`` join, and samples taken while a
+        transaction is in flight are attributed to the ``transaction``
+        context.  Starting/stopping the profiler stays the caller's job
+        (``capture(profile=True)`` does both).
         """
         if self.profiler is not None:
             raise ConfigError("telemetry plane already has a profiler")
@@ -134,7 +133,7 @@ class TelemetryPlane:
         return len(self._attachments)
 
     def labels(self) -> list[str]:
-        return [a.label or "" for a in self._attachments]
+        return [a.label for a in self._attachments.values()]
 
     def _self_collector(self) -> dict[str, float]:
         return {
@@ -146,201 +145,187 @@ class TelemetryPlane:
     # -- attachment --------------------------------------------------------
 
     def attach(self, system: Any, *, label: str | None = None) -> "TelemetryPlane":
-        """Instrument ``system`` (any :class:`TransactionRuntime`).
+        """Listen to ``system`` (any :class:`TransactionRuntime`).
 
-        The first attachment is unlabelled; subsequent ones default to
-        ``sys1``, ``sys2``, ... so multi-system captures (e.g. a baseline
-        comparison) keep their metric namespaces apart.
+        Sets ``system.telemetry`` — from then on the runtime's
+        ``begin``/``finish`` report every transaction here — and hooks
+        what the system has: a network with observer lists gets the send
+        and fault observers, a protocol dispatcher gets its ``tap`` (when
+        ``flight_spans`` is on), and its counters join the snapshot.  A
+        system whose traffic is billed analytically (the array kernel,
+        the flooding baselines) sends nothing for the first two to see
+        and yields transaction spans and metrics only.
+
+        A system has one plane: attaching it again is a no-op, attaching
+        it to a second plane raises.  A plane may hold several systems;
+        the first is unlabelled, later ones default to ``sys1``, ``sys2``,
+        ... so multi-system captures (e.g. a baseline comparison) keep
+        their metric namespaces apart.
         """
-        if not hasattr(system.network, "engine"):
+        current = getattr(system, "telemetry", None)
+        if current is self:
+            return self
+        if current is not None:
             raise ConfigError(
-                f"{type(system).__name__} has no event engine or protocol "
-                "dispatcher for the telemetry plane to tap; capture on 'hirep'"
+                f"{type(system).__name__} already reports to a telemetry "
+                "plane; a system has exactly one"
             )
         if label is None and self._attachments:
             label = f"sys{len(self._attachments)}"
-        att = _Attachment(system, label)
-        self._attachments.append(att)
-        self._install_network_taps(att)
-        self._install_dispatch_tap(att)
-        self._wrap_run_transaction(att)
-        self._register_system_collector(att)
+        att = self._attachments[id(system)] = _Attachment(system, label)
+        system.telemetry = self
+        if hasattr(system.network, "observers"):
+            self._observe_network(att)
+        dispatcher = getattr(system, "dispatcher", None)
+        if dispatcher is not None and self.flight_spans:
+            dispatcher.tap = self._dispatch_tap(att)
+        self.registry.register_collector(lambda: self._system_metrics(att))
         return self
 
-    # -- event recording ---------------------------------------------------
+    # -- events ------------------------------------------------------------
 
-    def _record(self, att: _Attachment, category: str, /, **fields: Any) -> None:
-        if att.label is not None:
-            fields["sys"] = att.label
-        self.tracer.record(att.engine.now, category, **fields)
-
-    def _install_network_taps(self, att: _Attachment) -> None:
-        network = att.system.network
+    def _observe_network(self, att: _Attachment) -> None:
+        network, engine, tag = att.system.network, att.engine, att.tag
+        record = self.tracer.record
 
         def on_send(msg: Any) -> None:
-            # Same convention as repro.sim.trace.tap_network: the event
-            # category IS the message category, so timelines read
-            # "trust_query src=3 dst=17" rather than a flat "net.send".
-            self._record(
-                att,
+            # The event category IS the message category, so timelines
+            # read "trust_query src=3 dst=17" rather than a flat "net.send".
+            record(
+                engine.now,
                 msg.category,
                 src=msg.src,
                 dst=msg.dst,
                 bytes=msg.size_bytes,
+                **tag,
             )
-            att.mark_phase(msg.category, att.engine.now)
 
         def on_fault(kind: str, msg: Any, extra_ms: float) -> None:
+            # kind is "drop" or "delay"; the event carries the category of
+            # the message it hit, a delay also how long.
+            fields = {"src": msg.src, "dst": msg.dst, "category": msg.category}
             if kind == "delay":
-                self._record(
-                    att,
-                    "fault.delay",
-                    src=msg.src,
-                    dst=msg.dst,
-                    category=msg.category,
-                    extra_ms=extra_ms,
-                )
-                self.registry.counter("obs.fault.delays").inc()
-            else:
-                self._record(
-                    att,
-                    "fault.drop",
-                    src=msg.src,
-                    dst=msg.dst,
-                    category=msg.category,
-                )
-                self.registry.counter("obs.fault.drops").inc()
+                fields["extra_ms"] = extra_ms
+            record(engine.now, f"fault.{kind}", **fields, **tag)
+            self.registry.counter(f"obs.fault.{kind}s").inc()
 
         network.observers.append(on_send)
         network.fault_observers.append(on_fault)
 
-    def _install_dispatch_tap(self, att: _Attachment) -> None:
-        dispatcher = getattr(att.system, "dispatcher", None)
-        if dispatcher is None:
-            return  # flooding/gossip baselines have no dispatch layer
-        previous = dispatcher.tracer
+    def _dispatch_tap(
+        self, att: _Attachment
+    ) -> Callable[[int, Any, float, str | None], None]:
+        engine, tag, spans = att.engine, att.tag, self.spans
+        record = self.tracer.record
 
-        def tap(record: Any) -> None:
-            if previous is not None:
-                previous(record)
-            now = att.engine.now
-            name = type(record.message).__name__
-            if record.handled:
-                self._record(
-                    att, "dispatch.handled", ip=record.ip, msg=name, role=record.role
-                )
+        def tap(ip: int, message: Any, sent_at: float, role: str | None) -> None:
+            now = engine.now
+            name = type(message).__name__
+            if role is None:
+                record(now, "dispatch.dropped", ip=ip, msg=name, **tag)
             else:
-                self._record(att, "dispatch.dropped", ip=record.ip, msg=name)
-            if self.flight_spans and att.txn_span is not None:
-                flight = self.spans.emit(
+                record(now, "dispatch.handled", ip=ip, msg=name, role=role, **tag)
+            # A flight belongs to the transaction in flight — the latest
+            # admitted one where several overlap (the live plane).
+            parent = next(reversed(att.open.values()), None)
+            if parent is not None:
+                spans.emit(
                     f"msg.{name}",
-                    min(record.sent_at, now),
+                    min(sent_at, now),
                     now,
                     category="msg",
-                    parent=att.txn_span,
-                    ip=record.ip,
+                    parent=parent,
+                    ip=ip,
+                    **tag,
                 )
-                if att.label is not None:
-                    flight.attrs["sys"] = att.label
 
-        dispatcher.tracer = tap
+        return tap
 
-    # -- transaction spans -------------------------------------------------
+    # -- transactions (called by TransactionRuntime.begin / finish) ---------
 
-    def _wrap_run_transaction(self, att: _Attachment) -> None:
-        inner = att.system.run_transaction
+    def transaction_begun(self, system: Any, index: int) -> Span:
+        """Open the ``transaction`` span of ``system``'s ``index``-th
+        admitted transaction; it rides on the ``Ticket`` to ``finish``."""
+        att = self._attachments[id(system)]
+        span = self.spans.begin(
+            "transaction", start_ms=att.now, category="txn", index=index, **att.tag
+        )
+        att.open[span.span_id] = span
+        if self.profiler is not None:
+            self._wall_t0[span.span_id] = self.profiler.clock.now
+            self.profiler.mark("transaction")
+        return span
 
-        def run_transaction(*args: Any, **kwargs: Any) -> Any:
-            span = self.spans.begin(
-                "transaction",
-                start_ms=att.engine.now,
-                category="txn",
-                index=att.system.transactions_run,
+    def transaction_finished(
+        self, system: Any, span: Span, outcome: Any, query_ms: float
+    ) -> None:
+        """Close ``span`` with its outcome and emit its two phases.
+
+        ``query_ms`` is what the operator stated: how long after admission
+        the estimate was in hand (NaN — a blind query — is no time at
+        all); ``report`` is the remainder: settlement, reports, drain.
+        """
+        att = self._attachments[id(system)]
+        del att.open[span.span_id]
+        elapsed = outcome.response_time_ms
+        if att.engine is None and elapsed == elapsed:
+            att.elapsed_ms += elapsed
+        start, end = span.start_ms, att.now
+        # min(): start + (t - start) may land an ulp past t == end.
+        split = min(start + query_ms, end) if query_ms == query_ms else start
+        for name, lo, hi in (("query", start, split), ("report", split, end)):
+            self._observe_span(
+                self.spans.emit(name, lo, hi, category="phase", parent=span, **att.tag)
             )
-            if att.label is not None:
-                span.attrs["sys"] = att.label
-            att.txn_span = span
-            att.phase_windows = {}
-            profiler = self.profiler
-            try:
-                if profiler is not None:
-                    # The join lives in the profiler (profile.json), not in
-                    # span attrs: wall-clock values in the span tree would
-                    # make the hashed bundle files nondeterministic.
-                    wall_t0 = profiler.clock.now
-                    with profiler.context("transaction"):
-                        outcome = inner(*args, **kwargs)
-                    profiler.note_span_wall(
-                        span.span_id, span.name, profiler.clock.now - wall_t0
-                    )
-                else:
-                    outcome = inner(*args, **kwargs)
-            finally:
-                self._finish_transaction(att, span)
-            span.attrs.update(
+        messages = outcome.total_messages or outcome.messages
+        self._observe_span(
+            self.spans.finish(
+                span,
+                end,
                 requestor=outcome.requestor,
                 provider=outcome.provider,
                 estimate=outcome.estimate,
-                messages=outcome.total_messages or outcome.messages,
+                messages=messages,
             )
-            return outcome
-
-        # Shadow the bound method on the instance only — the class, and
-        # every uninstrumented system, keeps the original.
-        att.system.run_transaction = run_transaction
-
-    def _finish_transaction(self, att: _Attachment, span: Span) -> None:
-        end = att.engine.now
-        for phase in _PHASE_ORDER:
-            window = att.phase_windows.get(phase)
-            if window is None:
-                continue
-            # Events only happen between txn begin and end (sim time is
-            # monotonic), so the window is already inside the parent.
-            first, last = window
-            phase_span = self.spans.emit(
-                phase, first, last, category="phase", parent=span
+        )
+        self.registry.histogram(
+            f"{att.prefix}msgs_per_tx", bounds=_MSGS_PER_TX_BOUNDS
+        ).observe(float(messages))
+        wall_t0 = self._wall_t0.pop(span.span_id, None)
+        if wall_t0 is not None:
+            # The join lives in the profiler (profile.json), not in span
+            # attrs: wall-clock values in the span tree would make the
+            # hashed bundle files nondeterministic.
+            profiler = self.profiler
+            profiler.note_span_wall(
+                span.span_id, span.name, profiler.clock.now - wall_t0
             )
-            if att.label is not None:
-                phase_span.attrs["sys"] = att.label
-            self._observe_span(phase_span)
-        att.txn_span = None
-        att.phase_windows = {}
-        self.spans.finish(span, end)
-        self._observe_span(span)
+            if not self._wall_t0:
+                profiler.mark("")
 
     def _observe_span(self, span: Span) -> None:
         self.registry.histogram(f"span_ms[{span.name}]").observe(span.duration_ms)
 
     # -- metric absorption -------------------------------------------------
 
-    def _register_system_collector(self, att: _Attachment) -> None:
-        prefix = f"{att.label}." if att.label else ""
+    def _system_metrics(self, att: _Attachment) -> dict[str, float]:
         system = att.system
-
-        def collector() -> dict[str, float]:
-            out: dict[str, float] = {}
-            counter = system.counter
-            out[f"{prefix}net.messages.total"] = counter.total
-            for category in sorted(counter.by_category):
-                out[f"{prefix}net.messages[{category}]"] = counter.by_category[
-                    category
-                ]
-            out[f"{prefix}transactions"] = system.transactions_run
-            out[f"{prefix}trust.mse"] = system.mse.mse()
-            out[f"{prefix}response_ms.mean"] = system.response_times.mean()
-            out[f"{prefix}response_ms.count"] = len(system.response_times)
-            retry_stats = getattr(system, "retry_stats", None)
-            if callable(retry_stats):
-                for key, value in retry_stats().items():
-                    out[f"{prefix}retry.{key}"] = value
-            faults = getattr(system.network, "faults", None)
-            if faults is not None:
-                for key, value in faults.stats.as_dict().items():
-                    out[f"{prefix}fault.{key}"] = value
-            return out
-
-        self.registry.register_collector(collector)
+        counter = system.counter
+        out: dict[str, float] = {
+            "net.messages.total": counter.total,
+            "transactions": system.transactions_run,
+            "trust.mse": system.mse.mse(),
+            "response_ms.mean": system.response_times.mean(),
+            "response_ms.count": len(system.response_times),
+        }
+        for category, count in counter.by_category.items():
+            out[f"net.messages[{category}]"] = count
+        faults = getattr(system.network, "faults", None)
+        if faults is not None:
+            for key, value in faults.stats.as_dict().items():
+                out[f"fault.{key}"] = value
+        out.update(system._telemetry_metrics())
+        return {f"{att.prefix}{name}": value for name, value in out.items()}
 
     # -- snapshot ----------------------------------------------------------
 

@@ -242,6 +242,12 @@ class Profiler:
         finally:
             self._context_label = previous
 
+    def mark(self, label: str) -> None:
+        """Unscoped :meth:`context`: attribute samples to ``label`` from
+        now on (the plane's begin/finish seam opens and closes a
+        transaction in two different calls)."""
+        self._context_label = label
+
     def note_span_wall(self, span_id: int, name: str, wall_ms: float) -> None:
         """Record how much wall-clock a (sim-time) span actually took."""
         self.span_wall.append((span_id, name, wall_ms))

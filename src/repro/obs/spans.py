@@ -3,13 +3,13 @@
 A :class:`Span` is a named interval ``[start_ms, end_ms]`` on the
 simulated clock with an optional parent — the telemetry plane uses them to
 decompose one transaction into its protocol phases
-(``transaction → query → votes → report``) and individual message flights.
+(``transaction → query → report``) and individual message flights.
 Span identifiers are sequential integers assigned at begin time, so a
 fixed-seed run always produces the same ids in the same order; nothing
 here reads the wall clock.
 
 :class:`SpanRecorder` deliberately supports out-of-order finishing
-(phase spans are derived *after* their transaction completes) — the
+(phase spans are emitted when their transaction finishes) — the
 context-manager form is sugar for the common strictly-nested case.
 """
 

@@ -5,7 +5,8 @@ The summary dict is the `hirep-serve` contract: transaction counts
 mean) per phase — ``transaction`` end-to-end, ``query`` (start to
 estimate), ``report`` (settlement + report delivery) — throughput, and
 message cost (msgs/tx, frames, bytes).  Percentiles come from the raw
-span durations, not histogram buckets, so they are exact for the run.
+span durations, not histogram buckets, so they are exact for the run
+(:func:`repro.sim.stats.summarize`, linear interpolation).
 
 ``write_slo`` persists it as deterministic JSON (sorted keys); the full
 event/span/metric record travels separately as a standard
@@ -18,7 +19,7 @@ import json
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
-import numpy as np
+from repro.sim.stats import summarize
 
 if TYPE_CHECKING:
     from repro.serve.load import LoadReport
@@ -30,29 +31,21 @@ __all__ = ["slo_summary", "render_slo", "write_slo", "load_slo"]
 _PHASES = ("transaction", "query", "report")
 
 
-def _latency_stats(durations: list[float]) -> dict[str, float]:
-    if not durations:
-        return {"count": 0}
-    arr = np.asarray(durations, dtype=np.float64)
-    return {
-        "count": int(arr.size),
-        "mean": float(arr.mean()),
-        "p50": float(np.percentile(arr, 50)),
-        "p95": float(np.percentile(arr, 95)),
-        "p99": float(np.percentile(arr, 99)),
-        "max": float(arr.max()),
-    }
-
-
 def slo_summary(system: "ServeSystem", report: "LoadReport") -> dict[str, Any]:
     """Assemble the SLO summary for one completed load run."""
     spans = system.telemetry.spans
-    latency = {
-        phase: _latency_stats(
-            [s.duration_ms for s in spans.spans(phase) if s.end_ms is not None]
-        )
-        for phase in _PHASES
-    }
+    latency: dict[str, dict[str, float]] = {}
+    for phase in _PHASES:
+        stats = summarize([s.duration_ms for s in spans.spans(phase) if s.finished])
+        latency[phase] = {"count": stats.n}
+        if stats.n:
+            latency[phase].update(
+                mean=stats.mean,
+                p50=stats.p50,
+                p95=stats.p95,
+                p99=stats.p99,
+                max=stats.maximum,
+            )
     completed = report.completed
     total_messages = sum(o.total_messages for o in report.outcomes)
     trust_messages = sum(o.trust_messages for o in report.outcomes)

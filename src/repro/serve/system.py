@@ -19,9 +19,10 @@ answered (or a wall-clock window closes).  With a serialized load (one
 transaction at a time) the two backends make identical RNG draws, which
 is what the determinism-guard test pins.
 
-Wall-clock telemetry (transaction/query/report spans, msgs-per-tx,
-fleet counters) accumulates on an owned :class:`~repro.obs.plane.
-TelemetryPlane`, exportable as a standard bundle.
+A fleet always reports to a :class:`~repro.obs.plane.TelemetryPlane`
+(``system.telemetry``) through the runtime's shared begin/finish seam:
+wall-clock transaction/query/report spans, one event per send,
+msgs-per-tx and the fleet counters, exportable as a standard bundle.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from repro.core.world import World
 from repro.crypto.backend import get_backend
 from repro.errors import ConfigError
 from repro.net.latency import LatencyModel
+from repro.obs.capture import current_plane
 from repro.obs.plane import TelemetryPlane
 from repro.serve.engine import WallEngine
 from repro.serve.network import ServeNetwork
@@ -46,14 +48,10 @@ from repro.serve.transport import Transport, make_transport
 
 __all__ = ["ServeSystem"]
 
-#: Message-count buckets for the per-transaction traffic histogram.
-_MSGS_PER_TX_BOUNDS = (2.0, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 500.0)
-
 #: Build options other hiREP executors take, and which of them to use.
 _UNSUPPORTED = {
     "churn": "'hirep' or 'hirep-array'",
     "faults": "'hirep'",
-    "tracer": "'hirep'",
     "topology": "'hirep' or 'hirep-array'",
     "model_factory": "'hirep' or 'hirep-array'",
 }
@@ -79,10 +77,13 @@ class ServeSystem(HiRepRuntime):
         ``query_window_ms`` bounds how long one query waits for the last
         trust response before finishing with whatever arrived;
         ``drain_window_ms`` bounds the post-settlement wait for transport
-        quiescence when draining per transaction.  The simulators' build
-        options (``churn``, ``faults``, ``tracer``, ``topology``,
-        ``model_factory``) have no live-plane counterpart and raise
-        :class:`~repro.errors.ConfigError`.
+        quiescence when draining per transaction.  The fleet reports to
+        the open :func:`~repro.obs.capture.capture` window's plane if
+        there is one, else to ``telemetry``, else to a plane of its own
+        (one event per send, three spans per transaction, no per-message
+        flight spans).  The simulators' build options (``churn``,
+        ``faults``, ``topology``, ``model_factory``) have no live-plane
+        counterpart and raise :class:`~repro.errors.ConfigError`.
         """
         for name, value in unsupported.items():
             if name not in _UNSUPPORTED:
@@ -125,7 +126,6 @@ class ServeSystem(HiRepRuntime):
             self.transport,
             checkpoint_every=checkpoint_every,
         )
-        self.telemetry = telemetry if telemetry is not None else TelemetryPlane()
         self.query_window_ms = query_window_ms
         self.drain_window_ms = drain_window_ms
         #: When True (the serialized-load mode) every transaction waits for
@@ -134,7 +134,8 @@ class ServeSystem(HiRepRuntime):
         self.drain_per_tx = True
         self.lost_transactions = 0
         self._loop: asyncio.AbstractEventLoop | None = None
-        self._install_taps()
+        plane = current_plane() or telemetry or TelemetryPlane(flight_spans=False)
+        plane.attach(self)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -191,11 +192,7 @@ class ServeSystem(HiRepRuntime):
         """One full transaction cycle over the live transport: the shared
         ``begin``/``finish`` around the awaited round trip."""
         tx = self.begin(requestor, provider)
-        outcome = self.finish(tx, await self._round_trip(tx))
-        self.telemetry.registry.histogram(
-            "serve.msgs_per_tx", bounds=_MSGS_PER_TX_BOUNDS
-        ).observe(float(outcome.total_messages))
-        return outcome
+        return self.finish(tx, await self._round_trip(tx))
 
     def _bootstrap(self, rounds: int) -> None:
         self.maintenance.bootstrap(rounds)
@@ -206,34 +203,21 @@ class ServeSystem(HiRepRuntime):
 
     async def _round_trip(self, tx: Ticket) -> Estimate:
         """The operator: query, await the answers, settle, (drain)."""
-        spans = self.telemetry.spans
         t0 = self.engine.now
-        txn = spans.begin(
-            "transaction",
-            start_ms=t0,
-            category="txn",
-            index=tx.index,
-            requestor=tx.requestor,
-            provider=tx.provider,
-        )
         blind = self.queries.start(tx.requestor, tx.provider)
         if blind is None:
             await self._await_responses(self.peers[tx.requestor])
         t_query = self.engine.now
-        self._observe_span(
-            spans.emit("query", t0, t_query, category="phase", parent=txn)
-        )
-
         result = self.queries.settle(tx.requestor, tx.provider, blind)
         if self.drain_per_tx:
             await self.drain()
-        t_end = self.engine.now
-        self._observe_span(
-            spans.emit("report", t_query, t_end, category="phase", parent=txn)
+        return Estimate(
+            result.estimate,
+            self.engine.now - t0,
+            result.answered,
+            result.asked,
+            query_ms=t_query - t0,
         )
-        spans.finish(txn, t_end)
-        self._observe_span(txn)
-        return Estimate(result.estimate, t_end - t0, result.answered, result.asked)
 
     async def _await_responses(self, peer: HiRepPeer) -> None:
         """Sleep until every outstanding request is answered (or window ends)."""
@@ -281,41 +265,15 @@ class ServeSystem(HiRepRuntime):
     # Telemetry
     # ------------------------------------------------------------------
 
-    def _install_taps(self) -> None:
-        tracer = self.telemetry.tracer
-        engine = self.engine
-
-        def on_send(msg: Any) -> None:
-            tracer.record(
-                engine.now,
-                msg.category,
-                src=msg.src,
-                dst=msg.dst,
-                bytes=msg.size_bytes,
-            )
-
-        self.network.observers.append(on_send)
-        self.telemetry.registry.register_collector(self._fleet_metrics)
-
-    def _fleet_metrics(self) -> dict[str, float]:
-        counter = self.counter
-        out: dict[str, float] = {
-            "net.messages.total": float(counter.total),
-            "serve.transactions": float(self.transactions_run),
-            "serve.lost_transactions": float(self.lost_transactions),
-            "serve.actor_restarts": float(self.supervisor.restarts),
-            "serve.crashes_detected": float(self.supervisor.crashes_detected),
-            "serve.frames_posted": float(self.transport.frames_posted),
-            "serve.frames_rejected": float(self.network.frames_rejected),
-            "serve.frames_in_flight": float(self.transport.in_flight()),
-            "serve.bytes_posted": float(self.transport.bytes_posted),
-            "trust.mse": self.mse.mse(),
+    def _telemetry_metrics(self) -> dict[str, float]:
+        """The fleet counters, beside what every hiREP executor reports."""
+        return {
+            **super()._telemetry_metrics(),
+            "serve.lost_transactions": self.lost_transactions,
+            "serve.actor_restarts": self.supervisor.restarts,
+            "serve.crashes_detected": self.supervisor.crashes_detected,
+            "serve.frames_posted": self.transport.frames_posted,
+            "serve.frames_rejected": self.network.frames_rejected,
+            "serve.frames_in_flight": self.transport.in_flight(),
+            "serve.bytes_posted": self.transport.bytes_posted,
         }
-        for category in sorted(counter.by_category):
-            out[f"net.messages[{category}]"] = float(counter.by_category[category])
-        return out
-
-    def _observe_span(self, span: Any) -> None:
-        self.telemetry.registry.histogram(f"span_ms[{span.name}]").observe(
-            span.duration_ms
-        )

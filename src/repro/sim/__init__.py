@@ -13,7 +13,7 @@ from repro.sim.metrics import (
     ResponseTimeTracker,
 )
 from repro.sim.process import ProcessHandle, spawn as spawn_process
-from repro.sim.trace import TraceEntry, Tracer, tap_network
+from repro.sim.trace import TraceEntry, Tracer
 from repro.sim.rng import choice_without, make_rng, sample_unique, spawn
 from repro.sim.stats import (
     ConvergenceReport,
@@ -29,7 +29,6 @@ from repro.sim.stats import (
 __all__ = [
     "TraceEntry",
     "Tracer",
-    "tap_network",
     "ProcessHandle",
     "spawn_process",
     "SimClock",

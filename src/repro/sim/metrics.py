@@ -18,6 +18,8 @@ from collections import Counter
 
 import numpy as np
 
+from repro.sim.stats import moving_average
+
 __all__ = [
     "MessageCounter",
     "MSETracker",
@@ -104,14 +106,7 @@ class MSETracker:
         ``out[i]`` is the mean of squared errors over transactions
         ``[max(0, i - window + 1), i]``.
         """
-        sq = self.squared_errors
-        if sq.size == 0:
-            return sq
-        csum = np.cumsum(sq)
-        idx = np.arange(sq.size)
-        lo = np.maximum(idx - self.window + 1, 0)
-        totals = csum - np.where(lo > 0, csum[lo - 1], 0.0)
-        return totals / (idx - lo + 1)
+        return moving_average(self.squared_errors, self.window)
 
     def tail_mse(self, n: int | None = None) -> float:
         """MSE over the final ``n`` records (defaults to the window size)."""

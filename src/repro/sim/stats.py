@@ -27,7 +27,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SeriesSummary:
-    """Five-number-ish summary of a numeric series."""
+    """Five-number-ish summary of a numeric series.
+
+    The repo's one percentile rule: numpy's default, linear interpolation
+    between the two nearest order statistics.
+    """
 
     n: int
     mean: float
@@ -36,6 +40,7 @@ class SeriesSummary:
     maximum: float
     p50: float
     p95: float
+    p99: float
 
     def as_dict(self) -> dict[str, float]:
         return {
@@ -46,6 +51,7 @@ class SeriesSummary:
             "max": self.maximum,
             "p50": self.p50,
             "p95": self.p95,
+            "p99": self.p99,
         }
 
 
@@ -54,7 +60,7 @@ def summarize(values: np.ndarray | list[float]) -> SeriesSummary:
     arr = np.asarray(values, dtype=np.float64)
     if arr.size == 0:
         nan = float("nan")
-        return SeriesSummary(0, nan, nan, nan, nan, nan, nan)
+        return SeriesSummary(0, nan, nan, nan, nan, nan, nan, nan)
     return SeriesSummary(
         n=int(arr.size),
         mean=float(arr.mean()),
@@ -63,6 +69,7 @@ def summarize(values: np.ndarray | list[float]) -> SeriesSummary:
         maximum=float(arr.max()),
         p50=float(np.percentile(arr, 50)),
         p95=float(np.percentile(arr, 95)),
+        p99=float(np.percentile(arr, 99)),
     )
 
 

@@ -3,11 +3,11 @@
 Debugging a discrete-event protocol means answering "what happened, in
 order, to whom" — :class:`Tracer` records timestamped entries with a
 category and free-form fields, supports category filters and bounded
-buffers, and renders a readable timeline.  The network layer can be tapped
-with :func:`tap_network` to trace every datagram — and, when a
+buffers, and renders a readable timeline.  The telemetry plane
+(:meth:`repro.obs.plane.TelemetryPlane.attach`) feeds one from a network's
+observer lists: every datagram and, when a
 :class:`~repro.net.faults.FaultPlane` is installed, every injected drop
-(``fault.drop``) and latency spike (``fault.delay``) — without touching
-protocol code.
+(``fault.drop``) and latency spike (``fault.delay``).
 
 Nothing a bounded buffer loses is lost silently: entries pushed out of a
 full buffer bump :attr:`Tracer.evicted` (the capacity-side twin of
@@ -24,7 +24,7 @@ from typing import Any, Iterable
 
 from repro.errors import ConfigError
 
-__all__ = ["TraceEntry", "Tracer", "tap_network"]
+__all__ = ["TraceEntry", "Tracer"]
 
 
 @dataclass(frozen=True)
@@ -116,33 +116,3 @@ class Tracer:
 
     def clear(self) -> None:
         self._entries.clear()
-
-
-def tap_network(tracer: Tracer, network) -> Tracer:
-    """Attach a tracer to a :class:`~repro.net.network.P2PNetwork`.
-
-    Every datagram is recorded at send time with src/dst/category/size.
-    Fault-plane interventions are recorded on the same timeline as
-    ``fault.drop`` / ``fault.delay`` entries (carrying the category of the
-    affected message), so injected failures are visible next to the
-    deliveries they perturb.
-    """
-
-    def observer(msg) -> None:
-        tracer.record(
-            network.engine.now,
-            msg.category,
-            src=msg.src,
-            dst=msg.dst,
-            bytes=msg.size_bytes,
-        )
-
-    def fault_observer(kind: str, msg, extra_ms: float) -> None:
-        fields = {"src": msg.src, "dst": msg.dst, "category": msg.category}
-        if kind == "delay":
-            fields["extra_ms"] = extra_ms
-        tracer.record(network.engine.now, f"fault.{kind}", **fields)
-
-    network.observers.append(observer)
-    network.fault_observers.append(fault_observer)
-    return tracer

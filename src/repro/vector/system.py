@@ -42,8 +42,8 @@ the array kernel only approximates (there is no event engine); they are
 excluded from parity and documented in ``docs/scaling.md``.
 
 Unsupported surfaces fail loudly with :class:`~repro.errors.ConfigError`:
-fault planes, dispatch tracers and the query-timeout/retry plane all
-require the object kernel's event engine.
+fault planes and the query-timeout/retry plane both require the object
+kernel's event engine.
 """
 
 from __future__ import annotations
@@ -119,7 +119,6 @@ class ArrayHiRepSystem(HiRepRuntime):
         model_factory: ModelFactory | None = None,
         topology=None,
         faults=None,
-        tracer=None,
         bootstrap_mode: str = "protocol",
     ) -> None:
         """Build the substrate and per-agent models; no per-peer objects.
@@ -134,10 +133,6 @@ class ArrayHiRepSystem(HiRepRuntime):
             raise ConfigError(
                 "hirep-array does not support fault planes; use the object "
                 "kernel ('hirep') for fault-injection runs"
-            )
-        if tracer is not None:
-            raise ConfigError(
-                "hirep-array has no protocol dispatcher to trace; use 'hirep'"
             )
         if config.query_timeout_ms is not None:
             raise ConfigError(

@@ -71,7 +71,7 @@ def test_telemetry_bundle_round_trips(fleet, tmp_path):
     key, path = store_bundle(fleet.telemetry, tmp_path, meta={"tool": "test"})
     bundle = load_bundle(path)
     assert bundle.meta["tool"] == "test"
-    assert bundle.metrics["serve.transactions"] == 20.0
+    assert bundle.metrics["transactions"] == 20.0
     assert any(s["name"] == "transaction" for s in bundle.spans)
 
 

@@ -139,6 +139,6 @@ def test_bad_frames_mid_load_are_rejected_not_crashes():
         assert system.supervisor.restarts == 0
         assert all(actor.alive for actor in system.supervisor.actors.values())
         assert system.network.frames_rejected == len(bad_frames)
-        metrics = system._fleet_metrics()
+        metrics = system.telemetry.collect()
         assert metrics["serve.frames_rejected"] == len(bad_frames)
         assert metrics["serve.lost_transactions"] == 0

@@ -100,6 +100,8 @@ def test_graph_subcommand_dumps_deterministic_json(tmp_path):
     assert payload["imports"]["module_scope"]["repro.net.mod"] == [
         "repro.core.system"
     ]
+    # ast.stmt nodes per top-level package: `def boot` + `pass`, one import
+    assert payload["statements"] == {"repro": 0, "repro.core": 2, "repro.net": 1}
 
 
 def test_graph_json_is_byte_identical_across_hash_seeds(tmp_path):

@@ -1,10 +1,10 @@
-"""ProtocolDispatcher: role scoping, MRO routing, tracing."""
+"""ProtocolDispatcher: role scoping, MRO routing, the dispatch tap."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.dispatch import ProtocolDispatcher, RecordingTracer
+from repro.core.dispatch import ProtocolDispatcher
 from repro.errors import ConfigError
 
 
@@ -20,9 +20,9 @@ class Pong:
     pass
 
 
-def make_dispatcher(tracer=None) -> tuple[ProtocolDispatcher, list]:
+def make_dispatcher() -> tuple[ProtocolDispatcher, list]:
     calls: list[tuple] = []
-    d = ProtocolDispatcher(tracer=tracer)
+    d = ProtocolDispatcher()
     d.define_role("agent", lambda ip: ip % 2 == 0)  # even nodes are agents
     d.define_role("peer", lambda ip: True)
     d.register("agent", Ping, lambda ip, m, t: calls.append(("agent-ping", ip)))
@@ -63,14 +63,15 @@ def test_endpoint_adapts_to_router_signature():
 
 
 def test_tracer_sees_handled_and_dropped():
-    tracer = RecordingTracer()
-    d, _calls = make_dispatcher(tracer)
+    """Whatever traces dispatches is now a plain callable in the tap slot."""
+    d, _calls = make_dispatcher()
+    assert d.tap is None
+    seen: list[tuple] = []
+    d.tap = lambda ip, message, sent_at, role: seen.append((ip, sent_at, role))
     d.dispatch(2, Ping(), 1.0)
     d.dispatch(3, Ping(), 2.0)
-    assert [r.role for r in tracer.records] == ["agent", None]
-    assert [r.ip for r in tracer.handled()] == [2]
-    assert [r.ip for r in tracer.dropped()] == [3]
-    assert tracer.records[0].sent_at == 1.0
+    # role is the handler's role; None means no handler ran (dropped)
+    assert seen == [(2, 1.0, "agent"), (3, 2.0, None)]
 
 
 def test_duplicate_registration_rejected():
@@ -92,9 +93,11 @@ def test_hirep_system_tracer_observes_protocol_messages():
     from repro import HiRepConfig, HiRepSystem
     from repro.core.messages import TrustValueRequest, TrustValueResponse
 
-    tracer = RecordingTracer()
-    system = HiRepSystem(HiRepConfig(network_size=40, seed=3), tracer=tracer)
+    system = HiRepSystem(HiRepConfig(network_size=40, seed=3))
+    handled: list[type] = []
+    system.dispatcher.tap = lambda ip, message, sent_at, role: (
+        role is not None and handled.append(type(message))
+    )
     system.run(3, requestor=0)
-    kinds = {type(r.message) for r in tracer.handled()}
-    assert TrustValueRequest in kinds
-    assert TrustValueResponse in kinds
+    assert TrustValueRequest in handled
+    assert TrustValueResponse in handled

@@ -15,32 +15,37 @@ import math
 import pytest
 
 from repro.errors import ConfigError
-from repro.obs.cli import _percentile
 from repro.obs.clock import WallClock
 from repro.obs.export import write_metrics_json
 from repro.obs.metrics import Histogram
+from repro.sim.stats import summarize
 
 
 # ---------------------------------------------------------------- percentiles
 
 
+def _percentiles(values):
+    stats = summarize(values)
+    return stats.p50, stats.p95, stats.p99
+
+
 def test_percentile_empty_is_nan():
-    assert math.isnan(_percentile([], 0.5))
-    assert math.isnan(_percentile([], 0.99))
+    assert all(math.isnan(p) for p in _percentiles([]))
+    assert summarize([]).n == 0
 
 
 def test_percentile_single_sample_every_q():
-    for q in (0.0, 0.5, 0.9, 0.99, 1.0):
-        assert _percentile([42.0], q) == 42.0
+    assert _percentiles([42.0]) == (42.0, 42.0, 42.0)
 
 
-def test_percentile_nearest_rank_never_interpolates():
-    values = [1.0, 2.0, 3.0, 4.0]
-    # nearest-rank: always an observed value, never a blend
-    assert _percentile(values, 0.5) == 2.0
-    assert _percentile(values, 0.51) == 3.0
-    assert _percentile(values, 0.99) == 4.0
-    assert _percentile(values, 0.0) == 1.0  # rank clamps to 1
+def test_percentile_interpolates_linearly():
+    # the one rule (numpy's default): a blend of the two nearest order
+    # statistics, independent of input order, never outside [min, max]
+    p50, p95, p99 = _percentiles([4.0, 1.0, 3.0, 2.0])
+    assert p50 == pytest.approx(2.5)
+    assert p95 == pytest.approx(3.85)
+    assert p99 == pytest.approx(3.97)
+    assert summarize([1.0, 2.0, 3.0]).p50 == 2.0  # an observed value when one sits there
 
 
 # ---------------------------------------------------------------- Histogram

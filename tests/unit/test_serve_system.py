@@ -51,7 +51,6 @@ def test_registry_exposes_serve():
     [
         ("churn", "hirep-array"),
         ("faults", "hirep"),
-        ("tracer", "hirep"),
         ("topology", "hirep-array"),
         ("model_factory", "hirep-array"),
     ],
@@ -106,7 +105,7 @@ def test_telemetry_accumulates_spans_and_metrics(small):
         assert len(spans.spans("transaction")) == 3
         assert len(spans.spans("query")) == 3
         snapshot = system.telemetry.registry.collect()
-        assert snapshot["serve.transactions"] == 3.0
+        assert snapshot["transactions"] == 3.0
         assert snapshot["serve.frames_posted"] > 0.0
         assert snapshot["serve.frames_in_flight"] == 0.0
 

@@ -30,7 +30,7 @@ class TestSummarize:
 
     def test_as_dict_keys(self):
         assert set(summarize([1.0]).as_dict()) == {
-            "n", "mean", "std", "min", "max", "p50", "p95",
+            "n", "mean", "std", "min", "max", "p50", "p95", "p99",
         }
 
 

@@ -1,10 +1,22 @@
-"""Unit tests for simulation tracing."""
+"""Unit tests for simulation tracing: the timeline buffer, and the network
+tap that feeds it (the telemetry plane's send/fault observers)."""
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro.errors import ConfigError
-from repro.sim.trace import Tracer, tap_network
+from repro.obs.plane import TelemetryPlane
+from repro.sim.trace import Tracer
+
+
+def tap_network(network) -> Tracer:
+    """The plane's timeline over a bare network: attach hooks whatever the
+    system has, and this one has nothing but observer lists."""
+    plane = TelemetryPlane()
+    plane.attach(SimpleNamespace(network=network))
+    return plane.tracer
 
 
 class TestTracer:
@@ -108,7 +120,7 @@ class TestNetworkTap:
             latency_model=ConstantLatency(5.0),
             model_transmission=False,
         )
-        tracer = tap_network(Tracer(), net)
+        tracer = tap_network(net)
         net.send(0, 3, "hello", category="trust_query")
         net.send(1, 2, "x", category="control")
         net.run()
@@ -119,7 +131,7 @@ class TestNetworkTap:
         assert entry.get("bytes") > 0
 
     def test_traces_full_transaction(self, small_system):
-        tracer = tap_network(Tracer(), small_system.network)
+        tracer = tap_network(small_system.network)
         small_system.run_transaction(requestor=0)
         categories = {e.category for e in tracer.entries()}
         assert "trust_query" in categories
@@ -139,7 +151,7 @@ class TestNetworkTap:
             model_transmission=False,
         )
         FaultPlane([MessageLoss(1.0)], seed=1).install(net)
-        tracer = tap_network(Tracer(), net)
+        tracer = tap_network(net)
         net.send(0, 3, "x", category="trust_query")
         drops = tracer.entries("fault.drop")
         assert len(drops) == 1
@@ -153,7 +165,7 @@ class TestNetworkTap:
             model_transmission=False,
         )
         FaultPlane([LatencySpike(1.0, 300.0)], seed=1).install(delayed)
-        tracer2 = tap_network(Tracer(), delayed)
+        tracer2 = tap_network(delayed)
         delayed.send(0, 3, "x", category="trust_query")
         spikes = tracer2.entries("fault.delay")
         assert len(spikes) == 1
@@ -170,7 +182,7 @@ class TestNetworkTap:
             latency_model=ConstantLatency(5.0),
             model_transmission=False,
         )
-        tracer = tap_network(Tracer(), net)
+        tracer = tap_network(net)
         net.send(0, 1, "x", category="control")
         assert tracer.entries("fault.drop") == []
         assert tracer.entries("fault.delay") == []

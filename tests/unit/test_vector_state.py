@@ -220,24 +220,38 @@ def test_array_system_rejects_unsupported_options():
     with pytest.raises(ConfigError):
         ArrayHiRepSystem(cfg, faults=object())
     with pytest.raises(ConfigError):
-        ArrayHiRepSystem(cfg, tracer=object())
-    with pytest.raises(ConfigError):
         ArrayHiRepSystem(cfg.with_(query_timeout_ms=50.0))
     with pytest.raises(ConfigError):
         ArrayHiRepSystem(cfg, bootstrap_mode="magic")
 
 
-def test_telemetry_capture_is_refused_loudly():
-    """``capture()`` around an array build names the kernel that can be
-    captured instead of dying on a missing ``engine`` attribute."""
+def test_telemetry_capture_records_spans_and_metrics(tmp_path, capsys):
+    """``capture()`` around an array build yields what an analytically
+    billed executor has — transaction spans and the metric snapshot, no
+    per-message events — and the bundle round-trips through the CLI."""
     from repro.core.registry import build_system
+    from repro.obs.bundle import load_bundle, store_bundle
     from repro.obs.capture import capture
+    from repro.obs.cli import main as obs_main
     from repro.workloads.scenarios import default_config
 
     with capture() as plane:
-        with pytest.raises(ConfigError, match="'hirep'"):
-            build_system("hirep-array", default_config(network_size=40, seed=3))
-        assert plane.attached == 0
+        system = build_system("hirep-array", default_config(network_size=40, seed=3))
+        system.run(50)
+    spans = plane.spans.spans("transaction")
+    assert len(spans) == 50 and all(s.finished for s in spans)
+    # the clock is cumulative response time: spans tile the Fig. 8 axis
+    assert spans[-1].end_ms == pytest.approx(float(system.response_times.cumulative()[-1]))
+    assert plane.tracer.recorded == 0
+    snapshot = plane.collect()
+    assert snapshot["transactions"] == 50
+    assert snapshot["net.messages.total"] == system.counter.total
+    assert snapshot["trust.mse"] == pytest.approx(system.mse.mse())
+
+    _key, path = store_bundle(plane, tmp_path)
+    assert len(load_bundle(path).spans) == 150  # transaction + query + report
+    assert obs_main(["summarize", str(path)]) == 0
+    assert "transaction" in capsys.readouterr().out
 
 
 def test_seeded_bootstrap_populates_every_online_peer():
