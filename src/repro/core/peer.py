@@ -279,9 +279,7 @@ class HiRepPeer:
             self.config.retry_backoff_factor ** pending.attempt
         )
         self.network.engine.schedule_in(
-            delay,
-            lambda: self._on_query_deadline(pending),
-            label="query_deadline",
+            delay, lambda: self._on_query_deadline(pending)
         )
 
     def _on_query_deadline(self, pending: PendingQuery) -> None:
@@ -415,7 +413,6 @@ class HiRepPeer:
         self,
         result: QueryResult,
         outcome: float,
-        relay_pool: list[int],
         *,
         report: bool = True,
     ) -> list[TransactionReport]:

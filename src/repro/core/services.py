@@ -363,9 +363,7 @@ class QueryService:
         transaction: expertise updates, eviction, parking, reports."""
         peer = self.wiring.peers[req]
         result = peer.finish_query() if blind is None else blind
-        peer.settle_transaction(
-            result, float(self.world.truth[prov]), self.network.online_nodes()
-        )
+        peer.settle_transaction(result, float(self.world.truth[prov]))
         return result
 
     def execute(self, req: int, prov: int) -> QueryResult:

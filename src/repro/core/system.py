@@ -64,8 +64,7 @@ class HiRepSystem(HiRepRuntime):
             ``(good: bool, rng) -> TrustModel`` — override the per-agent
             trust model (defaults to the paper's quality-driven model).
         topology:
-            Optional explicit :class:`~repro.net.topology.Topology` (e.g.
-            a :class:`~repro.net.overlay.DynamicOverlay` snapshot) instead
+            Optional explicit :class:`~repro.net.topology.Topology` instead
             of a generated one; node count must match the config.
         faults:
             Optional :class:`~repro.net.faults.FaultPlane` installed on

@@ -52,9 +52,8 @@ class World:
     ) -> "World":
         """Deterministically derive the full substrate from the config seed.
 
-        ``topology`` overrides generation — e.g. a snapshot of a
-        :class:`~repro.net.overlay.DynamicOverlay`; its node count must
-        match ``config.network_size``.  All other draws (truth, bandwidth,
+        ``topology`` overrides generation; its node count must match
+        ``config.network_size``.  All other draws (truth, bandwidth,
         maliciousness) still come from the seed, so two worlds with the
         same config and topology are identical.
 

@@ -156,8 +156,8 @@ _CLOCK_ATTRS = {
 class NoWallClock(Rule):
     """DET002: nothing under ``repro`` reads the wall clock.
 
-    Simulated time comes from :mod:`repro.sim.clock`; anything else makes a
-    run depend on host load.  Telemetry goes through
+    Simulated time lives on :class:`repro.sim.engine.SimEngine`; anything
+    else makes a run depend on host load.  Telemetry goes through
     :class:`repro.obs.clock.WallClock` — the one sanctioned host-clock
     seam, for the live service plane too; the few other legitimate sites
     (manifest timestamps, the scheduler watchdog) are marked with
@@ -174,7 +174,7 @@ class NoWallClock(Rule):
                 self,
                 node,
                 f"{dotted} reads the wall clock; use the simulation clock "
-                "(repro.sim.clock), time through repro.obs.clock.WallClock, "
+                "(repro.sim.engine.SimEngine.now), time through repro.obs.clock.WallClock, "
                 "or pragma a telemetry site with `# lint: allow[DET002]`",
             )
 

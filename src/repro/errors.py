@@ -11,14 +11,12 @@ __all__ = [
     "ReproError",
     "ConfigError",
     "SimulationError",
-    "EventQueueEmpty",
     "CryptoError",
     "KeyMismatchError",
     "SignatureError",
     "ReplayError",
     "NetworkError",
     "UnknownNodeError",
-    "NotConnectedError",
     "OnionError",
     "OnionPeelError",
     "StaleOnionError",
@@ -38,10 +36,6 @@ class ConfigError(ReproError, ValueError):
 
 class SimulationError(ReproError):
     """The discrete-event engine was driven into an invalid state."""
-
-
-class EventQueueEmpty(SimulationError):
-    """``step()`` was called on an engine with no pending events."""
 
 
 class CryptoError(ReproError):
@@ -66,10 +60,6 @@ class NetworkError(ReproError):
 
 class UnknownNodeError(NetworkError, KeyError):
     """An operation referenced a node id that is not in the network."""
-
-
-class NotConnectedError(NetworkError):
-    """A direct send was attempted between nodes with no usable path."""
 
 
 class OnionError(ReproError):

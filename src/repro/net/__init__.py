@@ -10,10 +10,9 @@ from repro.net.faults import (
     FaultStats,
     FaultVerdict,
     LatencySpike,
-    LinkLoss,
     MessageLoss,
 )
-from repro.net.flooding import FloodResult, flood_async, flood_bfs
+from repro.net.flooding import FloodResult, flood_bfs
 from repro.net.latency import (
     ConstantLatency,
     LatencyMap,
@@ -23,7 +22,6 @@ from repro.net.latency import (
 )
 from repro.net.messages import Category, NetMessage
 from repro.net.network import P2PNetwork
-from repro.net.overlay import DynamicOverlay
 from repro.net.node import (
     AGENT_BANDWIDTH_CUTOFF_KBPS,
     BandwidthProfile,
@@ -41,7 +39,6 @@ from repro.net.topology import (
 )
 
 __all__ = [
-    "DynamicOverlay",
     "ChurnModel",
     "ChurnStats",
     "Bisection",
@@ -52,10 +49,8 @@ __all__ = [
     "FaultStats",
     "FaultVerdict",
     "LatencySpike",
-    "LinkLoss",
     "MessageLoss",
     "FloodResult",
-    "flood_async",
     "flood_bfs",
     "ConstantLatency",
     "LatencyMap",

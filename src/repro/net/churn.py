@@ -99,10 +99,3 @@ class ChurnModel:
                 if draws[idx] < self.rejoin_prob:
                     network.set_online(idx, True)
                     self.stats.rejoins += 1
-
-    def expected_online_fraction(self) -> float:
-        """Stationary fraction of nodes online under this model."""
-        total = self.leave_prob + self.rejoin_prob
-        if total == 0:
-            return 1.0
-        return self.rejoin_prob / total

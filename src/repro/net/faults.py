@@ -43,7 +43,6 @@ __all__ = [
     "FaultVerdict",
     "FaultModel",
     "MessageLoss",
-    "LinkLoss",
     "LatencySpike",
     "CrashSchedule",
     "CrashWindow",
@@ -160,34 +159,6 @@ class MessageLoss(FaultModel):
         return FaultVerdict.PASS
 
 
-class LinkLoss(FaultModel):
-    """Per-link Bernoulli loss: a dict of ``(src, dst) -> probability``.
-
-    Links are directed; pass both orientations for a symmetric lossy link.
-    ``default`` applies to every link not listed explicitly.
-    """
-
-    name = "link_loss"
-
-    def __init__(
-        self,
-        links: dict[tuple[int, int], float] | None = None,
-        *,
-        default: float = 0.0,
-    ) -> None:
-        self.default = _check_prob("default", default)
-        self.links = {
-            (int(s), int(d)): _check_prob(f"links[{s},{d}]", p)
-            for (s, d), p in (links or {}).items()
-        }
-
-    def on_send(self, msg, now, rng, stats):
-        p = self.links.get((msg.src, msg.dst), self.default)
-        if p > 0.0 and rng.random() < p:
-            return FaultVerdict(drop=True)
-        return FaultVerdict.PASS
-
-
 class LatencySpike(FaultModel):
     """Occasional latency spikes: with ``prob``, add ``spike_ms`` of delay.
 
@@ -260,16 +231,14 @@ class CrashSchedule(FaultModel):
                 network.set_online(node, False)
                 stats.crashes += 1
 
-            engine.schedule(max(w.start_ms, engine.now), crash, label="fault_crash")
+            engine.schedule(max(w.start_ms, engine.now), crash)
             if math.isfinite(w.end_ms):
 
                 def recover(node: int = w.node) -> None:
                     network.set_online(node, True)
                     stats.recoveries += 1
 
-                engine.schedule(
-                    max(w.end_ms, engine.now), recover, label="fault_recover"
-                )
+                engine.schedule(max(w.end_ms, engine.now), recover)
 
 
 def staggered_crash_windows(

@@ -7,10 +7,6 @@ synchronous BFS that *accounts exactly* like per-edge flooding — every
 forwarding of the query along an overlay edge is one message — and records
 each visited node's hop depth, from which response latency is derived.
 
-An event-driven variant (:func:`flood_async`) runs the same flood through
-the DES engine for integration tests; experiments use the BFS form because
-it is ~100× faster and produces identical counts on a static network.
-
 Message accounting (Gnutella semantics): a node that receives the query
 with remaining TTL > 0 forwards it to **all neighbours except the one it
 came from**; duplicate receptions are real messages and are counted, but
@@ -24,11 +20,9 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.errors import ConfigError
-from repro.net.messages import Category
-from repro.net.network import P2PNetwork
 from repro.net.topology import Topology
 
-__all__ = ["FloodResult", "flood_bfs", "flood_async"]
+__all__ = ["FloodResult", "flood_bfs"]
 
 
 @dataclass
@@ -106,50 +100,3 @@ def flood_bfs(
             queue.append((nbr, depth + 1, node))
     return result
 
-
-def flood_async(
-    network: P2PNetwork,
-    origin: int,
-    ttl: int,
-    on_visit: Callable[[int, int], None] | None = None,
-    category: str = Category.FLOOD_QUERY,
-) -> FloodResult:
-    """Event-driven flood through the DES engine.
-
-    Schedules real :class:`NetMessage` deliveries hop by hop; the network's
-    counter is charged per edge exactly as in :func:`flood_bfs`.  Call
-    ``network.run()`` afterwards to drain the flood.  ``on_visit(node,
-    depth)`` fires at each first delivery.
-    """
-    if ttl < 0:
-        raise ConfigError(f"ttl must be >= 0, got {ttl}")
-    result = FloodResult(origin=origin, ttl=ttl)
-    result.visited[origin] = 0
-
-    def forward(node: int, depth: int, came_from: int) -> None:
-        if depth >= ttl:
-            return
-        for nbr in network.topology.neighbors(node):
-            if nbr == came_from:
-                continue
-            result.messages += 1
-            network.counter.count(category)
-            delay = network.latency.between(node, nbr)
-            network.engine.schedule_in(
-                delay,
-                (lambda nb=nbr, d=depth + 1, frm=node: arrive(nb, d, frm)),
-                label=category,
-            )
-
-    def arrive(node: int, depth: int, came_from: int) -> None:
-        if not network.is_online(node):
-            return
-        if node in result.visited:
-            return
-        result.visited[node] = depth
-        if on_visit is not None:
-            on_visit(node, depth)
-        forward(node, depth, came_from)
-
-    forward(origin, 0, -1)
-    return result

@@ -8,13 +8,10 @@ traffic to protocol phases (trust query, onion relay, agent discovery, …).
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 __all__ = ["NetMessage", "Category", "DEFAULT_MESSAGE_BYTES"]
-
-_msg_ids = itertools.count(1)
 
 
 class Category:
@@ -36,7 +33,7 @@ class Category:
 DEFAULT_MESSAGE_BYTES = 512
 
 
-@dataclass
+@dataclass(slots=True)
 class NetMessage:
     """One network-layer datagram."""
 
@@ -45,6 +42,4 @@ class NetMessage:
     payload: Any
     category: str = Category.CONTROL
     size_bytes: int = DEFAULT_MESSAGE_BYTES
-    hops: int = 0
-    msg_id: int = field(default_factory=lambda: next(_msg_ids))
     sent_at: float = 0.0

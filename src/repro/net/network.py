@@ -1,13 +1,10 @@
 """The simulated P2P network.
 
 :class:`P2PNetwork` binds together a topology, per-node state, a latency
-map, a message counter, and the discrete-event engine.  It offers two
-delivery primitives:
-
-* :meth:`send` — direct IP unicast between *any* two online nodes (the
-  underlying Internet; onion relays and agents are addressed this way);
-* :meth:`send_overlay` — unicast restricted to overlay neighbours (what
-  flooding uses).
+map, a message counter, and the discrete-event engine.  Its one delivery
+primitive is :meth:`send` — direct IP unicast between *any* two online
+nodes (the underlying Internet; onion relays and agents are addressed this
+way).
 
 Upper layers register a per-node handler with :meth:`register_handler`; the
 network schedules ``handler(message)`` after the sampled hop latency *plus*
@@ -37,7 +34,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from repro.errors import NetworkError, NotConnectedError, UnknownNodeError
+from repro.errors import NetworkError, UnknownNodeError
 from repro.net.latency import LatencyMap, LatencyModel, UniformLatency
 from repro.net.messages import Category, NetMessage
 from repro.net.node import (
@@ -205,27 +202,13 @@ class P2PNetwork:
                 done = arrival + transmit
         else:
             done = arrival
-        self.engine.schedule(done, lambda: self._deliver(msg), label=category)
+        self.engine.schedule(done, lambda: self._deliver(msg))
         return msg
 
     @staticmethod
     def transmission_ms(bandwidth_kbps: float, size_bytes: int) -> float:
         """Serialization time of ``size_bytes`` on a ``bandwidth_kbps`` link."""
         return (size_bytes * 8.0) / bandwidth_kbps  # bits / (kbit/s) = ms
-
-    def send_overlay(
-        self,
-        src: int,
-        dst: int,
-        payload: Any,
-        *,
-        category: str = Category.FLOOD_QUERY,
-        count: bool = True,
-    ) -> NetMessage:
-        """Unicast restricted to overlay neighbours."""
-        if dst not in self.topology.neighbors(src):
-            raise NotConnectedError(f"{dst} is not an overlay neighbour of {src}")
-        return self.send(src, dst, payload, category=category, count=count)
 
     def _deliver(self, msg: NetMessage) -> None:
         node = self.nodes[msg.dst]
@@ -243,6 +226,6 @@ class P2PNetwork:
             sum(self.latency.between(u, v) for u, v in zip(path, path[1:]))
         )
 
-    def run(self, **kwargs: Any) -> int:
+    def run(self, until: float | None = None) -> int:
         """Drain the event queue (delegates to the engine)."""
-        return self.engine.run(**kwargs)
+        return self.engine.run(until)

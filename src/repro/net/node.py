@@ -9,7 +9,7 @@ rest broadband), and is configurable for ablations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,17 +70,11 @@ class NetNode:
     bandwidth_kbps: float
     neighbors: tuple[int, ...] = ()
     online: bool = True
-    extra: dict = field(default_factory=dict)
 
     @property
     def can_be_agent(self) -> bool:
         """Whether this node clears the 64 kbps reputation-agent cutoff."""
         return self.bandwidth_kbps > AGENT_BANDWIDTH_CUTOFF_KBPS
-
-    @property
-    def ip_address(self) -> int:
-        """Simulated IP address (the node index; unique and routable)."""
-        return self.node_index
 
 
 def assign_bandwidths(

@@ -73,7 +73,7 @@ def capture(
 
     Every system built through the registry inside the window is
     instrumented.  Keyword arguments go to the plane constructor
-    (``capacity``, ``categories``, ``flight_spans``).
+    (``capacity``, ``flight_spans``).
 
     ``profile`` opts the window into wall-clock profiling
     (:mod:`repro.obs.prof`): ``True`` starts a sampling profiler for the

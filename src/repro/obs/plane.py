@@ -77,9 +77,6 @@ class TelemetryPlane:
     ----------
     capacity:
         Event-timeline buffer size (evictions are counted, never silent).
-    categories:
-        Optional category allow-list for the event timeline (spans and
-        metrics are unaffected).
     flight_spans:
         Tap the protocol dispatcher: one ``dispatch.handled`` /
         ``dispatch.dropped`` event and one ``msg.*`` span (sent →
@@ -92,11 +89,10 @@ class TelemetryPlane:
         self,
         *,
         capacity: int = 1_000_000,
-        categories: Any = None,
         flight_spans: bool = True,
         profiler: "Profiler | None" = None,
     ) -> None:
-        self.tracer = Tracer(capacity=capacity, categories=categories)
+        self.tracer = Tracer(capacity=capacity)
         self.spans = SpanRecorder()
         self.registry = Registry()
         self.flight_spans = flight_spans

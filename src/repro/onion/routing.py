@@ -42,6 +42,12 @@ class OnionRouter:
     """Per-network onion transport."""
 
     def __init__(self, network: P2PNetwork, backend: CipherBackend) -> None:
+        # Bound once per router, not per hop; function-scope because
+        # repro.core imports this package.
+        from repro.core.wire import WireSlice, wire_size
+
+        self._wire_slice = WireSlice
+        self._size_of = wire_size
         self.network = network
         self.backend = backend
         self._keys: dict[int, PrivateKey] = {}
@@ -115,10 +121,8 @@ class OnionRouter:
         if outcome.delivered:
             # Over a real wire the message travelled sealed; only here, at
             # its owner, is it opened (a malformed one raises WireError).
-            from repro.core.wire import WireSlice
-
             message = packet.message
-            if isinstance(message, WireSlice):
+            if isinstance(message, self._wire_slice):
                 message = message.unpack()
             self.delivered += 1
             endpoint = self._endpoints.get(here)
@@ -145,13 +149,6 @@ class OnionRouter:
         return True
 
     # -- diagnostics -------------------------------------------------------
-
-    @staticmethod
-    def _size_of(packet: "OnionPacket") -> int:
-        """Wire size of an in-flight packet (core.wire model)."""
-        from repro.core.wire import wire_size
-
-        return wire_size(packet)
 
     def knows_key(self, ip: int) -> bool:
         return ip in self._keys

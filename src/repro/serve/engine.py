@@ -35,14 +35,7 @@ class WallEngine:
         """Milliseconds since the engine's clock was zeroed."""
         return self.clock.now
 
-    def schedule_in(
-        self,
-        delay: float,
-        action: Callable[[], None],
-        *,
-        priority: int = 0,
-        label: str = "",
-    ) -> Any:
+    def schedule_in(self, delay: float, action: Callable[[], None]) -> Any:
         """Arm ``action`` to fire ``delay`` ms from now on the running loop."""
         import asyncio
 
@@ -54,21 +47,14 @@ class WallEngine:
 
         return loop.call_later(max(0.0, delay) / 1000.0, fire)
 
-    def schedule(
-        self,
-        time: float,
-        action: Callable[[], None],
-        *,
-        priority: int = 0,
-        label: str = "",
-    ) -> Any:
+    def schedule(self, time: float, action: Callable[[], None]) -> Any:
         """Arm ``action`` for an absolute engine time (ms)."""
-        return self.schedule_in(time - self.now, action, priority=priority, label=label)
+        return self.schedule_in(time - self.now, action)
 
     def cancel(self, handle: Any) -> None:
         """Cancel a timer handle returned by :meth:`schedule_in`."""
         handle.cancel()
 
-    def run(self, **kwargs: Any) -> int:
+    def run(self, until: float | None = None) -> int:
         """No-op: wall time advances on its own; deliveries are actor-driven."""
         return 0

@@ -141,6 +141,6 @@ class ServeNetwork(P2PNetwork):
         else:
             self.frames_received += 1
 
-    def run(self, **kwargs: Any) -> int:
+    def run(self, until: float | None = None) -> int:
         """No event queue to drain: actors deliver as frames arrive."""
         return 0

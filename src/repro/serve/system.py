@@ -48,6 +48,13 @@ from repro.serve.transport import Transport, make_transport
 
 __all__ = ["ServeSystem"]
 
+#: How long one query waits for the last trust response before finishing
+#: with whatever arrived.
+QUERY_WINDOW_MS = 5_000.0
+#: How long the post-settlement wait for transport quiescence may take when
+#: draining per transaction.
+DRAIN_WINDOW_MS = 5_000.0
+
 #: Build options other hiREP executors take, and which of them to use.
 _UNSUPPORTED = {
     "churn": "'hirep' or 'hirep-array'",
@@ -66,24 +73,22 @@ class ServeSystem(HiRepRuntime):
         *,
         transport: Transport | str = "inproc",
         latency_model: LatencyModel | None = None,
-        telemetry: TelemetryPlane | None = None,
         checkpoint_every: int = 32,
-        query_window_ms: float = 5_000.0,
-        drain_window_ms: float = 5_000.0,
         **unsupported: object,
     ) -> None:
         """Build the fleet (not yet running; see :meth:`up`).
 
-        ``query_window_ms`` bounds how long one query waits for the last
-        trust response before finishing with whatever arrived;
-        ``drain_window_ms`` bounds the post-settlement wait for transport
-        quiescence when draining per transaction.  The fleet reports to
-        the open :func:`~repro.obs.capture.capture` window's plane if
-        there is one, else to ``telemetry``, else to a plane of its own
-        (one event per send, three spans per transaction, no per-message
-        flight spans).  The simulators' build options (``churn``,
-        ``faults``, ``topology``, ``model_factory``) have no live-plane
-        counterpart and raise :class:`~repro.errors.ConfigError`.
+        ``checkpoint_every`` is how many frames an agent-hosting actor
+        handles between checkpoints.  One query waits at most
+        :data:`QUERY_WINDOW_MS` for its last trust response, and a
+        per-transaction drain at most :data:`DRAIN_WINDOW_MS` for transport
+        quiescence.  The fleet reports to the open
+        :func:`~repro.obs.capture.capture` window's plane if there is
+        one, else to a plane of its own (one event per send, three spans
+        per transaction, no per-message flight spans).  The simulators'
+        build options (``churn``, ``faults``, ``topology``,
+        ``model_factory``) have no live-plane counterpart and raise
+        :class:`~repro.errors.ConfigError`.
         """
         for name, value in unsupported.items():
             if name not in _UNSUPPORTED:
@@ -126,15 +131,13 @@ class ServeSystem(HiRepRuntime):
             self.transport,
             checkpoint_every=checkpoint_every,
         )
-        self.query_window_ms = query_window_ms
-        self.drain_window_ms = drain_window_ms
         #: When True (the serialized-load mode) every transaction waits for
         #: transport quiescence after settlement, so per-transaction
         #: message deltas match the simulator's drained accounting.
         self.drain_per_tx = True
         self.lost_transactions = 0
         self._loop: asyncio.AbstractEventLoop | None = None
-        plane = current_plane() or telemetry or TelemetryPlane(flight_spans=False)
+        plane = current_plane() or TelemetryPlane(flight_spans=False)
         plane.attach(self)
 
     # ------------------------------------------------------------------
@@ -222,7 +225,7 @@ class ServeSystem(HiRepRuntime):
     async def _await_responses(self, peer: HiRepPeer) -> None:
         """Sleep until every outstanding request is answered (or window ends)."""
         actor = self.supervisor.actors[peer.ip]
-        deadline = self.engine.now + self.query_window_ms
+        deadline = self.engine.now + QUERY_WINDOW_MS
         while peer.awaiting_responses():
             remaining = deadline - self.engine.now
             if remaining <= 0.0:
@@ -240,11 +243,11 @@ class ServeSystem(HiRepRuntime):
     async def drain(self) -> bool:
         """Await transport quiescence (no frames posted but undelivered).
 
-        Returns True on quiescence, False if ``drain_window_ms`` elapsed
+        Returns True on quiescence, False if ``DRAIN_WINDOW_MS`` elapsed
         first.  Two consecutive idle observations are required so a frame
         mid-handoff between queues cannot fake quiescence.
         """
-        deadline = self.engine.now + self.drain_window_ms
+        deadline = self.engine.now + DRAIN_WINDOW_MS
         idle = 0
         spins = 0
         while self.engine.now < deadline:

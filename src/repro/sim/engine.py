@@ -1,25 +1,29 @@
 """Discrete-event simulation engine.
 
-The engine is a thin deterministic loop over an :class:`~repro.sim.events.EventQueue`:
-pop the earliest event, advance the clock, run the callback.  Callbacks
-schedule further events through :meth:`SimEngine.schedule` (absolute time) or
-:meth:`SimEngine.schedule_in` (relative delay).
+:class:`SimEngine` is the clock, the queue and the loop: a ``heapq`` of
+``[time, seq, action]`` entries ordered by ``(time, seq)``, where ``seq``
+is the scheduling order — equal timestamps fire first-scheduled-first, so
+the execution order is deterministic regardless of heap internals.
+Callbacks schedule further events through :meth:`SimEngine.schedule`
+(absolute time) or :meth:`SimEngine.schedule_in` (relative delay).
 
-Design notes (see ``/opt/skills/guides/python/hpc-parallel``): the hot loop
-is free of allocation beyond the events themselves, and the engine keeps no
-per-step bookkeeping other than an event counter — metric collection is the
-responsibility of the components that schedule events.
+The engine keeps no per-event bookkeeping other than an event counter —
+metric collection is the responsibility of the components that schedule
+events.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterator
+from heapq import heappop, heappush
+from typing import Any, Callable
 
-from repro.errors import EventQueueEmpty, SimulationError
-from repro.sim.clock import SimClock
-from repro.sim.events import Event, EventQueue
+from repro.errors import SimulationError
 
 __all__ = ["SimEngine"]
+
+#: What ``schedule`` returns and ``cancel`` takes: the heap entry itself,
+#: ``[time, seq, action]``; ``action`` is None once fired or cancelled.
+Handle = list[Any]
 
 
 class SimEngine:
@@ -37,144 +41,85 @@ class SimEngine:
     >>> fired = []
     >>> _ = engine.schedule_in(5.0, lambda: fired.append(engine.now))
     >>> engine.run()
+    1
     >>> fired
     [5.0]
     """
 
     def __init__(self, start: float = 0.0) -> None:
-        self.clock = SimClock(start)
-        self.queue = EventQueue()
+        if start < 0:
+            raise SimulationError(f"engine cannot start at negative time {start!r}")
+        #: Current simulation time; only :meth:`run` moves it, never backwards.
+        self.now = float(start)
         self.events_processed = 0
+        self._heap: list[Handle] = []
+        self._seq = 0
+        self._live = 0
         self._running = False
 
-    @property
-    def now(self) -> float:
-        """Current simulation time."""
-        return self.clock.now
+    def __len__(self) -> int:
+        """Number of scheduled events not yet fired or cancelled."""
+        return self._live
 
-    def schedule(
-        self,
-        time: float,
-        action: Callable[[], Any],
-        *,
-        priority: int = 0,
-        label: str = "",
-    ) -> Event:
+    def schedule(self, time: float, action: Callable[[], Any]) -> Handle:
         """Schedule ``action`` at absolute simulation time ``time``."""
         if time < self.now:
             raise SimulationError(
                 f"cannot schedule into the past: now={self.now!r}, time={time!r}"
             )
-        return self.queue.push(time, action, priority=priority, label=label)
+        entry: Handle = [float(time), self._seq, action]
+        self._seq += 1
+        self._live += 1
+        heappush(self._heap, entry)
+        return entry
 
-    def schedule_in(
-        self,
-        delay: float,
-        action: Callable[[], Any],
-        *,
-        priority: int = 0,
-        label: str = "",
-    ) -> Event:
+    def schedule_in(self, delay: float, action: Callable[[], Any]) -> Handle:
         """Schedule ``action`` after a relative ``delay``."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay!r}")
-        return self.schedule(self.now + delay, action, priority=priority, label=label)
+        return self.schedule(self.now + delay, action)
 
-    def cancel(self, event: Event) -> None:
-        """Cancel a scheduled event."""
-        self.queue.cancel(event)
+    def cancel(self, handle: Handle) -> None:
+        """Cancel a scheduled event (idempotent; a no-op once it has fired).
 
-    def step(self) -> Event:
-        """Execute exactly one event and return it."""
-        event = self.queue.pop()
-        self.clock.advance_to(event.time)
-        self.events_processed += 1
-        if event.action is not None:
-            event.action()
-        return event
+        Deletion is lazy: the entry stays in the heap with its action
+        cleared and is skipped when it reaches the top.
+        """
+        if handle[2] is not None:
+            handle[2] = None
+            self._live -= 1
 
-    def run(self, until: float | None = None, max_events: int | None = None) -> int:
+    def run(self, until: float | None = None) -> int:
         """Drain the queue; return the number of events executed.
 
         Parameters
         ----------
         until:
             Stop before executing any event scheduled strictly after this
-            time (the clock is then advanced to ``until``).
-        max_events:
-            Safety valve for runaway schedules.
+            time; later events stay queued and the clock is advanced to
+            ``until``.
         """
         if self._running:
             raise SimulationError("engine is not reentrant: run() called from a callback")
         self._running = True
-        executed = 0
+        heap = self._heap
+        before = self.events_processed
         try:
-            while self.queue:
-                if max_events is not None and executed >= max_events:
+            while heap:
+                entry = heap[0]
+                if until is not None and entry[0] > until:
                     break
-                try:
-                    next_time = self.queue.peek_time()
-                except EventQueueEmpty:
-                    break
-                if until is not None and next_time > until:
-                    break
-                self.step()
-                executed += 1
+                heappop(heap)
+                action = entry[2]
+                if action is None:
+                    continue  # cancelled
+                entry[2] = None
+                self._live -= 1
+                self.now = entry[0]
+                self.events_processed += 1
+                action()
         finally:
             self._running = False
         if until is not None and until > self.now:
-            # Only jump the clock when nothing remains due at or before
-            # ``until`` — a ``max_events`` break with pending events must
-            # leave the clock behind them so a follow-up run() (e.g. one
-            # drain() batch) can still execute them.
-            try:
-                next_time: float | None = self.queue.peek_time()
-            except EventQueueEmpty:
-                next_time = None
-            if next_time is None or next_time > until:
-                self.clock.advance_to(until)
-        return executed
-
-    def drain(
-        self,
-        batch_size: int = 1024,
-        *,
-        until: float | None = None,
-        max_events: int | None = None,
-    ) -> Iterator[int]:
-        """Drain the queue in bounded batches, yielding each batch's size.
-
-        Equivalent to calling :meth:`run` repeatedly with
-        ``max_events=batch_size`` until the queue is empty (or ``until`` /
-        ``max_events`` is reached), but exposed as an iterator so callers
-        can interleave work between batches — flush metrics, report
-        progress, or hand control to an outer loop — without ever giving
-        up determinism: batch boundaries only partition the event
-        sequence, they never reorder it.
-
-        >>> engine = SimEngine()
-        >>> for t in range(10):
-        ...     _ = engine.schedule_in(float(t), lambda: None)
-        >>> [executed for executed in engine.drain(batch_size=4)]
-        [4, 4, 2]
-        """
-        if batch_size < 1:
-            raise SimulationError(f"batch_size must be >= 1, got {batch_size}")
-        remaining = max_events
-        while self.queue:
-            size = batch_size if remaining is None else min(batch_size, remaining)
-            if size == 0:
-                break
-            executed = self.run(until=until, max_events=size)
-            if executed == 0:
-                break
-            if remaining is not None:
-                remaining -= executed
-            yield executed
-
-    def reset(self, start: float = 0.0) -> None:
-        """Return the engine to a pristine state for a new run."""
-        self.queue.clear()
-        self.clock.reset(start)
-        self.events_processed = 0
-        self._running = False
+            self.now = float(until)
+        return self.events_processed - before

@@ -13,13 +13,9 @@ parameter sweeps.
 
 from __future__ import annotations
 
-from typing import Sequence, TypeVar
-
 import numpy as np
 
-__all__ = ["make_rng", "spawn", "choice_without", "sample_unique"]
-
-T = TypeVar("T")
+__all__ = ["make_rng", "spawn", "choice_without"]
 
 
 def make_rng(seed: int | np.random.Generator | None = None) -> np.random.Generator:
@@ -49,16 +45,3 @@ def choice_without(
     draw = int(rng.integers(0, n - 1))
     return draw + 1 if draw >= exclude else draw
 
-
-def sample_unique(
-    rng: np.random.Generator, population: Sequence[T], k: int
-) -> list[T]:
-    """Sample ``k`` distinct items (or all of them if ``k`` exceeds the size)."""
-    if k <= 0:
-        return []
-    if k >= len(population):
-        out = list(population)
-        rng.shuffle(out)  # type: ignore[arg-type]
-        return out
-    idx = rng.choice(len(population), size=k, replace=False)
-    return [population[int(i)] for i in idx]

@@ -2,16 +2,15 @@
 
 Debugging a discrete-event protocol means answering "what happened, in
 order, to whom" — :class:`Tracer` records timestamped entries with a
-category and free-form fields, supports category filters and bounded
-buffers, and renders a readable timeline.  The telemetry plane
-(:meth:`repro.obs.plane.TelemetryPlane.attach`) feeds one from a network's
-observer lists: every datagram and, when a
+category and free-form fields in a bounded buffer and renders a readable
+timeline.  The telemetry plane (:meth:`repro.obs.plane.TelemetryPlane.attach`)
+feeds one from a network's observer lists: every datagram and, when a
 :class:`~repro.net.faults.FaultPlane` is installed, every injected drop
 (``fault.drop``) and latency spike (``fault.delay``).
 
 Nothing a bounded buffer loses is lost silently: entries pushed out of a
-full buffer bump :attr:`Tracer.evicted` (the capacity-side twin of
-:attr:`Tracer.dropped_by_filter`), and :meth:`Tracer.render` reports both.
+full buffer bump :attr:`Tracer.evicted`, and :meth:`Tracer.render` reports
+the count.
 
 Tracing is strictly opt-in and costs nothing when no tracer is attached.
 """
@@ -20,7 +19,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Iterable
+from typing import Any
 
 from repro.errors import ConfigError
 
@@ -47,35 +46,24 @@ class TraceEntry:
 
 
 class Tracer:
-    """Bounded, filterable trace buffer."""
+    """Bounded trace buffer."""
 
-    def __init__(
-        self,
-        *,
-        capacity: int = 10_000,
-        categories: Iterable[str] | None = None,
-    ) -> None:
+    def __init__(self, *, capacity: int = 10_000) -> None:
         if capacity < 1:
             raise ConfigError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self.categories = set(categories) if categories is not None else None
         self._entries: deque[TraceEntry] = deque(maxlen=capacity)
         self.recorded = 0
-        self.dropped_by_filter = 0
-        #: entries pushed out of the full buffer by newer ones — the
-        #: capacity-side counterpart of ``dropped_by_filter``.
+        #: entries pushed out of the full buffer by newer ones.
         self.evicted = 0
 
     def record(self, time: float, category: str, /, **fields: Any) -> None:
-        """Append one entry (filtered if category excluded, counted either way).
+        """Append one entry.
 
         ``time`` and ``category`` are positional-only so fields may reuse
         those names (e.g. a ``fault.drop`` event carrying the affected
         message's ``category``).
         """
-        if self.categories is not None and category not in self.categories:
-            self.dropped_by_filter += 1
-            return
         if len(self._entries) == self.capacity:
             self.evicted += 1
         self._entries.append(
@@ -96,11 +84,8 @@ class Tracer:
         return [e for e in self._entries if start <= e.time < end]
 
     def summary(self) -> str:
-        """One-line accounting: held / recorded / evicted / filtered."""
-        return (
-            f"{len(self._entries)} held, {self.recorded} recorded, "
-            f"{self.evicted} evicted, {self.dropped_by_filter} filtered"
-        )
+        """One-line accounting: held / recorded / evicted."""
+        return f"{len(self._entries)} held, {self.recorded} recorded, {self.evicted} evicted"
 
     def render(self, limit: int = 50) -> str:
         """The most recent ``limit`` entries as a timeline.

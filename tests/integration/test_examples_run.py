@@ -36,9 +36,3 @@ def test_anonymity_walkthrough_over_rsa():
     assert "verifies against her SP : True" in out
     assert "verifies against Mallory: False" in out
     assert "fake-onion core" in out
-
-
-def test_living_overlay_reports_growth():
-    out = run_example("living_overlay.py")
-    assert "members" in out
-    assert "hiREP stays at 180 messages" in out

@@ -1,4 +1,4 @@
-"""Integration: hiREP running over a grown DynamicOverlay snapshot."""
+"""Integration: hiREP running over an explicitly supplied topology."""
 
 import numpy as np
 import pytest
@@ -6,35 +6,23 @@ import pytest
 from repro.core.config import HiRepConfig
 from repro.core.system import HiRepSystem
 from repro.errors import ConfigError
-from repro.net.overlay import DynamicOverlay
-from repro.net.topology import ring_lattice
-
-
-def grow_overlay(n: int, seed: int) -> DynamicOverlay:
-    rng = np.random.default_rng(seed)
-    overlay = DynamicOverlay(target_degree=4, min_degree=2, max_degree=10)
-    overlay.seed(list(range(6)))
-    for node in range(6, n):
-        bootstrap = overlay.members()[int(rng.integers(0, len(overlay)))]
-        overlay.join(node, bootstrap=bootstrap, rng=rng)
-    overlay.repair(rng)
-    return overlay
+from repro.net.topology import ring_lattice, small_world_topology
 
 
 @pytest.fixture(scope="module")
 def system():
-    overlay = grow_overlay(80, seed=60)
+    topo = small_world_topology(80, 4.0, np.random.default_rng(60))
     cfg = HiRepConfig(
         network_size=80, trusted_agents=10, refill_threshold=6,
         agents_queried=4, tokens=6, onion_relays=2, seed=61,
     )
-    s = HiRepSystem(cfg, topology=overlay.as_topology())
+    s = HiRepSystem(cfg, topology=topo)
     s.bootstrap()
     s.reset_metrics()
     return s
 
 
-def test_hirep_runs_over_grown_overlay(system):
+def test_hirep_runs_over_supplied_topology(system):
     outs = system.run(20, requestor=0)
     assert all(o.answered > 0 for o in outs)
     assert system.mse.mse() < 0.2
@@ -52,8 +40,7 @@ def test_topology_size_mismatch_rejected():
 
 
 def test_same_overlay_same_world():
-    overlay = grow_overlay(60, seed=5)
-    topo = overlay.as_topology()
+    topo = small_world_topology(60, 4.0, np.random.default_rng(5))
     cfg = HiRepConfig(
         network_size=60, trusted_agents=8, refill_threshold=4,
         agents_queried=3, tokens=5, onion_relays=1, seed=6,
@@ -61,4 +48,4 @@ def test_same_overlay_same_world():
     a = HiRepSystem(cfg, topology=topo)
     b = HiRepSystem(cfg, topology=topo)
     assert np.array_equal(a.truth, b.truth)
-    assert a.topology.adjacency == b.topology.adjacency
+    assert a.topology.adjacency == b.topology.adjacency == topo.adjacency

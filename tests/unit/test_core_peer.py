@@ -99,7 +99,7 @@ def test_settle_updates_expertise_and_reports(system):
     system.network.run()
     result = peer.finish_query()
     truth = float(system.truth[1])
-    reports = peer.settle_transaction(result, truth, system.relay_pool())
+    reports = peer.settle_transaction(result, truth)
     assert len(reports) == len(result.responses) or len(reports) <= result.answered
     system.network.run()
     # Reports landed at agents that served the query.
@@ -119,7 +119,7 @@ def test_settle_evicts_inconsistent_agents(system):
     fake = [(aid, 1.0 - truth) for aid, _v in result.responses]
     result.responses[:] = fake
     before = len(peer.agent_list)
-    peer.settle_transaction(result, truth, system.relay_pool(), report=False)
+    peer.settle_transaction(result, truth, report=False)
     peer.settle_transaction_noop = None
     # One wrong evaluation at alpha=0.5 -> expertise 0.5; threshold 0.4
     # keeps them, but a second strike would evict. Run the same trick again.
@@ -127,7 +127,7 @@ def test_settle_evicts_inconsistent_agents(system):
     system.network.run()
     result2 = peer.finish_query()
     result2.responses[:] = [(aid, 1.0 - truth) for aid, _v in result2.responses]
-    peer.settle_transaction(result2, truth, system.relay_pool(), report=False)
+    peer.settle_transaction(result2, truth, report=False)
     assert len(peer.agent_list) <= before
 
 

@@ -11,14 +11,12 @@ from repro import errors
 ALL_ERRORS = [
     errors.ConfigError,
     errors.SimulationError,
-    errors.EventQueueEmpty,
     errors.CryptoError,
     errors.KeyMismatchError,
     errors.SignatureError,
     errors.ReplayError,
     errors.NetworkError,
     errors.UnknownNodeError,
-    errors.NotConnectedError,
     errors.OnionError,
     errors.OnionPeelError,
     errors.StaleOnionError,
@@ -34,7 +32,6 @@ def test_every_error_derives_from_repro_error(exc):
 
 
 def test_specific_hierarchies():
-    assert issubclass(errors.EventQueueEmpty, errors.SimulationError)
     assert issubclass(errors.KeyMismatchError, errors.CryptoError)
     assert issubclass(errors.ReplayError, errors.CryptoError)
     assert issubclass(errors.UnknownNodeError, errors.NetworkError)

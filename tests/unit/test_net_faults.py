@@ -12,7 +12,6 @@ from repro.net.faults import (
     CrashWindow,
     FaultPlane,
     LatencySpike,
-    LinkLoss,
     MessageLoss,
 )
 from repro.net.messages import Category
@@ -39,7 +38,7 @@ class TestValidation:
         with pytest.raises(ConfigError):
             MessageLoss(1.5)
         with pytest.raises(ConfigError):
-            LinkLoss(default=-0.1)
+            MessageLoss(-0.1)
         with pytest.raises(ConfigError):
             LatencySpike(2.0, 10.0)
         with pytest.raises(ConfigError):
@@ -105,20 +104,6 @@ class TestMessageLoss:
             FaultPlane([MessageLoss(0.5)], seed=seed).install(net)
             counts.add(len(blast(net, 0, 1, 40)))
         assert len(counts) > 1
-
-
-class TestLinkLoss:
-    def test_only_listed_link_drops(self):
-        net = make_net()
-        plane = FaultPlane([LinkLoss({(0, 1): 1.0})], seed=5).install(net)
-        assert blast(net, 0, 1, 10) == []
-        assert len(blast(net, 1, 0, 10)) == 10  # directed: reverse is clean
-        assert plane.stats.drops_by_model["link_loss"] == 10
-
-    def test_default_applies_everywhere(self):
-        net = make_net()
-        FaultPlane([LinkLoss(default=1.0)], seed=5).install(net)
-        assert blast(net, 3, 4, 5) == []
 
 
 class TestLatencySpike:

@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigError
-from repro.net.flooding import flood_async, flood_bfs
-from repro.net.latency import ConstantLatency
-from repro.net.network import P2PNetwork
+from repro.net.flooding import flood_bfs
 from repro.net.topology import power_law_topology, ring_lattice
 
 
@@ -81,26 +79,3 @@ def test_more_neighbors_more_messages():
     m4 = np.mean([flood_bfs(topo4, i, 4).messages for i in range(0, 300, 10)])
     assert m4 > m2
 
-
-def test_async_matches_bfs_reach_and_messages():
-    rng = np.random.default_rng(3)
-    topo = power_law_topology(60, 4, rng)
-    net = P2PNetwork(
-        topo, rng, latency_model=ConstantLatency(5.0), model_transmission=False
-    )
-    sync = flood_bfs(topo, 0, 3)
-    seen = []
-    result = flood_async(net, 0, 3, on_visit=lambda n, d: seen.append((n, d)))
-    net.run()
-    assert set(result.visited) == set(sync.visited)
-    assert result.messages == sync.messages
-    assert len(seen) == sync.reach
-
-
-def test_async_charges_counter():
-    rng = np.random.default_rng(4)
-    topo = ring_lattice(10, k=1)
-    net = P2PNetwork(topo, rng, model_transmission=False)
-    result = flood_async(net, 0, 2)
-    net.run()
-    assert net.counter.total == result.messages

@@ -1,9 +1,13 @@
 """Unit tests for the P2P network delivery layer."""
 
+import dataclasses
+from collections.abc import Iterator, MutableMapping, MutableSequence, MutableSet
+
 import numpy as np
 import pytest
 
-from repro.errors import NetworkError, NotConnectedError, UnknownNodeError
+from repro.errors import NetworkError, UnknownNodeError
+from repro.net import messages
 from repro.net.latency import ConstantLatency
 from repro.net.messages import Category, NetMessage
 from repro.net.network import P2PNetwork
@@ -74,16 +78,6 @@ def test_unknown_node_rejected(net):
         net.send(0, 99, "x")
     with pytest.raises(UnknownNodeError):
         net.node(-11)
-
-
-def test_overlay_send_requires_adjacency(net):
-    # ring k=1: node 0's neighbours are 1 and 9.
-    box = collect(net, 1)
-    net.send_overlay(0, 1, "ok")
-    net.run()
-    assert len(box) == 1
-    with pytest.raises(NotConnectedError):
-        net.send_overlay(0, 5, "nope")
 
 
 def test_online_listing(net):
@@ -184,7 +178,16 @@ def test_custom_message_size(net):
     assert msg.size_bytes == 2048
 
 
-def test_netmessage_ids_unique():
+def test_netmessage_carries_no_process_state():
+    """Same arguments, same envelope — nothing is drawn from a global counter."""
     a = NetMessage(src=0, dst=1, payload=None)
     b = NetMessage(src=0, dst=1, payload=None)
-    assert a.msg_id != b.msg_id
+    assert a == b
+    assert dataclasses.astuple(a) == (0, 1, None, "control", 512, 0.0)
+    stateful = [
+        name
+        for name, value in vars(messages).items()
+        if not name.startswith("__")
+        and isinstance(value, (Iterator, MutableSequence, MutableMapping, MutableSet))
+    ]
+    assert stateful == []

@@ -28,10 +28,6 @@ def test_node_can_be_agent_above_cutoff():
     assert not NetNode(0, bandwidth_kbps=64.0).can_be_agent  # strictly greater
 
 
-def test_ip_address_is_index():
-    assert NetNode(17, bandwidth_kbps=100.0).ip_address == 17
-
-
 def test_profile_sampling_from_speeds(rng):
     profile = BandwidthProfile(speeds_kbps=(10.0, 20.0), weights=(1.0, 1.0))
     out = profile.sample(rng, 100)

@@ -1,9 +1,25 @@
-"""Unit tests for the discrete-event engine."""
+"""Unit tests for the discrete-event engine (clock, queue and loop in one)."""
 
 import pytest
 
-from repro.errors import EventQueueEmpty, SimulationError
+from repro.errors import SimulationError
 from repro.sim.engine import SimEngine
+
+
+def test_starts_at_zero():
+    assert SimEngine().now == 0.0
+
+
+def test_custom_start():
+    engine = SimEngine(start=12.5)
+    assert engine.now == 12.5
+    with pytest.raises(SimulationError):
+        engine.schedule(12.0, lambda: None)
+
+
+def test_negative_start_rejected():
+    with pytest.raises(SimulationError):
+        SimEngine(start=-1.0)
 
 
 def test_run_executes_in_time_order():
@@ -13,6 +29,15 @@ def test_run_executes_in_time_order():
     engine.schedule(1.0, lambda: log.append("a"))
     engine.run()
     assert log == ["a", "b"]
+
+
+def test_fifo_for_equal_times():
+    engine = SimEngine()
+    log = []
+    for i in range(10):
+        engine.schedule(5.0, lambda i=i: log.append(i))
+    engine.run()
+    assert log == list(range(10))
 
 
 def test_clock_advances_with_events():
@@ -35,10 +60,13 @@ def test_schedule_in_is_relative():
 
 def test_schedule_into_past_rejected():
     engine = SimEngine()
+    with pytest.raises(SimulationError):
+        engine.schedule(-1.0, lambda: None)
     engine.schedule(5.0, lambda: None)
     engine.run()
     with pytest.raises(SimulationError):
         engine.schedule(4.0, lambda: None)
+    engine.schedule(5.0, lambda: None)  # the present is not the past
 
 
 def test_negative_delay_rejected():
@@ -65,34 +93,67 @@ def test_run_until_stops_before_later_events():
     engine = SimEngine()
     log = []
     engine.schedule(1.0, lambda: log.append(1))
+    engine.schedule(5.0, lambda: log.append(5))
     engine.schedule(10.0, lambda: log.append(10))
-    engine.run(until=5.0)
-    assert log == [1]
-    assert engine.now == 5.0  # clock advanced to the horizon
-    engine.run()
-    assert log == [1, 10]
+    assert engine.run(until=5.0) == 2
+    assert log == [1, 5]  # t <= until runs, t > until does not
+    assert len(engine) == 1  # ... and stays queued
+    assert engine.now == 5.0
+    assert engine.run(until=7.0) == 0
+    assert engine.now == 7.0  # clock advanced to the horizon
+    assert engine.run() == 1
+    assert log == [1, 5, 10]
+    assert engine.now == 10.0
 
 
-def test_run_max_events():
+def test_run_until_never_moves_the_clock_back():
     engine = SimEngine()
-    for i in range(10):
-        engine.schedule(float(i), lambda: None)
-    assert engine.run(max_events=3) == 3
-    assert len(engine.queue) == 7
+    engine.schedule(8.0, lambda: None)
+    engine.run()
+    assert engine.run(until=3.0) == 0
+    assert engine.now == 8.0
 
 
-def test_step_on_empty_raises():
-    with pytest.raises(EventQueueEmpty):
-        SimEngine().step()
+def test_len_tracks_live_events():
+    engine = SimEngine()
+    handles = [engine.schedule(float(i), lambda: None) for i in range(4)]
+    assert len(engine) == 4
+    engine.cancel(handles[0])
+    assert len(engine) == 3
+    engine.run(until=1.0)
+    assert len(engine) == 2
+    engine.run()
+    assert len(engine) == 0
 
 
 def test_cancel_prevents_execution():
     engine = SimEngine()
     log = []
-    event = engine.schedule(1.0, lambda: log.append("x"))
-    engine.cancel(event)
-    engine.run()
-    assert log == []
+    first = engine.schedule(1.0, lambda: log.append("first"))
+    engine.schedule(2.0, lambda: log.append("second"))
+    engine.cancel(first)
+    assert engine.run() == 1
+    assert log == ["second"]
+    assert engine.events_processed == 1
+
+
+def test_double_cancel_is_idempotent():
+    engine = SimEngine()
+    handle = engine.schedule(1.0, lambda: None)
+    engine.schedule(2.0, lambda: None)
+    engine.cancel(handle)
+    engine.cancel(handle)
+    assert len(engine) == 1
+
+
+def test_cancel_after_firing_is_a_no_op():
+    engine = SimEngine()
+    handle = engine.schedule(1.0, lambda: None)
+    engine.schedule(2.0, lambda: None)
+    engine.run(until=1.0)
+    engine.cancel(handle)
+    assert len(engine) == 1
+    assert engine.run() == 1
 
 
 def test_events_processed_counter():
@@ -101,17 +162,6 @@ def test_events_processed_counter():
         engine.schedule(float(i), lambda: None)
     engine.run()
     assert engine.events_processed == 5
-
-
-def test_reset_clears_state():
-    engine = SimEngine()
-    engine.schedule(1.0, lambda: None)
-    engine.run()
-    engine.schedule(7.0, lambda: None)
-    engine.reset()
-    assert engine.now == 0.0
-    assert engine.events_processed == 0
-    assert not engine.queue
 
 
 def test_reentrant_run_rejected():
@@ -129,28 +179,16 @@ def test_reentrant_run_rejected():
     assert len(errors) == 1
 
 
-def test_drain_partitions_without_reordering():
+def test_run_usable_again_after_a_callback_raises():
     engine = SimEngine()
-    fired = []
-    for i in range(10):
-        engine.schedule(float(i), lambda i=i: fired.append(i))
-    batches = list(engine.drain(batch_size=4))
-    assert batches == [4, 4, 2]
-    assert fired == list(range(10))
+    log = []
 
+    def boom():
+        raise RuntimeError("boom")
 
-def test_drain_respects_until_and_max_events():
-    engine = SimEngine()
-    for i in range(10):
-        engine.schedule(float(i), lambda: None)
-    assert list(engine.drain(batch_size=3, until=4.0)) == [3, 2]
-    engine.reset()
-    for i in range(10):
-        engine.schedule(float(i), lambda: None)
-    assert list(engine.drain(batch_size=4, max_events=6)) == [4, 2]
-
-
-def test_drain_rejects_bad_batch_size():
-    engine = SimEngine()
-    with pytest.raises(SimulationError):
-        next(engine.drain(batch_size=0))
+    engine.schedule(1.0, boom)
+    engine.schedule(2.0, lambda: log.append(2))
+    with pytest.raises(RuntimeError):
+        engine.run()
+    assert engine.run() == 1
+    assert log == [2]

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.sim.rng import choice_without, make_rng, sample_unique, spawn
+from repro.sim.rng import choice_without, make_rng, spawn
 
 
 def test_make_rng_from_seed_reproducible():
@@ -53,19 +53,3 @@ def test_choice_without_needs_two():
     with pytest.raises(ValueError):
         choice_without(make_rng(0), 1, 0)
 
-
-def test_sample_unique_distinct():
-    rng = make_rng(13)
-    out = sample_unique(rng, list(range(50)), 10)
-    assert len(out) == 10
-    assert len(set(out)) == 10
-
-
-def test_sample_unique_oversample_returns_all():
-    rng = make_rng(14)
-    out = sample_unique(rng, [1, 2, 3], 10)
-    assert sorted(out) == [1, 2, 3]
-
-
-def test_sample_unique_zero():
-    assert sample_unique(make_rng(0), [1, 2], 0) == []

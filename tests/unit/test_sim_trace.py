@@ -28,13 +28,6 @@ class TestTracer:
         assert tracer.entries()[0].get("src") == 0
         assert tracer.entries("recv")[0].time == 2.5
 
-    def test_category_filter(self):
-        tracer = Tracer(categories={"keep"})
-        tracer.record(1.0, "keep")
-        tracer.record(2.0, "drop")
-        assert len(tracer) == 1
-        assert tracer.dropped_by_filter == 1
-
     def test_bounded_buffer_keeps_recent(self):
         tracer = Tracer(capacity=3)
         for i in range(10):
@@ -48,19 +41,12 @@ class TestTracer:
         for i in range(10):
             tracer.record(float(i), "tick", i=i)
         assert tracer.evicted == 7
-        # filtered entries never occupy the buffer, so they can't evict
-        filtered = Tracer(capacity=2, categories={"keep"})
-        for i in range(5):
-            filtered.record(float(i), "drop")
-        assert filtered.evicted == 0
-        assert filtered.dropped_by_filter == 5
 
     def test_summary_accounts_for_every_entry(self):
-        tracer = Tracer(capacity=2, categories={"keep"})
-        tracer.record(1.0, "drop")
+        tracer = Tracer(capacity=2)
         for t in (2.0, 3.0, 4.0):
             tracer.record(t, "keep")
-        assert tracer.summary() == "2 held, 3 recorded, 1 evicted, 1 filtered"
+        assert tracer.summary() == "2 held, 3 recorded, 1 evicted"
 
     def test_render_reports_eviction(self):
         tracer = Tracer(capacity=2)
