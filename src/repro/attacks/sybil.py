@@ -65,7 +65,7 @@ class SybilOperator:
     def entries(self) -> tuple[AgentListEntry, ...]:
         """Self-advertisements for every sybil, all claiming top weight."""
         host_peer = self.system.peers[self.host_ip]
-        onion = host_peer.ensure_onion(self.system.relay_pool())
+        onion = host_peer.ensure_onion()
         return tuple(
             AgentListEntry(
                 weight=1.0,
@@ -101,9 +101,7 @@ class SybilOperator:
             if isinstance(message, TrustValueRequest):
                 for agent in self.agents:
                     try:
-                        fresh = self.system.peers[self.host_ip].fresh_onion(
-                            self.system.relay_pool()
-                        )
+                        fresh = self.system.peers[self.host_ip].fresh_onion()
                         response = agent.handle_trust_request(message, fresh)
                     except ProtocolError:
                         continue  # sealed to a different sybil (or the host)

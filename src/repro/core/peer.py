@@ -76,7 +76,6 @@ class PendingQuery:
     nonce_to_agent: dict[int, NodeID] = field(default_factory=dict)
     responses: list[tuple[NodeID, float]] = field(default_factory=list)
     last_arrival: float = float("nan")
-    relay_pool: list[int] = field(default_factory=list)
     asked_agents: set[NodeID] = field(default_factory=set)
     attempt: int = 0
     retries_sent: int = 0
@@ -138,7 +137,7 @@ class HiRepPeer:
     # Onion management (§3.3)
     # ------------------------------------------------------------------
 
-    def ensure_onion(self, relay_pool: list[int]) -> Onion:
+    def ensure_onion(self) -> Onion:
         """Return a usable onion, rebuilding if relays churned away.
 
         Building a new path triggers the Fig. 3 handshake with each relay
@@ -150,13 +149,11 @@ class HiRepPeer:
         )
         if self._current_onion is not None and relays_alive:
             return self._current_onion
-        return self.rebuild_onion(relay_pool)
+        return self.rebuild_onion()
 
-    def rebuild_onion(self, relay_pool: list[int]) -> Onion:
-        """Pick fresh relays from ``relay_pool`` and build a new onion."""
-        pool = [
-            r for r in relay_pool if r != self.ip and self.network.is_online(r)
-        ]
+    def rebuild_onion(self) -> Onion:
+        """Pick fresh relays among the nodes online now; build a new onion."""
+        pool = [r for r in self.network.online_nodes() if r != self.ip]
         n_relays = min(self.config.onion_relays, len(pool))
         if n_relays > 0:
             idx = self.rng.choice(len(pool), size=n_relays, replace=False)
@@ -179,7 +176,7 @@ class HiRepPeer:
         )
         return self._current_onion
 
-    def fresh_onion(self, relay_pool: list[int]) -> Onion:
+    def fresh_onion(self) -> Onion:
         """A new-sequence onion over the current relays (§3.5.2's Onion_e).
 
         Falls back to a full rebuild when any relay went offline.
@@ -187,7 +184,7 @@ class HiRepPeer:
         if self._current_onion is None or not self._relay_ips or not all(
             self.network.is_online(r) for r in self._relay_ips
         ):
-            return self.ensure_onion(relay_pool)
+            return self.ensure_onion()
         relay_keys = [(r, self.key_store.get(r)) for r in self._relay_ips]
         self._onion_seq += 1
         self._current_onion = build_onion(
@@ -204,9 +201,7 @@ class HiRepPeer:
     # Trust value query (§3.5.1)
     # ------------------------------------------------------------------
 
-    def start_query(
-        self, subject: NodeID, relay_pool: list[int]
-    ) -> list[TrustedAgent]:
+    def start_query(self, subject: NodeID) -> list[TrustedAgent]:
         """Send trust-value requests for ``subject`` to the chosen agents.
 
         Returns the consulted agents.  Raises
@@ -225,12 +220,8 @@ class HiRepPeer:
         )
         if not agents:
             raise NoTrustedAgentsError(f"peer {self.ip} has no trusted agents")
-        own_onion = self.ensure_onion(relay_pool)
-        pending = PendingQuery(
-            subject=subject,
-            started_at=self.network.engine.now,
-            relay_pool=list(relay_pool),
-        )
+        own_onion = self.ensure_onion()
+        pending = PendingQuery(subject=subject, started_at=self.network.engine.now)
         for agent in agents:
             if agent.entry.agent_onion is None:
                 continue
@@ -310,12 +301,14 @@ class HiRepPeer:
         if not self.network.is_online(self.ip):
             return  # we crashed mid-query; nothing to retry from
         # A dead relay in our own circuit silently eats every reply, so
-        # rebuild the circuit before spending retry traffic.
+        # rebuild the circuit before spending retry traffic — over the
+        # nodes online now, which may include ones that were down when the
+        # query started.
         if self._relay_ips and not all(
             self.network.is_online(r) for r in self._relay_ips
         ):
             self.circuits_rebuilt += 1
-        own_onion = self.ensure_onion(pending.relay_pool)
+        own_onion = self.ensure_onion()
         for agent_id in unanswered:
             agent = self.agent_list.get(agent_id)
             if agent is None or agent.entry.agent_onion is None:

@@ -229,14 +229,15 @@ class TransactionRuntime:
 
     def pick_pair(self, requestor: int | None = None) -> tuple[int, int]:
         """Pick a (requestor, provider) pair of distinct online nodes."""
-        online = self.network.online_nodes()
-        if len(online) < 2:
-            raise SimulationError("fewer than two online nodes")
+        online = self.network.online_indices()
+        count = len(online)
+        if count < 2:
+            raise SimulationError(f"need at least two online nodes, have {count}")
         if requestor is None:
-            requestor = online[int(self.rng.integers(0, len(online)))]
+            requestor = int(online[int(self.rng.integers(0, count))])
         provider = requestor
         while provider == requestor:
-            provider = online[int(self.rng.integers(0, len(online)))]
+            provider = int(online[int(self.rng.integers(0, count))])
         return requestor, provider
 
     # -- the transaction cycle (§3.6, §5.2) --------------------------------

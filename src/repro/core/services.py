@@ -146,13 +146,11 @@ def build_wiring(
         agent_quality=agent_quality,
         truth_by_id=truth_by_id,
     )
-    _register_routes(dispatcher, wiring, network)
+    _register_routes(dispatcher, wiring)
     return wiring
 
 
-def _register_routes(
-    dispatcher: ProtocolDispatcher, wiring: Wiring, network
-) -> None:
+def _register_routes(dispatcher: ProtocolDispatcher, wiring: Wiring) -> None:
     """The hiREP protocol routing table (§3.6 message flow).
 
     The "agent" role is consulted first so agent-only traffic at non-agent
@@ -164,7 +162,7 @@ def _register_routes(
 
     def on_trust_request(ip: int, message: TrustValueRequest, sent_at: float) -> None:
         agent = wiring.agents[ip]
-        fresh = wiring.peers[ip].fresh_onion(network.online_nodes())
+        fresh = wiring.peers[ip].fresh_onion()
         try:
             response = agent.handle_trust_request(message, fresh)
         except ProtocolError:
@@ -217,7 +215,7 @@ class MaintenanceService:
         if ip not in self.wiring.agents:
             return None
         peer = self.wiring.peers[ip]
-        onion = peer.ensure_onion(self.network.online_nodes())
+        onion = peer.ensure_onion()
         return AgentListEntry(
             weight=self.config.initial_expertise,
             agent_node_id=peer.node_id,
@@ -344,7 +342,7 @@ class QueryService:
         """
         subject = self.truth_key(prov)
         try:
-            self.wiring.peers[req].start_query(subject, self.network.online_nodes())
+            self.wiring.peers[req].start_query(subject)
         except NoTrustedAgentsError:
             return QueryResult(
                 subject=subject,

@@ -108,10 +108,6 @@ class HiRepSystem(HiRepRuntime):
         """
         return self.dispatcher.endpoint(ip)
 
-    def relay_pool(self) -> list[int]:
-        """Nodes eligible as onion relays (every online node)."""
-        return self.network.online_nodes()
-
     # ------------------------------------------------------------------
     # Bootstrap (§3.4.1) and maintenance (§3.4.3)
     # ------------------------------------------------------------------

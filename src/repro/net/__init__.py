@@ -29,6 +29,7 @@ from repro.net.node import (
     NetNode,
     assign_bandwidths,
 )
+from repro.net.substrate import Substrate
 from repro.net.topology import (
     Topology,
     power_law_topology,
@@ -65,6 +66,7 @@ __all__ = [
     "DEFAULT_BANDWIDTH_PROFILE",
     "NetNode",
     "assign_bandwidths",
+    "Substrate",
     "Topology",
     "power_law_topology",
     "random_topology",

@@ -6,7 +6,10 @@ parked in the backup cache and probed again later.  :class:`ChurnModel`
 drives that behaviour in experiments: between transactions it flips each
 online node offline with probability ``leave_prob`` and each offline node
 back online with probability ``rejoin_prob`` (an on/off Markov process whose
-stationary online fraction is ``rejoin / (leave + rejoin)``).
+stationary online fraction is ``rejoin / (leave + rejoin)``).  The model
+owns the probabilities, the protected set and the statistics; the flip
+itself is the network's one vectorised
+:meth:`~repro.net.substrate.Substrate.apply_churn`.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from typing import Iterable
 import numpy as np
 
 from repro.errors import ConfigError
-from repro.net.network import P2PNetwork
+from repro.net.substrate import Substrate
 
 __all__ = ["ChurnModel", "ChurnStats"]
 
@@ -60,7 +63,7 @@ class ChurnModel:
 
     def step(
         self,
-        network: P2PNetwork,
+        network: Substrate,
         rng: np.random.Generator,
         extra_protected: Iterable[int] = (),
     ) -> None:
@@ -72,30 +75,11 @@ class ChurnModel:
         """
         if self.leave_prob == 0 and self.rejoin_prob == 0:
             return
-        extra = set(extra_protected)
-        draws = rng.random(network.n)
-        bulk = getattr(network, "apply_churn", None)
-        if bulk is not None:
-            # Array-backed networks flip the whole liveness mask in one
-            # vectorized pass over the same draw vector — identical
-            # trajectories to the per-node loop below.
-            departures, rejoins = bulk(
-                draws, self.leave_prob, self.rejoin_prob, self.protected | extra
-            )
-            self.stats.departures += departures
-            self.stats.rejoins += rejoins
-            return
-        for node in network.nodes:
-            idx = node.node_index
-            if idx in self.protected or idx in extra:
-                continue
-            if node.online:
-                if draws[idx] < self.leave_prob:
-                    # Route through set_online so the departure also clears
-                    # the node's access-link FIFO horizon.
-                    network.set_online(idx, False)
-                    self.stats.departures += 1
-            else:
-                if draws[idx] < self.rejoin_prob:
-                    network.set_online(idx, True)
-                    self.stats.rejoins += 1
+        departures, rejoins = network.apply_churn(
+            rng.random(network.n),
+            self.leave_prob,
+            self.rejoin_prob,
+            self.protected.union(extra_protected),
+        )
+        self.stats.departures += departures
+        self.stats.rejoins += rejoins

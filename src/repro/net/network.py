@@ -1,10 +1,12 @@
 """The simulated P2P network.
 
-:class:`P2PNetwork` binds together a topology, per-node state, a latency
-map, a message counter, and the discrete-event engine.  Its one delivery
-primitive is :meth:`send` — direct IP unicast between *any* two online
-nodes (the underlying Internet; onion relays and agents are addressed this
-way).
+:class:`P2PNetwork` adds delivery to the shared per-node store
+(:class:`~repro.net.substrate.Substrate`: topology, bandwidth, liveness,
+latency map, message counter): the discrete-event engine, per-node
+handlers, wiretaps, the fault plane and FIFO access links.  Its one
+delivery primitive is :meth:`send` — direct IP unicast between *any* two
+online nodes (the underlying Internet; onion relays and agents are
+addressed this way).
 
 Upper layers register a per-node handler with :meth:`register_handler`; the
 network schedules ``handler(message)`` after the sampled hop latency *plus*
@@ -30,22 +32,17 @@ the send path is byte-for-byte the reliable one.
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 import numpy as np
 
-from repro.errors import NetworkError, UnknownNodeError
-from repro.net.latency import LatencyMap, LatencyModel, UniformLatency
+from repro.errors import NetworkError
+from repro.net.latency import LatencyModel
 from repro.net.messages import Category, NetMessage
-from repro.net.node import (
-    BandwidthProfile,
-    DEFAULT_BANDWIDTH_PROFILE,
-    NetNode,
-    assign_bandwidths,
-)
+from repro.net.node import BandwidthProfile, DEFAULT_BANDWIDTH_PROFILE
+from repro.net.substrate import Substrate
 from repro.net.topology import Topology
 from repro.sim.engine import SimEngine
-from repro.sim.metrics import MessageCounter
 
 __all__ = ["P2PNetwork"]
 
@@ -55,7 +52,7 @@ Handler = Callable[[NetMessage], None]
 FaultObserver = Callable[[str, NetMessage, float], None]
 
 
-class P2PNetwork:
+class P2PNetwork(Substrate):
     """Simulated unstructured P2P network over a fixed topology."""
 
     def __init__(
@@ -68,12 +65,14 @@ class P2PNetwork:
         bandwidth_profile: BandwidthProfile = DEFAULT_BANDWIDTH_PROFILE,
         model_transmission: bool = True,
     ) -> None:
-        self.topology = topology
+        super().__init__(
+            topology,
+            rng,
+            latency_model=latency_model,
+            bandwidth_profile=bandwidth_profile,
+            model_transmission=model_transmission,
+        )
         self.engine = engine if engine is not None else SimEngine()
-        self.rng = rng
-        self.latency = LatencyMap(latency_model or UniformLatency(), rng)
-        self.counter = MessageCounter()
-        self.model_transmission = model_transmission
         #: Optional fault-injection plane (see repro.net.faults); installed
         #: via FaultPlane.install(network).  None = perfectly reliable.
         self.faults = None
@@ -88,55 +87,20 @@ class P2PNetwork:
         #: only when a fault plane is installed, so the reliable send path
         #: pays nothing for them.
         self.fault_observers: list[FaultObserver] = []
-        bandwidths = assign_bandwidths(topology.n, rng, bandwidth_profile)
-        self.nodes: list[NetNode] = [
-            NetNode(
-                node_index=i,
-                bandwidth_kbps=float(bandwidths[i]),
-                neighbors=topology.neighbors(i),
-            )
-            for i in range(topology.n)
-        ]
         self._handlers: dict[int, Handler] = {}
 
-    # -- introspection -------------------------------------------------------
-
-    @property
-    def n(self) -> int:
-        return self.topology.n
-
-    def node(self, index: int) -> NetNode:
-        try:
-            return self.nodes[index]
-        except IndexError:
-            raise UnknownNodeError(index) from None
-
-    def online_nodes(self) -> list[int]:
-        return [n.node_index for n in self.nodes if n.online]
-
-    def agent_capable_nodes(self) -> list[int]:
-        """Indices of online nodes clearing the 64 kbps agent cutoff."""
-        return [n.node_index for n in self.nodes if n.online and n.can_be_agent]
-
-    # -- liveness ------------------------------------------------------------
-
-    def set_online(self, index: int, online: bool) -> None:
-        node = self.node(index)
-        node.online = online
-        if not online:
-            # A departing node abandons its access link: in-flight deliveries
-            # are dropped on arrival, so the FIFO horizon they reserved must
-            # not outlive the session — otherwise a rejoining node queues new
-            # traffic behind phantom serialization of messages it never got.
-            self._link_free_at.pop(index, None)
-
-    def is_online(self, index: int) -> bool:
-        return self.node(index).online
+    def _departing(self, nodes: Iterable[int]) -> None:
+        # A departing node abandons its access link: in-flight deliveries
+        # are dropped on arrival, so the FIFO horizon they reserved must
+        # not outlive the session — otherwise a rejoining node queues new
+        # traffic behind phantom serialization of messages it never got.
+        for node in nodes:
+            self._link_free_at.pop(node, None)
 
     # -- handlers ------------------------------------------------------------
 
     def register_handler(self, index: int, handler: Handler) -> None:
-        self.node(index)  # validates the index
+        self.is_online(index)  # validates the index
         self._handlers[index] = handler
 
     # -- delivery ------------------------------------------------------------
@@ -158,10 +122,9 @@ class P2PNetwork:
         is propagation latency plus FIFO serialization on the destination's
         access link (see module docstring).
         """
-        src_node = self.node(src)
-        dst_node = self.node(dst)
-        if not src_node.online:
+        if not self.is_online(src):
             raise NetworkError(f"node {src} is offline and cannot send")
+        dst_online = self.is_online(dst)
         msg = NetMessage(
             src=src,
             dst=dst,
@@ -189,8 +152,8 @@ class P2PNetwork:
                     fault_observer("delay", msg, extra_latency)
         arrival = self.engine.now + self.latency.between(src, dst) + extra_latency
         if self.model_transmission:
-            transmit = self.transmission_ms(dst_node.bandwidth_kbps, msg.size_bytes)
-            if dst_node.online:
+            transmit = self.transmission_ms(self._kbps[dst], msg.size_bytes)
+            if dst_online:
                 start = max(arrival, self._link_free_at.get(dst, 0.0))
                 done = start + transmit
                 self._link_free_at[dst] = done
@@ -205,14 +168,8 @@ class P2PNetwork:
         self.engine.schedule(done, lambda: self._deliver(msg))
         return msg
 
-    @staticmethod
-    def transmission_ms(bandwidth_kbps: float, size_bytes: int) -> float:
-        """Serialization time of ``size_bytes`` on a ``bandwidth_kbps`` link."""
-        return (size_bytes * 8.0) / bandwidth_kbps  # bits / (kbit/s) = ms
-
     def _deliver(self, msg: NetMessage) -> None:
-        node = self.nodes[msg.dst]
-        if not node.online:
+        if not self._alive[msg.dst]:
             return  # dropped on the floor, cost already charged
         handler = self._handlers.get(msg.dst)
         if handler is not None:

@@ -9,7 +9,10 @@ Chrome trace) feeding the ``hirep-obs`` CLI.  See
 Attribute access is lazy (PEP 562): importing :mod:`repro.obs` — which
 :mod:`repro.core.registry` does transitively via
 :mod:`repro.obs.capture` — pulls in no numpy-heavy module until a
-telemetry class is actually touched.
+telemetry class is actually touched.  A name is exported here only if no
+submodule shares it: ``repro.obs.capture`` is the *module* as soon as
+anything imports it, so the ``capture()`` window is imported from there
+(``from repro.obs.capture import capture``).
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ __all__ = [
     "WallClock",
     "attach_current",
     "bundle_key",
-    "capture",
     "capture_active",
     "collapsed_lines",
     "current_plane",
@@ -64,7 +66,6 @@ _HOME_OF = {
     "TelemetryPlane": "repro.obs.plane",
     "WallClock": "repro.obs.clock",
     "attach_current": "repro.obs.capture",
-    "capture": "repro.obs.capture",
     "capture_active": "repro.obs.capture",
     "collapsed_lines": "repro.obs.prof",
     "current_plane": "repro.obs.capture",

@@ -76,10 +76,9 @@ class ServeNetwork(P2PNetwork):
         onion router does); the message is charged the true encoded frame
         length either way — on this plane the bytes are real.
         """
-        src_node = self.node(src)
-        self.node(dst)  # validates the index
-        if not src_node.online:
+        if not self.is_online(src):
             raise NetworkError(f"node {src} is offline and cannot send")
+        self.is_online(dst)  # validates the index
         encoded = encode(payload, size_bytes)
         msg = NetMessage(
             src=src,
@@ -116,11 +115,10 @@ class ServeNetwork(P2PNetwork):
         dropped and counted in ``frames_rejected``; no protocol handler
         has run on it.
         """
-        n = len(self.nodes)
-        if not (0 <= frame.src < n and 0 <= frame.dst < n):
+        if not (0 <= frame.src < self.n and 0 <= frame.dst < self.n):
             self.frames_rejected += 1
             return
-        if not self.nodes[frame.dst].online:
+        if not self._alive[frame.dst]:
             return
         handler = self._handlers.get(frame.dst)
         if handler is None:

@@ -6,8 +6,9 @@
 Python object per peer, trust row and protocol message, this kernel keeps
 every piece of per-peer state in flat numpy arrays
 (:class:`~repro.vector.state.VectorTrustState`) and replaces the
-discrete-event message exchange with closed-form hop accounting over a
-vectorized liveness mask (:class:`~repro.vector.network.ArrayNetwork`).
+discrete-event message exchange with closed-form hop accounting over the
+liveness mask every network shares (:class:`~repro.vector.network.
+ArrayNetwork` is :class:`~repro.net.substrate.Substrate` without delivery).
 
 Both kernels execute the *same* protocol semantics — the shared update
 rules live in :mod:`repro.core.semantics` — and the array kernel mirrors

@@ -1,11 +1,10 @@
-"""Vectorized network substrate for the array kernel.
+"""The array kernel's network: the shared per-node store, no delivery.
 
-:class:`ArrayNetwork` replaces :class:`~repro.net.network.P2PNetwork`'s
-per-node objects and discrete-event delivery with a boolean liveness mask
-and a bandwidth vector.  It draws from the network RNG stream in exactly
-the same order as ``P2PNetwork.__init__`` (latency map construction, then
-bandwidth assignment), so a world built over either network leaves every
-downstream RNG stream untouched — the foundation of kernel parity.
+:class:`ArrayNetwork` is :class:`~repro.net.substrate.Substrate` — the same
+bandwidth vector, liveness mask, cached online index and vectorised churn
+step the DES network is built on, constructed by the same code and hence
+from the same RNG draws — plus the one thing only the array kernel needs:
+a callback fired before the first node ever departs.
 
 What it deliberately does *not* model:
 
@@ -16,162 +15,28 @@ What it deliberately does *not* model:
 * **Fault planes.**  Installing one raises
   :class:`~repro.errors.ConfigError` — campaign cells surface this as a
   structured ``cell_error`` instead of silently mis-simulating.
-
-Churn is applied in bulk: :meth:`apply_churn` consumes the same uniform
-draw vector :class:`~repro.net.churn.ChurnModel` produces and flips the
-mask vectorized, yielding identical liveness trajectories to the object
-kernel's per-node loop.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Iterable
 
-import numpy as np
-
-from repro.errors import ConfigError, UnknownNodeError
-from repro.net.latency import LatencyMap, LatencyModel, UniformLatency
-from repro.net.node import (
-    BandwidthProfile,
-    DEFAULT_BANDWIDTH_PROFILE,
-    NetNode,
-    assign_bandwidths,
-)
-from repro.net.topology import Topology
-from repro.sim.metrics import MessageCounter
+from repro.errors import ConfigError
+from repro.net.substrate import Substrate
 
 __all__ = ["ArrayNetwork"]
 
 
-class ArrayNetwork:
-    """Liveness mask + bandwidth vector standing in for a full DES network."""
+class ArrayNetwork(Substrate):
+    """The per-node store standing in for a full DES network."""
 
-    def __init__(
-        self,
-        topology: Topology,
-        rng: np.random.Generator,
-        *,
-        latency_model: LatencyModel | None = None,
-        bandwidth_profile: BandwidthProfile = DEFAULT_BANDWIDTH_PROFILE,
-        model_transmission: bool = True,
-    ) -> None:
-        self.topology = topology
-        self.rng = rng
-        # Same construction order as P2PNetwork: the latency map first
-        # (lazy — no draws), then bandwidth assignment (draws from rng).
-        self.latency_model = latency_model or UniformLatency()
-        self.latency = LatencyMap(self.latency_model, rng)
-        self.counter = MessageCounter()
-        self.model_transmission = model_transmission
-        self.bandwidth = np.asarray(
-            assign_bandwidths(topology.n, rng, bandwidth_profile), dtype=np.float64
-        )
-        from repro.net.node import AGENT_BANDWIDTH_CUTOFF_KBPS
+    #: Fired exactly once, immediately *before* the first node ever goes
+    #: offline — the array kernel uses it to materialize per-row onion
+    #: snapshots while they still provably equal current paths.
+    on_first_offline: Callable[[], None] | None = None
+    _had_offline = False
 
-        self._capable = self.bandwidth > AGENT_BANDWIDTH_CUTOFF_KBPS
-        self._online = np.ones(topology.n, dtype=bool)
-        self._online_idx: np.ndarray | None = None
-        self._offline_count = 0
-        self._had_offline = False
-        #: Fired exactly once, immediately *before* the first node ever
-        #: goes offline — the array kernel uses it to materialize per-row
-        #: onion snapshots while they still provably equal current paths.
-        self.on_first_offline: Callable[[], None] | None = None
-        self._faults = None
-
-    # -- introspection -------------------------------------------------------
-
-    @property
-    def n(self) -> int:
-        return self.topology.n
-
-    @property
-    def online_mask(self) -> np.ndarray:
-        """Boolean liveness mask over all nodes (do not mutate directly)."""
-        return self._online
-
-    @property
-    def any_offline(self) -> bool:
-        return self._offline_count > 0
-
-    def online_indices(self) -> np.ndarray:
-        """Indices of online nodes, ascending (cached until liveness changes)."""
-        if self._online_idx is None:
-            self._online_idx = np.flatnonzero(self._online)
-        return self._online_idx
-
-    def online_nodes(self) -> list[int]:
-        return [int(i) for i in self.online_indices()]
-
-    def agent_capable_nodes(self) -> list[int]:
-        return [int(i) for i in np.flatnonzero(self._online & self._capable)]
-
-    def is_online(self, index: int) -> bool:
-        return bool(self._online[index])
-
-    def node(self, index: int) -> NetNode:
-        """Materialize one node view on demand (compatibility shim)."""
-        if not 0 <= index < self.n:
-            raise UnknownNodeError(index)
-        return NetNode(
-            node_index=index,
-            bandwidth_kbps=float(self.bandwidth[index]),
-            neighbors=self.topology.neighbors(index),
-            online=bool(self._online[index]),
-        )
-
-    @staticmethod
-    def transmission_ms(bandwidth_kbps: float, size_bytes: int) -> float:
-        """Serialization time of one message on an access link."""
-        return size_bytes * 8.0 / bandwidth_kbps
-
-    # -- liveness ------------------------------------------------------------
-
-    def set_online(self, index: int, online: bool) -> None:
-        was = bool(self._online[index])
-        online = bool(online)
-        if was == online:
-            return
-        if not online:
-            self._notify_first_offline()
-            self._offline_count += 1
-        else:
-            self._offline_count -= 1
-        self._online[index] = online
-        self._online_idx = None
-
-    def apply_churn(
-        self,
-        draws: np.ndarray,
-        leave_prob: float,
-        rejoin_prob: float,
-        skip: set[int],
-    ) -> tuple[int, int]:
-        """Bulk churn step over the shared per-node draw vector.
-
-        Mirrors :meth:`repro.net.churn.ChurnModel.step`'s per-node loop:
-        an online node departs when its draw < leave_prob, an offline node
-        rejoins when its draw < rejoin_prob, protected nodes are skipped.
-        Returns ``(departures, rejoins)``.
-        """
-        allowed = np.ones(self.n, dtype=bool)
-        for idx in skip:
-            if 0 <= idx < self.n:
-                allowed[idx] = False
-        leave = self._online & allowed & (draws < leave_prob)
-        join = ~self._online & allowed & (draws < rejoin_prob)
-        departures = int(leave.sum())
-        rejoins = int(join.sum())
-        if departures:
-            self._notify_first_offline()
-        if departures or rejoins:
-            self._online[leave] = False
-            self._online[join] = True
-            self._offline_count += departures - rejoins
-            self._online_idx = None
-        return departures, rejoins
-
-    def _notify_first_offline(self) -> None:
+    def _departing(self, nodes: Iterable[int]) -> None:
         if self._had_offline:
             return
         self._had_offline = True
@@ -181,15 +46,13 @@ class ArrayNetwork:
     # -- unsupported surfaces ------------------------------------------------
 
     @property
-    def faults(self):
-        return self._faults
+    def faults(self) -> None:
+        return None
 
     @faults.setter
-    def faults(self, plane) -> None:
-        if plane is None:
-            self._faults = None
-            return
-        raise ConfigError(
-            "the array kernel (hirep-array) does not support fault planes; "
-            "build the object kernel ('hirep') for fault-injection runs"
-        )
+    def faults(self, plane: object) -> None:
+        if plane is not None:
+            raise ConfigError(
+                "the array kernel (hirep-array) does not support fault planes; "
+                "build the object kernel ('hirep') for fault-injection runs"
+            )

@@ -69,7 +69,7 @@ from repro.core.trust_models import TrustModel
 from repro.core.world import ModelFactory, World
 from repro.crypto.hashing import NodeID
 from repro.crypto.nonce import NonceRegistry
-from repro.errors import ConfigError, SimulationError
+from repro.errors import ConfigError
 from repro.net.latency import (
     ConstantLatency,
     LatencyModel,
@@ -455,21 +455,6 @@ class ArrayHiRepSystem(HiRepRuntime):
     # Transactions (§3.6, §5.2)
     # ------------------------------------------------------------------
 
-    def pick_pair(self, requestor: int | None = None) -> tuple[int, int]:
-        """Same draws as TransactionRuntime.pick_pair, over the mask."""
-        online = self.network.online_indices()
-        count = int(online.size)
-        if count < 2:
-            raise SimulationError(
-                f"need at least two online nodes, have {count}"
-            )
-        if requestor is None:
-            requestor = int(online[int(self.rng.integers(0, count))])
-        provider = requestor
-        while provider == requestor:
-            provider = int(online[int(self.rng.integers(0, count))])
-        return requestor, provider
-
     def _execute(self, req: int, prov: int) -> Estimate:
         """The operator: one trust query + settlement, in closed form."""
         cfg = self.config
@@ -571,8 +556,8 @@ class ArrayHiRepSystem(HiRepRuntime):
             hops = max(request_hops) + own_hops
             response_time = hops * self._latency_mean
             if self.network.model_transmission:
-                response_time += len(rows) * ArrayNetwork.transmission_ms(
-                    float(self.network.bandwidth[req]), DEFAULT_MESSAGE_BYTES
+                response_time += len(rows) * self.network.transmission_ms(
+                    self.network.bandwidth.item(req), DEFAULT_MESSAGE_BYTES
                 )
         else:
             response_time = float("nan")

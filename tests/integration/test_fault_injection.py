@@ -162,6 +162,38 @@ def test_crash_windows_trigger_retry_traffic():
     assert system.retry_stats()["retries_sent"] > 0
 
 
+def test_deadline_rebuild_draws_from_nodes_online_at_the_rebuild():
+    """A peer asks its network who is online when it rebuilds a circuit.
+
+    Everything but the requestor and its two relays is inside a crash
+    window when the query starts and recovers before the first deadline;
+    one relay then dies for good.  The deadline-driven rebuild must find
+    two relays, online ones only — so at least one of them was *down* at
+    query start; a pool captured at query start would leave a one-relay
+    circuit here.
+    """
+    system = HiRepSystem(HARDENED)
+    system.bootstrap()
+    net, peer = system.network, system.peers[0]
+    kept, dying = peer._relay_ips
+    late = [n for n in range(1, CFG.network_size) if n not in (kept, dying)]
+    windows = [CrashWindow(n, 0.0, 1_000.0) for n in late]
+    windows.append(CrashWindow(dying, 500.0))
+    FaultPlane([CrashSchedule(windows)], seed=1).install(net)
+    net.run(until=0.0)
+    assert net.online_nodes() == sorted([0, kept, dying])
+
+    peer.start_query(system.truth_key(5))
+    net.run()  # crash, recoveries, deadline, retries: to quiescence
+    result = peer.finish_query()
+
+    assert peer.circuits_rebuilt == 1 and result.retries > 0
+    assert len(peer._relay_ips) == CFG.onion_relays == 2
+    assert dying not in peer._relay_ips
+    assert all(net.is_online(r) for r in peer._relay_ips)
+    assert set(peer._relay_ips) & set(late)
+
+
 def test_degradation_under_churn_and_loss_combined():
     """Fault plane and churn model compose on the same system."""
     plane = FaultPlane([MessageLoss(0.15)], seed=3)

@@ -163,25 +163,57 @@ def test_parity_with_lists_served_through_the_discovery_hook() -> None:
     assert_strict_parity(obj, arr, SMALL_TRANSACTIONS)
 
 
+def _per_node_churn_step(churn, network, rng, extra_protected=()) -> None:
+    """``ChurnModel.step`` as it was before both networks shared one
+    vectorised ``apply_churn``: one draw vector, then a Python loop flipping
+    node by node through ``set_online``.  Kept here as the reference."""
+    if churn.leave_prob == 0 and churn.rejoin_prob == 0:
+        return
+    extra = set(extra_protected)
+    draws = rng.random(network.n)
+    for idx in range(network.n):
+        if idx in churn.protected or idx in extra:
+            continue
+        if network.is_online(idx):
+            if draws[idx] < churn.leave_prob:
+                network.set_online(idx, False)
+                churn.stats.departures += 1
+        elif draws[idx] < churn.rejoin_prob:
+            network.set_online(idx, True)
+            churn.stats.rejoins += 1
+
+
 def test_churn_stats_equivalence_on_masks() -> None:
-    """ArrayNetwork.apply_churn flips exactly what the per-node loop does."""
+    """The one vectorised churn step flips exactly what the per-node loop
+    did, on both networks: equal trajectories, equal statistics, and the
+    same access-link horizons cleared on the DES network."""
     from repro.net.topology import random_topology
     from repro.net.network import P2PNetwork
     from repro.vector.network import ArrayNetwork
 
     topo = random_topology(60, avg_degree=4.0, rng=np.random.default_rng(5))
+    ref_net = P2PNetwork(topo, np.random.default_rng(11))
     obj_net = P2PNetwork(topo, np.random.default_rng(11))
     arr_net = ArrayNetwork(topo, np.random.default_rng(11))
-    churn_obj = ChurnModel(leave_prob=0.2, rejoin_prob=0.3, protected={0})
-    churn_arr = ChurnModel(leave_prob=0.2, rejoin_prob=0.3, protected={0})
-    rng_a = np.random.default_rng(42)
-    rng_b = np.random.default_rng(42)
+    churns = [
+        ChurnModel(leave_prob=0.2, rejoin_prob=0.3, protected={0}) for _ in range(3)
+    ]
+    rngs = [np.random.default_rng(42) for _ in range(3)]
     for _ in range(30):
-        churn_obj.step(obj_net, rng_a, extra_protected={3})
-        churn_arr.step(arr_net, rng_b, extra_protected={3})
-        assert obj_net.online_nodes() == arr_net.online_nodes()
-    assert churn_obj.stats.departures == churn_arr.stats.departures
-    assert churn_obj.stats.rejoins == churn_arr.stats.rejoins
+        # Every online node holds a horizon going into the step.
+        horizons = dict.fromkeys(ref_net.online_nodes(), 1.0)
+        ref_net._link_free_at = dict(horizons)
+        obj_net._link_free_at = dict(horizons)
+        _per_node_churn_step(churns[0], ref_net, rngs[0], extra_protected={3})
+        churns[1].step(obj_net, rngs[1], extra_protected={3})
+        churns[2].step(arr_net, rngs[2], extra_protected={3})
+        assert ref_net.online_nodes() == obj_net.online_nodes() == arr_net.online_nodes()
+        assert ref_net._link_free_at == obj_net._link_free_at
+        assert set(obj_net._link_free_at) == set(horizons) & set(obj_net.online_nodes())
+    assert churns[0].stats == churns[1].stats == churns[2].stats
+    assert churns[0].stats.departures > 0 and churns[0].stats.rejoins > 0
+    states = [rng.bit_generator.state["state"] for rng in rngs]
+    assert states[0] == states[1] == states[2]
 
 
 @pytest.mark.skipif(

@@ -29,14 +29,14 @@ def test_query_without_agents_raises():
     system._bootstrapped = True
     peer = system.peers[0]
     with pytest.raises(NoTrustedAgentsError):
-        peer.start_query(system.truth_key(1), system.relay_pool())
+        peer.start_query(system.truth_key(1))
 
 
 def test_double_start_query_rejected(system):
     peer = system.peers[0]
-    peer.start_query(system.truth_key(1), system.relay_pool())
+    peer.start_query(system.truth_key(1))
     with pytest.raises(ProtocolError):
-        peer.start_query(system.truth_key(2), system.relay_pool())
+        peer.start_query(system.truth_key(2))
     system.network.run()
     peer.finish_query()
 
@@ -48,7 +48,7 @@ def test_finish_without_start_rejected(system):
 
 def test_query_collects_responses(system):
     peer = system.peers[0]
-    agents = peer.start_query(system.truth_key(1), system.relay_pool())
+    agents = peer.start_query(system.truth_key(1))
     system.network.run()
     result = peer.finish_query()
     assert result.answered > 0
@@ -68,34 +68,34 @@ def test_estimate_ignores_unproven_when_trained(system):
 
 def test_onion_rebuilt_when_relay_dies(system):
     peer = system.peers[0]
-    onion1 = peer.ensure_onion(system.relay_pool())
+    onion1 = peer.ensure_onion()
     assert peer._relay_ips  # has relays
     dead = peer._relay_ips[0]
     system.network.set_online(dead, False)
-    onion2 = peer.ensure_onion(system.relay_pool())
+    onion2 = peer.ensure_onion()
     assert onion2.seq > onion1.seq
     assert dead not in peer._relay_ips
 
 
 def test_onion_stable_while_relays_alive(system):
     peer = system.peers[0]
-    onion1 = peer.ensure_onion(system.relay_pool())
-    onion2 = peer.ensure_onion(system.relay_pool())
+    onion1 = peer.ensure_onion()
+    onion2 = peer.ensure_onion()
     assert onion1 is onion2
 
 
 def test_fresh_onion_bumps_seq_same_relays(system):
     peer = system.peers[0]
-    peer.ensure_onion(system.relay_pool())
+    peer.ensure_onion()
     relays_before = list(peer._relay_ips)
-    fresh = peer.fresh_onion(system.relay_pool())
+    fresh = peer.fresh_onion()
     assert fresh.seq == 2
     assert peer._relay_ips == relays_before
 
 
 def test_settle_updates_expertise_and_reports(system):
     peer = system.peers[0]
-    peer.start_query(system.truth_key(1), system.relay_pool())
+    peer.start_query(system.truth_key(1))
     system.network.run()
     result = peer.finish_query()
     truth = float(system.truth[1])
@@ -111,7 +111,7 @@ def test_settle_updates_expertise_and_reports(system):
 
 def test_settle_evicts_inconsistent_agents(system):
     peer = system.peers[0]
-    peer.start_query(system.truth_key(1), system.relay_pool())
+    peer.start_query(system.truth_key(1))
     system.network.run()
     result = peer.finish_query()
     truth = float(system.truth[1])
@@ -123,7 +123,7 @@ def test_settle_evicts_inconsistent_agents(system):
     peer.settle_transaction_noop = None
     # One wrong evaluation at alpha=0.5 -> expertise 0.5; threshold 0.4
     # keeps them, but a second strike would evict. Run the same trick again.
-    peer.start_query(system.truth_key(1), system.relay_pool())
+    peer.start_query(system.truth_key(1))
     system.network.run()
     result2 = peer.finish_query()
     result2.responses[:] = [(aid, 1.0 - truth) for aid, _v in result2.responses]

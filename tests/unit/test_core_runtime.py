@@ -14,7 +14,6 @@ from repro.core.config import HiRepConfig
 from repro.core.runtime import Estimate, TransactionRuntime
 from repro.errors import SimulationError
 from repro.serve.system import ServeSystem
-from repro.vector.system import ArrayHiRepSystem
 
 HIREP_EXECUTORS = ("hirep", "hirep-array", "serve")
 
@@ -53,8 +52,7 @@ def test_every_system_inherits_the_one_cycle(name, built):
         assert "run_transaction" in vars(ServeSystem)
     else:
         assert cls.run_transaction is TransactionRuntime.run_transaction
-    overrides_pick_pair = cls.pick_pair is not TransactionRuntime.pick_pair
-    assert overrides_pick_pair == (cls is ArrayHiRepSystem)
+    assert cls.pick_pair is TransactionRuntime.pick_pair
 
 
 @pytest.mark.parametrize("name", [n for n in system_names() if n != "serve"])

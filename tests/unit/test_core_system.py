@@ -56,6 +56,17 @@ def test_bootstrap_fills_lists(cfg):
     assert np.mean(sizes) > cfg.trusted_agents * 0.5
 
 
+def test_churn_free_run_never_rebuilds_the_online_list(cfg):
+    """The O(N) online list is built once per liveness epoch, not per
+    message: bootstrap plus 50 transactions hand out one list object."""
+    system = HiRepSystem(cfg)
+    online = system.network.online_nodes()
+    system.bootstrap()
+    system.run(50)
+    assert system.network.online_nodes() is online
+    assert online == list(range(cfg.network_size))
+
+
 def test_bootstrap_idempotent(cfg):
     system = HiRepSystem(cfg)
     system.bootstrap()

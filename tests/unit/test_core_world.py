@@ -20,9 +20,7 @@ def test_same_config_same_world():
 def test_same_bandwidths_across_systems():
     a = World.from_config(CFG)
     b = World.from_config(CFG)
-    assert [n.bandwidth_kbps for n in a.network.nodes] == [
-        n.bandwidth_kbps for n in b.network.nodes
-    ]
+    assert np.array_equal(a.network.bandwidth, b.network.bandwidth)
 
 
 def test_seed_changes_world():

@@ -83,3 +83,22 @@ def test_subpackage_all_exports_resolve(module_name):
     assert module.__doc__, f"{module_name} lacks a module docstring"
     for name in getattr(module, "__all__", []):
         assert hasattr(module, name), f"{module_name}.{name} missing"
+
+
+def test_obs_lazy_exports_are_never_shadowed_by_a_submodule():
+    """``repro.obs`` exports lazily (PEP 562), and a submodule import sets
+    an attribute of the same name on the package first: an export that
+    shares a submodule's name hands out the module.  ``repro.core.registry``
+    imports ``repro.obs.capture``, so check after it has."""
+    import importlib
+    import types
+
+    import repro.core.registry  # noqa: F401  (imports repro.obs.capture)
+    import repro.obs
+
+    for name in repro.obs.__all__:
+        home = importlib.import_module(repro.obs._HOME_OF[name])
+        exported = getattr(repro.obs, name)
+        assert not isinstance(exported, types.ModuleType), name
+        assert exported is getattr(home, name), name
+    assert sorted(repro.obs._HOME_OF) == sorted(repro.obs.__all__)

@@ -120,9 +120,9 @@ def test_update_to_claimed_identity_rejected(system):
 
 def test_rotation_invalidates_old_onion(system):
     peer = system.peers[0]
-    onion_before = peer.ensure_onion(system.relay_pool())
+    onion_before = peer.ensure_onion()
     system.rotate_peer_keys(0)
-    onion_after = peer.ensure_onion(system.relay_pool())
+    onion_after = peer.ensure_onion()
     assert onion_after is not onion_before
     assert onion_after.verify(system.backend, peer.keys.sp)
     assert not onion_after.verify(system.backend, onion_before and system.backend and peer.keys.ap)
