@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterable, TypeVar
 
 import numpy as np
 
@@ -29,7 +29,11 @@ __all__ = [
     "bootstrap_lists",
     "discover_agent_lists",
     "maintain_list",
+    "probe_backups",
 ]
+
+#: A parked agent, however the caller's cache names it.
+T = TypeVar("T")
 
 
 @dataclass
@@ -198,3 +202,28 @@ def maintain_list(
         probe()
         if length() < threshold:
             discover(capacity - length())
+
+
+def probe_backups(
+    backups: Iterable[T],
+    *,
+    online: Callable[[T], bool],
+    restore: Callable[[T], bool],
+    drop: Callable[[T], object],
+) -> tuple[int, int]:
+    """§3.4.3 backup probe: every parked agent (a snapshot of the cache,
+    most recent first) is probed; one that is ``online`` answers and is
+    ``restore``d if the live list has room, a silent one is ``drop``ped.
+
+    Returns ``(restored, messages)`` — one ``control`` message per probe
+    plus one per reply; billing them is the caller's.
+    """
+    restored = messages = 0
+    for agent in backups:
+        messages += 1  # probe out
+        if online(agent):
+            messages += 1  # probe reply
+            restored += bool(restore(agent))
+        else:
+            drop(agent)
+    return restored, messages

@@ -26,6 +26,7 @@ import numpy as np
 
 from repro.core.agent_list import TrustedAgent, TrustedAgentList
 from repro.core.config import HiRepConfig
+from repro.core.discovery import probe_backups
 from repro.core.semantics import aggregate_estimate
 from repro.core.messages import (
     AgentListEntry,
@@ -41,7 +42,7 @@ from repro.crypto.nonce import NonceRegistry
 from repro.errors import CryptoError, NoTrustedAgentsError, ProtocolError
 from repro.net.messages import Category
 from repro.net.network import P2PNetwork
-from repro.onion.onion import Onion, build_onion
+from repro.onion.onion import Onion, build_onion, circuit_usable, draw_relays
 from repro.onion.relay import AnonymityKeyStore, RelayRegistry
 from repro.onion.routing import OnionRouter
 
@@ -144,48 +145,35 @@ class HiRepPeer:
         whose anonymity key is not yet cached — those messages are charged
         to the network counter by the handshake driver.
         """
-        relays_alive = self._relay_ips and all(
-            self.network.is_online(r) for r in self._relay_ips
-        )
-        if self._current_onion is not None and relays_alive:
+        if self._current_onion is not None and circuit_usable(
+            self.network, self._relay_ips
+        ):
             return self._current_onion
         return self.rebuild_onion()
 
     def rebuild_onion(self) -> Onion:
         """Pick fresh relays among the nodes online now; build a new onion."""
-        pool = [r for r in self.network.online_nodes() if r != self.ip]
-        n_relays = min(self.config.onion_relays, len(pool))
-        if n_relays > 0:
-            idx = self.rng.choice(len(pool), size=n_relays, replace=False)
-            relays = [pool[int(i)] for i in idx]
-        else:
-            relays = []
-        relay_keys = []
-        for r in relays:
-            ap = self.key_store.learn(self.network, self.relay_registry, r)
-            relay_keys.append((r, ap))
+        relays = draw_relays(self.network, self.ip, self.config.onion_relays, self.rng)
+        relay_keys = [
+            (r, self.key_store.learn(self.network, self.relay_registry, r))
+            for r in relays
+        ]
         self._relay_ips = relays
-        self._onion_seq += 1
-        self._current_onion = build_onion(
-            self.backend,
-            self.keys.ap,
-            self.keys.sr,
-            self.ip,
-            relay_keys,
-            seq=self._onion_seq,
-        )
-        return self._current_onion
+        return self._seal_onion(relay_keys)
 
     def fresh_onion(self) -> Onion:
         """A new-sequence onion over the current relays (§3.5.2's Onion_e).
 
         Falls back to a full rebuild when any relay went offline.
         """
-        if self._current_onion is None or not self._relay_ips or not all(
-            self.network.is_online(r) for r in self._relay_ips
+        if self._current_onion is None or not circuit_usable(
+            self.network, self._relay_ips
         ):
-            return self.ensure_onion()
-        relay_keys = [(r, self.key_store.get(r)) for r in self._relay_ips]
+            return self.rebuild_onion()
+        return self._seal_onion([(r, self.key_store.get(r)) for r in self._relay_ips])
+
+    def _seal_onion(self, relay_keys: list) -> Onion:
+        """The next-sequence onion over ``relay_keys`` becomes current."""
         self._onion_seq += 1
         self._current_onion = build_onion(
             self.backend,
@@ -304,9 +292,7 @@ class HiRepPeer:
         # rebuild the circuit before spending retry traffic — over the
         # nodes online now, which may include ones that were down when the
         # query started.
-        if self._relay_ips and not all(
-            self.network.is_online(r) for r in self._relay_ips
-        ):
+        if self._relay_ips and not circuit_usable(self.network, self._relay_ips):
             self.circuits_rebuilt += 1
         own_onion = self.ensure_onion()
         for agent_id in unanswered:
@@ -507,18 +493,17 @@ class HiRepPeer:
         Each probe costs one request message plus one reply when alive
         (category ``control``).  Returns how many were restored.
         """
-        restored = 0
-        for agent in self.agent_list.backup_agents():
-            ip = agent.entry.agent_ip
-            self.network.counter.count(Category.CONTROL)  # probe out
-            self.probe_messages += 1
-            if ip >= 0 and self.network.is_online(ip):
-                self.network.counter.count(Category.CONTROL)  # probe reply
-                self.probe_messages += 1
-                if self.agent_list.restore_from_backup(agent.node_id):
-                    restored += 1
-            else:
-                self.agent_list.drop_backup(agent.node_id)
+        agents = self.agent_list
+        restored, messages = probe_backups(
+            agents.backup_agents(),
+            online=lambda a: a.entry.agent_ip >= 0
+            and self.network.is_online(a.entry.agent_ip),
+            restore=lambda a: agents.restore_from_backup(a.node_id),
+            drop=lambda a: agents.drop_backup(a.node_id),
+        )
+        if messages:
+            self.network.counter.count(Category.CONTROL, messages)
+        self.probe_messages += messages
         return restored
 
     def adopt_entries(self, entries: list[AgentListEntry]) -> int:

@@ -11,8 +11,9 @@ single home for all of it:
   log, recorded identically for every system;
 * :class:`TransactionRuntime` — base class every reputation system
   extends, and the **only** definition of the paper's transaction cycle
-  (§3.6/§5.2): :meth:`~TransactionRuntime.begin` (ensure-ready → churn →
-  pick pair → validate provider → maintain → snapshot counters) and
+  (§3.6/§5.2): :meth:`~TransactionRuntime.begin` (validate a named pair →
+  ensure-ready → churn → pick pair → provider still online → maintain →
+  snapshot counters) and
   :meth:`~TransactionRuntime.finish` (build the one
   :class:`~repro.core.interface.Outcome` → record) around the operator a
   system owns, :meth:`~TransactionRuntime._execute` — and therefore the
@@ -247,10 +248,11 @@ class TransactionRuntime:
     ) -> Outcome:
         """Execute one full transaction cycle and record metrics.
 
-        An explicitly requested ``provider`` must exist and be online —
-        querying trust about a node that cannot serve the download is a
-        caller bug, so it raises :class:`~repro.errors.SimulationError`
-        instead of silently producing a meaningless estimate.
+        An explicitly requested ``requestor`` or ``provider`` must exist
+        and be online — a transaction from a node that cannot send, or
+        about one that cannot serve the download, is a caller bug, so it
+        raises :class:`~repro.errors.SimulationError` instead of silently
+        producing a meaningless estimate.
         """
         tx = self.begin(requestor, provider)
         return self.finish(tx, self._execute(tx.requestor, tx.provider))
@@ -259,7 +261,18 @@ class TransactionRuntime:
         self, requestor: int | None = None, provider: int | None = None
     ) -> Ticket:
         """Everything before the operator; synchronous, so an awaitable
-        executor calls the same function in front of its ``await``."""
+        executor calls the same function in front of its ``await``.
+
+        A named node that does not exist, or an offline requestor, is
+        refused before anything is drawn or stepped; the provider's
+        liveness is checked after the churn step, which may take it
+        offline (the requestor is shielded from that step).
+        """
+        for role, node in (("requestor", requestor), ("provider", provider)):
+            if node is not None and not 0 <= node < self.config.network_size:
+                raise SimulationError(f"{role} {node} does not exist")
+        if requestor is not None and not self.network.is_online(requestor):
+            raise SimulationError(f"requestor {requestor} is offline")
         self._ensure_ready()
         if self.churn is not None:
             # Shield the requestor for this step only — a permanent
@@ -269,8 +282,6 @@ class TransactionRuntime:
             self.churn.step(self.network, self.rng, extra_protected=protect)
         req, prov = self.pick_pair(requestor)
         if provider is not None:
-            if not 0 <= provider < self.config.network_size:
-                raise SimulationError(f"provider {provider} does not exist")
             if not self.network.is_online(provider):
                 raise SimulationError(f"provider {provider} is offline")
             prov = provider

@@ -19,6 +19,7 @@ from repro.core.config import HiRepConfig
 from repro.core.trust_models import QualityDrivenModel, TrustModel
 from repro.net.latency import LatencyModel
 from repro.net.network import P2PNetwork
+from repro.net.substrate import Substrate
 from repro.net.topology import Topology, topology_for_degree
 from repro.sim.rng import spawn
 
@@ -34,7 +35,7 @@ class World:
 
     config: HiRepConfig
     topology: Topology
-    network: P2PNetwork
+    network: Substrate
     truth: np.ndarray
     malicious_peer: np.ndarray
     rng_keys: np.random.Generator = field(repr=False, default=None)
@@ -48,7 +49,7 @@ class World:
         config: HiRepConfig,
         latency_model: LatencyModel | None = None,
         topology: Topology | None = None,
-        network_factory: "Callable[..., P2PNetwork] | None" = None,
+        network_factory: "Callable[..., Substrate] | None" = None,
     ) -> "World":
         """Deterministically derive the full substrate from the config seed.
 
@@ -59,9 +60,11 @@ class World:
 
         ``network_factory`` substitutes the network implementation — it is
         called exactly like the :class:`~repro.net.network.P2PNetwork`
-        constructor, with the same RNG stream, so a subclass (e.g. the
-        live-transport network in ``repro.serve``) consumes identical
-        draws and the rest of the substrate stays bit-identical.
+        constructor, with the same RNG stream, so any
+        :class:`~repro.net.substrate.Substrate` (the live-transport network
+        in ``repro.serve``, the array kernel's delivery-free
+        ``ArrayNetwork``) consumes identical draws and the rest of the
+        world stays bit-identical.
         """
         master = np.random.default_rng(config.seed)
         (

@@ -33,6 +33,14 @@ class LatencyModel(abc.ABC):
     def sample(self, rng: np.random.Generator) -> float:
         """Draw one latency (must be > 0)."""
 
+    def mean_ms(self) -> float:
+        """Expected hop latency (the array kernel's analytic response-time
+        model runs on it).  A model without a closed form gets the mean of
+        a fixed-seed 512-draw probe stream — deterministic, and independent
+        of every simulation stream."""
+        probe = np.random.default_rng(0)
+        return float(np.mean([self.sample(probe) for _ in range(512)]))
+
 
 @dataclass(frozen=True)
 class ConstantLatency(LatencyModel):
@@ -46,6 +54,9 @@ class ConstantLatency(LatencyModel):
 
     def sample(self, rng: np.random.Generator) -> float:
         return self.ms
+
+    def mean_ms(self) -> float:
+        return float(self.ms)
 
 
 @dataclass(frozen=True)
@@ -62,6 +73,9 @@ class UniformLatency(LatencyModel):
     def sample(self, rng: np.random.Generator) -> float:
         return float(rng.uniform(self.lo, self.hi))
 
+    def mean_ms(self) -> float:
+        return (self.lo + self.hi) / 2.0
+
 
 @dataclass(frozen=True)
 class LogNormalLatency(LatencyModel):
@@ -77,6 +91,11 @@ class LogNormalLatency(LatencyModel):
 
     def sample(self, rng: np.random.Generator) -> float:
         return float(min(rng.lognormal(self.mu, self.sigma), self.cap_ms))
+
+    def mean_ms(self) -> float:
+        """The uncapped log-normal mean, clamped to the cap."""
+        mean = float(np.exp(self.mu + self.sigma * self.sigma / 2.0))
+        return min(mean, float(self.cap_ms))
 
 
 class LatencyMap:

@@ -15,8 +15,9 @@ from repro.onion.onion import (
     OnionLayer,
     PeelOutcome,
     build_onion,
+    circuit_usable,
+    draw_relays,
     peel,
-    random_relay_path,
 )
 from repro.onion.relay import AnonymityKeyStore, RelayRegistry
 from repro.onion.routing import OnionPacket, OnionRouter, expected_onion_messages
@@ -34,8 +35,9 @@ __all__ = [
     "OnionLayer",
     "PeelOutcome",
     "build_onion",
+    "circuit_usable",
+    "draw_relays",
     "peel",
-    "random_relay_path",
     "AnonymityKeyStore",
     "RelayRegistry",
     "OnionPacket",

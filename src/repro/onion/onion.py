@@ -21,19 +21,22 @@ arrived.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Sequence
+
+import numpy as np
 
 from repro.crypto.backend import CipherBackend, PrivateKey, PublicKey
 from repro.errors import OnionPeelError
-from repro.sim.rng import make_rng
+from repro.net.substrate import Substrate
 
 __all__ = [
     "Onion",
     "OnionLayer",
     "PeelOutcome",
     "build_onion",
+    "circuit_usable",
+    "draw_relays",
     "peel",
-    "random_relay_path",
 ]
 
 #: Marker object at the onion core; only the owner ever sees it.
@@ -123,24 +126,25 @@ def peel(backend: CipherBackend, ar: PrivateKey, blob: Any) -> PeelOutcome:
     return PeelOutcome(delivered=False, next_ip=layer.next_ip, inner=layer.inner)
 
 
-def random_relay_path(
-    candidates: list[int],
-    owner_ip: int,
-    n_relays: int,
-    rng: Any = None,
+def draw_relays(
+    network: Substrate, owner: int, count: int, rng: np.random.Generator
 ) -> list[int]:
-    """Pick ``n_relays`` distinct relay IPs, never including the owner.
+    """§3.3 relay draw: up to ``count`` distinct relays among the nodes
+    online now, never the owner — the one draw every executor makes.
 
     Returned inner-to-outer (the order :func:`build_onion` expects once the
-    caller attaches each relay's AP).
+    caller attaches each relay's AP), as Python ints: no numpy scalar
+    reaches an onion, the codec or an event time.
     """
-    rng = make_rng(rng)
-    pool = [c for c in candidates if c != owner_ip]
-    if n_relays <= 0 or not pool:
+    online = network.online_indices()
+    pool = online[online != owner]
+    size = min(count, len(pool))
+    if size <= 0:
         return []
-    if n_relays >= len(pool):
-        picked = list(pool)
-        rng.shuffle(picked)
-        return picked
-    idx = rng.choice(len(pool), size=n_relays, replace=False)
-    return [pool[int(i)] for i in idx]
+    return pool[rng.choice(len(pool), size=size, replace=False)].tolist()
+
+
+def circuit_usable(network: Substrate, relays: Sequence[int] | np.ndarray) -> bool:
+    """§3.3 circuit upkeep: an onion serves while it has relays and every
+    one of them is online; otherwise its owner rebuilds it."""
+    return len(relays) > 0 and bool(network.online_mask[relays].all())

@@ -148,11 +148,6 @@ class OnionRouter:
         )
         return True
 
-    # -- diagnostics -------------------------------------------------------
-
-    def knows_key(self, ip: int) -> bool:
-        return ip in self._keys
-
 
 def expected_onion_messages(n_relays: int) -> int:
     """Hops consumed delivering one message via an onion of ``n_relays``.

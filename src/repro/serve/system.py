@@ -28,6 +28,7 @@ msgs-per-tx and the fleet counters, exportable as a standard bundle.
 from __future__ import annotations
 
 import asyncio
+import functools
 from typing import Any
 
 from repro.core.config import HiRepConfig
@@ -104,15 +105,12 @@ class ServeSystem(HiRepRuntime):
         self.transport: Transport = (
             make_transport(transport) if isinstance(transport, str) else transport
         )
-
-        def factory(*args: Any, **kwargs: Any) -> ServeNetwork:
-            kwargs.pop("bandwidth_profile", None)
-            return ServeNetwork(
-                *args, engine=self.engine, transport=self.transport, **kwargs
-            )
-
         world = World.from_config(
-            config, latency_model, network_factory=factory
+            config,
+            latency_model,
+            network_factory=functools.partial(
+                ServeNetwork, engine=self.engine, transport=self.transport
+            ),
         )
         super().__init__(config, world)
 

@@ -23,7 +23,10 @@ kernel's RNG stream usage **draw for draw**:
   signs nothing) perturbs no other stream.
 * Bootstrap/maintenance are the shared
   :func:`~repro.core.discovery.bootstrap_lists` /
-  :func:`~repro.core.discovery.maintain_list` rules.  Discovery runs the
+  :func:`~repro.core.discovery.maintain_list` /
+  :func:`~repro.core.discovery.probe_backups` rules, and circuit upkeep
+  the shared :func:`~repro.onion.onion.draw_relays` /
+  :func:`~repro.onion.onion.circuit_usable`.  Discovery runs the
   shared flood (:func:`~repro.core.discovery.discover_agent_lists`, which
   only reports *who* replied) on the same per-peer generators, gathers
   the responders' list rows as one ``(ids, weights, lens)`` block by
@@ -55,6 +58,7 @@ from repro.core.discovery import (
     bootstrap_lists,
     discover_agent_lists,
     maintain_list,
+    probe_backups,
 )
 from repro.core.ranking import rank_within_list, select_agents
 from repro.core.runtime import Estimate, HiRepRuntime
@@ -70,41 +74,20 @@ from repro.core.world import ModelFactory, World
 from repro.crypto.hashing import NodeID
 from repro.crypto.nonce import NonceRegistry
 from repro.errors import ConfigError
-from repro.net.latency import (
-    ConstantLatency,
-    LatencyModel,
-    LogNormalLatency,
-    UniformLatency,
-)
+from repro.net.latency import LatencyModel
 from repro.net.messages import Category, DEFAULT_MESSAGE_BYTES
+from repro.onion.handshake import HANDSHAKE_MESSAGES
+from repro.onion.onion import circuit_usable, draw_relays
 from repro.sim.rng import spawn
 from repro.vector.network import ArrayNetwork
 from repro.vector.state import VectorTrustState
 
 __all__ = ["ArrayHiRepSystem"]
 
-#: A full anonymity-key handshake costs four wire messages (Fig. 3).
-_HANDSHAKE_MESSAGES = 4
-
 
 def _nid(ip: int) -> NodeID:
     """Synthetic nodeID for peer ``ip`` (bijective; no key material here)."""
     return int(ip).to_bytes(20, "big")
-
-
-def _mean_latency_ms(model: LatencyModel) -> float:
-    """Expected per-hop latency, used for the analytic response-time model."""
-    if isinstance(model, ConstantLatency):
-        return float(model.ms)
-    if isinstance(model, UniformLatency):
-        return (model.lo + model.hi) / 2.0
-    if isinstance(model, LogNormalLatency):
-        mean = float(np.exp(model.mu + model.sigma * model.sigma / 2.0))
-        return min(mean, float(model.cap_ms))
-    # Unknown model: estimate the mean from a fixed-seed probe stream
-    # (deterministic, and independent of every simulation stream).
-    probe = np.random.default_rng(0)
-    return float(np.mean([model.sample(probe) for _ in range(512)]))
 
 
 class ArrayHiRepSystem(HiRepRuntime):
@@ -180,7 +163,7 @@ class ArrayHiRepSystem(HiRepRuntime):
         self._relay_keys: dict[int, set[int]] = {}
         self._known: dict[int, set[int]] = {}
 
-        self._latency_mean = _mean_latency_ms(net.latency_model)
+        self._latency_mean = net.latency_model.mean_ms()
         net.on_first_offline = self._materialize_paths
 
         # Aggregate protocol stats (the object kernel keeps these per peer).
@@ -225,41 +208,28 @@ class ArrayHiRepSystem(HiRepRuntime):
         cache = self._relay_keys.setdefault(host, set())
         if relay in cache:
             return
-        # Four wire messages; the responder issues exactly one nonce from
-        # the relay's stream (mirrors onion.handshake.perform_handshake).
+        # The responder issues exactly one nonce from the relay's stream
+        # (mirrors onion.handshake.perform_handshake).
         self._responder_nonces(relay).issue()
-        self.counter.count(Category.KEY_EXCHANGE, _HANDSHAKE_MESSAGES)
+        self.counter.count(Category.KEY_EXCHANGE, HANDSHAKE_MESSAGES)
         cache.add(relay)
         self.handshakes_performed += 1
 
     def _rebuild_onion(self, host: int) -> None:
-        online = self.network.online_indices()
-        pool = online[online != host]
-        n_relays = min(self.config.onion_relays, int(pool.size))
-        if n_relays > 0:
-            idx = self._peer_rngs[host].choice(
-                int(pool.size), size=n_relays, replace=False
-            )
-            relays = pool[idx]
-        else:
-            relays = pool[:0]
+        relays = draw_relays(
+            self.network, host, self.config.onion_relays, self._peer_rngs[host]
+        )
         for relay in relays:
-            self._learn_relay_key(host, int(relay))
-        self._own_plen[host] = n_relays
-        if n_relays:
-            self._own_path[host, :n_relays] = relays
+            self._learn_relay_key(host, relay)
+        self._own_plen[host] = len(relays)
+        self._own_path[host, : len(relays)] = relays
         self._own_built[host] = True
 
     def _ensure_onion(self, host: int) -> None:
-        """Build or reuse ``host``'s own onion (HiRepPeer.ensure_onion)."""
-        relays = self._own_relays(host)
-        if (
-            self._own_built[host]
-            and relays.size > 0
-            and bool(self.network.online_mask[relays].all())
-        ):
-            return
-        self._rebuild_onion(host)
+        """Build or reuse ``host``'s own onion (HiRepPeer.ensure_onion);
+        one never built has no relays, which is not a usable circuit."""
+        if not circuit_usable(self.network, self._own_relays(host)):
+            self._rebuild_onion(host)
 
     def _entry_relays(self, p: int, row: int) -> list[int]:
         """The onion snapshot stored in peer ``p``'s row (owner-current
@@ -419,7 +389,7 @@ class ArrayHiRepSystem(HiRepRuntime):
             st.live_upd[:, :fill] = 0
             st.live_len[:] = fill
             for p in np.flatnonzero(self_hit.any(axis=1)):
-                st._remove_live_row(int(p), st.row_of(int(p), int(p)))
+                st.live.pop(int(p), st.row_of(int(p), int(p)))
 
     def _maintain(self, p: int) -> None:
         """§3.4.3 list maintenance: probe backups, rediscover if short."""
@@ -435,20 +405,15 @@ class ArrayHiRepSystem(HiRepRuntime):
     def _probe_backups(self, p: int) -> int:
         """Probe parked agents; restore the ones that answered."""
         st = self.state
-        restored = 0
-        control = 0
-        for ip in st.backup_hosts(p):
-            control += 1  # probe out
-            self.probe_messages += 1
-            if self.network.online_mask[ip]:
-                control += 1  # probe reply
-                self.probe_messages += 1
-                if st.restore(p, ip):
-                    restored += 1
-            else:
-                st.drop_backup(p, ip)
-        if control:
-            self.counter.count(Category.CONTROL, control)
+        restored, messages = probe_backups(
+            st.backup_hosts(p),
+            online=self.network.is_online,
+            restore=lambda ip: st.restore(p, ip),
+            drop=lambda ip: st.drop_backup(p, ip),
+        )
+        if messages:
+            self.counter.count(Category.CONTROL, messages)
+        self.probe_messages += messages
         return restored
 
     # ------------------------------------------------------------------

@@ -7,12 +7,14 @@ guarantees by construction (provider validation everywhere, one pair
 draw and one agent-population draw for the three hiREP executors).
 """
 
+import numpy as np
 import pytest
 
 from repro import build_system, system_names
 from repro.core.config import HiRepConfig
 from repro.core.runtime import Estimate, TransactionRuntime
 from repro.errors import SimulationError
+from repro.net.churn import ChurnModel, ChurnStats
 from repro.serve.system import ServeSystem
 
 HIREP_EXECUTORS = ("hirep", "hirep-array", "serve")
@@ -85,6 +87,52 @@ def test_explicit_provider_must_exist_and_be_online(name, built):
     with pytest.raises(SimulationError, match="offline"):
         system.run_transaction(0, provider=5)
     assert system.outcomes == []
+    assert system.run_transaction(0, provider=7).index == 0
+
+
+# ------------------------------------ requestor validation, all nine, up front
+
+
+@pytest.mark.parametrize("bad", ["-1", "-N", "N", "offline"])
+@pytest.mark.parametrize("name", system_names())
+def test_explicit_requestor_must_exist_and_be_online(name, bad, built):
+    """A named requestor is validated like a provider, and — as is a
+    provider's existence — before anything is stepped or drawn: no
+    negative-index alias of peer N-1, no bare IndexError, no executor
+    transacting from an offline node while another raises mid-cycle."""
+    system = built(name)
+    if isinstance(system, ServeSystem):
+        system.up()  # the sync façade starts (and bootstraps) a stopped fleet
+    n = system.config.network_size
+    system.churn = ChurnModel(leave_prob=0.5, rejoin_prob=0.5)
+    if bad == "offline":
+        node, message = 3, "requestor 3 is offline"
+        system.network.set_online(node, False)
+    else:
+        node = {"-1": -1, "-N": -n, "N": n}[bad]
+        message = f"requestor {node} does not exist"
+    liveness = system.network.online_mask.copy()
+    workload = system.rng.bit_generator.state
+    traffic = system.counter.total
+
+    def nothing_happened():
+        assert system.metrics._admitted == 0 and system.outcomes == []
+        assert system.churn.stats == ChurnStats()
+        assert np.array_equal(system.network.online_mask, liveness)
+        assert system.rng.bit_generator.state == workload
+        assert system.counter.total == traffic
+
+    with pytest.raises(SimulationError, match=message):
+        system.run_transaction(node)
+    nothing_happened()
+    with pytest.raises(SimulationError, match=message):
+        system.run_transaction(node, provider=7)
+    nothing_happened()
+    if bad != "offline":  # an offline provider is refused after the step
+        with pytest.raises(SimulationError, match=f"provider {node} does not exist"):
+            system.run_transaction(0, provider=node)
+        nothing_happened()
+    system.churn = None
     assert system.run_transaction(0, provider=7).index == 0
 
 

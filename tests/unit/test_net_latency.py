@@ -7,6 +7,7 @@ from repro.errors import ConfigError
 from repro.net.latency import (
     ConstantLatency,
     LatencyMap,
+    LatencyModel,
     LogNormalLatency,
     UniformLatency,
 )
@@ -73,3 +74,49 @@ def test_map_len_counts_pairs(rng):
     lm.between(1, 0)  # same pair
     lm.between(0, 2)
     assert len(lm) == 2
+
+
+def _ladder_mean(model):
+    """The array kernel's ``_mean_latency_ms`` isinstance ladder, as deleted."""
+    if isinstance(model, ConstantLatency):
+        return float(model.ms)
+    if isinstance(model, UniformLatency):
+        return (model.lo + model.hi) / 2.0
+    if isinstance(model, LogNormalLatency):
+        mean = float(np.exp(model.mu + model.sigma * model.sigma / 2.0))
+        return min(mean, float(model.cap_ms))
+    probe = np.random.default_rng(0)
+    return float(np.mean([model.sample(probe) for _ in range(512)]))
+
+
+class _Bimodal(LatencyModel):
+    """A model with no closed form of its own: falls to the probe."""
+
+    def sample(self, rng):
+        return 5.0 if rng.random() < 0.25 else 80.0
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        ConstantLatency(25.0),
+        UniformLatency(),
+        UniformLatency(3.0, 3.0),
+        LogNormalLatency(),
+        LogNormalLatency(mu=6.0, sigma=1.5, cap_ms=300.0),  # mean clamps to the cap
+        _Bimodal(),
+    ],
+    ids=lambda m: type(m).__name__,
+)
+def test_mean_ms_is_the_value_the_array_kernel_computed(model):
+    mean = model.mean_ms()
+    assert type(mean) is float
+    assert mean == _ladder_mean(model)
+    assert model.mean_ms() == mean  # the probe is fixed-seed: repeatable
+
+
+def test_mean_ms_closed_forms():
+    assert ConstantLatency(25.0).mean_ms() == 25.0
+    assert UniformLatency(10.0, 150.0).mean_ms() == 80.0
+    assert LogNormalLatency(mu=6.0, sigma=1.5, cap_ms=300.0).mean_ms() == 300.0
+    assert 5.0 < _Bimodal().mean_ms() < 80.0
