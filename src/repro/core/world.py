@@ -21,7 +21,7 @@ from repro.net.latency import LatencyModel
 from repro.net.network import P2PNetwork
 from repro.net.substrate import Substrate
 from repro.net.topology import Topology, topology_for_degree
-from repro.sim.rng import spawn
+from repro.sim.rng import make_rng, spawn
 
 __all__ = ["ModelFactory", "World"]
 
@@ -66,7 +66,7 @@ class World:
         ``ArrayNetwork``) consumes identical draws and the rest of the
         world stays bit-identical.
         """
-        master = np.random.default_rng(config.seed)
+        master = make_rng(config.seed)
         (
             rng_topology,
             rng_net,
@@ -128,16 +128,18 @@ class World:
         One ``(ip, good, stream, model)`` per agent-capable node: the poor
         subset is chosen first, then one stream per agent is spawned, then
         ``model_factory(good, stream)`` (default: the paper's
-        quality-driven model) is called in node order.  Every hiREP
-        executor builds its agents from this one draw, which is what keeps
-        their populations identical for a given config.
+        quality-driven model) is called in node order.  The default model
+        keeps no state, so all good agents share one instance and all poor
+        agents another.  Every hiREP executor builds its agents from this
+        one draw, which is what keeps their populations identical for a
+        given config.
         """
         cfg = self.config
-        factory = model_factory or (
-            lambda good, rng: QualityDrivenModel(
-                good, cfg.good_rating, cfg.bad_rating
-            )
-        )
+        shared = {
+            good: QualityDrivenModel(good, cfg.good_rating, cfg.bad_rating)
+            for good in (False, True)
+        }
+        factory = model_factory or (lambda good, rng: shared[good])
         capable = self.network.agent_capable_nodes()
         poor_count = int(round(cfg.poor_agent_fraction * len(capable)))
         poor_set = set(

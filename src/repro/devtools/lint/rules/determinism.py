@@ -19,9 +19,13 @@ from repro.devtools.lint.findings import Finding
 from repro.devtools.lint.registry import Rule, register
 from repro.devtools.lint.summaries import attr_chain
 
+#: Constructors that seed from OS entropy when called without an argument:
+#: the generator factory and numpy's bit generators.
+_SEED_TAKING = {"default_rng", "PCG64", "PCG64DXSM", "Philox", "SFC64", "MT19937"}
+
 #: ``np.random.<attr>`` access that does *not* touch the hidden global
-#: stream — types used in annotations plus the seeded-generator factory.
-_NP_RANDOM_OK = {"Generator", "BitGenerator", "SeedSequence", "default_rng"}
+#: stream — types used in annotations plus the seeded constructors.
+_NP_RANDOM_OK = {"Generator", "BitGenerator", "SeedSequence"} | _SEED_TAKING
 
 #: modules that are nothing but hidden global state / kernel entropy:
 #: importing them at all is the finding.
@@ -74,8 +78,9 @@ class NoGlobalRandomness(Rule):
     """DET001: all randomness must flow through an injected, seeded Generator.
 
     Covers the stdlib ``random`` module, numpy's hidden global stream,
-    unseeded ``default_rng()`` and the kernel-entropy reads (``secrets``,
-    ``os.urandom``, ``uuid.uuid1``/``uuid4``) that no seed can replay.
+    unseeded ``default_rng()`` / ``PCG64()`` and the kernel-entropy reads
+    (``secrets``, ``os.urandom``, ``uuid.uuid1``/``uuid4``) that no seed can
+    replay.
     """
 
     code = "DET001"
@@ -123,14 +128,14 @@ class NoGlobalRandomness(Rule):
                     )
             elif isinstance(node, ast.Call):
                 chain = attr_chain(node.func)
-                is_default_rng = chain[-1:] == ("default_rng",) and (
+                takes_seed = bool(chain) and chain[-1] in _SEED_TAKING and (
                     len(chain) == 1 or chain[:-1] in (("np", "random"), ("numpy", "random"))
                 )
-                if is_default_rng and not node.args and not node.keywords:
+                if takes_seed and not node.args and not node.keywords:
                     yield ctx.finding(
                         self,
                         node,
-                        "unseeded default_rng() is nondeterministic; pass an "
+                        f"unseeded {chain[-1]}() is nondeterministic; pass an "
                         "explicit seed (or accept an injected Generator)",
                     )
 

@@ -363,32 +363,32 @@ class ArrayHiRepSystem(HiRepRuntime):
             self._own_plen[:] = relays_wanted
         self._own_built[:] = True
 
-        capable = np.asarray(self.network.agent_capable_nodes(), dtype=np.int64)
+        capable = np.asarray(self.network.agent_capable_nodes(), dtype=np.int32)
         count = int(capable.size)
         if count == 0:
             return
         fill = min(st.capacity, count)
         start = rng.integers(0, count, size=n)
-        window = (start[:, None] + np.arange(fill)[None, :]) % count
+        # start < count and fill <= count: one conditional subtraction wraps,
+        # and int32 (the width of live_ip) halves the (n, fill) temporaries.
+        window = start.astype(np.int32)[:, None] + np.arange(fill, dtype=np.int32)
+        np.subtract(window, count, out=window, where=window >= count)
         agents_mat = capable[window]  # (n, fill)
-        self_hit = agents_mat == np.arange(n)[:, None]
+        # A window holds distinct nodes, so a peer lands on itself at most once.
+        hit_peers, hit_cols = np.nonzero(
+            agents_mat == np.arange(n, dtype=np.int32)[:, None]
+        )
         if count > fill:
-            # Substitute the next capable node beyond the window for any
-            # peer that landed on itself.
-            substitute = capable[(start + fill) % count]
-            agents_mat = np.where(self_hit, substitute[:, None], agents_mat)
-            st.live_ip[:, :fill] = agents_mat
-            st.live_val[:, :fill] = cfg.initial_expertise
-            st.live_upd[:, :fill] = 0
-            st.live_len[:] = fill
-        else:
+            # Substitute the next capable node beyond the window.
+            agents_mat[hit_peers, hit_cols] = capable[(start[hit_peers] + fill) % count]
+        st.live_ip[:, :fill] = agents_mat
+        st.live_val[:, :fill] = cfg.initial_expertise
+        st.live_upd[:, :fill] = 0
+        st.live_len[:] = fill
+        if count <= fill:
             # The window is the whole capable set: peers that appear in
             # their own window just drop that one row (tiny populations).
-            st.live_ip[:, :fill] = agents_mat
-            st.live_val[:, :fill] = cfg.initial_expertise
-            st.live_upd[:, :fill] = 0
-            st.live_len[:] = fill
-            for p in np.flatnonzero(self_hit.any(axis=1)):
+            for p in hit_peers:
                 st.live.pop(int(p), st.row_of(int(p), int(p)))
 
     def _maintain(self, p: int) -> None:

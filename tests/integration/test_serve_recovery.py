@@ -84,6 +84,12 @@ def test_restore_agent_reinstates_checkpointed_state():
         assert restored is not before
         assert restored.public_key_list == keys_before
         assert len(restored.report_log) == reports_before
+        # Agents share the two default models; a restart runs on its own
+        # copy of one and leaves the shared instances with everyone else.
+        assert restored.model is not before.model
+        assert vars(restored.model) == vars(before.model)
+        others = [a.model for ip, a in system.agents.items() if ip != victim]
+        assert before.model in others and len({id(m) for m in others}) == 2
 
         # Dispatch resolves agents at call time, so the fleet keeps
         # routing to the restored instance without rewiring.

@@ -3,6 +3,7 @@
 import numpy as np
 
 from repro.core.config import HiRepConfig
+from repro.core.trust_models import QualityDrivenModel
 from repro.core.world import World
 
 
@@ -44,3 +45,32 @@ def test_malicious_fraction_scales():
 
 def test_n_property():
     assert World.from_config(CFG).n == 100
+
+
+def test_default_agents_share_one_good_and_one_poor_model():
+    world = World.from_config(CFG)
+    drawn = world.draw_agents()
+    assert [ip for ip, *_ in drawn] == world.network.agent_capable_nodes()
+    assert len({id(rng) for _, _, rng, _ in drawn}) == len(drawn)
+    models = {good: model for _, good, _, model in drawn}
+    assert set(models) == {False, True}
+    for _, good, _, model in drawn:
+        assert model is models[good]
+        assert isinstance(model, QualityDrivenModel) and model.good is good
+
+
+def test_model_factory_is_called_once_per_agent_with_its_stream():
+    calls = []
+
+    def factory(good, rng):
+        calls.append((good, rng))
+        return QualityDrivenModel(good)
+
+    drawn = World.from_config(CFG).draw_agents(factory)
+    assert calls == [(good, rng) for _, good, rng, _ in drawn]  # node order
+    assert len({id(model) for *_, model in drawn}) == len(drawn)
+    # the streams are the ones the default factory's agents get
+    default = World.from_config(CFG).draw_agents()
+    assert [rng.random() for _, _, rng, _ in drawn] == [
+        rng.random() for _, _, rng, _ in default
+    ]

@@ -41,6 +41,14 @@ def test_det001_flags_unseeded_default_rng():
     assert "DET001" in codes("from numpy.random import default_rng\nrng = default_rng()\n")
 
 
+def test_det001_bit_generator_needs_a_seed():
+    seeded = "import numpy as np\nrng = np.random.Generator(np.random.PCG64(seq))\n"
+    assert codes(seeded) == []
+    assert codes("from numpy.random import PCG64\nbits = PCG64(seed=7)\n") == []
+    assert codes("import numpy as np\nbits = np.random.PCG64()\n") == ["DET001"]
+    assert codes("from numpy.random import Philox\nbits = Philox()\n") == ["DET001"]
+
+
 def test_det001_allows_injected_generator_idiom():
     clean = """
         import numpy as np

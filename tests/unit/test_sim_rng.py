@@ -1,8 +1,12 @@
 """Unit tests for seeded-RNG helpers."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
+from repro.errors import ConfigError
 from repro.sim.rng import choice_without, make_rng, spawn
 
 
@@ -17,8 +21,28 @@ def test_make_rng_passthrough():
     assert make_rng(gen) is gen
 
 
-def test_make_rng_none_gives_generator():
-    assert isinstance(make_rng(None), np.random.Generator)
+def test_make_rng_none_is_config_error():
+    # reproducible from the seed: there is no OS-entropy default
+    for seed in (None, 1.5, "7", [7]):
+        with pytest.raises(ConfigError):
+            make_rng(seed)
+
+
+def test_make_rng_is_default_rng():
+    for seed in (0, 7, np.int64(7), 2**70 + 1):
+        ours, stock = make_rng(seed), np.random.default_rng(seed)
+        assert ours.bit_generator.state == stock.bit_generator.state
+    with pytest.raises(ValueError):
+        make_rng(-1)
+
+
+def test_spawned_streams_survive_pickle_and_deepcopy():
+    # PCG64 pickles its seed sequence: the copy must keep spawning in step.
+    parent = spawn(make_rng(5), 3)[1]
+    stock = np.random.default_rng(5).spawn(3)[1]
+    for clone in (pickle.loads(pickle.dumps(parent)), copy.deepcopy(parent)):
+        assert clone.bit_generator.state == stock.bit_generator.state
+        assert clone.spawn(2)[1].random() == copy.deepcopy(stock).spawn(2)[1].random()
 
 
 def test_spawn_children_independent():

@@ -270,3 +270,51 @@ def test_seeded_bootstrap_populates_every_online_peer():
     assert system.counter.total == 0
     system.run(5)
     assert len(system.outcomes) == 5
+
+
+def _seed_with_modulo(system) -> int:
+    """`_bootstrap_seeded` as first written (int64, `%`, whole-matrix
+    `np.where`), kept as the oracle; returns how many peers hit themselves."""
+    cfg, st, n = system.config, system.state, system.config.network_size
+    rng = system.world.rng_workload
+    relays = min(cfg.onion_relays, max(n - 1, 0))
+    shifts = rng.integers(0, n - 1, size=n)
+    offsets = (shifts[:, None] + np.arange(relays)[None, :]) % (n - 1)
+    system._own_path[:, :relays] = (np.arange(n)[:, None] + 1 + offsets) % n
+    capable = np.asarray(system.network.agent_capable_nodes(), dtype=np.int64)
+    count = int(capable.size)
+    fill = min(st.capacity, count)
+    start = rng.integers(0, count, size=n)
+    agents = capable[(start[:, None] + np.arange(fill)[None, :]) % count]
+    self_hit = agents == np.arange(n)[:, None]
+    if count > fill:
+        agents = np.where(self_hit, capable[(start + fill) % count][:, None], agents)
+    st.live_ip[:, :fill] = agents
+    st.live_val[:, :fill] = cfg.initial_expertise
+    st.live_upd[:, :fill] = 0
+    st.live_len[:] = fill
+    if count <= fill:
+        for p in np.flatnonzero(self_hit.any(axis=1)):
+            st.live.pop(int(p), st.row_of(int(p), int(p)))
+    return int(self_hit.any(axis=1).sum())
+
+
+@pytest.mark.parametrize("n", [50, 700, 5000])
+def test_seeded_bootstrap_equals_the_modulo_formulation(n):
+    from repro.vector.system import ArrayHiRepSystem
+    from repro.workloads.scenarios import default_config
+
+    cfg = default_config(network_size=n, seed=11)
+    system = ArrayHiRepSystem(cfg, bootstrap_mode="seeded")
+    oracle = ArrayHiRepSystem(cfg, bootstrap_mode="seeded")
+    system.bootstrap()
+    assert _seed_with_modulo(oracle) > 0  # some peer landed on itself
+    capable = len(system.network.agent_capable_nodes())
+    # n = 50 is the tiny-population branch: the window is every capable node
+    assert (capable <= system.state.capacity) == (n == 50)
+    for column in ("ip", "val", "upd", "len"):
+        got, want = getattr(system.state.live, column), getattr(oracle.state.live, column)
+        assert got.dtype == want.dtype and np.array_equal(got, want), column
+    assert np.array_equal(system._own_path, oracle._own_path)
+    # and both drew the same amount from the workload stream
+    assert system.world.rng_workload.random() == oracle.world.rng_workload.random()
