@@ -10,6 +10,8 @@ docs quote.
 
 from __future__ import annotations
 
+import gc
+
 from repro import build_system
 from repro.obs.clock import WallClock
 from repro.workloads.scenarios import default_config
@@ -17,6 +19,10 @@ from repro.workloads.scenarios import default_config
 
 def _measure(backend: str, network_size: int, transactions: int, **opts) -> dict:
     cfg = default_config(network_size=network_size, seed=2006)
+    # The previous cell's system is cyclic garbage until a full collection;
+    # left alone it is collected during this cell's build and billed to it
+    # (+1.3 s on the 100k cell after the N=10k object-kernel cell).
+    gc.collect()
     clock = WallClock()
     system = build_system(backend, cfg, **opts)
     build_s = clock.now / 1000.0
