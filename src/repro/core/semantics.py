@@ -150,7 +150,9 @@ def aggregate_estimate(
     if den > 0:
         return num / den
     if values:
-        return float(np.mean(values))
+        # np.mean(values): the same pairwise sum and one division, without
+        # the wrapper layers around them.
+        return float(np.add.reduce(np.asarray(values, dtype=np.float64)) / len(values))
     return 0.5
 
 

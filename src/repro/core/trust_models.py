@@ -79,7 +79,9 @@ class QualityDrivenModel(TrustModel):
         # A good agent matches range to truth; a poor agent inverts it.
         use_good_range = trustable if self.good else not trustable
         lo, hi = self.good_range if use_good_range else self.bad_range
-        return float(rng.uniform(lo, hi))
+        # rng.uniform(lo, hi), bit for bit and draw for draw, without its
+        # argument broadcasting (a third of the call).
+        return lo + (hi - lo) * rng.random()
 
 
 class ReportAverageModel(TrustModel):

@@ -62,6 +62,7 @@ from repro.onion.routing import OnionPacket
 
 __all__ = [
     "wire_size",
+    "packet_size",
     "encode",
     "decode",
     "WireSlice",
@@ -163,11 +164,14 @@ class WireSlice:
 _BLOB_BYTES = [_ONION_CORE_BYTES]
 
 
-def _blob_field(blob: Any) -> int:
-    depth = _onion_depth(blob)
+def _depth_field(depth: int) -> int:
     while depth >= len(_BLOB_BYTES):
         _BLOB_BYTES.append(_sealed(_BLOB_BYTES[-1] + _IP_BYTES))
     return _field(_BLOB_BYTES[depth])
+
+
+def _blob_field(blob: Any) -> int:
+    return _depth_field(_onion_depth(blob))
 
 
 def _onion_depth(blob: Any) -> int:
@@ -264,6 +268,29 @@ def wire_size(message: Any) -> int:
     size = _SIZE_OF.get(type(message))
     # Unknown payloads fall back to the network default.
     return DEFAULT_MESSAGE_BYTES if size is None else size(message)
+
+
+def packet_size(packet: OnionPacket, peeled_from: OnionPacket | None = None) -> int:
+    """``wire_size(packet)`` for the onion router, without the walks.
+
+    Along an onion path the message's size is constant and a simulated
+    blob loses exactly one sealed layer per peel, so a packet peeled from
+    one sized here takes both from it; the sizes ride on the packet
+    objects (``message_bytes``, ``layers``), never on the wire.  A packet
+    with no such parent is measured: the first of a path, every packet
+    the live plane decoded (its sealed message and slices carry their
+    sizes already), one under a single layer (nothing valid is), and
+    one under an RSA blob, whose depth is an estimate from its length.
+    """
+    if peeled_from is not None and peeled_from.layers > 1:
+        message_bytes = peeled_from.message_bytes
+        depth = peeled_from.layers - 1
+    else:
+        message_bytes = wire_size(packet.message)
+        depth = _onion_depth(packet.blob)
+    packet.message_bytes = message_bytes
+    packet.layers = depth if type(packet.blob) is Envelope else 0
+    return _depth_field(depth) + message_bytes
 
 
 # ---------------------------------------------------------------------------

@@ -30,28 +30,52 @@ class NonceRegistry:
             raise ValueError(f"capacity must be >= 2, got {capacity}")
         self._rng = rng
         self._capacity = capacity
-        self._seen: dict[int, None] = {}  # insertion-ordered set
-        self._issued: set[int] = set()
+        # Both stores are insertion-ordered sets, so "oldest" means something.
+        self._seen: dict[int, None] = {}
+        self._issued: dict[int, None] = {}
+
+    def _remember(self, store: dict[int, None], nonce: int) -> None:
+        """Store ``nonce``; past ``capacity``, forget the oldest half."""
+        store[nonce] = None
+        if len(store) > self._capacity:
+            for key in list(store)[: len(store) // 2]:
+                del store[key]
 
     def issue(self) -> int:
         """Return a fresh nonce never issued by this registry before."""
         while True:
             nonce = int(self._rng.integers(1, 2**_NONCE_BITS, dtype=np.uint64))
             if nonce not in self._issued:
-                self._issued.add(nonce)
-                if len(self._issued) > self._capacity:
-                    self._issued = set(list(self._issued)[self._capacity // 2 :])
+                self._remember(self._issued, nonce)
                 return nonce
+
+    def issue_many(self, k: int) -> list[int]:
+        """Exactly ``k`` successive :meth:`issue` calls, drawn as one vector.
+
+        Same nonces, same ``_issued`` order, same generator state: a draw
+        that repeats an issued nonce (or an earlier draw of the batch) is
+        skipped and :meth:`issue` draws on from where the vector ended,
+        and a batch that would reach the capacity trim is issued one at a
+        time, because the trim changes what later draws collide with.
+        """
+        issued = self._issued
+        if len(issued) + k > self._capacity:
+            return [self.issue() for _ in range(k)]
+        nonces: list[int] = []
+        draws = self._rng.integers(1, 2**_NONCE_BITS, dtype=np.uint64, size=k)
+        for nonce in draws.tolist():
+            if nonce not in issued:
+                issued[nonce] = None
+                nonces.append(nonce)
+        while len(nonces) < k:
+            nonces.append(self.issue())
+        return nonces
 
     def accept(self, nonce: int) -> None:
         """Record an incoming nonce; raise :class:`ReplayError` if replayed."""
         if nonce in self._seen:
             raise ReplayError(f"nonce {nonce} replayed")
-        self._seen[nonce] = None
-        if len(self._seen) > self._capacity:
-            drop = len(self._seen) // 2
-            for key in list(self._seen)[:drop]:
-                del self._seen[key]
+        self._remember(self._seen, nonce)
 
     def has_seen(self, nonce: int) -> bool:
         return nonce in self._seen

@@ -62,19 +62,24 @@ class SimulatedBackend(CipherBackend):
 
     name = "simulated"
 
+    def __init__(self) -> None:
+        # Private material → fingerprint.  Every decrypt and sign asks, an
+        # onion hop is a decrypt, and a node's keys outlive many hops.
+        self._fingerprints: dict[bytes, bytes] = {}
+
     def generate_keypair(self, rng: np.random.Generator) -> tuple[PublicKey, PrivateKey]:
-        secret = rng.bytes(_FP_LEN)
+        private = PrivateKey(self.name, rng.bytes(_FP_LEN))
         # Public material is a one-way hash of the secret, so knowing a
         # public key never reveals the private material.
-        fingerprint = hashlib.sha256(b"simkey:" + secret).digest()[:_FP_LEN]
-        return (
-            PublicKey(self.name, fingerprint),
-            PrivateKey(self.name, secret),
-        )
+        return PublicKey(self.name, self._fingerprint_of_private(private)), private
 
-    @staticmethod
-    def _fingerprint_of_private(private: PrivateKey) -> bytes:
-        return hashlib.sha256(b"simkey:" + private.material).digest()[:_FP_LEN]
+    def _fingerprint_of_private(self, private: PrivateKey) -> bytes:
+        material = private.material
+        fingerprint = self._fingerprints.get(material)
+        if fingerprint is None:
+            fingerprint = hashlib.sha256(b"simkey:" + material).digest()[:_FP_LEN]
+            self._fingerprints[material] = fingerprint
+        return fingerprint
 
     def encrypt(self, public: PublicKey, payload: Any) -> Envelope:
         return Envelope(fingerprint=public.material, payload=payload)

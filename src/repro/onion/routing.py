@@ -36,6 +36,12 @@ class OnionPacket:
     message: Any
     category: str
     sent_at: float
+    # What :func:`repro.core.wire.packet_size` remembers so the next relay
+    # need not walk the onion again: the message's wire size and the
+    # blob's sealed layers (0 = not counted).  Plain attributes, not
+    # dataclass fields — never encoded, compared or printed.
+    message_bytes = 0
+    layers = 0
 
 
 class OnionRouter:
@@ -44,10 +50,10 @@ class OnionRouter:
     def __init__(self, network: P2PNetwork, backend: CipherBackend) -> None:
         # Bound once per router, not per hop; function-scope because
         # repro.core imports this package.
-        from repro.core.wire import WireSlice, wire_size
+        from repro.core.wire import WireSlice, packet_size
 
         self._wire_slice = WireSlice
-        self._size_of = wire_size
+        self._size_of = packet_size
         self.network = network
         self.backend = backend
         self._keys: dict[int, PrivateKey] = {}
@@ -144,7 +150,7 @@ class OnionRouter:
             int(outcome.next_ip),
             inner,
             category=packet.category,
-            size_bytes=self._size_of(inner),
+            size_bytes=self._size_of(inner, packet),
         )
         return True
 

@@ -445,11 +445,12 @@ class ArrayHiRepSystem(HiRepRuntime):
         fast = not self.network.any_offline and not st.paths_tracked
         request_messages = 0
         delivered: list[tuple[int, int, int]] = []  # (row, host, entry hops)
+        # Nothing else draws from the requestor's stream inside a leg, so
+        # the leg's nonces come as one batch (see docs/architecture.md).
+        nonces.issue_many(len(selected))
+        sel_hosts = st.live_ip[req, np.asarray(selected, dtype=np.int64)]
         if fast:
-            sel_hosts = st.live_ip[req, np.asarray(selected, dtype=np.int64)]
             sel_plens = self._own_plen[sel_hosts]
-            for _ in selected:
-                nonces.issue()
             request_messages = int((sel_plens + 1).sum())
             delivered = [
                 (row, host, plen + 1)
@@ -458,9 +459,7 @@ class ArrayHiRepSystem(HiRepRuntime):
                 )
             ]
         else:
-            for row in selected:
-                nonces.issue()
-                host = int(st.live_ip[req, row])
+            for row, host in zip(selected, sel_hosts.tolist()):
                 relays = self._entry_relays(req, row)
                 messages, arrived = self._count_onion_send(relays, host)
                 request_messages += messages
@@ -507,10 +506,10 @@ class ArrayHiRepSystem(HiRepRuntime):
         if response_messages:
             self.counter.count(Category.TRUST_RESPONSE, response_messages)
 
-        weights = [
-            float(st.live_val[req, row]) * confidence(int(st.live_upd[req, row]))
-            for row in rows
-        ]
+        # One read per column, not two numpy scalars per answering row.
+        row_val = st.live_val[req, :m].tolist()
+        row_upd = st.live_upd[req, :m].tolist()
+        weights = [row_val[row] * confidence(row_upd[row]) for row in rows]
         estimate = aggregate_estimate(values, weights)
         self.queries_completed += 1
 
@@ -563,19 +562,19 @@ class ArrayHiRepSystem(HiRepRuntime):
         # 4. signed transaction reports through each surviving agent's onion
         answered = set(hosts)
         report_all = cfg.report_scope == "all"
-        nonces = self._nonces(req)
         report_messages = 0
         m = int(st.live_len[req])
         fast = not self.network.any_offline and not st.paths_tracked
-        live = st.live_ip[req, :m].tolist()
-        if fast:
-            plens = self._own_plen[st.live_ip[req, :m]].tolist()
-        for row, host in enumerate(live):
-            if not report_all and host not in answered:
-                continue
-            nonces.issue()
+        reporting = [
+            (row, host)
+            for row, host in enumerate(st.live_ip[req, :m].tolist())
+            if report_all or host in answered
+        ]
+        # The report leg's nonces, one batch (as the request leg's).
+        self._nonces(req).issue_many(len(reporting))
+        for row, host in reporting:
             if fast:
-                report_messages += plens[row] + 1
+                report_messages += int(self._own_plen[host]) + 1
                 arrived = True
             else:
                 relays = self._entry_relays(req, row)

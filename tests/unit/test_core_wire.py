@@ -10,11 +10,11 @@ from repro.core.messages import (
     TrustRequestBody,
     TrustValueRequest,
 )
-from repro.core.wire import SEAL_BLOCK_BYTES, wire_size
+from repro.core.wire import SEAL_BLOCK_BYTES, decode, encode, packet_size, wire_size
 from repro.crypto.backend import get_backend
 from repro.crypto.keys import PeerKeys
 from repro.net.messages import DEFAULT_MESSAGE_BYTES
-from repro.onion.onion import build_onion
+from repro.onion.onion import OnionLayer, build_onion
 from repro.onion.routing import OnionPacket
 
 
@@ -96,6 +96,53 @@ def test_onion_packet_includes_inner_message(setup):
     onion = make_onion(backend, keys, 3)
     packet = OnionPacket(blob=onion.blob, message=request, category="c", sent_at=0.0)
     assert wire_size(packet) > wire_size(request)
+
+
+def _peel_chain(backend, keys, first, here):
+    """The packets a path's relays forward (node ``i`` holds ``keys[i]``),
+    each with the packet it was peeled from."""
+    packet = first
+    while True:
+        layer = backend.decrypt(keys[here].ar, packet.blob)
+        if layer.next_ip < 0:
+            return
+        inner = OnionPacket(layer.inner, packet.message, packet.category, packet.sent_at)
+        yield inner, packet
+        packet, here = inner, layer.next_ip
+
+
+@pytest.mark.parametrize("name", ["simulated", "rsa"])
+@pytest.mark.parametrize("relays", [0, 1, 4])
+def test_packet_size_is_wire_size_at_every_hop(rng, name, relays):
+    """The router's carried sizing against the walk it replaces (the RSA
+    blob, whose depth is only estimated, is walked every hop)."""
+    backend = get_backend(name)
+    keys = [PeerKeys.generate(backend, rng) for _ in range(7)]
+    onion = make_onion(backend, keys, relays)
+    first = OnionPacket(onion.blob, make_request(backend, keys, relays=2), "c", 0.0)
+    assert packet_size(first) == wire_size(first)
+    assert first.layers == (relays + 1 if name == "simulated" else 0)
+    hops = 0
+    for inner, outer in _peel_chain(backend, keys, first, onion.first_hop):
+        assert packet_size(inner, outer) == wire_size(inner)
+        hops += 1
+    assert hops == relays
+
+
+def test_packet_size_measures_what_it_cannot_count_down_to(setup):
+    """Under a single layer there is no valid blob: a forged layer naming
+    a next hop over junk is sized by the walk, as before."""
+    backend, keys = setup
+    message = make_request(backend, keys)
+    outer = OnionPacket(backend.encrypt(keys[1].ap, OnionLayer(2, "junk")), message, "c", 0.0)
+    packet_size(outer)
+    assert outer.layers == 1
+    inner = OnionPacket("junk", message, "c", 0.0)
+    assert packet_size(inner, outer) == wire_size(inner)
+    # Neither attribute is a wire field: frames and equality do not see them.
+    assert encode(outer) == encode(OnionPacket(outer.blob, message, "c", 0.0))
+    assert decode(encode(outer)).layers == 0
+    assert outer == OnionPacket(outer.blob, message, "c", 0.0)
 
 
 def test_unknown_payload_default(setup):

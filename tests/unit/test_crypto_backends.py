@@ -162,3 +162,23 @@ def test_simulated_signature_type(rng):
     backend = SimulatedBackend()
     _, priv = backend.generate_keypair(rng)
     assert isinstance(backend.sign(priv, "x"), SimSignature)
+
+
+def test_simulated_fingerprint_memo_keeps_the_key_check(rng):
+    """The private-key fingerprint is hashed once per key material; what is
+    remembered is still compared on every decrypt, per key."""
+    backend = SimulatedBackend()
+    pub_a, priv_a = backend.generate_keypair(rng)
+    pub_b, priv_b = backend.generate_keypair(rng)
+    for _ in range(2):  # the second pass reads the memo
+        assert backend.decrypt(priv_a, backend.encrypt(pub_a, "a")) == "a"
+        assert backend.decrypt(priv_b, backend.encrypt(pub_b, "b")) == "b"
+        with pytest.raises(KeyMismatchError):
+            backend.decrypt(priv_a, backend.encrypt(pub_b, "b"))
+        with pytest.raises(KeyMismatchError):
+            backend.decrypt(priv_b, backend.encrypt(pub_a, "a"))
+        assert backend.verify(pub_a, "x", backend.sign(priv_a, "x"))
+        assert not backend.verify(pub_b, "x", backend.sign(priv_a, "x"))
+    assert len(backend._fingerprints) == 2
+    # A second backend instance (a second system) agrees with the first.
+    assert SimulatedBackend().decrypt(priv_a, backend.encrypt(pub_a, "a")) == "a"

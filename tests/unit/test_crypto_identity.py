@@ -100,6 +100,20 @@ class TestNonceRegistry:
         with pytest.raises(ReplayError):
             reg.accept(99)
 
+    def test_issue_overflow_forgets_the_oldest_half(self, rng):
+        """Past ``capacity`` the registry keeps the newest nonces it issued,
+        in issue order (a plain ``set`` kept a hash-ordered half)."""
+        reg = NonceRegistry(rng, capacity=8)
+        nonces = [reg.issue() for _ in range(8)]
+        assert list(reg._issued) == nonces
+        nonces.append(reg.issue())  # the ninth crosses the capacity
+        assert list(reg._issued) == nonces[4:]
+        nonces += reg.issue_many(3)
+        assert list(reg._issued) == nonces[4:]
+        nonces += reg.issue_many(2)  # 8 stored + 2: crosses it again
+        assert list(reg._issued) == nonces[8:]
+        assert len(set(nonces)) == len(nonces)
+
     def test_capacity_validation(self, rng):
         with pytest.raises(ValueError):
             NonceRegistry(rng, capacity=1)
