@@ -58,7 +58,11 @@ def scale() -> dict:
             "robustness": dict(network_size=250),
             "ablations": dict(network_size=250),
             "kernel": dict(sizes=(1000, 10_000), transactions=100),
-            "kernel_smoke": dict(network_size=100_000, transactions=50, floor_tx_per_sec=300.0),
+            # floor: 11x under the median of the committed baseline's three
+            # newest 100k samples (4 545 / 4 381 / 2 894 tx/s; 50-transaction
+            # runs swing that much) and 7x under the lowest — CI-runner slack,
+            # as 300 was 12x under the 3 700 it last guarded
+            "kernel_smoke": dict(network_size=100_000, transactions=50, floor_tx_per_sec=400.0),
         }
     return {
         "fig5": dict(network_size=600, transactions=40),

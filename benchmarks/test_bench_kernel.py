@@ -75,7 +75,7 @@ def test_bench_kernel_object_vs_array(benchmark, run_once, scale, kernel_records
         speedup = by_backend[("hirep-array", n)] / by_backend[("hirep", n)]
         benchmark.extra_info[f"speedup_n{n}"] = round(speedup, 2)
         # The array kernel exists to be faster; the floor under the
-        # committed 11-13x-at-N=10k baseline is asserted by the CI
+        # committed 13-15x-at-N=10k baseline is asserted by the CI
         # kernel-sweep job, which runs at paper scale on a quiet machine.
         assert speedup > 1.0, f"array kernel slower at N={n}: {speedup:.2f}x"
 
