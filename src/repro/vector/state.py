@@ -64,9 +64,19 @@ class Region:
 
     def __init__(self, n: int, rows: int) -> None:
         self.rows = rows
-        self.ip = np.full((n, rows), -1, dtype=np.int32)
-        self.val = np.zeros((n, rows), dtype=np.float64)
-        self.upd = np.zeros((n, rows), dtype=np.int32)
+        # The record columns are views of one block (16 bytes a cell).  At
+        # 10⁵ peers the block is large enough that malloc always maps it on
+        # its own and unmaps it when the system goes; separate 24 MB columns
+        # are carved from the heap once a process has freed its first
+        # system, and there any small object that outlives them keeps
+        # their pages (docs/scaling.md, "Peak memory over several systems").
+        cells = n * rows
+        block = np.zeros(2 * cells, dtype=np.float64)
+        ints = block[cells:].view(np.int32)
+        self.ip = ints[:cells].reshape(n, rows)
+        self.ip.fill(-1)
+        self.val = block[:cells].reshape(n, rows)
+        self.upd = ints[cells:].reshape(n, rows)
         self.len = np.zeros(n, dtype=np.int32)
         #: What a record is made of, in record order.
         self.columns = [self.ip, self.val, self.upd]
