@@ -63,6 +63,10 @@ def scale() -> dict:
             # runs swing that much) and 7x under the lowest — CI-runner slack,
             # as 300 was 12x under the 3 700 it last guarded
             "kernel_smoke": dict(network_size=100_000, transactions=50, floor_tx_per_sec=400.0),
+            "kernel_churn": dict(
+                network_size=20_000, transactions=2000, churn=(0.01, 0.2),
+                floor_tx_per_sec=300.0,
+            ),
         }
     return {
         "fig5": dict(network_size=600, transactions=40),
@@ -79,6 +83,9 @@ def scale() -> dict:
         "ablations": dict(network_size=150),
         "kernel": dict(sizes=(1000,), transactions=60),
         "kernel_smoke": dict(network_size=20_000, transactions=30, floor_tx_per_sec=100.0),
+        "kernel_churn": dict(
+            network_size=20_000, transactions=200, churn=(0.01, 0.2), floor_tx_per_sec=100.0
+        ),
     }
 
 

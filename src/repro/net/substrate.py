@@ -145,17 +145,22 @@ class Substrate:
         node rejoins when its draw < ``rejoin_prob``; nodes in ``skip`` keep
         their state.  Returns ``(departures, rejoins)``.
         """
-        allowed = np.ones(self.n, dtype=bool)
-        allowed[[i for i in skip if 0 <= i < self.n]] = False
-        leave = self._online & allowed & (draws < leave_prob)
-        join = ~self._online & allowed & (draws < rejoin_prob)
+        online = self._online
+        leave = draws < leave_prob
+        leave &= online
+        join = draws < rejoin_prob
+        join &= ~online
+        skip = [i for i in skip if 0 <= i < self.n]
+        leave[skip] = False
+        join[skip] = False
         departures = int(np.count_nonzero(leave))
         rejoins = int(np.count_nonzero(join))
         if departures:
             self._departing(np.flatnonzero(leave).tolist())
         if departures or rejoins:
-            self._online[leave] = False
-            self._online[join] = True
+            # No node is in both, so one flip of their union moves them all.
+            leave |= join
+            np.logical_xor(online, leave, out=online)
             self._liveness_changed(rejoins - departures)
         return departures, rejoins
 

@@ -137,14 +137,21 @@ def draw_relays(
     reaches an onion, the codec or an event time.
     """
     online = network.online_indices()
-    pool = online[online != owner]
-    size = min(count, len(pool))
+    # The pool is ``online`` without the owner.  It is never built: its
+    # length and the node a pick names follow from the owner's slot.
+    slot = int(np.searchsorted(online, owner))
+    if slot == len(online) or online[slot] != owner:
+        slot = pool_len = len(online)  # the owner is offline: nothing to skip
+    else:
+        pool_len = len(online) - 1
+    size = min(count, pool_len)
     if size <= 0:
         return []
-    return pool[rng.choice(len(pool), size=size, replace=False)].tolist()
+    picks = rng.choice(pool_len, size=size, replace=False)
+    return online[picks + (picks >= slot)].tolist()
 
 
 def circuit_usable(network: Substrate, relays: Sequence[int] | np.ndarray) -> bool:
     """§3.3 circuit upkeep: an onion serves while it has relays and every
     one of them is online; otherwise its owner rebuilds it."""
-    return len(relays) > 0 and bool(network.online_mask[relays].all())
+    return len(relays) > 0 and all(map(network._alive.__getitem__, relays))

@@ -31,8 +31,8 @@ class ArrayNetwork(Substrate):
     """The per-node store standing in for a full DES network."""
 
     #: Fired exactly once, immediately *before* the first node ever goes
-    #: offline — the array kernel uses it to materialize per-row onion
-    #: snapshots while they still provably equal current paths.
+    #: offline — the array kernel starts tracking per-row onion snapshots
+    #: there, while they still provably equal current paths.
     on_first_offline: Callable[[], None] | None = None
     _had_offline = False
 

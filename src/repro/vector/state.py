@@ -14,14 +14,14 @@ column     shape           meaning
 ``val``    (n, rows)       expertise EWMA value per row
 ``upd``    (n, rows)       expertise update count per row
 ``len``    (n,)            number of rows in use
-``plen``   (n, rows)       relay count of the row's onion snapshot (lazy)
-``path``   (n, rows, R)    the snapshot's relays (lazy)
+``oid``    (n, rows)       id of the row's onion snapshot (lazy)
 =========  ==============  ================================================
 
 One row across a region's columns is one *record*, and a region changes
 only by three order-preserving moves — :meth:`Region.pop`,
 :meth:`Region.insert`, :meth:`Region.keep` — written once over "every
-column this region has".  The list rules on top of them read like
+column this region has" (:meth:`Region.push` is ``insert`` at the front
+for a block of records at once).  The list rules on top of them read like
 :class:`~repro.core.agent_list.TrustedAgentList`'s, which is what makes
 kernel parity possible (``tests/property/test_prop_trust_rows.py`` plays
 generated op sequences on both):
@@ -34,14 +34,16 @@ generated op sequences on both):
   backup row;
 * parking keeps value and update count; restoring does not reset them.
 
-The per-row onion *snapshot* columns are added lazily: while every node has
+The per-row onion *snapshot* column is added lazily: while every node has
 been online since bootstrap, a peer's snapshot of an agent's onion provably
 equals the agent's current onion (rebuilds only happen when a relay dies),
 so the kernel stores nothing and resolves paths through the owner's current
-onion.  The first offline transition triggers :meth:`materialize_paths`,
-which backfills the snapshot columns from the owners' current paths — exact
-by the same argument — and from then on a record carries its snapshot like
-the object kernel's entries do.
+onion.  The first offline transition triggers :meth:`track_snapshots`,
+and from then on a record names its snapshot the way the object kernel's
+entries share a reference to one immutable ``Onion``: by the id of a row
+in an append-only :class:`OnionTable`.  Ids below ``n`` are the peers'
+onions as they stood at that moment, so a row's first id is its agent's
+host ip — exact by the same argument, and no path is copied.
 """
 
 from __future__ import annotations
@@ -53,14 +55,48 @@ import numpy as np
 from repro.core.semantics import eviction_mask
 from repro.errors import ConfigError
 
-__all__ = ["Region", "VectorTrustState"]
+__all__ = ["OnionTable", "Region", "VectorTrustState"]
+
+
+class OnionTable:
+    """Append-only relay paths; a path's row number is its onion id.
+
+    One int32 row per onion — the relay count, then the relays inner to
+    outer.  A row is never rewritten, which is what lets a trust row hold
+    an id where the object kernel's entry holds a reference; the price is
+    that the table only grows, by ``4·(R + 1)`` bytes per rebuilt onion.
+    """
+
+    def __init__(self, plen: np.ndarray, path: np.ndarray) -> None:
+        """Ids ``0 … n-1``: every peer's current onion, id = host ip."""
+        self.count = n = len(plen)
+        self._rows = np.empty((max(2 * n, 16), path.shape[1] + 1), dtype=np.int32)
+        self._rows[:n, 0] = plen
+        self._rows[:n, 1:] = path
+
+    def append(self, relays: Sequence[int]) -> int:
+        """Store one more onion; returns its id."""
+        oid = self.count
+        if oid == len(self._rows):
+            self._rows = np.concatenate([self._rows, np.empty_like(self._rows)])
+        self._rows[oid, 0] = len(relays)
+        self._rows[oid, 1 : 1 + len(relays)] = relays
+        self.count = oid + 1
+        return oid
+
+    def rows(self, oids: np.ndarray | Sequence[int]) -> list[list[int]]:
+        """``[count, relay, …]`` per id, as Python ints: ``row[1 : 1 +
+        row[0]]`` are the relays (the cells beyond them mean nothing)."""
+        return self._rows[oids].tolist()
+
+    def nbytes(self) -> int:
+        return int(self._rows[: self.count].nbytes)
 
 
 class Region:
     """One bounded, ordered run of rows per peer, as parallel columns."""
 
-    plen: np.ndarray | None = None
-    path: np.ndarray | None = None
+    oid: np.ndarray | None = None
 
     def __init__(self, n: int, rows: int) -> None:
         self.rows = rows
@@ -81,14 +117,12 @@ class Region:
         #: What a record is made of, in record order.
         self.columns = [self.ip, self.val, self.upd]
 
-    def track(self, own_path: np.ndarray, own_plen: np.ndarray) -> None:
-        """Add the snapshot columns: every row's owner's current onion, by
-        one gather.  Rows beyond ``len`` index owner 0's path harmlessly —
-        they are never read before :meth:`insert` overwrites them."""
-        hosts = np.clip(self.ip, 0, None)
-        self.plen = own_plen[hosts].astype(np.int32, copy=False)
-        self.path = own_path[hosts].astype(np.int32, copy=False)
-        self.columns += [self.plen, self.path]
+    def track(self) -> None:
+        """Add the snapshot column.  Up to now every row's snapshot is its
+        agent's current onion, whose id is the agent's host ip; a region
+        with no rows yet gets zeros no page of which is touched."""
+        self.oid = self.ip.copy() if self.len.any() else np.zeros_like(self.ip)
+        self.columns.append(self.oid)
 
     def find(self, p: int, ip: int) -> int:
         """Row of agent ``ip`` among peer ``p``'s rows (-1 if absent)."""
@@ -103,16 +137,12 @@ class Region:
         """Take row ``row`` out of peer ``p``'s rows (the rest shift left,
         keeping their order) and return its record."""
         last = int(self.len[p]) - 1
-        record = []
+        record = tuple(col[p, row] for col in self.columns)
         for col in self.columns:
-            cell = col[p, row]
-            # A path cell is a view of the row the shift overwrites; the
-            # scalar cells are values already (copying one costs 0.5 µs).
-            record.append(cell.copy() if cell.ndim else cell)
             col[p, row:last] = col[p, row + 1 : last + 1]
         self.ip[p, last] = -1
         self.len[p] = last
-        return tuple(record)
+        return record
 
     def insert(self, p: int, row: int, record: tuple) -> None:
         """Put ``record`` at ``row`` (the rows from there on shift right,
@@ -121,6 +151,17 @@ class Region:
         for col, value in zip(self.columns, record, strict=True):
             col[p, row + 1 : m] = col[p, row : m - 1]
             col[p, row] = value
+        self.len[p] = m
+
+    def push(self, p: int, records: list[np.ndarray]) -> None:
+        """:meth:`insert` each of ``records`` (one array per column) at row
+        0, first to last: the last ends up frontmost, the rows already
+        there shift right and whatever passes the end is dropped."""
+        k = min(len(records[0]), self.rows)
+        m = min(int(self.len[p]) + k, self.rows)
+        for col, values in zip(self.columns, records, strict=True):
+            col[p, k:m] = col[p, : m - k]
+            col[p, :k] = values[: -k - 1 : -1]
         self.len[p] = m
 
     def keep(self, p: int, mask: np.ndarray) -> None:
@@ -140,14 +181,7 @@ class Region:
 class VectorTrustState:
     """All peers' trusted-agent lists and backup caches, as arrays."""
 
-    def __init__(
-        self,
-        n: int,
-        capacity: int,
-        backup_capacity: int,
-        max_relays: int,
-        initial_expertise: float = 1.0,
-    ) -> None:
+    def __init__(self, n: int, capacity: int, backup_capacity: int) -> None:
         if capacity < 1:
             raise ConfigError(f"capacity must be >= 1, got {capacity}")
         if backup_capacity < 0:
@@ -155,8 +189,6 @@ class VectorTrustState:
         self.n = n
         self.capacity = capacity
         self.backup_capacity = backup_capacity
-        self.max_relays = max_relays
-        self.initial_expertise = initial_expertise
 
         self.live = live = Region(n, capacity)
         self.back = back = Region(n, backup_capacity)
@@ -166,10 +198,8 @@ class VectorTrustState:
         self.live_len = live.len
         self.back_ip, self.back_val, self.back_upd = back.columns
         self.back_len = back.len
-        # Per-row onion snapshots, allocated on the first offline event.
-        self.live_path: np.ndarray | None = None
-        self.live_plen: np.ndarray | None = None
-        self.paths_tracked = False
+        #: Whether records carry an onion id yet (:meth:`track_snapshots`).
+        self.tracked = False
 
         # Aggregate counters (sum over all peers; the object kernel keeps
         # them per list, experiments only ever read totals).
@@ -177,68 +207,43 @@ class VectorTrustState:
         self.backups_parked = 0
         self.backups_restored = 0
 
-    # -- queries -------------------------------------------------------------
-
-    def row_of(self, p: int, ip: int) -> int:
-        """Live row index of agent ``ip`` in peer ``p``'s list (-1 if absent)."""
-        return self.live.find(p, ip)
-
-    def live_hosts(self, p: int) -> list[int]:
-        """Agent host ips of peer ``p``'s live rows, in row order."""
-        return self.live.hosts(p)
-
-    def backup_hosts(self, p: int) -> list[int]:
-        """Agent host ips of peer ``p``'s backup rows, most recent first."""
-        return self.back.hosts(p)
-
-    def total_rows(self) -> int:
-        """Live rows across every peer (sanity/bench metric)."""
-        return int(self.live_len.sum())
-
     # -- mutation ------------------------------------------------------------
 
-    def add(
-        self,
-        p: int,
-        ip: int,
-        value: float,
-        relays: Sequence[int] | None = None,
-    ) -> bool:
+    def add(self, p: int, ip: int, value: float, oid: int | None = None) -> bool:
         """Insert an agent row; False when already present or list full.
 
-        ``relays`` is the onion snapshot carried by the adopted entry; it
-        is only stored once snapshots are tracked (before that, every
-        snapshot equals the owner's current onion by construction).
+        ``oid`` names the onion snapshot carried by the adopted entry; it
+        is required once snapshots are tracked and ignored before (until
+        then every snapshot is the owner's current onion by construction).
         """
+        record: tuple = (ip, value, 0)
+        if self.tracked:
+            if oid is None:
+                raise ConfigError(
+                    f"peer {p} adopts agent {ip} without an onion id, and "
+                    "snapshots are tracked: the row could never be reached"
+                )
+            record += (oid,)
         m = int(self.live_len[p])
         if m >= self.capacity or self.live.find(p, ip) >= 0:
             return False
-        record: tuple = (ip, value, 0)
-        if self.paths_tracked:
-            relays = () if relays is None else relays
-            path = np.full(self.max_relays, -1, dtype=np.int32)
-            path[: len(relays)] = relays
-            record += (len(relays), path)
         self.live.insert(p, m, record)
         # A re-added agent must not linger in backup.
         self.drop_backup(p, ip)
         return True
 
     def add_many(
-        self,
-        p: int,
-        hosts: np.ndarray,
-        value: float,
-        paths: np.ndarray | None = None,
-        plens: np.ndarray | None = None,
+        self, p: int, hosts: np.ndarray, value: float, oids: np.ndarray | None = None
     ) -> int:
         """:meth:`add` each of ``hosts`` in order, as one slice write.
 
         Returns how many rows were inserted: hosts already listed (or
         repeated) are skipped and the list stops filling at capacity,
-        exactly as the one-by-one loop would.  ``paths[i, :plens[i]]`` is
-        host ``i``'s onion snapshot, stored only once snapshots are tracked.
+        exactly as the one-by-one loop would.  ``oids[i]`` names host
+        ``i``'s onion snapshot, required once snapshots are tracked.
         """
+        if self.tracked and oids is None:
+            raise ConfigError(f"peer {p} adopts agents without onion ids")
         live = self.live
         m = int(live.len[p])
         new = np.flatnonzero(~(hosts[:, None] == live.ip[p, :m]).any(axis=1))
@@ -251,11 +256,8 @@ class VectorTrustState:
         live.ip[p, m : m + k] = hosts[new]
         live.val[p, m : m + k] = value
         live.upd[p, m : m + k] = 0
-        if self.paths_tracked:
-            live.plen[p, m : m + k] = plens[new]
-            live.path[p, m : m + k] = np.where(
-                np.arange(self.max_relays) < plens[new, None], paths[new], -1
-            )
+        if self.tracked:
+            live.oid[p, m : m + k] = oids[new]
         live.len[p] = m + k
         # A re-added agent must not linger in backup.
         if self.back_len[p]:
@@ -272,22 +274,20 @@ class VectorTrustState:
             self.evictions += count
         return count
 
-    def park(self, p: int, ip: int) -> bool:
-        """§3.4.3: offline agent with positive expertise → backup cache.
-
-        True when parked; False when removed outright (non-positive
-        expertise or no backup cache) or not present.
-        """
-        row = self.live.find(p, ip)
-        if row < 0:
-            return False
-        record = self.live.pop(p, row)
-        if record[1] <= 0.0 or self.backup_capacity == 0:
-            return False
-        # Most-recently-first: new arrivals go to the front.
-        self.back.insert(p, 0, record)
-        self.backups_parked += 1
-        return True
+    def park_where(self, p: int, gone: np.ndarray) -> int:
+        """§3.4.3: peer ``p``'s live rows where ``gone`` is True (their
+        agents went offline) leave the list, those with positive expertise
+        for the backup cache — in row order, so the last one parked is the
+        most recent.  One block move, not a pop and an insert per row.
+        Returns how many were parked (the rest are removed outright)."""
+        live = self.live
+        worth = np.flatnonzero(gone & (live.val[p, : live.len[p]] > 0.0))
+        if self.backup_capacity == 0:
+            worth = worth[:0]  # nowhere to park
+        self.back.push(p, [col[p, worth] for col in live.columns])
+        self.backups_parked += int(worth.size)
+        live.keep(p, ~gone)
+        return int(worth.size)
 
     def restore(self, p: int, ip: int) -> bool:
         """Probe succeeded: move a backup row back to the live list.
@@ -314,21 +314,21 @@ class VectorTrustState:
 
     # -- lazy onion snapshots ------------------------------------------------
 
-    def materialize_paths(self, own_path: np.ndarray, own_plen: np.ndarray) -> None:
-        """Start tracking per-row onion snapshots.
+    def track_snapshots(self) -> None:
+        """Start carrying an onion id per record.
 
         Called once, immediately before the first node ever goes offline.
         Up to that point no onion has ever been rebuilt (rebuilds are
         triggered only by dead relays), so every stored snapshot equals
-        the owner's *current* onion — backfilling from ``own_path`` /
-        ``own_plen`` is exact, not an approximation.
+        the owner's *current* onion — the one the :class:`OnionTable` built
+        at the same moment files under the owner's host ip.  Starting every
+        row at ``oid = ip`` is exact, not an approximation.
         """
-        if self.paths_tracked:
+        if self.tracked:
             return
-        self.live.track(own_path, own_plen)
-        self.back.track(own_path, own_plen)
-        self.live_path, self.live_plen = self.live.path, self.live.plen
-        self.paths_tracked = True
+        self.live.track()
+        self.back.track()
+        self.tracked = True
 
     # -- introspection -------------------------------------------------------
 

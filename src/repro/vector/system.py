@@ -40,7 +40,7 @@ kernel's RNG stream usage **draw for draw**:
 Message exchange is replaced with closed-form hop accounting: within one
 transaction liveness is static in both kernels, so "how many hops did an
 onion send cost and did it arrive" is pure arithmetic over the liveness
-mask (see ``_count_onion_send``).  Response *times* are the one metric
+mask (see ``_send_leg``).  Response *times* are the one metric
 the array kernel only approximates (there is no event engine); they are
 excluded from parity and documented in ``docs/scaling.md``.
 
@@ -80,7 +80,7 @@ from repro.onion.handshake import HANDSHAKE_MESSAGES
 from repro.onion.onion import circuit_usable, draw_relays
 from repro.sim.rng import spawn
 from repro.vector.network import ArrayNetwork
-from repro.vector.state import VectorTrustState
+from repro.vector.state import OnionTable, VectorTrustState
 
 __all__ = ["ArrayHiRepSystem"]
 
@@ -146,16 +146,16 @@ class ArrayHiRepSystem(HiRepRuntime):
 
         max_relays = max(config.onion_relays, 0)
         self.state = VectorTrustState(
-            n,
-            config.trusted_agents,
-            config.backup_cache_size,
-            max_relays,
-            initial_expertise=config.initial_expertise,
+            n, config.trusted_agents, config.backup_cache_size
         )
         # Every peer's *own* onion (the one agents answer through).
         self._own_path = np.full((n, max_relays), -1, dtype=np.int32)
         self._own_plen = np.zeros(n, dtype=np.int32)
         self._own_built = np.zeros(n, dtype=bool)
+        # Once a node has departed: every onion a trust row may still name
+        # (append-only), and which of them is each peer's current one.
+        self._onions: OnionTable | None = None
+        self._own_oid: np.ndarray | None = None  # int32, once tracked
         # Lazy per-host registries/caches (populated on first use so a
         # 100k-node build does not allocate 100k empty objects up front).
         self._nonce_reg: dict[int, NonceRegistry] = {}
@@ -164,7 +164,7 @@ class ArrayHiRepSystem(HiRepRuntime):
         self._known: dict[int, set[int]] = {}
 
         self._latency_mean = net.latency_model.mean_ms()
-        net.on_first_offline = self._materialize_paths
+        net.on_first_offline = self._track_snapshots
 
         # Aggregate protocol stats (the object kernel keeps these per peer).
         self.handshakes_performed = 0
@@ -197,11 +197,12 @@ class ArrayHiRepSystem(HiRepRuntime):
             reg = self._responder_reg[ip] = NonceRegistry(self._peer_rngs[ip])
         return reg
 
-    def _materialize_paths(self) -> None:
-        self.state.materialize_paths(self._own_path, self._own_plen)
-
-    def _own_relays(self, host: int) -> np.ndarray:
-        return self._own_path[host, : int(self._own_plen[host])]
+    def _track_snapshots(self) -> None:
+        """The first departure is next: from here on a trust row names the
+        onion it holds (until now it could only be the owner's current one)."""
+        self.state.track_snapshots()
+        self._onions = OnionTable(self._own_plen, self._own_path)
+        self._own_oid = np.arange(self.config.network_size, dtype=np.int32)
 
     def _learn_relay_key(self, host: int, relay: int) -> None:
         """Anonymity-key handshake with ``relay`` unless already cached."""
@@ -224,26 +225,32 @@ class ArrayHiRepSystem(HiRepRuntime):
         self._own_plen[host] = len(relays)
         self._own_path[host, : len(relays)] = relays
         self._own_built[host] = True
+        if self._onions is not None:
+            # Rows that hold the old onion keep naming it.
+            self._own_oid[host] = self._onions.append(relays)
 
     def _ensure_onion(self, host: int) -> None:
         """Build or reuse ``host``'s own onion (HiRepPeer.ensure_onion);
         one never built has no relays, which is not a usable circuit."""
-        if not circuit_usable(self.network, self._own_relays(host)):
+        relays = self._own_path[host, : self._own_plen[host]].tolist()
+        if not circuit_usable(self.network, relays):
             self._rebuild_onion(host)
 
-    def _entry_relays(self, p: int, row: int) -> list[int]:
-        """The onion snapshot stored in peer ``p``'s row (owner-current
-        until snapshots are materialized)."""
-        st = self.state
-        if st.paths_tracked:
-            assert st.live_path is not None and st.live_plen is not None
-            k = int(st.live_plen[p, row])
-            return [int(r) for r in st.live_path[p, row, :k]]
-        host = int(st.live_ip[p, row])
-        return [int(r) for r in self._own_relays(host)]
+    def _ensure_onions(self, hosts: list[int]) -> None:
+        """:meth:`_ensure_onion` for each of ``hosts`` in order, from one
+        read of their circuits: liveness is static within a transaction
+        and a rebuild touches nobody else's circuit."""
+        plens = self._own_plen[hosts].tolist()
+        for host, k, path in zip(hosts, plens, self._own_path[hosts].tolist()):
+            if not circuit_usable(self.network, path[:k]):
+                self._rebuild_onion(host)
 
-    def _count_onion_send(self, relays: list[int], owner: int) -> tuple[int, bool]:
-        """Hop accounting for one onion send: (messages, delivered).
+    def _send_leg(
+        self, p: int, rows: list[int], hosts: list[int]
+    ) -> tuple[int, list[int]]:
+        """Hop accounting for one onion send through each of peer ``p``'s
+        ``rows`` (agents ``hosts``), from one read of their snapshots:
+        (messages, hops the send took per row — 0 where it was lost).
 
         The wire walks the path entry-first (= reversed storage order);
         each hop to an online node costs one message, the first offline
@@ -251,16 +258,20 @@ class ArrayHiRepSystem(HiRepRuntime):
         owner to be online.  Liveness is static within a transaction, so
         this matches the DES hop-by-hop bill exactly.
         """
-        mask = self.network.online_mask
-        messages = 1
-        alive = True
-        for relay in reversed(relays):
-            if mask[relay]:
-                messages += 1
-            else:
-                alive = False
-                break
-        return messages, alive and bool(mask[owner])
+        alive = self.network._alive
+        messages = 0
+        hops = []
+        for host, onion in zip(hosts, self._onions.rows(self.state.live.oid[p, rows])):
+            sent = 1
+            arrived = alive[host]
+            for i in range(onion[0], 0, -1):
+                if not alive[onion[i]]:
+                    arrived = False
+                    break
+                sent += 1
+            messages += sent
+            hops.append(onion[0] + 1 if arrived else 0)
+        return messages, hops
 
     # ------------------------------------------------------------------
     # Discovery, bootstrap (§3.4.1) and maintenance (§3.4.3)
@@ -306,21 +317,17 @@ class ArrayHiRepSystem(HiRepRuntime):
         replies, rows = select_agents(ids, ranks, wanted, self._peer_rngs[p])
         # Adopt the winners, minus the requestor itself.  Nothing mutates
         # list state between flood and adopt, so each winner's onion
-        # snapshot is read now from its (responder, row) cell — or from the
-        # offering agent's own path.
+        # snapshot is read now from its (responder, row) cell — or is the
+        # offering agent's current onion.
         hosts = ids[replies, rows]
         keep = hosts != p
         replies, rows, hosts = replies[keep], rows[keep], hosts[keep]
-        if not st.paths_tracked:
+        if not st.tracked:
             return st.add_many(p, hosts, cfg.initial_expertise)
-        assert st.live_path is not None and st.live_plen is not None
-        listed = ~offered[replies]
-        source = nodes[replies]
-        paths = np.where(
-            listed[:, None], st.live_path[source, rows], self._own_path[hosts]
+        oids = np.where(
+            offered[replies], self._own_oid[hosts], st.live.oid[nodes[replies], rows]
         )
-        plens = np.where(listed, st.live_plen[source, rows], self._own_plen[hosts])
-        return st.add_many(p, hosts, cfg.initial_expertise, paths, plens)
+        return st.add_many(p, hosts, cfg.initial_expertise, oids)
 
     def _bootstrap(self, rounds: int) -> None:
         if self.bootstrap_mode == "seeded":
@@ -389,7 +396,7 @@ class ArrayHiRepSystem(HiRepRuntime):
             # The window is the whole capable set: peers that appear in
             # their own window just drop that one row (tiny populations).
             for p in hit_peers:
-                st.live.pop(int(p), st.row_of(int(p), int(p)))
+                st.live.pop(int(p), st.live.find(int(p), int(p)))
 
     def _maintain(self, p: int) -> None:
         """§3.4.3 list maintenance: probe backups, rediscover if short."""
@@ -406,7 +413,7 @@ class ArrayHiRepSystem(HiRepRuntime):
         """Probe parked agents; restore the ones that answered."""
         st = self.state
         restored, messages = probe_backups(
-            st.backup_hosts(p),
+            st.back.hosts(p),
             online=self.network.is_online,
             restore=lambda ip: st.restore(p, ip),
             drop=lambda ip: st.drop_backup(p, ip),
@@ -433,7 +440,6 @@ class ArrayHiRepSystem(HiRepRuntime):
         )
         selected = [int(r) for r in order[: cfg.agents_queried]]
         self._ensure_onion(req)
-        nonces = self._nonces(req)
         subject = _nid(prov)
         truth = float(self.truth[prov])
 
@@ -442,13 +448,12 @@ class ArrayHiRepSystem(HiRepRuntime):
         # every node is online the accounting collapses: nothing has ever
         # been rebuilt, every entry onion is the owner's current path,
         # every hop is alive, so a send costs plen+1 and always arrives.
-        fast = not self.network.any_offline and not st.paths_tracked
-        request_messages = 0
-        delivered: list[tuple[int, int, int]] = []  # (row, host, entry hops)
+        fast = not self.network.any_offline and not st.tracked
         # Nothing else draws from the requestor's stream inside a leg, so
         # the leg's nonces come as one batch (see docs/architecture.md).
-        nonces.issue_many(len(selected))
+        self._nonces(req).issue_many(len(selected))
         sel_hosts = st.live_ip[req, np.asarray(selected, dtype=np.int64)]
+        # ``delivered``: (row, host, hops the request took) per reached agent.
         if fast:
             sel_plens = self._own_plen[sel_hosts]
             request_messages = int((sel_plens + 1).sum())
@@ -459,14 +464,15 @@ class ArrayHiRepSystem(HiRepRuntime):
                 )
             ]
         else:
-            for row, host in zip(selected, sel_hosts.tolist()):
-                relays = self._entry_relays(req, row)
-                messages, arrived = self._count_onion_send(relays, host)
-                request_messages += messages
-                if arrived:
-                    delivered.append((row, host, len(relays) + 1))
+            asked = sel_hosts.tolist()
+            request_messages, sent = self._send_leg(req, selected, asked)
+            delivered = [leg for leg in zip(selected, asked, sent) if leg[2]]
+            # Each reached agent freshens its own onion before it answers.
+            # Only rebuilds and their handshakes draw, on per-peer streams
+            # no vote touches, so all of them may go first — in delivery
+            # order, which is the order the response loop had them in.
+            self._ensure_onions([host for _, host, _ in delivered])
         self.counter.count(Category.TRUST_QUERY, request_messages)
-        asked = len(selected)
 
         # Response leg: each reached agent freshens its own onion, learns
         # the requestor if unknown, evaluates, and answers through the
@@ -481,8 +487,9 @@ class ArrayHiRepSystem(HiRepRuntime):
         for row, host, hops in delivered:
             # HiRepPeer.fresh_onion: with all relays alive and the path
             # built it is a pure seq bump (no draws, no state change), so
-            # only the rebuild condition matters — and that is _ensure_onion's.
-            if not (fast and self._own_built[host]):
+            # only the rebuild condition matters — and that is
+            # _ensure_onions', run above for every leg but the fast one.
+            if fast and not self._own_built[host]:
                 self._ensure_onion(host)
             known = self._known.setdefault(host, set())
             if req not in known:
@@ -490,21 +497,16 @@ class ArrayHiRepSystem(HiRepRuntime):
                 self.keys_learned += 1
             value = float(self._models[host].evaluate(subject, truth, self._agent_rng[host]))
             response_messages += own_hops
-            if st.paths_tracked:
-                # The response carries the agent's fresh onion; the
-                # requestor adopts it for the row (refresh_onion).
-                assert st.live_path is not None and st.live_plen is not None
-                plen = int(self._own_plen[host])
-                st.live_plen[req, row] = plen
-                st.live_path[req, row, :] = -1
-                if plen:
-                    st.live_path[req, row, :plen] = self._own_path[host, :plen]
             rows.append(row)
             hosts.append(host)
             values.append(value)
             request_hops.append(hops)
         if response_messages:
             self.counter.count(Category.TRUST_RESPONSE, response_messages)
+        if st.tracked and rows:
+            # Each response carried the agent's fresh onion; the requestor
+            # adopts it for the row (refresh_onion).
+            st.live.oid[req, rows] = self._own_oid[hosts]
 
         # One read per column, not two numpy scalars per answering row.
         row_val = st.live_val[req, :m].tolist()
@@ -527,7 +529,7 @@ class ArrayHiRepSystem(HiRepRuntime):
             response_time = float("nan")
 
         self._settle(req, rows, values, hosts, truth, subject)
-        return Estimate(estimate, response_time, len(rows), asked)
+        return Estimate(estimate, response_time, len(rows), len(selected))
 
     def _settle(
         self,
@@ -555,16 +557,14 @@ class ArrayHiRepSystem(HiRepRuntime):
         st.evict_below(req, cfg.eviction_threshold)
         # 3. park agents that went offline (positive expertise → backup)
         if self.network.any_offline:
-            mask = self.network.online_mask
-            for ip in st.live_hosts(req):
-                if not mask[ip]:
-                    st.park(req, ip)
+            gone = ~self.network.online_mask[st.live_ip[req, : st.live_len[req]]]
+            if gone.any():
+                st.park_where(req, gone)
         # 4. signed transaction reports through each surviving agent's onion
         answered = set(hosts)
         report_all = cfg.report_scope == "all"
-        report_messages = 0
         m = int(st.live_len[req])
-        fast = not self.network.any_offline and not st.paths_tracked
+        fast = not self.network.any_offline and not st.tracked
         reporting = [
             (row, host)
             for row, host in enumerate(st.live_ip[req, :m].tolist())
@@ -572,22 +572,21 @@ class ArrayHiRepSystem(HiRepRuntime):
         ]
         # The report leg's nonces, one batch (as the request leg's).
         self._nonces(req).issue_many(len(reporting))
-        for row, host in reporting:
-            if fast:
-                report_messages += int(self._own_plen[host]) + 1
-                arrived = True
+        if fast:
+            report_messages = sum(int(self._own_plen[host]) + 1 for _, host in reporting)
+        else:
+            report_messages, sent = self._send_leg(
+                req, [row for row, _ in reporting], [host for _, host in reporting]
+            )
+            reporting = [leg for leg, hops in zip(reporting, sent) if hops]
+        for _, host in reporting:
+            # Spoofing defence: an agent only accepts reports from
+            # requestors whose key it learned during a trust request.
+            if req in self._known.get(host, ()):
+                self._models[host].observe_report(subject, truth)
+                self.reports_accepted += 1
             else:
-                relays = self._entry_relays(req, row)
-                messages, arrived = self._count_onion_send(relays, host)
-                report_messages += messages
-            if arrived:
-                # Spoofing defence: an agent only accepts reports from
-                # requestors whose key it learned during a trust request.
-                if req in self._known.get(host, ()):
-                    self._models[host].observe_report(subject, truth)
-                    self.reports_accepted += 1
-                else:
-                    self.reports_rejected += 1
+                self.reports_rejected += 1
         if report_messages:
             self.counter.count(Category.TRANSACTION_REPORT, report_messages)
 
@@ -601,6 +600,9 @@ class ArrayHiRepSystem(HiRepRuntime):
 
     def state_nbytes(self) -> int:
         """Resident bytes of the trust-state arrays (docs/benchmarks)."""
-        return self.state.nbytes() + int(
+        nbytes = self.state.nbytes() + int(
             self._own_path.nbytes + self._own_plen.nbytes + self._own_built.nbytes
         )
+        if self._onions is not None:
+            nbytes += self._onions.nbytes() + int(self._own_oid.nbytes)
+        return nbytes

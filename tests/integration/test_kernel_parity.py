@@ -163,6 +163,35 @@ def test_parity_with_lists_served_through_the_discovery_hook() -> None:
     assert_strict_parity(obj, arr, SMALL_TRANSACTIONS)
 
 
+@pytest.mark.parametrize("seed", [99, 7])
+def test_parity_when_discovery_adopts_stale_snapshots(seed: int) -> None:
+    """``refill_threshold`` = C sends a peer back to discovery for every
+    row it loses, under churn heavy enough that responders' rows still name
+    onions their owners have since rebuilt.  A winner's snapshot is the
+    responder's — stale, dead relays and all — not the owner's current
+    onion, and the hop bill of every later send through it shows which one
+    the array kernel stored."""
+    transactions = 120
+    cfg = small_config(seed, 0.10).with_(refill_threshold=10)
+    obj, arr = (
+        build_system(name, cfg, churn=ChurnModel(leave_prob=0.15, rejoin_prob=0.4))
+        for name in ("hirep", "hirep-array")
+    )
+    stale = []
+    add_many = arr.state.add_many
+
+    def spy(p, hosts, value, oids=None):
+        if oids is not None:
+            stale.append(int(np.count_nonzero(oids != arr._own_oid[hosts])))
+        return add_many(p, hosts, value, oids)
+
+    arr.state.add_many = spy
+    obj.run(transactions)
+    arr.run(transactions)
+    assert sum(stale) >= 10  # adopted ids that were not the owner's current one
+    assert_strict_parity(obj, arr, transactions)
+
+
 def _per_node_churn_step(churn, network, rng, extra_protected=()) -> None:
     """``ChurnModel.step`` as it was before both networks shared one
     vectorised ``apply_churn``: one draw vector, then a Python loop flipping

@@ -1,4 +1,4 @@
-"""Property tests: the array kernel's per-leg draws against the per-row ones.
+"""Property tests: batched or shortened draws against the forms they replace.
 
 The operator pays for a leg's randomness in one call where it used to pay
 per row; each batched or shortened form is pinned here to the form it
@@ -20,6 +20,12 @@ equal ``bit_generator.state``, so no later draw on the stream can move.
 (c) :func:`aggregate_estimate`'s unweighted fallback is bit-equal to
     ``float(np.mean(values))`` for 1–70 values (numpy's pairwise sum
     changes shape at 8 elements).
+(d) :func:`~repro.onion.onion.draw_relays` — every executor's §3.3 relay
+    draw — picks from ``online_indices()`` around the owner's slot; the
+    form that first built the pool (``online[online != owner]``, an O(N)
+    compare and boolean index per rebuild) is the oracle.  Generated
+    liveness masks over 3–40 nodes with the owner online, offline, alone
+    online and everyone offline, ``count`` from 0 to past the pool.
 
 Shown to fail under each of these seeded mutations: (a) the batch added to
 ``_issued`` as a set union (``issued.update(dict.fromkeys(set(draws)))``)
@@ -27,7 +33,11 @@ instead of in draw order — with ``_issued`` still a ``set``, before the
 trim fix, nothing else was possible; the collision replay skipped (the
 vector returned as drawn); ``size=k + 1``; the capacity fallback ignored;
 (b) ``hi - (hi - lo) * rng.random()``; (c) a plain ``sum(values) / n``,
-which only diverges from numpy's pairwise sum at 8+ elements.
+which only diverges from numpy's pairwise sum at 8+ elements; (d) picks
+not stepped over the owner (``online[picks]``); stepped from the slot
+after (``picks > slot``); ``searchsorted(..., side="right")``; the pool
+one short whether or not the owner is online (``pool_len = len(online) -
+1``); an offline owner's insertion point kept as its slot.
 """
 
 from unittest import mock
@@ -40,6 +50,9 @@ from repro.core.semantics import aggregate_estimate
 from repro.core.trust_models import QualityDrivenModel
 from repro.crypto import nonce as nonce_module
 from repro.crypto.nonce import NonceRegistry
+from repro.net.topology import ring_lattice
+from repro.onion.onion import draw_relays
+from repro.vector.network import ArrayNetwork
 
 OPS = st.lists(
     st.one_of(
@@ -106,3 +119,34 @@ def test_unweighted_estimate_is_numpy_mean(values):
     estimate = aggregate_estimate(values, [0.0] * len(values))
     assert type(estimate) is float
     assert estimate == float(np.mean(values))
+
+
+def _draw_from_a_built_pool(network, owner, count, rng):
+    """``draw_relays`` as it was: build the pool, then pick from it."""
+    online = network.online_indices()
+    pool = online[online != owner]
+    size = min(count, len(pool))
+    if size <= 0:
+        return []
+    return pool[rng.choice(len(pool), size=size, replace=False)].tolist()
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    alive=st.lists(st.booleans(), min_size=3, max_size=40),
+    owner=st.integers(0, 39),
+    only_owner=st.booleans(),
+    count=st.integers(-1, 44),
+)
+@settings(max_examples=400, deadline=None)
+def test_draw_relays_is_the_draw_from_a_built_pool(seed, alive, owner, only_owner, count):
+    n = len(alive)
+    owner %= n
+    network = ArrayNetwork(ring_lattice(n, 1), np.random.default_rng(0))
+    for node, up in enumerate(alive):
+        network.set_online(node, (up and not only_owner) or (only_owner and node == owner))
+    rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+    relays = draw_relays(network, owner, count, rng)
+    assert relays == _draw_from_a_built_pool(network, owner, count, twin)
+    assert rng.bit_generator.state == twin.bit_generator.state
+    assert all(type(relay) is int for relay in relays)

@@ -6,26 +6,32 @@ them over a dict of row objects and is the reference.  Hypothesis picks
 small ``(C, B, θ)`` (``C = 1`` and ``B = 0`` included), the initial
 expertise, a script length, whether onion snapshots are never tracked,
 tracked from the start or switched on by a mid-script
-``materialize_paths``, and a seeded ``Random`` that interleaves add /
-add_many / expertise update / θ-eviction / park / restore / drop on one
-peer of a three-peer state — choosing whom each op names from the current
+``track_snapshots``, and a seeded ``Random`` that interleaves add /
+add_many / expertise update / θ-eviction / park / park_where / restore /
+drop on one peer of a three-peer state — choosing whom each op names from the current
 rows, so that most parks hit a live agent, most restores a parked one and
 most adds one not yet listed (a shorter script is a prefix of the same
 interleaving, which is how a failure shrinks).  After every op both sides
 must agree on the return value, the live rows and the backup rows in order
-— (ip, value, updates, snapshot) each — and the three counters; the array
+— (ip, value, updates, snapshot) each, the array side's snapshot being the
+:class:`~repro.vector.state.OnionTable` row its ``oid`` cell names — and
+the three counters; the array
 side must also keep ``-1`` beyond ``len`` and leave the two neighbouring
 peers' rows alone.
 
 Shown to fail under each of these seeded mutations of ``vector/state.py``
 (``Region`` unless noted): ``insert`` that does not trim a full region
 (``m = len + 1``); ``pop`` that shifts only ``ip``/``val``/``upd`` and
-leaves the snapshot columns behind; ``pop`` that returns views instead of
-copies; ``keep`` that writes the kept rows back reversed; ``keep`` that
+leaves the snapshot column behind; ``keep`` that writes the kept rows back
+reversed; ``keep`` that
 leaves the freed tail un-padded; ``restore`` whose failed branch re-inserts
-at the row it popped instead of the end; ``park`` without the
+at the row it popped instead of the end; ``park_where`` without the
 positive-expertise test; ``add`` that skips the backup purge; ``track``
-that gathers ``own_path`` by row number instead of by host.
+that starts a non-empty backup region at zeros instead of ``oid = ip``;
+``push`` that leaves the block in park order (first parked frontmost);
+``push`` that does not trim (``m = len + k``); ``add_many`` that writes
+``oids[:k]`` instead of ``oids[new]``; ``add`` that stores ``ip`` for the
+id.
 """
 
 import numpy as np
@@ -35,7 +41,7 @@ from hypothesis import strategies as st
 from repro.core.agent_list import TrustedAgentList
 from repro.core.messages import AgentListEntry
 from repro.core.semantics import ewma_update
-from repro.vector.state import VectorTrustState
+from repro.vector.state import OnionTable, VectorTrustState
 
 HOSTS = 9  # agent host ips 0 … 8
 RELAYS = 2  # snapshot width
@@ -43,7 +49,10 @@ PEER, NEIGHBOURS = 1, (0, 2)
 ALPHA = 0.3
 #: How often the interleaving plays each op: enough adds to keep the list
 #: near full (where bootstrap leaves it), enough parks to fill the cache.
-MIX = {"add": 6, "add_many": 2, "update": 3, "evict": 2, "park": 5, "restore": 3, "drop": 1}
+MIX = {
+    "add": 6, "add_many": 2, "update": 3, "evict": 2,
+    "park": 4, "park_where": 2, "restore": 3, "drop": 1,
+}
 
 
 def node_id(ip):
@@ -58,14 +67,22 @@ class Both:
         self.ref = [
             TrustedAgentList(capacity, ALPHA, theta, backup, initial) for _ in range(3)
         ]
-        self.arr = VectorTrustState(3, capacity, backup, RELAYS, initial)
+        self.arr = VectorTrustState(3, capacity, backup)
         # Every host's own current onion — what a snapshot taken before the
-        # first departure equals, and what materialize_paths backfills from.
+        # first departure equals, and what the table files under id = ip.
         self.own = [self.snapshot() for _ in range(HOSTS)]
-        self.own_path = np.full((HOSTS, RELAYS), -1, dtype=np.int32)
-        self.own_plen = np.array([len(relays) for relays in self.own], dtype=np.int32)
-        for ip, relays in enumerate(self.own):
-            self.own_path[ip, : len(relays)] = relays
+        self.table = None
+
+    def track(self):
+        """What ArrayHiRepSystem._track_snapshots does (a no-op once tracked)."""
+        self.arr.track_snapshots()
+        if self.table is None:
+            own_path = np.full((HOSTS, RELAYS), -1, dtype=np.int32)
+            for ip, relays in enumerate(self.own):
+                own_path[ip, : len(relays)] = relays
+            self.table = OnionTable(
+                np.array([len(relays) for relays in self.own], dtype=np.int32), own_path
+            )
 
     # -- the interleaving ------------------------------------------------------
 
@@ -83,7 +100,7 @@ class Both:
     def adoptee(self, p):
         """(host, the snapshot its entry carries) for an add."""
         ip = self.someone(p, "new", "new", "new", "new", "back", "live", "any")
-        return ip, self.snapshot() if self.arr.paths_tracked else self.own[ip]
+        return ip, self.snapshot() if self.arr.tracked else self.own[ip]
 
     def next_op(self, p):
         kind = self.rnd.choices(list(MIX), weights=MIX.values())[0]
@@ -98,12 +115,18 @@ class Both:
             return (kind,)
         if kind == "park":
             return kind, self.someone(p, "live", "live", "live", "any")
+        if kind == "park_where":
+            return kind, {self.someone(p, "live", "live", "any") for _ in range(self.rnd.randint(0, 4))}
         return kind, self.someone(p, "back", "back", "back", "any")
 
     # -- one op, both sides ------------------------------------------------------
 
     def entry(self, ip, relays):
         return AgentListEntry(1.0, node_id(ip), relays, None, ip)
+
+    def oid(self, relays):
+        """The id an adopted snapshot goes by (none before tracking)."""
+        return self.table.append(relays) if self.arr.tracked else None
 
     def play(self, p, op):
         """Apply ``op`` to peer ``p`` on both sides → (reference, array) results."""
@@ -112,41 +135,45 @@ class Both:
             _, ip, relays, value = op
             return (
                 ref.add(self.entry(ip, relays), value),
-                arr.add(p, ip, self.initial if value is None else value, relays=list(relays)),
+                arr.add(p, ip, self.initial if value is None else value, self.oid(relays)),
             )
         if kind == "add_many":
             batch = op[1]
-            paths = np.full((len(batch), RELAYS), -1, dtype=np.int32)
-            for i, (_, relays) in enumerate(batch):
-                paths[i, : len(relays)] = relays
+            oids = [self.oid(relays) for _, relays in batch]
             return (
                 sum(ref.add(self.entry(ip, relays)) for ip, relays in batch),
                 arr.add_many(
                     p,
                     np.array([ip for ip, _ in batch], dtype=np.int64),
                     self.initial,
-                    paths,
-                    np.array([len(relays) for _, relays in batch], dtype=np.int32),
+                    np.array(oids, dtype=np.int32) if arr.tracked else None,
                 ),
             )
         if kind == "update":  # what ArrayHiRepSystem._settle does, step 1
-            scored = {ip: bit for ip, bit in op[1].items() if arr.row_of(p, ip) >= 0}
-            rows = np.array([arr.row_of(p, ip) for ip in scored], dtype=np.int64)
+            scored = {ip: bit for ip, bit in op[1].items() if arr.live.find(p, ip) >= 0}
+            rows = np.array([arr.live.find(p, ip) for ip in scored], dtype=np.int64)
             bits = np.array(list(scored.values()), dtype=np.float64)
             arr.live_val[p, rows] = ewma_update(ALPHA, arr.live_val[p, rows], bits)
             arr.live_upd[p, rows] += 1
             return (
                 [ref.update_expertise(node_id(ip), float(bit), 1.0) for ip, bit in op[1].items()],
                 [
-                    float(arr.live_val[p, arr.row_of(p, ip)]) if ip in scored else None
+                    float(arr.live_val[p, arr.live.find(p, ip)]) if ip in scored else None
                     for ip in op[1]
                 ],
             )
         if kind == "evict":
             return len(ref.evict_below_threshold()), arr.evict_below(p, self.theta)
+        if kind in ("park", "park_where"):
+            # What _settle does with the rows whose agents went offline; the
+            # reference parks them one by one, in row order.
+            away = op[1] if kind == "park_where" else {op[1]}
+            gone = [ip in away for ip in arr.live.hosts(p)]
+            return (
+                sum(ref.park_offline(node_id(ip)) for ip in arr.live.hosts(p) if ip in away),
+                arr.park_where(p, np.array(gone, dtype=bool)),
+            )
         ip = op[1]
-        if kind == "park":
-            return ref.park_offline(node_id(ip)), arr.park(p, ip)
         if kind == "restore":
             return ref.restore_from_backup(node_id(ip)), arr.restore(p, ip)
         assert kind == "drop"
@@ -164,7 +191,7 @@ class Both:
         )
 
     def array_rows(self, p):
-        tracked = self.arr.paths_tracked
+        tracked = self.arr.tracked
         out = []
         for region in (self.arr.live, self.arr.back):
             m = int(region.len[p])
@@ -176,14 +203,16 @@ class Both:
                         ip := int(region.ip[p, row]),
                         float(region.val[p, row]),
                         int(region.upd[p, row]),
-                        tuple(region.path[p, row, : region.plen[p, row]].tolist())
-                        if tracked
-                        else self.own[ip],
+                        self.relays_of(region.oid[p, row]) if tracked else self.own[ip],
                     )
                     for row in range(m)
                 ]
             )
         return tuple(out)
+
+    def relays_of(self, oid):
+        (row,) = self.table.rows([int(oid)])
+        return tuple(row[1 : 1 + row[0]])
 
     def counters(self, side):
         return (
@@ -213,7 +242,6 @@ def test_array_rows_follow_the_reference_list(
     capacity, backup, theta, initial, rnd, steps, track_at
 ):
     both = Both(capacity, backup, theta, initial, rnd)
-    materialize = (both.own_path, both.own_plen)
     # Neighbouring peers hold rows of their own, one of them parked.
     for p in NEIGHBOURS:
         for ip in range(p, p + capacity + 1):
@@ -225,10 +253,10 @@ def test_array_rows_follow_the_reference_list(
 
     for step in range(steps):
         if step == track_at:
-            both.arr.materialize_paths(*materialize)
+            both.track()
         both.check(PEER, both.next_op(PEER))
         for p in NEIGHBOURS:
             assert both.array_rows(p) == neighbours[p] == both.reference_rows(p), (step, p)
-    both.arr.materialize_paths(*materialize)  # a no-op once tracked
+    both.track()  # a no-op once tracked
     for p in range(3):
         assert both.array_rows(p) == both.reference_rows(p)

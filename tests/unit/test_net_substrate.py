@@ -135,3 +135,26 @@ def test_online_list_is_cached_until_liveness_changes(net):
     assert net.online_nodes() is second
     net.apply_churn(np.zeros(N), 0.0, 1.0, ())
     assert net.online_nodes() == list(range(N)) and not net.any_offline
+
+
+# ------------------------------------------------------------ the churn step
+
+
+def test_apply_churn_ignores_foreign_and_repeated_skip_entries(net):
+    """``skip`` is any iterable of ints: entries off either end of the index
+    range name nobody (−1 is not the last node), a node named twice is
+    shielded once, and the liveness mask, both counts and the offline tally
+    move together."""
+    net.set_online(3, False)
+    net.set_online(7, False)
+    draws = np.zeros(N)  # everyone online would leave, everyone offline rejoin
+    draws[5] = 0.9  # … but node 5, whose draw clears both probabilities
+    skip = [-1, 0, 0, 3, N, N + 4, 3, -N]
+    assert net.apply_churn(draws, 0.5, 0.5, skip) == (6, 1)
+    assert net.online_nodes() == [0, 5, 7]  # 0 and 3 shielded, 9 = N − 1 was not
+    assert net.online_mask.tolist() == [i in (0, 5, 7) for i in range(N)]
+    assert net.any_offline
+    assert net.apply_churn(draws, 0.0, 1.0, iter(skip)) == (0, 6)
+    assert net.online_nodes() == [i for i in range(N) if i != 3]
+    net.set_online(3, True)
+    assert not net.any_offline

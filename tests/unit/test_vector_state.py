@@ -8,13 +8,24 @@ import pytest
 from repro.errors import ConfigError, UnknownNodeError
 from repro.net.topology import random_topology
 from repro.vector.network import ArrayNetwork
-from repro.vector.state import VectorTrustState
+from repro.vector.state import OnionTable, VectorTrustState
 
 
 def make_state(**over) -> VectorTrustState:
-    kw = dict(n=6, capacity=3, backup_capacity=2, max_relays=2)
+    kw = dict(n=6, capacity=3, backup_capacity=2)
     kw.update(over)
     return VectorTrustState(**kw)
+
+
+def park(st: VectorTrustState, p: int, ip: int) -> bool:
+    """Agent ``ip`` went offline: one row of peer ``p`` through park_where."""
+    return bool(st.park_where(p, st.live.ip[p, : st.live.len[p]] == ip))
+
+
+def relays_of(table: OnionTable, oid) -> list[int]:
+    """The snapshot a row names: ``table[oid]``."""
+    (row,) = table.rows([int(oid)])
+    return row[1 : 1 + row[0]]
 
 
 # ---------------------------------------------------------------- state
@@ -26,40 +37,40 @@ def test_add_rejects_duplicates_and_overflow():
     assert not st.add(0, 4, 0.5)  # duplicate
     assert st.add(0, 5, 1.0) and st.add(0, 2, 1.0)
     assert not st.add(0, 1, 1.0)  # full
-    assert st.live_hosts(0) == [4, 5, 2]
-    assert st.total_rows() == 3
+    assert st.live.hosts(0) == [4, 5, 2]
+    assert int(st.live_len.sum()) == 3
 
 
 def test_park_is_most_recently_first_and_bounded():
     st = make_state()
     for ip in (1, 2, 3):
         st.add(0, ip, 0.8)
-    assert st.park(0, 1)
-    assert st.park(0, 2)
-    assert st.backup_hosts(0) == [2, 1]  # most recent first
-    assert st.park(0, 3)  # cache full: oldest (1) falls off
-    assert st.backup_hosts(0) == [3, 2]
-    assert st.live_hosts(0) == []
+    assert park(st, 0, 1)
+    assert park(st, 0, 2)
+    assert st.back.hosts(0) == [2, 1]  # most recent first
+    assert park(st, 0, 3)  # cache full: oldest (1) falls off
+    assert st.back.hosts(0) == [3, 2]
+    assert st.live.hosts(0) == []
     assert st.backups_parked == 3
 
 
 def test_park_discards_worthless_rows():
     st = make_state()
     st.add(0, 1, 0.0)
-    assert not st.park(0, 1)  # non-positive expertise: removed outright
-    assert st.backup_hosts(0) == []
+    assert not park(st, 0, 1)  # non-positive expertise: removed outright
+    assert st.back.hosts(0) == []
     no_cache = make_state(backup_capacity=0)
     no_cache.add(0, 1, 0.9)
-    assert not no_cache.park(0, 1)
+    assert not park(no_cache, 0, 1)
 
 
 def test_restore_preserves_value_and_updates():
     st = make_state()
     st.add(0, 1, 0.8)
     st.live_upd[0, 0] = 7
-    st.park(0, 1)
+    park(st, 0, 1)
     assert st.restore(0, 1)
-    assert st.live_hosts(0) == [1]
+    assert st.live.hosts(0) == [1]
     assert float(st.live_val[0, 0]) == 0.8
     assert int(st.live_upd[0, 0]) == 7
     assert st.backups_restored == 1
@@ -70,27 +81,27 @@ def test_restore_into_full_list_rotates_backup_to_end():
     for ip in (1, 2, 3):
         st.add(0, ip, 0.8)
     st.add(1, 9, 0.8)
-    st.park(1, 9)
+    park(st, 1, 9)
     # Fill peer 1's list so the restore target has no room.
     st = make_state()
     st.add(0, 9, 0.8)
-    st.park(0, 9)
+    park(st, 0, 9)
     st.add(0, 8, 0.8)
-    st.park(0, 8)
+    park(st, 0, 8)
     for ip in (1, 2, 3):
         st.add(0, ip, 0.8)
-    assert st.backup_hosts(0) == [8, 9]
+    assert st.back.hosts(0) == [8, 9]
     assert not st.restore(0, 8)  # live list full
-    assert st.backup_hosts(0) == [9, 8]  # rotated to the end, kept
+    assert st.back.hosts(0) == [9, 8]  # rotated to the end, kept
 
 
 def test_readd_purges_backup_row():
     st = make_state()
     st.add(0, 1, 0.8)
-    st.park(0, 1)
-    assert st.backup_hosts(0) == [1]
+    park(st, 0, 1)
+    assert st.back.hosts(0) == [1]
     assert st.add(0, 1, 1.0)
-    assert st.backup_hosts(0) == []
+    assert st.back.hosts(0) == []
 
 
 @pytest.mark.parametrize("tracked", [False, True])
@@ -103,26 +114,22 @@ def test_add_many_equals_one_by_one_add(seed, tracked):
     for st in (many, loop):
         for ip in (1, 2, 3, 4):
             st.add(0, ip, 0.8)
-        st.park(0, 2)
-        st.park(0, 4)
+        park(st, 0, 2)
+        park(st, 0, 4)
         if tracked:
-            st.materialize_paths(
-                np.full((6, 2), -1, dtype=np.int32), np.zeros(6, dtype=np.int32)
-            )
+            st.track_snapshots()
     # Already-listed (1, 3), parked (2, 4), new (0, 5) and repeated hosts.
     hosts = rng.integers(0, 6, size=int(rng.integers(0, 8)))
-    paths = rng.integers(0, 6, size=(hosts.size, 2)).astype(np.int32)
-    plens = rng.integers(0, 3, size=hosts.size).astype(np.int32)
-    added = many.add_many(0, hosts, 1.0, paths, plens)
+    oids = rng.integers(0, 40, size=hosts.size).astype(np.int32)
+    added = many.add_many(0, hosts, 1.0, oids)
     assert added == sum(
-        loop.add(0, int(ip), 1.0, relays=paths[i, : plens[i]])
-        for i, ip in enumerate(hosts)
+        loop.add(0, int(ip), 1.0, oid=int(oids[i])) for i, ip in enumerate(hosts)
     )
     for name in ("live_ip", "live_val", "live_upd", "live_len", "back_ip", "back_len"):
         assert np.array_equal(getattr(many, name), getattr(loop, name)), name
     if tracked:
-        assert np.array_equal(many.live_plen, loop.live_plen)
-        assert np.array_equal(many.live_path, loop.live_path)
+        assert np.array_equal(many.live.oid, loop.live.oid)
+        assert np.array_equal(many.back.oid, loop.back.oid)
 
 
 def test_evict_below_compacts_in_order():
@@ -131,15 +138,17 @@ def test_evict_below_compacts_in_order():
     st.add(0, 2, 0.1)
     st.add(0, 3, 0.7)
     assert st.evict_below(0, 0.4) == 1
-    assert st.live_hosts(0) == [1, 3]
+    assert st.live.hosts(0) == [1, 3]
     assert st.evictions == 1
     assert st.evict_below(0, 0.4) == 0
 
 
-def test_materialize_paths_backfills_owner_paths():
+def test_track_snapshots_starts_every_row_at_its_owners_onion():
     st = make_state()
     st.add(0, 2, 1.0)
     st.add(0, 3, 1.0)
+    st.add(1, 4, 0.8)
+    park(st, 1, 4)  # a backup row older than the first departure
     own_path = np.full((6, 2), -1, dtype=np.int32)
     own_plen = np.zeros(6, dtype=np.int32)
     own_path[2] = [4, 5]
@@ -147,16 +156,93 @@ def test_materialize_paths_backfills_owner_paths():
     own_path[3, 0] = 1
     own_plen[3] = 1
     before = st.nbytes()
-    st.materialize_paths(own_path, own_plen)
-    assert st.paths_tracked
-    assert st.nbytes() > before
-    assert list(st.live_path[0, 0, :2]) == [4, 5]
-    assert int(st.live_plen[0, 0]) == 2
-    assert int(st.live_plen[0, 1]) == 1
+    st.track_snapshots()
+    table = OnionTable(own_plen, own_path)
+    assert st.tracked
+    assert st.nbytes() == before + 4 * st.n * (st.capacity + st.backup_capacity)
+    assert relays_of(table, st.live.oid[0, 0]) == [4, 5]
+    assert relays_of(table, st.live.oid[0, 1]) == [1]
+    assert relays_of(table, st.back.oid[1, 0]) == []
+    # Later rebuilds leave the snapshot alone: it names a row, not the owner.
+    own_path[2] = [0, 1]
+    assert table.append([0, 1]) == 6
+    assert relays_of(table, st.live.oid[0, 0]) == [4, 5]
     # Idempotent: a second call must not wipe later mutations.
-    st.add(0, 5, 1.0, relays=[0])
-    st.materialize_paths(own_path, own_plen)
-    assert int(st.live_plen[0, 2]) == 1
+    st.add(0, 5, 1.0, oid=table.append([0]))
+    st.track_snapshots()
+    assert relays_of(table, st.live.oid[0, 2]) == [0]
+    # A parked and restored record keeps its id.
+    park(st, 0, 5)
+    assert relays_of(table, st.back.oid[0, 0]) == [0]
+    assert st.restore(0, 5) and relays_of(table, st.live.oid[0, 2]) == [0]
+
+
+def test_track_snapshots_leaves_an_empty_backup_region_untouched():
+    st = make_state()
+    st.add(0, 2, 1.0)
+    st.track_snapshots()
+    assert np.array_equal(st.live.oid, st.live_ip)
+    assert not st.back.oid.any()  # zeros: nothing parked, nothing copied
+
+
+def test_add_without_an_onion_id_is_refused_once_tracked():
+    """Before tracking a row's snapshot is implied; after it, a row without
+    one could never be reached — the old silent default stored exactly that."""
+    st = make_state()
+    assert st.add(0, 2, 1.0)
+    st.track_snapshots()
+    with pytest.raises(ConfigError, match="onion id"):
+        st.add(0, 3, 1.0)
+    with pytest.raises(ConfigError, match="onion id"):
+        st.add(0, 2, 1.0)  # even where the add would have been a no-op
+    with pytest.raises(ConfigError, match="onion id"):
+        st.add_many(0, np.array([3, 4]), 1.0)
+    assert st.live.hosts(0) == [2]
+    assert st.add(0, 3, 1.0, oid=3)
+
+
+def test_onion_table_is_append_only_and_grows():
+    own_path = np.array([[1, 2], [0, -1], [-1, -1]], dtype=np.int32)
+    table = OnionTable(np.array([2, 1, 0], dtype=np.int32), own_path)
+    assert table.count == 3 and table.nbytes() == 3 * 3 * 4
+    assert [relays_of(table, oid) for oid in range(3)] == [[1, 2], [0], []]
+    stored = {}
+    for i in range(40):  # past the first allocation, twice
+        relays = [i % 3] * (i % 3)
+        stored[table.append(relays)] = relays
+    assert list(stored) == list(range(3, 43))
+    assert all(relays_of(table, oid) == relays for oid, relays in stored.items())
+    assert [relays_of(table, oid) for oid in range(3)] == [[1, 2], [0], []]
+    assert table.rows(np.array([0, 41]))[1][:3] == [2, 2, 2]
+    assert table.nbytes() == 43 * 3 * 4
+
+
+def test_park_where_moves_a_block_as_it_moves_its_rows_one_by_one():
+    gone = np.array([True, False, True, True, False])
+    states = []
+    for block in (True, False):
+        st = make_state(capacity=5)
+        for ip, value in zip((1, 2, 3, 4, 5), (0.8, 0.7, 0.0, 0.6, 0.5)):
+            st.add(0, ip, value)
+        st.track_snapshots()
+        st.live.oid[0, :5] = [11, 12, 13, 14, 15]
+        park(st, 0, 5)
+        if block:
+            st.park_where(0, gone[:4])
+        else:
+            for ip in (1, 3, 4):
+                park(st, 0, ip)
+        states.append(st)
+    block, loop = states
+    assert block.live.hosts(0) == [2] and block.back.hosts(0) == [4, 1]
+    assert block.back.oid[0].tolist() == [14, 11]
+    assert block.backups_parked == loop.backups_parked == 3
+    for got, want in ((block.live, loop.live), (block.back, loop.back)):
+        # ip is -1 beyond len; the other columns keep whatever was there.
+        assert np.array_equal(got.ip, want.ip) and np.array_equal(got.len, want.len)
+        m = int(got.len[0])
+        for mine, theirs in zip(got.columns, want.columns, strict=True):
+            assert np.array_equal(mine[0, :m], theirs[0, :m])
 
 
 def test_state_validates_capacities():
@@ -223,6 +309,60 @@ def test_array_system_rejects_unsupported_options():
         ArrayHiRepSystem(cfg.with_(query_timeout_ms=50.0))
     with pytest.raises(ConfigError):
         ArrayHiRepSystem(cfg, bootstrap_mode="magic")
+
+
+def _count_onion_send(mask, relays: list[int], owner: int) -> tuple[int, bool]:
+    """The hop rule as ``ArrayHiRepSystem._count_onion_send`` stated it, one
+    send at a time over the numpy liveness mask; kept as the reference for
+    ``_send_leg``.  The wire walks the path entry-first (= reversed storage
+    order); each hop to an online node costs one message, the first offline
+    relay swallows the message, and delivery needs the owner online too."""
+    messages = 1
+    alive = True
+    for relay in reversed(relays):
+        if mask[relay]:
+            messages += 1
+        else:
+            alive = False
+            break
+    return messages, alive and bool(mask[owner])
+
+
+def test_send_leg_bills_a_leg_by_the_onion_send_rule():
+    """A dead entry, middle or innermost relay, a dead owner, a relay-less
+    onion and a clean path, billed in one call and in a shuffled row order."""
+    from repro.vector.system import ArrayHiRepSystem
+    from repro.workloads.scenarios import default_config
+
+    cfg = default_config(network_size=60, seed=3).with_(
+        trusted_agents=8, refill_threshold=4, agents_queried=3, onion_relays=3
+    )
+    system = ArrayHiRepSystem(cfg, bootstrap_mode="seeded")
+    system.bootstrap()
+    st, net = system.state, system.network
+    req = 0
+    hosts = st.live.hosts(req)[:6]
+    assert len(hosts) == 6
+    spare = [i for i in range(1, 60) if i not in hosts]
+    net.set_online(spare.pop(), False)  # the first departure: ids from here on
+    assert st.tracked and np.array_equal(st.live.oid[req, :6], hosts)
+    paths = [spare[0:3], spare[3:6], spare[6:9], spare[9:12], [], spare[12:15]]
+    for row, path in enumerate(paths):
+        st.live.oid[req, row] = system._onions.append(path)
+    for dead in (paths[0][2], paths[1][1], paths[2][0], hosts[3]):
+        net.set_online(dead, False)
+
+    want = [_count_onion_send(net.online_mask, path, host) for path, host in zip(paths, hosts)]
+    assert want == [(1, False), (2, False), (3, False), (4, False), (1, True), (4, True)]
+    messages, hops = system._send_leg(req, list(range(6)), hosts)
+    assert messages == sum(sent for sent, _ in want) == 15
+    assert hops == [0, 0, 0, 0, 1, 4]  # what a delivered send took, else 0
+    order = [5, 2, 4, 0]
+    messages, hops = system._send_leg(req, order, [hosts[row] for row in order])
+    assert (messages, hops) == (4 + 3 + 1 + 1, [4, 0, 1, 0])
+    # The owner of a path that already lost the message changes nothing.
+    net.set_online(hosts[0], False)
+    assert system._send_leg(req, [0], [hosts[0]]) == (1, [0])
 
 
 def test_telemetry_capture_records_spans_and_metrics(tmp_path, capsys):
@@ -295,7 +435,7 @@ def _seed_with_modulo(system) -> int:
     st.live_len[:] = fill
     if count <= fill:
         for p in np.flatnonzero(self_hit.any(axis=1)):
-            st.live.pop(int(p), st.row_of(int(p), int(p)))
+            st.live.pop(int(p), st.live.find(int(p), int(p)))
     return int(self_hit.any(axis=1).sum())
 
 
