@@ -115,7 +115,6 @@ def test_bench_kernel_array_under_churn(benchmark, run_once, scale, kernel_recor
         transactions=params["transactions"], bootstrap_mode="seeded",
         churn=ChurnModel(*params["churn"]),
     )
-    row["opts"]["churn"] = "/".join(map(str, params["churn"]))  # not the object's repr
     kernel_records.append(row)
     benchmark.extra_info["tx_per_sec"] = round(row["tx_per_sec"], 1)
     benchmark.extra_info["state_bytes_per_peer"] = round(

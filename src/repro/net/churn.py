@@ -61,6 +61,11 @@ class ChurnModel:
         self.protected = protected or set()
         self.stats = ChurnStats()
 
+    def __repr__(self) -> str:
+        # Perf records and manifests key a run by str() of its options.
+        shielded = f", protected={sorted(self.protected)}" if self.protected else ""
+        return f"ChurnModel({self.leave_prob}, {self.rejoin_prob}{shielded})"
+
     def step(
         self,
         network: Substrate,

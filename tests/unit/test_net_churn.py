@@ -21,6 +21,12 @@ def test_validation():
         ChurnModel(leave_prob=0.1, rejoin_prob=-0.1)
 
 
+def test_repr_names_the_run_not_the_object():
+    """Perf records key a series by ``str()`` of a run's options."""
+    assert repr(ChurnModel(0.01, 0.2)) == "ChurnModel(0.01, 0.2)"
+    assert repr(ChurnModel(0.1, protected={3, 1})) == "ChurnModel(0.1, 0.5, protected=[1, 3])"
+
+
 def test_zero_churn_is_noop(net):
     churn = ChurnModel(leave_prob=0.0, rejoin_prob=0.0)
     rng = np.random.default_rng(2)
