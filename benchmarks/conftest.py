@@ -63,9 +63,13 @@ def scale() -> dict:
             # runs swing that much) and 7x under the lowest — CI-runner slack,
             # as 300 was 12x under the 3 700 it last guarded
             "kernel_smoke": dict(network_size=100_000, transactions=50, floor_tx_per_sec=400.0),
+            # floor: 11x under the lowest of the committed baseline's three
+            # churn samples (2 748 / 2 908 / 2 898 tx/s, one 2 000-transaction
+            # round each, first departure included) — the slack the 100k
+            # floor above carries under its median
             "kernel_churn": dict(
                 network_size=20_000, transactions=2000, churn=(0.01, 0.2),
-                floor_tx_per_sec=300.0,
+                floor_tx_per_sec=250.0,
             ),
         }
     return {
