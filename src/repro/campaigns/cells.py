@@ -16,6 +16,10 @@ died in — the scheduler records a *successful* job whose payload says the
 cell is degraded, ``hirep-campaign run --strict`` turns that into a
 non-zero exit, and the scorecard marks the (scenario, system) pair
 degraded instead of the whole campaign crashing.
+
+The ``degradation`` and ``churn`` experiments are lists of these cells
+too (their ``plan()`` is a ``Campaign.compile()``); there a ``cell_error``
+fails the experiment (:func:`repro.exec.sweeps.job_values`).
 """
 
 from __future__ import annotations

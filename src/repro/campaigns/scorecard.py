@@ -11,11 +11,18 @@ round-trip):
 * ``success_rate`` — fraction of transactions that got an answer;
 * ``msgs_per_tx`` / ``retries_per_tx`` / ``drops_per_tx`` /
   ``churn_events_per_tx`` — overhead accounting;
+* ``maintenance_msgs_per_tx`` — §3.4.3 list upkeep (agent discovery,
+  discovery replies and control probes) per transaction;
+* ``fault_stats`` — the fault plane's ``FaultStats.as_dict()`` (``None``
+  without a plane);
 * ``attack_level`` — ``protocol`` / ``config`` / ``none`` (see
   :mod:`repro.campaigns.attach`).
 
 :func:`aggregate_cells` averages per-seed cells; the report layer then
 adds degradation deltas against the campaign's clean reference cells.
+The maintenance and fault-stats readings are per cell only (the
+``degradation`` and ``churn`` experiments read them); no card averages
+them.
 """
 
 from __future__ import annotations
@@ -23,6 +30,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from typing import Any, Sequence
+
+from repro.net.messages import Category
 
 __all__ = [
     "DETECT_THRESHOLD",
@@ -42,6 +51,13 @@ DETECT_WINDOW = 10
 
 #: metric keys that participate in degradation deltas vs the clean cell.
 DELTA_METRICS = ("mse", "success_rate", "msgs_per_tx", "retries_per_tx")
+
+#: traffic categories that are list upkeep rather than queries or reports.
+MAINTENANCE_CATEGORIES = (
+    Category.AGENT_DISCOVERY,
+    Category.AGENT_DISCOVERY_REPLY,
+    Category.CONTROL,
+)
 
 
 def time_to_detect(
@@ -122,6 +138,10 @@ def cell_metrics(
         churn_events = (
             churn_model.stats.departures + churn_model.stats.rejoins
         ) / transactions
+    maintenance = sum(
+        system.counter.by_category.get(category, 0)
+        for category in MAINTENANCE_CATEGORIES
+    )
     mean_rt = system.response_times.mean()
     return {
         "mean_response_ms": None if math.isnan(mean_rt) else float(mean_rt),
@@ -136,6 +156,8 @@ def cell_metrics(
         "retries_per_tx": float(retries),
         "drops_per_tx": float(drops),
         "churn_events_per_tx": float(churn_events),
+        "maintenance_msgs_per_tx": maintenance / transactions,
+        "fault_stats": None if fault_plane is None else fault_plane.stats.as_dict(),
     }
 
 

@@ -37,7 +37,6 @@ from repro.crypto.backend import get_backend
 from repro.crypto.hashing import NodeID
 from repro.crypto.keys import PeerKeys
 from repro.net.churn import ChurnModel
-from repro.net.faults import FaultPlane
 from repro.net.latency import LatencyModel
 
 __all__ = ["HiRepSystem"]
@@ -54,7 +53,6 @@ class HiRepSystem(HiRepRuntime):
         churn: ChurnModel | None = None,
         model_factory: ModelFactory | None = None,
         topology=None,
-        faults: FaultPlane | None = None,
     ) -> None:
         """Build the network, keys, peers, agents, and wiring.
 
@@ -66,19 +64,15 @@ class HiRepSystem(HiRepRuntime):
         topology:
             Optional explicit :class:`~repro.net.topology.Topology` instead
             of a generated one; node count must match the config.
-        faults:
-            Optional :class:`~repro.net.faults.FaultPlane` installed on
-            the network before any traffic flows.  The plane draws from
-            its own seeded generator, so passing ``None`` reproduces the
-            reliable-network runs bit for bit.
+
+        Fault injection attaches from outside:
+        ``FaultPlane([...], seed=...).install(system.network)`` before
+        traffic flows.
         """
         config = config or HiRepConfig()
         world = World.from_config(config, latency_model, topology=topology)
         super().__init__(config, world)
         self.churn = churn
-        self.faults = faults
-        if faults is not None:
-            faults.install(self.network)
 
         self.backend = get_backend(config.crypto_backend)
         self.wiring = build_wiring(

@@ -17,7 +17,8 @@ many of them well:
   makes interrupted sweeps resumable;
 * :mod:`repro.exec.progress` — live counter line + final timing table;
 * :mod:`repro.exec.sweeps` — the plan/assemble protocol experiment
-  modules use to fan a sweep out into independent jobs.
+  modules use to fan a sweep out into independent jobs (``SweepPlan.run()``
+  is the in-process run every planned module's ``run()`` is).
 
 Quick start::
 
@@ -37,7 +38,7 @@ from repro.exec.job import JobSpec, canonical_json, code_fingerprint, job_key
 from repro.exec.manifest import RunManifest
 from repro.exec.progress import ProgressReporter, summary_line, summary_table
 from repro.exec.scheduler import JobFailure, JobOutcome, SweepScheduler
-from repro.exec.sweeps import SweepPlan, plan_for, replication_plan
+from repro.exec.sweeps import SweepPlan, job_values, plan_for, replication_plan
 from repro.exec.worker import decode_payload, encode_value, execute_spec
 
 __all__ = [
@@ -54,6 +55,7 @@ __all__ = [
     "JobOutcome",
     "SweepScheduler",
     "SweepPlan",
+    "job_values",
     "plan_for",
     "replication_plan",
     "decode_payload",

@@ -6,9 +6,12 @@ An experiment module may define::
 
 returning the independent jobs its sweep decomposes into plus an
 ``assemble`` callable that folds the per-job values back into the single
-:class:`~repro.experiments.common.ExperimentResult` the serial ``run()``
-would have produced.  Modules without a ``plan`` are scheduled as one
-job over their ``run()``.
+:class:`~repro.experiments.common.ExperimentResult`.  Such a module's
+``run()`` is ``plan(...).run()`` — the jobs through
+``SweepScheduler(jobs=1)``, then ``assemble`` — so a library call and
+``hirep-experiments --jobs 1`` run the same code, and
+``SweepScheduler(jobs=N)`` is the one way to go parallel.  Modules
+without a ``plan`` are scheduled as one job over their ``run()``.
 
 :func:`plan_for` resolves a registry entry either way, and
 :func:`replication_plan` fans one experiment's ``--replicate`` seeds out
@@ -18,14 +21,39 @@ as sibling jobs whose results pool into a
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from types import ModuleType
 from typing import Any, Callable, Sequence
 
 from repro.exec.job import JobSpec
+from repro.exec.scheduler import JobFailure, JobOutcome, SweepScheduler
 
-__all__ = ["SweepPlan", "plan_for", "replication_plan"]
+__all__ = ["SweepPlan", "job_values", "plan_for", "replication_plan"]
+
+
+def job_values(outcomes: Sequence[JobOutcome]) -> list[Any]:
+    """Each job's value, in order; the first failed job raises
+    :class:`~repro.exec.scheduler.JobFailure` naming it.
+
+    A campaign cell that caught its own error (a structured ``cell_error``
+    payload, see :mod:`repro.campaigns.cells`) counts as failed here: an
+    experiment assembled without it would be missing a point.
+    """
+    values = []
+    for outcome in outcomes:
+        value = outcome.value()
+        error = value.get("cell_error") if isinstance(value, dict) else None
+        if error is not None:
+            raise JobFailure(
+                replace(
+                    outcome,
+                    payload=None,
+                    error=f"[{error['stage']}] {error['type']}: {error['message']}",
+                )
+            )
+        values.append(value)
+    return values
 
 
 @dataclass
@@ -38,6 +66,15 @@ class SweepPlan:
     def __post_init__(self) -> None:
         if not self.specs:
             raise ValueError("a sweep plan needs at least one job")
+
+    def run(self) -> Any:
+        """Run every job in-process, in order, and assemble the result.
+
+        A failing job is not retried (in-process it would fail the same
+        way) and raises :class:`~repro.exec.scheduler.JobFailure`.
+        """
+        outcomes = SweepScheduler(jobs=1, retries=0).run(self.specs)
+        return self.assemble(job_values(outcomes))
 
 
 def _single(values: list[Any]) -> Any:

@@ -259,18 +259,8 @@ def plan(network_size: int = 250, seed: int = 2006):
     return SweepPlan(specs=specs, assemble=assemble_ablations)
 
 
-def run(network_size: int = 250, seed: int = 2006, executor=None) -> ExperimentResult:
-    if executor is None:
-        values = [
-            ablation_job(kind, network_size, seed) for kind in ABLATIONS
-        ]
-    else:
-        futures = [
-            executor.submit(ablation_job, kind, network_size, seed)
-            for kind in ABLATIONS
-        ]
-        values = [f.result() for f in futures]
-    return assemble_ablations(values)
+def run(network_size: int = 250, seed: int = 2006) -> ExperimentResult:
+    return plan(network_size, seed).run()
 
 
 def main() -> str:

@@ -203,23 +203,8 @@ def run(
     transactions: int = 150,
     seed: int = 2006,
     attacker_ratio: float = 0.2,
-    executor=None,
 ) -> ExperimentResult:
-    systems = list(SYSTEMS)
-    if executor is None:
-        values = [
-            system_cell(system, network_size, transactions, seed, attacker_ratio)
-            for system in systems
-        ]
-    else:
-        futures = [
-            executor.submit(
-                system_cell, system, network_size, transactions, seed, attacker_ratio
-            )
-            for system in systems
-        ]
-        values = [f.result() for f in futures]
-    return assemble_baselines(values, systems)
+    return plan(network_size, transactions, seed, attacker_ratio).run()
 
 
 def render_result(result: ExperimentResult) -> str:

@@ -9,6 +9,11 @@ with the backup cache enabled:
 * trained accuracy — tail MSE;
 * maintenance overhead — discovery + probe messages per transaction.
 
+Every rate is one campaign scenario (:mod:`repro.campaigns`): a
+:class:`~repro.campaigns.specs.ChurnSpec` the cell steps between
+transactions on its own stream, the requestor shielded.  :func:`plan` is
+the cells ``Campaign.compile()`` emits; ``run()`` runs them in-process.
+
 Expected shape: accuracy degrades gracefully (agents are replaceable, the
 community is large — the same §4.2.4 argument as for DoS), while
 maintenance traffic grows with churn since lists need constant repair.
@@ -16,63 +21,70 @@ maintenance traffic grows with churn since lists need constant repair.
 
 from __future__ import annotations
 
-import numpy as np
+from functools import partial
 
-from repro.core.registry import build_system
 from repro.experiments.common import ExperimentResult, Series
-from repro.net.churn import ChurnModel
-from repro.net.messages import Category
-from repro.workloads.scenarios import default_config
 
-__all__ = ["run", "main", "CHURN_RATES"]
+__all__ = ["run", "plan", "assemble", "main", "CHURN_RATES"]
 
 CHURN_RATES = (0.0, 0.02, 0.05, 0.10)
 
+#: the reduced lists the sweep runs with (default token budget).
+OVERRIDES = {
+    "trusted_agents": 20,
+    "refill_threshold": 12,
+    "agents_queried": 8,
+    "onion_relays": 3,
+}
 
-def run(
+
+def plan(
     network_size: int = 250,
     transactions: int = 200,
     seed: int = 2006,
     churn_rates: tuple[float, ...] = CHURN_RATES,
     system: str = "hirep",
-) -> ExperimentResult:
+):
+    """One campaign cell per churn rate, on ``system``; departed peers
+    rejoin with probability 0.4."""
+    from repro.campaigns.specs import Campaign, ChurnSpec, ScenarioSpec, WorkloadSpec
+    from repro.exec.sweeps import SweepPlan
+
+    churn_rates = tuple(churn_rates)
+    workload = WorkloadSpec(
+        network_size=network_size, transactions=transactions, overrides=OVERRIDES
+    )
+    campaign = Campaign(
+        name="churn",
+        scenarios=tuple(
+            ScenarioSpec(
+                name=f"leave={rate:g}",
+                workload=workload,
+                churn=ChurnSpec(leave_prob=rate, rejoin_prob=0.4),
+            )
+            for rate in churn_rates
+        ),
+        systems=(system,),
+        seeds=(seed,),
+    )
+    return SweepPlan(
+        specs=campaign.compile(), assemble=partial(assemble, churn_rates=churn_rates)
+    )
+
+
+def assemble(cells: list[dict], *, churn_rates: tuple[float, ...]) -> ExperimentResult:
+    """Fold the cells' scorecards (one per rate, in order) into the sweep."""
     result = ExperimentResult(
         experiment_id="churn",
         title="Accuracy and maintenance cost under churn",
         x_label="per-transaction leave probability",
         y_label="(per series)",
     )
-    cfg = default_config(network_size=network_size, seed=seed).with_(
-        trusted_agents=20,
-        refill_threshold=12,
-        agents_queried=8,
-        onion_relays=3,
-    )
-    xs: list[float] = []
-    mse_y: list[float] = []
-    answered_y: list[float] = []
-    maintenance_y: list[float] = []
-    for rate in churn_rates:
-        churn = (
-            ChurnModel(leave_prob=rate, rejoin_prob=0.4, protected={0})
-            if rate > 0
-            else None
-        )
-        instance = build_system(system, cfg, churn=churn)
-        instance.bootstrap()
-        instance.reset_metrics()
-        instance.run(transactions, requestor=0)
-        xs.append(rate)
-        mse_y.append(instance.mse.tail_mse(transactions // 3))
-        answered_y.append(
-            float(np.mean([o.answered > 0 for o in instance.outcomes]))
-        )
-        maintenance = (
-            instance.counter.by_category.get(Category.AGENT_DISCOVERY, 0)
-            + instance.counter.by_category.get(Category.AGENT_DISCOVERY_REPLY, 0)
-            + instance.counter.by_category.get(Category.CONTROL, 0)
-        )
-        maintenance_y.append(maintenance / transactions)
+    cards = [cell["scorecard"] for cell in cells]
+    xs = list(churn_rates)
+    mse_y = [card["mse"] for card in cards]
+    answered_y = [card["success_rate"] for card in cards]
+    maintenance_y = [card["maintenance_msgs_per_tx"] for card in cards]
     result.series.append(Series(name="tail_mse", x=xs, y=mse_y))
     result.series.append(Series(name="answered_fraction", x=xs, y=answered_y))
     result.series.append(Series(name="maintenance_msgs_per_tx", x=xs, y=maintenance_y))
@@ -90,6 +102,16 @@ def run(
         + ("HOLDS" if maintenance_y[-1] > maintenance_y[0] else "VIOLATED")
     )
     return result
+
+
+def run(
+    network_size: int = 250,
+    transactions: int = 200,
+    seed: int = 2006,
+    churn_rates: tuple[float, ...] = CHURN_RATES,
+    system: str = "hirep",
+) -> ExperimentResult:
+    return plan(network_size, transactions, seed, churn_rates, system).run()
 
 
 def main() -> str:

@@ -84,25 +84,16 @@ class Replication:
 def replicate(
     run: Callable[..., ExperimentResult],
     seeds,
-    executor=None,
     **kwargs,
 ) -> Replication:
     """Run ``run(seed=s, **kwargs)`` for each seed and pool the scalars.
 
-    Seeds are independent, so an injected
-    :class:`concurrent.futures.Executor` fans them out across workers
-    (``run`` must then be picklable, e.g. a module-level function);
-    results are pooled in seed order either way, so the replication is
-    identical to the serial loop.  The CLI's ``--replicate --jobs N``
-    path instead submits seeds through the orchestrator
+    Serial, in seed order.  Parallel seeds are the CLI's ``--replicate
+    --jobs N`` path, which submits them through the orchestrator
     (:func:`repro.exec.sweeps.replication_plan`).
     """
     seeds = [int(s) for s in seeds]
     if not seeds:
         raise ValueError("need at least one seed")
-    if executor is None:
-        results = [run(seed=seed, **kwargs) for seed in seeds]
-    else:
-        futures = [executor.submit(run, seed=seed, **kwargs) for seed in seeds]
-        results = [future.result() for future in futures]
+    results = [run(seed=seed, **kwargs) for seed in seeds]
     return Replication.from_results(results, seeds)

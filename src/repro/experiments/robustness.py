@@ -15,11 +15,9 @@ each on a live system:
    at most transiently; after recovery transactions the MSE returns to the
    trained level.
 
-:func:`run_degradation` (the ``degradation`` experiment) adds the
-*environmental* robustness axis: a loss-rate × crash-fraction sweep over
-the fault-injection plane (`repro.net.faults`) with the timeout/retry
-plane armed, measuring how accuracy, query coverage and retry traffic
-degrade as the network gets nastier.
+The *environmental* robustness axis (message loss × crashes) is the
+``degradation`` experiment, a list of campaign scenarios
+(:mod:`repro.experiments.degradation`).
 """
 
 from __future__ import annotations
@@ -29,18 +27,10 @@ import numpy as np
 from repro.attacks.dos import restore_agents, take_down_top_agents
 from repro.attacks.spoofing import mount_spoofing_attack
 from repro.core.registry import build_system
-from repro.experiments.common import ExperimentResult, Series
-from repro.net.faults import FaultPlane
+from repro.experiments.common import ExperimentResult
 from repro.workloads.scenarios import default_config
 
-__all__ = [
-    "run",
-    "run_degradation",
-    "degradation_cell",
-    "degradation_cells",
-    "assemble_degradation",
-    "main",
-]
+__all__ = ["run", "main"]
 
 
 def _small(network_size: int, seed: int):
@@ -153,170 +143,6 @@ def run(network_size: int = 250, seed: int = 2006) -> ExperimentResult:
         + ("HOLDS" if after_mse < max(2.0 * before_mse, 0.1) else "VIOLATED")
     )
     return result
-
-
-def degradation_cell(
-    network_size: int = 120,
-    seed: int = 2006,
-    transactions: int = 40,
-    loss: float = 0.0,
-    crash_fraction: float = 0.0,
-) -> dict:
-    """One cell of the loss × crash sweep — pure and picklable.
-
-    Builds its whole world (config, fault plane, system) from scalar
-    arguments, so cells are independent jobs the orchestrator can fan out
-    across worker processes; the serial sweep calls the very same
-    function, which is what keeps ``--jobs N`` bit-identical to serial.
-    """
-    from repro.campaigns.specs import FaultSpec
-
-    cfg = _small(network_size, seed).with_(
-        query_timeout_ms=2_000.0,
-        max_query_retries=2,
-        agent_miss_limit=3,
-    )
-    models = FaultSpec(loss=loss, crash_fraction=crash_fraction).build_models(
-        network_size, exclude={0}
-    )
-    plane = FaultPlane(models, seed=seed + 17) if models else None
-    system = build_system("hirep", cfg, faults=plane)
-    system.bootstrap()
-    system.reset_metrics()
-    system.run(transactions, requestor=0)
-    return {
-        "mse": float(system.mse.tail_mse(max(transactions // 3, 10))),
-        "coverage": float(np.mean([o.answered > 0 for o in system.outcomes])),
-        "retries_per_tx": system.retry_stats()["retries_sent"] / transactions,
-        "fault_stats": plane.stats.as_dict() if plane is not None else None,
-    }
-
-
-def degradation_cells(
-    loss_rates: tuple[float, ...], crash_fractions: tuple[float, ...]
-) -> list[tuple[float, float]]:
-    """Sweep cells as ``(crash_fraction, loss)`` in canonical order."""
-    return [
-        (crash_fraction, loss)
-        for crash_fraction in crash_fractions
-        for loss in loss_rates
-    ]
-
-
-def assemble_degradation(
-    cell_values: list[dict],
-    *,
-    loss_rates: tuple[float, ...] = (0.0, 0.1, 0.2, 0.3),
-    crash_fractions: tuple[float, ...] = (0.0, 0.15),
-) -> ExperimentResult:
-    """Fold per-cell measurements (in :func:`degradation_cells` order)
-    back into the sweep's :class:`ExperimentResult`."""
-    result = ExperimentResult(
-        experiment_id="degradation",
-        title="Graceful degradation under message loss and crashes",
-        x_label="uniform message-loss probability",
-        y_label="(per series)",
-    )
-    worst_stats: dict[str, float] = {}
-    grid = iter(cell_values)
-    for crash_fraction in crash_fractions:
-        mse_y: list[float] = []
-        coverage_y: list[float] = []
-        retries_y: list[float] = []
-        for _loss in loss_rates:
-            cell = next(grid)
-            mse_y.append(cell["mse"])
-            coverage_y.append(cell["coverage"])
-            retries_y.append(cell["retries_per_tx"])
-            if cell["fault_stats"] is not None:
-                worst_stats = cell["fault_stats"]
-        tag = f"crash={crash_fraction:g}"
-        result.series.append(Series(name=f"mse[{tag}]", x=list(loss_rates), y=mse_y))
-        result.series.append(
-            Series(name=f"coverage[{tag}]", x=list(loss_rates), y=coverage_y)
-        )
-        result.series.append(
-            Series(name=f"retries_per_tx[{tag}]", x=list(loss_rates), y=retries_y)
-        )
-    for key, value in worst_stats.items():
-        result.scalars[f"fault_{key}"] = float(value)
-
-    baseline_cov = result.get(f"coverage[crash={crash_fractions[0]:g}]").y[0]
-    worst_cov = min(min(s.y) for s in result.series if s.name.startswith("coverage"))
-    result.scalars["coverage_fault_free"] = baseline_cov
-    result.scalars["coverage_worst_cell"] = worst_cov
-    result.note(
-        "retries keep queries completing under 20% loss (coverage > 0.5 in "
-        "every swept cell) — "
-        + ("HOLDS" if worst_cov > 0.5 else "VIOLATED")
-    )
-    retry_series = [s for s in result.series if s.name.startswith("retries_per_tx")]
-    monotone = all(
-        s.y[i] <= s.y[i + 1] + 1e-9
-        for s in retry_series
-        for i in range(len(s.y) - 1)
-    )
-    result.note(
-        "retry traffic grows with the loss rate (degradation is paid in "
-        "retries, not silence) — " + ("HOLDS" if monotone else "MIXED")
-    )
-    return result
-
-
-def run_degradation(
-    network_size: int = 120,
-    seed: int = 2006,
-    transactions: int = 40,
-    loss_rates: tuple[float, ...] = (0.0, 0.1, 0.2, 0.3),
-    crash_fractions: tuple[float, ...] = (0.0, 0.15),
-    executor=None,
-) -> ExperimentResult:
-    """Loss-rate × crash-fraction sweep: graceful degradation, measured.
-
-    Every cell runs the same seeded workload on a network with uniform
-    message loss and scheduled crash windows injected, with the
-    timeout/retry plane armed (2 s deadline, 2 retries, 3-miss parking).
-    Reported per crash fraction, as functions of the loss rate:
-
-    * ``mse`` — tail MSE of the trust estimates;
-    * ``coverage`` — fraction of transactions with ≥ 1 answer;
-    * ``retries_per_tx`` — retry traffic the deadline plane spent.
-
-    Cells are independent; pass a :class:`concurrent.futures.Executor`
-    to fan them out (results are order-stable either way).  The CLI's
-    ``--jobs N`` path instead submits the cells through the orchestrator
-    via :func:`repro.experiments.degradation.plan`.
-    """
-    cells = degradation_cells(tuple(loss_rates), tuple(crash_fractions))
-    if executor is None:
-        values = [
-            degradation_cell(
-                network_size=network_size,
-                seed=seed,
-                transactions=transactions,
-                loss=loss,
-                crash_fraction=crash_fraction,
-            )
-            for crash_fraction, loss in cells
-        ]
-    else:
-        futures = [
-            executor.submit(
-                degradation_cell,
-                network_size=network_size,
-                seed=seed,
-                transactions=transactions,
-                loss=loss,
-                crash_fraction=crash_fraction,
-            )
-            for crash_fraction, loss in cells
-        ]
-        values = [f.result() for f in futures]
-    return assemble_degradation(
-        values,
-        loss_rates=tuple(loss_rates),
-        crash_fractions=tuple(crash_fractions),
-    )
 
 
 def main() -> str:

@@ -31,8 +31,8 @@ from pathlib import Path
 from repro.exec.cache import ResultCache
 from repro.exec.manifest import RunManifest
 from repro.exec.progress import ProgressReporter, summary_line, summary_table
-from repro.exec.scheduler import SweepScheduler
-from repro.exec.sweeps import SweepPlan, plan_for, replication_plan
+from repro.exec.scheduler import JobFailure, SweepScheduler
+from repro.exec.sweeps import SweepPlan, job_values, plan_for, replication_plan
 from repro.experiments import (
     ablations,
     baseline_comparison,
@@ -381,18 +381,14 @@ def main(argv: list[str] | None = None) -> int:
         outs = outcomes[offset : offset + len(plan.specs)]
         offset += len(plan.specs)
         elapsed = sum(o.elapsed_s for o in outs)
-        failed = [o for o in outs if not o.ok]
-        if failed:
-            for o in failed:
-                print(
-                    f"   {o.spec.display()} FAILED after {o.attempts} "
-                    f"attempt(s): {o.error}",
-                    file=sys.stderr,
-                )
+        try:
+            values = job_values(outs)
+        except JobFailure as exc:
+            print(f"   {exc}", file=sys.stderr)
             print(f"   [{name} FAILED at scale={scale}]\n", file=sys.stderr)
             status = 1
             continue
-        assembled = plan.assemble([o.value() for o in outs])
+        assembled = plan.assemble(values)
         if replicate and name != "table1":
             print(assembled.render())
             print(f"   [{name} x{replicate} in {elapsed:.1f}s at scale={scale}]\n")

@@ -311,7 +311,7 @@ class FaultPlane:
     Usage::
 
         plane = FaultPlane([MessageLoss(0.2)], seed=7)
-        plane.install(network)        # or HiRepSystem(cfg, faults=plane)
+        plane.install(system.network) # before any traffic flows
         ...
         plane.stats.drops             # deterministic for a fixed seed
 

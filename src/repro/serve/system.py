@@ -59,7 +59,6 @@ DRAIN_WINDOW_MS = 5_000.0
 #: Build options other hiREP executors take, and which of them to use.
 _UNSUPPORTED = {
     "churn": "'hirep' or 'hirep-array'",
-    "faults": "'hirep'",
     "topology": "'hirep' or 'hirep-array'",
     "model_factory": "'hirep' or 'hirep-array'",
 }
@@ -87,9 +86,8 @@ class ServeSystem(HiRepRuntime):
         :func:`~repro.obs.capture.capture` window's plane if there is
         one, else to a plane of its own (one event per send, three spans
         per transaction, no per-message flight spans).  The simulators'
-        build options (``churn``, ``faults``, ``topology``,
-        ``model_factory``) have no live-plane counterpart and raise
-        :class:`~repro.errors.ConfigError`.
+        build options (``churn``, ``topology``, ``model_factory``) have no
+        live-plane counterpart and raise :class:`~repro.errors.ConfigError`.
         """
         for name, value in unsupported.items():
             if name not in _UNSUPPORTED:

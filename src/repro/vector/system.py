@@ -45,8 +45,9 @@ the array kernel only approximates (there is no event engine); they are
 excluded from parity and documented in ``docs/scaling.md``.
 
 Unsupported surfaces fail loudly with :class:`~repro.errors.ConfigError`:
-fault planes and the query-timeout/retry plane both require the object
-kernel's event engine.
+fault planes (refused by :attr:`ArrayNetwork.faults
+<repro.vector.network.ArrayNetwork.faults>`) and the query-timeout/retry
+plane both require the object kernel's event engine.
 """
 
 from __future__ import annotations
@@ -101,7 +102,6 @@ class ArrayHiRepSystem(HiRepRuntime):
         churn=None,
         model_factory: ModelFactory | None = None,
         topology=None,
-        faults=None,
         bootstrap_mode: str = "protocol",
     ) -> None:
         """Build the substrate and per-agent models; no per-peer objects.
@@ -112,11 +112,6 @@ class ArrayHiRepSystem(HiRepRuntime):
         where protocol bootstrap, not steady state, would dominate.
         """
         config = config or HiRepConfig()
-        if faults is not None:
-            raise ConfigError(
-                "hirep-array does not support fault planes; use the object "
-                "kernel ('hirep') for fault-injection runs"
-            )
         if config.query_timeout_ms is not None:
             raise ConfigError(
                 "hirep-array does not model query timeouts/retries; use 'hirep'"

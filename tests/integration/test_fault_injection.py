@@ -41,8 +41,8 @@ HARDENED = CFG.with_(
 
 
 def lossy_system(cfg=HARDENED, loss=0.2, fault_seed=11):
-    plane = FaultPlane([MessageLoss(loss)], seed=fault_seed)
-    system = HiRepSystem(cfg, faults=plane)
+    system = HiRepSystem(cfg)
+    plane = FaultPlane([MessageLoss(loss)], seed=fault_seed).install(system.network)
     system.bootstrap()
     system.reset_metrics()
     return system, plane
@@ -81,8 +81,8 @@ cfg = HiRepConfig(
     agents_queried=4, tokens=6, onion_relays=2, seed=404,
     query_timeout_ms=2_000.0, max_query_retries=2, agent_miss_limit=3,
 )
-plane = FaultPlane([MessageLoss(0.2)], seed=11)
-system = HiRepSystem(cfg, faults=plane)
+system = HiRepSystem(cfg)
+plane = FaultPlane([MessageLoss(0.2)], seed=11).install(system.network)
 system.bootstrap()
 system.reset_metrics()
 outs = system.run(15, requestor=0)
@@ -128,11 +128,11 @@ def test_timeout_plane_is_inert_on_a_reliable_network():
 
 def test_unresponsive_agents_get_parked():
     """Agents that never answer strike out and land in the backup cache."""
-    plane = FaultPlane(
-        [MessageLoss(1.0, category="trust_query")], seed=5
-    )
     cfg = HARDENED.with_(agent_miss_limit=2, max_query_retries=1)
-    system = HiRepSystem(cfg, faults=plane)
+    system = HiRepSystem(cfg)
+    FaultPlane([MessageLoss(1.0, category="trust_query")], seed=5).install(
+        system.network
+    )
     system.bootstrap()
     system.reset_metrics()
     peer = system.peers[0]
@@ -151,8 +151,8 @@ def test_unresponsive_agents_get_parked():
 def test_crash_windows_trigger_retry_traffic():
     victims = [CrashWindow(node=n, start_ms=500.0, end_ms=60_000.0)
                for n in range(1, 60)]
-    plane = FaultPlane([CrashSchedule(victims)], seed=5)
-    system = HiRepSystem(HARDENED, faults=plane)
+    system = HiRepSystem(HARDENED)
+    plane = FaultPlane([CrashSchedule(victims)], seed=5).install(system.network)
     system.bootstrap()
     system.reset_metrics()
     outs = system.run(10, requestor=0)
@@ -196,9 +196,9 @@ def test_deadline_rebuild_draws_from_nodes_online_at_the_rebuild():
 
 def test_degradation_under_churn_and_loss_combined():
     """Fault plane and churn model compose on the same system."""
-    plane = FaultPlane([MessageLoss(0.15)], seed=3)
     churn = ChurnModel(leave_prob=0.05, rejoin_prob=0.4, protected={0})
-    system = HiRepSystem(HARDENED, churn=churn, faults=plane)
+    system = HiRepSystem(HARDENED, churn=churn)
+    FaultPlane([MessageLoss(0.15)], seed=3).install(system.network)
     system.bootstrap()
     system.reset_metrics()
     outs = system.run(30, requestor=0)

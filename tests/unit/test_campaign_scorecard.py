@@ -7,10 +7,13 @@ import math
 from repro.campaigns.scorecard import (
     RobustnessScorecard,
     aggregate_cells,
+    cell_metrics,
     degradation_deltas,
     success_rate,
     time_to_detect,
 )
+from repro.net.faults import FaultStats
+from repro.sim.metrics import MessageCounter, MSETracker, ResponseTimeTracker
 
 
 class _Outcome:
@@ -119,6 +122,61 @@ class TestAggregation:
         card.deltas = {"mse_delta": 0.05}
         again = RobustnessScorecard.from_dict(card.to_dict())
         assert again == card
+
+
+class _System:
+    """What cell_metrics reads off a finished run, and nothing else."""
+
+    def __init__(self, by_category):
+        self.mse = MSETracker()
+        self.response_times = ResponseTimeTracker()
+        self.counter = MessageCounter()
+        for category, n in by_category.items():
+            self.counter.count(category, n)
+        self.outcomes = [_Outcome(answered=1, asked=1)] * 4
+        for _ in self.outcomes:
+            self.mse.record(0.5, 0.4)
+
+
+class _Plane:
+    def __init__(self, drops):
+        self.stats = FaultStats()
+        for _ in range(drops):
+            self.stats.record_drop("message_loss", "trust_query")
+
+
+class TestCellMetrics:
+    def test_maintenance_is_discovery_replies_and_control_per_tx(self):
+        system = _System(
+            {
+                "agent_discovery": 6,
+                "agent_discovery_reply": 3,
+                "control": 1,
+                "trust_query": 40,
+                "transaction_report": 9,
+            }
+        )
+        metrics = cell_metrics(system, 4)
+        assert metrics["maintenance_msgs_per_tx"] == 10 / 4
+        assert metrics["msgs_per_tx"] == 59 / 4
+        assert metrics["fault_stats"] is None
+
+    def test_fault_stats_are_the_planes(self):
+        plane = _Plane(drops=3)
+        metrics = cell_metrics(_System({}), 4, fault_plane=plane)
+        assert metrics["fault_stats"] == plane.stats.as_dict()
+        assert metrics["fault_stats"]["drops[trust_query]"] == 3
+        assert metrics["drops_per_tx"] == 3 / 4
+        assert metrics["maintenance_msgs_per_tx"] == 0.0
+
+    def test_per_cell_readings_are_not_averaged_into_cards(self):
+        cells = []
+        for seed, plane in ((1, None), (2, _Plane(drops=2))):
+            card = cell_metrics(_System({"control": seed}), 4, fault_plane=plane)
+            cells.append({"seed": seed, "scorecard": card, "cell_error": None})
+        metrics = aggregate_cells("s", "hirep", cells).metrics
+        assert "maintenance_msgs_per_tx" not in metrics
+        assert "fault_stats" not in metrics
 
 
 class TestDeltas:

@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.campaigns.specs import Campaign, ScenarioSpec, WorkloadSpec
 from repro.exec.job import JobSpec
 from repro.exec.manifest import RunManifest
+from repro.exec.scheduler import JobFailure
 from repro.exec.sweeps import SweepPlan, plan_for, replication_plan
 from repro.experiments import degradation, fig5_traffic
 from repro.experiments.common import ExperimentResult
@@ -91,10 +93,44 @@ class TestSweepPlans:
             "degradation", degradation,
             {"network_size": 50, "transactions": 5},
         )
-        # 4 loss rates x 2 crash fractions by default
+        # 4 loss rates x 2 crash fractions by default, one campaign cell each
         assert len(plan.specs) == 8
-        assert all(s.func == "degradation_cell" for s in plan.specs)
-        assert plan.specs[0].label == "degradation[crash=0,loss=0]"
+        assert all(s.module == "repro.campaigns.cells" for s in plan.specs)
+        assert all(s.func == "campaign_cell" for s in plan.specs)
+        assert plan.specs[0].label == "degradation/crash=0,loss=0[hirep,seed=2006]"
+        assert plan.specs[-1].label == "degradation/crash=0.15,loss=0.3[hirep,seed=2006]"
+
+    def test_plan_run_raises_a_job_failure_naming_the_cell(self):
+        plan = SweepPlan(
+            specs=[
+                JobSpec(
+                    module="repro.exec.testing",
+                    func="sleepy",
+                    kwargs={"seconds": 0.0, "value": 1.0},
+                    label="fine",
+                ),
+                JobSpec(module="repro.exec.testing", func="no_such_job", label="broken"),
+            ],
+            assemble=lambda values: values,
+        )
+        with pytest.raises(JobFailure, match="job broken failed after 1 attempt"):
+            plan.run()
+
+    def test_a_degraded_campaign_cell_is_a_failed_job(self):
+        # An override HiRepConfig has no field for fails at the config stage;
+        # campaign_cell returns that as a cell_error, the plan raises it.
+        scenario = ScenarioSpec(
+            name="broken",
+            workload=WorkloadSpec(
+                network_size=20, transactions=2, overrides={"no_such_knob": 1}
+            ),
+        )
+        campaign = Campaign(name="c", scenarios=(scenario,), systems=("hirep",), seeds=(1,))
+        plan = SweepPlan(specs=campaign.compile(), assemble=lambda values: values)
+        with pytest.raises(
+            JobFailure, match=r"job c/broken\[hirep,seed=1\] failed .*: \[config\] "
+        ):
+            plan.run()
 
     def test_replication_plan_one_job_per_seed(self):
         plan = replication_plan(

@@ -1,9 +1,5 @@
 """Unit tests for the runner's --replicate mode."""
 
-from concurrent.futures import ThreadPoolExecutor
-
-from repro.experiments import traffic_bound
-from repro.experiments.replication import replicate
 from repro.experiments.runner import main
 
 
@@ -35,15 +31,3 @@ def test_replicate_through_jobs_pool(capsys):
     out = capsys.readouterr().out
     assert "[50, 51]" in out
     assert "2 total | 2 run" in out
-
-
-def test_replicate_accepts_injected_executor():
-    """Seed fan-out via an injected executor pools identically to serial."""
-    kwargs = dict(network_size=100, transactions=5)
-    serial = replicate(traffic_bound.run, seeds=range(3, 5), **kwargs)
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        pooled = replicate(
-            traffic_bound.run, seeds=range(3, 5), executor=pool, **kwargs
-        )
-    assert pooled.seeds == serial.seeds
-    assert pooled.samples == serial.samples

@@ -50,7 +50,6 @@ def test_registry_exposes_serve():
     "option, supported_by",
     [
         ("churn", "hirep-array"),
-        ("faults", "hirep"),
         ("topology", "hirep-array"),
         ("model_factory", "hirep-array"),
     ],

@@ -304,8 +304,6 @@ def test_array_system_rejects_unsupported_options():
         trusted_agents=6, refill_threshold=4, agents_queried=3, onion_relays=2
     )
     with pytest.raises(ConfigError):
-        ArrayHiRepSystem(cfg, faults=object())
-    with pytest.raises(ConfigError):
         ArrayHiRepSystem(cfg.with_(query_timeout_ms=50.0))
     with pytest.raises(ConfigError):
         ArrayHiRepSystem(cfg, bootstrap_mode="magic")
