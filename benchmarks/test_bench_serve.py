@@ -96,8 +96,9 @@ def test_bench_codec_encode_decode(benchmark, perf):
 
 
 def test_bench_codec_relay_hop(benchmark, perf):
-    """What a relay does to each frame: decode → peel one layer → re-encode."""
-    from repro.core.wire import decode, encode, wire_size
+    """What a relay does to each frame: decode → peel one layer → re-encode,
+    sizing the onward packet as ``OnionRouter.handle`` does."""
+    from repro.core.wire import decode, encode, packet_size
     from repro.onion.onion import build_onion, peel
     from repro.onion.routing import OnionPacket
 
@@ -112,7 +113,7 @@ def test_bench_codec_relay_hop(benchmark, perf):
         onward = OnionPacket(
             outcome.inner, inbound.message, inbound.category, inbound.sent_at
         )
-        return outcome.next_ip, encode(onward, wire_size(onward))
+        return outcome.next_ip, encode(onward, packet_size(onward, inbound))
 
     next_ip, onward_frame = benchmark(hop)
     assert next_ip == relays[-2][0]

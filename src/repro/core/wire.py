@@ -30,7 +30,10 @@ import.  The two positions the onion protocol (§3.3) hides from relays —
 ``OnionPacket.message`` and ``OnionLayer.inner`` — travel length-prefixed
 and decode to a :class:`WireSlice` that :func:`encode` splices back
 verbatim: a relay parses one packet header and one layer header and
-forwards the rest as the bytes it received.
+forwards the rest as the bytes it received.  That hop header is the one
+type not left to the plan: ``OnionPacket``'s codec reads and writes it as
+a fixed layout in one pass, and hands anything off the layout to the
+planned field readers, so both accept and refuse exactly the same frames.
 """
 
 from __future__ import annotations
@@ -276,11 +279,12 @@ def packet_size(packet: OnionPacket, peeled_from: OnionPacket | None = None) -> 
     Along an onion path the message's size is constant and a simulated
     blob loses exactly one sealed layer per peel, so a packet peeled from
     one sized here takes both from it; the sizes ride on the packet
-    objects (``message_bytes``, ``layers``), never on the wire.  A packet
-    with no such parent is measured: the first of a path, every packet
-    the live plane decoded (its sealed message and slices carry their
-    sizes already), one under a single layer (nothing valid is), and
-    one under an RSA blob, whose depth is an estimate from its length.
+    objects (``message_bytes``, ``layers``), never on the wire.
+    :func:`decode` sets both from the inbound frame, so a live relay's
+    onward packet counts down as well.  A packet with no such parent is
+    measured: the first of a path, one under a single layer (nothing
+    valid is), and one under an RSA blob, whose depth is an estimate
+    from its length.
     """
     if peeled_from is not None and peeled_from.layers > 1:
         message_bytes = peeled_from.message_bytes
@@ -577,7 +581,8 @@ def _tags_for(annotation: Any) -> frozenset[int] | None:
     return _TAGS_OF_TYPE.get(get_origin(annotation) or annotation)
 
 
-def _plan(cls: type) -> None:
+def _planned(cls: type) -> tuple[_Encoder, _Decoder]:
+    """The encoder and decoder of ``cls``, planned from its dataclass fields."""
     names = tuple(f.name for f in dataclass_fields(cls))
     hints = get_type_hints(cls)
     readers = []
@@ -589,12 +594,105 @@ def _plan(cls: type) -> None:
             readers.append(_decode_value)
         else:
             readers.append(_field_decoder(allowed, f"{cls.__name__}.{name}"))
-    _ENCODERS[cls] = _class_encoder(cls, names)
-    _DECODERS[_TAG_OF_CLASS[cls]] = _class_decoder(cls, tuple(readers))
+    return _class_encoder(cls, names), _class_decoder(cls, tuple(readers))
 
 
 for _cls in _WIRE_CLASSES:
-    _plan(_cls)
+    _ENCODERS[_cls], _DECODERS[_TAG_OF_CLASS[_cls]] = _planned(_cls)
+
+
+# -- the hop header: OnionPacket's fixed layout --------------------------------
+#
+# Nearly every frame on the live plane is a relay hop, an OnionPacket under
+# one sealed layer: packet tag ▸ Envelope tag ▸ fingerprint (bytes8) ▸
+# OnionLayer tag ▸ next_ip (int) ▸ inner slice ▸ message slice ▸ category
+# (str8) ▸ sent_at (float).  The packet's codec writes and reads that layout
+# in one pass.  Anything off it — an RSA blob, a u16 category, an int
+# sent_at, a malformed frame — goes to the planned field readers, so every
+# accepted frame, decoded value and WireError is the plan's.
+
+_PACKET_TAG = _TAG_OF_CLASS[OnionPacket]
+_TAGGED_F64 = struct.Struct(">Bd")
+_decode_planned_packet = _DECODERS[_PACKET_TAG]
+
+
+def _encode_packet(packet: OnionPacket, out: bytearray) -> None:
+    out.append(_PACKET_TAG)
+    blob = packet.blob
+    if type(blob) is WireSlice:
+        out += blob.raw  # a relay's peeled blob: the layer as it arrived
+    else:
+        _encode_value(blob, out)
+    message = packet.message
+    if type(message) is WireSlice:
+        out += _pack_len(len(message.raw), "slice")
+        out += message.raw
+    else:
+        _encode_opaque(message, out)
+    category = packet.category
+    raw = category.encode("utf-8") if type(category) is str else None
+    if raw is not None and len(raw) <= 0xFF:
+        out.append(_T_STR8)
+        out.append(len(raw))
+        out += raw
+    else:
+        _encode_value(category, out)
+    sent_at = packet.sent_at
+    if type(sent_at) is float:
+        out += _TAGGED_F64.pack(_T_FLOAT, sent_at)
+    else:
+        _encode_value(sent_at, out)
+
+
+def _read_hop_header(buf: bytes, offset: int) -> tuple[Any, int] | None:
+    """The packet at ``offset`` read as the fixed layout; None off it.
+
+    Every slice ends where a later read starts, and that read raises
+    IndexError / struct.error if the slice ran past the body.
+    """
+    if buf[offset] != _ENVELOPE_TAG or buf[offset + 1] != _T_BYTES8:
+        return None
+    at = offset + 3 + buf[offset + 2]
+    fingerprint = buf[offset + 3 : at]
+    if buf[at] != _LAYER_TAG or buf[at + 1] != _T_INT:
+        return None
+    ip_at = at + 3
+    at = ip_at + buf[at + 2]
+    next_ip = int.from_bytes(buf[ip_at:at], "big", signed=True)
+    (n,) = _U16.unpack_from(buf, at)
+    inner_at = at + _LEN_PREFIX
+    at = inner_at + n
+    (n,) = _U16.unpack_from(buf, at)
+    message_at = at + _LEN_PREFIX
+    cat_at = message_at + n
+    if buf[cat_at] != _T_STR8:
+        return None
+    end = cat_at + 2 + buf[cat_at + 1]
+    tag, sent_at = _TAGGED_F64.unpack_from(buf, end)
+    if tag != _T_FLOAT:
+        return None
+    packet = OnionPacket(
+        Envelope(fingerprint, OnionLayer(next_ip, WireSlice(buf[inner_at:at]))),
+        WireSlice(buf[message_at:cat_at]),
+        buf[cat_at + 2 : end].decode("utf-8"),
+        sent_at,
+    )
+    return packet, end + _TAGGED_F64.size
+
+
+def _decode_packet(buf: bytes, offset: int, depth: int) -> tuple[Any, int]:
+    if depth < _MAX_NESTING - 2:  # packet ▸ Envelope ▸ OnionLayer
+        try:
+            read = _read_hop_header(buf, offset)
+        except (IndexError, struct.error, UnicodeDecodeError):
+            read = None
+        if read is not None:
+            return read
+    return _decode_planned_packet(buf, offset, depth)
+
+
+_ENCODERS[OnionPacket] = _encode_packet
+_DECODERS[_PACKET_TAG] = _decode_packet
 
 
 def encode(message: Any, size: int | None = None) -> bytes:
@@ -638,8 +736,14 @@ def decode(frame: bytes | bytearray) -> Any:
     value, end = _decode_value(buf[FRAME_OVERHEAD : FRAME_OVERHEAD + body_len], 0, 0)
     if end != body_len:
         raise WireError("malformed frame: body has trailing data")
-    if type(value) is OnionPacket and type(value.message) is WireSlice:
+    if type(value) is OnionPacket:
         # The frame was padded to wire_size(packet): what the blob does not
-        # account for is the sealed message's modelled size.
-        value.message.size = len(buf) - FRAME_OVERHEAD - _blob_field(value.blob)
+        # account for is the sealed message's modelled size.  Both ride on
+        # the packet too, so the relay's packet_size(inner, value) counts
+        # down instead of reading the slices again.
+        depth = _onion_depth(value.blob)
+        value.message.size = value.message_bytes = (
+            len(buf) - FRAME_OVERHEAD - _depth_field(depth)
+        )
+        value.layers = depth if type(value.blob) is Envelope else 0
     return value

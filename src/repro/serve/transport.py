@@ -5,16 +5,18 @@ encoded payload) — from a synchronous ``post()`` at the network edge to an
 awaitable per-node ``get()`` in the destination's actor loop.  Two
 implementations:
 
-* :class:`InProcessTransport` — one asyncio queue per node; zero copies,
-  the fastest fabric, and the determinism-guard reference.
+* :class:`InProcessTransport` — one inbox per node; zero copies, the
+  fastest fabric, and the determinism-guard reference.
 * :class:`TcpLoopbackTransport` — one real TCP server socket per node on
   127.0.0.1, one shared outbound connection per destination; frames are
   length-prefixed on the stream, so every protocol byte genuinely crosses
   the host's loopback stack.
 
-Both keep posted/delivered counters, so ``in_flight()`` gives an exact
-quiescence signal (a frame counts as in flight from ``post`` until an
-actor has pulled it from its inbox).
+Every inbox and outbox is an :class:`_Inbox`: a deque with at most one
+waiting consumer, woken in exactly the order an ``asyncio`` queue would
+wake it.  Both transports keep posted/delivered counters, so
+``in_flight()`` gives an exact quiescence signal (a frame counts as in
+flight from ``post`` until an actor has pulled it from its inbox).
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import abc
 import asyncio
 import contextlib
 import struct
+from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -47,6 +50,41 @@ class Frame:
     category: str
     sent_at: float
     payload: bytes  # a complete repro.core.wire frame
+
+
+class _Inbox:
+    """Unbounded frame FIFO drained by one consumer task at a time.
+
+    ``put`` appends and wakes the waiting consumer with ``set_result``,
+    as an asyncio queue's ``put_nowait`` wakes its first getter, so the
+    event loop runs the same callbacks in the same order.  A consumer
+    cancelled while waiting leaves the frames where they are for the next
+    one (an actor restarted by the supervisor).
+    """
+
+    __slots__ = ("_items", "_loop", "_waiter")
+
+    def __init__(self, loop: asyncio.AbstractEventLoop) -> None:
+        self._items: deque[Frame] = deque()
+        self._loop = loop
+        self._waiter: asyncio.Future[None] | None = None
+
+    def put(self, frame: Frame) -> None:
+        self._items.append(frame)
+        waiter = self._waiter
+        if waiter is not None and not waiter.done():
+            waiter.set_result(None)
+
+    async def get(self) -> Frame:
+        while not self._items:
+            if self._waiter is not None:
+                raise RuntimeError("inbox already has a waiting consumer")
+            self._waiter = self._loop.create_future()
+            try:
+                await self._waiter
+            finally:
+                self._waiter = None
+        return self._items.popleft()
 
 
 class Transport(abc.ABC):
@@ -85,23 +123,24 @@ class Transport(abc.ABC):
 
 
 class InProcessTransport(Transport):
-    """Asyncio-queue fabric: one unbounded inbox per node, zero copies."""
+    """In-memory fabric: one unbounded inbox per node, zero copies."""
 
     name = "inproc"
 
     def __init__(self) -> None:
         super().__init__()
-        self._inboxes: dict[int, asyncio.Queue[Frame]] = {}
+        self._inboxes: dict[int, _Inbox] = {}
 
     async def start(self, node_ids: Sequence[int]) -> None:
-        self._inboxes = {ip: asyncio.Queue() for ip in node_ids}
+        loop = asyncio.get_running_loop()
+        self._inboxes = {ip: _Inbox(loop) for ip in node_ids}
 
     def post(self, frame: Frame) -> None:
         inbox = self._inboxes.get(frame.dst)
         if inbox is None:
             raise WireError(f"no inbox for destination node {frame.dst}")
         self._count_post(frame)
-        inbox.put_nowait(frame)
+        inbox.put(frame)
 
     async def get(self, ip: int) -> Frame:
         frame = await self._inboxes[ip].get()
@@ -147,16 +186,16 @@ class TcpLoopbackTransport(Transport):
         super().__init__()
         self.ports: dict[int, int] = {}
         self._servers: dict[int, asyncio.AbstractServer] = {}
-        self._inboxes: dict[int, asyncio.Queue[Frame]] = {}
-        self._outboxes: dict[int, asyncio.Queue[Frame]] = {}
+        self._inboxes: dict[int, _Inbox] = {}
+        self._outboxes: dict[int, _Inbox] = {}
         self._senders: dict[int, asyncio.Task[None]] = {}
         self._reader_tasks: set[asyncio.Task[None]] = set()
 
     async def start(self, node_ids: Sequence[int]) -> None:
         loop = asyncio.get_running_loop()
         for ip in node_ids:
-            self._inboxes[ip] = asyncio.Queue()
-            self._outboxes[ip] = asyncio.Queue()
+            self._inboxes[ip] = _Inbox(loop)
+            self._outboxes[ip] = _Inbox(loop)
             server = await asyncio.start_server(
                 self._make_reader(ip), "127.0.0.1", 0
             )
@@ -179,7 +218,7 @@ class TcpLoopbackTransport(Transport):
                     head = await stream.readexactly(4)
                     (length,) = struct.unpack(">I", head)
                     body = await stream.readexactly(length)
-                    self._inboxes[ip].put_nowait(_tcp_unpack(body))
+                    self._inboxes[ip].put(_tcp_unpack(body))
             except (asyncio.IncompleteReadError, ConnectionResetError):
                 pass
             finally:
@@ -215,7 +254,7 @@ class TcpLoopbackTransport(Transport):
         if outbox is None:
             raise WireError(f"no route to destination node {frame.dst}")
         self._count_post(frame)
-        outbox.put_nowait(frame)
+        outbox.put(frame)
 
     async def get(self, ip: int) -> Frame:
         frame = await self._inboxes[ip].get()

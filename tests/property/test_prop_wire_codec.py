@@ -1,11 +1,13 @@
 """Property-based tests for the wire codec."""
 
+import struct
+from contextlib import contextmanager
 from dataclasses import fields, is_dataclass
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.agent import ReputationAgent
@@ -19,6 +21,7 @@ from repro.core.messages import (
     TrustValueRequest,
     TrustValueResponse,
 )
+from repro.core import wire
 from repro.core.wire import FRAME_OVERHEAD, WireSlice, decode, encode, wire_size
 from repro.crypto.backend import get_backend
 from repro.crypto.keys import PeerKeys
@@ -200,16 +203,49 @@ def test_decode_never_crashes_on_garbage(data):
         pass  # the only acceptable failure mode
 
 
-def open_all(value):
-    """Unpack every held slice reachable from ``value`` (what owners do)."""
+# -- the hop header against the plan ------------------------------------------
+#
+# OnionPacket's codec is a fixed layout with the planned field readers as
+# its fallback.  The oracle is the codec every other class has: the encoder
+# and decoder planned from _WIRE_CLASSES, installed in its place.
+
+
+@contextmanager
+def planned_packet_codec():
+    tag = wire._TAG_OF_CLASS[OnionPacket]
+    fixed = wire._ENCODERS[OnionPacket], wire._DECODERS[tag]
+    wire._ENCODERS[OnionPacket], wire._DECODERS[tag] = wire._planned(OnionPacket)
+    try:
+        yield
+    finally:
+        wire._ENCODERS[OnionPacket], wire._DECODERS[tag] = fixed
+
+
+def canonical(value):
+    """``value`` with every slice opened (what owners do) and every float
+    as its bits, so NaNs compare and a slice is checked by what it holds."""
     if isinstance(value, WireSlice):
-        open_all(value.unpack())
-    elif is_dataclass(value):
-        for f in fields(value):
-            open_all(getattr(value, f.name))
-    elif isinstance(value, tuple):
-        for item in value:
-            open_all(item)
+        return ("slice", value.raw, canonical(value.unpack()))
+    if isinstance(value, float):
+        return ("float", struct.pack(">d", value))
+    if is_dataclass(value):
+        return (type(value),) + tuple(canonical(getattr(value, f.name)) for f in fields(value))
+    if isinstance(value, tuple):
+        return tuple(canonical(item) for item in value)
+    return value
+
+
+def outcome(frame):
+    """What decoding ``frame`` and opening everything in it comes to; any
+    exception but WireError propagates."""
+    try:
+        value = decode(frame)
+        opened = canonical(value)
+    except WireError as exc:
+        return ("WireError", str(exc))
+    if type(value) is OnionPacket:
+        return opened, value.layers, value.message_bytes, value.message.size
+    return opened
 
 
 VALID_FRAMES = [
@@ -228,12 +264,21 @@ VALID_FRAMES = [
     garbage=st.binary(max_size=4096),
     splice_at=st.one_of(st.none(), st.integers(min_value=0)),
 )
+@example(  # invalid UTF-8 in an otherwise well-formed hop header
+    frame=VALID_FRAMES[0],
+    flips=[(VALID_FRAMES[0].index(b"trust_query"), 0xFF)],
+    cut=None,
+    garbage=b"",
+    splice_at=None,
+)
 @settings(max_examples=400, deadline=None)
 def test_mutated_valid_frames_raise_only_wire_error(
     frame, flips, cut, garbage, splice_at
 ):
     """Byte flips, truncation and spliced garbage on frames that got past
-    the header — where 64 random bytes almost never reach."""
+    the header — where 64 random bytes almost never reach.  Both codecs
+    raise nothing but WireError, and the hop header's gives what the plan
+    gives: the same value and sizes, or the same WireError."""
     data = bytearray(frame)
     for position, byte in flips:
         data[position % len(data)] = byte
@@ -244,7 +289,88 @@ def test_mutated_valid_frames_raise_only_wire_error(
         data[3:7] = (len(data) - FRAME_OVERHEAD).to_bytes(4, "big")
     if cut is not None:
         del data[cut % (len(data) + 1) :]
-    try:
-        open_all(decode(bytes(data)))
-    except WireError:
-        pass
+    with planned_packet_codec():
+        expected = outcome(bytes(data))
+    assert outcome(bytes(data)) == expected
+
+
+RSA = get_backend("rsa")
+RSA_KEYS = [PeerKeys.generate(RSA, np.random.default_rng(778)) for _ in range(7)]
+
+
+def blob_of(backend_name, relays):
+    if backend_name == "simulated":
+        return onion_of(3, relays).blob
+    relay_keys = [(i, RSA_KEYS[i].ap) for i in range(1, relays + 1)]
+    return build_onion(RSA, RSA_KEYS[0].ap, RSA_KEYS[0].sr, 0, relay_keys, seq=1).blob
+
+
+def as_slice(value):
+    out = bytearray()
+    wire._encode_value(value, out)
+    return WireSlice(bytes(out))
+
+
+def category_of(nbytes, fill):
+    """A category of exactly ``nbytes`` UTF-8 bytes.  "é" spends two bytes
+    a character, so 256 bytes are 128 characters; U+0004 is the float tag's
+    byte, which a u16 category read as str8 would find where sent_at is."""
+    return fill * (nbytes // len(fill.encode())) + "a" * (nbytes % len(fill.encode()))
+
+
+@pytest.mark.parametrize("backend_name", ["simulated", "rsa"])
+@pytest.mark.parametrize("relays", range(7))
+@given(
+    nonce=nonces,
+    category=st.builds(
+        category_of, st.sampled_from([0, 255, 256, 300]), st.sampled_from(["c", "é", "\x04"])
+    ),
+    # ints of every width, up to the nine bytes an f64's eight could be misread from
+    sent_at=st.one_of(
+        finite_floats,
+        st.integers(min_value=-(2**63), max_value=2**63),
+        st.sampled_from([-(2**63), 2**63]),
+    ),
+    blob_sliced=st.booleans(),
+    message_sliced=st.booleans(),
+)
+@settings(max_examples=10, deadline=None)
+def test_hop_header_codec_matches_the_planned_codec(
+    backend_name, relays, nonce, category, sent_at, blob_sliced, message_sliced
+):
+    on_layout = (
+        backend_name == "simulated"
+        and len(category.encode("utf-8")) <= 0xFF
+        and type(sent_at) is float
+    )
+    blob = blob_of(backend_name, relays)
+    if blob_sliced:
+        blob = as_slice(blob)
+    for message in message_shapes(nonce, relays):
+        packet = OnionPacket(
+            blob, as_slice(message) if message_sliced else message, category, sent_at
+        )
+        frame = encode(packet)
+        with planned_packet_codec():
+            assert encode(packet) == frame
+            expected = outcome(frame)
+        with mock.patch.object(
+            wire, "_decode_planned_packet", wraps=wire._decode_planned_packet
+        ) as planned:
+            assert outcome(frame) == expected
+        # On the layout the fixed reader answers alone.
+        assert planned.called != on_layout
+
+
+@pytest.mark.parametrize("nested", [9, 10])
+def test_hop_header_keeps_the_nesting_limit(nested):
+    """A packet inside ``nested`` others: its layer header is the deepest
+    legal value at 9 and one level too deep at 10."""
+    packet = OnionPacket(onion_of(3, 1).blob, "m", "c", 0.5)
+    for _ in range(nested):
+        packet = OnionPacket(packet, "m", "c", 0.5)
+    frame = encode(packet)
+    with planned_packet_codec():
+        expected = outcome(frame)
+    assert outcome(frame) == expected
+    assert (expected[0] == "WireError") == (nested == 10)

@@ -141,8 +141,12 @@ def test_packet_size_measures_what_it_cannot_count_down_to(setup):
     assert packet_size(inner, outer) == wire_size(inner)
     # Neither attribute is a wire field: frames and equality do not see them.
     assert encode(outer) == encode(OnionPacket(outer.blob, message, "c", 0.0))
-    assert decode(encode(outer)).layers == 0
     assert outer == OnionPacket(outer.blob, message, "c", 0.0)
+    # decode() counts both from the frame itself, whatever the sender held,
+    # so a live relay's packet_size(inner, inbound) counts down from them.
+    outer.layers = 5
+    inbound = decode(encode(outer))
+    assert (inbound.layers, inbound.message_bytes) == (1, wire_size(message))
 
 
 def test_unknown_payload_default(setup):

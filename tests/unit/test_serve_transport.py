@@ -1,10 +1,12 @@
-"""Unit tests for serve transports: queue fabric, TCP loopback, framing."""
+"""Unit tests for serve transports: in-memory inboxes, TCP loopback, framing."""
 
 import asyncio
+from types import SimpleNamespace
 
 import pytest
 
 from repro.errors import WireError
+from repro.serve.supervisor import Supervisor
 from repro.serve.transport import (
     TRANSPORT_NAMES,
     Frame,
@@ -112,3 +114,49 @@ def test_counters_track_bytes():
     transport = run(scenario())
     assert transport.bytes_posted == 100
     assert transport.frames_delivered == 2
+
+
+def test_frames_posted_to_a_crashed_actor_wait_for_its_restart_in_order():
+    """A crash cancels the actor's waiter; what is posted meanwhile stays in
+    the inbox, and the restarted actor handles it first, in posting order."""
+    handled = []
+    network = SimpleNamespace(n=3, deliver_frame=handled.append)
+    transport = InProcessTransport()
+    supervisor = Supervisor(
+        SimpleNamespace(agents={}), network, transport, poll_interval_s=0.001
+    )
+
+    def frames(dst, tags):
+        return [make_frame(dst=dst, payload=bytes([tag])) for tag in tags]
+
+    async def until(condition):
+        for _ in range(1000):
+            if condition():
+                return
+            await asyncio.sleep(0.001)
+        raise AssertionError("fleet made no progress")
+
+    async def scenario():
+        await supervisor.start()
+        await asyncio.sleep(0)  # every actor is now parked on its inbox
+        waiter = transport._inboxes[1]._waiter
+        assert waiter is not None
+        supervisor.kill(1)
+        supervisor.kill(2)  # crashed with nothing posted to it
+        assert waiter.cancelled()
+        for frame in frames(1, range(5)) + frames(0, [9]) + frames(1, [5, 6]):
+            transport.post(frame)
+        await asyncio.sleep(0)
+        assert not supervisor.actors[1].alive
+        assert [f.dst for f in handled] == [0]
+        await until(lambda: supervisor.restarts == 2 and len(handled) == 8)
+        for frame in frames(2, [7]) + frames(1, [8]):
+            transport.post(frame)
+        await until(lambda: len(handled) == 10)
+        await supervisor.stop()
+
+    run(scenario())
+    assert [ip for ip, _ in supervisor.incidents] == [1, 2]
+    by_node = {ip: [f.payload[0] for f in handled if f.dst == ip] for ip in range(3)}
+    assert by_node == {0: [9], 1: [0, 1, 2, 3, 4, 5, 6, 8], 2: [7]}
+    assert transport.in_flight() == 0
