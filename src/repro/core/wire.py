@@ -66,6 +66,7 @@ from repro.onion.routing import OnionPacket
 __all__ = [
     "wire_size",
     "packet_size",
+    "BLOB_FIELD_BYTES",
     "encode",
     "decode",
     "WireSlice",
@@ -145,6 +146,8 @@ class WireSlice:
         """Equal to the value it encodes — compared as bytes, never opened."""
         if isinstance(other, WireSlice):
             return self.raw == other.raw
+        if type(other) is str and self.raw[:1] not in _STR_HEADS:
+            return False  # not text, so not this text: nothing to encode
         out = bytearray()
         try:
             _encode_value(other, out)
@@ -162,15 +165,19 @@ class WireSlice:
 # Size model
 # ---------------------------------------------------------------------------
 
-#: Wire size of an onion blob by depth: a 16-byte core, then one sealed
-#: layer (next-hop IP + inner blob) per relay.  Grown on demand.
-_BLOB_BYTES = [_ONION_CORE_BYTES]
+#: Wire size of an onion blob's field (length prefix included) by depth:
+#: a 16-byte core, then one sealed layer (next-hop IP + inner blob) per
+#: relay.  Grown on demand, never shrunk: once a packet is sized at depth
+#: d every entry up to d exists, so a relay that counts its onward packet
+#: down indexes this table instead of calling :func:`packet_size`.
+BLOB_FIELD_BYTES = [_field(_ONION_CORE_BYTES)]
 
 
 def _depth_field(depth: int) -> int:
-    while depth >= len(_BLOB_BYTES):
-        _BLOB_BYTES.append(_sealed(_BLOB_BYTES[-1] + _IP_BYTES))
-    return _field(_BLOB_BYTES[depth])
+    while depth >= len(BLOB_FIELD_BYTES):
+        blob = BLOB_FIELD_BYTES[-1] - _LEN_PREFIX
+        BLOB_FIELD_BYTES.append(_field(_sealed(blob + _IP_BYTES)))
+    return BLOB_FIELD_BYTES[depth]
 
 
 def _blob_field(blob: Any) -> int:
@@ -284,7 +291,8 @@ def packet_size(packet: OnionPacket, peeled_from: OnionPacket | None = None) -> 
     onward packet counts down as well.  A packet with no such parent is
     measured: the first of a path, one under a single layer (nothing
     valid is), and one under an RSA blob, whose depth is an estimate
-    from its length.
+    from its length.  ``OnionRouter.handle`` applies the count-down rule
+    in place (``BLOB_FIELD_BYTES``) and calls this for the measured cases.
     """
     if peeled_from is not None and peeled_from.layers > 1:
         message_bytes = peeled_from.message_bytes
@@ -323,6 +331,8 @@ _T_BYTES = 0x06
 _T_TUPLE = 0x07
 _T_STR8 = 0x08      # as _T_STR / _T_BYTES with a one-byte length
 _T_BYTES8 = 0x09
+#: First byte of every encoded string (what WireSlice.__eq__ checks first).
+_STR_HEADS = frozenset({bytes([_T_STR8]), bytes([_T_STR])})
 _CLASS_TAG_BASE = 0x20
 _TAG_OF_CLASS = {cls: _CLASS_TAG_BASE + i for i, cls in enumerate(_WIRE_CLASSES)}
 _ENVELOPE_TAG = _TAG_OF_CLASS[Envelope]

@@ -36,9 +36,9 @@ from typing import Any, Callable, Iterable
 
 import numpy as np
 
-from repro.errors import NetworkError
+from repro.errors import NetworkError, UnknownNodeError
 from repro.net.latency import LatencyModel
-from repro.net.messages import Category, NetMessage
+from repro.net.messages import DEFAULT_MESSAGE_BYTES, Category, NetMessage
 from repro.net.node import BandwidthProfile, DEFAULT_BANDWIDTH_PROFILE
 from repro.net.substrate import Substrate
 from repro.net.topology import Topology
@@ -121,26 +121,37 @@ class P2PNetwork(Substrate):
         is online — the sender spent the bandwidth either way.  Delivery time
         is propagation latency plus FIFO serialization on the destination's
         access link (see module docstring).
+
+        Raises :class:`~repro.errors.UnknownNodeError` for an unknown
+        ``src``, then :class:`NetworkError` for an offline one, then
+        ``UnknownNodeError`` for an unknown ``dst`` — each index checked
+        once, in that order, before anything is charged or drawn.
         """
-        if not self.is_online(src):
+        # is_online(src) and is_online(dst), inlined: this runs once per hop.
+        alive = self.alive
+        if not 0 <= src < self.n:
+            raise UnknownNodeError(src)
+        if not alive[src]:
             raise NetworkError(f"node {src} is offline and cannot send")
-        dst_online = self.is_online(dst)
+        if not 0 <= dst < self.n:
+            raise UnknownNodeError(dst)
+        dst_online = alive[dst]
+        now = self.engine.now
         msg = NetMessage(
-            src=src,
-            dst=dst,
-            payload=payload,
-            category=category,
-            sent_at=self.engine.now,
+            src,
+            dst,
+            payload,
+            category,
+            DEFAULT_MESSAGE_BYTES if size_bytes is None else size_bytes,
+            now,
         )
-        if size_bytes is not None:
-            msg.size_bytes = size_bytes
         if count:
             self.counter.count(category)
         for observer in self.observers:
             observer(msg)
         extra_latency = 0.0
         if self.faults is not None:
-            verdict = self.faults.on_send(msg, self.engine.now)
+            verdict = self.faults.on_send(msg, now)
             if verdict.drop:
                 # Injected loss: cost charged above, no delivery scheduled.
                 for fault_observer in self.fault_observers:
@@ -150,12 +161,13 @@ class P2PNetwork(Substrate):
             if extra_latency > 0.0:
                 for fault_observer in self.fault_observers:
                     fault_observer("delay", msg, extra_latency)
-        arrival = self.engine.now + self.latency.between(src, dst) + extra_latency
+        arrival = now + self.latency.between(src, dst) + extra_latency
         if self.model_transmission:
-            transmit = self.transmission_ms(self._kbps[dst], msg.size_bytes)
+            # transmission_ms(bandwidth, size) and the FIFO horizon, inlined.
+            transmit = (msg.size_bytes * 8.0) / self._kbps[dst]
             if dst_online:
-                start = max(arrival, self._link_free_at.get(dst, 0.0))
-                done = start + transmit
+                free = self._link_free_at.get(dst, 0.0)
+                done = (free if free > arrival else arrival) + transmit
                 self._link_free_at[dst] = done
             else:
                 # Offline destination: the message dies in the network and is
@@ -169,7 +181,7 @@ class P2PNetwork(Substrate):
         return msg
 
     def _deliver(self, msg: NetMessage) -> None:
-        if not self._alive[msg.dst]:
+        if not self.alive[msg.dst]:
             return  # dropped on the floor, cost already charged
         handler = self._handlers.get(msg.dst)
         if handler is not None:

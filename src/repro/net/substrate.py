@@ -6,7 +6,8 @@ plane's ``ServeNetwork``) adds delivery on top of it; the array kernel's
 :class:`~repro.vector.network.ArrayNetwork` adds nothing but a first-
 departure callback.  State is three vectors over the node index —
 ``bandwidth`` (kbps), the agent-capable mask and the liveness mask — plus
-two views of the liveness mask cached until liveness next changes:
+``alive``, the liveness mask as a read-only memoryview for per-node reads
+from outside, and two views of it cached until liveness next changes:
 :meth:`online_indices` (an array, for vectorised callers) and
 :meth:`online_nodes` (a list of Python ints, for the object kernel, built
 only if someone asks — a 10⁵-peer array run never does).
@@ -68,7 +69,10 @@ class Substrate:
         # buffers, but indexing yields a Python bool / float — no numpy
         # scalar can leak into an event time or the wire codec — for less
         # than ``ndarray.item`` costs on the per-message path.
-        self._alive = memoryview(self._online)
+        #: Liveness by node index, read-only: ``alive[i]`` is a Python bool
+        #: and follows every flip.  A plain attribute, not a property — it
+        #: is read on every hop; index it only with a validated node.
+        self.alive = memoryview(self._online).toreadonly()
         self._kbps = memoryview(self.bandwidth)
         self._offline_count = 0
         self._online_idx: np.ndarray | None = None
@@ -105,7 +109,7 @@ class Substrate:
     def is_online(self, index: int) -> bool:
         if not 0 <= index < self.n:
             raise UnknownNodeError(index)
-        return self._alive[index]
+        return self.alive[index]
 
     def node(self, index: int) -> NetNode:
         """One node's state as a :class:`NetNode` snapshot, built on demand."""

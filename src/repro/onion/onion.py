@@ -21,11 +21,12 @@ arrived.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any, NamedTuple, Sequence
 
 import numpy as np
 
 from repro.crypto.backend import CipherBackend, PrivateKey, PublicKey
+from repro.crypto.simulated import Envelope
 from repro.errors import OnionPeelError
 from repro.net.substrate import Substrate
 
@@ -65,13 +66,16 @@ class Onion:
         return backend.verify(owner_sp, ("onion", self.seq, self.first_hop), self.signature)
 
 
-@dataclass(frozen=True)
-class PeelOutcome:
+class PeelOutcome(NamedTuple):
     """Result of peeling one layer at a relay or the owner."""
 
     delivered: bool          # True ⇒ this node is the owner; message arrived
     next_ip: int | None      # set when delivered is False
     inner: Any | None        # remaining blob to forward
+
+
+#: Every owner's peel comes to the same outcome; it is built once.
+_DELIVERED = PeelOutcome(True, None, None)
 
 
 def build_onion(
@@ -121,9 +125,13 @@ def peel(backend: CipherBackend, ar: PrivateKey, blob: Any) -> PeelOutcome:
         raise OnionPeelError(f"cannot peel onion layer: {exc}") from exc
     if not isinstance(layer, OnionLayer):
         raise OnionPeelError("peeled data is not an onion layer")
-    if layer.next_ip < 0 or layer.inner == _FAKE_ONION:
-        return PeelOutcome(delivered=True, next_ip=None, inner=None)
-    return PeelOutcome(delivered=False, next_ip=layer.next_ip, inner=layer.inner)
+    next_ip, inner = layer.next_ip, layer.inner
+    # A sealed inner is a relay layer's: no Envelope equals the marker, so
+    # it is not asked (a live relay's inner is a slice, which refuses the
+    # marker string off its first byte).
+    if next_ip < 0 or (type(inner) is not Envelope and inner == _FAKE_ONION):
+        return _DELIVERED
+    return PeelOutcome(False, next_ip, inner)
 
 
 def draw_relays(
@@ -154,4 +162,4 @@ def draw_relays(
 def circuit_usable(network: Substrate, relays: Sequence[int] | np.ndarray) -> bool:
     """§3.3 circuit upkeep: an onion serves while it has relays and every
     one of them is online; otherwise its owner rebuilds it."""
-    return len(relays) > 0 and all(map(network._alive.__getitem__, relays))
+    return len(relays) > 0 and all(map(network.alive.__getitem__, relays))

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.crypto.backend import CipherBackend, PrivateKey
+from repro.crypto.simulated import Envelope
 from repro.errors import OnionError, OnionPeelError
 from repro.net.messages import NetMessage
 from repro.net.network import P2PNetwork
@@ -50,10 +51,11 @@ class OnionRouter:
     def __init__(self, network: P2PNetwork, backend: CipherBackend) -> None:
         # Bound once per router, not per hop; function-scope because
         # repro.core imports this package.
-        from repro.core.wire import WireSlice, packet_size
+        from repro.core.wire import BLOB_FIELD_BYTES, WireSlice, packet_size
 
         self._wire_slice = WireSlice
         self._size_of = packet_size
+        self._blob_field = BLOB_FIELD_BYTES
         self.network = network
         self.backend = backend
         self._keys: dict[int, PrivateKey] = {}
@@ -118,13 +120,13 @@ class OnionRouter:
             self.dropped += 1
             return True
         try:
-            outcome = peel(self.backend, ar, packet.blob)
+            delivered, next_ip, blob = peel(self.backend, ar, packet.blob)
         except OnionPeelError:
             # Misrouted or tampered onion: silently dropped, like a relay
             # that cannot decrypt would do.
             self.dropped += 1
             return True
-        if outcome.delivered:
+        if delivered:
             # Over a real wire the message travelled sealed; only here, at
             # its owner, is it opened (a malformed one raises WireError).
             message = packet.message
@@ -135,23 +137,22 @@ class OnionRouter:
             if endpoint is not None:
                 endpoint(message, packet.sent_at)
             return True
-        # Forward the peeled packet one hop inward.
-        inner = OnionPacket(
-            blob=outcome.inner,
-            message=packet.message,
-            category=packet.category,
-            sent_at=packet.sent_at,
-        )
-        if not self.network.is_online(here):
+        if not self.network.alive[here]:
             self.dropped += 1
             return True
-        self.network.send(
-            here,
-            int(outcome.next_ip),
-            inner,
-            category=packet.category,
-            size_bytes=self._size_of(inner, packet),
-        )
+        # Forward the peeled packet one hop inward.
+        category = packet.category
+        inner = OnionPacket(blob, packet.message, category, packet.sent_at)
+        layers = packet.layers
+        if layers > 1:
+            # packet_size(inner, packet)'s count-down, in place: the
+            # message is the same and the blob is one sealed layer thinner.
+            size = inner.message_bytes = packet.message_bytes
+            size += self._blob_field[layers - 1]
+            inner.layers = layers - 1 if type(blob) is Envelope else 0
+        else:
+            size = self._size_of(inner, packet)
+        self.network.send(here, int(next_ip), inner, category=category, size_bytes=size)
         return True
 
 

@@ -118,7 +118,7 @@ class ServeNetwork(P2PNetwork):
         if not (0 <= frame.src < self.n and 0 <= frame.dst < self.n):
             self.frames_rejected += 1
             return
-        if not self._alive[frame.dst]:
+        if not self.alive[frame.dst]:
             return
         handler = self._handlers.get(frame.dst)
         if handler is None:

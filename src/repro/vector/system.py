@@ -253,7 +253,7 @@ class ArrayHiRepSystem(HiRepRuntime):
         owner to be online.  Liveness is static within a transaction, so
         this matches the DES hop-by-hop bill exactly.
         """
-        alive = self.network._alive
+        alive = self.network.alive
         messages = 0
         hops = []
         for host, onion in zip(hosts, self._onions.rows(self.state.live.oid[p, rows])):

@@ -10,7 +10,14 @@ from repro.core.messages import (
     TrustRequestBody,
     TrustValueRequest,
 )
-from repro.core.wire import SEAL_BLOCK_BYTES, decode, encode, packet_size, wire_size
+from repro.core.wire import (
+    BLOB_FIELD_BYTES,
+    SEAL_BLOCK_BYTES,
+    decode,
+    encode,
+    packet_size,
+    wire_size,
+)
 from repro.crypto.backend import get_backend
 from repro.crypto.keys import PeerKeys
 from repro.net.messages import DEFAULT_MESSAGE_BYTES
@@ -147,6 +154,17 @@ def test_packet_size_measures_what_it_cannot_count_down_to(setup):
     outer.layers = 5
     inbound = decode(encode(outer))
     assert (inbound.layers, inbound.message_bytes) == (1, wire_size(message))
+
+
+def test_blob_field_by_depth_is_the_size_model(setup):
+    """The depth table a relay counts down with: a 16-byte core in a 2-byte
+    field, then one sealed layer (IP + inner blob, 64-byte blocks) per relay."""
+    backend, keys = setup
+    expected = [18, 68, 132, 196, 260, 324, 388]
+    for relays, field in enumerate(expected[1:]):  # depth = relays + 1
+        packet = OnionPacket(make_onion(backend, keys, relays).blob, None, "c", 0.0)
+        assert packet_size(packet) == field + DEFAULT_MESSAGE_BYTES
+    assert BLOB_FIELD_BYTES[: len(expected)] == expected
 
 
 def test_unknown_payload_default(setup):

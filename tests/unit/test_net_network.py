@@ -8,6 +8,7 @@ import pytest
 
 from repro.errors import NetworkError, UnknownNodeError
 from repro.net import messages
+from repro.net.faults import FaultPlane, MessageLoss
 from repro.net.latency import ConstantLatency
 from repro.net.messages import Category, NetMessage
 from repro.net.network import P2PNetwork
@@ -78,6 +79,36 @@ def test_unknown_node_rejected(net):
         net.send(0, 99, "x")
     with pytest.raises(UnknownNodeError):
         net.node(-11)
+
+
+@pytest.mark.parametrize(
+    ("src", "dst", "offline", "expected"),
+    [
+        (10, 1, (), UnknownNodeError),
+        (-1, 99, (), UnknownNodeError),  # src first, whatever dst is
+        (10, 1, (1,), UnknownNodeError),
+        (0, 1, (0,), NetworkError),
+        (0, 99, (0,), NetworkError),  # an offline src: dst is never looked at
+        (0, -1, (0,), NetworkError),
+        (0, 10, (), UnknownNodeError),
+        (0, -1, (), UnknownNodeError),
+        (0, 10, (1,), UnknownNodeError),
+    ],
+)
+def test_send_checks_src_then_liveness_then_dst(net, src, dst, offline, expected):
+    """Unknown src, then offline src, then unknown dst — and nothing is
+    charged, observed or drawn when a send is refused."""
+    plane = FaultPlane([MessageLoss(0.5)], seed=3).install(net)
+    before = plane.rng.bit_generator.state
+    seen = []
+    net.observers.append(seen.append)
+    for node in offline:
+        net.set_online(node, False)
+    with pytest.raises(NetworkError) as info:
+        net.send(src, dst, "x")
+    assert info.type is expected
+    assert net.counter.total == 0 and seen == [] and len(net.engine) == 0
+    assert plane.stats.messages_seen == 0 and plane.rng.bit_generator.state == before
 
 
 def test_online_listing(net):

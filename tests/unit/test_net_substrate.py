@@ -111,6 +111,23 @@ def test_reads_hand_out_plain_python_values(net):
     assert all(type(i) is int for i in net.agent_capable_nodes())
 
 
+def test_alive_is_a_read_only_view_of_the_liveness_mask(net):
+    """``alive`` is the public per-node liveness read: the mask's own buffer
+    (so every flip shows through it), Python bools, and no way to write."""
+    alive = net.alive
+    assert alive.readonly and alive.obj is net.online_mask
+    assert np.shares_memory(np.asarray(alive), net.online_mask)
+    net.set_online(4, False)
+    assert alive[4] is False and alive[3] is True
+    draws = np.zeros(N)
+    draws[7] = 0.9  # everyone online leaves but node 7; node 4 rejoins
+    net.apply_churn(draws, 0.5, 0.5, {0})
+    assert alive.tolist() == net.online_mask.tolist() == [i in (0, 4, 7) for i in range(N)]
+    with pytest.raises(TypeError):
+        alive[3] = True
+    assert net.alive is alive and alive[3] is False
+
+
 def test_link_horizons_are_python_floats():
     net = P2PNetwork(ring_lattice(N, k=1), np.random.default_rng(1))
     net.send(0, 3, "x")

@@ -3,11 +3,22 @@
 import numpy as np
 import pytest
 
+from repro.core import wire
+from repro.core.wire import WireSlice, decode, encode
 from repro.crypto.keys import PeerKeys
+from repro.crypto.simulated import Envelope
 from repro.errors import OnionPeelError
 from repro.net.network import P2PNetwork
 from repro.net.topology import ring_lattice
-from repro.onion.onion import build_onion, circuit_usable, draw_relays, peel
+from repro.onion.onion import (
+    OnionLayer,
+    PeelOutcome,
+    build_onion,
+    circuit_usable,
+    draw_relays,
+    peel,
+)
+from repro.onion.routing import OnionPacket
 from repro.vector.network import ArrayNetwork
 
 
@@ -88,6 +99,80 @@ def test_tampered_blob_fails_peel(sim_backend, rng):
     )
     with pytest.raises(OnionPeelError):
         peel(sim_backend, relay.ar, b"tampered")
+
+
+class TestDeliveredRule:
+    """A layer is delivered when its next hop is negative or its inner is the
+    fake-onion marker — on the object kernel (inner a Python value) and on
+    the live plane (inner a decoded ``WireSlice``) alike."""
+
+    @pytest.fixture
+    def owner(self, sim_backend, rng):
+        return PeerKeys.generate(sim_backend, rng)
+
+    @staticmethod
+    def as_decoded(blob):
+        """``blob`` as a live relay holds it: through the codec and back."""
+        return decode(encode(OnionPacket(blob, "m", "trust_query", 0.0))).blob
+
+    @pytest.fixture
+    def spies(self, monkeypatch):
+        """Calls of ``Envelope.__eq__`` and of the codec's value encoder."""
+        calls = []
+        envelope_eq, encode_value = Envelope.__eq__, wire._encode_value
+
+        def eq_spy(self, other):
+            calls.append("Envelope.__eq__")
+            return envelope_eq(self, other)
+
+        def encode_spy(value, out):
+            calls.append("encode")
+            return encode_value(value, out)
+
+        monkeypatch.setattr(Envelope, "__eq__", eq_spy)
+        monkeypatch.setattr(wire, "_encode_value", encode_spy)
+        return calls
+
+    @pytest.mark.parametrize("decoded", [False, True], ids=["object", "live"])
+    def test_core_and_forged_marker_layers_are_delivered(
+        self, sim_backend, owner, decoded
+    ):
+        core = sim_backend.encrypt(owner.ap, OnionLayer(next_ip=-1, inner="__fake_onion__"))
+        forged = sim_backend.encrypt(owner.ap, OnionLayer(next_ip=3, inner="__fake_onion__"))
+        if decoded:
+            core, forged = self.as_decoded(core), self.as_decoded(forged)
+            assert isinstance(forged.payload.inner, WireSlice)
+        outcomes = [peel(sim_backend, owner.ar, blob) for blob in (core, forged)]
+        assert outcomes[0] == outcomes[1] == (True, None, None)
+        assert outcomes[0] is outcomes[1]  # one shared outcome
+
+    @pytest.mark.parametrize("decoded", [False, True], ids=["object", "live"])
+    def test_relay_layers_are_forwarded_without_asking_the_inner(
+        self, sim_backend, owner, rng, decoded, spies
+    ):
+        relay = PeerKeys.generate(sim_backend, rng)
+        onion = build_onion(sim_backend, owner.ap, owner.sr, 0, [(1, relay.ap)], seq=1)
+        junk = sim_backend.encrypt(relay.ap, OnionLayer(next_ip=4, inner="junk"))
+        blobs = [onion.blob, junk]
+        if decoded:
+            blobs = [self.as_decoded(blob) for blob in blobs]
+        spies.clear()
+        relayed = peel(sim_backend, relay.ar, blobs[0])
+        assert spies == []  # a sealed inner is neither compared nor encoded
+        assert not relayed.delivered and relayed.next_ip == 0
+        junked = peel(sim_backend, relay.ar, blobs[1])
+        assert not junked.delivered and junked.next_ip == 4
+        onward = self.as_decoded(relayed.inner) if decoded else relayed.inner
+        assert peel(sim_backend, owner.ar, onward).delivered
+
+    def test_outcome_is_an_immutable_named_tuple(self, sim_backend, owner):
+        blob = sim_backend.encrypt(owner.ap, OnionLayer(next_ip=2, inner="junk"))
+        outcome = peel(sim_backend, owner.ar, blob)
+        assert isinstance(outcome, PeelOutcome) and isinstance(outcome, tuple)
+        assert outcome._fields == ("delivered", "next_ip", "inner")
+        assert tuple(outcome) == (False, 2, "junk")
+        with pytest.raises(AttributeError):
+            outcome.delivered = True
 
 
 def relay_network(kind=P2PNetwork, n=10, offline=()):
