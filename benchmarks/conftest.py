@@ -57,16 +57,22 @@ def scale() -> dict:
             "traffic_bound": dict(network_size=300, transactions=40),
             "robustness": dict(network_size=250),
             "ablations": dict(network_size=250),
-            "kernel": dict(sizes=(1000, 10_000), transactions=100),
-            # floor: 11x under the median of the committed baseline's three
-            # newest 100k samples (4 545 / 4 381 / 2 894 tx/s; 50-transaction
-            # runs swing that much) and 7x under the lowest — CI-runner slack,
-            # as 300 was 12x under the 3 700 it last guarded
+            # object_floor: the object kernel at N=1000, 11x under the median
+            # of the committed baseline's three samples at 512811d (602 / 593
+            # / 593 tx/s) — the array floors' slack; before it an object-
+            # kernel regression showed only as a rise in the speed-up
+            "kernel": dict(sizes=(1000, 10_000), transactions=100, object_floor_tx_per_sec=54.0),
+            # floor: 11x under the median of the three 100k samples at
+            # 4d6e346 (4 545 / 4 381 / 2 894 tx/s; 50-transaction runs swing
+            # that much) and 7x under the lowest — CI-runner slack, as 300
+            # was 12x under the 3 700 it last guarded; the three at 512811d
+            # (5 579 / 5 433 / 5 191) sit 13x over it
             "kernel_smoke": dict(network_size=100_000, transactions=50, floor_tx_per_sec=400.0),
-            # floor: 11x under the lowest of the committed baseline's three
-            # churn samples (2 748 / 2 908 / 2 898 tx/s, one 2 000-transaction
+            # floor: 11x under the lowest of the three churn samples at
+            # 0f5adf2 (2 748 / 2 908 / 2 898 tx/s, one 2 000-transaction
             # round each, first departure included) — the slack the 100k
-            # floor above carries under its median
+            # floor above carries under its median; the three at 512811d
+            # (2 932 / 3 423 / 3 230) sit 12x over it
             "kernel_churn": dict(
                 network_size=20_000, transactions=2000, churn=(0.01, 0.2),
                 floor_tx_per_sec=250.0,
@@ -85,7 +91,7 @@ def scale() -> dict:
         "traffic_bound": dict(network_size=150, transactions=10),
         "robustness": dict(network_size=150),
         "ablations": dict(network_size=150),
-        "kernel": dict(sizes=(1000,), transactions=60),
+        "kernel": dict(sizes=(1000,), transactions=60, object_floor_tx_per_sec=54.0),
         "kernel_smoke": dict(network_size=20_000, transactions=30, floor_tx_per_sec=100.0),
         "kernel_churn": dict(
             network_size=20_000, transactions=200, churn=(0.01, 0.2), floor_tx_per_sec=100.0
