@@ -15,9 +15,9 @@ Every suite also reports its headline numbers through the session-scoped
 and writes one machine-readable artifact per run:
 
 * ``BENCH_perf.json`` (``HIREP_BENCH_PERF_OUT``) — every report of the
-  session, the file ``hirep-perf record`` ingests;
+  session, the file ``hirep-obs record`` ingests;
 * when ``HIREP_PERF_HISTORY`` names a directory, the reports are also
-  appended straight into that history so ``hirep-perf gate`` can check
+  appended straight into that history so ``hirep-obs gate`` can check
   them against the rolling baseline.
 """
 
@@ -41,7 +41,7 @@ KERNEL_BENCH_OUT = os.environ.get("HIREP_BENCH_KERNEL_OUT", "BENCH_kernel.json")
 #: Where the session's PerfReport envelope lands.
 PERF_BENCH_OUT = os.environ.get("HIREP_BENCH_PERF_OUT", "BENCH_perf.json")
 
-#: Optional append-only history root; CI sets this to feed ``hirep-perf gate``.
+#: Optional append-only history root; CI sets this to feed ``hirep-obs gate``.
 PERF_HISTORY = os.environ.get("HIREP_PERF_HISTORY")
 
 

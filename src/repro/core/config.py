@@ -99,10 +99,6 @@ class HiRepConfig:
     after the first timeout).  Only active when ``query_timeout_ms`` is
     set."""
 
-    retry_backoff_factor: float = 2.0
-    """Exponential backoff: attempt *k* waits
-    ``query_timeout_ms * factor**k`` before declaring the round lost."""
-
     agent_miss_limit: int = 3
     """Park an agent in the backup cache after this many *consecutive*
     queries it failed to answer (0 = never park on misses).  Only active
@@ -167,10 +163,6 @@ class HiRepConfig:
         if self.max_query_retries < 0:
             raise ConfigError(
                 f"max_query_retries must be >= 0, got {self.max_query_retries}"
-            )
-        if self.retry_backoff_factor < 1.0:
-            raise ConfigError(
-                f"retry_backoff_factor must be >= 1, got {self.retry_backoff_factor}"
             )
         if self.agent_miss_limit < 0:
             raise ConfigError(

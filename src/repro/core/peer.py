@@ -247,15 +247,18 @@ class HiRepPeer:
 
     # -- timeout / retry / backoff (robustness extension) -----------------
 
+    #: Exponential backoff between query attempts (see ``_arm_deadline``).
+    RETRY_BACKOFF_FACTOR = 2.0
+
     def _arm_deadline(self, pending: PendingQuery) -> None:
         """Schedule the deadline for ``pending``'s current attempt.
 
-        Attempt *k* waits ``query_timeout_ms * backoff_factor**k`` — the
-        timeout and the exponential backoff are one knob, so a retried
+        Attempt *k* waits ``query_timeout_ms * RETRY_BACKOFF_FACTOR**k`` —
+        the timeout and the exponential backoff are one knob, so a retried
         agent always gets strictly longer to answer than the round before.
         """
         delay = self.config.query_timeout_ms * (
-            self.config.retry_backoff_factor ** pending.attempt
+            self.RETRY_BACKOFF_FACTOR ** pending.attempt
         )
         self.network.engine.schedule_in(
             delay, lambda: self._on_query_deadline(pending)

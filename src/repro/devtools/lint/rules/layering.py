@@ -30,11 +30,11 @@ LAYERS: dict[str, int] = {
     "repro.errors": 0,
     "repro.crypto": 1,
     "repro.sim": 1,
+    "repro.perf": 1,
     "repro.net": 2,
     "repro.obs": 2,
     "repro.structured": 2,
     "repro.onion": 3,
-    "repro.perf": 3,
     "repro.core": 4,
     "repro.baselines": 5,
     "repro.vector": 5,

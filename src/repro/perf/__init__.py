@@ -9,9 +9,10 @@ Where :mod:`repro.obs` observes a single run from the inside,
   ``(suite, backend, network_size)``, one line per recorded report;
 * :func:`gate` — regression detection against a rolling baseline, with
   direction-aware metric semantics (throughput up is good, memory and
-  wall-time up are bad);
-* the ``hirep-perf`` CLI (``record`` / ``trend`` / ``diff`` / ``gate`` /
-  ``flame``).
+  wall-time up are bad).
+
+A library only, below :mod:`repro.obs` in the layering: its command line
+is ``hirep-obs`` (``record`` / ``trend`` / ``diff`` / ``gate``).
 
 See the "Profiling & perf gating" section of ``docs/observability.md``.
 """

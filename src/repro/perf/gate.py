@@ -23,7 +23,13 @@ from repro.errors import ConfigError
 from repro.perf.history import PerfHistory
 from repro.perf.report import PerfReport, metric_direction
 
-__all__ = ["GateFinding", "GateResult", "gate", "rolling_median"]
+__all__ = ["GateFinding", "GateResult", "gate", "rolling_median", "series_label"]
+
+
+def series_label(suite: str, backend: str, network_size: int) -> str:
+    """``suite/backend@N=n`` for one history series key."""
+    where = suite + (f"/{backend}" if backend else "")
+    return where + (f"@N={network_size}" if network_size else "")
 
 
 def rolling_median(values: list[float]) -> float:
@@ -51,11 +57,7 @@ class GateFinding:
 
     def render(self) -> str:
         arrow = "v" if self.direction == "higher" else "^"
-        where = self.suite
-        if self.backend:
-            where += f"/{self.backend}"
-        if self.network_size:
-            where += f"@N={self.network_size}"
+        where = series_label(self.suite, self.backend, self.network_size)
         return (
             f"{where}: {self.metric} {arrow} {self.factor:.2f}x worse "
             f"({self.value:g} vs rolling baseline {self.baseline:g} "

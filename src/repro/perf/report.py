@@ -6,7 +6,7 @@ measured it, on which backend and network size, and a flat
 the shared ``benchmarks/conftest.py`` helper stamps the envelope
 (schema version, scale, git sha) so individual suites only supply their
 numbers, and every consumer (:class:`~repro.perf.history.PerfHistory`,
-``hirep-perf``) reads exactly one shape.
+``hirep-obs``) reads exactly one shape.
 
 Metric *direction* is a naming convention, not per-report metadata:
 ``*_per_sec`` and ``*speedup*`` metrics are better when higher;

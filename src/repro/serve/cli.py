@@ -1,4 +1,4 @@
-"""hirep-serve: bring up, load, benchmark, and report on a live fleet.
+"""hirep-serve: bring up, load and benchmark a live fleet.
 
 Subcommands
 -----------
@@ -6,24 +6,22 @@ Subcommands
     Build a fleet from the system registry, start every actor, print the
     bring-up summary, and shut down — the smoke test for a config.
 ``load``
-    Replay a workload trace at a chosen concurrency/arrival rate, print
-    the SLO report, optionally persist ``slo.json`` (``--out``) and the
-    full telemetry bundle (``--telemetry``).  ``--profile`` attaches a
+    Replay a workload trace at a chosen concurrency/arrival rate and
+    print the SLO report; ``--telemetry`` stores the full telemetry
+    bundle with the SLO summary in its ``meta.json``, which
+    ``hirep-obs summarize`` renders back.  ``--profile`` attaches a
     sampling :class:`~repro.obs.prof.Profiler` to the fleet's telemetry
     plane (``--profile mem`` adds tracemalloc watermarks); with
     ``--telemetry`` the bundle gains ``profile.json`` for
-    ``hirep-perf flame``.  Exits non-zero when any transaction is lost.
+    ``hirep-obs flame``.  Exits non-zero when any transaction is lost.
 ``bench``
     Run the same trace at several concurrency levels (fresh fleet each)
     and print a throughput table.
-``report``
-    Re-render a previously written ``slo.json``.
 """
 
 from __future__ import annotations
 
 import argparse
-from pathlib import Path
 from typing import Any, Sequence, cast
 
 import numpy as np
@@ -31,8 +29,10 @@ import numpy as np
 from repro.core.config import HiRepConfig
 from repro.core.registry import build_system
 from repro.obs.bundle import store_bundle
+from repro.obs.prof import Profiler
+from repro.obs.slo import render_slo
 from repro.serve.load import WORKLOAD_NAMES, LoadGenerator, LoadReport, build_trace
-from repro.serve.report import load_slo, render_slo, slo_summary, write_slo
+from repro.serve.report import slo_summary
 from repro.serve.transport import TRANSPORT_NAMES
 
 __all__ = ["main"]
@@ -132,8 +132,6 @@ def _cmd_load(args: argparse.Namespace) -> int:
     system = _build_fleet(args)
     profiler = None
     if args.profile:
-        from repro.obs.prof import Profiler
-
         profiler = system.telemetry.set_profiler(Profiler(memory=args.profile == "mem"))
     with system:
         if profiler is not None:
@@ -150,21 +148,12 @@ def _cmd_load(args: argparse.Namespace) -> int:
                 print(f"self {ms:8.1f}ms  {label}")
         for error in report.errors:
             print(f"lost: {error}")
-        if args.out is not None:
-            path = write_slo(summary, Path(args.out) / "slo.json")
-            print(f"slo report: {path}")
         if args.telemetry is not None:
+            # The SLO summary names transport, fleet, seed and concurrency.
             key, path = store_bundle(
                 system.telemetry,
                 args.telemetry,
-                meta={
-                    "tool": "hirep-serve",
-                    "transport": args.transport,
-                    "peers": args.peers,
-                    "transactions": args.transactions,
-                    "concurrency": args.concurrency,
-                    "seed": args.seed,
-                },
+                meta={"tool": "hirep-serve", "slo": summary},
             )
             print(f"telemetry bundle: {path} (key {key[:12]})")
     return 0 if report.lost == 0 else 1
@@ -184,11 +173,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         )
         worst = max(worst, report.lost)
     return 0 if worst == 0 else 1
-
-
-def _cmd_report(args: argparse.Namespace) -> int:
-    print(render_slo(load_slo(args.path)))
-    return 0
 
 
 def _parse_concurrency_list(raw: str) -> list[int]:
@@ -220,7 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
     load.add_argument(
         "--rate", type=float, default=None, help="open-loop arrival rate (tx/s)"
     )
-    load.add_argument("--out", default=None, help="directory for slo.json")
     load.add_argument(
         "--telemetry", default=None, help="bundle store root for the full record"
     )
@@ -246,10 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument("--rate", type=float, default=None, help=argparse.SUPPRESS)
     bench.set_defaults(func=_cmd_bench)
-
-    report = sub.add_parser("report", help="re-render a saved slo.json")
-    report.add_argument("path", help="path to slo.json")
-    report.set_defaults(func=_cmd_report)
 
     return parser
 

@@ -10,7 +10,8 @@ transport; the destination's actor pulls it, decodes it, and feeds the
 registered handler.  Observers keep working — they hook the send path
 before the frame is posted, exactly where the simulator hooks them.  A
 frame the codec refuses is dropped and counted, never raised into the
-actor.
+actor.  Fault planes are refused: the live send path has no fault hook
+(actor kill/restart goes through the supervisor instead).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Any
 import numpy as np
 
 from repro.core.wire import decode, encode
-from repro.errors import NetworkError, WireError
+from repro.errors import ConfigError, NetworkError, WireError
 from repro.net.latency import LatencyModel
 from repro.net.messages import Category, NetMessage
 from repro.net.network import P2PNetwork
@@ -56,6 +57,18 @@ class ServeNetwork(P2PNetwork):
         self.frames_received = 0
         #: Inbound frames dropped as malformed before any handler ran.
         self.frames_rejected = 0
+
+    @property
+    def faults(self) -> None:
+        return None
+
+    @faults.setter
+    def faults(self, plane: object) -> None:
+        if plane is not None:
+            raise ConfigError(
+                "the live fleet (serve) does not support fault planes; "
+                "build the object kernel ('hirep') for fault-injection runs"
+            )
 
     def send(
         self,

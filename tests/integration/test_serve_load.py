@@ -12,7 +12,9 @@ from repro.core.config import HiRepConfig
 from repro.errors import ConfigError
 from repro.obs.bundle import load_bundle, store_bundle
 from repro.serve import LoadGenerator, ServeSystem, build_trace
-from repro.serve.report import load_slo, render_slo, slo_summary, write_slo
+from repro.obs.cli import main as obs_main
+from repro.obs.slo import render_slo
+from repro.serve.report import slo_summary
 from repro.workloads import Transaction
 
 
@@ -49,7 +51,7 @@ def test_outcome_indices_are_unique_and_monotone_under_concurrency(fleet):
     assert fleet.transactions_run == 40
 
 
-def test_slo_summary_has_percentiles_and_traffic(fleet, tmp_path):
+def test_slo_summary_has_percentiles_and_traffic(fleet, tmp_path, capsys):
     trace = make_trace(fleet, 40)
     report = LoadGenerator(fleet, trace, concurrency=4).run()
     summary = slo_summary(fleet, report)
@@ -60,9 +62,16 @@ def test_slo_summary_has_percentiles_and_traffic(fleet, tmp_path):
     assert summary["traffic"]["msgs_per_tx"] > 0.0
     assert summary["transactions"] == {"offered": 40, "completed": 40, "lost": 0}
     assert summary["traffic"]["frames_rejected"] == 0
-    assert "0 rejected)" in render_slo(summary)
-    path = write_slo(summary, tmp_path / "slo.json")
-    assert load_slo(path) == summary
+    rendered = render_slo(summary)
+    assert "0 rejected)" in rendered
+    # The bundle is the run's one artifact: the summary rides in meta.json
+    # and hirep-obs summarize prints what hirep-serve load printed.
+    _key, path = store_bundle(fleet.telemetry, tmp_path, meta={"slo": summary})
+    assert load_bundle(path).meta["slo"] == summary
+    assert obs_main(["summarize", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert rendered in out
+    assert "span latency (wall-ms):" in out
 
 
 def test_telemetry_bundle_round_trips(fleet, tmp_path):

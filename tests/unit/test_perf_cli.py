@@ -1,8 +1,8 @@
-"""hirep-perf CLI: record/trend/diff/gate/flame, exit-code semantics.
+"""hirep-obs on perf records: record/trend/diff/gate/flame, exit codes.
 
-Exit codes follow the ``hirep-obs diff`` convention: findings always
-print, but a non-zero exit needs ``--exit-code`` — so interactive use
-never fails a shell and CI opts in explicitly.
+``diff`` and ``gate`` always print their findings, but a non-zero exit
+needs ``--exit-code`` — so interactive use never fails a shell and CI
+opts in explicitly.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.perf.cli import main
+from repro.obs.cli import main
 from repro.perf.history import PerfHistory
 from repro.perf.report import PerfReport
 
@@ -136,7 +136,7 @@ def test_gate_cli_flags_2x_regression(tmp_path, capsys):
     history = PerfHistory(tmp_path / "h")
     for value in (1000.0, 1005.0, 995.0, 500.0):
         history.record(report(value))
-    # without --exit-code: report, exit 0 (hirep-obs diff semantics)
+    # without --exit-code: report, exit 0 (the diff semantics)
     assert main(["gate", "--history", str(tmp_path / "h")]) == 0
     assert "REGRESSIONS" in capsys.readouterr().out
     assert main(["gate", "--history", str(tmp_path / "h"), "--exit-code"]) == 1

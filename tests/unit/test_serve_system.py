@@ -9,6 +9,7 @@ from repro.core.config import HiRepConfig
 from repro.core.registry import build_system, system_names
 from repro.errors import ConfigError
 from repro.net.churn import ChurnModel
+from repro.net.faults import FaultPlane, MessageLoss
 from repro.serve.engine import WallEngine
 from repro.serve.system import ServeSystem
 
@@ -62,6 +63,16 @@ def test_simulator_build_options_are_rejected_loudly(small, option, supported_by
     assert not build_system("serve", small, **{option: None}).running
     with pytest.raises(TypeError, match="no_such_option"):
         build_system("serve", small, no_such_option=1)
+
+
+def test_fault_planes_are_refused(small):
+    """The live send path has no fault hook, so a plane must not attach."""
+    system = build_system("serve", small)
+    plane = FaultPlane([MessageLoss(1.0)], seed=3)
+    with pytest.raises(ConfigError, match="fault planes"):
+        plane.install(system.network)
+    assert system.network.faults is None
+    system.network.faults = None  # explicit None is what P2PNetwork.__init__ assigns
 
 
 def test_up_down_idempotent(small):
