@@ -109,7 +109,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     cache = None if args.no_cache else ResultCache(args.cache or out / "cache")
     progress = _StderrProgress() if args.progress else None
-    # wall time goes through the one audited bridge (TNT001): elapsed time
+    # wall time goes through the one sanctioned clock (DET002): elapsed time
     # is stderr-only operator telemetry, never part of the report artifact
     from repro.obs.clock import WallClock
 

@@ -140,7 +140,8 @@ class NoGlobalRandomness(Rule):
                     )
 
 
-#: modules × attributes that read the wall clock.
+#: modules × attributes that read the wall clock.  The calendar functions
+#: (``strftime`` … ``asctime``) read it when called without a time argument.
 _CLOCK_ATTRS = {
     "time": {
         "time",
@@ -151,6 +152,11 @@ _CLOCK_ATTRS = {
         "perf_counter_ns",
         "process_time",
         "process_time_ns",
+        "strftime",
+        "localtime",
+        "gmtime",
+        "ctime",
+        "asctime",
     },
     "datetime": {"now", "utcnow", "today"},
     "date": {"today"},

@@ -2,7 +2,7 @@
 
 A bare ``print()`` in the simulation/protocol/orchestration layers is
 output nobody can capture, filter, or diff: it bypasses the tracer, the
-span recorder, and the metric registry (:mod:`repro.obs`), interleaves
+span recorder, and the metric snapshot (:mod:`repro.obs`), interleaves
 nondeterministically under ``--jobs N``, and corrupts machine-read stdout
 (export pipelines, golden files).  Record an event on the plane, bump a
 metric, or raise — don't print.

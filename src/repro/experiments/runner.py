@@ -299,7 +299,8 @@ def main(argv: list[str] | None = None) -> int:
 
     manifest_path = args.manifest
     if manifest_path is None and cache is not None:
-        stamp = time.strftime("%Y%m%d-%H%M%S") + f"-{os.getpid()}"
+        # the manifest's file name is a wall-clock stamp, not simulated time
+        stamp = time.strftime("%Y%m%d-%H%M%S") + f"-{os.getpid()}"  # lint: allow[DET002]
         manifest_path = str(Path(cache.root) / "runs" / f"run-{stamp}.jsonl")
     manifest = RunManifest(manifest_path) if manifest_path else None
     if manifest is not None:

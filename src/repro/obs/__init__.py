@@ -1,9 +1,9 @@
 """repro.obs — the unified telemetry plane.
 
 One opt-in observer for a whole simulated deployment: hierarchical
-spans keyed to simulation time, a deterministic metric registry, a
-timeline of network/dispatch/fault events, and exporters (JSONL,
-Chrome trace) feeding the ``hirep-obs`` CLI.  See
+spans keyed to simulation time, a timeline of network/dispatch/fault
+events, one sorted snapshot of the systems' own metrics, and exporters
+(JSONL, Chrome trace) feeding the ``hirep-obs`` CLI.  See
 ``docs/observability.md`` for the tour.
 
 Attribute access is lazy (PEP 562): importing :mod:`repro.obs` — which
@@ -21,13 +21,8 @@ from typing import Any
 
 __all__ = [
     "Bundle",
-    "Counter",
-    "DEFAULT_BUCKETS_MS",
-    "Gauge",
-    "Histogram",
     "PROFILE_SCHEMA",
     "Profiler",
-    "Registry",
     "Span",
     "SpanRecorder",
     "TelemetryPlane",
@@ -54,11 +49,6 @@ _HOME_OF = {
     "load_bundle": "repro.obs.bundle",
     "store_bundle": "repro.obs.bundle",
     "write_bundle": "repro.obs.bundle",
-    "Counter": "repro.obs.metrics",
-    "DEFAULT_BUCKETS_MS": "repro.obs.metrics",
-    "Gauge": "repro.obs.metrics",
-    "Histogram": "repro.obs.metrics",
-    "Registry": "repro.obs.metrics",
     "PROFILE_SCHEMA": "repro.obs.prof",
     "Profiler": "repro.obs.prof",
     "Span": "repro.obs.spans",

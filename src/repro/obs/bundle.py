@@ -5,7 +5,8 @@ A *bundle* is the on-disk form of a :class:`~repro.obs.plane.TelemetryPlane`:
 * ``events.jsonl`` — timeline events and spans (see
   :mod:`repro.obs.export`);
 * ``trace.json``   — the Chrome/Perfetto trace;
-* ``metrics.json`` — the registry snapshot;
+* ``metrics.json`` — the :meth:`~repro.obs.plane.TelemetryPlane.collect`
+  snapshot;
 * ``meta.json``    — caller-supplied context (job key, spec, label);
 * ``profile.json`` — the wall-clock profile (:mod:`repro.obs.prof`),
   present only when the plane carried a profiler.
@@ -53,19 +54,15 @@ def write_bundle(
 ) -> Path:
     """Export ``plane`` into ``directory`` (created if needed).
 
-    Wall-clock profiler gauges (``prof.*``) are kept out of
-    ``metrics.json`` — they land in ``profile.json`` with the sampled
-    stacks — so the hashed telemetry files stay a pure function of the
-    simulation whether or not a profiler rode along.
+    A joined profiler's wall-clock data goes to ``profile.json`` only, so
+    the hashed telemetry files stay a pure function of the simulation
+    whether or not a profiler rode along.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     write_events_jsonl(plane, directory / "events.jsonl")
     write_chrome_trace(plane, directory / "trace.json")
-    metrics = {
-        k: v for k, v in plane.collect().items() if not k.startswith("prof.")
-    }
-    write_metrics_json(metrics, directory / "metrics.json")
+    write_metrics_json(plane.collect(), directory / "metrics.json")
     (directory / "meta.json").write_text(
         json.dumps(meta or {}, sort_keys=True, separators=(",", ":"))
     )

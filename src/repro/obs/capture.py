@@ -66,14 +66,11 @@ def _profile_from_env() -> str | bool:
 
 
 @contextmanager
-def capture(
-    *, profile: str | bool | None = None, **plane_kwargs: Any
-) -> Iterator["TelemetryPlane"]:
+def capture(*, profile: str | bool | None = None) -> Iterator["TelemetryPlane"]:
     """Open a capture window; yields the :class:`TelemetryPlane`.
 
     Every system built through the registry inside the window is
-    instrumented.  Keyword arguments go to the plane constructor
-    (``capacity``, ``flight_spans``).
+    instrumented.
 
     ``profile`` opts the window into wall-clock profiling
     (:mod:`repro.obs.prof`): ``True`` starts a sampling profiler for the
@@ -92,7 +89,7 @@ def capture(
 
     if profile is None:
         profile = _profile_from_env()
-    plane = TelemetryPlane(**plane_kwargs)
+    plane = TelemetryPlane()
     profiler = None
     if profile:
         from repro.obs.prof import Profiler

@@ -2,7 +2,7 @@
 
 Usage::
 
-    hirep-obs summarize BUNDLE            # counts, span latency, SLO report
+    hirep-obs summarize BUNDLE            # counts, span latency, SLO, metrics
     hirep-obs timeline  BUNDLE            # rendered event/span timeline tail
     hirep-obs timeline  BUNDLE -c net.send -c fault.drop --limit 100
     hirep-obs diff      A B --exit-code   # two bundles, or two perf records
@@ -123,20 +123,10 @@ def cmd_summarize(args: argparse.Namespace) -> int:
                 f" {stats.p95:>10.3f} {stats.p99:>10.3f} {stats.maximum:>10.3f}"
             )
 
-    if args.metrics:
+    if bundle.metrics:
         print("\nmetrics:")
         for name, value in sorted(bundle.metrics.items()):
             print(f"  {name} = {value}")
-    else:
-        wanted = [
-            k
-            for k in bundle.metrics
-            if not k.startswith("span_ms[") and ".le[" not in k
-        ]
-        if wanted:
-            print("\nmetrics (scalars; --metrics for all):")
-            for name in sorted(wanted):
-                print(f"  {name} = {bundle.metrics[name]}")
     return 0
 
 
@@ -415,11 +405,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_sum = sub.add_parser("summarize", help="counts, span latency, SLO report")
-    p_sum.add_argument("bundle", help="bundle directory")
-    p_sum.add_argument(
-        "--metrics", action="store_true", help="print every metric, not just scalars"
+    p_sum = sub.add_parser(
+        "summarize", help="counts, span latency, SLO report, metrics"
     )
+    p_sum.add_argument("bundle", help="bundle directory")
     p_sum.set_defaults(func=cmd_summarize)
 
     p_tl = sub.add_parser("timeline", help="render the event/span timeline")

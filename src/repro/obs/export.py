@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
-from typing import Any, Iterable, Mapping, TYPE_CHECKING
+from typing import Any, Mapping, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.plane import TelemetryPlane
@@ -188,11 +188,8 @@ def write_chrome_trace(plane: "TelemetryPlane", path: str | Path) -> Path:
     return path
 
 
-def write_metrics_json(
-    metrics: Mapping[str, float] | Iterable[tuple[str, float]],
-    path: str | Path,
-) -> Path:
-    """Write a metric snapshot (``Registry.collect`` output) as JSON."""
+def write_metrics_json(metrics: Mapping[str, float], path: str | Path) -> Path:
+    """Write a metric snapshot (``TelemetryPlane.collect`` output) as JSON."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(_dumps(dict(metrics)))

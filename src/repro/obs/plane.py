@@ -1,18 +1,18 @@
 """The telemetry plane: one observer that sees a whole deployment.
 
-:class:`TelemetryPlane` binds the three telemetry primitives together —
+:class:`TelemetryPlane` holds two records and reads one metric store —
 
 * an **event timeline** (a :class:`~repro.sim.trace.Tracer`): every
   network send, protocol dispatch, and fault-plane intervention as an
   instant event at simulated time;
 * a **span recorder** (:class:`~repro.obs.spans.SpanRecorder`): one span
   per transaction with its two protocol phases (``transaction → query →
-  report``), plus per-message flight spans;
-* a **metric registry** (:class:`~repro.obs.metrics.Registry`): live
-  histograms of span durations and messages per transaction, plus one
-  pull-model collector per system that absorbs the pre-existing metric
-  silos (message counter, MSE, response times, fault stats, retry stats)
-  at snapshot time.
+  report``), plus per-message flight spans; each span carries its own
+  duration, and a transaction span its ``messages``;
+* :meth:`TelemetryPlane.collect`: the systems' own metrics (message
+  counter, MSE, response times, fault stats, retry and serve counters),
+  read at snapshot time and merged with the plane's record counts.  The
+  plane keeps no metric of its own that a span or event already holds.
 
 Transactions reach the plane through the one seam every executor shares:
 :meth:`~repro.core.runtime.TransactionRuntime.begin` calls
@@ -21,10 +21,10 @@ Transactions reach the plane through the one seam every executor shares:
 where its query phase ended — nothing is re-derived from message
 categories.  :meth:`TelemetryPlane.attach` therefore only sets
 ``system.telemetry`` and hooks whatever else the system **has**: network
-observer lists (per-send and fault events), a protocol dispatcher (its
-``tap`` slot), the metric collectors.  A system without a plane runs the
-exact pre-telemetry code path.  Everything recorded is keyed to the
-system's own clock, so simulator output is a pure function of the seed.
+observer lists (per-send and fault events) and a protocol dispatcher (its
+``tap`` slot).  A system without a plane runs the exact pre-telemetry
+code path.  Everything recorded is keyed to the system's own clock, so
+simulator output is a pure function of the seed.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from __future__ import annotations
 from typing import Any, Callable, TYPE_CHECKING
 
 from repro.errors import ConfigError
-from repro.obs.metrics import Registry
 from repro.obs.spans import Span, SpanRecorder
 from repro.sim.trace import Tracer
 
@@ -41,8 +40,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["TelemetryPlane"]
 
-#: Message-count buckets for the per-transaction traffic histogram.
-_MSGS_PER_TX_BOUNDS = (2.0, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 500.0)
+#: Event-timeline buffer size (evictions are counted, never silent).
+TIMELINE_CAPACITY = 1_000_000
 
 
 class _Attachment:
@@ -75,8 +74,6 @@ class TelemetryPlane:
 
     Parameters
     ----------
-    capacity:
-        Event-timeline buffer size (evictions are counted, never silent).
     flight_spans:
         Tap the protocol dispatcher: one ``dispatch.handled`` /
         ``dispatch.dropped`` event and one ``msg.*`` span (sent →
@@ -85,40 +82,29 @@ class TelemetryPlane:
         always-on plane of a live fleet).
     """
 
-    def __init__(
-        self,
-        *,
-        capacity: int = 1_000_000,
-        flight_spans: bool = True,
-        profiler: "Profiler | None" = None,
-    ) -> None:
-        self.tracer = Tracer(capacity=capacity)
+    def __init__(self, *, flight_spans: bool = True) -> None:
+        self.tracer = Tracer(capacity=TIMELINE_CAPACITY)
         self.spans = SpanRecorder()
-        self.registry = Registry()
         self.flight_spans = flight_spans
         self.profiler: "Profiler | None" = None
         #: id(system) -> its attachment (the plane keeps the system alive).
         self._attachments: dict[int, _Attachment] = {}
         #: span id -> wall-clock ms at begin, while a profiler is joined.
         self._wall_t0: dict[int, float] = {}
-        self.registry.register_collector(self._self_collector)
-        if profiler is not None:
-            self.set_profiler(profiler)
 
     def set_profiler(self, profiler: "Profiler") -> "Profiler":
         """Join a :class:`~repro.obs.prof.Profiler` to this plane.
 
-        The profiler's watermark gauges (``prof.*``) enter the metric
-        snapshot, every transaction span's wall-clock cost is noted in
-        the profiler's ``span_wall`` join, and samples taken while a
+        Every transaction span's wall-clock cost is noted in the
+        profiler's ``span_wall`` join, and samples taken while a
         transaction is in flight are attributed to the ``transaction``
-        context.  Starting/stopping the profiler stays the caller's job
-        (``capture(profile=True)`` does both).
+        context.  Nothing wall-clock enters :meth:`collect`; the profile
+        is its own bundle file.  Starting/stopping the profiler stays the
+        caller's job (``capture(profile=True)`` does both).
         """
         if self.profiler is not None:
             raise ConfigError("telemetry plane already has a profiler")
         self.profiler = profiler
-        self.registry.register_collector(profiler.collect)
         return profiler
 
     # -- introspection -----------------------------------------------------
@@ -131,13 +117,6 @@ class TelemetryPlane:
     def labels(self) -> list[str]:
         return [a.label for a in self._attachments.values()]
 
-    def _self_collector(self) -> dict[str, float]:
-        return {
-            "obs.events.recorded": self.tracer.recorded,
-            "obs.events.evicted": self.tracer.evicted,
-            "obs.spans.recorded": len(self.spans),
-        }
-
     # -- attachment --------------------------------------------------------
 
     def attach(self, system: Any, *, label: str | None = None) -> "TelemetryPlane":
@@ -147,8 +126,8 @@ class TelemetryPlane:
         ``begin``/``finish`` report every transaction here — and hooks
         what the system has: a network with observer lists gets the send
         and fault observers, a protocol dispatcher gets its ``tap`` (when
-        ``flight_spans`` is on), and its counters join the snapshot.  A
-        system whose traffic is billed analytically (the array kernel,
+        ``flight_spans`` is on), and its counters join :meth:`collect`.
+        A system whose traffic is billed analytically (the array kernel,
         the flooding baselines) sends nothing for the first two to see
         and yields transaction spans and metrics only.
 
@@ -156,7 +135,7 @@ class TelemetryPlane:
         it to a second plane raises.  A plane may hold several systems;
         the first is unlabelled, later ones default to ``sys1``, ``sys2``,
         ... so multi-system captures (e.g. a baseline comparison) keep
-        their metric namespaces apart.
+        their metric namespaces apart.  A label already in use is refused.
         """
         current = getattr(system, "telemetry", None)
         if current is self:
@@ -168,6 +147,10 @@ class TelemetryPlane:
             )
         if label is None and self._attachments:
             label = f"sys{len(self._attachments)}"
+        if (label or "") in self.labels():
+            raise ConfigError(
+                f"telemetry label {label!r} is already in use on this plane"
+            )
         att = self._attachments[id(system)] = _Attachment(system, label)
         system.telemetry = self
         if hasattr(system.network, "observers"):
@@ -175,7 +158,6 @@ class TelemetryPlane:
         dispatcher = getattr(system, "dispatcher", None)
         if dispatcher is not None and self.flight_spans:
             dispatcher.tap = self._dispatch_tap(att)
-        self.registry.register_collector(lambda: self._system_metrics(att))
         return self
 
     # -- events ------------------------------------------------------------
@@ -203,7 +185,6 @@ class TelemetryPlane:
             if kind == "delay":
                 fields["extra_ms"] = extra_ms
             record(engine.now, f"fault.{kind}", **fields, **tag)
-            self.registry.counter(f"obs.fault.{kind}s").inc()
 
         network.observers.append(on_send)
         network.fault_observers.append(on_fault)
@@ -270,23 +251,15 @@ class TelemetryPlane:
         # min(): start + (t - start) may land an ulp past t == end.
         split = min(start + query_ms, end) if query_ms == query_ms else start
         for name, lo, hi in (("query", start, split), ("report", split, end)):
-            self._observe_span(
-                self.spans.emit(name, lo, hi, category="phase", parent=span, **att.tag)
-            )
-        messages = outcome.total_messages or outcome.messages
-        self._observe_span(
-            self.spans.finish(
-                span,
-                end,
-                requestor=outcome.requestor,
-                provider=outcome.provider,
-                estimate=outcome.estimate,
-                messages=messages,
-            )
+            self.spans.emit(name, lo, hi, category="phase", parent=span, **att.tag)
+        self.spans.finish(
+            span,
+            end,
+            requestor=outcome.requestor,
+            provider=outcome.provider,
+            estimate=outcome.estimate,
+            messages=outcome.total_messages or outcome.messages,
         )
-        self.registry.histogram(
-            f"{att.prefix}msgs_per_tx", bounds=_MSGS_PER_TX_BOUNDS
-        ).observe(float(messages))
         wall_t0 = self._wall_t0.pop(span.span_id, None)
         if wall_t0 is not None:
             # The join lives in the profiler (profile.json), not in span
@@ -299,10 +272,7 @@ class TelemetryPlane:
             if not self._wall_t0:
                 profiler.mark("")
 
-    def _observe_span(self, span: Span) -> None:
-        self.registry.histogram(f"span_ms[{span.name}]").observe(span.duration_ms)
-
-    # -- metric absorption -------------------------------------------------
+    # -- metrics -----------------------------------------------------------
 
     def _system_metrics(self, att: _Attachment) -> dict[str, float]:
         system = att.system
@@ -323,8 +293,20 @@ class TelemetryPlane:
         out.update(system._telemetry_metrics())
         return {f"{att.prefix}{name}": value for name, value in out.items()}
 
-    # -- snapshot ----------------------------------------------------------
-
     def collect(self) -> dict[str, float]:
-        """The registry snapshot (sorted; see :meth:`Registry.collect`)."""
-        return self.registry.collect()
+        """One flat, name-sorted snapshot — what ``metrics.json`` holds.
+
+        The plane's own record counts (``obs.*``), then every attached
+        system's metrics under its label prefix.  Labels are unique
+        (:meth:`attach` refuses a reused one), so no two systems can
+        write the same key.  Nothing here reads the wall clock: the
+        snapshot is a pure function of the simulation.
+        """
+        out: dict[str, float] = {
+            "obs.events.recorded": self.tracer.recorded,
+            "obs.events.evicted": self.tracer.evicted,
+            "obs.spans.recorded": len(self.spans),
+        }
+        for att in self._attachments.values():
+            out.update(self._system_metrics(att))
+        return dict(sorted(out.items()))

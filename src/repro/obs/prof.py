@@ -190,7 +190,7 @@ class Profiler:
         return self
 
     def stop(self) -> None:
-        """Stop sampling and fold the watermark gauges (idempotent)."""
+        """Stop sampling and fold the memory watermarks (idempotent)."""
         sampler = self._sampler
         if sampler is None:
             return
@@ -284,23 +284,6 @@ class Profiler:
         return dict(sorted(out.items()))
 
     # -- export ------------------------------------------------------------
-
-    def collect(self) -> dict[str, float]:
-        """Watermark gauges in registry-snapshot form (``prof.*``)."""
-        out: dict[str, float] = {
-            "prof.interval_ms": self.interval_ms,
-            "prof.samples": float(self.sample_count),
-            "prof.stacks.distinct": float(len(self._samples)),
-            "prof.wall_ms": self.wall_ms,
-            "prof.rss_peak_kb": float(self.rss_peak_kb),
-            "prof.span_wall_ms.count": float(len(self.span_wall)),
-            "prof.span_wall_ms.sum": sum(w for _, _, w in self.span_wall),
-        }
-        for gen, n in sorted(self.gc_collections.items()):
-            out[f"prof.gc.{gen}"] = float(n)
-        if self.tracemalloc_peak_kb is not None:
-            out["prof.mem.tracemalloc_peak_kb"] = self.tracemalloc_peak_kb
-        return out
 
     def to_dict(self) -> dict[str, Any]:
         """The ``profile.json`` payload (see :data:`PROFILE_SCHEMA`)."""

@@ -130,6 +130,21 @@ def test_det002_flags_wall_clock_reads():
     )
 
 
+@pytest.mark.parametrize(
+    "read", ["strftime('%Y')", "localtime()", "gmtime()", "ctime()", "asctime()"]
+)
+def test_det002_flags_calendar_reads_of_the_clock(read):
+    # with no time argument these format or split the current wall time
+    assert codes(f"import time\nstamp = time.{read}\n") == ["DET002"]
+    name = read.split("(")[0]
+    assert codes(f"from time import {name}\nstamp = {read}\n") == ["DET002", "DET002"]
+
+
+def test_det002_pragma_marks_a_calendar_stamp():
+    src = "import time\nstamp = time.strftime('%Y%m%d')  # lint: allow[DET002]\n"
+    assert codes(src) == []
+
+
 def test_det002_flags_clock_imports_and_bare_calls():
     found = codes("from time import perf_counter\nt = perf_counter()\n")
     assert found.count("DET002") == 2  # the import and the call

@@ -27,7 +27,6 @@ def plane():
     plane.spans.emit("query", 0.0, 5.0, category="phase", parent=txn)
     plane.spans.finish(txn, 10.0)
     plane.spans.begin("open", start_ms=9.0)  # deliberately left open
-    plane.registry.counter("jobs").inc(2)
     return plane
 
 
@@ -103,7 +102,8 @@ class TestBundles:
         assert bundle.key == key
         assert bundle.meta == {"job": "x"}
         assert len(bundle.events) == 2
-        assert bundle.metrics["jobs"] == 2
+        assert bundle.metrics == plane.collect()
+        assert bundle.metrics["obs.spans.recorded"] == 3
 
     def test_meta_does_not_change_identity(self, plane, tmp_path):
         a = write_bundle(plane, tmp_path / "a", meta={"note": "first"})

@@ -1,115 +1,43 @@
-"""Unit tests for the metric registry (repro.obs.metrics)."""
+"""Unit tests for the metric snapshot (``TelemetryPlane.collect``).
+
+The snapshot is one merge: the plane's own record counts (``obs.*``)
+and every attached system's metrics, sorted by name.
+"""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.errors import ConfigError
-from repro.obs.metrics import DEFAULT_BUCKETS_MS, Histogram, Registry
+from repro.obs.plane import TelemetryPlane
 
 
-class TestInstruments:
-    def test_counter_monotone(self):
-        reg = Registry()
-        c = reg.counter("jobs")
-        c.inc()
-        c.inc(4)
-        assert reg.collect()["jobs"] == 5
-        with pytest.raises(ValueError):
-            c.inc(-1)
-
-    def test_gauge_set_and_add(self):
-        reg = Registry()
-        g = reg.gauge("depth")
-        g.set(3.0)
-        g.add(-1.0)
-        assert reg.collect()["depth"] == 2.0
-
-    def test_get_or_create_returns_same_instrument(self):
-        reg = Registry()
-        assert reg.counter("x") is reg.counter("x")
-        assert reg.histogram("h") is reg.histogram("h")
-
-    def test_cross_type_name_collision_rejected(self):
-        reg = Registry()
-        reg.counter("x")
-        with pytest.raises(ConfigError):
-            reg.gauge("x")
-        with pytest.raises(ConfigError):
-            reg.histogram("x")
-
-    def test_histogram_redeclare_with_other_bounds_rejected(self):
-        reg = Registry()
-        reg.histogram("h", bounds=(1.0, 2.0))
-        with pytest.raises(ConfigError):
-            reg.histogram("h", bounds=(1.0, 3.0))
-        # identical bounds are fine
-        assert reg.histogram("h", bounds=(1.0, 2.0)).bounds == (1.0, 2.0)
-
-
-class TestHistogram:
-    def test_bucketing_is_inclusive_upper_edge(self):
-        h = Histogram("h", bounds=(10.0, 20.0))
-        for v in (5.0, 10.0, 15.0, 20.0, 99.0):
-            h.observe(v)
-        items = dict(h.as_items())
-        assert items["count"] == 5
-        assert items["sum"] == pytest.approx(149.0)
-        assert items["le[10]"] == 2  # 5.0 and the edge value 10.0
-        assert items["le[20]"] == 2
-        assert items["le[inf]"] == 1
-
-    def test_snapshot_independent_of_observation_order(self):
-        values = [0.5, 3.0, 7.0, 11.0, 999.0, 10.0]
-        a = Histogram("a", bounds=(1.0, 10.0, 100.0))
-        b = Histogram("b", bounds=(1.0, 10.0, 100.0))
-        for v in values:
-            a.observe(v)
-        for v in reversed(values):
-            b.observe(v)
-        assert a.as_items() == b.as_items()
-
-    def test_bounds_must_be_strictly_increasing(self):
-        with pytest.raises(ConfigError):
-            Histogram("h", bounds=(1.0, 1.0, 2.0))
-        with pytest.raises(ConfigError):
-            Histogram("h", bounds=(2.0, 1.0))
-        with pytest.raises(ConfigError):
-            Histogram("h", bounds=())
-
-    def test_default_bounds_are_fixed_and_increasing(self):
-        assert list(DEFAULT_BUCKETS_MS) == sorted(DEFAULT_BUCKETS_MS)
-        assert Histogram("h").bounds == DEFAULT_BUCKETS_MS
+@pytest.fixture
+def traced(small_system):
+    plane = TelemetryPlane()
+    plane.attach(small_system)
+    small_system.run(3, requestor=0)
+    return plane, small_system
 
 
 class TestRegistryCollect:
-    def test_collect_is_name_sorted(self):
-        reg = Registry()
-        reg.counter("zebra").inc()
-        reg.gauge("alpha").set(1.0)
-        reg.histogram("mid", bounds=(1.0,)).observe(0.5)
-        keys = list(reg.collect())
+    def test_collect_is_name_sorted(self, traced):
+        plane, _ = traced
+        keys = list(plane.collect())
         assert keys == sorted(keys)
-        assert keys[0] == "alpha"
+        # one merge: the plane's counts sort in among the system's metrics
+        assert keys[0] == "net.messages.total"
+        assert keys.index("obs.events.evicted") < keys.index("response_ms.count")
 
-    def test_histogram_expands_to_suffixed_keys(self):
-        reg = Registry()
-        reg.histogram("lat", bounds=(5.0,)).observe(2.0)
-        snap = reg.collect()
-        assert snap["lat.count"] == 1
-        assert snap["lat.sum"] == 2.0
-        assert snap["lat.le[5]"] == 1
-        assert snap["lat.le[inf]"] == 0
-
-    def test_collectors_merge_after_instruments(self):
-        reg = Registry()
-        reg.counter("a").inc()
-        reg.register_collector(lambda: {"b": 2.0})
-        assert reg.collect() == {"a": 1, "b": 2.0}
-
-    def test_collector_shadowing_instrument_rejected(self):
-        reg = Registry()
-        reg.counter("a").inc()
-        reg.register_collector(lambda: {"a": 9.0})
-        with pytest.raises(ConfigError):
-            reg.collect()
+    def test_collectors_merge_after_instruments(self, small_system):
+        plane = TelemetryPlane()
+        own = {"obs.events.evicted": 0, "obs.events.recorded": 0, "obs.spans.recorded": 0}
+        assert plane.collect() == own
+        plane.attach(small_system)
+        small_system.run(3, requestor=0)
+        snap = plane.collect()
+        # the plane's counts are still there, now beside the system's metrics
+        assert snap["obs.spans.recorded"] == len(plane.spans)
+        assert snap["obs.events.recorded"] == plane.tracer.recorded
+        assert snap["transactions"] == 3
+        assert snap["net.messages.total"] == small_system.counter.total
+        assert set(own) < set(snap)

@@ -116,8 +116,7 @@ class TestAttribution:
         prof = Profiler()
         prof.note_span_wall(7, "transaction", 12.5)
         assert prof.span_wall == [(7, "transaction", 12.5)]
-        assert prof.collect()["prof.span_wall_ms.count"] == 1.0
-        assert prof.collect()["prof.span_wall_ms.sum"] == 12.5
+        assert prof.to_dict()["span_wall_ms"] == [[7, "transaction", 12.5]]
 
 
 class TestExport:
@@ -140,11 +139,6 @@ class TestExport:
         for _, index in exported["timeline"]:
             assert 0 <= index < len(exported["stacks"])
 
-    def test_collect_gauges_prefixed(self):
-        gauges = self.profiled().collect()
-        assert all(name.startswith("prof.") for name in gauges)
-        assert gauges["prof.samples"] > 0
-
     def test_collapsed_lines_and_flamegraph_file(self, tmp_path):
         exported = self.profiled().to_dict()
         lines = collapsed_lines(exported)
@@ -162,14 +156,14 @@ class TestExport:
 
 
 class TestPlaneIntegration:
-    def test_set_profiler_registers_collector(self, small_system):
+    def test_set_profiler_joins_the_span_tree(self, small_system):
         plane = TelemetryPlane()
         prof = plane.set_profiler(Profiler(interval_ms=1.0))
         plane.attach(small_system)
         with prof.profile():
             small_system.run(2, requestor=0)
-        snapshot = plane.collect()
-        assert snapshot["prof.samples"] >= 0.0
+        # wall-clock data stays in the profiler, out of the metric snapshot
+        assert not any(k.startswith("prof.") for k in plane.collect())
         # the span join carries one entry per traced transaction
         txn_ids = {
             s.span_id for s in plane.spans.spans() if s.category == "txn"
@@ -227,7 +221,8 @@ class TestBundleContract:
         bundle = load_bundle(tmp_path / "b")
         assert bundle.profile is not None
         assert bundle.profile["schema"] == PROFILE_SCHEMA
-        # prof.* gauges live in profile.json, never in hashed metrics.json
+        # wall-clock numbers live in profile.json, never in hashed metrics.json
+        assert bundle.metrics == plane.collect()
         assert not any(k.startswith("prof.") for k in bundle.metrics)
 
     def test_profile_excluded_from_bundle_key(self, small_system, tmp_path):
@@ -237,6 +232,24 @@ class TestBundleContract:
         mutated["samples"] = 10_000_000
         (path / "profile.json").write_text(json.dumps(mutated))
         assert load_bundle(path).key == key
+
+    def test_profiled_and_unprofiled_runs_share_one_bundle_key(
+        self, small_config, tmp_path
+    ):
+        from repro.core.registry import build_system
+
+        stored = []
+        for profile in (True, False):
+            with capture(profile=profile) as plane:
+                system = build_system("hirep", small_config)
+                system.bootstrap()
+                system.run(3, requestor=0)
+            assert (plane.profiler is not None) == profile
+            key, path = store_bundle(plane, tmp_path / "store")
+            assert load_bundle(path).metrics == plane.collect()
+            stored.append((key, path))
+        assert stored[0] == stored[1]
+        assert (stored[0][1] / "profile.json").is_file()  # the first store kept it
 
     def test_unprofiled_bundle_has_no_profile(self, small_system, tmp_path):
         plane = TelemetryPlane()

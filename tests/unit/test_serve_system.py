@@ -114,7 +114,7 @@ def test_telemetry_accumulates_spans_and_metrics(small):
         spans = system.telemetry.spans
         assert len(spans.spans("transaction")) == 3
         assert len(spans.spans("query")) == 3
-        snapshot = system.telemetry.registry.collect()
+        snapshot = system.telemetry.collect()
         assert snapshot["transactions"] == 3.0
         assert snapshot["serve.frames_posted"] > 0.0
         assert snapshot["serve.frames_in_flight"] == 0.0
