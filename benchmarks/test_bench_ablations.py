@@ -12,8 +12,4 @@ def test_bench_ablations(benchmark, run_once, scale, perf):
         network_size=scale["ablations"]["network_size"],
     )
     print()
-    for series in result.series:
-        pairs = ", ".join(f"{x:g}->{y:.4g}" for x, y in zip(series.x, series.y))
-        print(f"  {series.name}: {pairs}")
-    for note in result.notes:
-        print(f"  note: {note}")
+    print(ablations.render_result(result))

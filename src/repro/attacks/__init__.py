@@ -1,6 +1,5 @@
 """Attack models from the paper's robustness analysis (§4.2)."""
 
-from repro.attacks.collusion import CollusionPoint, sweep_attacker_ratio
 from repro.attacks.dos import DosOutcome, restore_agents, take_down_top_agents
 from repro.attacks.models import (
     RecommendationAttacker,
@@ -23,8 +22,6 @@ __all__ = [
     "OscillatingModel",
     "WhitewashOutcome",
     "whitewash_provider",
-    "CollusionPoint",
-    "sweep_attacker_ratio",
     "DosOutcome",
     "restore_agents",
     "take_down_top_agents",

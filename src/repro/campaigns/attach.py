@@ -11,8 +11,9 @@ centralises that policy behind three entry points keyed on an
 * :func:`attack_build_opts` — build-time options for the registry
   (currently: the oscillating model factory for hiREP);
 * :func:`attach_attack` — post-build installation on a live system
-  (sybil operator, forged-discovery hook, scheduled identity resets),
-  returning an :class:`AttackHandle` describing what actually attached.
+  (sybil operator, forged-discovery hook, scheduled identity resets,
+  agent take-downs and forged reports), returning an
+  :class:`AttackHandle` describing what actually attached.
 
 Attachment degrades by capability, not by crashing: systems without the
 hiREP hooks (``discovery_list_hook``, peer key material) get the
@@ -24,8 +25,10 @@ tell protocol-level pressure from the fallback.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable
+from functools import partial
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 import numpy as np
 
@@ -57,8 +60,10 @@ class AttackHandle:
     ``events`` schedules mid-run actions for the cell driver: each entry
     is ``(transaction_index, action)`` where ``action(system)`` runs after
     that many transactions have completed (whitewash waves re-key their
-    providers this way).  ``detail`` carries attack-specific bookkeeping
-    (sybil identity count, compromised node count, reset provider ips).
+    providers, DoS takes agents down and restores them, spoofing fires its
+    forged reports).  ``detail`` carries attack-specific bookkeeping
+    (sybil identity count, compromised node count, reset provider ips, DoS
+    victims, spoofing rejection rate); actions may fill it in as they run.
     """
 
     spec: AttackSpec
@@ -129,14 +134,67 @@ def _whitewash_wave(system: Any, providers: list[int]) -> None:
         whitewash_provider(system, provider)
 
 
+def _dos_down(
+    system: Any, *, fraction: float, protected: Sequence[int], detail: dict
+) -> None:
+    from repro.attacks.dos import take_down_top_agents
+
+    count = max(2, int(fraction * len(system.agents)))
+    detail["victims"] = take_down_top_agents(
+        system, count, exclude=set(protected)
+    ).disabled
+
+
+def _dos_up(system: Any, *, detail: dict) -> None:
+    from repro.attacks.dos import DosOutcome, restore_agents
+
+    restore_agents(system, DosOutcome(disabled=detail["victims"]))
+
+
+def _spoof(
+    system: Any,
+    *,
+    attempts: int,
+    protected: Sequence[int],
+    rng: np.random.Generator,
+    detail: dict,
+) -> None:
+    from repro.attacks.spoofing import mount_spoofing_attack
+
+    # The worst case for the defence: the target knows the most
+    # identities, so every forged victim nodeID is in its key list.
+    agents = system.agents
+    agent_ip = max(agents, key=lambda ip: len(agents[ip].public_key_list))
+    attacker_ip = next(
+        ip
+        for ip in range(system.config.network_size)
+        if ip != agent_ip and ip not in protected
+    )
+    report = mount_spoofing_attack(system, attacker_ip, agent_ip, attempts, rng)
+    rate = report.rejection_rate
+    detail.update(
+        agent=agent_ip,
+        attacker=attacker_ip,
+        attempted=report.attempted,
+        accepted=report.accepted,
+        rejection_rate=None if math.isnan(rate) else rate,
+    )
+
+
 def attach_attack(
-    system: Any, spec: AttackSpec, rng: np.random.Generator
+    system: Any,
+    spec: AttackSpec,
+    rng: np.random.Generator,
+    *,
+    protected: Sequence[int] = (),
 ) -> AttackHandle:
     """Install ``spec`` on a live, registry-built system.
 
     Must run *before* ``bootstrap()``/traffic so discovery sees the forged
-    world from the first message.  Returns the handle describing the
-    attachment level and any mid-run events the caller must drive.
+    world from the first message.  ``protected`` nodes (the cell's
+    requestor) are never taken down and never act as the spoofer.
+    Returns the handle describing the attachment level and any mid-run
+    events the caller must drive.
     """
     if not spec.active:
         return AttackHandle(spec=spec, level="none")
@@ -190,8 +248,6 @@ def attach_attack(
         )
 
     if spec.kind == "whitewash":
-        from functools import partial
-
         providers = _whitewash_providers(system, spec.fraction)
         # Waves fire at start, start+gap, ... — evenly staggered so the
         # tail of the run still measures recovery after the final wave.
@@ -207,6 +263,28 @@ def attach_attack(
             level="protocol",
             events=events,
             detail={"providers": providers, "waves": spec.count},
+        )
+
+    if spec.kind == "dos":
+        detail: dict = {"victims": []}
+        events = [
+            (
+                spec.start,
+                partial(
+                    _dos_down, fraction=spec.fraction, protected=protected, detail=detail
+                ),
+            ),
+            (spec.start + spec.period, partial(_dos_up, detail=detail)),
+        ]
+        return AttackHandle(spec=spec, level="protocol", events=events, detail=detail)
+
+    if spec.kind == "spoofing":
+        detail = {}
+        spoof = partial(
+            _spoof, attempts=spec.count, protected=protected, rng=rng, detail=detail
+        )
+        return AttackHandle(
+            spec=spec, level="protocol", events=[(spec.start, spoof)], detail=detail
         )
 
     if spec.kind == "oscillation":

@@ -8,7 +8,7 @@ paper-scale figure sweeps (:mod:`repro.experiments` keeps those).
 
 Downstream code registers additional campaigns with
 :func:`register_campaign`; factories must be module-level picklable
-callables (lint rule ``CMP001``) because compiled cells cross process
+callables (lint rule ``EXC001``) because compiled cells cross process
 boundaries.
 """
 
@@ -228,7 +228,7 @@ CAMPAIGNS: dict[str, Callable[[], Campaign]] = {}
 def register_campaign(factory: Callable[[], Campaign], name: str | None = None) -> None:
     """Register a campaign factory under ``name`` (or the campaign's own).
 
-    The factory must be a module-level callable (rule ``CMP001``): compiled
+    The factory must be a module-level callable (rule ``EXC001``): compiled
     cells are executed by worker processes, and a factory hidden in a
     closure or lambda cannot be re-imported there.
     """

@@ -17,13 +17,21 @@ cell is degraded, ``hirep-campaign run --strict`` turns that into a
 non-zero exit, and the scorecard marks the (scenario, system) pair
 degraded instead of the whole campaign crashing.
 
-The ``degradation`` and ``churn`` experiments are lists of these cells
-too (their ``plan()`` is a ``Campaign.compile()``); there a ``cell_error``
-fails the experiment (:func:`repro.exec.sweeps.job_values`).
+Beside the scorecard the payload carries the run's ``trace``: the
+per-transaction squared error (NaN as ``None``), ``answered`` and
+``trust_messages``, the ``counter.by_category`` totals and the attack
+handle's ``detail``.  Experiments read windowed numbers off it (Fig. 7's
+measure window, DoS before/during/after); scorecards never read it.
+
+The ``degradation``, ``churn``, ``robustness``, ``fig7`` and
+``ablations`` experiments are lists of these cells too (their ``plan()``
+compiles campaigns); there a ``cell_error`` fails the experiment
+(:func:`repro.exec.sweeps.job_values`).
 """
 
 from __future__ import annotations
 
+import math
 from typing import Any
 
 import numpy as np
@@ -57,8 +65,22 @@ def _run_span(
         system.run_transaction(requestor)
 
 
+def _trace(system: Any, detail: dict) -> dict:
+    """The run's per-transaction record (JSON-able; NaN becomes ``None``)."""
+    return {
+        "squared_errors": [
+            None if math.isnan(v) else v for v in system.mse.squared_errors.tolist()
+        ],
+        "answered": [int(o.answered) for o in system.outcomes],
+        "trust_messages": [int(o.trust_messages) for o in system.outcomes],
+        "by_category": {k: int(v) for k, v in system.counter.by_category.items()},
+        "detail": detail,
+    }
+
+
 def campaign_cell(scenario: dict, system: str, seed: int) -> dict:
-    """Run one campaign cell; returns its scorecard (or structured error).
+    """Run one campaign cell; returns its scorecard and trace (or a
+    structured error).
 
     ``scenario`` is a ``ScenarioSpec.to_dict()`` payload — plain data, so
     the spec's canonical hash, not any live object, is what crossed the
@@ -119,7 +141,12 @@ def campaign_cell(scenario: dict, system: str, seed: int) -> dict:
             np.random.default_rng(int(seed) + 101) if churn_model is not None else None
         )
 
-        handle = attach_attack(instance, spec.attack, attack_rng(spec.attack, int(seed)))
+        handle = attach_attack(
+            instance,
+            spec.attack,
+            attack_rng(spec.attack, int(seed)),
+            protected=exclude,
+        )
     except Exception as exc:
         return {**base, "scorecard": None, "cell_error": _cell_error("attach", exc)}
 
@@ -146,4 +173,9 @@ def campaign_cell(scenario: dict, system: str, seed: int) -> dict:
         churn_model=churn_model,
         attack_level=handle.level,
     )
-    return {**base, "scorecard": metrics, "cell_error": None}
+    return {
+        **base,
+        "scorecard": metrics,
+        "trace": _trace(instance, handle.detail),
+        "cell_error": None,
+    }

@@ -62,6 +62,8 @@ ATTACK_KINDS = (
     "collusion",
     "oscillation",
     "recommendation",
+    "dos",
+    "spoofing",
 )
 
 
@@ -93,6 +95,11 @@ class AttackSpec:
       duty cycle instead of permanent.
     * ``recommendation`` — ``fraction`` of nodes forge discovery replies
       (bad-mouth good agents, ballot-stuff poor ones).
+    * ``dos`` — after ``start`` transactions the most-trusted agents
+      (``fraction`` of them, at least two) go offline for ``period``
+      transactions (§4.2.4).
+    * ``spoofing`` — after ``start`` transactions a peer fires ``count``
+      forged reports at the agent that knows the most identities (§4.2.2).
 
     Protocol-level attachment exists for hiREP (see
     :mod:`repro.campaigns.attach`); on systems without the hooks the spec
@@ -124,6 +131,10 @@ class AttackSpec:
             raise ConfigError("whitewash attack needs count >= 1 waves and fraction > 0")
         if self.kind in ("oscillation", "recommendation") and self.fraction <= 0:
             raise ConfigError(f"{self.kind} attack needs fraction > 0")
+        if self.kind == "dos" and (self.fraction <= 0 or self.period is None):
+            raise ConfigError("dos attack needs fraction > 0 and a period")
+        if self.kind == "spoofing" and self.count < 1:
+            raise ConfigError("spoofing attack needs count >= 1 attempts")
         # collusion allows fraction == 0: attacker-ratio sweeps include the
         # zero point, which still pins the config's attacker fields to 0.
 
@@ -154,6 +165,14 @@ class AttackSpec:
     @classmethod
     def recommendation(cls, fraction: float = 0.3) -> "AttackSpec":
         return cls(kind="recommendation", fraction=fraction)
+
+    @classmethod
+    def dos(cls, fraction: float = 0.25, start: int = 10, period: int = 10) -> "AttackSpec":
+        return cls(kind="dos", fraction=fraction, start=start, period=period)
+
+    @classmethod
+    def spoofing(cls, attempts: int = 50, start: int = 10) -> "AttackSpec":
+        return cls(kind="spoofing", count=attempts, start=start)
 
     # -- semantics -----------------------------------------------------------
 

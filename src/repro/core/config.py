@@ -82,12 +82,6 @@ class HiRepConfig:
     untrusted_peer_fraction: float = 0.5
     """Fraction of peers whose true trust value is 0 (§5.2: random)."""
 
-    report_scope: str = "answered"
-    """Who receives transaction reports: ``"answered"`` (the agents that
-    served this query — keeps per-transaction traffic at 3c(o+1)) or
-    ``"all"`` (§3.6's literal "all of its trusted agents" — the full list,
-    costing an extra (|list|-c)·(o+1) messages per transaction)."""
-
     # --- timeout / retry / backoff (robustness extension) --------------------
     query_timeout_ms: float | None = None
     """Deadline for one trust-query attempt.  ``None`` (default) disables
@@ -170,8 +164,6 @@ class HiRepConfig:
             )
         if self.crypto_backend not in ("simulated", "rsa"):
             raise ConfigError(f"unknown crypto_backend {self.crypto_backend!r}")
-        if self.report_scope not in ("answered", "all"):
-            raise ConfigError(f"report_scope must be 'answered' or 'all', got {self.report_scope!r}")
         if self.backup_cache_size < 0:
             raise ConfigError(f"backup_cache_size must be >= 0, got {self.backup_cache_size}")
 

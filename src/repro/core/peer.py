@@ -414,13 +414,13 @@ class HiRepPeer:
             ip = agent.entry.agent_ip
             if ip >= 0 and not self.network.is_online(ip):
                 self.agent_list.park_offline(agent.node_id)
-        # 4. signed transaction reports through each surviving agent's onion
+        # 4. signed transaction reports through the onion of each surviving
+        #    agent that answered (3c(o+1) trust messages per transaction)
         reports: list[TransactionReport] = []
         if report:
             answered = {aid for aid, _v in result.responses}
-            report_all = self.config.report_scope == "all"
             for agent in self.agent_list.agents():
-                if not report_all and agent.node_id not in answered:
+                if agent.node_id not in answered:
                     continue
                 onion = agent.entry.agent_onion
                 if onion is None:

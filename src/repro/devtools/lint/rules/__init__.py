@@ -8,7 +8,6 @@ decorate it with ``@register``, and import the module below.
 from repro.devtools.lint.rules import (
     api,
     architecture,
-    campaigns,
     determinism,
     execution,
     layering,
@@ -19,7 +18,6 @@ from repro.devtools.lint.rules import (
 __all__ = [
     "api",
     "architecture",
-    "campaigns",
     "determinism",
     "execution",
     "layering",

@@ -1,11 +1,14 @@
-"""EXC001/TNT003: callables handed to the repro.exec scheduler must pickle.
+"""EXC001/TNT003: callables a worker process re-imports must be module-level.
 
 The scheduler ships work to ``ProcessPoolExecutor`` workers and keys the
 result cache on a fingerprint of the *module source* that will run.
 Lambdas and nested functions break both: they don't pickle, and their code
-lives outside any fingerprinted module.  ``functools.partial`` over a
-module-level function is fine — the partial pickles and the target's module
-is fingerprinted — so the rules unwrap partials before judging.
+lives outside any fingerprinted module.  Campaign factories handed to
+``register_campaign`` are the same case: workers rebuild the catalogue by
+importing it, and a factory that exists only in the registering frame is
+missing there.  ``functools.partial`` over a module-level function is fine
+— the partial pickles and the target's module is fingerprinted — so the
+rules unwrap partials before judging.
 
 EXC001 judges the expression written at the sink; TNT003 follows a *name*
 handed to the sink through imports, re-exports and module-level aliases
@@ -22,6 +25,7 @@ from repro.devtools.lint.findings import Finding
 from repro.devtools.lint.graphs import Project
 from repro.devtools.lint.registry import Rule, register
 from repro.devtools.lint.summaries import (
+    SCHEDULER_SINK_CALLS,
     SCHEDULER_SINK_KWARGS,
     SCHEDULER_SINK_METHODS,
 )
@@ -69,10 +73,11 @@ def _unwrap_partial(node: ast.expr) -> ast.expr:
 
 @register
 class ModuleLevelCallables(Rule):
-    """EXC001: no lambdas/closures submitted to the exec scheduler."""
+    """EXC001: no lambdas/closures handed to the exec scheduler or the
+    campaign catalogue."""
 
     code = "EXC001"
-    name = "scheduler callables must be module-level (picklable, fingerprintable)"
+    name = "worker-imported callables must be module-level (picklable, fingerprintable)"
     packages = ("repro",)
 
     def _judge(
@@ -84,8 +89,9 @@ class ModuleLevelCallables(Rule):
                 self,
                 arg,
                 f"lambda passed to {sink}: lambdas don't pickle across the "
-                "process pool and escape the code-fingerprint cache key; "
-                "define a module-level function",
+                "process pool, escape the code-fingerprint cache key and "
+                "are missing when a worker re-imports the module; define a "
+                "module-level function",
             )
         elif isinstance(arg, ast.Name) and arg.id in locals_:
             yield ctx.finding(
@@ -108,6 +114,8 @@ class ModuleLevelCallables(Rule):
                         ctx, node.args[0], locals_, f".{func.attr}()"
                     )
             callee = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+            if callee in SCHEDULER_SINK_CALLS and node.args:
+                yield from self._judge(ctx, node.args[0], locals_, f"{callee}()")
             if callee in SCHEDULER_SINK_KWARGS:
                 wanted = SCHEDULER_SINK_KWARGS[callee]
                 for kw in node.keywords:

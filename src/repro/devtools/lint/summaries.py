@@ -29,18 +29,21 @@ __all__ = [
     "extract_summary",
     "MODULE_SCOPE",
     "SCHEDULER_SINK_METHODS",
+    "SCHEDULER_SINK_CALLS",
     "SCHEDULER_SINK_KWARGS",
 ]
 
 #: Pseudo-qualname holding module-level call sites (import-time execution).
 MODULE_SCOPE = "<module>"
 
-#: Call sites whose callable arguments end up pickled or fingerprinted by
-#: the ``repro.exec`` scheduler: ``<pool>.submit(fn, ...)`` / ``.map(fn,
-#: ...)`` (first positional argument) and ``SweepPlan(assemble=...)``
-#: (keyword).  EXC001 judges the expression at these sites, TNT003 the
-#: references recorded from them.
+#: Call sites whose callable arguments a worker process must re-import:
+#: ``<pool>.submit(fn, ...)`` / ``.map(fn, ...)`` and
+#: ``register_campaign(factory)`` (first positional argument; workers
+#: rebuild the campaign catalogue by importing it) and
+#: ``SweepPlan(assemble=...)`` (keyword).  EXC001 judges the expression at
+#: these sites, TNT003 the references recorded from them.
 SCHEDULER_SINK_METHODS = {"submit", "map"}
+SCHEDULER_SINK_CALLS = {"register_campaign"}
 SCHEDULER_SINK_KWARGS = {"SweepPlan": "assemble"}
 
 
@@ -315,6 +318,9 @@ class _Extractor(ast.NodeVisitor):
                 sink = f".{func.attr}()"
                 args = [node.args[0]]
         callee = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+        if callee in SCHEDULER_SINK_CALLS and node.args:
+            sink = f"{callee}()"
+            args = [node.args[0]]
         if callee in SCHEDULER_SINK_KWARGS:
             wanted = SCHEDULER_SINK_KWARGS[callee]
             for kw in node.keywords:

@@ -12,6 +12,11 @@ Each ablation isolates one mechanism:
   under a bad-mouthing attack (max must resist, mean must suffer);
 * ``backup``   — churn tolerance with and without the backup agent cache;
 * ``onion``    — response time and traffic vs onion length (anonymity cost).
+
+``tokens``, ``ttl``, ``alpha`` and ``merge`` measure one mechanism in
+isolation and run as function jobs.  ``theta``, ``backup`` and ``onion``
+are runs: one campaign cell per swept value (:mod:`repro.campaigns`),
+read off the cell's trace.
 """
 
 from __future__ import annotations
@@ -21,30 +26,27 @@ import numpy as np
 from repro.core.discovery import discover_agent_lists
 from repro.core.ranking import rank_within_list, reply_block, select_agents
 from repro.core.registry import build_system
-from repro.core.system import HiRepSystem
-from repro.experiments.common import ExperimentResult, Series
-from repro.net.churn import ChurnModel
-from repro.workloads.scenarios import default_config
+from repro.experiments.common import ExperimentResult, Series, squared_errors
+from repro.workloads.scenarios import REDUCED_LISTS, default_config
 
-__all__ = ["run", "plan", "ablation_job", "assemble_ablations", "ABLATIONS", "main"]
+__all__ = [
+    "run",
+    "plan",
+    "ablation_job",
+    "assemble_ablations",
+    "render_result",
+    "ABLATIONS",
+    "main",
+]
+
+#: the reduced lists and token budget every ablation starts from.
+OVERRIDES = {**REDUCED_LISTS, "tokens": 8}
 
 
 def _cfg(network_size: int, seed: int, **kw):
-    base = default_config(network_size=network_size, seed=seed).with_(
-        trusted_agents=20,
-        refill_threshold=12,
-        agents_queried=8,
-        tokens=8,
-        onion_relays=3,
+    return default_config(network_size=network_size, seed=seed).with_(
+        **{**OVERRIDES, **kw}
     )
-    return base.with_(**kw)
-
-
-def _trained_mse(system: HiRepSystem, transactions: int = 150) -> float:
-    system.bootstrap()
-    system.reset_metrics()
-    system.run(transactions, requestor=0)
-    return system.mse.tail_mse(40)
 
 
 def ablate_tokens(network_size: int, seed: int) -> Series:
@@ -100,17 +102,7 @@ def ablate_alpha(network_size: int, seed: int) -> Series:
     return Series(name="evict_steps_vs_alpha", x=xs, y=ys)
 
 
-def ablate_theta(network_size: int, seed: int) -> Series:
-    """Trained MSE per eviction threshold."""
-    xs, ys = [], []
-    for theta in (0.2, 0.4, 0.6, 0.8):
-        system = build_system("hirep", _cfg(network_size, seed, eviction_threshold=theta))
-        xs.append(theta)
-        ys.append(_trained_mse(system))
-    return Series(name="trained_mse_vs_theta", x=xs, y=ys)
-
-
-def ablate_merge(network_size: int, seed: int) -> tuple[Series, str]:
+def ablate_merge(network_size: int, seed: int) -> Series:
     """Max-rank vs mean-rank merge under bad-mouthing.
 
     A single honest list recommends the good agent at top weight; many
@@ -132,130 +124,156 @@ def ablate_merge(network_size: int, seed: int) -> tuple[Series, str]:
     for merge in ("max", "mean"):
         replies, rows = select_agents(ids, ranks, wanted, rng, merge=merge)
         picked[merge] = ids[replies, rows].tolist()
-    good_in_max = good_ip in picked["max"]
-    good_in_mean = good_ip in picked["mean"]
-    series = Series(
+    return Series(
         name="good_agent_selected",
         x=[0.0, 1.0],  # 0 = max merge, 1 = mean merge
-        y=[float(good_in_max), float(good_in_mean)],
+        y=[float(good_ip in picked["max"]), float(good_ip in picked["mean"])],
     )
-    verdict = (
-        "max-rank merge resists bad-mouthing — "
-        + ("HOLDS" if good_in_max and not good_in_mean else
-           ("HOLDS (weakly: mean also survived)" if good_in_max else "VIOLATED"))
-    )
-    return series, verdict
 
 
-def ablate_backup(network_size: int, seed: int) -> tuple[Series, str]:
-    """Churn tolerance with vs without the backup agent cache."""
-    results = []
-    for backup in (0, 20):
-        cfg = _cfg(network_size, seed, backup_cache_size=backup)
-        churn = ChurnModel(leave_prob=0.05, rejoin_prob=0.4, protected={0})
-        system = build_system("hirep", cfg, churn=churn)
-        system.bootstrap()
-        system.reset_metrics()
-        system.run(150, requestor=0)
-        discovery = system.counter.by_category.get("agent_discovery", 0)
-        results.append((backup, system.mse.tail_mse(40), float(discovery)))
-    series = Series(
-        name="discovery_msgs_vs_backup",
-        x=[float(r[0]) for r in results],
-        y=[r[2] for r in results],
-    )
-    verdict = (
-        "backup cache reduces rediscovery traffic under churn — "
-        + ("HOLDS" if results[1][2] <= results[0][2] else "VIOLATED")
-    )
-    return series, verdict
+def _tail_mse(cell: dict) -> float:
+    return float(np.mean(squared_errors(cell)[-40:]))
 
 
-def ablate_onion(network_size: int, seed: int) -> Series:
-    """Per-transaction trust traffic vs onion length (anonymity's price)."""
-    xs, ys = [], []
-    for relays in (0, 2, 4, 8):
-        system = build_system("hirep", _cfg(network_size, seed, onion_relays=relays))
-        system.bootstrap()
-        system.reset_metrics()
-        system.run(30, requestor=0)
-        per_tx = float(np.mean([o.trust_messages for o in system.outcomes]))
-        xs.append(float(relays))
-        ys.append(per_tx)
-    return Series(name="trust_msgs_vs_onion_len", x=xs, y=ys)
+def _discovery_msgs(cell: dict) -> float:
+    return float(cell["trace"]["by_category"].get("agent_discovery", 0))
 
 
-#: ablation name -> measuring function, in the figure's display order.
-#: Each is independent (own systems, own seed-derived RNGs), which is
-#: what lets the orchestrator run them as sibling jobs.
-ABLATIONS = {
+def _trust_msgs_per_tx(cell: dict) -> float:
+    return float(np.mean(cell["trace"]["trust_messages"]))
+
+
+#: function ablations: name -> measuring function.  Each builds its own
+#: system and seed-derived RNGs, so they run as sibling jobs.
+FUNCTIONS = {
     "tokens": ablate_tokens,
     "ttl": ablate_ttl,
     "alpha": ablate_alpha,
-    "theta": ablate_theta,
     "merge": ablate_merge,
-    "backup": ablate_backup,
-    "onion": ablate_onion,
 }
+
+#: run ablations: name -> (series, config knob, swept values, transactions,
+#: churn leave probability, reading of one cell).  One campaign cell per
+#: swept value on ``hirep``, requestor 0.
+SWEEPS = {
+    "theta": (
+        "trained_mse_vs_theta", "eviction_threshold", (0.2, 0.4, 0.6, 0.8), 150, 0.0,
+        _tail_mse,
+    ),
+    "backup": (
+        "discovery_msgs_vs_backup", "backup_cache_size", (0, 20), 150, 0.05,
+        _discovery_msgs,
+    ),
+    "onion": (
+        "trust_msgs_vs_onion_len", "onion_relays", (0, 2, 4, 8), 30, 0.0,
+        _trust_msgs_per_tx,
+    ),
+}
+
+#: every ablation, in the figure's display order.
+ABLATIONS = ("tokens", "ttl", "alpha", "theta", "merge", "backup", "onion")
 
 
 def ablation_job(kind: str, network_size: int = 250, seed: int = 2006) -> dict:
-    """Run one ablation and return a JSON-able ``{"series", "note"}``.
+    """Run one function ablation and return its JSON-able series.
 
     The picklable per-job entry point: worker processes call this by
     import path, so the payload must survive a JSON round-trip.
     """
-    measured = ABLATIONS[kind](network_size, seed)
-    note = None
-    if isinstance(measured, tuple):
-        measured, note = measured
+    measured = FUNCTIONS[kind](network_size, seed)
     return {
-        "series": {"name": measured.name, "x": list(map(float, measured.x)),
-                   "y": list(map(float, measured.y))},
-        "note": note,
+        "name": measured.name,
+        "x": list(map(float, measured.x)),
+        "y": list(map(float, measured.y)),
     }
 
 
+def _verdict(name: str, y: list[float]) -> str | None:
+    """The claim a series checks, if any."""
+    if name == "discovery_replies_vs_ttl":
+        return "discovery reach is non-decreasing in TTL — " + (
+            "HOLDS" if y == sorted(y) else "VIOLATED"
+        )
+    if name == "good_agent_selected":
+        good_in_max, good_in_mean = y
+        return "max-rank merge resists bad-mouthing — " + (
+            "HOLDS" if good_in_max and not good_in_mean else
+            ("HOLDS (weakly: mean also survived)" if good_in_max else "VIOLATED")
+        )
+    if name == "discovery_msgs_vs_backup":
+        return "backup cache reduces rediscovery traffic under churn — " + (
+            "HOLDS" if y[1] <= y[0] else "VIOLATED"
+        )
+    if name == "trust_msgs_vs_onion_len":
+        return "trust traffic grows linearly with onion length — " + (
+            "HOLDS" if y == sorted(y) else "VIOLATED"
+        )
+    return None
+
+
 def assemble_ablations(values: list[dict]) -> ExperimentResult:
-    """Fold per-ablation payloads (in ``ABLATIONS`` order) into the figure."""
+    """Fold function-job series and campaign cells (in :func:`plan` order)
+    into the figure."""
     result = ExperimentResult(
         experiment_id="ablations",
         title="Design-choice ablations",
         x_label="(per series)",
         y_label="(per series)",
     )
-    for value in values:
-        s = value["series"]
-        result.series.append(Series(name=s["name"], x=list(s["x"]), y=list(s["y"])))
-        if s["name"] == "discovery_replies_vs_ttl":
-            result.note(
-                "discovery reach is non-decreasing in TTL — "
-                + ("HOLDS" if s["y"] == sorted(s["y"]) else "VIOLATED")
+    values = iter(values)
+    for kind in ABLATIONS:
+        if kind in FUNCTIONS:
+            series = Series(**next(values))
+        else:
+            name, _knob, xs, _transactions, _leave, read = SWEEPS[kind]
+            series = Series(
+                name=name, x=[float(x) for x in xs], y=[read(next(values)) for _ in xs]
             )
-        if value["note"]:
-            result.note(value["note"])
-    onion = result.get("trust_msgs_vs_onion_len")
-    result.note(
-        "trust traffic grows linearly with onion length — "
-        + ("HOLDS" if onion.y == sorted(onion.y) else "VIOLATED")
-    )
+        result.series.append(series)
+        verdict = _verdict(series.name, series.y)
+        if verdict:
+            result.note(verdict)
     return result
 
 
 def plan(network_size: int = 250, seed: int = 2006):
-    """One orchestrator job per ablation; assembles the serial result."""
+    """A job per function ablation and a campaign cell per swept value,
+    in display order."""
+    from repro.campaigns.specs import Campaign, ChurnSpec, ScenarioSpec, WorkloadSpec
     from repro.exec.job import JobSpec
     from repro.exec.sweeps import SweepPlan
 
-    specs = [
-        JobSpec(
-            module=__name__,
-            func="ablation_job",
-            kwargs={"kind": kind, "network_size": network_size, "seed": seed},
-            label=f"ablations[{kind}]",
+    specs: list[JobSpec] = []
+    for kind in ABLATIONS:
+        if kind in FUNCTIONS:
+            specs.append(
+                JobSpec(
+                    module=__name__,
+                    func="ablation_job",
+                    kwargs={"kind": kind, "network_size": network_size, "seed": seed},
+                    label=f"ablations[{kind}]",
+                )
+            )
+            continue
+        _name, knob, xs, transactions, leave, _read = SWEEPS[kind]
+        campaign = Campaign(
+            name=f"ablations-{kind}",
+            scenarios=tuple(
+                ScenarioSpec(
+                    name=f"{knob}={x:g}",
+                    workload=WorkloadSpec(
+                        network_size=network_size,
+                        transactions=transactions,
+                        overrides={**OVERRIDES, knob: x},
+                    ),
+                    churn=ChurnSpec(leave_prob=leave, rejoin_prob=0.4),
+                )
+                for x in xs
+            ),
+            systems=("hirep",),
+            seeds=(seed,),
         )
-        for kind in ABLATIONS
-    ]
+        specs.extend(campaign.compile())
     return SweepPlan(specs=specs, assemble=assemble_ablations)
 
 
@@ -263,16 +281,18 @@ def run(network_size: int = 250, seed: int = 2006) -> ExperimentResult:
     return plan(network_size, seed).run()
 
 
-def main() -> str:
-    result = run()
-    # The shared render() assumes a common x axis; ablations print per-series.
+def render_result(result: ExperimentResult) -> str:
+    """One line per series: the shared ``render()`` assumes a common x axis."""
     lines = [f"== {result.experiment_id}: {result.title} =="]
     for series in result.series:
         pairs = ", ".join(f"{x:g}->{y:.4g}" for x, y in zip(series.x, series.y))
         lines.append(f"  {series.name}: {pairs}")
-    for note in result.notes:
-        lines.append(f"  note: {note}")
-    text = "\n".join(lines)
+    lines.extend(f"  note: {note}" for note in result.notes)
+    return "\n".join(lines)
+
+
+def main() -> str:
+    text = render_result(run())
     print(text)
     return text
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.core.registry import build_system
 from repro.experiments.common import ExperimentResult, format_table
-from repro.workloads.scenarios import default_config
+from repro.workloads.scenarios import REDUCED_LISTS, default_config
 
 __all__ = ["run", "plan", "system_cell", "assemble_baselines", "SYSTEMS", "main"]
 
@@ -41,17 +41,6 @@ SYSTEMS = {
     "eigentrust": "eigentrust",
     "gossip": "gossip",
 }
-
-
-def _comparison_config(network_size: int, seed: int, attacker_ratio: float):
-    return default_config(network_size=network_size, seed=seed).with_(
-        poor_agent_fraction=attacker_ratio,
-        malicious_fraction=attacker_ratio,
-        trusted_agents=20,
-        refill_threshold=12,
-        agents_queried=8,
-        onion_relays=3,
-    )
 
 
 def system_cell(
@@ -68,7 +57,11 @@ def system_cell(
     ``system`` kwarg is the sweep dimension — one cache entry per
     (system, cell).
     """
-    cfg = _comparison_config(network_size, seed, attacker_ratio)
+    cfg = default_config(network_size=network_size, seed=seed).with_(
+        poor_agent_fraction=attacker_ratio,
+        malicious_fraction=attacker_ratio,
+        **REDUCED_LISTS,
+    )
     instance = build_system(system, cfg)
     scalars: dict[str, float] = {}
     if system == "hirep":

@@ -24,18 +24,11 @@ from __future__ import annotations
 from functools import partial
 
 from repro.experiments.common import ExperimentResult, Series
+from repro.workloads.scenarios import REDUCED_LISTS
 
 __all__ = ["run", "plan", "assemble", "main", "CHURN_RATES"]
 
 CHURN_RATES = (0.0, 0.02, 0.05, 0.10)
-
-#: the reduced lists the sweep runs with (default token budget).
-OVERRIDES = {
-    "trusted_agents": 20,
-    "refill_threshold": 12,
-    "agents_queried": 8,
-    "onion_relays": 3,
-}
 
 
 def plan(
@@ -52,7 +45,7 @@ def plan(
 
     churn_rates = tuple(churn_rates)
     workload = WorkloadSpec(
-        network_size=network_size, transactions=transactions, overrides=OVERRIDES
+        network_size=network_size, transactions=transactions, overrides=REDUCED_LISTS
     )
     campaign = Campaign(
         name="churn",

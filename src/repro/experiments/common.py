@@ -8,11 +8,12 @@ directly; the CLI runner calls ``main``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["Series", "ExperimentResult", "format_table"]
+__all__ = ["Series", "ExperimentResult", "format_table", "squared_errors"]
 
 
 @dataclass
@@ -113,3 +114,12 @@ def format_table(
     for row in cells:
         lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
     return "\n".join(lines)
+
+
+def squared_errors(cell: dict) -> list[float]:
+    """A campaign cell's per-transaction squared errors (``None`` -> NaN).
+
+    A list, not an array: a window's ``np.mean`` over a slice of it is the
+    same float the live system's ``MSETracker`` reports for that window.
+    """
+    return [math.nan if v is None else v for v in cell["trace"]["squared_errors"]]

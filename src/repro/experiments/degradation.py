@@ -20,16 +20,14 @@ from __future__ import annotations
 from functools import partial
 
 from repro.experiments.common import ExperimentResult, Series
+from repro.workloads.scenarios import REDUCED_LISTS
 
 __all__ = ["run", "plan", "assemble", "main"]
 
-#: the reduced lists the extension sweeps run with, plus the deadline plane.
+#: the reduced lists and token budget, plus the deadline plane.
 OVERRIDES = {
-    "trusted_agents": 20,
-    "refill_threshold": 12,
-    "agents_queried": 8,
+    **REDUCED_LISTS,
     "tokens": 8,
-    "onion_relays": 3,
     "query_timeout_ms": 2_000.0,
     "max_query_retries": 2,
     "agent_miss_limit": 3,

@@ -15,81 +15,109 @@ each on a live system:
    at most transiently; after recovery transactions the MSE returns to the
    trained level.
 
-The *environmental* robustness axis (message loss × crashes) is the
-``degradation`` experiment, a list of campaign scenarios
-(:mod:`repro.experiments.degradation`).
+Each probe is one campaign scenario on ``hirep`` (:mod:`repro.campaigns`):
+the spoofing and DoS probes are mid-run attack events, and every windowed
+reading is a slice of the cell's trace.  The *environmental* robustness
+axis (message loss × crashes) is the ``degradation`` experiment.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.attacks.dos import restore_agents, take_down_top_agents
-from repro.attacks.spoofing import mount_spoofing_attack
-from repro.core.registry import build_system
-from repro.experiments.common import ExperimentResult
-from repro.workloads.scenarios import default_config
+from repro.experiments.common import ExperimentResult, squared_errors
+from repro.workloads.scenarios import REDUCED_LISTS
 
-__all__ = ["run", "main"]
+__all__ = ["run", "plan", "assemble", "main"]
+
+#: transactions before the DoS, under it, and after the restore.
+DOS_TRAIN, DOS_PERIOD, DOS_RECOVERY = 120, 80, 80
 
 
-def _small(network_size: int, seed: int):
-    return default_config(network_size=network_size, seed=seed).with_(
-        trusted_agents=20,
-        refill_threshold=12,
-        agents_queried=8,
-        tokens=8,
-        onion_relays=3,
+def plan(network_size: int = 250, seed: int = 2006):
+    """Spoofing, clean, recommendation, sybil and DoS cells on ``hirep``."""
+    from repro.campaigns.specs import AttackSpec, Campaign, ScenarioSpec, WorkloadSpec
+    from repro.exec.sweeps import SweepPlan
+
+    overrides = {**REDUCED_LISTS, "tokens": 8}
+
+    def workload(transactions: int, requestor: int | None = 0) -> WorkloadSpec:
+        return WorkloadSpec(
+            network_size=network_size,
+            transactions=transactions,
+            requestor=requestor,
+            overrides=overrides,
+        )
+
+    campaign = Campaign(
+        name="robust42",
+        scenarios=(
+            # Random requestors, so agents learn many identities first.
+            ScenarioSpec(
+                name="spoofing",
+                workload=workload(80, requestor=None),
+                attack=AttackSpec.spoofing(attempts=50, start=80),
+            ),
+            ScenarioSpec(name="clean", workload=workload(150)),
+            ScenarioSpec(
+                name="recommendation",
+                workload=workload(150),
+                attack=AttackSpec.recommendation(fraction=0.3),
+            ),
+            ScenarioSpec(
+                name="sybil",
+                workload=workload(200),
+                attack=AttackSpec.sybil(count=15, compromised_fraction=0.15),
+            ),
+            ScenarioSpec(
+                name="dos",
+                workload=workload(DOS_TRAIN + DOS_PERIOD + DOS_RECOVERY),
+                attack=AttackSpec.dos(fraction=0.25, start=DOS_TRAIN, period=DOS_PERIOD),
+            ),
+        ),
+        systems=("hirep",),
+        seeds=(seed,),
     )
+    return SweepPlan(specs=campaign.compile(), assemble=assemble)
 
 
-def run(network_size: int = 250, seed: int = 2006) -> ExperimentResult:
-    # Imported here, not at module top: repro.campaigns sits above the
-    # experiments layer in the import graph (its specs pull in repro.exec,
-    # which renders progress via repro.experiments.common).
-    from repro.campaigns.attach import attach_attack
-    from repro.campaigns.specs import AttackSpec
+def _mean(values: list) -> float:
+    return float(np.mean(values))
 
+
+def _dos_readings(cell: dict) -> dict[str, float]:
+    """MSE before the outage and after the restore, answers during it."""
+    sq = squared_errors(cell)
+    down, up = DOS_TRAIN, DOS_TRAIN + DOS_PERIOD
+    return {
+        "dos_before_mse": _mean(sq[down - 40 : down]),
+        "dos_after_mse": _mean(sq[-40:]),
+        "dos_answered_during": _mean(cell["trace"]["answered"][down:up]),
+    }
+
+
+def assemble(cells: list[dict]) -> ExperimentResult:
+    """Fold the five cells (in :func:`plan` order) into the scorecard."""
+    spoofing, clean, recommendation, sybil, dos = cells
     result = ExperimentResult(
         experiment_id="robust42",
         title="Robustness against §4.2 attacks",
         x_label="-",
         y_label="-",
     )
-    rng = np.random.default_rng(seed + 1)
 
     # --- 1. spoofing ------------------------------------------------------
-    system = build_system("hirep", _small(network_size, seed))
-    system.bootstrap()
-    # A handful of requestors so agents learn several identities.
-    for req in (0, 1, 2, 3):
-        system.run(20, requestor=req)
-    # Target the agent that knows the most identities (worst case for the
-    # defence — the forged victim nodeIDs are all in its key list).
-    agent_ip = max(
-        system.agents, key=lambda ip: len(system.agents[ip].public_key_list)
-    )
-    attacker_ip = next(ip for ip in range(4, network_size) if ip != agent_ip)
-    report = mount_spoofing_attack(system, attacker_ip, agent_ip, attempts=50, rng=rng)
-    result.scalars["spoofing_rejection_rate"] = report.rejection_rate
+    rate = spoofing["trace"]["detail"]["rejection_rate"]
+    rate = float("nan") if rate is None else rate
+    result.scalars["spoofing_rejection_rate"] = rate
     result.note(
         "spoofed reports rejected — "
-        + ("HOLDS (100%)" if report.rejection_rate == 1.0 else f"VIOLATED ({report.rejection_rate:.0%})")
+        + ("HOLDS (100%)" if rate == 1.0 else f"VIOLATED ({rate:.0%})")
     )
 
     # --- 2. recommendation manipulation ------------------------------------
-    clean = build_system("hirep", _small(network_size, seed))
-    clean.bootstrap()
-    clean.reset_metrics()
-    clean.run(150, requestor=0)
-    clean_mse = clean.mse.tail_mse(50)
-
-    attacked = build_system("hirep", _small(network_size, seed))
-    attach_attack(attacked, AttackSpec.recommendation(fraction=0.3), rng)
-    attacked.bootstrap()
-    attacked.reset_metrics()
-    attacked.run(150, requestor=0)
-    attacked_mse = attacked.mse.tail_mse(50)
+    clean_mse = _mean(squared_errors(clean)[-50:])
+    attacked_mse = _mean(squared_errors(recommendation)[-50:])
     result.scalars["recommendation_clean_mse"] = clean_mse
     result.scalars["recommendation_attacked_mse"] = attacked_mse
     result.note(
@@ -98,16 +126,9 @@ def run(network_size: int = 250, seed: int = 2006) -> ExperimentResult:
     )
 
     # --- 3. sybil damping -----------------------------------------------------
-    sybil_sys = build_system("hirep", _small(network_size, seed))
-    attach_attack(
-        sybil_sys, AttackSpec.sybil(count=15, compromised_fraction=0.15), rng
-    )
-    sybil_sys.bootstrap()
-    sybil_sys.reset_metrics()
-    sybil_sys.run(40, requestor=0)
-    early_mse = float(np.mean(sybil_sys.mse.squared_errors[:40]))
-    sybil_sys.run(160, requestor=0)
-    trained_mse = sybil_sys.mse.tail_mse(50)
+    sq = squared_errors(sybil)
+    early_mse = _mean(sq[:40])
+    trained_mse = _mean(sq[-50:])
     result.scalars["sybil_early_mse"] = early_mse
     result.scalars["sybil_trained_mse"] = trained_mse
     result.note(
@@ -116,33 +137,22 @@ def run(network_size: int = 250, seed: int = 2006) -> ExperimentResult:
     )
 
     # --- 4. DoS recovery ---------------------------------------------------
-    dos_sys = build_system("hirep", _small(network_size, seed))
-    dos_sys.bootstrap()
-    dos_sys.reset_metrics()
-    dos_sys.run(120, requestor=0)
-    before_mse = dos_sys.mse.tail_mse(40)
-    outcome = take_down_top_agents(
-        dos_sys, count=max(2, len(dos_sys.agents) // 4), exclude={0}
-    )
-    dos_sys.run(80, requestor=0)
-    during_answered = float(
-        np.mean([o.answered for o in dos_sys.outcomes[-80:]])
-    )
-    restore_agents(dos_sys, outcome)
-    dos_sys.run(80, requestor=0)
-    after_mse = dos_sys.mse.tail_mse(40)
-    result.scalars["dos_before_mse"] = before_mse
-    result.scalars["dos_after_mse"] = after_mse
-    result.scalars["dos_answered_during"] = during_answered
+    readings = _dos_readings(dos)
+    result.scalars.update(readings)
     result.note(
         "service continues during DoS (queries still answered) — "
-        + ("HOLDS" if during_answered > 0 else "VIOLATED")
+        + ("HOLDS" if readings["dos_answered_during"] > 0 else "VIOLATED")
     )
+    before_mse, after_mse = readings["dos_before_mse"], readings["dos_after_mse"]
     result.note(
         "MSE recovers after DoS (within 2x pre-attack) — "
         + ("HOLDS" if after_mse < max(2.0 * before_mse, 0.1) else "VIOLATED")
     )
     return result
+
+
+def run(network_size: int = 250, seed: int = 2006) -> ExperimentResult:
+    return plan(network_size, seed).run()
 
 
 def main() -> str:

@@ -243,16 +243,6 @@ def _accepts_system(module) -> bool:
     return "system" in inspect.signature(runner).parameters
 
 
-def _render_ablations(result) -> str:
-    lines = [f"== {result.experiment_id}: {result.title} =="]
-    for series in result.series:
-        pairs = ", ".join(f"{x:g}->{y:.4g}" for x, y in zip(series.x, series.y))
-        lines.append(f"  {series.name}: {pairs}")
-    for note in result.notes:
-        lines.append(f"  note: {note}")
-    return "\n".join(lines)
-
-
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
 
@@ -400,7 +390,7 @@ def main(argv: list[str] | None = None) -> int:
         elif name == "baselines":
             print(baseline_comparison.render_result(result))
         elif name == "ablations":
-            print(_render_ablations(result))
+            print(ablations.render_result(result))
         else:
             print(result.render())
             if args.plot and result.series:

@@ -555,15 +555,15 @@ class ArrayHiRepSystem(HiRepRuntime):
             gone = ~self.network.online_mask[st.live_ip[req, : st.live_len[req]]]
             if gone.any():
                 st.park_where(req, gone)
-        # 4. signed transaction reports through each surviving agent's onion
+        # 4. signed transaction reports through the onion of each surviving
+        #    agent that answered
         answered = set(hosts)
-        report_all = cfg.report_scope == "all"
         m = int(st.live_len[req])
         fast = not self.network.any_offline and not st.tracked
         reporting = [
             (row, host)
             for row, host in enumerate(st.live_ip[req, :m].tolist())
-            if report_all or host in answered
+            if host in answered
         ]
         # The report leg's nonces, one batch (as the request leg's).
         self._nonces(req).issue_many(len(reporting))

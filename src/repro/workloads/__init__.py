@@ -1,10 +1,10 @@
 """Workload generators and per-figure scenario configs."""
 
 from repro.workloads.scenarios import (
+    REDUCED_LISTS,
     default_config,
     fig5_config,
     fig6_config,
-    fig7_config,
     fig8_config,
 )
 from repro.workloads.transactions import (
@@ -16,10 +16,10 @@ from repro.workloads.transactions import (
 )
 
 __all__ = [
+    "REDUCED_LISTS",
     "default_config",
     "fig5_config",
     "fig6_config",
-    "fig7_config",
     "fig8_config",
     "FixedRequestorWorkload",
     "PooledRequestorWorkload",

@@ -15,12 +15,22 @@ from __future__ import annotations
 from repro.core.config import HiRepConfig
 
 __all__ = [
+    "REDUCED_LISTS",
     "fig5_config",
     "fig6_config",
-    "fig7_config",
     "fig8_config",
     "default_config",
 ]
+
+#: The reduced trusted-agent lists the extension experiments (robustness,
+#: ablations, baselines, degradation, churn) run with in place of Table 1's
+#: list sizes.  Experiments that also cut the token budget add ``tokens``.
+REDUCED_LISTS = {
+    "trusted_agents": 20,
+    "refill_threshold": 12,
+    "agents_queried": 8,
+    "onion_relays": 3,
+}
 
 
 def default_config(network_size: int = 1000, seed: int = 2006) -> HiRepConfig:
@@ -53,18 +63,6 @@ def fig6_config(
         eviction_threshold=eviction_threshold,
         poor_agent_fraction=0.10,
         malicious_fraction=0.10,
-        seed=seed,
-    )
-
-
-def fig7_config(
-    attacker_ratio: float, network_size: int = 1000, seed: int = 2006
-) -> HiRepConfig:
-    """Fig. 7: accuracy vs attacker ratio (0–90%)."""
-    return HiRepConfig(
-        network_size=network_size,
-        poor_agent_fraction=attacker_ratio,
-        malicious_fraction=attacker_ratio,
         seed=seed,
     )
 

@@ -129,9 +129,9 @@ def test_parity_under_churn(seed: int, churn_rate: float) -> None:
     assert obj.churn.stats.rejoins == arr.churn.stats.rejoins
 
 
-def test_parity_zero_relays_and_report_all() -> None:
-    """Degenerate onion (no relays) and the widest report scope."""
-    cfg = small_config(99, 0.10).with_(onion_relays=0, report_scope="all")
+def test_parity_zero_relays() -> None:
+    """Degenerate onion (no relays)."""
+    cfg = small_config(99, 0.10).with_(onion_relays=0)
     obj, arr = run_pair(cfg, SMALL_TRANSACTIONS)
     assert_strict_parity(obj, arr, SMALL_TRANSACTIONS)
 

@@ -22,7 +22,6 @@ def test_bundled_rule_set_is_complete():
     assert [r.code for r in all_rules()] == [
         "API001",
         "ARC001",
-        "CMP001",
         "DET001",
         "DET002",
         "DET003",

@@ -251,6 +251,60 @@ def test_exc001_pragma_suppresses():
     assert codes(src) == []
 
 
+def test_cmp001_pragma_suppresses():
+    # Campaign factories were once checked by their own rule, CMP001;
+    # they are now an EXC001 sink and take the EXC001 pragma.
+    src = "register_campaign(lambda: build())  # lint: allow[EXC001]\n"
+    assert codes(src, module="repro.campaigns.extra") == []
+
+
+def test_exc001_flags_lambda_campaign_factory():
+    src = """
+        from repro.campaigns.catalogue import register_campaign
+        register_campaign(lambda: build())
+    """
+    assert "EXC001" in codes(src, module="repro.campaigns.extra")
+
+
+def test_exc001_flags_closure_campaign_factory():
+    src = """
+        from repro.campaigns.catalogue import register_campaign
+
+        def setup():
+            def factory():
+                return build()
+            register_campaign(factory)
+    """
+    assert "EXC001" in codes(src, module="repro.campaigns.extra")
+
+
+def test_exc001_allows_module_level_campaign_factory():
+    src = """
+        from functools import partial
+        from repro.campaigns import catalogue
+        from repro.campaigns.catalogue import register_campaign
+
+        def factory():
+            return build()
+
+        def sized(cells):
+            return build(cells)
+
+        register_campaign(factory)
+        catalogue.register_campaign(partial(sized, cells=4))
+    """
+    assert codes(src, module="repro.campaigns.extra") == []
+
+
+def test_exc001_flags_lambda_inside_partial_campaign_factory():
+    src = """
+        from functools import partial
+        from repro.campaigns import catalogue
+        catalogue.register_campaign(partial(lambda: build()))
+    """
+    assert "EXC001" in codes(src, module="repro.campaigns.extra")
+
+
 # ---------------------------------------------------------------- API001
 
 
@@ -453,60 +507,6 @@ def test_pragma_with_multiple_codes():
         "import random  # lint: allow[DET001, DET002]\n"
     )
     assert "DET001" not in suppressed
-
-
-# ---------------------------------------------------------------- CMP001
-
-
-def test_cmp001_flags_lambda_factory():
-    src = """
-        from repro.campaigns.catalogue import register_campaign
-        register_campaign(lambda: build())
-    """
-    assert "CMP001" in codes(src, module="repro.campaigns.extra")
-
-
-def test_cmp001_flags_closure_factory():
-    src = """
-        from repro.campaigns.catalogue import register_campaign
-
-        def setup():
-            def factory():
-                return build()
-            register_campaign(factory)
-    """
-    assert "CMP001" in codes(src, module="repro.campaigns.extra")
-
-
-def test_cmp001_allows_module_level_and_partial():
-    src = """
-        from functools import partial
-        from repro.campaigns.catalogue import register_campaign
-
-        def factory():
-            return build()
-
-        def sized(cells):
-            return build(cells)
-
-        register_campaign(factory)
-        register_campaign(partial(sized, cells=4))
-    """
-    assert codes(src, module="repro.campaigns.extra") == []
-
-
-def test_cmp001_flags_lambda_inside_partial():
-    src = """
-        from functools import partial
-        from repro.campaigns.catalogue import register_campaign
-        register_campaign(partial(lambda: build()))
-    """
-    assert "CMP001" in codes(src, module="repro.campaigns.extra")
-
-
-def test_cmp001_pragma_suppresses():
-    src = "register_campaign(lambda: build())  # lint: allow[CMP001]\n"
-    assert codes(src, module="repro.campaigns.extra") == []
 
 
 # ---------------------------------------------------------------- SRV001

@@ -8,7 +8,6 @@ from repro.workloads.scenarios import (
     default_config,
     fig5_config,
     fig6_config,
-    fig7_config,
     fig8_config,
 )
 from repro.workloads.transactions import (
@@ -81,9 +80,14 @@ class TestScenarios:
         assert fig6_config(0.4).poor_agent_fraction == 0.10
 
     def test_fig7_couples_fractions(self):
-        cfg = fig7_config(0.7)
-        assert cfg.poor_agent_fraction == 0.7
-        assert cfg.malicious_fraction == 0.7
+        from repro.campaigns.specs import AttackSpec
+
+        for protocol in (True, False):
+            cfg = AttackSpec.collusion(0.7).transform_config(
+                default_config(), protocol=protocol
+            )
+            assert cfg.poor_agent_fraction == 0.7
+            assert cfg.malicious_fraction == 0.7
 
     def test_fig8_sweeps_relays(self):
         assert fig8_config(10).onion_relays == 10
