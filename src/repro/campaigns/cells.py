@@ -17,16 +17,27 @@ cell is degraded, ``hirep-campaign run --strict`` turns that into a
 non-zero exit, and the scorecard marks the (scenario, system) pair
 degraded instead of the whole campaign crashing.
 
-Beside the scorecard the payload carries the run's ``trace``: the
-per-transaction squared error (NaN as ``None``), ``answered`` and
-``trust_messages``, the ``counter.by_category`` totals and the attack
-handle's ``detail``.  Experiments read windowed numbers off it (Fig. 7's
+Beside the scorecard the payload carries the run's ``trace``, one entry
+per transaction unless noted:
+
+* ``squared_errors`` (NaN as ``None``) and ``answered``;
+* ``trust_messages`` — hiREP's trust-process traffic (query, response,
+  report, onion hops included); always 0 on the baselines, which bill
+  their floods through the message counter instead;
+* ``messages`` — the message counter's delta, on every system;
+* ``response_ms`` — the query's response time (``None`` when it never
+  completed);
+* ``by_category`` — the run's counter totals, and ``detail`` — the attack
+  handle's readings (both per run).
+
+Experiments read windowed numbers off it (Fig. 6's windowed MSE, Fig. 7's
 measure window, DoS before/during/after); scorecards never read it.
 
-The ``degradation``, ``churn``, ``robustness``, ``fig7`` and
-``ablations`` experiments are lists of these cells too (their ``plan()``
-compiles campaigns); there a ``cell_error`` fails the experiment
-(:func:`repro.exec.sweeps.job_values`).
+The ``fig5``, ``fig6``, ``fig8``, ``traffic_bound``, ``fig7``,
+``degradation``, ``churn`` and ``robustness`` experiments are lists of
+these cells, and so are ``ablations``' θ / backup / onion points (their
+``plan()`` compiles campaigns); there a ``cell_error`` fails the
+experiment (:func:`repro.exec.sweeps.job_values`).
 """
 
 from __future__ import annotations
@@ -73,6 +84,11 @@ def _trace(system: Any, detail: dict) -> dict:
         ],
         "answered": [int(o.answered) for o in system.outcomes],
         "trust_messages": [int(o.trust_messages) for o in system.outcomes],
+        "messages": system.counter.per_transaction().tolist(),
+        "response_ms": [
+            None if math.isnan(o.response_time_ms) else float(o.response_time_ms)
+            for o in system.outcomes
+        ],
         "by_category": {k: int(v) for k, v in system.counter.by_category.items()},
         "detail": detail,
     }

@@ -24,9 +24,9 @@ Quick start::
 
     from repro.exec import JobSpec, ResultCache, SweepScheduler
 
-    specs = [JobSpec(module="repro.experiments.fig5_traffic",
-                     kwargs={"network_size": 300, "transactions": 60, "seed": s},
-                     label=f"fig5[seed={s}]")
+    specs = [JobSpec(module="repro.experiments.traffic_analysis",
+                     kwargs={"network_size": 200, "transactions": 100, "seed": s},
+                     label=f"traffic_analysis[seed={s}]")
              for s in range(2006, 2011)]
     scheduler = SweepScheduler(jobs=4, cache=ResultCache(".hirep-cache"))
     outcomes = scheduler.run(specs)          # deterministic order

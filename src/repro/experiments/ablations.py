@@ -36,7 +36,6 @@ __all__ = [
     "assemble_ablations",
     "render_result",
     "ABLATIONS",
-    "main",
 ]
 
 #: the reduced lists and token budget every ablation starts from.
@@ -289,13 +288,3 @@ def render_result(result: ExperimentResult) -> str:
         lines.append(f"  {series.name}: {pairs}")
     lines.extend(f"  note: {note}" for note in result.notes)
     return "\n".join(lines)
-
-
-def main() -> str:
-    text = render_result(run())
-    print(text)
-    return text
-
-
-if __name__ == "__main__":
-    main()

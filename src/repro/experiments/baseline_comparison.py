@@ -29,7 +29,7 @@ from repro.core.registry import build_system
 from repro.experiments.common import ExperimentResult, format_table
 from repro.workloads.scenarios import REDUCED_LISTS, default_config
 
-__all__ = ["run", "plan", "system_cell", "assemble_baselines", "SYSTEMS", "main"]
+__all__ = ["run", "plan", "system_cell", "assemble_baselines", "SYSTEMS"]
 
 #: registry name -> scalar prefix, in the table's display order.
 SYSTEMS = {
@@ -218,13 +218,3 @@ def render_result(result: ExperimentResult) -> str:
     )
     text += "\n" + "\n".join(f"  note: {n}" for n in result.notes)
     return text
-
-
-def main() -> str:
-    text = render_result(run())
-    print(text)
-    return text
-
-
-if __name__ == "__main__":
-    main()

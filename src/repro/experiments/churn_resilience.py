@@ -26,7 +26,7 @@ from functools import partial
 from repro.experiments.common import ExperimentResult, Series
 from repro.workloads.scenarios import REDUCED_LISTS
 
-__all__ = ["run", "plan", "assemble", "main", "CHURN_RATES"]
+__all__ = ["run", "plan", "assemble", "CHURN_RATES"]
 
 CHURN_RATES = (0.0, 0.02, 0.05, 0.10)
 
@@ -105,14 +105,3 @@ def run(
     system: str = "hirep",
 ) -> ExperimentResult:
     return plan(network_size, transactions, seed, churn_rates, system).run()
-
-
-def main() -> str:
-    result = run()
-    text = result.render()
-    print(text)
-    return text
-
-
-if __name__ == "__main__":
-    main()

@@ -1,9 +1,11 @@
 """Shared experiment machinery: result containers and text rendering.
 
-Every experiment module exposes ``run(**knobs) -> ExperimentResult`` plus a
-``main()`` that prints the result the way the paper's figure/table reads
-(series of points, or labelled rows).  Benchmarks and tests call ``run``
-directly; the CLI runner calls ``main``.
+Every experiment module exposes ``run(**knobs) -> ExperimentResult``;
+benchmarks and tests call it directly.  ``hirep-experiments``
+(:mod:`repro.experiments.runner`) is the one command-line entry point: it
+schedules each experiment's jobs and prints the assembled result the way
+the paper's figure/table reads (series of points, or labelled rows).
+Only ``table1`` keeps a ``main()``, which prints its parameter table.
 """
 
 from __future__ import annotations

@@ -22,7 +22,7 @@ from functools import partial
 from repro.experiments.common import ExperimentResult, Series
 from repro.workloads.scenarios import REDUCED_LISTS
 
-__all__ = ["run", "plan", "assemble", "main"]
+__all__ = ["run", "plan", "assemble"]
 
 #: the reduced lists and token budget, plus the deadline plane.
 OVERRIDES = {
@@ -140,14 +140,3 @@ def run(
     crash_fractions: tuple[float, ...] = (0.0, 0.15),
 ) -> ExperimentResult:
     return plan(network_size, seed, transactions, loss_rates, crash_fractions).run()
-
-
-def main() -> str:
-    result = run()
-    text = result.render()
-    print(text)
-    return text
-
-
-if __name__ == "__main__":
-    main()

@@ -26,7 +26,7 @@ import numpy as np
 from repro.experiments.common import ExperimentResult, Series, squared_errors
 from repro.sim.stats import crossover_index
 
-__all__ = ["run", "plan", "assemble", "main", "RATIOS"]
+__all__ = ["run", "plan", "assemble", "RATIOS"]
 
 RATIOS = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 
@@ -116,14 +116,3 @@ def run(
     ratios: tuple[float, ...] = RATIOS,
 ) -> ExperimentResult:
     return plan(network_size, train_transactions, measure_transactions, seed, ratios).run()
-
-
-def main() -> str:
-    result = run()
-    text = result.render()
-    print(text)
-    return text
-
-
-if __name__ == "__main__":
-    main()

@@ -32,7 +32,7 @@ from repro.core.trust_models import (
 from repro.experiments.common import ExperimentResult, Series
 from repro.workloads.scenarios import default_config
 
-__all__ = ["run", "main"]
+__all__ = ["run"]
 
 MODEL_FACTORIES = {
     "report-average": lambda good, rng: ReportAverageModel(),
@@ -106,14 +106,3 @@ def run(
         )
     )
     return result
-
-
-def main() -> str:
-    result = run()
-    text = result.render()
-    print(text)
-    return text
-
-
-if __name__ == "__main__":
-    main()

@@ -28,7 +28,7 @@ import numpy as np
 from repro.experiments.common import ExperimentResult, squared_errors
 from repro.workloads.scenarios import REDUCED_LISTS
 
-__all__ = ["run", "plan", "assemble", "main"]
+__all__ = ["run", "plan", "assemble"]
 
 #: transactions before the DoS, under it, and after the restore.
 DOS_TRAIN, DOS_PERIOD, DOS_RECOVERY = 120, 80, 80
@@ -153,14 +153,3 @@ def assemble(cells: list[dict]) -> ExperimentResult:
 
 def run(network_size: int = 250, seed: int = 2006) -> ExperimentResult:
     return plan(network_size, seed).run()
-
-
-def main() -> str:
-    result = run()
-    text = result.render()
-    print(text)
-    return text
-
-
-if __name__ == "__main__":
-    main()

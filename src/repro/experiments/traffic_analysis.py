@@ -22,7 +22,7 @@ from repro.core.registry import build_system
 from repro.experiments.common import ExperimentResult, Series
 from repro.workloads.scenarios import default_config
 
-__all__ = ["run", "main"]
+__all__ = ["run"]
 
 
 def _measure(onion_relays: int, network_size: int, transactions: int, seed: int, k: int) -> float:
@@ -76,14 +76,3 @@ def run(
         + ("HOLDS" if ys[0] >= 0.5 else "VIOLATED")
     )
     return result
-
-
-def main() -> str:
-    result = run()
-    text = result.render()
-    print(text)
-    return text
-
-
-if __name__ == "__main__":
-    main()

@@ -13,18 +13,20 @@ count is
 against the paper's approximation ``2c(o_i + o_j) = 4·c·o``.  The
 experiment sweeps (c, o), measures actual messages per transaction, and
 reports both forms — the point being that traffic is **O(c)**, independent
-of network size and degree.
+of network size and degree.  Every (o, c) point is one campaign cell on
+``hirep`` (:mod:`repro.campaigns`) with a fixed requestor; its measurement
+is the mean of the trace's ``trust_messages``.
 """
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
-from repro.core.registry import build_system
 from repro.experiments.common import ExperimentResult, Series
-from repro.workloads.scenarios import default_config
 
-__all__ = ["run", "main", "exact_messages_per_tx", "paper_bound_per_tx"]
+__all__ = ["run", "plan", "assemble", "exact_messages_per_tx", "paper_bound_per_tx"]
 
 
 def exact_messages_per_tx(c: int, o: int) -> int:
@@ -37,49 +39,75 @@ def paper_bound_per_tx(c: int, o_i: int, o_j: int) -> int:
     return 2 * c * (o_i + o_j)
 
 
-def run(
+def plan(
     network_size: int = 300,
     transactions: int = 40,
     seed: int = 2006,
     agents_counts: tuple[int, ...] = (2, 5, 10),
     relay_counts: tuple[int, ...] = (3, 5, 7),
+):
+    """One ``hirep`` cell per (o, c), relay-count major."""
+    from repro.campaigns.specs import Campaign, ScenarioSpec, WorkloadSpec
+    from repro.exec.sweeps import SweepPlan
+
+    agents_counts = tuple(agents_counts)
+    relay_counts = tuple(relay_counts)
+    campaign = Campaign(
+        name="traffic_bound",
+        scenarios=tuple(
+            ScenarioSpec(
+                name=f"o={o},c={c}",
+                workload=WorkloadSpec(
+                    network_size=network_size,
+                    transactions=transactions,
+                    requestor=0,
+                    overrides={
+                        "agents_queried": c,
+                        "onion_relays": o,
+                        "trusted_agents": max(c * 3, 15),
+                        "refill_threshold": max(c, 5),
+                    },
+                ),
+            )
+            for o in relay_counts
+            for c in agents_counts
+        ),
+        systems=("hirep",),
+        seeds=(seed,),
+    )
+    return SweepPlan(
+        specs=campaign.compile(),
+        assemble=partial(
+            assemble, agents_counts=agents_counts, relay_counts=relay_counts
+        ),
+    )
+
+
+def assemble(
+    cells: list[dict],
+    *,
+    agents_counts: tuple[int, ...],
+    relay_counts: tuple[int, ...],
 ) -> ExperimentResult:
+    """Fold the cells into measured / exact / paper series per relay count."""
     result = ExperimentResult(
         experiment_id="analysis41",
         title="Traffic bound: measured vs 2c(o_i+o_j)",
         x_label="trusted agents consulted (c)",
         y_label="messages per transaction",
     )
+    xs = list(agents_counts)
+    remaining = iter(cells)
     for o in relay_counts:
-        measured: list[float] = []
-        exact: list[float] = []
-        paper: list[float] = []
-        for c in agents_counts:
-            cfg = default_config(network_size=network_size, seed=seed).with_(
-                agents_queried=c,
-                onion_relays=o,
-                trusted_agents=max(c * 3, 15),
-                refill_threshold=max(c, 5),
-            )
-            system = build_system("hirep", cfg)
-            system.bootstrap()
-            system.reset_metrics()
-            system.run(transactions, requestor=0)
-            per_tx = float(
-                np.mean([out.trust_messages for out in system.outcomes])
-            )
-            measured.append(per_tx)
-            exact.append(float(exact_messages_per_tx(c, o)))
-            paper.append(float(paper_bound_per_tx(c, o, o)))
-        result.series.append(
-            Series(name=f"measured(o={o})", x=list(agents_counts), y=measured)
-        )
-        result.series.append(
-            Series(name=f"exact(o={o})", x=list(agents_counts), y=exact)
-        )
-        result.series.append(
-            Series(name=f"paper(o={o})", x=list(agents_counts), y=paper)
-        )
+        measured = [
+            float(np.mean(next(remaining)["trace"]["trust_messages"]))
+            for _ in agents_counts
+        ]
+        exact = [float(exact_messages_per_tx(c, o)) for c in agents_counts]
+        paper = [float(paper_bound_per_tx(c, o, o)) for c in agents_counts]
+        result.series.append(Series(name=f"measured(o={o})", x=xs, y=measured))
+        result.series.append(Series(name=f"exact(o={o})", x=xs, y=exact))
+        result.series.append(Series(name=f"paper(o={o})", x=xs, y=paper))
     # O(c) check: per-tx traffic under the exact model is linear in c.
     holds = all(
         abs(m - e) <= 0.15 * e
@@ -93,12 +121,11 @@ def run(
     return result
 
 
-def main() -> str:
-    result = run()
-    text = result.render()
-    print(text)
-    return text
-
-
-if __name__ == "__main__":
-    main()
+def run(
+    network_size: int = 300,
+    transactions: int = 40,
+    seed: int = 2006,
+    agents_counts: tuple[int, ...] = (2, 5, 10),
+    relay_counts: tuple[int, ...] = (3, 5, 7),
+) -> ExperimentResult:
+    return plan(network_size, transactions, seed, agents_counts, relay_counts).run()

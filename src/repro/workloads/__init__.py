@@ -1,12 +1,6 @@
-"""Workload generators and per-figure scenario configs."""
+"""Workload generators and the default experiment config."""
 
-from repro.workloads.scenarios import (
-    REDUCED_LISTS,
-    default_config,
-    fig5_config,
-    fig6_config,
-    fig8_config,
-)
+from repro.workloads.scenarios import REDUCED_LISTS, default_config
 from repro.workloads.transactions import (
     FixedRequestorWorkload,
     PooledRequestorWorkload,
@@ -18,9 +12,6 @@ from repro.workloads.transactions import (
 __all__ = [
     "REDUCED_LISTS",
     "default_config",
-    "fig5_config",
-    "fig6_config",
-    "fig8_config",
     "FixedRequestorWorkload",
     "PooledRequestorWorkload",
     "Transaction",

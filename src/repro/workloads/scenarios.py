@@ -1,11 +1,12 @@
-"""Pre-built configurations for every reproduced figure.
+"""The system parameters every experiment starts from.
 
-Each builder returns the :class:`~repro.core.config.HiRepConfig` the
-corresponding experiment runs with.  Experiment-visible knobs (transaction
-counts, sweep values) live in :mod:`repro.experiments`; this module pins the
-*system* parameters so examples, tests and benchmarks agree on them.
+:func:`default_config` is Table 1; :data:`REDUCED_LISTS` is the smaller
+trusted-agent list set the extension experiments use.  A figure's own
+knobs (degree, θ, relay count, …) are ``WorkloadSpec`` overrides and
+``TopologySpec`` values in its ``plan()`` (:mod:`repro.experiments`), so
+examples, tests and benchmarks read one set of defaults.
 
-Scale note: the paper simulates 1000 peers; the builders accept a
+Scale note: the paper simulates 1000 peers; :func:`default_config` takes a
 ``network_size`` override because CI-sized runs use a few hundred — the
 figure *shapes* are scale-stable, which `tests/integration` asserts.
 """
@@ -16,9 +17,6 @@ from repro.core.config import HiRepConfig
 
 __all__ = [
     "REDUCED_LISTS",
-    "fig5_config",
-    "fig6_config",
-    "fig8_config",
     "default_config",
 ]
 
@@ -36,43 +34,3 @@ REDUCED_LISTS = {
 def default_config(network_size: int = 1000, seed: int = 2006) -> HiRepConfig:
     """Table 1 defaults."""
     return HiRepConfig(network_size=network_size, seed=seed)
-
-
-def fig5_config(
-    avg_neighbors: float, network_size: int = 1000, seed: int = 2006
-) -> HiRepConfig:
-    """Fig. 5: traffic cost; voting degree swept over {2, 3, 4}.
-
-    hiREP's traffic depends only on (agents queried × onion length), so a
-    single hiREP curve is produced with the defaults.
-    """
-    return HiRepConfig(
-        network_size=network_size,
-        avg_neighbors=avg_neighbors,
-        seed=seed,
-    )
-
-
-def fig6_config(
-    eviction_threshold: float, network_size: int = 1000, seed: int = 2006
-) -> HiRepConfig:
-    """Fig. 6: accuracy vs transactions; hirep-4/6/8 ⇒ θ ∈ {0.4, 0.6, 0.8},
-    10% malicious."""
-    return HiRepConfig(
-        network_size=network_size,
-        eviction_threshold=eviction_threshold,
-        poor_agent_fraction=0.10,
-        malicious_fraction=0.10,
-        seed=seed,
-    )
-
-
-def fig8_config(
-    onion_relays: int, network_size: int = 1000, seed: int = 2006
-) -> HiRepConfig:
-    """Fig. 8: response time; hirep-10/7/5 ⇒ relays ∈ {10, 7, 5}."""
-    return HiRepConfig(
-        network_size=network_size,
-        onion_relays=onion_relays,
-        seed=seed,
-    )

@@ -3,7 +3,7 @@
 The load-bearing guarantees:
 
 * ``--jobs 2`` produces byte-identical exported JSON to ``--jobs 1``
-  (determinism guard, over a real figure and a real sweep);
+  (determinism guard, over the paper's figures and a real sweep);
 * a job whose worker crashes on the first attempt is retried and
   succeeds (both the in-process and the broken-pool path);
 * a second run over the same jobs is served entirely from the cache;
@@ -23,10 +23,24 @@ from repro.exec import (
     job_key,
     plan_for,
 )
-from repro.experiments import degradation, fig5_traffic
+from repro.experiments import (
+    degradation,
+    fig5_traffic,
+    fig6_accuracy,
+    fig8_response,
+    traffic_bound,
+)
 from repro.experiments.export import result_to_json
 
-TINY_FIG5 = {"network_size": 120, "transactions": 20}
+TINY_FIGURES = {
+    "fig5": (fig5_traffic, {"network_size": 120, "transactions": 20}),
+    "fig6": (fig6_accuracy, {"network_size": 120, "transactions": 20, "window": 5}),
+    "fig8": (fig8_response, {"network_size": 120, "transactions": 20}),
+    "traffic_bound": (
+        traffic_bound,
+        {"network_size": 80, "transactions": 5, "agents_counts": (2, 5)},
+    ),
+}
 TINY_SWEEP = {
     "network_size": 80,
     "transactions": 10,
@@ -42,8 +56,10 @@ def _exported(plan, jobs):
 
 
 class TestDeterminism:
-    def test_fig5_jobs2_matches_serial(self):
-        plan = plan_for("fig5", fig5_traffic, TINY_FIG5)
+    @pytest.mark.parametrize("name", list(TINY_FIGURES))
+    def test_paper_figure_jobs2_matches_serial(self, name):
+        module, kwargs = TINY_FIGURES[name]
+        plan = plan_for(name, module, kwargs)
         assert _exported(plan, jobs=2) == _exported(plan, jobs=1)
 
     def test_degradation_jobs2_matches_serial(self):

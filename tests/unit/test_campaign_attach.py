@@ -41,8 +41,8 @@ def system():
     return s
 
 
-def cell(attack: AttackSpec, transactions: int = 12, requestor: int | None = 0) -> dict:
-    scenario = ScenarioSpec(
+def probe(attack: AttackSpec, transactions: int = 12, requestor: int | None = 0) -> ScenarioSpec:
+    return ScenarioSpec(
         name="probe",
         workload=WorkloadSpec(
             network_size=60,
@@ -52,7 +52,16 @@ def cell(attack: AttackSpec, transactions: int = 12, requestor: int | None = 0) 
         ),
         attack=attack,
     )
-    payload = campaign_cell(scenario.to_dict(), "hirep", 5)
+
+
+def cell(
+    attack: AttackSpec,
+    transactions: int = 12,
+    requestor: int | None = 0,
+    system: str = "hirep",
+) -> dict:
+    scenario = probe(attack, transactions, requestor)
+    payload = campaign_cell(scenario.to_dict(), system, 5)
     assert payload["cell_error"] is None, payload["cell_error"]
     return payload
 
@@ -138,3 +147,18 @@ def test_trace_is_per_transaction_and_json_plain():
     assert sum(trace["by_category"].values()) == payload["scorecard"]["msgs_per_tx"] * 8
     assert trace["detail"] == {}
     assert json.loads(json.dumps(trace, allow_nan=False)) == trace
+
+    # The same run by hand: the counter and response-time records match.
+    scenario = probe(AttackSpec.none(), transactions=8)
+    system = build_system("hirep", scenario.workload.build_config(5, scenario.topology))
+    system.bootstrap()
+    system.reset_metrics()
+    system.run(8, requestor=0)
+    assert np.cumsum(trace["messages"]).tolist() == system.counter.snapshots.tolist()
+    answered = [v for v in trace["response_ms"] if v is not None]
+    assert len(answered) == len(system.response_times)
+
+    # Baselines bill their floods through the counter, not the trust process.
+    voting = cell(AttackSpec.none(), transactions=6, requestor=None, system="voting")
+    assert voting["trace"]["trust_messages"] == [0] * 6
+    assert all(m > 0 for m in voting["trace"]["messages"])

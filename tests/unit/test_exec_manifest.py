@@ -7,7 +7,7 @@ from repro.exec.job import JobSpec
 from repro.exec.manifest import RunManifest
 from repro.exec.scheduler import JobFailure
 from repro.exec.sweeps import SweepPlan, plan_for, replication_plan
-from repro.experiments import degradation, fig5_traffic
+from repro.experiments import degradation, fig5_traffic, traffic_analysis
 from repro.experiments.common import ExperimentResult
 
 
@@ -80,12 +80,12 @@ class TestSweepPlans:
             SweepPlan(specs=[], assemble=lambda values: values)
 
     def test_plan_for_module_without_plan_is_single_job(self):
-        plan = plan_for("fig5", fig5_traffic, {"network_size": 10})
+        plan = plan_for("traffic_analysis", traffic_analysis, {"network_size": 10})
         assert len(plan.specs) == 1
         spec = plan.specs[0]
-        assert spec.module == "repro.experiments.fig5_traffic"
-        assert spec.func == "run" and spec.label == "fig5"
-        sentinel = ExperimentResult("fig5", "t", "x", "y")
+        assert spec.module == "repro.experiments.traffic_analysis"
+        assert spec.func == "run" and spec.label == "traffic_analysis"
+        sentinel = ExperimentResult("traffic_analysis", "t", "x", "y")
         assert plan.assemble([sentinel]) is sentinel
 
     def test_plan_for_module_with_plan_fans_out(self):

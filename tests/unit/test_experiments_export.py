@@ -103,5 +103,7 @@ class TestRunnerCLI:
     def test_every_registered_experiment_has_small_kwargs(self):
         for name, (module, small, paper) in EXPERIMENTS.items():
             assert hasattr(module, "run")
-            assert hasattr(module, "main")
+            # hirep-experiments is the one entry point; only table1
+            # keeps a main(), which the runner calls to print its table.
+            assert hasattr(module, "main") == (name == "table1")
             assert isinstance(small, dict) and isinstance(paper, dict)

@@ -4,12 +4,9 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigError
-from repro.workloads.scenarios import (
-    default_config,
-    fig5_config,
-    fig6_config,
-    fig8_config,
-)
+from repro.campaigns.specs import ScenarioSpec
+from repro.experiments import fig5_traffic, fig6_accuracy, fig8_response
+from repro.workloads.scenarios import default_config
 from repro.workloads.transactions import (
     FixedRequestorWorkload,
     PooledRequestorWorkload,
@@ -70,14 +67,31 @@ class TestUniform:
         assert [tx.index for tx in wl.generate(5)] == [0, 1, 2, 3, 4]
 
 
+def plan_configs(module, **kwargs) -> dict:
+    """Each cell's label -> the config its scenario builds."""
+    configs = {}
+    for job in module.plan(**kwargs).specs:
+        scenario = ScenarioSpec.from_dict(job.kwargs["scenario"])
+        configs[job.label] = scenario.workload.build_config(
+            job.kwargs["seed"], scenario.topology
+        )
+    return configs
+
+
 class TestScenarios:
     def test_fig5_sweeps_degree(self):
-        assert fig5_config(2.0).avg_neighbors == 2.0
-        assert fig5_config(4.0).avg_neighbors == 4.0
+        configs = plan_configs(fig5_traffic)
+        assert configs["fig5-voting/degree=2[voting,seed=2006]"].avg_neighbors == 2.0
+        assert configs["fig5-voting/degree=4[voting,seed=2006]"].avg_neighbors == 4.0
+        assert configs["fig5-hirep/default[hirep,seed=2006]"] == default_config()
 
     def test_fig6_sweeps_threshold(self):
-        assert fig6_config(0.8).eviction_threshold == 0.8
-        assert fig6_config(0.4).poor_agent_fraction == 0.10
+        configs = plan_configs(fig6_accuracy)
+        theta8 = configs["fig6-hirep/theta=0.8[hirep,seed=2006]"]
+        assert theta8.eviction_threshold == 0.8
+        assert theta8.poor_agent_fraction == 0.10
+        assert theta8.malicious_fraction == 0.10
+        assert configs["fig6-voting/theta=0.4[voting,seed=2006]"].poor_agent_fraction == 0.10
 
     def test_fig7_couples_fractions(self):
         from repro.campaigns.specs import AttackSpec
@@ -90,7 +104,9 @@ class TestScenarios:
             assert cfg.malicious_fraction == 0.7
 
     def test_fig8_sweeps_relays(self):
-        assert fig8_config(10).onion_relays == 10
+        configs = plan_configs(fig8_response)
+        assert configs["fig8-hirep/relays=10[hirep,seed=2006]"].onion_relays == 10
+        assert configs["fig8-voting/relays=5[voting,seed=2006]"].onion_relays == 5
 
     def test_default_is_table1(self):
         cfg = default_config()
@@ -98,4 +114,5 @@ class TestScenarios:
         assert cfg.trusted_agents == 60
 
     def test_network_size_override(self):
-        assert fig6_config(0.4, network_size=200).network_size == 200
+        configs = plan_configs(fig6_accuracy, network_size=200, seed=7)
+        assert {(c.network_size, c.seed) for c in configs.values()} == {(200, 7)}
