@@ -67,21 +67,6 @@ class DiscoveryOutcome:
         return self.request_messages + self.reply_messages
 
 
-def _split_tokens(
-    tokens: int, ways: int, rng: np.random.Generator
-) -> list[int]:
-    """Distribute ``tokens`` across ``ways`` branches, remainder randomized."""
-    if ways <= 0:
-        return []
-    base, extra = divmod(tokens, ways)
-    shares = [base] * ways
-    if extra:
-        lucky = rng.choice(ways, size=extra, replace=False)
-        for i in lucky:
-            shares[int(i)] += 1
-    return shares
-
-
 def discover_agent_lists(
     topology: Topology,
     requestor: int,
@@ -108,52 +93,55 @@ def discover_agent_lists(
         agent's onion here and every RNG stream is drawn in flood order.
     online:
         Liveness predicate (offline nodes swallow tokens sent to them:
-        charged but lost, like datagrams to a dead host).
+        charged but lost, like datagrams to a dead host).  It is only
+        asked about topology neighbours, so it need not check the range.
     """
     if tokens < 1:
         raise ConfigError(f"tokens must be >= 1, got {tokens}")
     if ttl < 1:
         raise ConfigError(f"ttl must be >= 1, got {ttl}")
     is_online = online if online is not None else (lambda _n: True)
+    adjacency = topology.adjacency
     outcome = DiscoveryOutcome()
     replied: set[int] = set()
-
-    # (node, tokens carried, depth, came_from)
-    queue: deque[tuple[int, int, int, int]] = deque()
-
-    def fan_out(node: int, carry: int, depth: int, came_from: int) -> None:
-        """Forward ``carry`` tokens from ``node`` to its other neighbours."""
-        if carry <= 0 or depth >= ttl:
-            return
-        nbrs = [n for n in topology.neighbors(node) if n != came_from]
-        if not nbrs:
-            return
-        shares = _split_tokens(carry, len(nbrs), rng)
-        for nbr, share in zip(nbrs, shares):
-            if share <= 0:
-                continue
-            outcome.request_messages += 1
-            if not is_online(nbr):
-                continue  # tokens lost with the dead host
-            queue.append((nbr, share, depth + 1, node))
-
-    fan_out(requestor, tokens, 0, -1)
+    requests = 0
+    # (node, tokens carried, depth, came_from); depth 0 is the requestor
+    # sending its own tokens.
+    queue: deque[tuple[int, int, int, int]] = deque([(requestor, tokens, 0, -1)])
     while queue:
         node, carry, depth, came_from = queue.popleft()
-        if node == requestor:
+        if depth:
+            if node == requestor:
+                continue
+            if node not in replied:
+                # "The node can return its own nodeID if it has no trusted
+                # agent list" — this also costs a token, which is how I in
+                # Fig. 4 'uses up the last token'.
+                shares_list = bool(has_list(node))
+                if shares_list or self_offer(node):
+                    outcome.responders.append(node)
+                    outcome.depths.append(depth)
+                    outcome.shared_list.append(shares_list)
+                    replied.add(node)
+                    carry -= 1
+        if carry <= 0 or depth >= ttl:
             continue
-        if node not in replied:
-            # "The node can return its own nodeID if it has no trusted
-            # agent list" — this also costs a token, which is how I in
-            # Fig. 4 'uses up the last token'.
-            shares_list = bool(has_list(node))
-            if shares_list or self_offer(node):
-                outcome.responders.append(node)
-                outcome.depths.append(depth)
-                outcome.shared_list.append(shares_list)
-                replied.add(node)
-                carry -= 1
-        fan_out(node, carry, depth, came_from)
+        # Forward the rest to the other neighbours, split evenly; the
+        # remainder goes to ``extra`` of them drawn at random.
+        nbrs = [n for n in adjacency[node] if n != came_from]
+        if not nbrs:
+            continue
+        base, extra = divmod(carry, len(nbrs))
+        shares = [base] * len(nbrs)
+        if extra:
+            for i in rng.choice(len(nbrs), size=extra, replace=False).tolist():
+                shares[i] += 1
+        for nbr, share in zip(nbrs, shares):
+            if share:
+                requests += 1
+                if is_online(nbr):  # else the tokens are lost with the dead host
+                    queue.append((nbr, share, depth + 1, node))
+    outcome.request_messages = requests
     return outcome
 
 

@@ -23,6 +23,7 @@ padding).  Ranking and selection run on the block and name the winners by
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -37,12 +38,13 @@ def reply_block(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Pad ragged per-reply columns into an ``(ids, weights, lens)`` block."""
     lens = np.array([len(row) for row in id_rows], dtype=np.int64)
-    shape = (lens.size, int(lens.max(initial=0)))
-    ids = np.full(shape, -1, dtype=np.int64)
-    weights = np.zeros(shape, dtype=np.float64)
-    for r, (id_row, weight_row) in enumerate(zip(id_rows, weight_rows)):
-        ids[r, : len(id_row)] = id_row
-        weights[r, : len(id_row)] = weight_row
+    if lens.tolist() != [len(row) for row in weight_rows]:
+        raise ConfigError("each reply needs one weight per agent id")
+    valid = np.arange(lens.max(initial=0)) < lens[:, None]
+    ids = np.full(valid.shape, -1, dtype=np.int64)
+    weights = np.zeros(valid.shape, dtype=np.float64)
+    ids[valid] = list(chain.from_iterable(id_rows))
+    weights[valid] = list(chain.from_iterable(weight_rows))
     return ids, weights, lens
 
 
@@ -55,14 +57,15 @@ def rank_within_list(weights: np.ndarray, lens: np.ndarray, n: int) -> np.ndarra
     """
     if n < 1:
         raise ConfigError(f"requestor must want at least one agent, got {n}")
-    valid = np.arange(weights.shape[1]) < np.asarray(lens)[:, None]
-    # Stable descending sort, padding last.
-    order = np.argsort(np.where(valid, -weights, np.inf), axis=1, kind="stable")
+    position = np.arange(weights.shape[1])
+    valid = position < np.asarray(lens)[:, None]
+    # Stable descending sort, padding last: sorted position j of a row is
+    # one of its valid cells exactly when j < len.
+    order = np.where(valid, -weights, np.inf).argsort(axis=1, kind="stable")
     ranks = np.empty(order.shape, dtype=np.int64)
-    np.put_along_axis(
-        ranks, order, np.maximum(n - np.arange(order.shape[1]), 0), axis=1
+    ranks[np.arange(len(order))[:, None], order] = np.where(
+        valid, np.maximum(n - position, 0), -1
     )
-    ranks[~valid] = -1
     return ranks
 
 
@@ -93,29 +96,29 @@ def select_agents(
         raise ConfigError(f"must select at least one agent, got {n}")
     if merge not in ("max", "mean"):
         raise ConfigError(f"unknown merge rule {merge!r}")
-    reply, row = np.nonzero(ranks >= 0)  # row-major: first-appearance order
-    if reply.size == 0:
-        return reply, row
-    cell_rank = ranks[reply, row]
-    _, first, code = np.unique(
-        ids[reply, row], return_index=True, return_inverse=True
-    )
+    cells = (ranks >= 0).ravel().nonzero()[0]  # row-major: first-appearance order
+    if cells.size == 0:
+        return cells, cells
+    # Group the cells by agent: a stable sort keeps each agent's cells in
+    # block order, so a group starts at the agent's first appearance.
+    cell_ids = ids.ravel()[cells]
+    by = cell_ids.argsort(kind="stable")
+    agent_ids, by = cell_ids[by], cells[by]
+    group = np.concatenate(([True], agent_ids[1:] != agent_ids[:-1]))
+    starts = group.nonzero()[0]
+    first = by[starts]
     if merge == "max":
-        final = np.zeros(first.size, dtype=np.int64)
-        np.maximum.at(final, code, cell_rank)
+        final = np.maximum.reduceat(ranks.ravel()[by], starts)
     else:
         # One rank per (list, agent): a duplicate counts once, at its best.
-        pair, pair_code = np.unique(
-            reply * first.size + code, return_inverse=True
-        )
-        best = np.zeros(pair.size, dtype=np.int64)
-        np.maximum.at(best, pair_code, cell_rank)
-        agent = pair % first.size
+        pairs = group | (np.diff(by // ids.shape[1], prepend=-1) != 0)
+        best = np.maximum.reduceat(ranks.ravel()[by], pairs.nonzero()[0])
+        agent = group.cumsum()[pairs] - 1
         final = np.bincount(agent, weights=best) / np.bincount(agent)
     # Random tie-break: shuffle the candidates (held in first-appearance
     # order, never hash or id order), then stable-sort by rank descending.
     order = np.arange(first.size)
     rng.shuffle(order)
-    shuffled = np.argsort(first)[order]
-    top = shuffled[np.argsort(-final[shuffled], kind="stable")[:n]]
-    return reply[first[top]], row[first[top]]
+    shuffled = first.argsort()[order]
+    top = shuffled[(-final[shuffled]).argsort(kind="stable")[:n]]
+    return divmod(first[top], ids.shape[1])

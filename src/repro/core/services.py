@@ -23,6 +23,7 @@ seeds reproduce the pre-refactor runs bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable, Sequence
 
 from repro.core.agent import ReputationAgent
@@ -255,7 +256,7 @@ class MaintenanceService:
             rng=peer.rng,
             has_list=has_list,
             self_offer=self_offer,
-            online=self.network.is_online,
+            online=self.network.alive.__getitem__,
         )
         counter = self.network.counter
         counter.count(Category.AGENT_DISCOVERY, outcome.request_messages)
@@ -269,8 +270,7 @@ class MaintenanceService:
             shared[node] if listed else (offers[node],)
             for node, listed in zip(outcome.responders, outcome.shared_list)
         ]
-        codes: dict[NodeID, int] = {}
-        node_ids, code_rows, weight_rows = [], [], []
+        node_ids, weight_rows = [], []
         for source in sources:
             if isinstance(source, TrustedAgentList):
                 row_ids, row_weights = source.columns()
@@ -278,8 +278,9 @@ class MaintenanceService:
                 row_ids = [entry.agent_node_id for entry in source]
                 row_weights = [entry.weight for entry in source]
             node_ids.append(row_ids)
-            code_rows.append([codes.setdefault(nid, len(codes)) for nid in row_ids])
             weight_rows.append(row_weights)
+        code = {nid: i for i, nid in enumerate(dict.fromkeys(chain(*node_ids)))}
+        code_rows = [list(map(code.__getitem__, row)) for row in node_ids]
         ids, weights, lens = reply_block(code_rows, weight_rows)
         ranks = rank_within_list(weights, lens, wanted)
         replies, rows = select_agents(ids, ranks, wanted, peer.rng)

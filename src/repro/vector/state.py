@@ -248,7 +248,8 @@ class VectorTrustState:
         m = int(live.len[p])
         new = np.flatnonzero(~(hosts[:, None] == live.ip[p, :m]).any(axis=1))
         # First occurrence of each host, in order, up to the free rows.
-        new = new[np.sort(np.unique(hosts[new], return_index=True)[1])]
+        if len(set(hosts[new].tolist())) < new.size:
+            new = new[np.sort(np.unique(hosts[new], return_index=True)[1])]
         new = new[: self.capacity - m]
         k = int(new.size)
         if k == 0:

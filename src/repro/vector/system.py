@@ -292,7 +292,7 @@ class ArrayHiRepSystem(HiRepRuntime):
             rng=self._peer_rngs[p],
             has_list=lambda node: st.live_len[node] > 0,
             self_offer=self._self_offer,
-            online=self.network.is_online,
+            online=self.network.alive.__getitem__,
         )
         self.counter.count(Category.AGENT_DISCOVERY, outcome.request_messages)
         self.counter.count(Category.AGENT_DISCOVERY_REPLY, outcome.reply_messages)

@@ -38,6 +38,18 @@ class TestReplyBlock:
         ids, weights, lens = block()
         assert ids.shape == weights.shape == (0, 0) and lens.shape == (0,)
 
+    @pytest.mark.parametrize(
+        "id_rows, weight_rows",
+        [
+            ([[1, 2]], [[0.5]]),  # one weight would spread over both cells
+            ([[1], [2, 3]], [[0.5, 0.1], [0.9]]),  # same total, shifted by one
+            ([[1], [2]], [[0.5]]),  # a reply without weights
+        ],
+    )
+    def test_rows_of_unequal_length_rejected(self, id_rows, weight_rows):
+        with pytest.raises(ConfigError):
+            reply_block(id_rows, weight_rows)
+
 
 class TestRankWithinList:
     def test_best_weight_gets_n(self):
