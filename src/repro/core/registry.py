@@ -26,6 +26,7 @@ from __future__ import annotations
 from importlib import import_module
 from typing import TYPE_CHECKING, Callable
 
+from repro.core.collector import collector_paused
 from repro.errors import ConfigError
 from repro.obs.capture import attach_current
 
@@ -83,9 +84,13 @@ class SystemRegistry:
         :func:`repro.obs.capture.capture`), the built system is attached
         to the active plane before being returned; otherwise this costs
         one global ``is None`` check.
+
+        Construction runs with the cyclic collector paused
+        (:func:`~repro.core.collector.collector_paused`).
         """
         self._require(name)
-        system = self._builders[name](config, **opts)
+        with collector_paused():
+            system = self._builders[name](config, **opts)
         attach_current(system)
         return system
 

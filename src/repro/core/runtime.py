@@ -37,6 +37,7 @@ from typing import Any, NamedTuple, Sequence
 
 import numpy as np
 
+from repro.core.collector import collector_paused
 from repro.core.config import HiRepConfig
 from repro.core.interface import Outcome
 from repro.core.semantics import TRUST_TRAFFIC_CATEGORIES
@@ -382,9 +383,14 @@ class HiRepRuntime(TransactionRuntime):
     _bootstrapped = False
 
     def bootstrap(self, rounds: int = 2) -> None:
-        """Give every peer an initial trusted-agent list (§3.4.1), once."""
+        """Give every peer an initial trusted-agent list (§3.4.1), once.
+
+        Runs with the cyclic collector paused: the lists it builds are
+        long-lived and acyclic, so a collection here finds nothing.
+        """
         if not self._bootstrapped:
-            self._bootstrap(rounds)
+            with collector_paused():
+                self._bootstrap(rounds)
             self._bootstrapped = True
 
     def _bootstrap(self, rounds: int) -> None:

@@ -9,13 +9,14 @@ and ring lattices are provided for sensitivity studies.
 
 A topology is an immutable :class:`Topology`: ``n`` nodes with an adjacency
 list of sorted int arrays.  All generators guarantee a connected graph
-(isolated components are stitched to the giant component with single edges,
-a standard BRITE-style post-pass).
+(Barabási–Albert by construction; the others stitch isolated components to
+the giant component with single edges, a standard BRITE-style post-pass).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -108,6 +109,20 @@ def _connect_components(n: int, adj: list[set[int]]) -> None:
         adj[comp[0]].add(anchor)
 
 
+#: Raw PCG64 words read per :meth:`~numpy.random.BitGenerator.random_raw`
+#: call while :func:`power_law_topology` replays its draws: bounded, so the
+#: replay never holds a whole run's words as Python ints.
+_RAW_CHUNK = 4096
+_U32 = 0xFFFFFFFF
+_DOUBLE_UNIT = 1.0 / (1 << 53)
+
+
+def _raw_words(bit_generator: np.random.PCG64) -> Iterator[int]:
+    """The generator's 64-bit output words, as ints, read a chunk at a time."""
+    while True:
+        yield from bit_generator.random_raw(_RAW_CHUNK).tolist()
+
+
 def power_law_topology(
     n: int, avg_degree: float, rng: np.random.Generator
 ) -> Topology:
@@ -116,11 +131,35 @@ def power_law_topology(
     Each incoming node attaches ``m ≈ avg_degree / 2`` edges to existing
     nodes chosen proportionally to their degree, yielding the power-law
     degree distribution BRITE produces for router-level topologies.
+
+    The draws are those of ``rng.random()`` (the fractional-degree coin) and
+    ``rng.integers(0, len(repeated))`` (each pick), replayed in Python ints
+    from the raw PCG64 words instead of one numpy call per pick:
+
+    * a double is ``(word >> 11) · 2⁻⁵³`` and takes a whole word;
+    * a bounded int takes a uint32 — the low half of a fresh word, whose
+      high half is carried for the next uint32 (``has_uint32`` /
+      ``uinteger``) — and applies Lemire's rule: ``x · L``, rejected and
+      redrawn while its low 32 bits fall below ``(2³² − L) mod L``.
+
+    Afterwards the generator is left exactly where those numpy calls would
+    have left it: the saved state advanced by the words used, plus the carry.
+    Only PCG64 (every stream of :func:`repro.sim.rng.make_rng`) is replayed;
+    any other bit generator is refused.
+
+    The graph is connected by construction — the seed clique is, and every
+    later node links to an earlier one — so there is no stitching pass.
     """
     if n < 2:
         raise ConfigError(f"need at least 2 nodes, got {n}")
     if avg_degree < 1:
         raise ConfigError(f"avg_degree must be >= 1, got {avg_degree}")
+    bit_generator = rng.bit_generator
+    if type(bit_generator) is not np.random.PCG64:
+        raise ConfigError(
+            "power_law_topology replays PCG64 draws only, got "
+            f"{type(bit_generator).__name__}"
+        )
     # Fractional attachment: mix m_lo and m_hi edges per new node so odd
     # target degrees (e.g. 3) land between the even BA degrees 2m.
     m_target = avg_degree / 2.0
@@ -130,51 +169,111 @@ def power_law_topology(
     if m_hi >= n:
         raise ConfigError(f"avg_degree {avg_degree} too large for {n} nodes")
 
-    adj: list[set[int]] = [set() for _ in range(n)]
     # Seed clique of m_hi + 1 nodes.
     seed = m_hi + 1
-    for u in range(seed):
-        for v in range(u + 1, seed):
-            adj[u].add(v)
-            adj[v].add(u)
     # repeated-nodes list: preferential attachment by sampling endpoints.
+    # Every edge appends its two ends, so past the seed clique it is also
+    # the edge list, as (new node, target) pairs.
     repeated: list[int] = []
     for u in range(seed):
-        repeated.extend([u] * len(adj[u]))
+        repeated.extend([u] * (seed - 1))
+    base = len(repeated)
+
+    saved = bit_generator.state
+    # numpy's uint32 buffer: a pending upper half, kept (stale) once used.
+    has_upper, upper = saved["has_uint32"], saved["uinteger"]
+    words = _raw_words(bit_generator)
+    used = 0
     for u in range(seed, n):
-        m = m_hi if (hi_prob > 0 and rng.random() < hi_prob) else m_lo
+        m = m_lo
+        if hi_prob > 0:
+            used += 1
+            if (next(words) >> 11) * _DOUBLE_UNIT < hi_prob:
+                m = m_hi
+        size = len(repeated)  # >= 2: the seed clique has an edge
+        threshold = ((1 << 32) - size) % size
         targets: set[int] = set()
         while len(targets) < m:
-            pick = repeated[int(rng.integers(0, len(repeated)))]
-            if pick != u:
-                targets.add(pick)
+            if has_upper:
+                draw = upper * size
+                has_upper = 0
+            else:
+                word = next(words)
+                used += 1
+                draw = (word & _U32) * size
+                has_upper, upper = 1, word >> 32
+            if draw & _U32 >= threshold:
+                # u is not in repeated yet, so a pick is never u itself.
+                targets.add(repeated[draw >> 32])
         for v in targets:
-            adj[u].add(v)
-            adj[v].add(u)
             repeated.append(u)
             repeated.append(v)
-    return _finalize(n, adj)
+    bit_generator.state = saved
+    bit_generator.advance(used)
+    state = bit_generator.state
+    state["has_uint32"], state["uinteger"] = has_upper, upper
+    bit_generator.state = state
+
+    clique = [(u, v) for u in range(seed) for v in range(u + 1, seed)]
+    ends = np.concatenate(
+        [
+            np.asarray(clique, dtype=np.int64).reshape(-1, 2),
+            np.asarray(repeated[base:], dtype=np.int64).reshape(-1, 2),
+        ]
+    )
+    del repeated
+    src = np.concatenate([ends[:, 0], ends[:, 1]])
+    dst = np.concatenate([ends[:, 1], ends[:, 0]])
+    dst = dst[np.lexsort((dst, src))].tolist()
+    # One int object per node, shared by every adjacency entry naming it.
+    nodes = list(range(n))
+    flat = list(map(nodes.__getitem__, dst))
+    del dst
+    offsets = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=n)))).tolist()
+    rows = map(flat.__getitem__, map(slice, offsets[:-1], offsets[1:]))
+    return Topology(n=n, adjacency=tuple(map(tuple, rows)))
+
+
+#: Coin flips :func:`random_topology` draws per ``rng.random`` call.
+_COIN_BLOCK = 1 << 20
 
 
 def random_topology(n: int, avg_degree: float, rng: np.random.Generator) -> Topology:
-    """Erdős–Rényi G(n, p) with p chosen for the requested average degree."""
+    """Erdős–Rényi G(n, p) with p chosen for the requested average degree.
+
+    One coin per upper-triangle pair in row-major order, drawn a block of
+    whole rows at a time: ``random(a)`` then ``random(b)`` reads the same
+    doubles as ``random(a + b)``, so memory stays bounded at any ``n``.
+    """
     if n < 2:
         raise ConfigError(f"need at least 2 nodes, got {n}")
     p = min(1.0, avg_degree / (n - 1))
     adj: list[set[int]] = [set() for _ in range(n)]
-    # Vectorized upper-triangle coin flips in manageable blocks.
-    iu, ju = np.triu_indices(n, k=1)
-    mask = rng.random(iu.size) < p
-    for u, v in zip(iu[mask], ju[mask]):
-        adj[int(u)].add(int(v))
-        adj[int(v)].add(int(u))
+    # first[u]: row-major index of pair (u, u + 1); first[n - 1]: pair count.
+    first = np.concatenate(([0], np.cumsum(np.arange(n - 1, 0, -1))))
+    u = 0
+    while u < n - 1:
+        hi = int(np.searchsorted(first, first[u] + _COIN_BLOCK, side="right")) - 1
+        hi = max(hi, u + 1)
+        hits = np.flatnonzero(rng.random(int(first[hi] - first[u])) < p) + first[u]
+        rows = np.searchsorted(first, hits, side="right") - 1
+        cols = hits - first[rows] + rows + 1
+        for a, b in zip(rows.tolist(), cols.tolist()):
+            adj[a].add(b)
+            adj[b].add(a)
+        u = hi
     return _finalize(n, adj)
 
 
 def small_world_topology(
     n: int, avg_degree: float, rng: np.random.Generator, rewire: float = 0.1
 ) -> Topology:
-    """Watts–Strogatz ring rewiring."""
+    """Watts–Strogatz ring rewiring.
+
+    A rewired edge goes to a uniform non-neighbour: the ``k``-th of the
+    ascending nodes other than ``u`` and its neighbours, found by stepping
+    ``k`` past the sorted excluded set (O(degree), not O(n)).
+    """
     if not 0 <= rewire <= 1:
         raise ConfigError(f"rewire probability must be in [0,1], got {rewire}")
     k = max(2, int(round(avg_degree / 2)) * 2)  # even neighbour count
@@ -192,12 +291,14 @@ def small_world_topology(
                 v_old = (u + off) % n
                 if v_old not in adj[u]:
                     continue
-                candidates = [
-                    w for w in range(n) if w != u and w not in adj[u]
-                ]
-                if not candidates:
+                free = n - 1 - len(adj[u])
+                if not free:
                     continue
-                v_new = candidates[int(rng.integers(0, len(candidates)))]
+                v_new = int(rng.integers(0, free))
+                for taken in sorted(adj[u] | {u}):
+                    if taken > v_new:
+                        break
+                    v_new += 1
                 adj[u].discard(v_old)
                 adj[v_old].discard(u)
                 adj[u].add(v_new)
