@@ -23,6 +23,7 @@ Adding a backend (full recipe in ``docs/architecture.md``)::
 
 from __future__ import annotations
 
+import gc
 from importlib import import_module
 from typing import TYPE_CHECKING, Callable
 
@@ -86,9 +87,14 @@ class SystemRegistry:
         one global ``is None`` check.
 
         Construction runs with the cyclic collector paused
-        (:func:`~repro.core.collector.collector_paused`).
+        (:func:`~repro.core.collector.collector_paused`).  A full
+        collection runs first, while the heap is small: it frees the cycles
+        of systems built earlier in the process, which the pause would
+        otherwise leave in the oldest generation.
         """
         self._require(name)
+        if gc.isenabled():
+            gc.collect()
         with collector_paused():
             system = self._builders[name](config, **opts)
         attach_current(system)

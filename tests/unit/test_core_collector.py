@@ -4,8 +4,10 @@
 long-lived object of a run; both pause the collector through
 :func:`repro.core.collector.collector_paused`.  These tests pin that the
 pause is in force while they run, that they leave ``gc.isenabled()`` as
-they found it (also when they raise), and the premise the pause rests on:
-building and bootstrapping a system creates no garbage cycles.
+they found it (also when they raise), that what a pause allocated reaches
+the oldest generation, that a build still frees the cycles of systems
+built before it, and the premise the pause rests on: building and
+bootstrapping a system creates no garbage cycles.
 """
 
 import gc
@@ -16,9 +18,11 @@ from pathlib import Path
 
 import pytest
 
+from repro import build_system
 from repro.core.collector import collector_paused
 from repro.core.registry import SystemRegistry
 from repro.core.runtime import HiRepRuntime
+from repro.workloads.scenarios import default_config
 
 REPO_SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -52,6 +56,41 @@ def test_collector_paused_nests_and_restores(collector):
             assert not gc.isenabled()
         assert not gc.isenabled()
     assert gc.isenabled() is collector
+
+
+def test_pause_hands_its_objects_to_the_oldest_generation():
+    with collector_paused():
+        made = [[] for _ in range(1000)]
+    assert any(obj is made for obj in gc.get_objects(generation=2))
+    assert gc.get_count()[0] < 1000
+
+
+def test_pause_leaves_the_callers_frozen_objects_frozen():
+    gc.freeze()
+    try:
+        frozen = gc.get_freeze_count()
+        with collector_paused():
+            pass
+        assert gc.get_freeze_count() == frozen
+    finally:
+        gc.unfreeze()
+
+
+def test_build_frees_the_cycles_of_an_earlier_system():
+    """The pause sends a system to the oldest generation, so only a full
+    collection frees its cycles; ``build`` runs one before it pauses."""
+
+    def discarded_system(seed):
+        system = build_system("hirep", default_config(40, seed=seed))
+        system.bootstrap()
+
+    gc.collect()
+    discarded_system(3)
+    assert gc.collect() > 0  # a dropped system leaves cycles behind
+    discarded_system(3)
+    kept = build_system("hirep", default_config(40, seed=4))
+    assert gc.collect() == 0
+    assert kept.config.network_size == 40
 
 
 def test_build_pauses_and_restores(collector):
