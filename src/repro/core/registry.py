@@ -23,11 +23,10 @@ Adding a backend (full recipe in ``docs/architecture.md``)::
 
 from __future__ import annotations
 
-import gc
 from importlib import import_module
 from typing import TYPE_CHECKING, Callable
 
-from repro.core.collector import collector_paused
+from repro.core.collector import collect_if_due, collector_paused
 from repro.errors import ConfigError
 from repro.obs.capture import attach_current
 
@@ -87,14 +86,12 @@ class SystemRegistry:
         one global ``is None`` check.
 
         Construction runs with the cyclic collector paused
-        (:func:`~repro.core.collector.collector_paused`).  A full
-        collection runs first, while the heap is small: it frees the cycles
-        of systems built earlier in the process, which the pause would
-        otherwise leave in the oldest generation.
+        (:func:`~repro.core.collector.collector_paused`), after any full
+        collection earlier pauses have made due
+        (:func:`~repro.core.collector.collect_if_due`).
         """
         self._require(name)
-        if gc.isenabled():
-            gc.collect()
+        collect_if_due()
         with collector_paused():
             system = self._builders[name](config, **opts)
         attach_current(system)

@@ -5,7 +5,8 @@ long-lived object of a run; both pause the collector through
 :func:`repro.core.collector.collector_paused`.  These tests pin that the
 pause is in force while they run, that they leave ``gc.isenabled()`` as
 they found it (also when they raise), that what a pause allocated reaches
-the oldest generation, that a build still frees the cycles of systems
+the oldest generation, that a build runs the full collection those
+handed-over objects make due and so still frees the cycles of systems
 built before it, and the premise the pause rests on: building and
 bootstrapping a system creates no garbage cycles.
 """
@@ -19,6 +20,7 @@ from pathlib import Path
 import pytest
 
 from repro import build_system
+from repro.core import collector as collector_module
 from repro.core.collector import collector_paused
 from repro.core.registry import SystemRegistry
 from repro.core.runtime import HiRepRuntime
@@ -58,11 +60,13 @@ def test_collector_paused_nests_and_restores(collector):
     assert gc.isenabled() is collector
 
 
-def test_pause_hands_its_objects_to_the_oldest_generation():
+def test_pause_hands_its_objects_to_the_oldest_generation(monkeypatch):
+    monkeypatch.setattr(collector_module, "_handed", 0)
     with collector_paused():
         made = [[] for _ in range(1000)]
     assert any(obj is made for obj in gc.get_objects(generation=2))
     assert gc.get_count()[0] < 1000
+    assert collector_module._handed >= 1001
 
 
 def test_pause_leaves_the_callers_frozen_objects_frozen():
@@ -76,9 +80,26 @@ def test_pause_leaves_the_callers_frozen_objects_frozen():
         gc.unfreeze()
 
 
-def test_build_frees_the_cycles_of_an_earlier_system():
+def _full_collections():
+    return gc.get_stats()[2]["collections"]
+
+
+def test_build_collects_once_a_quarter_of_the_survivors_was_handed_over(monkeypatch):
+    monkeypatch.setattr(collector_module, "_survivors", 4000)
+    monkeypatch.setattr(collector_module, "_handed", 1000)
+    before = _full_collections()
+    kept = [build_system("hirep", default_config(40, seed=3))]
+    assert _full_collections() == before
+    monkeypatch.setattr(collector_module, "_handed", 1001)
+    kept.append(build_system("hirep", default_config(40, seed=4)))
+    assert _full_collections() == before + 1
+    assert collector_module._survivors > 0
+    assert 0 < collector_module._handed < collector_module._survivors // 4
+
+
+def test_build_frees_the_cycles_of_an_earlier_system(monkeypatch):
     """The pause sends a system to the oldest generation, so only a full
-    collection frees its cycles; ``build`` runs one before it pauses."""
+    collection frees its cycles; ``build`` runs the one that is due."""
 
     def discarded_system(seed):
         system = build_system("hirep", default_config(40, seed=seed))
@@ -88,6 +109,7 @@ def test_build_frees_the_cycles_of_an_earlier_system():
     discarded_system(3)
     assert gc.collect() > 0  # a dropped system leaves cycles behind
     discarded_system(3)
+    monkeypatch.setattr(collector_module, "_survivors", 0)
     kept = build_system("hirep", default_config(40, seed=4))
     assert gc.collect() == 0
     assert kept.config.network_size == 40
