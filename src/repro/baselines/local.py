@@ -11,6 +11,10 @@ for the extension experiments:
 
     local (0 msgs, no coverage)  <  hiREP (O(c), high coverage)
                                  <  voting (O(n), full coverage)
+
+Each outcome's ``asked`` counts the books consulted (own plus the friends
+asked) and ``answered`` is 1 when any held history, so the scorecard's
+``success_rate`` is the baseline's coverage.
 """
 
 from __future__ import annotations
@@ -51,31 +55,26 @@ class LocalReputationSystem(BaselineSystem):
                 len(pool), size=min(friends_per_peer, len(pool)), replace=False
             )
             self.friends.append([pool[int(i)] for i in idx])
-        self.coverage_hits = 0
-        self.coverage_misses = 0
 
-    def _estimate(self, requestor: int, provider: int) -> tuple[float, int]:
-        """(estimate, friend messages): own history, then friends' history."""
+    def _consult(self, requestor: int, provider: int) -> tuple[list[float], int]:
+        """(history found, friends asked): own book first, then friends'."""
         own = self._history[requestor].get(provider)
         if own:
-            self.coverage_hits += 1
-            return float(np.mean(own)), 0
-        shared: list[float] = []
-        messages = 0
-        for friend in self.friends[requestor]:
-            messages += 2  # ask + answer, direct unicast
-            theirs = self._history[friend].get(provider)
-            if theirs:
-                shared.extend(theirs)
-        if shared:
-            self.coverage_hits += 1
-            return float(np.mean(shared)), messages
-        self.coverage_misses += 1
-        return 0.5, messages  # never met: uninformative prior
+            return own, 0
+        friends = self.friends[requestor]
+        shared = [
+            v for friend in friends for v in self._history[friend].get(provider, ())
+        ]
+        return shared, len(friends)
 
     def _execute(self, req: int, prov: int) -> Estimate:
         truth = float(self.truth[prov])
-        estimate, messages = self._estimate(req, prov)
+        history, friends_asked = self._consult(req, prov)
+        # Coverage: did any book consulted (own plus friends asked) hold
+        # history?  Never met: the uninformative prior.
+        answered = int(bool(history))
+        estimate = float(np.mean(history)) if answered else 0.5
+        messages = 2 * friends_asked  # ask + answer, direct unicast
         self.counter.count("control", messages)
 
         # The transaction happens; the requestor records what it observed
@@ -90,12 +89,7 @@ class LocalReputationSystem(BaselineSystem):
         return Estimate(
             estimate,
             float("nan") if messages == 0 else float(messages),
+            answered=answered,
+            asked=1 + friends_asked,
             messages=messages,
         )
-
-    def coverage(self) -> float:
-        """Fraction of trust checks answered by any first/second-hand data."""
-        total = self.coverage_hits + self.coverage_misses
-        if total == 0:
-            return float("nan")
-        return self.coverage_hits / total

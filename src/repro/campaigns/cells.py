@@ -34,10 +34,10 @@ Experiments read windowed numbers off it (Fig. 6's windowed MSE, Fig. 7's
 measure window, DoS before/during/after); scorecards never read it.
 
 The ``fig5``, ``fig6``, ``fig8``, ``traffic_bound``, ``fig7``,
-``degradation``, ``churn`` and ``robustness`` experiments are lists of
-these cells, and so are ``ablations``' θ / backup / onion points (their
-``plan()`` compiles campaigns); there a ``cell_error`` fails the
-experiment (:func:`repro.exec.sweeps.job_values`).
+``degradation``, ``churn``, ``robustness`` and ``baselines`` experiments
+are lists of these cells, and so are ``ablations``' θ / backup / onion
+points (their ``plan()`` compiles campaigns); there a ``cell_error``
+fails the experiment (:func:`repro.exec.sweeps.job_values`).
 """
 
 from __future__ import annotations

@@ -98,9 +98,10 @@ def time_to_detect(
 def success_rate(outcomes: Sequence[Any]) -> float:
     """Fraction of transactions that produced a usable answer.
 
-    hiREP outcomes carry ``answered`` (agents that responded), poll-style
-    baselines carry ``voters``; systems with neither (purely local
-    history) count a transaction as successful when it produced a real
+    hiREP outcomes carry ``answered`` (agents that responded) and local
+    sharing ``answered`` (a consulted book held history), poll-style
+    baselines carry ``voters``; systems with neither (EigenTrust's global
+    scores) count a transaction as successful when it produced a real
     estimate.
     """
     if not outcomes:

@@ -3,9 +3,9 @@
 Every experiment, sweep plan, and example obtains systems through
 :func:`build_system` instead of direct constructor calls (enforced by the
 hirep-lint rule ARC001), which makes the system *kind* a first-class,
-serializable dimension: ``repro.exec`` job specs carry ``system="voting"``
-like any other kwarg, so ``baseline_comparison`` fans out one cacheable
-job per (system, cell).
+serializable dimension: campaign cells carry ``system="voting"`` like any
+other kwarg, so ``baseline_comparison`` runs one cacheable campaign cell
+per system.
 
 The bundled systems are one ``name → (module, class, summary)`` table,
 imported lazily — the target module is loaded only when its name is first

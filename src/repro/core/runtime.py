@@ -105,10 +105,11 @@ class Estimate:
     """What a system's operator hands back to the cycle template.
 
     hiREP executors fill ``answered``/``asked`` (agent response coverage),
-    baselines ``messages``/``voters`` (per-query traffic, opinion sources
-    reached); every other :class:`~repro.core.interface.Outcome` field is
-    the template's to fill.  The operator also states where the query
-    phase ends: after ``response_time_ms`` (both kernels), or after
+    and so does local sharing (books that held history / books consulted);
+    baselines fill ``messages``/``voters`` (per-query traffic, opinion
+    sources reached); every other :class:`~repro.core.interface.Outcome`
+    field is the template's to fill.  The operator also states where the
+    query phase ends: after ``response_time_ms`` (both kernels), or after
     ``query_ms`` on the live plane, whose ``response_time_ms`` is the
     client-visible round trip — settlement and drain included.
     """

@@ -13,10 +13,11 @@ Each ablation isolates one mechanism:
 * ``backup``   — churn tolerance with and without the backup agent cache;
 * ``onion``    — response time and traffic vs onion length (anonymity cost).
 
-``tokens``, ``ttl``, ``alpha`` and ``merge`` measure one mechanism in
-isolation and run as function jobs.  ``theta``, ``backup`` and ``onion``
-are runs: one campaign cell per swept value (:mod:`repro.campaigns`),
-read off the cell's trace.
+``tokens``, ``ttl``, ``alpha`` and ``merge`` each measure one mechanism
+without a run, so they stay function jobs: a campaign cell would need a
+spec field to express them.  ``theta``, ``backup`` and ``onion`` are
+runs: one campaign cell per swept value (:mod:`repro.campaigns`), read
+off the cell's trace.
 """
 
 from __future__ import annotations

@@ -14,9 +14,13 @@ the paper argues about measurable:
     TrustMe    2 broadcasts/tx, remote storage without curation
     EigenTrust global scores, needs structured aggregation (traffic n/a)
 
-System kind is a first-class sweep dimension: ``plan()`` fans out one
-orchestrator job per system, each cell cached under its
-``system="<name>"`` kwarg like any other JobSpec dimension.
+Every row is one campaign cell (:mod:`repro.campaigns`), one ``Campaign``
+per system in :data:`SYSTEMS` order, on the same world: the attacker
+ratio is a collusion attack, the reduced agent lists are workload
+overrides.  EigenTrust needs global mixing, so it runs three times the
+transactions with random requestors; every other system serves
+requestor 0.  Each number is read off the cell's trace, except local
+sharing's coverage, which is its scorecard's ``success_rate``.
 """
 
 from __future__ import annotations
@@ -25,11 +29,10 @@ from functools import partial
 
 import numpy as np
 
-from repro.core.registry import build_system
-from repro.experiments.common import ExperimentResult, format_table
-from repro.workloads.scenarios import REDUCED_LISTS, default_config
+from repro.experiments.common import ExperimentResult, format_table, squared_errors
+from repro.workloads.scenarios import REDUCED_LISTS
 
-__all__ = ["run", "plan", "system_cell", "assemble_baselines", "SYSTEMS"]
+__all__ = ["run", "plan", "assemble", "SYSTEMS"]
 
 #: registry name -> scalar prefix, in the table's display order.
 SYSTEMS = {
@@ -43,72 +46,65 @@ SYSTEMS = {
 }
 
 
-def system_cell(
-    system: str,
+def plan(
     network_size: int = 300,
     transactions: int = 150,
     seed: int = 2006,
     attacker_ratio: float = 0.2,
-) -> dict:
-    """Run one reputation system over the shared world; return its scalars.
+):
+    """One campaign cell per reputation system; assembles the table."""
+    from repro.campaigns.specs import AttackSpec, Campaign, ScenarioSpec, WorkloadSpec
+    from repro.exec.sweeps import SweepPlan
 
-    The picklable per-job entry point: worker processes call this by
-    import path, so the payload must survive a JSON round-trip.  The
-    ``system`` kwarg is the sweep dimension — one cache entry per
-    (system, cell).
-    """
-    cfg = default_config(network_size=network_size, seed=seed).with_(
-        poor_agent_fraction=attacker_ratio,
-        malicious_fraction=attacker_ratio,
-        **REDUCED_LISTS,
+    def campaign(system: str) -> Campaign:
+        eigentrust = system == "eigentrust"
+        workload = WorkloadSpec(
+            network_size=network_size,
+            transactions=3 * transactions if eigentrust else transactions,
+            requestor=None if eigentrust else 0,
+            overrides=REDUCED_LISTS,
+        )
+        scenario = ScenarioSpec(
+            name=f"attackers={attacker_ratio:g}",
+            workload=workload,
+            attack=AttackSpec.collusion(attacker_ratio),
+        )
+        return Campaign(
+            name=f"baselines-{system}",
+            scenarios=(scenario,),
+            systems=(system,),
+            seeds=(seed,),
+        )
+
+    return SweepPlan(
+        specs=[spec for system in SYSTEMS for spec in campaign(system).compile()],
+        assemble=partial(assemble, transactions=transactions),
     )
-    instance = build_system(system, cfg)
-    scalars: dict[str, float] = {}
-    if system == "hirep":
-        instance.bootstrap()
-        instance.reset_metrics()
-        instance.run(transactions, requestor=0)
-        scalars["msgs_per_tx"] = float(
-            np.mean([o.trust_messages for o in instance.outcomes])
-        )
-        scalars["resp_ms"] = instance.response_times.mean()
-    elif system == "eigentrust":
-        instance.run(transactions * 3)  # needs global mixing
-        scalars["msgs_per_tx"] = float(
-            np.mean([o.messages for o in instance.outcomes])
-        )
-    else:
-        instance.run(transactions, requestor=0)
-        scalars["msgs_per_tx"] = float(
-            np.mean([o.messages for o in instance.outcomes])
-        )
-        if system == "voting":
-            scalars["resp_ms"] = instance.response_times.mean()
-        if system == "local":
-            scalars["coverage"] = instance.coverage()
-    scalars["mse"] = instance.mse.tail_mse(transactions // 3)
-    return scalars
 
 
-def assemble_baselines(
-    values: list[dict], systems: list[str]
-) -> ExperimentResult:
-    """Fold per-system scalar payloads (in ``systems`` order) into the result.
-
-    Module-level (bound with :func:`functools.partial`) so the assemble
-    callable pickles and stays inside the fingerprinted module — see lint
-    rule EXC001.
-    """
+def assemble(cells: list[dict], *, transactions: int) -> ExperimentResult:
+    """Fold one cell per system (in :data:`SYSTEMS` order) into the table."""
     result = ExperimentResult(
         experiment_id="baselines",
         title="All reputation systems on one world",
         x_label="-",
         y_label="-",
     )
-    for system, scalars in zip(systems, values):
+    for system, cell in zip(SYSTEMS, cells):
         prefix = SYSTEMS[system]
-        for key, value in scalars.items():
-            result.scalars[f"{prefix}_{key}"] = value
+        trace = cell["trace"]
+        # hiREP bills its trust process apart; the baselines bill their
+        # floods through the message counter.
+        traffic = trace["trust_messages" if system == "hirep" else "messages"]
+        result.scalars[f"{prefix}_msgs_per_tx"] = float(np.mean(traffic))
+        if system in ("hirep", "voting"):
+            times = [v for v in trace["response_ms"] if v is not None]
+            result.scalars[f"{prefix}_resp_ms"] = float(np.mean(times))
+        if system == "local":
+            result.scalars["local_coverage"] = cell["scorecard"]["success_rate"]
+        result.scalars[f"{prefix}_mse"] = float(
+            np.mean(squared_errors(cell)[-(transactions // 3) :])
+        )
 
     # The decomposition insight: credibility-weighted voting matches
     # hiREP's accuracy (curation) but not its traffic (hierarchy).
@@ -158,37 +154,6 @@ def assemble_baselines(
         )
     )
     return result
-
-
-def plan(
-    network_size: int = 300,
-    transactions: int = 150,
-    seed: int = 2006,
-    attacker_ratio: float = 0.2,
-):
-    """One orchestrator job per reputation system; assembles the table."""
-    from repro.exec.job import JobSpec
-    from repro.exec.sweeps import SweepPlan
-
-    systems = list(SYSTEMS)
-    specs = [
-        JobSpec(
-            module=__name__,
-            func="system_cell",
-            kwargs={
-                "system": system,
-                "network_size": network_size,
-                "transactions": transactions,
-                "seed": seed,
-                "attacker_ratio": attacker_ratio,
-            },
-            label=f"baselines[{system}]",
-        )
-        for system in systems
-    ]
-    return SweepPlan(
-        specs=specs, assemble=partial(assemble_baselines, systems=systems)
-    )
 
 
 def run(

@@ -20,6 +20,10 @@ its agents.  On a small, repeatedly-visited provider pool they eventually
 *beat* the oracle: reports carry exact observed outcomes while the oracle
 model draws noisy ratings from [0.6, 1] / [0, 0.4], so accumulated
 evidence out-resolves innate-but-noisy judgement.
+
+It stays a function job, not a campaign cell: it builds each system with
+``model_factory=`` and cycles a fixed provider pool, and a cell would need
+a spec field for either.
 """
 
 from __future__ import annotations

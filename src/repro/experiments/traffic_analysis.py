@@ -9,6 +9,10 @@ report its precision against the truly most-popular agents.
 Expected shape (the paper's §4.2.4 argument): near-perfect precision
 without onions, sharply degraded with them — the relays soak up and
 randomize the observable flow.
+
+It stays a function job, not a campaign cell: it rotates requestors 0–19
+and attaches the wiretap *after* bootstrap, and a cell would need a spec
+field for either.
 """
 
 from __future__ import annotations

@@ -1,12 +1,14 @@
 """Unit tests for the limited-reputation-sharing baseline."""
 
-import math
-
 import numpy as np
 import pytest
 
 from repro.baselines.local import LocalReputationSystem
+from repro.campaigns.cells import campaign_cell
+from repro.campaigns.scorecard import success_rate
+from repro.campaigns.specs import ScenarioSpec, TopologySpec, WorkloadSpec
 from repro.core.config import HiRepConfig
+from repro.core.registry import build_system
 
 CFG = HiRepConfig(network_size=80, seed=66)
 
@@ -42,18 +44,36 @@ def test_friends_cost_messages_and_widen_coverage():
         lonely.run_transaction()
         social.run_transaction()
     assert social.counter.total > 0
-    assert social.coverage() >= lonely.coverage()
+    assert success_rate(social.outcomes) >= success_rate(lonely.outcomes)
 
 
 def test_coverage_terrible_in_large_population():
     """The baseline's known weakness: random pairs rarely repeat."""
     system = LocalReputationSystem(CFG)
     system.run(100)
-    assert system.coverage() < 0.3
+    assert success_rate(system.outcomes) < 0.3
 
 
-def test_coverage_nan_before_any_transaction():
-    assert math.isnan(LocalReputationSystem(CFG).coverage())
+def test_campaign_cell_success_rate_is_coverage():
+    """A fixed requestor without friends has history exactly for the
+    providers it met earlier in the run; the cell's scorecard counts
+    those transactions, not every transaction with an estimate."""
+    workload = WorkloadSpec(network_size=30, transactions=60, requestor=0)
+    spec = ScenarioSpec(name="cell", workload=workload)
+    cell = campaign_cell(spec.to_dict(), "local", 7)
+
+    system = build_system("local", workload.build_config(7, TopologySpec()))
+    for _ in range(workload.transactions):
+        system.run_transaction(0)
+    met: set[int] = set()
+    had_history = 0
+    for outcome in system.outcomes:
+        had_history += outcome.provider in met
+        met.add(outcome.provider)
+    share = had_history / workload.transactions
+
+    assert 0.0 < share < 1.0
+    assert cell["scorecard"]["success_rate"] == share
 
 
 def test_friends_validation():
