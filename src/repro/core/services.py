@@ -96,7 +96,8 @@ def build_wiring(
     dispatcher = ProtocolDispatcher()
 
     # Key material and peers.  Per-peer generators are spawned up front so
-    # peer construction order cannot perturb other streams.
+    # peer construction order cannot perturb other streams; every peer
+    # reads its own below, so all of them are built here.
     peers: list[HiRepPeer] = []
     truth_by_id: dict[NodeID, float] = {}
     peer_rngs = spawn(world.rng_peers, config.network_size)

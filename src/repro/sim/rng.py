@@ -13,25 +13,30 @@ parameter sweeps.
 Every stream is the one ``numpy.random.default_rng(seed)`` and its
 ``spawn`` tree would produce.  :class:`BatchSeedSequence` only changes how
 the children's seed words are *computed*: numpy hashes each child's
-``SeedSequence`` on its own (~12 µs of object set-up per stream, 2 s for the
-170 000 per-peer and per-agent streams of a 10⁵-peer run), this class hashes
-a whole ``spawn(n)`` in one pass of array arithmetic.  It rests on a
+``SeedSequence`` on its own (~12 µs of object set-up per stream), this class
+hashes a whole ``spawn(n)`` in one pass of array arithmetic.  It rests on a
 documented numpy guarantee: "``PCG64`` makes a guarantee that a fixed seed
 will always produce the same random integer stream" (``PCG64`` docstring,
 *Compatibility Guarantee*), and a seed reaches ``PCG64``'s state only
 through the ``SeedSequence`` hash, so the hash cannot change.
+
+:func:`spawn` goes one step further and builds each child's ``Generator``
+the first time it is read.  A ``Generator`` is ~765 B and ~3 µs, and a
+10⁵-peer run reads few of its per-peer streams (996 of 100 000 after
+1 000 seeded transactions); until then a child is its 32 B of seed words.
 """
 
 from __future__ import annotations
 
 import operator
+from collections.abc import Iterator, Sequence
 
 import numpy as np
 from numpy.random.bit_generator import ISpawnableSeedSequence
 
 from repro.errors import ConfigError
 
-__all__ = ["BatchSeedSequence", "make_rng", "spawn", "choice_without"]
+__all__ = ["BatchSeedSequence", "Streams", "make_rng", "spawn", "choice_without"]
 
 # numpy/random/bit_generator.pyx: the SeedSequence hash (after O'Neill's
 # seed_seq_fe), pool of four uint32 words.
@@ -122,11 +127,11 @@ class BatchSeedSequence:
 
     Registered as a numpy ``ISpawnableSeedSequence`` (so an ``ISeedSequence``),
     so ``PCG64(seq)``, ``Generator.spawn`` and ``BitGenerator.spawn`` treat
-    it like the stock class.  A child holds its four PCG64 seed words until
-    ``PCG64`` reads them, then lets go of them (kept, 170 000 row views of the
-    word table are 21 MB, 5 % of a 10⁵-peer run); every other request — the
-    root's, a second read, another width — is answered by numpy's own
-    ``SeedSequence`` built from the same ``entropy`` and ``spawn_key``.
+    it like the stock class.  A child holds its four PCG64 seed words (a row
+    view of the parent's word table, ~120 B) until ``PCG64`` reads them, then
+    lets go of them; every other request — the root's, a second read,
+    another width — is answered by numpy's own ``SeedSequence`` built from
+    the same ``entropy`` and ``spawn_key``.
     """
 
     __slots__ = ("entropy", "spawn_key", "n_children_spawned", "_seed_words")
@@ -150,10 +155,16 @@ class BatchSeedSequence:
             self.entropy, spawn_key=self.spawn_key
         ).generate_state(n_words, dtype)
 
-    def spawn(self, n_children: int) -> list["BatchSeedSequence"]:
+    def _reserve(self, n_children: int) -> tuple[int, np.ndarray]:
+        """Number the next ``n_children`` children: the first one's index and
+        all their PCG64 seed words, ``(n_children, 4)`` uint64."""
         first = self.n_children_spawned
         states = _child_states(self.entropy, self.spawn_key, first, n_children)
         self.n_children_spawned = first + n_children
+        return first, states
+
+    def spawn(self, n_children: int) -> list["BatchSeedSequence"]:
+        first, states = self._reserve(n_children)
         return [
             BatchSeedSequence(self.entropy, self.spawn_key + (first + i,), words)
             for i, words in enumerate(states)
@@ -181,11 +192,60 @@ def make_rng(seed: int | np.random.Generator) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(BatchSeedSequence(entropy)))
 
 
-def spawn(rng: np.random.Generator, n: int) -> list[np.random.Generator]:
-    """Derive ``n`` statistically independent child generators."""
+class Streams(Sequence[np.random.Generator]):
+    """``n`` children of one :class:`BatchSeedSequence`, each ``Generator``
+    built the first time its index is read, then kept.
+
+    The children are numbered on the parent when the sequence is made, so
+    the parent's ``n_children_spawned`` advances exactly as an eager
+    ``spawn(n)`` advances it and child ``i`` is the ``Generator`` numpy's
+    ``Generator.spawn`` would have built, whenever it is read.  Indexing
+    behaves like a list's (negative indices count from the end); slices are
+    not supported.
+    """
+
+    __slots__ = ("_entropy", "_spawn_key", "_first", "_words", "_built")
+
+    def __init__(self, parent: BatchSeedSequence, n: int) -> None:
+        self._entropy = parent.entropy
+        self._spawn_key = parent.spawn_key
+        self._first, self._words = parent._reserve(n)
+        self._built: list[np.random.Generator | None] = [None] * n
+
+    def __len__(self) -> int:
+        return len(self._built)
+
+    def __getitem__(self, index: int) -> np.random.Generator:  # type: ignore[override]
+        i = operator.index(index)
+        gen = self._built[i]
+        if gen is None:
+            if i < 0:
+                i += len(self._built)
+            seq = BatchSeedSequence(
+                self._entropy, self._spawn_key + (self._first + i,), self._words[i]
+            )
+            gen = self._built[i] = np.random.Generator(np.random.PCG64(seq))
+        return gen
+
+    def __iter__(self) -> Iterator[np.random.Generator]:
+        return map(self.__getitem__, range(len(self._built)))
+
+
+def spawn(rng: np.random.Generator, n: int) -> Streams:
+    """Derive ``n`` statistically independent child generators of a
+    :func:`make_rng` stream, each built when first read (:class:`Streams`)."""
     if n < 0:
         raise ValueError(f"cannot spawn {n} generators")
-    return list(rng.spawn(n))
+    bit_generator = rng.bit_generator
+    if type(bit_generator) is not np.random.PCG64 or not isinstance(
+        bit_generator.seed_seq, BatchSeedSequence
+    ):
+        raise ConfigError(
+            "spawn derives children of make_rng streams only, got a "
+            f"{type(bit_generator).__name__} on "
+            f"{type(bit_generator.seed_seq).__name__}"
+        )
+    return Streams(bit_generator.seed_seq, n)
 
 
 def choice_without(

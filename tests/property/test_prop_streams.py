@@ -19,13 +19,26 @@ Shown to fail under each of these seeded mutations of ``repro/sim/rng.py``:
 the A and B hash constants swapped; entropy not zero-padded to the pool
 size before the spawn key; child numbering restarted at 0 on a second
 ``spawn``; ``_words`` emitting big-endian word order (seeds ≥ 2³²).
+
+:func:`repro.sim.rng.spawn` hands the children out lazily (a
+:class:`~repro.sim.rng.Streams` builds child ``i``'s ``Generator`` when
+``i`` is first read); its test reads a lazy ``spawn(n)`` in any order,
+after any earlier spawns, against ``default_rng(seed).spawn(n)``.  Shown to
+fail under each of these seeded mutations: the parent's counter advanced on
+read instead of at the call; ``first`` dropped from the child's spawn key;
+a negative index passed to the spawn key unnormalised.
 """
 
+import copy
+import pickle
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.rng import BatchSeedSequence, make_rng
+from repro.errors import ConfigError
+from repro.sim.rng import BatchSeedSequence, make_rng, spawn
 
 SEEDS = st.one_of(
     st.just(0),
@@ -70,3 +83,64 @@ def walk(ours, ref, plan, lo, hi):
 @settings(max_examples=60, deadline=None)
 def test_stream_tree_equals_default_rng(seed, plan, lo, width):
     walk(make_rng(seed), np.random.default_rng(seed), plan, lo, lo + width)
+
+
+def assert_same_child(ours, ref):
+    """``ours`` and ``ref`` are one stream: state, key, draws, spawns, copies."""
+    ours_seq, ref_seq = ours.bit_generator.seed_seq, ref.bit_generator.seed_seq
+    assert ours.bit_generator.state == ref.bit_generator.state
+    assert ours_seq.spawn_key == ref_seq.spawn_key
+    assert all(type(key) is int for key in ours_seq.spawn_key)
+    for clone in (pickle.loads(pickle.dumps(ours)), copy.deepcopy(ours)):
+        assert clone.bit_generator.state == ref.bit_generator.state
+        assert clone.random() == copy.deepcopy(ref).random()
+    assert ours.random() == ref.random()
+    assert ours.integers(1, 2**64, dtype=np.uint64) == ref.integers(
+        1, 2**64, dtype=np.uint64
+    )
+    (ours_child,), (ref_child,) = ours.spawn(1), ref.spawn(1)
+    assert ours_child.bit_generator.state == ref_child.bit_generator.state
+
+
+@given(
+    seed=SEEDS,
+    earlier=st.lists(st.integers(0, 5), max_size=3),
+    n=st.integers(0, 8),
+    data=st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_lazy_spawn_equals_eager_children(seed, earlier, n, data):
+    ours, ref = make_rng(seed), np.random.default_rng(seed)
+    for count in earlier:
+        spawn(ours, count)
+        ref.spawn(count)
+    lazy, eager = spawn(ours, n), ref.spawn(n)
+    # The children are numbered at the call, before any of them is read.
+    assert ours.bit_generator.seed_seq.n_children_spawned == sum(earlier) + n
+    assert len(lazy) == n
+    if n:
+        indices = st.integers(-n, n - 1)
+        reads = data.draw(
+            st.lists(st.tuples(indices, st.sampled_from([int, np.int64])), max_size=2 * n)
+        )
+        for index, kind in reads:
+            child = lazy[kind(index)]
+            assert child is lazy[index]
+            assert_same_child(child, eager[index])
+    children = list(lazy)
+    assert len(children) == n
+    for child, want in zip(children, eager):
+        assert_same_child(child, want)
+    for index in (n, -n - 1):
+        with pytest.raises(IndexError):
+            lazy[index]
+
+
+def test_spawn_refuses_streams_not_rooted_in_make_rng():
+    for rng in (
+        np.random.default_rng(3),
+        np.random.Generator(np.random.Philox(3)),
+        np.random.Generator(np.random.PCG64DXSM(BatchSeedSequence(3))),
+    ):
+        with pytest.raises(ConfigError):
+            spawn(rng, 2)

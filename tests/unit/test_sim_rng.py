@@ -53,7 +53,8 @@ def test_spawn_children_independent():
 
 def test_spawn_count():
     assert len(spawn(make_rng(0), 5)) == 5
-    assert spawn(make_rng(0), 0) == []
+    empty = spawn(make_rng(0), 0)
+    assert len(empty) == 0 and list(empty) == []
 
 
 def test_spawn_negative_rejected():

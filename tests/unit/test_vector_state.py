@@ -456,3 +456,38 @@ def test_seeded_bootstrap_equals_the_modulo_formulation(n):
     assert np.array_equal(system._own_path, oracle._own_path)
     # and both drew the same amount from the workload stream
     assert system.world.rng_workload.random() == oracle.world.rng_workload.random()
+
+
+@pytest.mark.parametrize("leave_prob", [0.0, 0.05])
+def test_seeded_array_run_builds_only_the_peer_streams_it_reads(leave_prob):
+    from repro.net.churn import ChurnModel
+    from repro.vector.system import ArrayHiRepSystem
+    from repro.workloads.scenarios import default_config
+
+    cfg = default_config(network_size=400, seed=5)
+    churn = ChurnModel(leave_prob=leave_prob, rejoin_prob=0.4) if leave_prob else None
+    system = ArrayHiRepSystem(cfg, churn=churn, bootstrap_mode="seeded")
+    system.bootstrap()
+    streams = system._peer_rngs
+    assert len(streams) == 400
+
+    def built() -> set[int]:
+        return {i for i, rng in enumerate(streams._built) if rng is not None}
+
+    assert built() == set()
+    # Only a requestor's stream and an onion rebuild's (host and relays,
+    # each relay answering a handshake) are drawn from.
+    onion_nodes: set[int] = set()
+    rebuild = system._rebuild_onion
+
+    def recording_rebuild(host: int) -> None:
+        rebuild(host)
+        onion_nodes.add(host)
+        onion_nodes.update(system._own_path[host, : system._own_plen[host]].tolist())
+
+    system._rebuild_onion = recording_rebuild
+    system.run(30)
+    requestors = {outcome.requestor for outcome in system.outcomes}
+    assert 0 < len(built()) <= 30 + len(onion_nodes)
+    assert built() <= requestors | onion_nodes
+    assert bool(onion_nodes) == bool(leave_prob)
