@@ -21,7 +21,7 @@ will always produce the same random integer stream" (``PCG64`` docstring,
 through the ``SeedSequence`` hash, so the hash cannot change.
 
 :func:`spawn` goes one step further and builds each child's ``Generator``
-the first time it is read.  A ``Generator`` is ~765 B and ~3 µs, and a
+the first time it is read.  A ``Generator`` is ~765 B and ~3–4 µs, and a
 10⁵-peer run reads few of its per-peer streams (996 of 100 000 after
 1 000 seeded transactions); until then a child is its 32 B of seed words.
 """
@@ -29,7 +29,7 @@ the first time it is read.  A ``Generator`` is ~765 B and ~3 µs, and a
 from __future__ import annotations
 
 import operator
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 
 import numpy as np
 from numpy.random.bit_generator import ISpawnableSeedSequence
@@ -226,9 +226,6 @@ class Streams(Sequence[np.random.Generator]):
             )
             gen = self._built[i] = np.random.Generator(np.random.PCG64(seq))
         return gen
-
-    def __iter__(self) -> Iterator[np.random.Generator]:
-        return map(self.__getitem__, range(len(self._built)))
 
 
 def spawn(rng: np.random.Generator, n: int) -> Streams:
