@@ -42,7 +42,7 @@ from repro.crypto.nonce import NonceRegistry
 from repro.errors import CryptoError, NoTrustedAgentsError, ProtocolError
 from repro.net.messages import Category
 from repro.net.network import P2PNetwork
-from repro.onion.onion import Onion, build_onion, circuit_usable, draw_relays
+from repro.onion.onion import Onion, build_onion, circuit_usable, draw_relays, reseal
 from repro.onion.relay import AnonymityKeyStore, RelayRegistry
 from repro.onion.routing import OnionRouter
 
@@ -121,6 +121,9 @@ class HiRepPeer:
         self._onion_seq = 0
         self._relay_ips: list[int] = []
         self._current_onion: Onion | None = None
+        # (AP, IP, [(relay ip, AP), …]) the current onion's blob was sealed
+        # under: while they hold, a new sequence number only re-signs it.
+        self._sealed_under: tuple | None = None
         self._pending: PendingQuery | None = None
         self.queries_completed = 0
         self.probe_messages = 0
@@ -173,16 +176,30 @@ class HiRepPeer:
         return self._seal_onion([(r, self.key_store.get(r)) for r in self._relay_ips])
 
     def _seal_onion(self, relay_keys: list) -> Onion:
-        """The next-sequence onion over ``relay_keys`` becomes current."""
+        """The next-sequence onion over ``relay_keys`` becomes current.
+
+        Sealing is deterministic, so while the owner's AP and IP and the
+        relay keys are those the current blob was sealed under, the blob
+        is kept and only ``(seq, first hop)`` is signed again (``reseal``);
+        any other path goes through ``build_onion``.
+        """
         self._onion_seq += 1
-        self._current_onion = build_onion(
-            self.backend,
-            self.keys.ap,
-            self.keys.sr,
-            self.ip,
-            relay_keys,
-            seq=self._onion_seq,
-        )
+        sealed_under = (self.keys.ap, self.ip, relay_keys)
+        current = self._current_onion
+        if current is not None and sealed_under == self._sealed_under:
+            self._current_onion = reseal(
+                self.backend, current, self.keys.sr, self._onion_seq
+            )
+        else:
+            self._current_onion = build_onion(
+                self.backend,
+                self.keys.ap,
+                self.keys.sr,
+                self.ip,
+                relay_keys,
+                seq=self._onion_seq,
+            )
+            self._sealed_under = sealed_under
         return self._current_onion
 
     # ------------------------------------------------------------------
@@ -409,11 +426,13 @@ class HiRepPeer:
             self.agent_list.update_expertise(agent_id, value, outcome)
         # 2. hirep-θ eviction
         self.agent_list.evict_below_threshold()
-        # 3. park agents that went offline (positive expertise → backup)
-        for agent in list(self.agent_list.agents()):
-            ip = agent.entry.agent_ip
-            if ip >= 0 and not self.network.is_online(ip):
-                self.agent_list.park_offline(agent.node_id)
+        # 3. park agents that went offline (positive expertise → backup);
+        #    with every node online there is nothing to park
+        if self.network.any_offline:
+            for agent in list(self.agent_list.agents()):
+                ip = agent.entry.agent_ip
+                if ip >= 0 and not self.network.is_online(ip):
+                    self.agent_list.park_offline(agent.node_id)
         # 4. signed transaction reports through the onion of each surviving
         #    agent that answered (3c(o+1) trust messages per transaction)
         reports: list[TransactionReport] = []

@@ -206,10 +206,14 @@ def _onion_depth(blob: Any) -> int:
 
 
 def onion_size(onion: Onion | None) -> int:
-    """An onion's wire size grows one sealed layer per relay."""
+    """An onion's wire size grows one sealed layer per relay.
+
+    A built onion carries its depth (``Onion.layers``); any other is walked.
+    """
     if onion is None:
         return _LEN_PREFIX
-    return _blob_field(onion.blob) + _field(_SIGNATURE_BYTES) + _NONCE_BYTES  # + seq
+    depth = onion.layers or _onion_depth(onion.blob)
+    return _depth_field(depth) + _field(_SIGNATURE_BYTES) + _NONCE_BYTES  # + seq
 
 
 _REQUEST_BYTES = _sealed(_NODE_ID_BYTES + _NONCE_BYTES) + _field(_PUBLIC_KEY_BYTES)
@@ -291,15 +295,18 @@ def packet_size(packet: OnionPacket, peeled_from: OnionPacket | None = None) -> 
     onward packet counts down as well.  A packet with no such parent is
     measured: the first of a path, one under a single layer (nothing
     valid is), and one under an RSA blob, whose depth is an estimate
-    from its length.  ``OnionRouter.handle`` applies the count-down rule
-    in place (``BLOB_FIELD_BYTES``) and calls this for the measured cases.
+    from its length.  A first packet's depth is not walked when it
+    already counts its ``layers``: ``OnionRouter.send`` copies them from
+    a built onion (``Onion.layers``).  ``OnionRouter.handle`` applies the
+    count-down rule in place (``BLOB_FIELD_BYTES``) and calls this for
+    the measured cases.
     """
     if peeled_from is not None and peeled_from.layers > 1:
         message_bytes = peeled_from.message_bytes
         depth = peeled_from.layers - 1
     else:
         message_bytes = wire_size(packet.message)
-        depth = _onion_depth(packet.blob)
+        depth = packet.layers or _onion_depth(packet.blob)
     packet.message_bytes = message_bytes
     packet.layers = depth if type(packet.blob) is Envelope else 0
     return _depth_field(depth) + message_bytes

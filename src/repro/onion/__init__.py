@@ -18,6 +18,7 @@ from repro.onion.onion import (
     circuit_usable,
     draw_relays,
     peel,
+    reseal,
 )
 from repro.onion.relay import AnonymityKeyStore, RelayRegistry
 from repro.onion.routing import OnionPacket, OnionRouter, expected_onion_messages
@@ -38,6 +39,7 @@ __all__ = [
     "circuit_usable",
     "draw_relays",
     "peel",
+    "reseal",
     "AnonymityKeyStore",
     "RelayRegistry",
     "OnionPacket",

@@ -38,6 +38,7 @@ __all__ = [
     "circuit_usable",
     "draw_relays",
     "peel",
+    "reseal",
 ]
 
 #: Marker object at the onion core; only the owner ever sees it.
@@ -60,6 +61,11 @@ class Onion:
     blob: Any
     seq: int
     signature: Any
+    # The sealed layers :func:`build_onion` wrapped round a simulated
+    # blob, so the wire size model need not walk it (0 = not recorded:
+    # RSA bytes, decoded onions).  A plain attribute, not a dataclass
+    # field — never encoded, compared or printed.
+    layers = 0
 
     def verify(self, backend: CipherBackend, owner_sp: PublicKey) -> bool:
         """Check the SR_p signature over (blob identity, seq)."""
@@ -76,6 +82,9 @@ class PeelOutcome(NamedTuple):
 
 #: Every owner's peel comes to the same outcome; it is built once.
 _DELIVERED = PeelOutcome(True, None, None)
+#: A relay's outcome is built by ``tuple.__new__`` directly: the same
+#: ``PeelOutcome``, without the NamedTuple's Python-level ``__new__``.
+_new_outcome = tuple.__new__
 
 
 def build_onion(
@@ -106,8 +115,35 @@ def build_onion(
         blob = backend.encrypt(ap, OnionLayer(next_ip=prev_ip, inner=blob))
         prev_ip = ip
     first_hop = prev_ip  # entry relay (or the owner itself when no relays)
+    layers = len(relay_keys) + 1 if type(blob) is Envelope else 0
+    return _signed(backend, owner_sr, first_hop, blob, seq, layers)
+
+
+def reseal(backend: CipherBackend, onion: Onion, owner_sr: PrivateKey, seq: int) -> Onion:
+    """``onion``'s path under sequence number ``seq``: only the signature
+    is new.
+
+    Both backends seal deterministically (an envelope carries no
+    randomness; RSA here is textbook RSA over pickle bytes), so the blob
+    :func:`build_onion` would seal over the same owner keys and relay
+    keys equals ``onion.blob`` — by value, and byte for byte under RSA.
+    """
+    return _signed(backend, owner_sr, onion.first_hop, onion.blob, seq, onion.layers)
+
+
+def _signed(
+    backend: CipherBackend,
+    owner_sr: PrivateKey,
+    first_hop: int,
+    blob: Any,
+    seq: int,
+    layers: int,
+) -> Onion:
     signature = backend.sign(owner_sr, ("onion", seq, first_hop))
-    return Onion(first_hop=first_hop, blob=blob, seq=seq, signature=signature)
+    onion = Onion(first_hop=first_hop, blob=blob, seq=seq, signature=signature)
+    if layers:
+        object.__setattr__(onion, "layers", layers)
+    return onion
 
 
 def peel(backend: CipherBackend, ar: PrivateKey, blob: Any) -> PeelOutcome:
@@ -131,7 +167,7 @@ def peel(backend: CipherBackend, ar: PrivateKey, blob: Any) -> PeelOutcome:
     # marker string off its first byte).
     if next_ip < 0 or (type(inner) is not Envelope and inner == _FAKE_ONION):
         return _DELIVERED
-    return PeelOutcome(False, next_ip, inner)
+    return _new_outcome(PeelOutcome, (False, next_ip, inner))
 
 
 def draw_relays(

@@ -95,6 +95,8 @@ class OnionRouter:
             category=category,
             sent_at=self.network.engine.now,
         )
+        # A built onion knows its depth; packet_size walks any other.
+        packet.layers = onion.layers
         self.network.send(
             sender_ip,
             onion.first_hop,

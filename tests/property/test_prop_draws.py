@@ -5,15 +5,22 @@ per row; each batched or shortened form is pinned here to the form it
 replaces, which stays in the test as the oracle — equal results *and*
 equal ``bit_generator.state``, so no later draw on the stream can move.
 
-(a) :meth:`NonceRegistry.issue_many` is ``k ×`` :meth:`NonceRegistry.issue`
-    on a twin registry over a twin generator: generated interleavings of
-    ``issue_many(k)`` (k ∈ 0…12), single ``issue()`` calls and foreign
-    draws on the shared stream (a handshake responder shares a peer's
-    generator) must leave equal nonces, equal ``_issued`` content *and
-    order*, and equal generator state.  Run at the real 64-bit width and
-    with ``_NONCE_BITS`` shrunk to 6, where 63 possible nonces make
-    collisions with issued nonces and within one batch routine; capacities
-    are small enough that the trim is crossed mid-sequence.
+(a) :meth:`NonceRegistry.issue` is ``int(rng.integers(1, 2**64,
+    dtype=np.uint64))`` — numpy's bounded draw, which the registry replaces
+    by the raw PCG64 word — redrawn while the value was issued before, and
+    :meth:`NonceRegistry.issue_many` is ``k ×`` :meth:`NonceRegistry.issue`.
+    Three registries over three twin generators — one issuing in batches,
+    one one at a time, and the oracle, the registry as it stood, calling
+    ``integers`` — run generated interleavings of ``issue_many(k)`` (k ∈
+    0…12), single ``issue()`` calls and foreign draws on the shared stream
+    (a handshake responder shares a peer's generator): buffered 32-bit
+    ``integers(0, m)`` draws, which leave half a word in the generator's
+    carry, doubles and shuffles.  All three must leave equal nonces, equal
+    ``_issued`` content *and order*, and equal generator state.  Collisions
+    are forced at the full 64-bit width by loading the next few words of
+    the stream into every ``_issued`` before a draw; capacities are small
+    enough that the trim is crossed mid-sequence.  (A zero word, the one
+    value numpy's bounded draw rejects, is pinned in the unit tests.)
 (b) :meth:`QualityDrivenModel.evaluate` is ``float(rng.uniform(lo, hi))``
     on the range the model picks — good / poor × truth either side of 0.5,
     generated ranges including ``lo == hi``.
@@ -31,7 +38,8 @@ Shown to fail under each of these seeded mutations: (a) the batch added to
 ``_issued`` as a set union (``issued.update(dict.fromkeys(set(draws)))``)
 instead of in draw order — with ``_issued`` still a ``set``, before the
 trim fix, nothing else was possible; the collision replay skipped (the
-vector returned as drawn); ``size=k + 1``; the capacity fallback ignored;
+vector returned as drawn); ``random_raw(k + 1)``; the capacity fallback
+ignored; the raw word taken through ``next_uint32`` halves (the carry);
 (b) ``hi - (hi - lo) * rng.random()``; (c) a plain ``sum(values) / n``,
 which only diverges from numpy's pairwise sum at 8+ elements; (d) picks
 not stepped over the owner (``online[picks]``); stepped from the slot
@@ -40,53 +48,94 @@ one short whether or not the owner is online (``pool_len = len(online) -
 1``); an offline owner's insertion point kept as its slot.
 """
 
-from unittest import mock
-
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.semantics import aggregate_estimate
 from repro.core.trust_models import QualityDrivenModel
-from repro.crypto import nonce as nonce_module
 from repro.crypto.nonce import NonceRegistry
 from repro.net.topology import ring_lattice
 from repro.onion.onion import draw_relays
 from repro.vector.network import ArrayNetwork
 
+
+class OracleRegistry(NonceRegistry):
+    """``issue`` as it stood: numpy's bounded 64-bit draw, one at a time."""
+
+    def __init__(self, rng: np.random.Generator, capacity: int) -> None:
+        super().__init__(rng, capacity=capacity)
+        self._rng = rng
+
+    def issue(self) -> int:
+        while True:
+            nonce = int(self._rng.integers(1, 2**64, dtype=np.uint64))
+            if nonce not in self._issued:
+                self._remember(self._issued, nonce)
+                return nonce
+
+    def issue_many(self, k: int) -> list[int]:
+        return [self.issue() for _ in range(k)]
+
+
+def upcoming_words(rng: np.random.Generator, count: int) -> list[int]:
+    """The next ``count`` raw words of ``rng``, read from a copy of its state."""
+    peek = np.random.PCG64()
+    peek.state = rng.bit_generator.state
+    return peek.random_raw(count).tolist()
+
+
 OPS = st.lists(
     st.one_of(
         st.tuples(st.just("many"), st.integers(0, 12)),
         st.tuples(st.just("one"), st.just(1)),
-        st.tuples(st.just("foreign"), st.just(0)),
+        st.tuples(st.just("collide"), st.integers(1, 6)),
+        st.tuples(st.just("int32"), st.integers(1, 2**32)),
+        st.tuples(st.just("double"), st.just(0)),
+        st.tuples(st.just("shuffle"), st.integers(0, 9)),
     ),
     max_size=14,
 )
 
 
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    bits=st.sampled_from([6, 64]),
-    capacity=st.integers(2, 40),
-    ops=OPS,
-)
+def foreign_draw(rng: np.random.Generator, op: str, arg: int) -> object:
+    if op == "int32":
+        return int(rng.integers(0, arg))
+    if op == "double":
+        return rng.random()
+    deck = list(range(arg))
+    rng.shuffle(deck)
+    return deck
+
+
+@given(seed=st.integers(0, 2**32 - 1), capacity=st.integers(2, 40), ops=OPS)
 @settings(max_examples=300, deadline=None)
-def test_issue_many_is_k_times_issue(seed, bits, capacity, ops):
-    batched_rng, single_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    batched = NonceRegistry(batched_rng, capacity=capacity)
-    single = NonceRegistry(single_rng, capacity=capacity)
-    with mock.patch.object(nonce_module, "_NONCE_BITS", bits):
-        for op, k in ops:
-            if op == "many":
-                got = batched.issue_many(k)
-                assert len(got) == k
-                assert got == [single.issue() for _ in range(k)]
-            elif op == "one":
-                assert batched.issue() == single.issue()
-            else:
-                assert batched_rng.random() == single_rng.random()
-            assert list(batched._issued) == list(single._issued)
-            assert batched_rng.bit_generator.state == single_rng.bit_generator.state
+def test_issue_many_is_k_times_issue(seed, capacity, ops):
+    rngs = [np.random.default_rng(seed) for _ in range(3)]
+    batched, single = (NonceRegistry(rng, capacity=capacity) for rng in rngs[:2])
+    oracle = OracleRegistry(rngs[2], capacity)
+    registries = (batched, single, oracle)
+    for op, arg in ops:
+        if op == "many":
+            got = batched.issue_many(arg)
+            assert len(got) == arg
+            assert got == [single.issue() for _ in range(arg)] == oracle.issue_many(arg)
+        elif op == "one":
+            assert batched.issue() == single.issue() == oracle.issue()
+        elif op == "collide":
+            # Whatever is drawn next was issued already: every one of the
+            # next ``arg`` words is redrawn, at the real width.
+            for reg in registries:
+                for word in upcoming_words(rngs[0], arg):
+                    reg._remember(reg._issued, word)
+        else:
+            assert len({repr(foreign_draw(rng, op, arg)) for rng in rngs}) == 1
+        assert list(batched._issued) == list(single._issued) == list(oracle._issued)
+        assert (
+            rngs[0].bit_generator.state
+            == rngs[1].bit_generator.state
+            == rngs[2].bit_generator.state
+        )
 
 
 UNIT = st.floats(0.0, 1.0)

@@ -45,6 +45,13 @@ encoded, and the attribute does not travel), ``>=`` for ``>`` in the
 horizon (a tie gives the same time), and two depth-table growths that the
 64-byte block padding absorbs (without the IP's 4 bytes, or from the
 field with its 2-byte prefix).
+
+A second property pins the depth a built onion carries (``Onion.layers``):
+for generated paths under both backends, a built and a resealed onion
+carry ``_onion_depth(blob)`` on the simulated backend and nothing under
+RSA (whose depth stays the length model), a decoded one carries nothing,
+and the size ``OnionRouter.send`` charges the first hop — and
+``onion_size`` — equal the walked ``wire_size`` for all of them.
 """
 
 from __future__ import annotations
@@ -57,6 +64,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.messages import SignedResult, TransactionReport, TrustValueRequest
+from repro.core.wire import _onion_depth, decode, encode, onion_size, wire_size
 from repro.crypto.backend import get_backend
 from repro.crypto.keys import PeerKeys
 from repro.errors import NetworkError, OnionPeelError
@@ -64,13 +72,15 @@ from repro.net.faults import Bisection, FaultPlane, LatencySpike, MessageLoss
 from repro.net.messages import Category, NetMessage
 from repro.net.network import P2PNetwork
 from repro.net.topology import ring_lattice
-from repro.onion.onion import Onion, OnionLayer, build_onion
+from repro.onion.onion import Onion, OnionLayer, build_onion, reseal
 from repro.onion.routing import OnionPacket, OnionRouter
 
 BACKEND = get_backend("simulated")
 MAX_N = 12
 KEYS = [PeerKeys.generate(BACKEND, np.random.default_rng(2006 + i)) for i in range(MAX_N)]
 MARKER = "__fake_onion__"
+RSA = get_backend("rsa")
+RSA_KEYS = [PeerKeys.generate(RSA, np.random.default_rng(4006 + i)) for i in range(4)]
 
 
 # ------------------------------------------------------------------ the oracle
@@ -390,3 +400,40 @@ def cases(draw) -> Case:
 @given(case=cases())
 def test_hop_matches_the_rules_it_replaced(case):
     assert play(case, P2PNetwork, OnionRouter) == play(case, OracleNetwork, OracleRouter)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    rsa=st.booleans(),
+    relays=st.lists(st.integers(1, 3), unique=True, max_size=3),
+    seq=st.integers(1, 2**31),
+    bump=st.integers(1, 3),
+    message=st.sampled_from(
+        [
+            "ping",
+            TransactionReport(SignedResult(b"s" * 20, 0.5, 7), None, b"r" * 20),
+            TrustValueRequest(None, KEYS[0].sp, real_onion(0, [1, 2])),
+        ]
+    ),
+)
+def test_first_hop_size_reads_the_depth_a_build_records(rsa, relays, seq, bump, message):
+    backend, keys = (RSA, RSA_KEYS) if rsa else (BACKEND, KEYS)
+    relay_keys = [(ip, keys[ip].ap) for ip in relays]
+    built = build_onion(backend, keys[0].ap, keys[0].sr, 0, relay_keys, seq=seq)
+    resealed = reseal(backend, built, keys[0].sr, seq + bump)
+    decoded = decode(encode(resealed))
+    onions = (built, resealed, decoded)
+    depth = 0 if rsa else _onion_depth(built.blob)
+    assert depth in (0, len(relays) + 1)
+    assert [o.layers for o in onions] == [depth, depth, 0]
+    net = P2PNetwork(ring_lattice(MAX_N, k=1), np.random.default_rng(seq))
+    router = OnionRouter(net, backend)
+    charged: list[int] = []
+    net.observers.append(lambda m: charged.append(m.size_bytes))
+    for onion in onions:
+        router.send(5, onion, message, category=Category.TRUST_QUERY)
+    walked = [
+        wire_size(OnionPacket(o.blob, message, Category.TRUST_QUERY, 0.0)) for o in onions
+    ]
+    assert charged == walked
+    assert [onion_size(o) for o in onions] == [onion_size(replace(o)) for o in onions]

@@ -1,5 +1,6 @@
 """Unit tests for nodeIDs, key containers and the nonce registry."""
 
+import numpy as np
 import pytest
 
 from repro.crypto.backend import PublicKey
@@ -11,7 +12,38 @@ from repro.crypto.hashing import (
 )
 from repro.crypto.keys import KeyPair, PeerKeys
 from repro.crypto.nonce import NonceRegistry
-from repro.errors import ReplayError
+from repro.errors import ConfigError, ReplayError
+
+#: PCG64's 128-bit LCG multiplier: the state steps as ``s·M + inc``, and
+#: the output word is ``rotr(high ^ low, high >> 58)`` of the new state.
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def zero_word_next(seed: int) -> np.random.Generator:
+    """A PCG64 generator whose next raw word is 0: the one word numpy's
+    ``integers(1, 2**64, dtype=np.uint64)`` rejects and draws again for."""
+    rng = np.random.default_rng(seed)
+    state = rng.bit_generator.state
+    inc = state["state"]["inc"]
+    half = 0x0123456789ABCDEF
+    stepped = (half << 64) | half  # high ^ low == 0
+    state["state"]["state"] = (stepped - inc) * pow(_PCG64_MULT, -1, 2**128) % 2**128
+    rng.bit_generator.state = state
+    assert rng.bit_generator.random_raw(1)[0] == 0
+    rng.bit_generator.state = state
+    return rng
+
+
+class StubWords:
+    """A bit generator stand-in handing out fixed raw words, in order."""
+
+    def __init__(self, words: list[int]) -> None:
+        self._words = iter(words)
+
+    def random_raw(self, size: int | None = None):
+        if size is None:
+            return next(self._words)
+        return np.array([next(self._words) for _ in range(size)], dtype=np.uint64)
 
 
 class TestNodeID:
@@ -117,3 +149,26 @@ class TestNonceRegistry:
     def test_capacity_validation(self, rng):
         with pytest.raises(ValueError):
             NonceRegistry(rng, capacity=1)
+
+    def test_refuses_a_generator_not_on_pcg64(self):
+        with pytest.raises(ConfigError, match="MT19937"):
+            NonceRegistry(np.random.Generator(np.random.MT19937(1)))
+
+    def test_zero_words_are_skipped_in_order(self, rng):
+        """Zero words and repeats are drawn past, singly and in a batch,
+        and the batch's shortfall is drawn after the vector."""
+        reg = NonceRegistry(rng)
+        reg._raw = StubWords([0, 5, 0, 0, 7, 5, 9, 0, 3, 3, 0, 4, 8]).random_raw
+        assert [reg.issue(), reg.issue(), reg.issue()] == [5, 7, 9]
+        assert reg.issue_many(3) == [3, 4, 8]  # vector [0, 3, 3], then 0, 4, 8
+        assert list(reg._issued) == [5, 7, 9, 3, 4, 8]
+
+    @pytest.mark.parametrize("k", [None, 1, 3])
+    def test_zero_word_is_redrawn_as_numpy_does(self, k):
+        rng, twin = zero_word_next(7), zero_word_next(7)
+        reg = NonceRegistry(rng)
+        got = [reg.issue()] if k is None else reg.issue_many(k)
+        want = [int(twin.integers(1, 2**64, dtype=np.uint64)) for _ in got]
+        assert got == want and 0 not in got
+        assert rng.bit_generator.state == twin.bit_generator.state
+
