@@ -12,4 +12,4 @@ def test_bench_ablations(benchmark, run_once, scale, perf):
         network_size=scale["ablations"]["network_size"],
     )
     print()
-    print(ablations.render_result(result))
+    print(ablations.render(result))

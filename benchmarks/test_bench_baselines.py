@@ -20,4 +20,4 @@ def test_bench_baseline_comparison(benchmark, run_once, perf):
     )
     assert all("HOLDS" in n for n in result.notes), result.notes
     print()
-    print(baseline_comparison.render_result(result))
+    print(baseline_comparison.render(result))

@@ -13,10 +13,11 @@ Layers (each importable on its own):
 * :mod:`repro.campaigns.cells` — the picklable per-(scenario, system,
   seed) worker, with structured ``cell_error`` degradation;
 * :mod:`repro.campaigns.scorecard` — metric extraction + aggregation;
-* :mod:`repro.campaigns.catalogue` — curated named campaigns;
-* :mod:`repro.campaigns.report` — deterministic JSON/markdown reports
-  and golden-file diffing (the ``hirep-campaign`` CLI front-end is
-  :mod:`repro.campaigns.cli`).
+* :mod:`repro.campaigns.catalogue` — curated named campaigns, each also
+  a ``hirep-experiments`` id;
+* :mod:`repro.campaigns.report` — a campaign's plan (its compiled cells,
+  folded into a deterministic JSON/markdown report) and golden-file
+  diffing (``hirep-obs diff``).
 """
 
 from repro.campaigns.catalogue import (

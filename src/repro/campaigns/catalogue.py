@@ -5,6 +5,9 @@ with a clean reference scenario first so every scorecard gets
 degradation-vs-clean deltas.  Sizes are chosen so a whole campaign runs
 in seconds on a laptop — these are robustness *scorecards*, not the
 paper-scale figure sweeps (:mod:`repro.experiments` keeps those).
+Every registered name is a ``hirep-experiments`` id: ``hirep-experiments
+mini --out DIR`` runs the cells and writes ``DIR/mini.json`` / ``.md``
+(:mod:`repro.campaigns.report`).
 
 Downstream code registers additional campaigns with
 :func:`register_campaign`; factories must be module-level picklable

@@ -13,9 +13,9 @@ Failure contract (the sweep must survive a broken cell): any exception
 during config construction, world build, attachment, or the run itself is
 caught and returned as a structured ``cell_error`` with the stage it
 died in — the scheduler records a *successful* job whose payload says the
-cell is degraded, ``hirep-campaign run --strict`` turns that into a
-non-zero exit, and the scorecard marks the (scenario, system) pair
-degraded instead of the whole campaign crashing.
+cell is degraded, ``hirep-experiments`` still writes the report and then
+exits 1, and the scorecard marks the (scenario, system) pair degraded
+instead of the whole campaign crashing.
 
 Beside the scorecard the payload carries the run's ``trace``, one entry
 per transaction unless noted:

@@ -1,74 +1,93 @@
-"""Campaign execution + deterministic scorecard reports.
+"""Campaign plans + deterministic scorecard reports.
 
-:func:`run_campaign` compiles a :class:`~repro.campaigns.specs.Campaign`
-to orchestrator jobs, runs them through a
-:class:`~repro.exec.scheduler.SweepScheduler` (cache, retries, pool
-fan-out, telemetry all inherited), and folds the cell payloads into a
-**report**: one :class:`~repro.campaigns.scorecard.RobustnessScorecard`
-per (scenario, system) pair, plus degradation deltas of every attacked
-card against the same system's clean reference card.
+:func:`plan` compiles a catalogue campaign to orchestrator jobs, one per
+cell; ``hirep-experiments <campaign>`` runs them through the same
+:class:`~repro.exec.scheduler.SweepScheduler` as every experiment (cache,
+retries, pool fan-out, telemetry all inherited).  The plan's fold,
+:func:`build_report`, turns the cell payloads into a **report**: one
+:class:`~repro.campaigns.scorecard.RobustnessScorecard` per (scenario,
+system) pair, plus degradation deltas of every attacked card against the
+same system's clean reference card.  :func:`render` and :func:`export`
+are the runner's per-result hooks: the markdown on stdout, and
+``<name>.json`` / ``<name>.md`` under ``--out``.
 
 Reports are byte-deterministic on purpose: no timestamps, host paths,
 elapsed times or cache statistics appear in the JSON — two runs of the
 same campaign (on any ``PYTHONHASHSEED``, cached or not) must serialise
-identically, which is what lets CI diff against a committed golden file.
-Run-dependent facts (cache hits, wall time) belong to the manifest and
-the CLI's stderr, not the report.
+identically, which is what lets CI diff against a committed golden file
+(``hirep-obs diff``, through :func:`diff_reports`).  Run-dependent facts
+(cache hits, wall time) belong to the manifest and the runner's summary
+line, not the report.
 """
 
 from __future__ import annotations
 
+import json
+from functools import partial
 from pathlib import Path
-from typing import Any
+from typing import Any, Sequence
 
+from repro.campaigns.catalogue import get_campaign
 from repro.campaigns.scorecard import (
     RobustnessScorecard,
     aggregate_cells,
     degradation_deltas,
 )
 from repro.campaigns.specs import Campaign
-from repro.exec.cache import ResultCache
 from repro.exec.job import canonical_json
-from repro.exec.manifest import RunManifest
 from repro.exec.scheduler import JobOutcome, SweepScheduler
+from repro.exec.sweeps import SweepPlan
 
 __all__ = [
+    "CampaignPlan",
     "build_report",
+    "campaign_plan",
     "diff_reports",
+    "export",
     "load_report",
+    "plan",
+    "render",
     "render_markdown",
     "run_campaign",
     "write_report",
 ]
 
 
+class CampaignPlan(SweepPlan):
+    """A campaign's compiled cells, folded by :func:`build_report`.
+
+    ``assemble`` reads the raw outcomes: a cell the scheduler gave up on
+    degrades its scorecard instead of failing the plan.
+    """
+
+    def fold(self, outcomes: Sequence[JobOutcome]) -> dict:
+        return self.assemble(list(outcomes))
+
+
+def campaign_plan(campaign: Campaign) -> CampaignPlan:
+    """One job per cell of ``campaign``, in :meth:`Campaign.cells` order."""
+    return CampaignPlan(
+        specs=campaign.compile(), assemble=partial(build_report, campaign)
+    )
+
+
+def plan(campaign: str) -> CampaignPlan:
+    """The plan of the catalogue campaign registered as ``campaign``."""
+    return campaign_plan(get_campaign(campaign))
+
+
 def run_campaign(
-    campaign: Campaign,
-    *,
-    jobs: int = 1,
-    cache: ResultCache | None = None,
-    manifest: RunManifest | None = None,
-    timeout_s: float | None = None,
-    retries: int = 1,
-    progress: Any = None,
-    telemetry_dir: str | None = None,
+    campaign: Campaign, **scheduler: Any
 ) -> tuple[dict, list[JobOutcome]]:
-    """Run every campaign cell and build the report.
+    """Run every campaign cell (``scheduler`` configures the
+    :class:`~repro.exec.scheduler.SweepScheduler`) and build the report.
 
     Returns ``(report, outcomes)`` — outcomes ride along for callers that
     want run-dependent facts (cache hits, elapsed) the report excludes.
     """
-    scheduler = SweepScheduler(
-        jobs=jobs,
-        cache=cache,
-        manifest=manifest,
-        timeout_s=timeout_s,
-        retries=retries,
-        progress=progress,
-        telemetry_dir=telemetry_dir,
-    )
-    outcomes = scheduler.run(campaign.compile())
-    return build_report(campaign, outcomes), outcomes
+    cells = campaign_plan(campaign)
+    outcomes = SweepScheduler(**scheduler).run(cells.specs)
+    return cells.fold(outcomes), outcomes
 
 
 def _cell_payloads(campaign: Campaign, outcomes: list[JobOutcome]) -> list[dict]:
@@ -174,9 +193,16 @@ def write_report(report: dict, path: str | Path) -> Path:
 
 
 def load_report(path: str | Path) -> dict:
-    import json
-
     return json.loads(Path(path).read_text(encoding="utf-8"))
+
+
+def export(report: dict, out_dir: str | Path) -> list[Path]:
+    """``<campaign>.json`` (canonical) and ``<campaign>.md`` under ``out_dir``."""
+    name = report["campaign"]
+    written = write_report(report, Path(out_dir) / f"{name}.json")
+    md = written.with_name(f"{name}.md")
+    md.write_text(render_markdown(report), encoding="utf-8")
+    return [written, md]
 
 
 # -- rendering ---------------------------------------------------------------
@@ -246,15 +272,17 @@ def render_markdown(report: dict) -> str:
     return "\n".join(lines)
 
 
+#: the runner's per-result hook
+render = render_markdown
+
+
 # -- diffing -----------------------------------------------------------------
 
 
-def diff_reports(a: dict, b: dict, *, tolerance: float = 0.0) -> list[str]:
+def diff_reports(a: dict, b: dict) -> list[str]:
     """Human-readable differences between two reports (empty = identical).
 
-    ``tolerance`` allows absolute float drift in scorecard metrics/deltas
-    (0.0 = exact, the golden-file default since reports are supposed to be
-    byte-deterministic).
+    Values compare exactly: reports are byte-deterministic.
     """
     diffs: list[str] = []
     for key in ("campaign", "campaign_hash", "systems", "seeds"):
@@ -278,13 +306,6 @@ def diff_reports(a: dict, b: dict, *, tolerance: float = 0.0) -> list[str]:
             ma, mb = ca.get(section) or {}, cb.get(section) or {}
             for key in sorted(set(ma) | set(mb)):
                 va, vb = ma.get(key), mb.get(key)
-                if va == vb:
-                    continue
-                if (
-                    isinstance(va, (int, float))
-                    and isinstance(vb, (int, float))
-                    and abs(va - vb) <= tolerance
-                ):
-                    continue
-                diffs.append(f"{label}: {section}.{key} {va!r} != {vb!r}")
+                if va != vb:
+                    diffs.append(f"{label}: {section}.{key} {va!r} != {vb!r}")
     return diffs

@@ -27,8 +27,8 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import asdict, dataclass, field, replace
-from typing import TYPE_CHECKING, Any, Sequence
+from dataclasses import asdict, dataclass, field
+from typing import TYPE_CHECKING, Sequence
 
 from repro.errors import ConfigError
 from repro.exec.job import JobSpec, canonical_json
@@ -539,10 +539,6 @@ class Campaign:
         dupes = sorted({n for n in names if names.count(n) > 1})
         if dupes:
             raise ConfigError(f"duplicate scenario names: {', '.join(dupes)}")
-
-    def with_(self, **overrides: Any) -> "Campaign":
-        """A copy with the given fields replaced (validated)."""
-        return replace(self, **overrides)
 
     def cells(self) -> list[tuple[ScenarioSpec, str, int]]:
         """The cross-product, in compile order."""

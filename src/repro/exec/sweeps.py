@@ -8,10 +8,12 @@ returning the independent jobs its sweep decomposes into plus an
 ``assemble`` callable that folds the per-job values back into the single
 :class:`~repro.experiments.common.ExperimentResult`.  Such a module's
 ``run()`` is ``plan(...).run()`` — the jobs through
-``SweepScheduler(jobs=1)``, then ``assemble`` — so a library call and
-``hirep-experiments --jobs 1`` run the same code, and
+``SweepScheduler(jobs=1)``, then :meth:`SweepPlan.fold` — so a library
+call and ``hirep-experiments --jobs 1`` run the same code, and
 ``SweepScheduler(jobs=N)`` is the one way to go parallel.  Modules
 without a ``plan`` are scheduled as one job over their ``run()``.
+A plan that must fold failed jobs too (a campaign report degrades a
+failed cell instead of failing) overrides :meth:`SweepPlan.fold`.
 
 :func:`plan_for` resolves a registry entry either way, and
 :func:`replication_plan` fans one experiment's ``--replicate`` seeds out
@@ -29,31 +31,37 @@ from typing import Any, Callable, Sequence
 from repro.exec.job import JobSpec
 from repro.exec.scheduler import JobFailure, JobOutcome, SweepScheduler
 
-__all__ = ["SweepPlan", "job_values", "plan_for", "replication_plan"]
+__all__ = ["SweepPlan", "job_error", "job_values", "plan_for", "replication_plan"]
+
+
+def job_error(outcome: JobOutcome) -> str | None:
+    """Why a job left no usable value, or ``None`` when it did.
+
+    That is the scheduler's error for a job it gave up on, or the
+    structured ``cell_error`` of a campaign cell that caught its own
+    failure (see :mod:`repro.campaigns.cells`).
+    """
+    if not outcome.ok:
+        return outcome.error or "job failed"
+    value = outcome.value()
+    error = value.get("cell_error") if isinstance(value, dict) else None
+    if error is None:
+        return None
+    return f"[{error['stage']}] {error['type']}: {error['message']}"
 
 
 def job_values(outcomes: Sequence[JobOutcome]) -> list[Any]:
     """Each job's value, in order; the first failed job raises
     :class:`~repro.exec.scheduler.JobFailure` naming it.
 
-    A campaign cell that caught its own error (a structured ``cell_error``
-    payload, see :mod:`repro.campaigns.cells`) counts as failed here: an
+    A campaign cell with a ``cell_error`` counts as failed here: an
     experiment assembled without it would be missing a point.
     """
-    values = []
     for outcome in outcomes:
-        value = outcome.value()
-        error = value.get("cell_error") if isinstance(value, dict) else None
+        error = job_error(outcome)
         if error is not None:
-            raise JobFailure(
-                replace(
-                    outcome,
-                    payload=None,
-                    error=f"[{error['stage']}] {error['type']}: {error['message']}",
-                )
-            )
-        values.append(value)
-    return values
+            raise JobFailure(replace(outcome, payload=None, error=error))
+    return [outcome.value() for outcome in outcomes]
 
 
 @dataclass
@@ -67,14 +75,18 @@ class SweepPlan:
         if not self.specs:
             raise ValueError("a sweep plan needs at least one job")
 
+    def fold(self, outcomes: Sequence[JobOutcome]) -> Any:
+        """The result of one outcome per spec; a failed job raises
+        :class:`~repro.exec.scheduler.JobFailure`."""
+        return self.assemble(job_values(outcomes))
+
     def run(self) -> Any:
-        """Run every job in-process, in order, and assemble the result.
+        """Run every job in-process, in order, and fold the result.
 
         A failing job is not retried (in-process it would fail the same
-        way) and raises :class:`~repro.exec.scheduler.JobFailure`.
+        way).
         """
-        outcomes = SweepScheduler(jobs=1, retries=0).run(self.specs)
-        return self.assemble(job_values(outcomes))
+        return self.fold(SweepScheduler(jobs=1, retries=0).run(self.specs))
 
 
 def _single(values: list[Any]) -> Any:

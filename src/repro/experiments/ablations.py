@@ -35,7 +35,7 @@ __all__ = [
     "plan",
     "ablation_job",
     "assemble_ablations",
-    "render_result",
+    "render",
     "ABLATIONS",
 ]
 
@@ -281,7 +281,7 @@ def run(network_size: int = 250, seed: int = 2006) -> ExperimentResult:
     return plan(network_size, seed).run()
 
 
-def render_result(result: ExperimentResult) -> str:
+def render(result: ExperimentResult) -> str:
     """One line per series: the shared ``render()`` assumes a common x axis."""
     lines = [f"== {result.experiment_id}: {result.title} =="]
     for series in result.series:

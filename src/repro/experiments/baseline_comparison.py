@@ -32,7 +32,7 @@ import numpy as np
 from repro.experiments.common import ExperimentResult, format_table, squared_errors
 from repro.workloads.scenarios import REDUCED_LISTS
 
-__all__ = ["run", "plan", "assemble", "SYSTEMS"]
+__all__ = ["run", "plan", "assemble", "render", "SYSTEMS"]
 
 #: registry name -> scalar prefix, in the table's display order.
 SYSTEMS = {
@@ -165,7 +165,7 @@ def run(
     return plan(network_size, transactions, seed, attacker_ratio).run()
 
 
-def render_result(result: ExperimentResult) -> str:
+def render(result: ExperimentResult) -> str:
     s = result.scalars
     rows = [
         ("hiREP", f"{s['hirep_msgs_per_tx']:.0f}", f"{s['hirep_mse']:.4f}", f"{s['hirep_resp_ms']:.0f}"),

@@ -1,14 +1,17 @@
-"""Command-line entry point: regenerate any table/figure.
+"""Command-line entry point: regenerate any table/figure, or run a campaign.
 
 Usage::
 
     hirep-experiments --list
     hirep-experiments fig5 fig6 --scale small
     hirep-experiments all --scale paper --jobs 8
+    hirep-experiments mini --out results/        # a robustness campaign
     hirep-experiments --resume .hirep-cache/runs/run-<id>.jsonl
 
 ``--scale small`` (default) runs CI-sized networks in seconds; ``--scale
-paper`` uses the paper's 1000-peer configuration.
+paper`` uses the paper's 1000-peer configuration.  An id outside
+:data:`EXPERIMENTS` names a campaign of :mod:`repro.campaigns.catalogue`
+(sized by the catalogue at either scale); ``all`` is the experiments.
 
 Every invocation goes through the :mod:`repro.exec` orchestrator: each
 experiment — and each sweep cell / ``--replicate`` seed inside one —
@@ -17,6 +20,13 @@ pool (the default ``--jobs 1`` runs them serially, in-process, with
 bit-identical results); the content-addressed cache makes re-runs of
 unchanged jobs instant, and the JSONL run manifest makes an interrupted
 sweep resumable with ``--resume``.  See ``docs/orchestration.md``.
+
+Each id is a module and a :class:`~repro.exec.sweeps.SweepPlan`; the
+plan's ``fold`` builds the result, the module's ``render(result)`` (else
+``result.render()``) prints it, and its ``export(result, DIR)`` (else
+:func:`~repro.experiments.export.export_result`) writes it under
+``--out``.  Exit status: 0; 1 when a job failed or a campaign cell
+degraded (its report is still written); 2 on a usage error.
 """
 
 from __future__ import annotations
@@ -27,12 +37,13 @@ import os
 import sys
 import time
 from pathlib import Path
+from types import ModuleType
 
 from repro.exec.cache import ResultCache
 from repro.exec.manifest import RunManifest
 from repro.exec.progress import ProgressReporter, summary_line, summary_table
 from repro.exec.scheduler import JobFailure, SweepScheduler
-from repro.exec.sweeps import SweepPlan, job_values, plan_for, replication_plan
+from repro.exec.sweeps import SweepPlan, job_error, plan_for, replication_plan
 from repro.experiments import (
     ablations,
     baseline_comparison,
@@ -48,6 +59,7 @@ from repro.experiments import (
     traffic_analysis,
     traffic_bound,
 )
+from repro.experiments.export import export_result
 from repro.obs.clock import WallClock
 
 __all__ = ["main", "EXPERIMENTS", "DEFAULT_CACHE_DIR", "DEFAULT_SEED"]
@@ -130,9 +142,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "experiments",
         nargs="*",
         default=[],
-        help="experiment ids (or 'all', the default); see --list",
+        help="experiment or campaign ids (or 'all' experiments, the default); "
+        "see --list",
     )
-    parser.add_argument("--list", action="store_true", help="list experiment ids")
+    parser.add_argument(
+        "--list", action="store_true", help="list experiment, then campaign ids"
+    )
     parser.add_argument(
         "--scale",
         choices=("small", "paper"),
@@ -148,7 +163,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--out",
         metavar="DIR",
         default=None,
-        help="also write <experiment>.json and <experiment>.csv under DIR",
+        help="also write <experiment>.json and <experiment>.csv "
+        "(a campaign: <name>.json and <name>.md) under DIR",
     )
     parser.add_argument(
         "--seed",
@@ -235,19 +251,28 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _accepts_system(module) -> bool:
-    """Whether the experiment's ``run()`` takes a ``system`` backend name."""
-    runner = getattr(module, "run", None)
-    if runner is None:
-        return False
-    return "system" in inspect.signature(runner).parameters
+def _resolve(name: str, scale: str) -> tuple[ModuleType, dict]:
+    """The module whose plan runs ``name``, and that plan's kwargs."""
+    if name in EXPERIMENTS:
+        module, small_kwargs, paper_kwargs = EXPERIMENTS[name]
+        return module, dict(small_kwargs if scale == "small" else paper_kwargs)
+    from repro.campaigns import report  # same layer: function-scoped (LAY001)
+
+    return report, {"campaign": name}
+
+
+def _parameters(module: ModuleType) -> set[str]:
+    """What the module's ``plan()`` (or, lacking one, its ``run()``) takes."""
+    entry = getattr(module, "plan", None) or module.run
+    return set(inspect.signature(entry).parameters)
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    from repro.campaigns.catalogue import campaign_names
 
     if args.list:
-        for name in EXPERIMENTS:
+        for name in [*EXPERIMENTS, *campaign_names()]:
             print(name)
         return 0
 
@@ -273,9 +298,13 @@ def main(argv: list[str] | None = None) -> int:
     telemetry_dir = args.telemetry or resumed.get("telemetry")
 
     wanted = list(EXPERIMENTS) if "all" in experiments else list(experiments)
-    unknown = [w for w in wanted if w not in EXPERIMENTS]
+    known = {*EXPERIMENTS, *campaign_names()}
+    unknown = [w for w in wanted if w not in known]
     if unknown:
         print(f"unknown experiments: {', '.join(unknown)}", file=sys.stderr)
+        return 2
+    if replicate and out_dir:
+        print("--replicate prints pooled scalars only; drop --out", file=sys.stderr)
         return 2
 
     # Caching is implied whenever it pays (parallel runs, resume) or the
@@ -308,33 +337,37 @@ def main(argv: list[str] | None = None) -> int:
             resumed_from=args.resume,
         )
 
-    # -- plan: every experiment becomes one or many jobs -------------------
-    plans: list[tuple[str, SweepPlan]] = []
-    kept_backend: list[str] = []
+    # -- plan: every id becomes one or many jobs ---------------------------
+    # (label, module whose hooks render/export the result, plan); pooled
+    # replicates have no module hooks.
+    plans: list[tuple[str, ModuleType | None, SweepPlan]] = []
+    ignored: dict[str, list[str]] = {}
     for name in wanted:
-        module, small_kwargs, paper_kwargs = EXPERIMENTS[name]
-        kwargs = dict(small_kwargs if scale == "small" else paper_kwargs)
-        if seed is not None and name != "table1":
+        module, kwargs = _resolve(name, scale)
+        params = _parameters(module)
+        for flag, param, value in (
+            ("--seed", "seed", seed),
+            ("--replicate", "seed", replicate),
+            ("--system", "system", system_name),
+        ):
+            if value is not None and param not in params:
+                ignored.setdefault(f"{flag} {value}", []).append(name)
+        if seed is not None and "seed" in params:
             kwargs["seed"] = seed
-        if system_name is not None:
-            if _accepts_system(module):
-                kwargs["system"] = system_name
-            else:
-                kept_backend.append(name)
-        if replicate and name != "table1":
-            base_seed = seed if seed is not None else DEFAULT_SEED
-            kwargs.pop("seed", None)
-            plan = replication_plan(
-                name, module, range(base_seed, base_seed + replicate), kwargs
-            )
+        if system_name is not None and "system" in params:
+            kwargs["system"] = system_name
+        if replicate and "seed" in params:
+            base_seed = kwargs.pop("seed", DEFAULT_SEED)
+            seeds = range(base_seed, base_seed + replicate)
+            plan = replication_plan(name, module, seeds, kwargs)
+            plans.append((f"{name} x{replicate}", None, plan))
         else:
-            plan = plan_for(name, module, kwargs)
-        plans.append((name, plan))
-    all_specs = [spec for _, plan in plans for spec in plan.specs]
-    if kept_backend:
+            plans.append((name, module, plan_for(name, module, kwargs)))
+    all_specs = [spec for _, _, plan in plans for spec in plan.specs]
+    for flag, names in ignored.items():
         print(
-            f"note: --system {system_name} not supported by "
-            f"{', '.join(kept_backend)}; those keep their built-in backend",
+            f"note: {flag} not supported by {', '.join(names)}; "
+            "those run as built in",
             file=sys.stderr,
         )
 
@@ -365,45 +398,40 @@ def main(argv: list[str] | None = None) -> int:
     wall_s = wall_clock.now / 1000.0
     progress.close()
 
-    # -- assemble + render, in submission order ----------------------------
+    # -- fold + render + export, in submission order ----------------------
     status = 0
     offset = 0
-    for name, plan in plans:
+    for label, module, plan in plans:
         outs = outcomes[offset : offset + len(plan.specs)]
         offset += len(plan.specs)
         elapsed = sum(o.elapsed_s for o in outs)
         try:
-            values = job_values(outs)
+            result = plan.fold(outs)
         except JobFailure as exc:
             print(f"   {exc}", file=sys.stderr)
-            print(f"   [{name} FAILED at scale={scale}]\n", file=sys.stderr)
+            print(f"   [{label} FAILED at scale={scale}]\n", file=sys.stderr)
             status = 1
             continue
-        assembled = plan.assemble(values)
-        if replicate and name != "table1":
-            print(assembled.render())
-            print(f"   [{name} x{replicate} in {elapsed:.1f}s at scale={scale}]\n")
-            continue
-        result = assembled
-        if name == "table1":
-            EXPERIMENTS[name][0].main()
-        elif name == "baselines":
-            print(baseline_comparison.render_result(result))
-        elif name == "ablations":
-            print(ablations.render_result(result))
+        render = getattr(module, "render", None)
+        if render is not None:
+            print(render(result))
         else:
             print(result.render())
-            if args.plot and result.series:
+            if args.plot and getattr(result, "series", None):
                 from repro.experiments.plotting import render_result_chart
 
-                logy = name in ("fig5", "fig8")  # order-of-magnitude gaps
+                logy = label in ("fig5", "fig8")  # order-of-magnitude gaps
                 print(render_result_chart(result, logy=logy))
         if out_dir:
-            from repro.experiments.export import export_result
-
-            for path in export_result(result, out_dir):
+            export = getattr(module, "export", export_result)
+            for path in export(result, out_dir):
                 print(f"   wrote {path}")
-        print(f"   [{name} completed in {elapsed:.1f}s at scale={scale}]\n")
+        # a fold that keeps failed cells (a campaign report) still fails the run
+        degraded = [o.spec.display() for o in outs if job_error(o) is not None]
+        if degraded:
+            print(f"degraded cells: {', '.join(degraded)}", file=sys.stderr)
+            status = 1
+        print(f"   [{label} completed in {elapsed:.1f}s at scale={scale}]\n")
 
     # -- telemetry ---------------------------------------------------------
     if args.timings:

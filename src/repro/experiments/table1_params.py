@@ -10,7 +10,7 @@ from __future__ import annotations
 from repro.core.config import DEFAULT_CONFIG, TABLE1_ROWS
 from repro.experiments.common import ExperimentResult, format_table
 
-__all__ = ["run", "main"]
+__all__ = ["run", "render", "main"]
 
 
 def run() -> ExperimentResult:
@@ -40,8 +40,8 @@ def run() -> ExperimentResult:
     return result
 
 
-def main() -> str:
-    result = run()
+def render(result: ExperimentResult) -> str:
+    """The parameter table, with a line per drifted default."""
     text = format_table(
         ["Name", "Default", "Description", "Provenance"],
         TABLE1_ROWS,
@@ -49,6 +49,11 @@ def main() -> str:
     )
     if result.notes:
         text += "\n" + "\n".join(f"  ! {n}" for n in result.notes)
+    return text
+
+
+def main() -> str:
+    text = render(run())
     print(text)
     return text
 

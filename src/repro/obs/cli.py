@@ -5,7 +5,7 @@ Usage::
     hirep-obs summarize BUNDLE            # counts, span latency, SLO, metrics
     hirep-obs timeline  BUNDLE            # rendered event/span timeline tail
     hirep-obs timeline  BUNDLE -c net.send -c fault.drop --limit 100
-    hirep-obs diff      A B --exit-code   # two bundles, or two perf records
+    hirep-obs diff      A B --exit-code   # two bundles, perf records or campaign reports
     hirep-obs flame     BUNDLE --top 20 --collapsed out/flame.txt
     hirep-obs record    BENCH_perf.json --history .perf-history
     hirep-obs trend     --history .perf-history --suite kernel
@@ -18,14 +18,19 @@ orchestrator run (``--telemetry DIR``, recorded in the run manifest's
 A serve bundle carries its SLO summary in ``meta.json``; ``summarize``
 renders it with :func:`repro.obs.slo.render_slo`, as ``load`` did.
 
-``diff`` reads what its two paths hold: two bundles, or two perf
-histories / report files (one :class:`~repro.perf.report.PerfReport`
-object, a list, or an envelope with a ``"reports"`` list — the shape
+``diff`` reads what its two paths hold: two bundles, two campaign
+reports (a JSON object with a ``campaign_hash``, as ``hirep-experiments
+<campaign> --out`` writes; compared by
+:func:`repro.campaigns.report.diff_reports`), or two perf histories /
+report files (one :class:`~repro.perf.report.PerfReport` object, a list,
+or an envelope with a ``"reports"`` list — the shape
 ``benchmarks/conftest.py`` writes, and what ``record`` ingests).
 ``flame`` renders a bundle's ``profile.json`` (:mod:`repro.obs.prof`).
 ``gate`` checks the newest report of every (suite, backend, N) series
 against the rolling median of prior runs.  ``diff`` and ``gate`` always
-print their findings and exit non-zero only under ``--exit-code``.
+print their findings and exit non-zero only under ``--exit-code``.  An
+input file that is not JSON, or not the record it should be, prints one
+``hirep-obs: ...`` line and exits 2.
 
 Everything prints deterministically: categories, names, and metric keys
 come out sorted, and percentiles (p50/p95/p99) are
@@ -175,16 +180,26 @@ def cmd_timeline(args: argparse.Namespace) -> int:
 # -- perf records ------------------------------------------------------------
 
 
+def _read_json(path: Path) -> Any:
+    try:
+        return json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: not JSON ({exc})") from None
+
+
 def _load_report_objs(path: Path) -> list[PerfReport]:
     """Reports from a JSON file: one object, a list, or an envelope."""
-    data = json.loads(path.read_text())
+    data = _read_json(path)
     if isinstance(data, dict) and "reports" in data:
         data = data["reports"]
     if isinstance(data, dict):
         data = [data]
     if not isinstance(data, list):
         raise ConfigError(f"{path}: expected a report object, list, or envelope")
-    return [PerfReport.from_dict(obj) for obj in data]
+    try:
+        return [PerfReport.from_dict(obj) for obj in data]
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def _load_latest(path: str) -> dict[tuple, PerfReport]:
@@ -328,15 +343,40 @@ def _perf_sections(a: str, b: str) -> list[Section]:
     return sections
 
 
+def _campaign_report(path: str) -> dict | None:
+    """The campaign report at ``path``, or ``None`` if it holds none."""
+    p = Path(path)
+    data = _read_json(p) if p.is_file() else None
+    return data if isinstance(data, dict) and "campaign_hash" in data else None
+
+
+#: what ``diff`` can compare, in the order a mixed pair is named
+_BUNDLE, _CAMPAIGN, _PERF = "a telemetry bundle", "a campaign report", "perf records"
+_KINDS = (_BUNDLE, _CAMPAIGN, _PERF)
+
+
+def _kind(path: str) -> str:
+    if _is_bundle(path):
+        return _BUNDLE
+    return _CAMPAIGN if _campaign_report(path) is not None else _PERF
+
+
 def cmd_diff(args: argparse.Namespace) -> int:
     a, b = args.a, args.b
-    if _is_bundle(a) and _is_bundle(b):
+    kinds = sorted({_kind(a), _kind(b)}, key=_KINDS.index)
+    if len(kinds) > 1:
+        raise SystemExit(f"cannot diff {kinds[0]} against {kinds[1]}: {a} vs {b}")
+    if kinds[0] == _CAMPAIGN:
+        # repro.campaigns sits above this package (layer 8 over 2), so the
+        # import is function-scoped; the report format stays known to it alone
+        from repro.campaigns.report import diff_reports
+
+        lines = diff_reports(_campaign_report(a), _campaign_report(b))
+        print("\n".join(lines) if lines else "reports are identical")
+        return 1 if lines and args.exit_code else 0
+    if kinds[0] == _BUNDLE:
         sections = _bundle_sections(load_bundle(a), load_bundle(b))
         same = "bundles are identical in events, spans, and metrics"
-    elif _is_bundle(a) or _is_bundle(b):
-        raise SystemExit(
-            f"cannot diff a telemetry bundle against perf records: {a} vs {b}"
-        )
     else:
         sections = _perf_sections(a, b)
         same = "no metric differences"
@@ -355,7 +395,7 @@ def _load_profile(path: str) -> dict[str, Any]:
             f"no profile at {path} — run under capture(profile=True), "
             "HIREP_PROFILE=1, or hirep-serve load --profile"
         )
-    return json.loads(p.read_text())
+    return _read_json(p)
 
 
 def cmd_flame(args: argparse.Namespace) -> int:
@@ -435,9 +475,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_tl.set_defaults(func=cmd_timeline)
 
     p_diff = sub.add_parser(
-        "diff", help="compare two bundles, or two perf histories/report files"
+        "diff",
+        help="compare two bundles, perf histories/report files or campaign reports",
     )
-    p_diff.add_argument("a", help="baseline: bundle dir, history dir, or report JSON")
+    p_diff.add_argument(
+        "a", help="baseline: bundle dir, history dir, perf or campaign report JSON"
+    )
     p_diff.add_argument("b", help="comparison, of the same kind as the baseline")
     p_diff.add_argument(
         "--exit-code",
@@ -498,7 +541,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return int(args.func(args))
+    try:
+        return int(args.func(args))
+    except (ConfigError, json.JSONDecodeError) as exc:
+        # an unreadable input is a usage error: exit 1 means "differ"
+        print(f"hirep-obs: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

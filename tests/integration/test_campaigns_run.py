@@ -1,18 +1,20 @@
-"""End-to-end campaign runs: CLI, cache replay, strict mode, determinism.
+"""End-to-end campaign runs through ``hirep-experiments``: cache replay,
+degraded cells, determinism, and ``hirep-obs diff`` on the reports.
 
 The acceptance claims for the campaign engine:
 
-* a second ``hirep-campaign run`` over the same output directory satisfies
-  every cell from the result cache and writes byte-identical reports;
+* a second run over the same cache directory satisfies every cell from
+  the result cache and writes byte-identical reports;
 * reports are byte-identical across ``PYTHONHASHSEED`` values and across
   serial vs pool execution;
 * a scenario that cannot even be built degrades its cells with a
-  structured ``cell_error`` instead of crashing the sweep, and
-  ``--strict`` turns that into a non-zero exit.
+  structured ``cell_error`` instead of crashing the sweep; the report is
+  still written and the run exits 1 (strict is the only mode).
 """
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -21,13 +23,15 @@ from pathlib import Path
 import pytest
 
 from repro.campaigns.catalogue import CAMPAIGNS, register_campaign
-from repro.campaigns.cli import main
+from repro.campaigns.report import load_report, render_markdown
 from repro.campaigns.specs import (
     AttackSpec,
     Campaign,
     ScenarioSpec,
     WorkloadSpec,
 )
+from repro.experiments.runner import main
+from repro.obs.cli import main as obs_main
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 _TINY = WorkloadSpec(network_size=30, transactions=10)
@@ -77,35 +81,40 @@ def _registered():
     CAMPAIGNS.pop("itest-broken", None)
 
 
+def run(name: str, out: Path, *flags: str) -> int:
+    return main([name, "--out", str(out), *flags])
+
+
 class TestCacheReplay:
     def test_second_run_all_cached_and_byte_identical(self, tmp_path, capsys):
-        out = tmp_path / "run"
-        assert main(["run", "itest-tiny", "--out", str(out)]) == 0
-        first_json = (out / "report.json").read_bytes()
-        first_md = (out / "report.md").read_bytes()
+        out, cache = tmp_path / "run", str(tmp_path / "cache")
+        assert run("itest-tiny", out, "--cache-dir", cache) == 0
+        first_json = (out / "itest-tiny.json").read_bytes()
+        first_md = (out / "itest-tiny.md").read_bytes()
         capsys.readouterr()
 
-        assert main(["run", "itest-tiny", "--out", str(out)]) == 0
-        err = capsys.readouterr().err
-        assert "4 cells (4 cached, 0 failed)" in err
-        assert (out / "report.json").read_bytes() == first_json
-        assert (out / "report.md").read_bytes() == first_md
+        assert run("itest-tiny", out, "--cache-dir", cache) == 0
+        assert "jobs: 4 total | 0 run | 4 cached | 0 failed" in capsys.readouterr().out
+        assert (out / "itest-tiny.json").read_bytes() == first_json
+        assert (out / "itest-tiny.md").read_bytes() == first_md
 
     def test_pool_mode_matches_serial(self, tmp_path):
         serial = tmp_path / "serial"
         pool = tmp_path / "pool"
-        assert main(["run", "itest-tiny", "--out", str(serial)]) == 0
-        assert main(["run", "itest-tiny", "--out", str(pool), "-j", "2"]) == 0
-        assert (serial / "report.json").read_bytes() == (pool / "report.json").read_bytes()
+        assert run("itest-tiny", serial) == 0
+        assert run("itest-tiny", pool, "--jobs", "2", "--no-cache") == 0
+        assert (serial / "itest-tiny.json").read_bytes() == (
+            pool / "itest-tiny.json"
+        ).read_bytes()
 
 
 class TestStrictMode:
     def test_broken_scenario_degrades_not_crashes(self, tmp_path, capsys):
         out = tmp_path / "broken"
-        assert main(["run", "itest-broken", "--out", str(out)]) == 0
+        run("itest-broken", out)
         err = capsys.readouterr().err
-        assert "degraded cells: unbuildable/hirep" in err
-        report = __import__("json").loads((out / "report.json").read_text())
+        assert "degraded cells: itest-broken/unbuildable[hirep,seed=11]" in err
+        report = load_report(out / "itest-broken.json")
         card = next(
             c for c in report["scorecards"] if c["scenario"] == "unbuildable"
         )
@@ -116,58 +125,47 @@ class TestStrictMode:
         assert not clean["degraded"] and clean["metrics"]
 
     def test_strict_exits_nonzero(self, tmp_path, capsys):
+        """Strict is the only mode: the report is written, then exit 1."""
         out = tmp_path / "strict"
-        assert main(["run", "itest-broken", "--out", str(out), "--strict"]) == 2
+        assert run("itest-broken", out) == 1
         capsys.readouterr()
+        assert (out / "itest-broken.json").is_file()
+        assert (out / "itest-broken.md").is_file()
 
     def test_strict_passes_on_healthy_campaign(self, tmp_path, capsys):
-        out = tmp_path / "healthy"
-        assert main(["run", "itest-tiny", "--out", str(out), "--strict"]) == 0
-        capsys.readouterr()
+        assert run("itest-tiny", tmp_path / "healthy") == 0
+        assert "degraded" not in capsys.readouterr().err
 
 
 class TestCliSurface:
-    def test_list_and_plan(self, capsys):
-        assert main(["list", "-v"]) == 0
-        out = capsys.readouterr().out
-        assert "mini" in out and "sybil-wave" in out
-        assert main(["plan", "itest-tiny"]) == 0
-        out = capsys.readouterr().out
-        assert "itest-tiny/sybil[voting,seed=11]" in out
+    def test_list_names_the_catalogue_after_the_experiments(self, capsys):
+        assert main(["--list"]) == 0
+        ids = capsys.readouterr().out.split()
+        assert ids.index("report_models") < ids.index("mini")
+        assert {"mini", "sybil-wave", "itest-tiny"} <= set(ids)
 
     def test_report_and_diff_round_trip(self, tmp_path, capsys):
         out = tmp_path / "r"
-        assert main(["run", "itest-tiny", "--out", str(out)]) == 0
-        capsys.readouterr()
-        assert main(["report", str(out / "report.json")]) == 0
-        md = capsys.readouterr().out
-        assert (out / "report.md").read_text() == md
-        assert (
-            main(
-                [
-                    "diff",
-                    str(out / "report.json"),
-                    str(out / "report.json"),
-                    "--exit-code",
-                ]
-            )
-            == 0
-        )
+        assert run("itest-tiny", out) == 0
+        md = (out / "itest-tiny.md").read_text()
+        assert md == render_markdown(load_report(out / "itest-tiny.json"))
+        assert md in capsys.readouterr().out
+        report = str(out / "itest-tiny.json")
+        assert obs_main(["diff", report, report, "--exit-code"]) == 0
+        assert "reports are identical" in capsys.readouterr().out
 
     def test_diff_exit_code_on_difference(self, tmp_path, capsys):
         out = tmp_path / "d"
-        assert main(["run", "itest-tiny", "--out", str(out)]) == 0
-        import json
-
-        report = json.loads((out / "report.json").read_text())
+        assert run("itest-tiny", out) == 0
+        report = json.loads((out / "itest-tiny.json").read_text())
         report["scorecards"][0]["metrics"]["mse"] += 1.0
         (out / "tampered.json").write_text(json.dumps(report))
         capsys.readouterr()
         assert (
-            main(
+            obs_main(
                 [
                     "diff",
-                    str(out / "report.json"),
+                    str(out / "itest-tiny.json"),
                     str(out / "tampered.json"),
                     "--exit-code",
                 ]
@@ -179,24 +177,24 @@ class TestCliSurface:
 
 class TestGoldenReport:
     def test_committed_golden_matches_fresh_mini_run(self, tmp_path, capsys):
-        """tests/data/mini_campaign_golden.json is what `run mini` produces today.
+        """tests/data/mini_campaign_golden.json is what `mini` produces today.
 
         CI diffs a fresh run against this file; this test keeps the local
         suite equally honest, so a drift in trust math, attack attachment
         or the fault plane is caught before push.
         """
         out = tmp_path / "mini"
-        assert main(["run", "mini", "--out", str(out)]) == 0
+        assert run("mini", out) == 0
         capsys.readouterr()
         golden = REPO_ROOT / "tests" / "data" / "mini_campaign_golden.json"
-        assert golden.read_bytes() == (out / "report.json").read_bytes()
+        assert golden.read_bytes() == (out / "mini.json").read_bytes()
 
 
 _RUN_SCRIPT = """
 import sys
-from repro.campaigns.cli import main
+from repro.experiments.runner import main
 
-sys.exit(main(["run", "mini", "--out", sys.argv[1]]))
+sys.exit(main(["mini", "--out", sys.argv[1]]))
 """
 
 
@@ -217,9 +215,5 @@ class TestByteDeterminism:
                 cwd=REPO_ROOT,
             )
             paths.append(out)
-        assert (paths[0] / "report.json").read_bytes() == (
-            paths[1] / "report.json"
-        ).read_bytes()
-        assert (paths[0] / "report.md").read_bytes() == (
-            paths[1] / "report.md"
-        ).read_bytes()
+        for name in ("mini.json", "mini.md"):
+            assert (paths[0] / name).read_bytes() == (paths[1] / name).read_bytes()

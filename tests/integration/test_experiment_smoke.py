@@ -50,7 +50,7 @@ def test_all_export(tiny_results, tmp_path):
 
 
 def test_baselines_table_renders(tiny_results):
-    text = baseline_comparison.render_result(tiny_results["baselines"])
+    text = baseline_comparison.render(tiny_results["baselines"])
     assert "hiREP" in text and "EigenTrust" in text
 
 

@@ -104,6 +104,6 @@ class TestRunnerCLI:
         for name, (module, small, paper) in EXPERIMENTS.items():
             assert hasattr(module, "run")
             # hirep-experiments is the one entry point; only table1
-            # keeps a main(), which the runner calls to print its table.
+            # keeps a main(), which prints its table.
             assert hasattr(module, "main") == (name == "table1")
             assert isinstance(small, dict) and isinstance(paper, dict)

@@ -16,6 +16,10 @@ from repro.obs.cli import main
 from repro.perf.history import PerfHistory
 from repro.perf.report import PerfReport
 
+GOLDEN_CAMPAIGN = (
+    Path(__file__).resolve().parents[1] / "data" / "mini_campaign_golden.json"
+)
+
 
 def write_report_file(path: Path, *reports: PerfReport) -> Path:
     payload = {"reports": [r.to_dict() for r in reports]}
@@ -215,3 +219,65 @@ def test_flame_renders_profile_and_exports(tmp_path, capsys):
 def test_flame_missing_profile_exits_with_hint(tmp_path):
     with pytest.raises(SystemExit, match="no profile"):
         main(["flame", str(tmp_path)])
+
+
+# ---------------------------------------------------------------- bad input
+
+
+def usage_error(argv: list[str], capsys) -> str:
+    """Exit 2 (not 1, which ``diff --exit-code`` means "differ") with one
+    ``hirep-obs:`` line on stderr and no traceback."""
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("hirep-obs: ") and err.count("\n") == 1
+    return err
+
+
+def test_malformed_json_is_a_usage_error(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    history = str(tmp_path / "h")
+    for argv in (
+        ["diff", str(bad), str(bad), "--exit-code"],
+        ["record", str(bad), "--history", history],
+    ):
+        assert "bad.json: not JSON" in usage_error(argv, capsys)
+
+
+def test_non_report_object_is_a_usage_error(tmp_path, capsys):
+    odd = tmp_path / "odd.json"
+    odd.write_text(json.dumps({"x": 1}))
+    history = str(tmp_path / "h")
+    for argv in (
+        ["diff", str(odd), str(odd), "--exit-code"],
+        ["record", str(odd), "--history", history],
+        ["record", str(GOLDEN_CAMPAIGN), "--history", history],
+    ):
+        assert "unsupported PerfReport schema" in usage_error(argv, capsys)
+
+
+def test_diff_refuses_mixed_kinds(tmp_path):
+    perf = write_report_file(tmp_path / "r.json", report(1.0))
+    bundle = tmp_path / "bundle"
+    bundle.mkdir()
+    (bundle / "events.jsonl").write_text("")
+    for other, refusal in (
+        (perf, "cannot diff a campaign report against perf records"),
+        (bundle, "cannot diff a telemetry bundle against a campaign report"),
+    ):
+        for pair in ([GOLDEN_CAMPAIGN, other], [other, GOLDEN_CAMPAIGN]):
+            with pytest.raises(SystemExit, match=refusal):
+                main(["diff", *map(str, pair)])
+
+
+def test_diff_of_campaign_reports(tmp_path, capsys):
+    golden = json.loads(GOLDEN_CAMPAIGN.read_text())
+    golden["scorecards"][0]["metrics"]["mse"] += 1.0
+    tampered = tmp_path / "tampered.json"
+    tampered.write_text(json.dumps(golden))
+    same = [str(GOLDEN_CAMPAIGN), str(GOLDEN_CAMPAIGN), "--exit-code"]
+    assert main(["diff", *same]) == 0
+    assert capsys.readouterr().out == "reports are identical\n"
+    assert main(["diff", str(GOLDEN_CAMPAIGN), str(tampered)]) == 0
+    assert main(["diff", str(GOLDEN_CAMPAIGN), str(tampered), "--exit-code"]) == 1
+    assert "clean/hirep: metrics.mse" in capsys.readouterr().out

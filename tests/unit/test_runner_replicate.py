@@ -31,3 +31,13 @@ def test_replicate_through_jobs_pool(capsys):
     out = capsys.readouterr().out
     assert "[50, 51]" in out
     assert "2 total | 2 run" in out
+
+
+def test_replicate_with_out_is_refused_before_any_job(tmp_path, capsys):
+    """--replicate exports nothing, so --out beside it is a usage error."""
+    out = tmp_path / "out"
+    assert main(["traffic_bound", "--replicate", "2", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "--replicate" in captured.err
+    assert "jobs:" not in captured.out
+    assert not out.exists()
