@@ -1,6 +1,6 @@
 """Baseline reputation systems compared against hiREP."""
 
-from repro.baselines.base import BaselineSystem, draw_vote
+from repro.baselines.base import BaselineSystem
 from repro.baselines.eigentrust import (
     EigenTrustSystem,
     eigentrust,
@@ -17,7 +17,6 @@ __all__ = [
     "GossipSystem",
     "LocalReputationSystem",
     "BaselineSystem",
-    "draw_vote",
     "EigenTrustSystem",
     "eigentrust",
     "normalize_local_trust",

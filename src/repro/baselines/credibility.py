@@ -14,19 +14,27 @@ flooding transport, which cleanly separates hiREP's two ideas:
 With credibility, voting's MSE converges like hiREP's — but it still pays
 O(network) messages per query and exposes every voter's identity, which is
 precisely the gap the paper's design targets.
+
+A voter's credibility is hiREP's expertise, learned the same way: the
+poll is voting's (:meth:`~repro.baselines.base.BaselineSystem._poll`), the
+estimate is hiREP's confidence-weighted :func:`~repro.core.semantics.aggregate_estimate`
+(§3.5), and each vote's consistency with the download moves its voter's
+credibility by one :func:`~repro.core.semantics.ewma_step` at
+``config.expertise_alpha`` (§3.4.3).
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.baselines.base import BaselineSystem, draw_vote
-from repro.core.runtime import Estimate
+from repro.baselines.base import BaselineSystem
 from repro.core.config import HiRepConfig
-from repro.core.expertise import consistent
-from repro.net.flooding import flood_bfs
+from repro.core.runtime import Estimate
+from repro.core.semantics import (
+    aggregate_estimate,
+    confidence,
+    consistency_bit,
+    ewma_step,
+)
 from repro.net.latency import LatencyModel
-from repro.net.messages import Category
 
 __all__ = ["CredibilityVotingSystem"]
 
@@ -39,83 +47,30 @@ class CredibilityVotingSystem(BaselineSystem):
         config: HiRepConfig | None = None,
         *,
         latency_model: LatencyModel | None = None,
-        alpha: float | None = None,
     ) -> None:
         super().__init__(config, latency_model=latency_model)
-        self.alpha = alpha if alpha is not None else self.config.expertise_alpha
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must be in (0,1), got {self.alpha}")
+        n = self.config.network_size
         # credibility[requestor][voter] — learned independently per peer,
-        # like hiREP's expertise; prior 1.0 mirrors the paper's initial
-        # expertise assignment.
-        self._credibility: list[dict[int, float]] = [
-            dict() for _ in range(self.config.network_size)
-        ]
-        # Track-record counts drive the same confidence discount hiREP's
-        # estimator uses, so the comparison is apples to apples.
-        self._updates: list[dict[int, int]] = [
-            dict() for _ in range(self.config.network_size)
-        ]
-
-    def credibility_of(self, requestor: int, voter: int) -> float:
-        return self._credibility[requestor].get(voter, 1.0)
+        # like hiREP's expertise; prior 1.0 is the paper's initial
+        # expertise.  updates[requestor][voter] counts the track record
+        # behind it.
+        self._credibility: list[dict[int, float]] = [dict() for _ in range(n)]
+        self._updates: list[dict[int, int]] = [dict() for _ in range(n)]
 
     def _execute(self, req: int, prov: int) -> Estimate:
         truth = float(self.truth[prov])
-
-        flood = flood_bfs(
-            self.topology, req, self.config.ttl, online=self.network.is_online
-        )
-        self.counter.count(Category.FLOOD_QUERY, flood.messages)
-
-        votes: list[tuple[int, float]] = []
-        vote_messages = 0
-        arrivals: list[float] = []
-        for node, depth in flood.visited.items():
-            if node == req or node == prov:
-                continue
-            honest = not bool(self.malicious[node])
-            votes.append(
-                (
-                    node,
-                    draw_vote(
-                        honest,
-                        truth,
-                        self.rng,
-                        self.config.good_rating,
-                        self.config.bad_rating,
-                    ),
-                )
-            )
-            vote_messages += depth
-            arrivals.append(2.0 * self.network.path_latency(flood.path_to(node)))
-        self.counter.count(Category.FLOOD_RESPONSE, vote_messages)
-
+        voters, votes, response_ms, messages = self._poll(req, prov, truth)
         cred = self._credibility[req]
         counts = self._updates[req]
-        num = den = 0.0
-        for voter, value in votes:
-            n = counts.get(voter, 0)
-            weight = cred.get(voter, 1.0) * (n / (n + 1.0))
-            num += weight * value
-            den += weight
-        if den > 0:
-            estimate = num / den
-        elif votes:
-            estimate = float(np.mean([v for _n, v in votes]))
-        else:
-            estimate = 0.5
-
-        # Observe the download, update each voter's credibility.
-        for voter, value in votes:
-            a_c = 1.0 if consistent(value, truth) else 0.0
-            prev = cred.get(voter, 1.0)
-            cred[voter] = self.alpha * a_c + (1.0 - self.alpha) * prev
-            counts[voter] = counts.get(voter, 0) + 1
-
-        return Estimate(
-            estimate,
-            self._serialize_at(req, arrivals),
-            messages=flood.messages + vote_messages,
-            voters=len(votes),
+        estimate = aggregate_estimate(
+            votes,
+            [cred.get(v, 1.0) * confidence(counts.get(v, 0)) for v in voters],
         )
+        # Observe the download, update each voter's credibility.
+        alpha = self.config.expertise_alpha
+        for voter, value in zip(voters, votes):
+            cred[voter] = ewma_step(
+                alpha, cred.get(voter, 1.0), consistency_bit(value, truth)
+            )
+            counts[voter] = counts.get(voter, 0) + 1
+        return Estimate(estimate, response_ms, messages=messages, voters=len(votes))

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines.base import BaselineSystem, draw_vote
+from repro.baselines.base import BaselineSystem
 from repro.core.runtime import Estimate
 from repro.errors import ConfigError
 
@@ -137,11 +137,7 @@ class EigenTrustSystem(BaselineSystem):
         estimate = float(score / top) if top > 0 else 0.5
         estimate = min(max(estimate, 0.0), 1.0)
 
-        honest = not bool(self.malicious[req])
-        rating = draw_vote(
-            honest, truth, self.rng, self.config.good_rating, self.config.bad_rating
-        )
-        self._local[req, prov] += rating
+        self._local[req, prov] += self._rate(req, truth)
 
         return Estimate(
             estimate, float("nan"), messages=self.counter.total - before

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines.base import BaselineSystem, draw_vote
+from repro.baselines.base import BaselineSystem
 from repro.core.runtime import Estimate
 from repro.core.config import HiRepConfig
 from repro.net.flooding import flood_bfs
@@ -35,17 +35,15 @@ __all__ = ["TrustMeSystem"]
 class TrustMeSystem(BaselineSystem):
     """Broadcast-based THA reputation system."""
 
+    THAS_PER_PEER = 3
+
     def __init__(
         self,
         config: HiRepConfig | None = None,
         *,
         latency_model: LatencyModel | None = None,
-        thas_per_peer: int = 3,
     ) -> None:
         super().__init__(config, latency_model=latency_model)
-        if thas_per_peer < 1:
-            raise ValueError(f"thas_per_peer must be >= 1, got {thas_per_peer}")
-        self.thas_per_peer = thas_per_peer
         n = self.config.network_size
         # Bootstrap-server assignment: uniform random THAs per peer (never
         # the peer itself).
@@ -53,7 +51,9 @@ class TrustMeSystem(BaselineSystem):
         for ip in range(n):
             candidates = [c for c in range(n) if c != ip]
             idx = self.world.rng_agents.choice(
-                len(candidates), size=min(thas_per_peer, len(candidates)), replace=False
+                len(candidates),
+                size=min(self.THAS_PER_PEER, len(candidates)),
+                replace=False,
             )
             self.thas.append([candidates[int(i)] for i in idx])
         # THA report stores: tha -> subject -> [outcomes]
@@ -90,10 +90,7 @@ class TrustMeSystem(BaselineSystem):
             self.topology, req, self.config.ttl, online=self.network.is_online
         )
         self.counter.count(Category.TRANSACTION_REPORT, report_flood.messages)
-        honest = not bool(self.malicious[req])
-        reported = draw_vote(
-            honest, truth, self.rng, self.config.good_rating, self.config.bad_rating
-        )
+        reported = self._rate(req, truth)
         for tha in self.thas[prov]:
             if tha in report_flood.visited:
                 self._stores[tha].setdefault(prov, []).append(reported)

@@ -19,7 +19,6 @@ from repro.core.runtime import (
     MetricsPipeline,
     Ticket,
     TransactionRuntime,
-    draw_vote,
     serialize_arrivals,
 )
 from repro.core.services import (
@@ -99,7 +98,6 @@ __all__ = [
     "Wiring",
     "build_system",
     "build_wiring",
-    "draw_vote",
     "register_system",
     "serialize_arrivals",
     "system_names",

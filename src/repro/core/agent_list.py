@@ -107,10 +107,6 @@ class TrustedAgentList:
     def backup_agents(self) -> list[TrustedAgent]:
         return list(self._backup.values())
 
-    @property
-    def has_room(self) -> bool:
-        return len(self._agents) < self.capacity
-
     def needs_refill(self, threshold: int) -> bool:
         return len(self._agents) < threshold
 
@@ -132,9 +128,6 @@ class TrustedAgentList:
         # A re-added agent must not linger in backup.
         self._backup.pop(entry.agent_node_id, None)
         return True
-
-    def remove(self, node_id: NodeID) -> TrustedAgent | None:
-        return self._agents.pop(node_id, None)
 
     def update_expertise(self, node_id: NodeID, evaluation: float, outcome: float) -> float | None:
         """EWMA-update one agent; returns the new expertise (None if absent)."""

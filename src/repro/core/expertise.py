@@ -57,14 +57,6 @@ class ExpertiseTracker:
         self.updates += 1
         return self.value
 
-    def update_raw(self, a_c: float) -> float:
-        """Fold a pre-computed accuracy bit (used by attack experiments)."""
-        if a_c not in (0.0, 1.0):
-            raise ConfigError(f"A_c must be 0 or 1, got {a_c}")
-        self.value = ewma_step(self.alpha, self.value, a_c)
-        self.updates += 1
-        return self.value
-
     def below(self, threshold: float) -> bool:
         """True when this agent should be evicted under hirep-θ."""
         return self.value < threshold

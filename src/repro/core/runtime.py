@@ -2,9 +2,10 @@
 
 Before the kernel refactor, hiREP (``repro.core.system``) and the baseline
 tree (``repro.baselines.base``) each carried their own copy of the
-pick-pair logic, the ``run`` loop, the metric collectors, the §5.2 rating
-model and the FIFO arrival-serialization helper.  This module is the
-single home for all of it:
+pick-pair logic, the ``run`` loop, the metric collectors and the FIFO
+arrival-serialization helper.  This module is the single home for all of
+it (the §5.2 rating draw lives with the other semantics, in
+:func:`repro.core.semantics.rate`):
 
 * :class:`MetricsPipeline` — the three paper metrics (traffic, MSE,
   response time) plus the per-transaction :class:`~repro.core.interface.Outcome`
@@ -24,8 +25,6 @@ single home for all of it:
   array kernel, live service plane) share around that cycle: the
   once-only bootstrap guard, trust-traffic accounting and the agent
   population helpers;
-* :func:`draw_vote` — the §5.2 rating model (honest peers rate with the
-  truth, malicious peers invert);
 * :func:`serialize_arrivals` — FIFO serialization of response arrivals on
   the requestor's access link (shared by every flooding/gossip system).
 """
@@ -54,26 +53,8 @@ __all__ = [
     "MetricsPipeline",
     "Ticket",
     "TransactionRuntime",
-    "draw_vote",
     "serialize_arrivals",
 ]
-
-
-def draw_vote(
-    honest: bool,
-    truth: float,
-    rng: np.random.Generator,
-    good_range: tuple[float, float],
-    bad_range: tuple[float, float],
-) -> float:
-    """One peer's vote about a subject (§5.2 rating model).
-
-    Honest peers rate consistently with the truth; malicious peers invert.
-    """
-    trustable = truth >= 0.5
-    use_good = trustable if honest else not trustable
-    lo, hi = good_range if use_good else bad_range
-    return float(rng.uniform(lo, hi))
 
 
 def serialize_arrivals(

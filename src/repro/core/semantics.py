@@ -9,14 +9,21 @@ hiREP now has two interchangeable execution backends behind the
 * the **array kernel** (``repro.vector``): struct-of-arrays state with
   vectorized update rules, built for 10⁵–10⁶ peer sweeps.
 
-Everything that *defines* hiREP's numeric behaviour — the expertise EWMA,
-the consistency predicate, the query-time agent ordering, the weighted
-vote aggregation and the hirep-θ eviction rule — lives here, in one place,
-expressed both as scalar steps (object kernel) and as vectorized
-equivalents (array kernel).  Keeping a single source of truth is what
-makes the kernel-parity suite (``tests/integration/test_kernel_parity.py``)
-meaningful: both kernels literally execute the same arithmetic, so final
-trust vectors agree bit-for-bit and estimates agree to float tolerance.
+Everything that *defines* hiREP's numeric behaviour — the §5.2 rating
+draw, the expertise EWMA, the consistency predicate, the query-time agent
+ordering, the weighted vote aggregation and the hirep-θ eviction rule —
+lives here, in one place, expressed both as scalar steps (object kernel)
+and as vectorized equivalents (array kernel).  The baselines
+(``repro.baselines``) rate, weigh and learn through the same functions.
+Keeping a single source of truth is what makes the kernel-parity suite
+(``tests/integration/test_kernel_parity.py``) meaningful: both kernels
+literally execute the same arithmetic, so final trust vectors agree
+bit-for-bit and estimates agree to float tolerance.
+
+``rate`` has no vector form: every executor draws one rating at a time
+(through :class:`~repro.core.trust_models.QualityDrivenModel` on hiREP's
+agents), as ``lo + (hi - lo) * rng.random()`` — ``rng.uniform(lo, hi)``
+bit for bit and draw for draw, without its argument broadcasting.
 
 Scalar/vector pairs and their proof obligations:
 
@@ -55,6 +62,7 @@ __all__ = [
     "eviction_mask",
     "ewma_step",
     "ewma_update",
+    "rate",
     "selection_order",
 ]
 
@@ -66,6 +74,25 @@ TRUST_TRAFFIC_CATEGORIES: tuple[str, str, str] = (
     Category.TRUST_RESPONSE,
     Category.TRANSACTION_REPORT,
 )
+
+
+def rate(
+    consistent_rater: bool,
+    truth: float,
+    rng: np.random.Generator,
+    good_range: tuple[float, float],
+    bad_range: tuple[float, float],
+) -> float:
+    """One rating of a subject whose ground truth is ``truth`` (§5.2).
+
+    A consistent rater (a good agent, an honest voter) draws from
+    ``good_range`` when the subject is trustable and from ``bad_range``
+    otherwise; an inconsistent one swaps the ranges.
+    """
+    trustable = truth >= 0.5
+    use_good = trustable if consistent_rater else not trustable
+    lo, hi = good_range if use_good else bad_range
+    return lo + (hi - lo) * rng.random()
 
 
 def consistent(evaluation: float, outcome: float) -> bool:

@@ -21,6 +21,7 @@ import abc
 
 import numpy as np
 
+from repro.core.semantics import ewma_step, rate
 from repro.crypto.hashing import NodeID
 from repro.errors import ConfigError
 
@@ -75,13 +76,7 @@ class QualityDrivenModel(TrustModel):
     def evaluate(
         self, subject: NodeID, subject_truth: float, rng: np.random.Generator
     ) -> float:
-        trustable = subject_truth >= 0.5
-        # A good agent matches range to truth; a poor agent inverts it.
-        use_good_range = trustable if self.good else not trustable
-        lo, hi = self.good_range if use_good_range else self.bad_range
-        # rng.uniform(lo, hi), bit for bit and draw for draw, without its
-        # argument broadcasting (a third of the call).
-        return lo + (hi - lo) * rng.random()
+        return rate(self.good, subject_truth, rng, self.good_range, self.bad_range)
 
 
 class ReportAverageModel(TrustModel):
@@ -128,7 +123,7 @@ class EWMAReportModel(TrustModel):
 
     def observe_report(self, subject: NodeID, outcome: float) -> None:
         prev = self._values.get(subject, self.prior)
-        self._values[subject] = self.alpha * outcome + (1.0 - self.alpha) * prev
+        self._values[subject] = ewma_step(self.alpha, prev, outcome)
 
     def evaluate(
         self, subject: NodeID, subject_truth: float, rng: np.random.Generator

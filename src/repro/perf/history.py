@@ -50,11 +50,6 @@ class PerfHistory:
             fh.write(line + "\n")
         return path
 
-    def record_all(self, reports: list[PerfReport]) -> int:
-        for report in reports:
-            self.record(report)
-        return len(reports)
-
     # -- reading -----------------------------------------------------------
 
     def suites(self) -> list[str]:

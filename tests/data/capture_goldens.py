@@ -6,7 +6,10 @@ bugfix) to pin per-transaction outcomes for hiREP and every baseline:
     PYTHONPATH=src python tests/data/capture_goldens.py
 
 The refactor must reproduce these bit for bit (see
-tests/integration/test_kernel_equivalence.py).
+tests/integration/test_kernel_equivalence.py).  The ``gossip`` row was
+added later, captured on the tree just before the baselines were rebuilt
+on ``repro.core.semantics`` (``rate``, ``aggregate_estimate``); that
+capture also gave every row each field ``Outcome`` has, values unchanged.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import pathlib
 
 from repro.baselines.credibility import CredibilityVotingSystem
 from repro.baselines.eigentrust import EigenTrustSystem
+from repro.baselines.gossip import GossipSystem
 from repro.baselines.local import LocalReputationSystem
 from repro.baselines.trustme import TrustMeSystem
 from repro.baselines.voting import PureVotingSystem
@@ -38,6 +42,7 @@ def build(name: str):
         "trustme": TrustMeSystem,
         "local": LocalReputationSystem,
         "eigentrust": EigenTrustSystem,
+        "gossip": GossipSystem,
     }
     return builders[name](cfg)
 
@@ -58,7 +63,9 @@ def outcome_rows(system) -> list[dict]:
 
 def main() -> None:
     goldens = {}
-    for name in ("hirep", "voting", "credibility", "trustme", "local", "eigentrust"):
+    for name in (
+        "hirep", "voting", "credibility", "trustme", "local", "eigentrust", "gossip"
+    ):
         system = build(name)
         system.run(TRANSACTIONS)
         goldens[name] = {

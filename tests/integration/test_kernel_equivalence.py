@@ -71,7 +71,8 @@ def goldens() -> dict:
 
 
 @pytest.mark.parametrize(
-    "name", ["hirep", "voting", "credibility", "trustme", "local", "eigentrust"]
+    "name",
+    ["hirep", "voting", "credibility", "trustme", "local", "eigentrust", "gossip"],
 )
 def test_kernel_reproduces_pre_refactor_outcomes(name: str, goldens: dict) -> None:
     expect = goldens[name]
@@ -144,5 +145,5 @@ def test_unknown_system_name_is_a_config_error() -> None:
 
 
 def test_build_system_passes_options_through() -> None:
-    system = build_system("gossip", golden_config(), fanout=5, rounds=3)
-    assert (system.fanout, system.rounds) == (5, 3)
+    system = build_system("hirep-array", golden_config(), bootstrap_mode="seeded")
+    assert system.bootstrap_mode == "seeded"

@@ -21,9 +21,12 @@ equal ``bit_generator.state``, so no later draw on the stream can move.
     the stream into every ``_issued`` before a draw; capacities are small
     enough that the trim is crossed mid-sequence.  (A zero word, the one
     value numpy's bounded draw rejects, is pinned in the unit tests.)
-(b) :meth:`QualityDrivenModel.evaluate` is ``float(rng.uniform(lo, hi))``
-    on the range the model picks — good / poor × truth either side of 0.5,
-    generated ranges including ``lo == hi``.
+(b) :func:`~repro.core.semantics.rate` — the one §5.2 rating draw, for
+    hiREP's agents and every baseline's voters alike — is
+    ``float(rng.uniform(lo, hi))`` on the range it picks: consistent /
+    inconsistent rater × truth either side of 0.5, generated ranges
+    including ``lo == hi``; :meth:`QualityDrivenModel.evaluate` is
+    ``rate`` on the model's own quality and ranges.
 (c) :func:`aggregate_estimate`'s unweighted fallback is bit-equal to
     ``float(np.mean(values))`` for 1–70 values (numpy's pairwise sum
     changes shape at 8 elements).
@@ -40,10 +43,11 @@ instead of in draw order — with ``_issued`` still a ``set``, before the
 trim fix, nothing else was possible; the collision replay skipped (the
 vector returned as drawn); ``random_raw(k + 1)``; the capacity fallback
 ignored; the raw word taken through ``next_uint32`` halves (the carry);
-(b) ``hi - (hi - lo) * rng.random()``; (c) a plain ``sum(values) / n``,
-which only diverges from numpy's pairwise sum at 8+ elements; (d) picks
-not stepped over the owner (``online[picks]``); stepped from the slot
-after (``picks > slot``); ``searchsorted(..., side="right")``; the pool
+(b) ``hi - (hi - lo) * rng.random()`` in ``rate``; an inconsistent
+rater's ranges not swapped (``use_good = trustable``); (c) a plain
+``sum(values) / n``, which only diverges from numpy's pairwise sum at 8+
+elements; (d) picks not stepped over the owner (``online[picks]``);
+stepped from the slot after (``picks > slot``); ``searchsorted(..., side="right")``; the pool
 one short whether or not the owner is online (``pool_len = len(online) -
 1``); an offline owner's insertion point kept as its slot.
 """
@@ -52,7 +56,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.semantics import aggregate_estimate
+from repro.core.semantics import aggregate_estimate, rate
 from repro.core.trust_models import QualityDrivenModel
 from repro.crypto.nonce import NonceRegistry
 from repro.net.topology import ring_lattice
@@ -160,6 +164,29 @@ def test_quality_driven_evaluate_is_rng_uniform(seed, good, good_range, bad_rang
         assert type(value) is float
         assert value == float(ref.uniform(lo, hi))
         assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    draws=st.lists(
+        st.tuples(st.booleans(), UNIT, RANGE, RANGE), min_size=1, max_size=8
+    ),
+)
+@settings(max_examples=200, deadline=None)
+def test_rate_is_rng_uniform(seed, draws):
+    rng, ref, twin = (np.random.default_rng(seed) for _ in range(3))
+    for consistent_rater, truth, good_range, bad_range in draws:
+        lo, hi = good_range if (truth >= 0.5) == consistent_rater else bad_range
+        value = rate(consistent_rater, truth, rng, good_range, bad_range)
+        assert type(value) is float
+        assert value == float(ref.uniform(lo, hi))
+        model = QualityDrivenModel(consistent_rater, good_range, bad_range)
+        assert model.evaluate(b"subject", truth, twin) == value
+        assert (
+            rng.bit_generator.state
+            == ref.bit_generator.state
+            == twin.bit_generator.state
+        )
 
 
 @given(values=st.lists(UNIT, min_size=1, max_size=70))

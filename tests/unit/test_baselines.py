@@ -4,7 +4,6 @@
 import numpy as np
 import pytest
 
-from repro.baselines.base import draw_vote
 from repro.baselines.eigentrust import (
     EigenTrustSystem,
     eigentrust,
@@ -13,21 +12,22 @@ from repro.baselines.eigentrust import (
 from repro.baselines.trustme import TrustMeSystem
 from repro.baselines.voting import PureVotingSystem
 from repro.core.config import HiRepConfig
+from repro.core.semantics import rate
 from repro.errors import ConfigError
 
 CFG = HiRepConfig(network_size=120, seed=44)
 
 
-class TestDrawVote:
+class TestRate:
     def test_honest_consistent(self, rng):
         for _ in range(50):
-            assert draw_vote(True, 1.0, rng, (0.6, 1.0), (0.0, 0.4)) >= 0.6
-            assert draw_vote(True, 0.0, rng, (0.6, 1.0), (0.0, 0.4)) <= 0.4
+            assert rate(True, 1.0, rng, (0.6, 1.0), (0.0, 0.4)) >= 0.6
+            assert rate(True, 0.0, rng, (0.6, 1.0), (0.0, 0.4)) <= 0.4
 
     def test_malicious_inverted(self, rng):
         for _ in range(50):
-            assert draw_vote(False, 1.0, rng, (0.6, 1.0), (0.0, 0.4)) <= 0.4
-            assert draw_vote(False, 0.0, rng, (0.6, 1.0), (0.0, 0.4)) >= 0.6
+            assert rate(False, 1.0, rng, (0.6, 1.0), (0.0, 0.4)) <= 0.4
+            assert rate(False, 0.0, rng, (0.6, 1.0), (0.0, 0.4)) >= 0.6
 
 
 class TestPureVoting:
@@ -80,7 +80,7 @@ class TestPureVoting:
 
 class TestTrustMe:
     def test_thas_never_self(self):
-        tm = TrustMeSystem(CFG, thas_per_peer=3)
+        tm = TrustMeSystem(CFG)
         for ip, thas in enumerate(tm.thas):
             assert ip not in thas
             assert len(thas) == 3
@@ -102,10 +102,6 @@ class TestTrustMe:
             tm.run_transaction(requestor=0, provider=5)
         stored = sum(len(s.get(5, [])) for s in tm._stores)
         assert stored > 0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            TrustMeSystem(CFG, thas_per_peer=0)
 
 
 class TestEigenTrust:

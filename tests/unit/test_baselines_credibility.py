@@ -5,13 +5,21 @@ import pytest
 from repro.baselines.credibility import CredibilityVotingSystem
 from repro.baselines.voting import PureVotingSystem
 from repro.core.config import HiRepConfig
+from repro.errors import ConfigError
 
 CFG = HiRepConfig(network_size=150, seed=202, malicious_fraction=0.3)
 
 
 def test_alpha_validation():
-    with pytest.raises(ValueError):
-        CredibilityVotingSystem(CFG, alpha=0.0)
+    """α is ``config.expertise_alpha``, so the config is what refuses one
+    outside (0, 1): after one poll a consistent voter keeps the prior 1.0
+    and an inconsistent one falls to 1 − α."""
+    with pytest.raises(ConfigError):
+        CFG.with_(expertise_alpha=0.0)
+    for alpha in (0.25, 0.75):
+        system = CredibilityVotingSystem(CFG.with_(expertise_alpha=alpha))
+        system.run_transaction(requestor=0)
+        assert set(system._credibility[0].values()) == {1.0, 1.0 - alpha}
 
 
 def test_first_transaction_matches_plain_mean():

@@ -1,7 +1,6 @@
 """Unit tests for the limited-reputation-sharing baseline."""
 
 import numpy as np
-import pytest
 
 from repro.baselines.local import LocalReputationSystem
 from repro.campaigns.cells import campaign_cell
@@ -36,17 +35,6 @@ def test_zero_query_traffic_without_friends():
     assert system.counter.total == 0
 
 
-def test_friends_cost_messages_and_widen_coverage():
-    lonely = LocalReputationSystem(CFG)
-    social = LocalReputationSystem(CFG, friends_per_peer=5)
-    # Repeated transactions between a small pool build shareable history.
-    for _ in range(120):
-        lonely.run_transaction()
-        social.run_transaction()
-    assert social.counter.total > 0
-    assert success_rate(social.outcomes) >= success_rate(lonely.outcomes)
-
-
 def test_coverage_terrible_in_large_population():
     """The baseline's known weakness: random pairs rarely repeat."""
     system = LocalReputationSystem(CFG)
@@ -55,9 +43,9 @@ def test_coverage_terrible_in_large_population():
 
 
 def test_campaign_cell_success_rate_is_coverage():
-    """A fixed requestor without friends has history exactly for the
-    providers it met earlier in the run; the cell's scorecard counts
-    those transactions, not every transaction with an estimate."""
+    """A fixed requestor has history exactly for the providers it met
+    earlier in the run; the cell's scorecard counts those transactions,
+    not every transaction with an estimate."""
     workload = WorkloadSpec(network_size=30, transactions=60, requestor=0)
     spec = ScenarioSpec(name="cell", workload=workload)
     cell = campaign_cell(spec.to_dict(), "local", 7)
@@ -74,11 +62,6 @@ def test_campaign_cell_success_rate_is_coverage():
 
     assert 0.0 < share < 1.0
     assert cell["scorecard"]["success_rate"] == share
-
-
-def test_friends_validation():
-    with pytest.raises(ValueError):
-        LocalReputationSystem(CFG, friends_per_peer=-1)
 
 
 def test_shares_world_with_other_systems():

@@ -48,7 +48,6 @@ def test_capacity_enforced(lst):
     for i in range(10):
         lst.add(entry(i))
     assert len(lst) == 5
-    assert not lst.has_room
 
 
 def test_initial_expertise_default_one(lst):

@@ -50,13 +50,6 @@ class TestExpertiseTracker:
         t.update(0.8, 1.0)
         assert t.confidence == pytest.approx(2 / 3)
 
-    def test_update_raw_validation(self):
-        t = ExpertiseTracker(alpha=0.5)
-        with pytest.raises(ConfigError):
-            t.update_raw(0.5)
-        t.update_raw(0.0)
-        assert t.value == pytest.approx(0.5)
-
     def test_below_threshold(self):
         t = ExpertiseTracker(alpha=0.5, value=0.39)
         assert t.below(0.4)

@@ -127,9 +127,10 @@ def test_maintain_refills_short_list(cfg):
     system = HiRepSystem(cfg)
     system.bootstrap()
     peer = system.peers[0]
-    # Empty the list below the refill threshold.
+    # Evict all but two agents: below the refill threshold.
     for agent in peer.agent_list.agents()[: len(peer.agent_list) - 2]:
-        peer.agent_list.remove(agent.node_id)
+        agent.expertise.value = 0.0
+    peer.agent_list.evict_below_threshold()
     assert peer.agent_list.needs_refill(cfg.refill_threshold)
     system.maintain(peer)
     assert len(peer.agent_list) > 2

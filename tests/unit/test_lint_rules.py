@@ -369,7 +369,7 @@ def test_arc001_flags_attribute_calls_and_every_system_class():
         import repro
         a = repro.core.system.HiRepSystem(cfg)
         b = PureVotingSystem(cfg)
-        c = GossipSystem(cfg, fanout=5)
+        c = GossipSystem(cfg, latency_model=model)
     """
     assert codes(src, module="repro.experiments.fake") == ["ARC001"] * 3
 
