@@ -57,16 +57,23 @@ def test_bench_serve_concurrent_load(benchmark, perf):
 
 def _codec_fixture():
     """A trust request over a 3-relay onion, and the keys that built it."""
-    from repro.core.messages import TrustRequestBody, TrustValueRequest
     from repro.crypto.backend import get_backend
     from repro.crypto.keys import PeerKeys
-    from repro.onion.onion import build_onion
 
     backend = get_backend("simulated")
     rng = np.random.default_rng(5)
     keys = [PeerKeys.generate(backend, rng) for _ in range(6)]
     relays = [(i, keys[i].ap) for i in range(1, 4)]
-    request = TrustValueRequest(
+    return backend, keys, relays, _fresh_request(backend, keys, relays)
+
+
+def _fresh_request(backend, keys, relays):
+    """The fixture's request, built anew: no sealed value in it was ever
+    encoded."""
+    from repro.core.messages import TrustRequestBody, TrustValueRequest
+    from repro.onion.onion import build_onion
+
+    return TrustValueRequest(
         sealed_body=backend.encrypt(
             keys[1].sp, TrustRequestBody(subject=keys[2].node_id, nonce=3)
         ),
@@ -75,11 +82,13 @@ def _codec_fixture():
             backend, keys[0].ap, keys[0].sr, 0, relays, seq=1
         ),
     )
-    return backend, keys, relays, request
 
 
 def test_bench_codec_encode_decode(benchmark, perf):
-    """The codec alone: one query's worth of request framing per call."""
+    """The codec alone: one query's worth of request framing per call.
+
+    The same request every call: after the first, each sealed value's
+    bytes are spliced from the encode that wrote them."""
     from repro.core.wire import decode, encode
 
     _, _, _, request = _codec_fixture()
@@ -91,6 +100,25 @@ def test_bench_codec_encode_decode(benchmark, perf):
     if benchmark.stats is not None:
         perf.record(
             "serve-codec",
+            {"roundtrips_per_sec": 1.0 / benchmark.stats.stats.mean},
+        )
+
+
+def test_bench_codec_encode_decode_cold(benchmark, perf):
+    """As above, but every call builds its request afresh, so each encode
+    writes every sealed value instead of splicing the bytes an earlier
+    encode kept (what a first send of a new onion or body costs)."""
+    from repro.core.wire import decode, encode
+
+    backend, keys, relays, request = _codec_fixture()
+
+    def cold_round_trip():
+        return decode(encode(_fresh_request(backend, keys, relays)))
+
+    assert benchmark(cold_round_trip) == request
+    if benchmark.stats is not None:
+        perf.record(
+            "serve-codec-cold",
             {"roundtrips_per_sec": 1.0 / benchmark.stats.stats.mean},
         )
 

@@ -34,6 +34,8 @@ forwards the rest as the bytes it received.  That hop header is the one
 type not left to the plan: ``OnionPacket``'s codec reads and writes it as
 a fixed layout in one pass, and hands anything off the layout to the
 planned field readers, so both accept and refuse exactly the same frames.
+A sealed value (``Envelope``) is encoded by the plan once: the encoder
+keeps the bytes on the instance and splices them on every later encode.
 """
 
 from __future__ import annotations
@@ -356,6 +358,7 @@ _U16_MAX = 0xFFFF
 _DEEPEST_LEGAL = 6
 _MAX_NESTING = 2 * _DEEPEST_LEGAL
 
+_new_object = object.__new__
 _Encoder = Callable[[Any, bytearray], None]
 _Decoder = Callable[[bytes, int, int], "tuple[Any, int]"]
 
@@ -538,15 +541,27 @@ def _decode_tuple(buf: bytes, offset: int, depth: int) -> tuple[Any, int]:
     return tuple(items), offset
 
 
-def _class_decoder(cls: type, readers: tuple[_Decoder, ...]) -> _Decoder:
+def _class_decoder(
+    cls: type, names: tuple[str, ...], readers: tuple[_Decoder, ...]
+) -> _Decoder:
+    """Decode ``cls``'s fields in order into a new instance.
+
+    The instance is built as pickle rebuilds one — ``object.__new__`` and
+    its ``__dict__`` filled in field order — which is what every wire
+    class's ``__init__`` (plain dataclass fields, no ``__post_init__``)
+    leaves, without the frozen ``__init__``'s ``object.__setattr__`` per
+    field.
+    """
+    fields = tuple(zip(names, readers))
+
     def decode_class(buf: bytes, offset: int, depth: int) -> tuple[Any, int]:
         _too_deep(depth)
         depth += 1
-        values = []
-        for read in readers:
-            value, offset = read(buf, offset, depth)
-            values.append(value)
-        return cls(*values), offset
+        value = _new_object(cls)
+        state = value.__dict__
+        for name, read in fields:
+            state[name], offset = read(buf, offset, depth)
+        return value, offset
 
     return decode_class
 
@@ -611,11 +626,33 @@ def _planned(cls: type) -> tuple[_Encoder, _Decoder]:
             readers.append(_decode_value)
         else:
             readers.append(_field_decoder(allowed, f"{cls.__name__}.{name}"))
-    return _class_encoder(cls, names), _class_decoder(cls, tuple(readers))
+    return _class_encoder(cls, names), _class_decoder(cls, names, tuple(readers))
 
 
 for _cls in _WIRE_CLASSES:
     _ENCODERS[_cls], _DECODERS[_TAG_OF_CLASS[_cls]] = _planned(_cls)
+
+
+# -- sealed values: encoded once -----------------------------------------------
+#
+# A sealed value is fixed once sealed, and an owner's onion blob outlives
+# many sends (``reseal`` keeps it across sequence bumps).  Its first encode
+# keeps the bytes on the frozen Envelope; every later encode splices them.
+
+_encode_planned_envelope = _ENCODERS[Envelope]
+
+
+def _encode_envelope(value: Envelope, out: bytearray) -> None:
+    raw = value._wire
+    if raw is None:
+        start = len(out)
+        _encode_planned_envelope(value, out)
+        object.__setattr__(value, "_wire", bytes(out[start:]))
+    else:
+        out += raw
+
+
+_ENCODERS[Envelope] = _encode_envelope
 
 
 # -- the hop header: OnionPacket's fixed layout --------------------------------
@@ -688,8 +725,13 @@ def _read_hop_header(buf: bytes, offset: int) -> tuple[Any, int] | None:
     tag, sent_at = _TAGGED_F64.unpack_from(buf, end)
     if tag != _T_FLOAT:
         return None
+    # Envelope and OnionLayer built as _class_decoder builds them.
+    layer = _new_object(OnionLayer)
+    layer.__dict__.update(next_ip=next_ip, inner=WireSlice(buf[inner_at:at]))
+    envelope = _new_object(Envelope)
+    envelope.__dict__.update(fingerprint=fingerprint, payload=layer)
     packet = OnionPacket(
-        Envelope(fingerprint, OnionLayer(next_ip, WireSlice(buf[inner_at:at]))),
+        envelope,
         WireSlice(buf[message_at:cat_at]),
         buf[cat_at + 2 : end].decode("utf-8"),
         sent_at,

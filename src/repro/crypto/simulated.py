@@ -40,9 +40,17 @@ class Envelope:
 
     fingerprint: bytes
     payload: Any
+    # The wire encoding, kept by ``repro.core.wire`` on the first encode
+    # (a sealed value does not change).  A plain attribute, not a
+    # dataclass field, and left out of the pickled state: never compared,
+    # hashed, printed, copied or digested.
+    _wire = None
 
     def __repr__(self) -> str:
         return f"Envelope(to={self.fingerprint[:4].hex()}…)"
+
+    def __getstate__(self) -> dict[str, Any]:
+        return {"fingerprint": self.fingerprint, "payload": self.payload}
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from typing import Any
 import numpy as np
 
 from repro.core.wire import decode, encode
-from repro.errors import ConfigError, NetworkError, WireError
+from repro.errors import ConfigError, NetworkError, UnknownNodeError, WireError
 from repro.net.latency import LatencyModel
 from repro.net.messages import Category, NetMessage
 from repro.net.network import P2PNetwork
@@ -89,31 +89,22 @@ class ServeNetwork(P2PNetwork):
         onion router does); the message is charged the true encoded frame
         length either way — on this plane the bytes are real.
         """
-        if not self.is_online(src):
+        # is_online(src) and is_online(dst), inlined as P2PNetwork.send has
+        # them: this runs once per hop.
+        if not 0 <= src < self.n:
+            raise UnknownNodeError(src)
+        if not self.alive[src]:
             raise NetworkError(f"node {src} is offline and cannot send")
-        self.is_online(dst)  # validates the index
+        if not 0 <= dst < self.n:
+            raise UnknownNodeError(dst)
         encoded = encode(payload, size_bytes)
-        msg = NetMessage(
-            src=src,
-            dst=dst,
-            payload=payload,
-            category=category,
-            sent_at=self.engine.now,
-        )
-        msg.size_bytes = len(encoded)
+        now = self.engine.now
+        msg = NetMessage(src, dst, payload, category, len(encoded), now)
         if count:
             self.counter.count(category)
         for observer in self.observers:
             observer(msg)
-        self.transport.post(
-            Frame(
-                src=src,
-                dst=dst,
-                category=category,
-                sent_at=msg.sent_at,
-                payload=encoded,
-            )
-        )
+        self.transport.post(Frame(src, dst, category, now, encoded))
         self.frames_sent += 1
         return msg
 
@@ -137,14 +128,15 @@ class ServeNetwork(P2PNetwork):
         if handler is None:
             return
         try:
+            payload = frame.payload
             handler(
                 NetMessage(
-                    src=frame.src,
-                    dst=frame.dst,
-                    payload=decode(frame.payload),
-                    category=frame.category,
-                    size_bytes=len(frame.payload),
-                    sent_at=frame.sent_at,
+                    frame.src,
+                    frame.dst,
+                    decode(payload),
+                    frame.category,
+                    len(payload),
+                    frame.sent_at,
                 )
             )
         except WireError:

@@ -41,9 +41,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Frame:
-    """One encoded protocol message in transit between two actors."""
+    """One encoded protocol message in transit between two actors.
+
+    Built once per hop and never changed after: slotted and not frozen,
+    so building one costs no per-field ``object.__setattr__``.
+    """
 
     src: int
     dst: int
@@ -168,7 +172,7 @@ def _tcp_unpack(body: bytes) -> Frame:
     offset = _TCP_HEAD.size
     category = body[offset : offset + cat_len].decode("utf-8")
     payload = body[offset + cat_len :]
-    return Frame(src=src, dst=dst, category=category, sent_at=sent_at, payload=payload)
+    return Frame(src, dst, category, sent_at, payload)
 
 
 class TcpLoopbackTransport(Transport):

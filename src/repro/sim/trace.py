@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 from typing import Any
 
 from repro.errors import ConfigError
@@ -46,13 +47,18 @@ class TraceEntry:
 
 
 class Tracer:
-    """Bounded trace buffer."""
+    """Bounded trace buffer.
+
+    An event is held as the plain record ``(time, category, fields)``,
+    ``fields`` the keyword dict :meth:`record` was called with; a
+    :class:`TraceEntry` is built only for an event someone reads.
+    """
 
     def __init__(self, *, capacity: int = 10_000) -> None:
         if capacity < 1:
             raise ConfigError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self._entries: deque[TraceEntry] = deque(maxlen=capacity)
+        self._events: deque[tuple[float, str, dict[str, Any]]] = deque(maxlen=capacity)
         self.recorded = 0
         #: entries pushed out of the full buffer by newer ones.
         self.evicted = 0
@@ -64,28 +70,27 @@ class Tracer:
         those names (e.g. a ``fault.drop`` event carrying the affected
         message's ``category``).
         """
-        if len(self._entries) == self.capacity:
+        events = self._events
+        if len(events) == self.capacity:
             self.evicted += 1
-        self._entries.append(
-            TraceEntry(time=time, category=category, fields=tuple(fields.items()))
-        )
+        events.append((time, category, fields))
         self.recorded += 1
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._events)
 
     def entries(self, category: str | None = None) -> list[TraceEntry]:
         if category is None:
-            return list(self._entries)
-        return [e for e in self._entries if e.category == category]
+            return [_entry(event) for event in self._events]
+        return [_entry(event) for event in self._events if event[1] == category]
 
     def between(self, start: float, end: float) -> list[TraceEntry]:
         """Entries with start <= time < end."""
-        return [e for e in self._entries if start <= e.time < end]
+        return [_entry(event) for event in self._events if start <= event[0] < end]
 
     def summary(self) -> str:
         """One-line accounting: held / recorded / evicted."""
-        return f"{len(self._entries)} held, {self.recorded} recorded, {self.evicted} evicted"
+        return f"{len(self._events)} held, {self.recorded} recorded, {self.evicted} evicted"
 
     def render(self, limit: int = 50) -> str:
         """The most recent ``limit`` entries as a timeline.
@@ -93,11 +98,20 @@ class Tracer:
         When capacity eviction has discarded entries, a trailing line says
         how many — a truncated timeline must never read as a complete one.
         """
-        tail = list(self._entries)[-limit:]
-        lines = [e.render() for e in tail]
+        held = len(self._events)
+        # The entries ``[-limit:]`` of a list would hold, read off the
+        # buffer's tail without copying the rest.
+        keep = min(limit, held) if limit > 0 else max(held + limit, 0)
+        tail = list(islice(reversed(self._events), keep))
+        lines = [_entry(event).render() for event in reversed(tail)]
         if self.evicted:
             lines.append(f"({self.summary()})")
         return "\n".join(lines)
 
     def clear(self) -> None:
-        self._entries.clear()
+        self._events.clear()
+
+
+def _entry(event: tuple[float, str, dict[str, Any]]) -> TraceEntry:
+    time, category, fields = event
+    return TraceEntry(time, category, tuple(fields.items()))

@@ -1,5 +1,7 @@
 """Property-based tests for the wire codec."""
 
+import copy
+import pickle
 import struct
 from contextlib import contextmanager
 from dataclasses import fields, is_dataclass
@@ -25,8 +27,9 @@ from repro.core import wire
 from repro.core.wire import FRAME_OVERHEAD, WireSlice, decode, encode, wire_size
 from repro.crypto.backend import get_backend
 from repro.crypto.keys import PeerKeys
+from repro.crypto.simulated import Envelope
 from repro.errors import WireError
-from repro.onion.onion import build_onion, peel
+from repro.onion.onion import build_onion, peel, reseal
 from repro.onion.routing import OnionPacket
 
 BACKEND = get_backend("simulated")
@@ -374,3 +377,104 @@ def test_hop_header_keeps_the_nesting_limit(nested):
         expected = outcome(frame)
     assert outcome(frame) == expected
     assert (expected[0] == "WireError") == (nested == 10)
+
+
+# -- sealed values: encoded once ----------------------------------------------
+#
+# The Envelope encoder keeps the bytes it wrote on the instance and splices
+# them afterwards.  The oracle is the planned Envelope encoder, which keeps
+# nothing.
+
+
+@contextmanager
+def envelope_memo_bypassed():
+    memo = wire._ENCODERS[Envelope]
+    wire._ENCODERS[Envelope] = wire._encode_planned_envelope
+    try:
+        yield
+    finally:
+        wire._ENCODERS[Envelope] = memo
+
+
+def envelopes_in(value):
+    """Every Envelope reachable from ``value``: onion layers, sealed bodies."""
+    if isinstance(value, Envelope):
+        return [value] + envelopes_in(value.payload)
+    if is_dataclass(value):
+        return [e for f in fields(value) for e in envelopes_in(getattr(value, f.name))]
+    if isinstance(value, tuple):
+        return [e for item in value for e in envelopes_in(item)]
+    return []
+
+
+def fields_in_order(value):
+    """Every dataclass instance in ``value`` holds its fields in declaration
+    order, as ``__init__`` stores them (what an unpickled copy gets)."""
+    if is_dataclass(value):
+        names = [f.name for f in fields(value)]
+        return list(vars(value))[: len(names)] == names and all(
+            fields_in_order(getattr(value, name)) for name in names
+        )
+    if isinstance(value, tuple):
+        return all(fields_in_order(item) for item in value)
+    return True
+
+
+def looks(envelope):
+    """What anyone can see of an Envelope without reading ``_wire``."""
+    duplicate = copy.deepcopy(envelope)
+    return (
+        hash(envelope),
+        repr(envelope),
+        pickle.dumps(envelope),
+        pickle.dumps(duplicate),
+        vars(duplicate),
+    )
+
+
+@pytest.mark.parametrize("relays", range(7))
+@given(nonce=nonces, bumps=st.integers(min_value=0, max_value=3), sent_at=finite_floats)
+@settings(max_examples=10, deadline=None)
+def test_sealed_values_encode_once_and_stay_invisible(relays, nonce, bumps, sent_at):
+    """A resealed onion's blob and a fresh sealed body: the first and the
+    second encode both give the planned bytes, and encoding changes
+    nothing ``==``, ``hash``, ``repr``, ``pickle`` or ``deepcopy`` see —
+    so no simulated signature digest depends on whether a value was sent."""
+    onion = onion_of(0, relays, seq=1)
+    for seq in range(2, 2 + bumps):
+        onion = reseal(BACKEND, onion, KEYS[0].sr, seq)
+    request = TrustValueRequest(
+        sealed_body=BACKEND.encrypt(
+            KEYS[1].sp, TrustRequestBody(subject=KEYS[2].node_id, nonce=nonce)
+        ),
+        requestor_sp=KEYS[0].sp,
+        requestor_onion=onion,
+    )
+    packet = OnionPacket(onion_of(3, relays).blob, request, "trust_query", sent_at)
+    sealed = envelopes_in(packet)
+    assert len(sealed) == 2 * (relays + 1) + 1
+    copies = [copy.deepcopy(e) for e in sealed]
+    before = [looks(e) for e in sealed]
+    with envelope_memo_bypassed():
+        planned = encode(packet)
+        planned_request = encode(request)
+    assert all(e._wire is None for e in sealed)
+
+    assert encode(packet) == planned
+    assert all(e._wire is not None for e in sealed)
+    assert encode(packet) == planned
+    assert encode(request) == planned_request
+    assert [looks(e) for e in sealed] == before
+    assert sealed == copies and copies == sealed
+    assert onion.verify(BACKEND, KEYS[0].sp)
+
+    # The owner's side: decode, open the request, and send it on again.
+    hop = decode(planned)
+    inbound = hop.message.unpack()
+    assert inbound == request
+    # Decoded without __init__, laid out and pickled as if built by it.
+    assert fields_in_order(hop) and fields_in_order(inbound)
+    assert looks(inbound.sealed_body) == looks(request.sealed_body)
+    with envelope_memo_bypassed():
+        planned_again = encode(inbound)
+    assert encode(inbound) == encode(inbound) == planned_again == planned_request

@@ -5,7 +5,7 @@ import inspect
 import numpy as np
 import pytest
 
-from repro.errors import UnknownNodeError
+from repro.errors import NetworkError, UnknownNodeError
 from repro.net.network import P2PNetwork
 from repro.net.substrate import Substrate
 from repro.net.topology import ring_lattice
@@ -95,6 +95,33 @@ def test_delivery_rejects_unknown_nodes(index):
         with pytest.raises(UnknownNodeError):
             net.send(0, index, "x")
         assert net.counter.total == 0 and index not in net._handlers
+
+
+@pytest.mark.parametrize("make", [P2PNetwork, serve_network], ids=["p2p", "serve"])
+def test_send_checks_src_then_liveness_then_dst_before_anything(make):
+    """Both sends raise in one order — unknown src, offline src, unknown
+    dst — and each before a message is counted, observed or posted."""
+    net = make(ring_lattice(N, k=1), np.random.default_rng(1))
+    seen = []
+    net.observers.append(seen.append)
+    net.set_online(3, False)
+    cases = [
+        (-1, N, UnknownNodeError, -1),  # bad src wins over bad dst
+        (N, 3, UnknownNodeError, N),
+        (3, N, NetworkError, None),  # offline src wins over bad dst
+        (3, 0, NetworkError, None),
+        (0, N, UnknownNodeError, N),
+        (0, -1, UnknownNodeError, -1),
+    ]
+    for src, dst, error, index in cases:
+        with pytest.raises(NetworkError) as raised:
+            net.send(src, dst, "x", category="trust_query")
+        assert type(raised.value) is error, (src, dst)
+        if index is not None:
+            assert raised.value.args == (index,)
+    assert net.counter.total == 0 and seen == []
+    if make is serve_network:
+        assert net.frames_sent == 0 and net.transport.frames_posted == 0
 
 
 # -------------------------------------------------- plain Python at the edge

@@ -40,10 +40,13 @@ def test_make_transport_names():
 
 def test_tcp_stream_framing_round_trips():
     frame = make_frame(payload=b"\x00" * 300)
+    assert not hasattr(frame, "__dict__")  # slotted, built positionally
+    assert frame == Frame(0, 1, "trust_request", 2.5, b"\x00" * 300)
     packed = _tcp_pack(frame)
     body = packed[4:]
     assert len(body) == int.from_bytes(packed[:4], "big")
-    assert _tcp_unpack(body) == frame
+    back = _tcp_unpack(body)
+    assert type(back) is Frame and back == frame
 
 
 @pytest.mark.parametrize("name", TRANSPORT_NAMES)

@@ -1,6 +1,7 @@
 """Unit tests for simulation tracing: the timeline buffer, and the network
 tap that feeds it (the telemetry plane's send/fault observers)."""
 
+from collections import deque
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.obs.plane import TelemetryPlane
-from repro.sim.trace import Tracer
+from repro.sim.trace import TraceEntry, Tracer
 
 
 def tap_network(network) -> Tracer:
@@ -92,6 +93,72 @@ class TestTracer:
     def test_capacity_validation(self):
         with pytest.raises(ConfigError):
             Tracer(capacity=0)
+
+
+class _NoFullWalk(deque):
+    """A buffer that refuses to be walked from the front."""
+
+    def __iter__(self):
+        raise AssertionError("the whole buffer was walked")
+
+
+class TestFullBufferReads:
+    """Events are stored as plain records; every read equals what a buffer
+    of :class:`TraceEntry` objects would give."""
+
+    CAPACITY = 5
+
+    @pytest.fixture
+    def filled(self):
+        tracer = Tracer(capacity=self.CAPACITY)
+        reference = []
+        for i in range(12):
+            time, category = float(i) * 1.5, ("send", "recv", "fault.drop")[i % 3]
+            fields = {"src": i, "dst": i + 1} if i % 2 else {"category": "x", "time": i}
+            tracer.record(time, category, **fields)
+            reference.append(TraceEntry(time, category, tuple(fields.items())))
+        return tracer, reference[-self.CAPACITY :]
+
+    def test_counts(self, filled):
+        tracer, held = filled
+        assert (tracer.recorded, tracer.evicted, len(tracer)) == (12, 7, 5)
+        assert tracer.summary() == "5 held, 12 recorded, 7 evicted"
+
+    def test_entries_and_between(self, filled):
+        tracer, held = filled
+        assert tracer.entries() == held
+        for category in ("send", "recv", "fault.drop", "none"):
+            assert tracer.entries(category) == [e for e in held if e.category == category]
+        for start, end in ((0.0, 100.0), (11.0, 15.0), (12.0, 12.0), (15.0, 16.5)):
+            assert tracer.between(start, end) == [e for e in held if start <= e.time < end]
+
+    @pytest.mark.parametrize("limit", [1, 3, 5, 50, 0, -2, -9])
+    def test_render(self, filled, limit):
+        tracer, held = filled
+        lines = [e.render() for e in held[-limit:]] + [f"({tracer.summary()})"]
+        assert tracer.render(limit) == "\n".join(lines)
+
+    def test_render_reads_only_the_tail(self, filled):
+        tracer, held = filled
+        expected = tracer.render(3)
+        tracer._events = _NoFullWalk(tracer._events, maxlen=self.CAPACITY)
+        assert tracer.render(3) == expected
+
+
+def test_hirep_bundle_key_is_pinned(small_config, tmp_path):
+    """The bundle a traced hirep run stores is byte-for-byte what it was
+    when the timeline held TraceEntry objects."""
+    from repro.core.registry import build_system
+    from repro.obs.bundle import store_bundle
+    from repro.obs.capture import capture
+
+    with capture() as plane:
+        system = build_system("hirep", small_config)
+        system.bootstrap()
+        system.run(3, requestor=0)
+    key, _ = store_bundle(plane, tmp_path)
+    assert plane.tracer.recorded == 144
+    assert key == "f4c391be2d1893ca5bd742a321d10ff747348825ef6bd37b96f0cfbbf091aa3f"
 
 
 class TestNetworkTap:
