@@ -4,12 +4,11 @@ Generic linters can't see that this codebase's correctness rests on seeded
 ``np.random.Generator`` injection, simulated time, byte-stable JSON exports,
 picklable scheduler callables, a non-blocking service loop and a layered
 import DAG.  This package encodes those invariants as pluggable rules —
-per-file AST rules and whole-program rules over an import/call graph, in
-one registry, behind one CLI — with inline pragmas as the only
-suppression.  See ``docs/static-analysis.md``.
+per-file AST rules and one whole-program rule over the import graph, in
+one registry, behind one CLI (``repro.devtools.lint.cli``) — with inline
+pragmas as the only suppression.  See ``docs/static-analysis.md``.
 """
 
-from repro.devtools.lint.cli import main
 from repro.devtools.lint.engine import (
     FileContext,
     LintResult,
@@ -29,7 +28,6 @@ __all__ = [
     "all_rules",
     "lint_paths",
     "lint_source",
-    "main",
     "module_name_for",
     "parse_pragmas",
     "register",

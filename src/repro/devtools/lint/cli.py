@@ -4,8 +4,8 @@
   and whole-program rule, report.  Exit codes: 0 clean, 1 findings or
   unreadable files, 2 bad invocation.  A finding is sanctioned only by an
   inline ``# lint: allow[RULE]`` pragma on its line.
-* ``hirep-lint graph [paths...]`` — dump the import graph and call graph
-  the whole-program rules run over as deterministic JSON (sorted keys,
+* ``hirep-lint graph [paths...]`` — dump the import graph the
+  whole-program rule runs over as deterministic JSON (sorted keys,
   sorted edges; byte-identical under any ``PYTHONHASHSEED``), plus a
   ``statements`` table: ``ast.stmt`` nodes per top-level package, the
   size counter the simplicity PRs and the ROADMAP quote.
@@ -29,10 +29,10 @@ def build_parser(graph: bool = False) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hirep-lint graph" if graph else "hirep-lint",
         description=(
-            "dump the import and call graphs as deterministic JSON"
+            "dump the import graph as deterministic JSON"
             if graph
             else "static analysis for hiREP's determinism, scheduler, serving "
-            "and layering invariants (`hirep-lint graph` dumps the graphs)"
+            "and layering invariants (`hirep-lint graph` dumps the import graph)"
         ),
     )
     parser.add_argument(
@@ -74,7 +74,6 @@ def _dump_graph(targets: list[Path], root: Path, stream: TextIO) -> int:
     payload = {
         "modules": sorted(project.summaries),
         "imports": project.imports.to_dict(),
-        "calls": project.calls.to_dict(),
         "statements": statements,
         "errors": sorted(errors),
     }

@@ -3,8 +3,8 @@
 One pass: every file is read and ``ast.parse``-d exactly once into a
 :class:`FileContext`.  Per-file rules walk that tree; when a whole-program
 rule is active the same trees are digested into module summaries and
-assembled into the import/call graphs (:mod:`repro.devtools.lint.graphs`)
-those rules run over.  Findings of both kinds are then dropped where an
+assembled into the import graph (:mod:`repro.devtools.lint.graphs`) those
+rules run over.  Findings of both kinds are then dropped where an
 inline ``# lint: allow[RULE]`` pragma sits on the reported line — the
 only suppression there is.
 """
@@ -98,7 +98,7 @@ class LintResult:
 
 
 def build_project(files: Iterable[FileContext]) -> tuple[Project, list[str]]:
-    """Summarize every named module and assemble the whole-program graphs."""
+    """Summarize every named module and assemble the import graph."""
     summaries: dict[str, ModuleSummary] = {}
     errors: list[str] = []
     for ctx in files:

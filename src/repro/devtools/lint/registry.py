@@ -2,7 +2,7 @@
 
 A rule is a class with a ``code``, a ``name`` and either a per-file
 ``check(ctx)`` or — when ``whole_program`` is set — a ``check_project``
-over the assembled import/call graphs.  Both kinds live in the same
+over the assembled import graph.  Both kinds live in the same
 registry, are listed by ``--list-rules``, selected by ``--select`` and
 suppressed by the same inline pragma.  Registration is a decorator, so
 dropping a module into :mod:`repro.devtools.lint.rules` and importing it
@@ -41,7 +41,7 @@ class Rule:
     #: ``repro.sim`` and everything below it.
     packages: tuple[str, ...] | None = None
     #: whole-program rules implement :meth:`check_project` and run once
-    #: over the graphs instead of once per file.
+    #: over the import graph instead of once per file.
     whole_program: bool = False
 
     def applies_to(self, module: str | None) -> bool:

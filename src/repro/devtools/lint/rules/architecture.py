@@ -25,18 +25,11 @@ from typing import Iterator
 from repro.devtools.lint.engine import FileContext
 from repro.devtools.lint.findings import Finding
 from repro.devtools.lint.registry import Rule, register
+from repro.devtools.lint.summaries import callee_name
 
 #: CapWord names ending in ``System`` — the constructor naming convention
 #: shared by hiREP and every baseline (HiRepSystem, PureVotingSystem, ...).
 _SYSTEM_CLASS_RE = re.compile(r"^[A-Z]\w*System$")
-
-
-def _callee_name(func: ast.expr) -> str:
-    if isinstance(func, ast.Name):
-        return func.id
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    return ""
 
 
 @register
@@ -67,7 +60,7 @@ class RegistryConstruction(Rule):
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue
-            name = _callee_name(node.func)
+            name = callee_name(node.func)
             if _SYSTEM_CLASS_RE.match(name):
                 yield ctx.finding(
                     self,

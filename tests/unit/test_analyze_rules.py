@@ -1,6 +1,6 @@
-"""Whole-program rules (SRV001/TNT003/LAY001) against multi-module fixture
-trees, plus the cross-module determinism fixtures the per-file DET rules
-inherited from the retired reachability rule."""
+"""The whole-program rule (LAY001) against multi-module fixture trees, plus
+cross-module fixtures for the per-file DET, SRV001 and EXC001 rules: a
+helper in one module never makes another module's finding."""
 
 from __future__ import annotations
 
@@ -101,60 +101,18 @@ def test_det002_pragma_at_the_read_sanctions_every_caller(tmp_path):
 # ---------------------------------------------------------------- SRV001
 
 
-BLOCKING_HELPER = {
-    "repro.core.util": "import time\n\ndef settle():\n    time.sleep(0.1)\n",
-    "repro.serve.actor": (
-        "from repro.core.util import settle\n\n"
-        "async def run():\n    settle()\n"
-    ),
+BLOCKING = {
+    "repro.serve.actor": "import time\n\nasync def run():\n    time.sleep(1)\n",
 }
 
 
-def test_srv001_flags_blocking_reach_through_sync_helper(tmp_path):
-    findings = analyze(tmp_path, BLOCKING_HELPER, ["SRV001"])
-    assert codes(findings) == ["SRV001"]
-    f = findings[0]
-    assert f.path.endswith("core/util.py")  # anchored at the sink
-    assert "time.sleep" in f.message
-    assert (
-        "call path: repro.serve.actor.run -> repro.core.util::settle "
-        "(src/repro/serve/actor.py:4) -> time.sleep (src/repro/core/util.py:4)"
-    ) in f.message
-
-
-def test_srv001_flags_run_until_complete_and_open_behind_helpers(tmp_path):
-    findings = analyze(
-        tmp_path,
-        {
-            "repro.core.util": (
-                "import asyncio\n\n"
-                "def reenter(loop, coro):\n    return loop.run_until_complete(coro)\n\n"
-                "def slurp(p):\n    return open(p).read()\n"
-            ),
-            "repro.serve.actor": (
-                "from repro.core.util import reenter, slurp\n\n"
-                "async def run(loop, coro, p):\n    reenter(loop, coro)\n    slurp(p)\n"
-            ),
-        },
-        ["SRV001"],
-    )
-    assert codes(findings) == ["SRV001", "SRV001"]
-
-
 def test_srv001_direct_sink_is_the_depth_zero_path(tmp_path):
-    findings = analyze(
-        tmp_path,
-        {
-            "repro.serve.actor": (
-                "import time\n\nasync def run():\n    time.sleep(1)\n"
-            )
-        },
-        ["SRV001"],
-    )
-    assert codes(findings) == ["SRV001"]
-    assert (
-        "call path: repro.serve.actor.run -> time.sleep (src/repro/serve/actor.py:4)"
-    ) in findings[0].message
+    findings = analyze(tmp_path, BLOCKING, ["SRV001"])
+    assert [(f.rule, f.path, f.line) for f in findings] == [
+        ("SRV001", "src/repro/serve/actor.py", 4)
+    ]
+    assert "time.sleep blocks the event loop in coroutine `run`" in findings[0].message
+    assert "await asyncio.sleep(...)" in findings[0].message
 
 
 def test_srv001_non_awaited_read_only_counts_inside_the_coroutine(tmp_path):
@@ -174,67 +132,10 @@ def test_srv001_non_awaited_read_only_counts_inside_the_coroutine(tmp_path):
     ]
 
 
-def test_srv001_pragma_at_sink_sanctions_every_path(tmp_path):
-    files = dict(BLOCKING_HELPER)
-    files["repro.core.util"] = (
-        "import time\n\ndef settle():\n"
-        "    time.sleep(0.1)  # lint: allow[SRV001]\n"
-    )
-    assert analyze(tmp_path, files, ["SRV001"]) == []
+# ---------------------------------------------------------------- EXC001
 
 
-# ---------------------------------------------------------------- TNT003
-
-
-def test_tnt003_resolves_module_level_lambda_through_import(tmp_path):
-    findings = analyze(
-        tmp_path,
-        {
-            "repro.workloads.fns": "work = lambda: 1\n",
-            "repro.exec.runner": (
-                "from repro.workloads.fns import work\n\n"
-                "def go(pool):\n    pool.submit(work)\n"
-            ),
-        },
-        ["TNT003"],
-    )
-    assert codes(findings) == ["TNT003"]
-    assert "repro.workloads.fns" in findings[0].message
-
-
-def test_tnt003_follows_reexport_chain(tmp_path):
-    findings = analyze(
-        tmp_path,
-        {
-            "repro.workloads.fns": "work = lambda: 1\n",
-            "repro.workloads.api": "from repro.workloads.fns import work\n",
-            "repro.exec.runner": (
-                "from repro.workloads.api import work\n\n"
-                "def go(pool):\n    pool.submit(work)\n"
-            ),
-        },
-        ["TNT003"],
-    )
-    assert codes(findings) == ["TNT003"]
-
-
-def test_tnt003_flags_lambda_captured_in_partial(tmp_path):
-    findings = analyze(
-        tmp_path,
-        {
-            "repro.exec.runner": (
-                "from functools import partial\n\n"
-                "def work(key):\n    return key(1)\n\n"
-                "def go(pool):\n    pool.submit(partial(work, key=lambda x: x))\n"
-            ),
-        },
-        ["TNT003"],
-    )
-    assert codes(findings) == ["TNT003"]
-    assert "partial" in findings[0].message
-
-
-def test_tnt003_module_level_def_is_clean(tmp_path):
+def test_exc001_imported_module_level_def_is_clean(tmp_path):
     findings = analyze(
         tmp_path,
         {
@@ -244,22 +145,7 @@ def test_tnt003_module_level_def_is_clean(tmp_path):
                 "def go(pool):\n    pool.submit(work)\n"
             ),
         },
-        ["TNT003"],
-    )
-    assert findings == []
-
-
-def test_tnt003_pragma_suppresses(tmp_path):
-    findings = analyze(
-        tmp_path,
-        {
-            "repro.workloads.fns": "work = lambda: 1\n",
-            "repro.exec.runner": (
-                "from repro.workloads.fns import work\n\n"
-                "def go(pool):\n    pool.submit(work)  # lint: allow[TNT003]\n"
-            ),
-        },
-        ["TNT003"],
+        ["EXC001"],
     )
     assert findings == []
 
@@ -277,6 +163,27 @@ def test_lay001_flags_upward_module_level_import(tmp_path):
         ["LAY001"],
     )
     assert codes(findings) == ["LAY001"]
+    assert "upward" in findings[0].message
+
+
+def test_lay001_resolves_relative_imports(tmp_path):
+    findings = analyze(
+        tmp_path,
+        {
+            "repro.net.mod": (
+                "from . import peer\n"  # same package: clean
+                "from ..core.system import boot\n"  # upward
+            ),
+            "repro.net.peer": "VALUE = 1\n",
+            # a package's __init__ resolves `.` to the package itself
+            "repro.core.__init__": "from .system import boot\n",
+            "repro.core.system": "def boot():\n    pass\n",
+        },
+        ["LAY001"],
+    )
+    assert [(f.rule, f.path, f.line) for f in findings] == [
+        ("LAY001", "src/repro/net/mod.py", 2)
+    ]
     assert "upward" in findings[0].message
 
 
@@ -377,7 +284,8 @@ def test_lay001_pragma_on_import_line_suppresses(tmp_path):
 
 
 def test_all_rules_run_together_and_sort_stably(tmp_path):
-    files = {**CLOCK_HELPER, **BLOCKING_HELPER}
+    files = {**CLOCK_HELPER, **BLOCKING}
+    files["repro.core.util"] = "def settle():\n    pass\n"
     files["repro.net.mod"] = "from repro.core.util import settle\n"  # upward
     first = analyze(tmp_path, files)
     second = analyze(tmp_path, files)

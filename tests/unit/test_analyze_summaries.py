@@ -1,16 +1,18 @@
-"""Summary extraction: imports, functions, classes, scheduler sinks."""
+"""Summary extraction: import records, their scope and gating, relative imports."""
 
 from __future__ import annotations
 
 import textwrap
 
 from repro.devtools.lint import FileContext
-from repro.devtools.lint.summaries import MODULE_SCOPE, ModuleSummary, extract_summary
+from repro.devtools.lint.summaries import ModuleSummary, extract_summary
 
 
-def summarize(source: str, module: str = "repro.sim.mod") -> ModuleSummary:
+def summarize(
+    source: str, module: str = "repro.sim.mod", path: str = "src/fake.py"
+) -> ModuleSummary:
     return extract_summary(
-        FileContext.parse(textwrap.dedent(source), module=module, path="src/fake.py")
+        FileContext.parse(textwrap.dedent(source), module=module, path=path)
     )
 
 
@@ -49,99 +51,21 @@ def test_type_checking_imports_are_marked():
     assert rec.type_checking is True
 
 
-def test_function_qualnames_and_async():
-    s = summarize(
-        """
-        def top():
-            def inner():
-                pass
-
-        async def aio():
-            pass
-
-        class Box:
-            def method(self):
-                pass
-        """
+def test_relative_imports_resolve_against_the_package():
+    source = """
+        from . import peer
+        from .peer import Peer as P
+        from ..core import system
+        from ... import beyond
+    """
+    s = summarize(source, module="repro.net.mod")
+    assert [(r.module, r.name, r.binding) for r in s.imports] == [
+        ("repro.net", "peer", "peer"),
+        ("repro.net.peer", "Peer", "P"),
+        ("repro.core", "system", "system"),
+    ]  # climbing above the top-level package binds nothing
+    # in a package's __init__, `.` is the package itself
+    init = summarize(
+        "from .peer import Peer\n", module="repro.net", path="src/repro/net/__init__.py"
     )
-    assert "top" in s.functions
-    assert "top.<locals>.inner" in s.functions
-    assert s.functions["top.<locals>.inner"].nested
-    assert s.functions["aio"].is_async
-    assert s.functions["Box.method"].class_name == "Box"
-    assert MODULE_SCOPE in s.functions
-
-
-def test_call_sites_record_chain_and_awaited():
-    s = summarize(
-        """
-        import time
-
-        async def run():
-            await helper()
-            time.sleep(1)
-        """
-    )
-    calls = {c.chain: c for c in s.functions["run"].calls}
-    assert calls[("helper",)].awaited is True
-    assert calls[("time", "sleep")].awaited is False
-
-
-def test_module_level_calls_land_in_module_scope():
-    s = summarize("import time\nSTART = time.time()\n")
-    chains = [c.chain for c in s.functions[MODULE_SCOPE].calls]
-    assert ("time", "time") in chains
-
-
-def test_class_info_bases_methods_attr_types():
-    s = summarize(
-        """
-        from repro.core.system import HiRepSystem
-
-        class Live(HiRepSystem):
-            def __init__(self):
-                self.engine = WallEngine()
-
-            def step(self):
-                pass
-        """
-    )
-    cls = s.classes["Live"]
-    assert ("HiRepSystem",) in cls.bases
-    assert set(cls.methods) == {"__init__", "step"}
-    assert cls.attr_types["engine"] == ("WallEngine",)
-
-
-def test_lambda_bindings_and_aliases():
-    s = summarize(
-        """
-        import repro.exec.worker as worker_mod
-
-        square = lambda x: x * x
-        run = worker_mod.execute_spec
-        """
-    )
-    assert "square" in s.lambda_bindings
-    assert s.aliases["run"] == ("worker_mod", "execute_spec")
-
-
-def test_callable_refs_direct_name_lambda_and_captured():
-    s = summarize(
-        """
-        from functools import partial
-
-        def go(pool, work):
-            pool.submit(work)
-            pool.submit(lambda: 1)
-            pool.submit(partial(work, key=lambda x: x))
-        """
-    )
-    kinds = sorted(r.kind for r in s.callable_refs)
-    assert kinds == ["captured_lambda", "lambda", "name", "name"]
-    named = [r for r in s.callable_refs if r.kind == "name"]
-    assert all(r.chain == ("work",) for r in named)
-
-
-def test_sweepplan_assemble_kwarg_is_a_sink():
-    s = summarize("plan = SweepPlan(specs=[], assemble=lambda rs: rs)\n")
-    assert [r.sink for r in s.callable_refs] == ["SweepPlan(assemble=...)"]
+    assert [(r.module, r.name) for r in init.imports] == [("repro.net.peer", "Peer")]

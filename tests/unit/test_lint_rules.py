@@ -1,8 +1,8 @@
 """Each bundled hirep-lint rule against planted-violation fixtures.
 
 Every rule gets: a snippet that must trigger it, a snippet that must not,
-and a pragma'd snippet that must be suppressed.  Multi-module fixtures for
-the whole-program rules live in ``test_analyze_rules.py``.
+and a pragma'd snippet that must be suppressed.  Multi-module fixtures
+(the whole-program LAY001 among them) live in ``test_analyze_rules.py``.
 """
 
 from __future__ import annotations
@@ -244,6 +244,22 @@ def test_exc001_allows_module_level_and_partial():
 def test_exc001_flags_lambda_inside_partial():
     src = "from functools import partial\nf = pool.submit(partial(lambda x: x, 1))\n"
     assert "EXC001" in codes(src)
+
+
+def test_exc001_flags_lambda_captured_in_partial():
+    src = """
+        from functools import partial
+
+        def work(key):
+            return key(1)
+
+        def go(pool):
+            pool.submit(partial(work, key=lambda x: x))
+            pool.map(partial(work, lambda x: x), [1])
+    """
+    result = lint_source(textwrap.dedent(src), module="repro.sim.fake", path="fake.py")
+    assert [(f.rule, f.line) for f in result.findings] == [("EXC001", 8), ("EXC001", 9)]
+    assert "captured in a functools.partial argument" in result.findings[0].message
 
 
 def test_exc001_pragma_suppresses():
