@@ -124,27 +124,39 @@ def test_bench_codec_encode_decode_cold(benchmark, perf):
 
 
 def test_bench_codec_relay_hop(benchmark, perf):
-    """What a relay does to each frame: decode → peel one layer → re-encode,
-    sizing the onward packet as ``OnionRouter.handle`` does."""
-    from repro.core.wire import decode, encode, packet_size
-    from repro.onion.onion import build_onion, peel
-    from repro.onion.routing import OnionPacket
+    """What a live relay does to each frame: read the hop header, check the
+    outer layer against its key, its liveness and the next hop, and splice
+    the onward frame (``read_hop`` → ``OnionRouter.relay`` →
+    ``relay_frame``), up to the send."""
+    from repro.core.wire import decode, encode, read_hop
+    from repro.onion.onion import build_onion
+    from repro.onion.routing import OnionPacket, OnionRouter
 
     backend, keys, relays, request = _codec_fixture()
     to_agent = build_onion(backend, keys[5].ap, keys[5].sr, 5, relays, seq=1)
     frame = encode(OnionPacket(to_agent.blob, request, "trust_query", 0.0))
-    entry_relay = keys[relays[-1][0]].ar
+    entry_relay = relays[-1][0]
+
+    class Edge:
+        """The network as a relay sees it: liveness, size, the send."""
+
+        n = len(keys)
+        alive = [True] * n
+        sent: tuple = ()
+
+        def send_encoded(self, src, dst, onward, category, payload):
+            self.sent = (dst, onward)
+
+    edge = Edge()
+    router = OnionRouter(edge, backend)
+    router.register_node(entry_relay, keys[entry_relay].ar)
 
     def hop():
-        inbound = decode(frame)
-        outcome = peel(backend, entry_relay, inbound.blob)
-        onward = OnionPacket(
-            outcome.inner, inbound.message, inbound.category, inbound.sent_at
-        )
-        return outcome.next_ip, encode(onward, packet_size(onward, inbound))
+        return router.relay(entry_relay, read_hop(frame))
 
-    next_ip, onward_frame = benchmark(hop)
-    assert next_ip == relays[-2][0]
+    assert benchmark(hop)
+    next_ip, onward_frame = edge.sent
+    assert next_ip == relays[-2][0] and router.dropped == 0
     assert decode(onward_frame).message == request
     if benchmark.stats is not None:
         perf.record(

@@ -34,6 +34,9 @@ forwards the rest as the bytes it received.  That hop header is the one
 type not left to the plan: ``OnionPacket``'s codec reads and writes it as
 a fixed layout in one pass, and hands anything off the layout to the
 planned field readers, so both accept and refuse exactly the same frames.
+A live relay does not build even that header: :func:`read_hop` reads where
+its fields sit, and :func:`relay_frame` splices the onward frame from the
+inbound bytes.
 A sealed value (``Envelope``) is encoded by the plan once: the encoder
 keeps the bytes on the instance and splices them on every later encode.
 """
@@ -44,7 +47,7 @@ import struct
 from dataclasses import fields as dataclass_fields
 from operator import attrgetter
 from types import UnionType
-from typing import Any, Callable, Union, get_args, get_origin, get_type_hints
+from typing import Any, Callable, NamedTuple, Union, get_args, get_origin, get_type_hints
 
 from repro.core.messages import (
     AgentListEntry,
@@ -72,6 +75,9 @@ __all__ = [
     "encode",
     "decode",
     "WireSlice",
+    "Hop",
+    "read_hop",
+    "relay_frame",
     "FRAME_OVERHEAD",
     "WIRE_VERSION",
     "SEAL_BLOCK_BYTES",
@@ -698,16 +704,21 @@ def _encode_packet(packet: OnionPacket, out: bytearray) -> None:
         _encode_value(sent_at, out)
 
 
-def _read_hop_header(buf: bytes, offset: int) -> tuple[Any, int] | None:
-    """The packet at ``offset`` read as the fixed layout; None off it.
+def _hop_layout(buf: bytes, offset: int) -> tuple[int, ...] | None:
+    """Where the fields of the packet at ``offset`` sit, read as the fixed
+    layout; None off it.
 
-    Every slice ends where a later read starts, and that read raises
-    IndexError / struct.error if the slice ran past the body.
+    Returns ``(fingerprint_end, next_ip, inner_at, message_at, category_at,
+    sent_at_at, sent_at)``: the fingerprint is ``buf[offset + 3 :
+    fingerprint_end]``, the inner slice runs up to the message's length
+    prefix, the message slice up to ``category_at``, the category's text
+    up to ``sent_at_at``, and the packet ends 9 bytes after it.  Every
+    slice ends where a later read starts, and that read raises IndexError
+    / struct.error if the slice ran past the buffer.
     """
     if buf[offset] != _ENVELOPE_TAG or buf[offset + 1] != _T_BYTES8:
         return None
-    at = offset + 3 + buf[offset + 2]
-    fingerprint = buf[offset + 3 : at]
+    fingerprint_end = at = offset + 3 + buf[offset + 2]
     if buf[at] != _LAYER_TAG or buf[at + 1] != _T_INT:
         return None
     ip_at = at + 3
@@ -718,25 +729,44 @@ def _read_hop_header(buf: bytes, offset: int) -> tuple[Any, int] | None:
     at = inner_at + n
     (n,) = _U16.unpack_from(buf, at)
     message_at = at + _LEN_PREFIX
-    cat_at = message_at + n
-    if buf[cat_at] != _T_STR8:
+    category_at = message_at + n
+    if buf[category_at] != _T_STR8:
         return None
-    end = cat_at + 2 + buf[cat_at + 1]
-    tag, sent_at = _TAGGED_F64.unpack_from(buf, end)
+    sent_at_at = category_at + 2 + buf[category_at + 1]
+    tag, sent_at = _TAGGED_F64.unpack_from(buf, sent_at_at)
     if tag != _T_FLOAT:
         return None
+    return fingerprint_end, next_ip, inner_at, message_at, category_at, sent_at_at, sent_at
+
+
+def _hop_packet(
+    buf: bytes,
+    offset: int,
+    layout: tuple[int, ...],
+    inner: WireSlice | None = None,
+    category: str | None = None,
+) -> OnionPacket:
+    """The packet a :func:`_hop_layout` read describes; the caller may pass
+    the inner slice and category text it already built."""
+    fingerprint_end, next_ip, inner_at, message_at, category_at, sent_at_at, sent_at = layout
+    if inner is None:
+        inner = WireSlice(buf[inner_at : message_at - _LEN_PREFIX])
+    if category is None:
+        category = buf[category_at + 2 : sent_at_at].decode("utf-8")
     # Envelope and OnionLayer built as _class_decoder builds them.
     layer = _new_object(OnionLayer)
-    layer.__dict__.update(next_ip=next_ip, inner=WireSlice(buf[inner_at:at]))
+    layer.__dict__.update(next_ip=next_ip, inner=inner)
     envelope = _new_object(Envelope)
-    envelope.__dict__.update(fingerprint=fingerprint, payload=layer)
-    packet = OnionPacket(
-        envelope,
-        WireSlice(buf[message_at:cat_at]),
-        buf[cat_at + 2 : end].decode("utf-8"),
-        sent_at,
-    )
-    return packet, end + _TAGGED_F64.size
+    envelope.__dict__.update(fingerprint=buf[offset + 3 : fingerprint_end], payload=layer)
+    return OnionPacket(envelope, WireSlice(buf[message_at:category_at]), category, sent_at)
+
+
+def _read_hop_header(buf: bytes, offset: int) -> tuple[Any, int] | None:
+    """The packet at ``offset`` read as the fixed layout; None off it."""
+    layout = _hop_layout(buf, offset)
+    if layout is None:
+        return None
+    return _hop_packet(buf, offset, layout), layout[5] + _TAGGED_F64.size
 
 
 def _decode_packet(buf: bytes, offset: int, depth: int) -> tuple[Any, int]:
@@ -752,6 +782,90 @@ def _decode_packet(buf: bytes, offset: int, depth: int) -> tuple[Any, int]:
 
 _ENCODERS[OnionPacket] = _encode_packet
 _DECODERS[_PACKET_TAG] = _decode_packet
+
+
+# -- a relay's hop, spliced from the frame it arrived in -----------------------
+#
+# A relay reads the hop header, peels the outer layer and forwards the rest.
+# Decoding that frame into objects only to encode them again writes the
+# bytes it read: the onward body is the packet tag, then the inbound frame
+# from the inner slice through sent_at.  So a live relay reads the layout's
+# offsets once (read_hop) and splices the onward frame (relay_frame); an
+# owner's frame, or any frame a relay cannot splice, is decoded from the
+# same read.
+
+
+class Hop(NamedTuple):
+    """A frame whose whole body is one packet of the fixed hop layout:
+    read, nothing built (:func:`read_hop`)."""
+
+    frame: bytes
+    layout: tuple[int, ...]  # _hop_layout's read of the packet
+    fingerprint: bytes  # the key the outer layer is sealed to
+    next_ip: int  # the hop the outer layer names
+    inner: WireSlice  # the blob under the outer layer
+    category: str
+    #: Sealed layers of the packet's blob, as decode counts them: the
+    #: outer one plus the inner slice's.
+    layers: int
+
+
+_new_hop = tuple.__new__
+_BODY_AT = FRAME_OVERHEAD + 1  # the packet after its tag
+_PACKET_PREFIX = bytes([_PACKET_TAG])
+
+
+def read_hop(frame: bytes) -> Hop | None:
+    """``frame`` read as one packet of the fixed hop layout.
+
+    None when the frame is anything else — a bad header, another value,
+    a field off the layout, trailing data: :func:`decode` reads those and
+    raises or falls back exactly as it always has.
+    """
+    try:
+        magic, version, body_len = _HEADER.unpack_from(frame)
+        if magic != _MAGIC or version != WIRE_VERSION or frame[FRAME_OVERHEAD] != _PACKET_TAG:
+            return None
+        layout = _hop_layout(frame, _BODY_AT)
+        if layout is None or layout[5] + _TAGGED_F64.size != FRAME_OVERHEAD + body_len:
+            return None
+        fingerprint_end, next_ip, inner_at, message_at, category_at, sent_at_at, _ = layout
+        category = frame[category_at + 2 : sent_at_at].decode("utf-8")
+    except (IndexError, struct.error, UnicodeDecodeError):
+        return None
+    inner = WireSlice(frame[inner_at : message_at - _LEN_PREFIX])
+    return _new_hop(
+        Hop,
+        (
+            frame,
+            layout,
+            frame[_BODY_AT + 3 : fingerprint_end],
+            next_ip,
+            inner,
+            category,
+            1 + inner.layers(),
+        ),
+    )
+
+
+def relay_frame(hop: Hop) -> tuple[bytes, WireSlice]:
+    """The frame a relay forwards for ``hop``, and its body as a slice.
+
+    The bytes are those :func:`encode` writes for the packet
+    ``OnionRouter.handle`` forwards — ``header | packet tag |
+    frame[inner … sent_at] | zero pad`` — padded to the same count-down
+    size: the inbound frame less one sealed layer.  The count needs the
+    inner slice's depth, so only a hop whose inner slice is sealed itself
+    (``hop.layers > 1``) is spliced.
+    """
+    frame, layers = hop.frame, hop.layers
+    body = _PACKET_PREFIX + frame[hop.layout[2] : hop.layout[5] + _TAGGED_F64.size]
+    size = len(frame) - FRAME_OVERHEAD - _depth_field(layers) + _depth_field(layers - 1)
+    onward = _HEADER.pack(_MAGIC, WIRE_VERSION, len(body)) + body
+    pad = size - len(body)
+    if pad > 0:
+        onward += bytes(pad)
+    return onward, WireSlice(body)
 
 
 def encode(message: Any, size: int | None = None) -> bytes:
@@ -775,34 +889,40 @@ def encode(message: Any, size: int | None = None) -> bytes:
     return bytes(out)
 
 
-def decode(frame: bytes | bytearray) -> Any:
+def decode(frame: bytes | bytearray, hop: Hop | None = None) -> Any:
     """Deserialize one frame produced by :func:`encode`.
 
     Raises :class:`~repro.errors.WireError` — and nothing else — on bad
     magic, version, length, or any malformed field.  Opaque positions come
     back as :class:`WireSlice`; their contents are checked when unpacked.
+    ``hop`` is :func:`read_hop`'s read of ``frame`` when the caller made
+    one: the packet is built from it, not read again.
     """
-    buf = bytes(frame)
-    if len(buf) < FRAME_OVERHEAD:
-        raise WireError(f"frame of {len(buf)} bytes is shorter than the header")
-    magic, version, body_len = _HEADER.unpack_from(buf)
-    if magic != _MAGIC:
-        raise WireError("bad frame magic")
-    if version != WIRE_VERSION:
-        raise WireError(f"unsupported wire version {version}")
-    if FRAME_OVERHEAD + body_len > len(buf):
-        raise WireError("truncated frame: declared body exceeds frame length")
-    value, end = _decode_value(buf[FRAME_OVERHEAD : FRAME_OVERHEAD + body_len], 0, 0)
-    if end != body_len:
-        raise WireError("malformed frame: body has trailing data")
-    if type(value) is OnionPacket:
-        # The frame was padded to wire_size(packet): what the blob does not
-        # account for is the sealed message's modelled size.  Both ride on
-        # the packet too, so the relay's packet_size(inner, value) counts
-        # down instead of reading the slices again.
+    if hop is not None:
+        buf = hop.frame
+        value = _hop_packet(buf, _BODY_AT, hop.layout, hop.inner, hop.category)
+        depth = hop.layers
+    else:
+        buf = bytes(frame)
+        if len(buf) < FRAME_OVERHEAD:
+            raise WireError(f"frame of {len(buf)} bytes is shorter than the header")
+        magic, version, body_len = _HEADER.unpack_from(buf)
+        if magic != _MAGIC:
+            raise WireError("bad frame magic")
+        if version != WIRE_VERSION:
+            raise WireError(f"unsupported wire version {version}")
+        if FRAME_OVERHEAD + body_len > len(buf):
+            raise WireError("truncated frame: declared body exceeds frame length")
+        value, end = _decode_value(buf[FRAME_OVERHEAD : FRAME_OVERHEAD + body_len], 0, 0)
+        if end != body_len:
+            raise WireError("malformed frame: body has trailing data")
+        if type(value) is not OnionPacket:
+            return value
         depth = _onion_depth(value.blob)
-        value.message.size = value.message_bytes = (
-            len(buf) - FRAME_OVERHEAD - _depth_field(depth)
-        )
-        value.layers = depth if type(value.blob) is Envelope else 0
+    # The frame was padded to wire_size(packet): what the blob does not
+    # account for is the sealed message's modelled size.  Both ride on
+    # the packet too, so the relay's packet_size(inner, value) counts
+    # down instead of reading the slices again.
+    value.message.size = value.message_bytes = len(buf) - FRAME_OVERHEAD - _depth_field(depth)
+    value.layers = depth if type(value.blob) is Envelope else 0
     return value

@@ -78,6 +78,11 @@ class CipherBackend(abc.ABC):
     def verify(self, public: PublicKey, payload: Any, signature: Any) -> bool:
         """Check a signature; returns False (never raises) on mismatch."""
 
+    def opens(self, private: PrivateKey, fingerprint: bytes) -> bool:
+        """Whether ``private`` opens a sealed envelope addressed to
+        ``fingerprint``; only the simulated backend seals envelopes."""
+        return False
+
     def check_pair(self, public: PublicKey, private: PrivateKey) -> bool:
         """Round-trip self-test used by handshake verification."""
         probe = b"pair-probe"

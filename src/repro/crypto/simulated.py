@@ -92,15 +92,17 @@ class SimulatedBackend(CipherBackend):
     def encrypt(self, public: PublicKey, payload: Any) -> Envelope:
         return Envelope(fingerprint=public.material, payload=payload)
 
+    def opens(self, private: PrivateKey, fingerprint: bytes) -> bool:
+        # The memo read directly: every onion hop asks.
+        try:
+            return self._fingerprints[private.material] == fingerprint
+        except KeyError:
+            return self._fingerprint_of_private(private) == fingerprint
+
     def decrypt(self, private: PrivateKey, ciphertext: Any) -> Any:
         if not isinstance(ciphertext, Envelope):
             raise KeyMismatchError("not a simulated envelope")
-        # The memo read directly: every onion hop is a decrypt.
-        try:
-            fingerprint = self._fingerprints[private.material]
-        except KeyError:
-            fingerprint = self._fingerprint_of_private(private)
-        if fingerprint != ciphertext.fingerprint:
+        if not self.opens(private, ciphertext.fingerprint):
             raise KeyMismatchError("envelope sealed to a different key")
         return ciphertext.payload
 

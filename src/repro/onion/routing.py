@@ -15,7 +15,7 @@ per-hop latency, exactly as deployed onion routing would behave.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.crypto.backend import CipherBackend, PrivateKey
 from repro.crypto.simulated import Envelope
@@ -23,6 +23,9 @@ from repro.errors import OnionError, OnionPeelError
 from repro.net.messages import NetMessage
 from repro.net.network import P2PNetwork
 from repro.onion.onion import Onion, peel
+
+if TYPE_CHECKING:
+    from repro.core.wire import Hop
 
 __all__ = ["OnionPacket", "OnionRouter"]
 
@@ -51,10 +54,11 @@ class OnionRouter:
     def __init__(self, network: P2PNetwork, backend: CipherBackend) -> None:
         # Bound once per router, not per hop; function-scope because
         # repro.core imports this package.
-        from repro.core.wire import BLOB_FIELD_BYTES, WireSlice, packet_size
+        from repro.core.wire import BLOB_FIELD_BYTES, WireSlice, packet_size, relay_frame
 
         self._wire_slice = WireSlice
         self._size_of = packet_size
+        self._relay_frame = relay_frame
         self._blob_field = BLOB_FIELD_BYTES
         self.network = network
         self.backend = backend
@@ -139,8 +143,7 @@ class OnionRouter:
             if endpoint is not None:
                 endpoint(message, packet.sent_at)
             return True
-        if not self.network.alive[here]:
-            self.dropped += 1
+        if not self._forwards(here, next_ip):
             return True
         # Forward the peeled packet one hop inward.
         category = packet.category
@@ -156,6 +159,42 @@ class OnionRouter:
             size = self._size_of(inner, packet)
         self.network.send(here, int(next_ip), inner, category=category, size_bytes=size)
         return True
+
+    def relay(self, here: int, hop: Hop) -> bool:
+        """Forward a live relay hop as the frame it arrived in.
+
+        ``hop`` is :func:`~repro.core.wire.read_hop`'s read of a frame
+        delivered to ``here`` (``ServeNetwork.deliver_frame`` offers every
+        frame at a node this router handles).  The frame is dropped or
+        forwarded by :meth:`handle`'s rules — no key, a key that does not
+        open the outer layer, an offline relay or a hop naming no node
+        each count one drop — and the onward frame is spliced from the
+        inbound bytes (:func:`~repro.core.wire.relay_frame`): the bytes
+        ``handle`` would encode.  Returns False, having done nothing, for
+        a frame that is not a relay hop with a sealed inner — its owner's
+        (``next_ip < 0``, or the fake onion inside), or one whose inner
+        the splice cannot size — which the caller decodes for ``handle``.
+        """
+        next_ip = hop.next_ip
+        if next_ip < 0 or hop.layers < 2:
+            return False
+        ar = self._keys.get(here)
+        if ar is None or not self.backend.opens(ar, hop.fingerprint):
+            self.dropped += 1
+        elif self._forwards(here, next_ip):
+            frame, body = self._relay_frame(hop)
+            self.network.send_encoded(here, next_ip, frame, hop.category, body)
+        return True
+
+    def _forwards(self, here: int, next_ip: int) -> bool:
+        """Whether the relay at ``here`` forwards a layer naming
+        ``next_ip``: only while it is online, and only to a node of the
+        network.  A refusal counts one drop."""
+        network = self.network
+        if network.alive[here] and 0 <= next_ip < network.n:
+            return True
+        self.dropped += 1
+        return False
 
 
 def expected_onion_messages(n_relays: int) -> int:

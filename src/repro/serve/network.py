@@ -7,11 +7,15 @@ world derives from the same RNG streams either way.  Only delivery
 changes: instead of scheduling a discrete event, :meth:`send` encodes the
 payload through the real wire codec and posts the resulting frame on the
 transport; the destination's actor pulls it, decodes it, and feeds the
-registered handler.  Observers keep working — they hook the send path
-before the frame is posted, exactly where the simulator hooks them.  A
-frame the codec refuses is dropped and counted, never raised into the
-actor.  Fault planes are refused: the live send path has no fault hook
-(actor kill/restart goes through the supervisor instead).
+registered handler.  A relay hop is the exception: at a node whose
+handler is the onion router, the frame is offered to the router first,
+which forwards it as a splice of its own bytes without decoding it.
+Every frame, encoded or spliced, leaves through :meth:`send_encoded`.
+Observers keep working — they hook the send path before the frame is
+posted, exactly where the simulator hooks them.  A frame the codec
+refuses is dropped and counted, never raised into the actor.  Fault
+planes are refused: the live send path has no fault hook (actor
+kill/restart goes through the supervisor instead).
 """
 
 from __future__ import annotations
@@ -20,12 +24,13 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.wire import decode, encode
+from repro.core.wire import decode, encode, read_hop
 from repro.errors import ConfigError, NetworkError, UnknownNodeError, WireError
 from repro.net.latency import LatencyModel
 from repro.net.messages import Category, NetMessage
-from repro.net.network import P2PNetwork
+from repro.net.network import Handler, P2PNetwork
 from repro.net.topology import Topology
+from repro.onion.routing import OnionRouter
 from repro.serve.engine import WallEngine
 from repro.serve.transport import Frame, Transport
 
@@ -57,6 +62,8 @@ class ServeNetwork(P2PNetwork):
         self.frames_received = 0
         #: Inbound frames dropped as malformed before any handler ran.
         self.frames_rejected = 0
+        #: The onion router of each node whose handler is its ``handle``.
+        self._relays: dict[int, OnionRouter] = {}
 
     @property
     def faults(self) -> None:
@@ -70,6 +77,16 @@ class ServeNetwork(P2PNetwork):
                 "build the object kernel ('hirep') for fault-injection runs"
             )
 
+    def register_handler(self, index: int, handler: Handler) -> None:
+        """Attach ``index``'s handler.  When it is an onion router's
+        ``handle``, that router is also offered each inbound frame as a
+        relay hop before the frame is decoded (:meth:`deliver_frame`)."""
+        super().register_handler(index, handler)
+        if getattr(handler, "__func__", None) is OnionRouter.handle:
+            self._relays[index] = handler.__self__  # type: ignore[attr-defined]
+        else:
+            self._relays.pop(index, None)
+
     def send(
         self,
         src: int,
@@ -82,12 +99,32 @@ class ServeNetwork(P2PNetwork):
     ) -> NetMessage:
         """Encode ``payload`` and post it on the transport.
 
+        ``size_bytes`` is the sender's ``wire_size(payload)`` when it
+        already paid for one (the onion router does); the message is
+        charged the true encoded frame length either way — on this plane
+        the bytes are real.
+        """
+        return self.send_encoded(
+            src, dst, encode(payload, size_bytes), category, payload, count=count
+        )
+
+    def send_encoded(
+        self,
+        src: int,
+        dst: int,
+        frame: bytes,
+        category: str,
+        payload: Any,
+        *,
+        count: bool = True,
+    ) -> NetMessage:
+        """Post an encoded ``frame`` of ``payload`` on the transport.
+
         Mirrors the simulator's send contract: offline senders raise,
         the counter charges the sender whether or not the destination is
-        up, and observers see every message.  ``size_bytes`` is the
-        sender's ``wire_size(payload)`` when it already paid for one (the
-        onion router does); the message is charged the true encoded frame
-        length either way — on this plane the bytes are real.
+        up, and observers see every message, with ``payload`` as the value
+        it carries.  Every frame the live plane sends comes through here:
+        :meth:`send`'s, and a relay's spliced hop (``OnionRouter.relay``).
         """
         # is_online(src) and is_online(dst), inlined as P2PNetwork.send has
         # them: this runs once per hop.
@@ -97,14 +134,13 @@ class ServeNetwork(P2PNetwork):
             raise NetworkError(f"node {src} is offline and cannot send")
         if not 0 <= dst < self.n:
             raise UnknownNodeError(dst)
-        encoded = encode(payload, size_bytes)
         now = self.engine.now
-        msg = NetMessage(src, dst, payload, category, len(encoded), now)
+        msg = NetMessage(src, dst, payload, category, len(frame), now)
         if count:
             self.counter.count(category)
         for observer in self.observers:
             observer(msg)
-        self.transport.post(Frame(src, dst, category, now, encoded))
+        self.transport.post(Frame(src, dst, category, now, frame))
         self.frames_sent += 1
         return msg
 
@@ -113,11 +149,13 @@ class ServeNetwork(P2PNetwork):
 
         Called from the destination's actor loop.  Offline destinations
         drop the frame on the floor (cost already charged at send time),
-        matching the simulator's delivery semantics.  A frame naming a
-        node outside the fleet, or one the codec refuses — at decode, or
-        when the onion's owner opens a malformed sealed message — is
-        dropped and counted in ``frames_rejected``; no protocol handler
-        has run on it.
+        matching the simulator's delivery semantics.  At a node whose
+        handler is an onion router, a frame read as a relay hop goes to
+        ``OnionRouter.relay`` undecoded, and is forwarded or dropped by
+        the rules ``handle`` applies.  A frame naming a node outside the
+        fleet, or one the codec refuses — at decode, or when the onion's
+        owner opens a malformed sealed message — is dropped and counted in
+        ``frames_rejected``; no protocol handler has run on it.
         """
         if not (0 <= frame.src < self.n and 0 <= frame.dst < self.n):
             self.frames_rejected += 1
@@ -127,13 +165,20 @@ class ServeNetwork(P2PNetwork):
         handler = self._handlers.get(frame.dst)
         if handler is None:
             return
+        payload = frame.payload
+        router = self._relays.get(frame.dst)
+        hop = None
+        if router is not None:
+            hop = read_hop(payload)
+            if hop is not None and router.relay(frame.dst, hop):
+                self.frames_received += 1
+                return
         try:
-            payload = frame.payload
             handler(
                 NetMessage(
                     frame.src,
                     frame.dst,
-                    decode(payload),
+                    decode(payload, hop),
                     frame.category,
                     len(payload),
                     frame.sent_at,

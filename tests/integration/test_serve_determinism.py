@@ -5,9 +5,11 @@ time, drained between transactions), and the same seed, the service
 plane makes the same RNG draws as the discrete-event simulator — so
 per-transaction outcomes must match field for field (wall-clock response
 times excepted).  A second guard pins TCP loopback against in-process:
-the transport must never change protocol behavior.
+the transport must never change protocol behavior.  A third pins the
+bytes of every frame a serialized run posts.
 """
 
+import hashlib
 import math
 
 import pytest
@@ -15,6 +17,8 @@ import pytest
 from repro.core.config import HiRepConfig
 from repro.core.system import HiRepSystem
 from repro.serve import ServeSystem
+from repro.serve.engine import WallEngine
+from repro.serve.transport import InProcessTransport
 
 TRANSACTIONS = 10
 
@@ -74,3 +78,30 @@ def test_same_seed_same_fleet_same_outcomes(config):
     for a, b in zip(runs[0], runs[1]):
         assert outcome_key(a) == outcome_key(b)
         assert a.estimate == b.estimate
+
+
+#: SHA-256 over every frame a serialized 32-peer, seed-2006, 20-transaction
+#: in-process run posts, with the clock pinned.  Computed when every relay
+#: still decoded, peeled and re-encoded its packet as objects: a relay's
+#: splice (``repro.core.wire.relay_frame``) must write the same bytes.
+FRAME_DIGEST = "bd38fadacd4326b77f53a5108506689918d2264e59591aea2f13c8d2f49ee311"
+
+
+def test_posted_frames_are_byte_identical_to_the_pin(monkeypatch):
+    """Each posted ``(src, dst, category, sent_at)`` as its ``repr``, then
+    the frame's bytes, into one SHA-256: 180 frames a transaction."""
+    digest = hashlib.sha256()
+    post = InProcessTransport.post
+
+    def recording_post(self, frame):
+        digest.update(repr((frame.src, frame.dst, frame.category, frame.sent_at)).encode())
+        digest.update(frame.payload)
+        post(self, frame)
+
+    monkeypatch.setattr(WallEngine, "now", property(lambda self: 1000.0))
+    monkeypatch.setattr(InProcessTransport, "post", recording_post)
+    with ServeSystem(HiRepConfig(network_size=32, seed=2006), transport="inproc") as system:
+        for _ in range(20):
+            system.run_transaction()
+        assert system.transport.frames_posted == 3_600
+    assert digest.hexdigest() == FRAME_DIGEST

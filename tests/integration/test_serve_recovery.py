@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.core.config import HiRepConfig
 from repro.core.wire import WireSlice, encode
-from repro.onion.onion import build_onion
+from repro.onion.onion import OnionLayer, build_onion
 from repro.onion.routing import OnionPacket
 from repro.serve import LoadGenerator, ServeSystem, build_trace
 from repro.serve.transport import Frame
@@ -94,6 +94,34 @@ def test_restore_agent_reinstates_checkpointed_state():
         # Dispatch resolves agents at call time, so the fleet keeps
         # routing to the restored instance without rewiring.
         assert system.wiring.agents[victim] is restored
+
+
+def test_a_relay_layer_naming_no_node_is_dropped_not_a_crash():
+    """A layer sealed to node 6 that names node 10 000: the relay cannot
+    forward it, so it drops and counts it, and its actor stays up."""
+    config = HiRepConfig(network_size=32, seed=21)
+    with ServeSystem(config) as system:
+        backend, relay, owner = system.backend, system.peers[6].keys, system.peers[9].keys
+        inner = build_onion(backend, owner.ap, owner.sr, 9, [], seq=1).blob
+        forged = backend.encrypt(relay.ap, OnionLayer(10_000, inner))
+        message = WireSlice(b"\x05\x00\x09\xff", size=64)
+        frame = encode(OnionPacket(forged, message, "trust_query", 0.0))
+        dropped = system.router.dropped
+
+        async def scenario():
+            system.transport.post(
+                Frame(src=0, dst=6, category="trust_query", sent_at=0.0, payload=frame)
+            )
+            assert await system.drain()
+            await asyncio.sleep(0.1)  # a beat for the monitor to see a crash
+
+        assert system._loop is not None
+        system._loop.run_until_complete(scenario())
+
+        assert system.supervisor.crashes_detected == 0
+        assert system.supervisor.restarts == 0
+        assert system.router.dropped - dropped == 1
+        assert system.network.frames_rejected == 0
 
 
 def test_bad_frames_mid_load_are_rejected_not_crashes():

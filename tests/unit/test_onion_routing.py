@@ -9,7 +9,7 @@ from repro.net.latency import ConstantLatency
 from repro.net.network import P2PNetwork
 from repro.net.topology import ring_lattice
 from repro.onion.handshake import HandshakeInitiator, HandshakeResponder
-from repro.onion.onion import build_onion
+from repro.onion.onion import Onion, OnionLayer, build_onion
 from repro.onion.relay import AnonymityKeyStore, RelayRegistry
 from repro.onion.routing import OnionRouter, expected_onion_messages
 
@@ -99,6 +99,20 @@ def test_unregistered_node_drops(sim_backend, world):
     router.send(5, onion, "x", category="cat")
     net.run()
     assert router.dropped == 1
+
+
+@pytest.mark.parametrize("next_ip", [N, 10_000])
+def test_a_layer_naming_no_node_drops(sim_backend, world, next_ip):
+    """A forged layer, sealed to a real relay, that names no node: the
+    relay drops it and counts it; nothing raises out of delivery."""
+    net, keys, router = world
+    inner = make_onion(sim_backend, keys, 0, [2]).blob
+    forged = sim_backend.encrypt(keys[6].ap, OnionLayer(next_ip, inner))
+    onion = Onion(first_hop=6, blob=forged, seq=1, signature=None)
+    router.send(5, onion, "x", category="cat")
+    net.run()
+    assert (router.delivered, router.dropped) == (0, 1)
+    assert net.counter.by_category["cat"] == 1  # the one hop to the relay
 
 
 def test_non_onion_payloads_fall_through(sim_backend, world):
