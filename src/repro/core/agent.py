@@ -74,7 +74,9 @@ class ReputationAgent:
         self.public_key_list: dict[NodeID, PublicKey] = {}
         self.report_log: dict[NodeID, list[float]] = {}
         self.stats = AgentStats()
-        self._seen_report_nonces: set[int] = set()
+        #: nonce -> subject of every accepted report, in acceptance order:
+        #: a journal of ``report_log``'s appends (both only ever grow).
+        self._seen_report_nonces: dict[int, NodeID] = {}
 
     @property
     def node_id(self) -> NodeID:
@@ -148,7 +150,7 @@ class ReputationAgent:
             self.stats.replays_blocked += 1
             self.stats.reports_rejected += 1
             return False
-        self._seen_report_nonces.add(report.result.nonce)
+        self._seen_report_nonces[report.result.nonce] = report.result.subject
         self.report_log.setdefault(report.result.subject, []).append(
             report.result.outcome
         )

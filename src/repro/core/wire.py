@@ -63,8 +63,8 @@ from repro.core.messages import (
 )
 from repro.crypto.backend import PublicKey
 from repro.crypto.simulated import Envelope, SimSignature
-from repro.errors import WireError
-from repro.net.messages import DEFAULT_MESSAGE_BYTES
+from repro.errors import ConfigError, WireError
+from repro.net.messages import DEFAULT_MESSAGE_BYTES, Category
 from repro.onion.onion import Onion, OnionLayer
 from repro.onion.routing import OnionPacket
 
@@ -81,6 +81,7 @@ __all__ = [
     "FRAME_OVERHEAD",
     "WIRE_VERSION",
     "SEAL_BLOCK_BYTES",
+    "LAYER_STEP_BYTES",
 ]
 
 _LEN_PREFIX = 2
@@ -176,8 +177,9 @@ class WireSlice:
 #: Wire size of an onion blob's field (length prefix included) by depth:
 #: a 16-byte core, then one sealed layer (next-hop IP + inner blob) per
 #: relay.  Grown on demand, never shrunk: once a packet is sized at depth
-#: d every entry up to d exists, so a relay that counts its onward packet
-#: down indexes this table instead of calling :func:`packet_size`.
+#: d every entry up to d exists, so ``OnionRouter.handle`` reads a packet's
+#: field here and counts it down by :data:`LAYER_STEP_BYTES` instead of
+#: calling :func:`packet_size`.
 BLOB_FIELD_BYTES = [_field(_ONION_CORE_BYTES)]
 
 
@@ -186,6 +188,29 @@ def _depth_field(depth: int) -> int:
         blob = BLOB_FIELD_BYTES[-1] - _LEN_PREFIX
         BLOB_FIELD_BYTES.append(_field(_sealed(blob + _IP_BYTES)))
     return BLOB_FIELD_BYTES[depth]
+
+
+#: What each sealed layer past the first adds to a blob's field: the
+#: next-hop IP and the inner blob's length prefix fit in the slack its
+#: seal block leaves, so the layer costs exactly that block.  A relay
+#: counts its onward packet down by this step (:func:`relay_frame`,
+#: ``OnionRouter.handle``), never by the depth.
+LAYER_STEP_BYTES = SEAL_BLOCK_BYTES
+
+
+def _check_layer_step(max_depth: int) -> None:
+    """Fail loudly when the recursion above stops stepping by
+    :data:`LAYER_STEP_BYTES` at some depth 2 … ``max_depth``."""
+    steps = {d: _depth_field(d) - _depth_field(d - 1) for d in range(2, max_depth + 1)}
+    broken = {d: step for d, step in steps.items() if step != LAYER_STEP_BYTES}
+    if broken:
+        raise ConfigError(
+            f"size model: a sealed layer past the first is not {LAYER_STEP_BYTES} "
+            f"bytes at depth(s) {broken}"
+        )
+
+
+_check_layer_step(64)
 
 
 def _blob_field(blob: Any) -> int:
@@ -743,14 +768,12 @@ def _hop_packet(
     buf: bytes,
     offset: int,
     layout: tuple[int, ...],
-    inner: WireSlice | None = None,
     category: str | None = None,
 ) -> OnionPacket:
     """The packet a :func:`_hop_layout` read describes; the caller may pass
-    the inner slice and category text it already built."""
+    the category text it already read."""
     fingerprint_end, next_ip, inner_at, message_at, category_at, sent_at_at, sent_at = layout
-    if inner is None:
-        inner = WireSlice(buf[inner_at : message_at - _LEN_PREFIX])
+    inner = WireSlice(buf[inner_at : message_at - _LEN_PREFIX])
     if category is None:
         category = buf[category_at + 2 : sent_at_at].decode("utf-8")
     # Envelope and OnionLayer built as _class_decoder builds them.
@@ -803,16 +826,24 @@ class Hop(NamedTuple):
     layout: tuple[int, ...]  # _hop_layout's read of the packet
     fingerprint: bytes  # the key the outer layer is sealed to
     next_ip: int  # the hop the outer layer names
-    inner: WireSlice  # the blob under the outer layer
     category: str
-    #: Sealed layers of the packet's blob, as decode counts them: the
-    #: outer one plus the inner slice's.
-    layers: int
+    #: Whether the blob under the outer layer is sealed itself (the inner
+    #: slice opens like an ``Envelope``: ``WireSlice.layers() >= 1``), so
+    #: the packet holds two layers or more and a relay may splice it.
+    sealed: bool
 
 
 _new_hop = tuple.__new__
 _BODY_AT = FRAME_OVERHEAD + 1  # the packet after its tag
 _PACKET_PREFIX = bytes([_PACKET_TAG])
+#: The category text of the frames the protocol sends, by its bytes.
+#: Only these: a category read off a frame is decoded, never added, so
+#: hostile frames cannot grow the table.
+_CATEGORY_OF = {
+    value.encode("utf-8"): value
+    for name, value in vars(Category).items()
+    if not name.startswith("_") and type(value) is str
+}
 
 
 def read_hop(frame: bytes) -> Hop | None:
@@ -820,7 +851,8 @@ def read_hop(frame: bytes) -> Hop | None:
 
     None when the frame is anything else — a bad header, another value,
     a field off the layout, trailing data: :func:`decode` reads those and
-    raises or falls back exactly as it always has.
+    raises or falls back exactly as it always has.  Of the blob under the
+    outer layer only its first two bytes are read: whether it is sealed.
     """
     try:
         magic, version, body_len = _HEADER.unpack_from(frame)
@@ -830,21 +862,20 @@ def read_hop(frame: bytes) -> Hop | None:
         if layout is None or layout[5] + _TAGGED_F64.size != FRAME_OVERHEAD + body_len:
             return None
         fingerprint_end, next_ip, inner_at, message_at, category_at, sent_at_at, _ = layout
-        category = frame[category_at + 2 : sent_at_at].decode("utf-8")
+        text = frame[category_at + 2 : sent_at_at]
+        category = _CATEGORY_OF.get(text) or text.decode("utf-8")
     except (IndexError, struct.error, UnicodeDecodeError):
         return None
-    inner = WireSlice(frame[inner_at : message_at - _LEN_PREFIX])
+    # The inner slice ends at the message's length prefix; a slice of
+    # fewer than two bytes is not sealed.
+    sealed = (
+        message_at - _LEN_PREFIX - inner_at >= 2
+        and frame[inner_at] == _ENVELOPE_TAG
+        and frame[inner_at + 1] == _T_BYTES8
+    )
     return _new_hop(
         Hop,
-        (
-            frame,
-            layout,
-            frame[_BODY_AT + 3 : fingerprint_end],
-            next_ip,
-            inner,
-            category,
-            1 + inner.layers(),
-        ),
+        (frame, layout, frame[_BODY_AT + 3 : fingerprint_end], next_ip, category, sealed),
     )
 
 
@@ -854,18 +885,23 @@ def relay_frame(hop: Hop) -> tuple[bytes, WireSlice]:
     The bytes are those :func:`encode` writes for the packet
     ``OnionRouter.handle`` forwards — ``header | packet tag |
     frame[inner … sent_at] | zero pad`` — padded to the same count-down
-    size: the inbound frame less one sealed layer.  The count needs the
-    inner slice's depth, so only a hop whose inner slice is sealed itself
-    (``hop.layers > 1``) is spliced.
+    size: the inbound frame less one sealed layer, which is
+    :data:`LAYER_STEP_BYTES` whenever the inner slice is sealed itself
+    (``hop.sealed``), the only hops a relay splices.
     """
-    frame, layers = hop.frame, hop.layers
-    body = _PACKET_PREFIX + frame[hop.layout[2] : hop.layout[5] + _TAGGED_F64.size]
-    size = len(frame) - FRAME_OVERHEAD - _depth_field(layers) + _depth_field(layers - 1)
-    onward = _HEADER.pack(_MAGIC, WIRE_VERSION, len(body)) + body
-    pad = size - len(body)
-    if pad > 0:
-        onward += bytes(pad)
-    return onward, WireSlice(body)
+    frame, layout = hop.frame, hop.layout
+    end = layout[5] + _TAGGED_F64.size
+    body_len = 1 + end - layout[2]
+    pad = len(frame) - FRAME_OVERHEAD - LAYER_STEP_BYTES - body_len
+    onward = b"".join(
+        (
+            _HEADER.pack(_MAGIC, WIRE_VERSION, body_len),
+            _PACKET_PREFIX,
+            frame[layout[2] : end],
+            bytes(pad) if pad > 0 else b"",
+        )
+    )
+    return onward, WireSlice(onward[FRAME_OVERHEAD : FRAME_OVERHEAD + body_len])
 
 
 def encode(message: Any, size: int | None = None) -> bytes:
@@ -900,8 +936,7 @@ def decode(frame: bytes | bytearray, hop: Hop | None = None) -> Any:
     """
     if hop is not None:
         buf = hop.frame
-        value = _hop_packet(buf, _BODY_AT, hop.layout, hop.inner, hop.category)
-        depth = hop.layers
+        value = _hop_packet(buf, _BODY_AT, hop.layout, hop.category)
     else:
         buf = bytes(frame)
         if len(buf) < FRAME_OVERHEAD:
@@ -918,7 +953,9 @@ def decode(frame: bytes | bytearray, hop: Hop | None = None) -> Any:
             raise WireError("malformed frame: body has trailing data")
         if type(value) is not OnionPacket:
             return value
-        depth = _onion_depth(value.blob)
+    # The one read of the blob's depth on the live plane: a relay splices
+    # by the layer step, the owner needs the message's size.
+    depth = _onion_depth(value.blob)
     # The frame was padded to wire_size(packet): what the blob does not
     # account for is the sealed message's modelled size.  Both ride on
     # the packet too, so the relay's packet_size(inner, value) counts

@@ -34,6 +34,13 @@ OVERRIDES = {
 }
 
 
+def _exact(x: float) -> str:
+    """``x`` as ``:g`` prints it when that reads back as ``x``, else its
+    ``repr``: two distinct rates never share a scenario name."""
+    short = f"{x:g}"
+    return short if float(short) == x else repr(float(x))
+
+
 def plan(
     network_size: int = 120,
     seed: int = 2006,
@@ -55,7 +62,7 @@ def plan(
         name="degradation",
         scenarios=tuple(
             ScenarioSpec(
-                name=f"crash={crash_fraction:g},loss={loss:g}",
+                name=f"crash={_exact(crash_fraction)},loss={_exact(loss)}",
                 workload=workload,
                 fault=FaultSpec(loss=loss, crash_fraction=crash_fraction),
             )

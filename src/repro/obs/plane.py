@@ -164,19 +164,27 @@ class TelemetryPlane:
 
     def _observe_network(self, att: _Attachment) -> None:
         network, engine, tag = att.system.network, att.engine, att.tag
-        record = self.tracer.record
+        record, record_send = self.tracer.record, self.tracer.record_send
 
-        def on_send(msg: Any) -> None:
-            # The event category IS the message category, so timelines
-            # read "trust_query src=3 dst=17" rather than a flat "net.send".
-            record(
-                engine.now,
-                msg.category,
-                src=msg.src,
-                dst=msg.dst,
-                bytes=msg.size_bytes,
-                **tag,
-            )
+        # The event category IS the message category, so timelines read
+        # "trust_query src=3 dst=17" rather than a flat "net.send"; the time
+        # is the one the network stamped the message with as it sent it.
+        if tag:
+
+            def on_send(msg: Any) -> None:
+                record(
+                    msg.sent_at,
+                    msg.category,
+                    src=msg.src,
+                    dst=msg.dst,
+                    bytes=msg.size_bytes,
+                    **tag,
+                )
+
+        else:
+
+            def on_send(msg: Any) -> None:
+                record_send(msg.sent_at, msg.category, msg.src, msg.dst, msg.size_bytes)
 
         def on_fault(kind: str, msg: Any, extra_ms: float) -> None:
             # kind is "drop" or "delay"; the event carries the category of

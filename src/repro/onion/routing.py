@@ -54,12 +54,19 @@ class OnionRouter:
     def __init__(self, network: P2PNetwork, backend: CipherBackend) -> None:
         # Bound once per router, not per hop; function-scope because
         # repro.core imports this package.
-        from repro.core.wire import BLOB_FIELD_BYTES, WireSlice, packet_size, relay_frame
+        from repro.core.wire import (
+            BLOB_FIELD_BYTES,
+            LAYER_STEP_BYTES,
+            WireSlice,
+            packet_size,
+            relay_frame,
+        )
 
         self._wire_slice = WireSlice
         self._size_of = packet_size
         self._relay_frame = relay_frame
         self._blob_field = BLOB_FIELD_BYTES
+        self._layer_step = LAYER_STEP_BYTES
         self.network = network
         self.backend = backend
         self._keys: dict[int, PrivateKey] = {}
@@ -150,10 +157,11 @@ class OnionRouter:
         inner = OnionPacket(blob, packet.message, category, packet.sent_at)
         layers = packet.layers
         if layers > 1:
-            # packet_size(inner, packet)'s count-down, in place: the
-            # message is the same and the blob is one sealed layer thinner.
+            # packet_size(inner, packet)'s count-down, in place, by the rule
+            # a live relay splices with (relay_frame): the message is the
+            # same and the blob one sealed layer, LAYER_STEP_BYTES, thinner.
             size = inner.message_bytes = packet.message_bytes
-            size += self._blob_field[layers - 1]
+            size += self._blob_field[layers] - self._layer_step
             inner.layers = layers - 1 if type(blob) is Envelope else 0
         else:
             size = self._size_of(inner, packet)
@@ -173,10 +181,11 @@ class OnionRouter:
         ``handle`` would encode.  Returns False, having done nothing, for
         a frame that is not a relay hop with a sealed inner — its owner's
         (``next_ip < 0``, or the fake onion inside), or one whose inner
-        the splice cannot size — which the caller decodes for ``handle``.
+        is not sealed, so the layer step does not size its onward frame —
+        which the caller decodes for ``handle``.
         """
         next_ip = hop.next_ip
-        if next_ip < 0 or hop.layers < 2:
+        if next_ip < 0 or not hop.sealed:
             return False
         ar = self._keys.get(here)
         if ar is None or not self.backend.opens(ar, hop.fingerprint):

@@ -12,7 +12,10 @@ processed instead of lost.
 Checkpoints are taken at bring-up, after bootstrap, and every
 ``checkpoint_every`` frames an agent-hosting actor handles — the classic
 write-ahead tradeoff in miniature: smaller intervals lose less state on a
-crash, cost more copying in steady state.
+crash, cost more copying in steady state.  What grows with an agent's
+history, its report log and replay nonces, is only ever appended to, so a
+checkpoint records how long they were instead of copying them, and a
+restore cuts them back.
 """
 
 from __future__ import annotations
@@ -36,21 +39,45 @@ __all__ = ["AgentCheckpoint", "Supervisor"]
 
 @dataclass
 class AgentCheckpoint:
-    """A copy of one agent's durable state at a point in time."""
+    """One agent's durable state at a point in time.
+
+    ``ReputationAgent.handle_report`` only appends to the report log and
+    to its journal of accepted nonces (nonce -> subject, in order), and
+    nothing else writes either.  So the checkpoint holds the agent's own
+    two containers and their lengths — the history up to the checkpoint
+    is their first ``reports`` appends, over the first ``subjects``
+    subjects — and :meth:`rewound` cuts them back.  The rest is copied.
+    """
 
     public_key_list: dict = field(repr=False)
     report_log: dict = field(repr=False)
-    seen_report_nonces: set = field(repr=False)
+    seen_report_nonces: dict = field(repr=False)
+    reports: int
+    subjects: int
     stats: Any = field(repr=False)
     model: Any = field(repr=False)
     frames_handled: int = 0
+
+    def rewound(self) -> tuple[dict, dict]:
+        """The report log and nonce journal as they stood at the
+        checkpoint, cut back in place: each later nonce drops the outcome
+        it appended, newest first, then the subjects first logged after
+        the checkpoint, left empty, go."""
+        log, journal = self.report_log, self.seen_report_nonces
+        while len(journal) > self.reports:
+            log[journal.popitem()[1]].pop()
+        while len(log) > self.subjects:
+            log.popitem()
+        return log, journal
 
 
 def _checkpoint_of(agent: ReputationAgent, frames_handled: int) -> AgentCheckpoint:
     return AgentCheckpoint(
         public_key_list=dict(agent.public_key_list),
-        report_log={k: list(v) for k, v in agent.report_log.items()},
-        seen_report_nonces=set(agent._seen_report_nonces),
+        report_log=agent.report_log,
+        seen_report_nonces=agent._seen_report_nonces,
+        reports=len(agent._seen_report_nonces),
+        subjects=len(agent.report_log),
         stats=copy.copy(agent.stats),
         model=copy.deepcopy(agent.model),
         frames_handled=frames_handled,
@@ -156,8 +183,9 @@ class Supervisor:
             truth_oracle=crashed.truth_oracle,
         )
         restored.public_key_list = dict(snapshot.public_key_list)
-        restored.report_log = {k: list(v) for k, v in snapshot.report_log.items()}
-        restored._seen_report_nonces = set(snapshot.seen_report_nonces)
+        # The crashed instance is done with them: the restored one carries
+        # on appending, so the checkpoint's lengths stay its history.
+        restored.report_log, restored._seen_report_nonces = snapshot.rewound()
         restored.stats = copy.copy(snapshot.stats)
         self.wiring.agents[ip] = restored
         return True

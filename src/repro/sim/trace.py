@@ -49,16 +49,19 @@ class TraceEntry:
 class Tracer:
     """Bounded trace buffer.
 
-    An event is held as the plain record ``(time, category, fields)``,
-    ``fields`` the keyword dict :meth:`record` was called with; a
-    :class:`TraceEntry` is built only for an event someone reads.
+    An event is held as a plain record, and a :class:`TraceEntry` is built
+    only for an event someone reads.  Two shapes: ``(time, category,
+    fields)``, ``fields`` the keyword dict :meth:`record` was called with,
+    and a send's ``(time, category, src, dst, nbytes)``
+    (:meth:`record_send`), every field atomic, so the collector untracks
+    it and no dict is built per datagram.
     """
 
     def __init__(self, *, capacity: int = 10_000) -> None:
         if capacity < 1:
             raise ConfigError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self._events: deque[tuple[float, str, dict[str, Any]]] = deque(maxlen=capacity)
+        self._events: deque[tuple[Any, ...]] = deque(maxlen=capacity)
         self.recorded = 0
         #: entries pushed out of the full buffer by newer ones.
         self.evicted = 0
@@ -74,6 +77,15 @@ class Tracer:
         if len(events) == self.capacity:
             self.evicted += 1
         events.append((time, category, fields))
+        self.recorded += 1
+
+    def record_send(self, time: float, category: str, src: int, dst: int, nbytes: int) -> None:
+        """Append one datagram: what ``record(time, category, src=src,
+        dst=dst, bytes=nbytes)`` reads back as, held flat."""
+        events = self._events
+        if len(events) == self.capacity:
+            self.evicted += 1
+        events.append((time, category, src, dst, nbytes))
         self.recorded += 1
 
     def __len__(self) -> int:
@@ -112,6 +124,9 @@ class Tracer:
         self._events.clear()
 
 
-def _entry(event: tuple[float, str, dict[str, Any]]) -> TraceEntry:
-    time, category, fields = event
-    return TraceEntry(time, category, tuple(fields.items()))
+def _entry(event: tuple[Any, ...]) -> TraceEntry:
+    if len(event) == 3:
+        time, category, fields = event
+        return TraceEntry(time, category, tuple(fields.items()))
+    time, category, src, dst, nbytes = event
+    return TraceEntry(time, category, (("src", src), ("dst", dst), ("bytes", nbytes)))

@@ -10,6 +10,7 @@ actor ever restarts over one.
 """
 
 import asyncio
+import copy
 
 import numpy as np
 
@@ -18,6 +19,7 @@ from repro.core.wire import WireSlice, encode
 from repro.onion.onion import OnionLayer, build_onion
 from repro.onion.routing import OnionPacket
 from repro.serve import LoadGenerator, ServeSystem, build_trace
+from repro.serve import supervisor as supervisor_module
 from repro.serve.transport import Frame
 
 
@@ -94,6 +96,70 @@ def test_restore_agent_reinstates_checkpointed_state():
         # Dispatch resolves agents at call time, so the fleet keeps
         # routing to the restored instance without rewiring.
         assert system.wiring.agents[victim] is restored
+
+
+def agent_state(agent):
+    """Everything a restore rebuilds, as a deep copy."""
+    return copy.deepcopy(
+        (
+            agent.report_log,
+            list(agent._seen_report_nonces.items()),
+            agent.public_key_list,
+            agent.stats,
+            vars(agent.model),
+        )
+    )
+
+
+def test_restore_after_many_reports_is_the_last_checkpoint(monkeypatch):
+    """A checkpoint records how long the report log and the nonce journal
+    were, not their contents; restoring an agent that took more than 32
+    reports, some after its last checkpoint and from a subject new since,
+    still rebuilds exactly what that checkpoint saw."""
+    at_checkpoint = {}
+    checkpoint_of = supervisor_module._checkpoint_of
+
+    def copying(agent, frames_handled):
+        at_checkpoint[agent.ip] = agent_state(agent)
+        return checkpoint_of(agent, frames_handled)
+
+    monkeypatch.setattr(supervisor_module, "_checkpoint_of", copying)
+    with ServeSystem(HiRepConfig(network_size=16, seed=13)) as system:
+        supervisor = system.supervisor
+
+        def grown_since_checkpoint():
+            for ip, agent in system.agents.items():
+                checkpoint = supervisor.checkpoints[ip]
+                reports = len(agent._seen_report_nonces)
+                if reports > 32 and reports > checkpoint.reports and len(
+                    agent.report_log
+                ) > checkpoint.subjects:
+                    return ip
+            return None
+
+        victim = None
+        for _ in range(80):
+            system.run_transaction()
+            victim = grown_since_checkpoint()
+            if victim is not None:
+                break
+        assert victim is not None
+        assert agent_state(system.agents[victim]) != at_checkpoint[victim]
+
+        supervisor.kill(victim, amnesia=True)
+        assert supervisor.restore_agent(victim)
+        restored = system.agents[victim]
+        assert agent_state(restored) == at_checkpoint[victim]
+        assert type(restored._seen_report_nonces) is dict
+
+        # The restored agent logs on (the monitor restarts its actor), and
+        # a later crash comes back to whichever checkpoint is the last then.
+        for _ in range(10):
+            system.run_transaction()
+        assert supervisor.restarts == 1
+        supervisor.kill(victim, amnesia=True)
+        assert supervisor.restore_agent(victim)
+        assert agent_state(system.agents[victim]) == at_checkpoint[victim]
 
 
 def test_a_relay_layer_naming_no_node_is_dropped_not_a_crash():

@@ -29,7 +29,7 @@ from repro.crypto.backend import get_backend
 from repro.crypto.keys import PeerKeys
 from repro.crypto.simulated import Envelope
 from repro.errors import WireError
-from repro.onion.onion import build_onion, peel, reseal
+from repro.onion.onion import OnionLayer, build_onion, peel, reseal
 from repro.onion.routing import OnionPacket
 
 BACKEND = get_backend("simulated")
@@ -478,3 +478,50 @@ def test_sealed_values_encode_once_and_stay_invisible(relays, nonce, bumps, sent
     with envelope_memo_bypassed():
         planned_again = encode(inbound)
     assert encode(inbound) == encode(inbound) == planned_again == planned_request
+
+
+@st.composite
+def inner_slices(draw):
+    """Bytes a relay may find under its layer: a real blob (sealed on the
+    simulated backend, raw on RSA) or its encoded message, as sent, cut
+    short or with one bit flipped; or any bytes, the empty slice
+    included."""
+    kind = draw(st.sampled_from(["blob", "blob", "message", "junk"]))
+    if kind == "junk":
+        return draw(st.binary(max_size=8))
+    if kind == "message":
+        raw = as_slice("ping").raw
+    else:
+        backend_name = draw(st.sampled_from(["simulated", "rsa"]))
+        raw = as_slice(blob_of(backend_name, draw(st.integers(0, 3)))).raw
+    how = draw(st.sampled_from(["as sent", "truncate", "flip"]))
+    if how == "truncate":
+        return raw[: draw(st.integers(0, min(len(raw), 4)))]
+    if how == "flip":
+        at = draw(st.integers(0, min(len(raw), 3) - 1))
+        return raw[:at] + bytes([raw[at] ^ (1 << draw(st.integers(0, 7)))]) + raw[at + 1 :]
+    return raw
+
+
+#: Messages whose length prefix, the two bytes after the inner slice, reads
+#: as a sealed value's head after a one-byte inner or an empty one.
+#: (A str of n > 255 bytes encodes to n + 3.)
+PREFIXED = [
+    "x" * (encoded - 3)
+    for encoded in (0x0900 + wire._ENVELOPE_TAG, 0x100 * wire._ENVELOPE_TAG + wire._T_BYTES8)
+]
+
+
+@given(raw=inner_slices(), message=st.sampled_from(["ping", *PREFIXED]))
+@example(raw=b"", message=PREFIXED[1])
+@example(raw=bytes([wire._ENVELOPE_TAG]), message=PREFIXED[0])
+@example(raw=bytes([wire._ENVELOPE_TAG, wire._T_BYTES8]), message="ping")
+@settings(max_examples=300, deadline=None)
+def test_read_hop_reads_a_sealed_inner_as_its_depth_walk_does(raw, message):
+    """``read_hop`` looks at two bytes of the inner slice where the depth
+    walk reads every header; both must call the same inners sealed, even
+    where the bytes after the slice would pass for a sealed head."""
+    outer = BACKEND.encrypt(KEYS[1].ap, OnionLayer(3, WireSlice(raw)))
+    hop = wire.read_hop(encode(OnionPacket(outer, message, "trust_query", 0.0)))
+    assert hop is not None
+    assert hop.sealed == (WireSlice(raw).layers() >= 1)

@@ -10,8 +10,10 @@ from repro.core.messages import (
     TrustRequestBody,
     TrustValueRequest,
 )
+from repro.core import wire
 from repro.core.wire import (
     BLOB_FIELD_BYTES,
+    LAYER_STEP_BYTES,
     SEAL_BLOCK_BYTES,
     decode,
     encode,
@@ -20,6 +22,7 @@ from repro.core.wire import (
 )
 from repro.crypto.backend import get_backend
 from repro.crypto.keys import PeerKeys
+from repro.errors import ConfigError
 from repro.net.messages import DEFAULT_MESSAGE_BYTES
 from repro.onion.onion import OnionLayer, build_onion
 from repro.onion.routing import OnionPacket
@@ -165,6 +168,22 @@ def test_blob_field_by_depth_is_the_size_model(setup):
         packet = OnionPacket(make_onion(backend, keys, relays).blob, None, "c", 0.0)
         assert packet_size(packet) == field + DEFAULT_MESSAGE_BYTES
     assert BLOB_FIELD_BYTES[: len(expected)] == expected
+
+
+def test_every_layer_past_the_first_is_one_step():
+    """The law a relay counts down by: from depth 2 on, one more sealed
+    layer is one more seal block of the recursion's field, to any depth."""
+    assert LAYER_STEP_BYTES == SEAL_BLOCK_BYTES
+    for depth in range(2, 257):
+        assert wire._depth_field(depth) - wire._depth_field(depth - 1) == LAYER_STEP_BYTES
+    # Not from depth 1: the core's field is no seal block.
+    assert wire._depth_field(1) - wire._depth_field(0) != LAYER_STEP_BYTES
+
+
+def test_a_step_the_recursion_breaks_fails_loudly(monkeypatch):
+    monkeypatch.setattr(wire, "LAYER_STEP_BYTES", SEAL_BLOCK_BYTES + 1)
+    with pytest.raises(ConfigError, match="depth"):
+        wire._check_layer_step(8)
 
 
 def test_unknown_payload_default(setup):

@@ -145,6 +145,28 @@ class TestFullBufferReads:
         assert tracer.render(3) == expected
 
 
+def test_send_records_read_as_keyword_records():
+    """A send held flat reads back, counts and evicts exactly as the same
+    send recorded with keyword fields, mixed with other records."""
+    flat, keyed = Tracer(capacity=5), Tracer(capacity=5)
+    for i in range(12):
+        time, category = float(i) * 1.5, ("send", "recv")[i % 2]
+        if i % 3:
+            flat.record_send(time, category, i, i + 1, 100 + i)
+            keyed.record(time, category, src=i, dst=i + 1, bytes=100 + i)
+        else:
+            for tracer in (flat, keyed):
+                tracer.record(time, "fault.drop", category="x", time=i)
+    assert flat.summary() == keyed.summary() == "5 held, 12 recorded, 7 evicted"
+    assert flat.entries() == keyed.entries()
+    assert flat.entries("send") == keyed.entries("send")
+    assert flat.between(9.0, 15.0) == keyed.between(9.0, 15.0)
+    for limit in (1, 3, 50, -2):
+        assert flat.render(limit) == keyed.render(limit)
+    last = TraceEntry(16.5, "recv", (("src", 11), ("dst", 12), ("bytes", 111)))
+    assert flat.entries()[-1] == last
+
+
 def test_hirep_bundle_key_is_pinned(small_config, tmp_path):
     """The bundle a traced hirep run stores is byte-for-byte what it was
     when the timeline held TraceEntry objects."""
