@@ -29,14 +29,14 @@ size model; the encoder and decoder of each are planned from it once at
 import.  The two positions the onion protocol (§3.3) hides from relays —
 ``OnionPacket.message`` and ``OnionLayer.inner`` — travel length-prefixed
 and decode to a :class:`WireSlice` that :func:`encode` splices back
-verbatim: a relay parses one packet header and one layer header and
-forwards the rest as the bytes it received.  That hop header is the one
-type not left to the plan: ``OnionPacket``'s codec reads and writes it as
-a fixed layout in one pass, and hands anything off the layout to the
-planned field readers, so both accept and refuse exactly the same frames.
-A live relay does not build even that header: :func:`read_hop` reads where
-its fields sit, and :func:`relay_frame` splices the onward frame from the
-inbound bytes.
+verbatim.  A live relay does not decode its frame at all: :func:`read_hop`
+reads where the hop's fields sit — the one reader of that layout — and
+:func:`relay_frame` splices the onward frame from the inbound bytes; an
+owner's frame is decoded from the same read.
+A packet carries its own wire size (``OnionPacket.nbytes``): charged at
+the origin (:func:`first_hop_size`), read off the frame length at decode,
+and counted down one peel at a time by one rule (:func:`onward_size`), so
+no hop walks the onion's depth.
 A sealed value (``Envelope``) is encoded by the plan once: the encoder
 keeps the bytes on the instance and splices them on every later encode.
 """
@@ -70,7 +70,8 @@ from repro.onion.routing import OnionPacket
 
 __all__ = [
     "wire_size",
-    "packet_size",
+    "first_hop_size",
+    "onward_size",
     "BLOB_FIELD_BYTES",
     "encode",
     "decode",
@@ -113,17 +114,13 @@ class WireSlice:
     Decoding leaves the two opaque positions as slices; :func:`encode`
     writes ``raw`` back untouched, so forwarding never parses it.  Only
     the value's owner calls :meth:`unpack`, and that is where a malformed
-    slice raises :class:`~repro.errors.WireError`.  ``size`` is the
-    modelled wire size of the value when the inbound frame told it (a
-    still-sealed message).
+    slice raises :class:`~repro.errors.WireError`.
     """
 
-    __slots__ = ("raw", "size", "_layers")
+    __slots__ = ("raw",)
 
-    def __init__(self, raw: bytes, size: int | None = None) -> None:
+    def __init__(self, raw: bytes) -> None:
         self.raw = raw
-        self.size = size
-        self._layers: int | None = None
 
     def unpack(self) -> Any:
         """Decode the held value; nested opaque positions stay slices."""
@@ -131,25 +128,6 @@ class WireSlice:
         if end != len(self.raw):
             raise WireError("malformed slice: value has trailing data")
         return value
-
-    def layers(self) -> int:
-        """Sealed onion layers nested in the slice, read off the headers
-        (``Envelope`` ▸ fingerprint ▸ ``OnionLayer`` ▸ next_ip ▸ length of
-        the next slice) without opening anything."""
-        if self._layers is None:
-            raw = self.raw
-            layers = offset = 0
-            try:
-                while raw[offset] == _ENVELOPE_TAG and raw[offset + 1] == _T_BYTES8:
-                    layers += 1
-                    offset += 3 + raw[offset + 2]
-                    if raw[offset] != _LAYER_TAG or raw[offset + 1] != _T_INT:
-                        break
-                    offset += 3 + raw[offset + 2] + _LEN_PREFIX
-            except IndexError:
-                pass  # a size estimate; whoever unpacks the slice validates it
-            self._layers = layers
-        return self._layers
 
     def __eq__(self, other: object) -> bool:
         """Equal to the value it encodes — compared as bytes, never opened."""
@@ -176,10 +154,7 @@ class WireSlice:
 
 #: Wire size of an onion blob's field (length prefix included) by depth:
 #: a 16-byte core, then one sealed layer (next-hop IP + inner blob) per
-#: relay.  Grown on demand, never shrunk: once a packet is sized at depth
-#: d every entry up to d exists, so ``OnionRouter.handle`` reads a packet's
-#: field here and counts it down by :data:`LAYER_STEP_BYTES` instead of
-#: calling :func:`packet_size`.
+#: relay.  Grown on demand, never shrunk.
 BLOB_FIELD_BYTES = [_field(_ONION_CORE_BYTES)]
 
 
@@ -193,8 +168,8 @@ def _depth_field(depth: int) -> int:
 #: What each sealed layer past the first adds to a blob's field: the
 #: next-hop IP and the inner blob's length prefix fit in the slack its
 #: seal block leaves, so the layer costs exactly that block.  A relay
-#: counts its onward packet down by this step (:func:`relay_frame`,
-#: ``OnionRouter.handle``), never by the depth.
+#: counts its onward packet down by this step (:func:`onward_size`,
+#: :func:`relay_frame`), never by the depth.
 LAYER_STEP_BYTES = SEAL_BLOCK_BYTES
 
 
@@ -228,7 +203,7 @@ def _onion_depth(blob: Any) -> int:
             break
         current = payload.inner
     if isinstance(current, WireSlice):
-        depth += current.layers()
+        depth += _slice_layers(current.raw)
     if depth:
         return depth
     # RSA backend: layers are opaque bytes; model depth from ciphertext
@@ -236,6 +211,24 @@ def _onion_depth(blob: Any) -> int:
     if isinstance(current, (bytes, bytearray)):
         return max(1, len(current) // (2 * SEAL_BLOCK_BYTES))
     return 1
+
+
+def _slice_layers(raw: bytes) -> int:
+    """Sealed onion layers nested in an encoded blob — the rest of a
+    decoded onion (a request's ``requestor_onion``, say) — read off the
+    headers (``Envelope`` ▸ fingerprint ▸ ``OnionLayer`` ▸ next_ip ▸
+    length of the next slice) without opening anything."""
+    layers = offset = 0
+    try:
+        while raw.startswith(_SEALED_HEAD, offset):
+            layers += 1
+            offset += 3 + raw[offset + 2]
+            if raw[offset] != _LAYER_TAG or raw[offset + 1] != _T_INT:
+                break
+            offset += 3 + raw[offset + 2] + _LEN_PREFIX
+    except IndexError:
+        pass  # a size estimate; whoever unpacks the slice validates it
+    return layers
 
 
 def onion_size(onion: Onion | None) -> int:
@@ -287,8 +280,9 @@ _WIRE_CLASSES: dict[type, Callable[[Any], int] | None] = {
     SimSignature: None,
     OnionLayer: None,
     Onion: None,
-    # blob (one peeled onion body) + the inner protocol message.
-    OnionPacket: lambda p: _blob_field(p.blob) + wire_size(p.message),
+    # The size the packet carries, or: blob (one peeled onion body) + the
+    # inner protocol message.
+    OnionPacket: lambda p: p.nbytes or _blob_field(p.blob) + wire_size(p.message),
     TrustRequestBody: None,
     TrustValueRequest: lambda m: _REQUEST_BYTES + onion_size(m.requestor_onion),
     TrustResponseBody: None,
@@ -307,7 +301,7 @@ _OPAQUE = {(OnionPacket, "message"), (OnionLayer, "inner")}
 _SIZE_OF: dict[type, Callable[[Any], int]] = {
     cls: size for cls, size in _WIRE_CLASSES.items() if size is not None
 }
-_SIZE_OF[WireSlice] = lambda s: wire_size(s.unpack()) if s.size is None else s.size
+_SIZE_OF[WireSlice] = lambda s: wire_size(s.unpack())
 
 
 def wire_size(message: Any) -> int:
@@ -317,32 +311,28 @@ def wire_size(message: Any) -> int:
     return DEFAULT_MESSAGE_BYTES if size is None else size(message)
 
 
-def packet_size(packet: OnionPacket, peeled_from: OnionPacket | None = None) -> int:
-    """``wire_size(packet)`` for the onion router, without the walks.
+def first_hop_size(onion: Onion, message: Any) -> int:
+    """The wire size of the packet carrying ``message`` under the whole of
+    ``onion``: what ``OnionRouter.send`` charges the first hop.  As in
+    :func:`onion_size`, a built onion's depth is read, any other walked."""
+    return _depth_field(onion.layers or _onion_depth(onion.blob)) + wire_size(message)
 
-    Along an onion path the message's size is constant and a simulated
-    blob loses exactly one sealed layer per peel, so a packet peeled from
-    one sized here takes both from it; the sizes ride on the packet
-    objects (``message_bytes``, ``layers``), never on the wire.
-    :func:`decode` sets both from the inbound frame, so a live relay's
-    onward packet counts down as well.  A packet with no such parent is
-    measured: the first of a path, one under a single layer (nothing
-    valid is), and one under an RSA blob, whose depth is an estimate
-    from its length.  A first packet's depth is not walked when it
-    already counts its ``layers``: ``OnionRouter.send`` copies them from
-    a built onion (``Onion.layers``).  ``OnionRouter.handle`` applies the
-    count-down rule in place (``BLOB_FIELD_BYTES``) and calls this for
-    the measured cases.
+
+def onward_size(packet: OnionPacket, blob: Any) -> int:
+    """The wire size of ``packet`` peeled to ``blob``, counted down from the
+    size it carries (``packet.nbytes``); the message's size is the same.
+
+    When a sealed layer (an ``Envelope``) was peeled to a blob that is
+    sealed itself, the packet held two layers or more, so it sheds one
+    :data:`LAYER_STEP_BYTES`.  Otherwise — an RSA blob, whose depth is an
+    estimate from its length, or a layer's bare core — the inbound blob's
+    field is traded for ``blob``'s.
     """
-    if peeled_from is not None and peeled_from.layers > 1:
-        message_bytes = peeled_from.message_bytes
-        depth = peeled_from.layers - 1
-    else:
-        message_bytes = wire_size(packet.message)
-        depth = packet.layers or _onion_depth(packet.blob)
-    packet.message_bytes = message_bytes
-    packet.layers = depth if type(packet.blob) is Envelope else 0
-    return _depth_field(depth) + message_bytes
+    if type(packet.blob) is Envelope and (
+        type(blob) is Envelope or (type(blob) is WireSlice and blob.raw.startswith(_SEALED_HEAD))
+    ):
+        return packet.nbytes - LAYER_STEP_BYTES
+    return packet.nbytes - _blob_field(packet.blob) + _blob_field(blob)
 
 
 # ---------------------------------------------------------------------------
@@ -377,6 +367,10 @@ _CLASS_TAG_BASE = 0x20
 _TAG_OF_CLASS = {cls: _CLASS_TAG_BASE + i for i, cls in enumerate(_WIRE_CLASSES)}
 _ENVELOPE_TAG = _TAG_OF_CLASS[Envelope]
 _LAYER_TAG = _TAG_OF_CLASS[OnionLayer]
+#: How a sealed value's encoding opens: the ``Envelope`` tag, then its
+#: fingerprint as ``bytes8``.  An onion blob held as bytes is sealed when
+#: it opens so (``Hop.sealed``, :func:`onward_size`, :func:`_slice_layers`).
+_SEALED_HEAD = bytes([_ENVELOPE_TAG, _T_BYTES8])
 
 _HEADER = struct.Struct(">2sBI")
 _U8 = struct.Struct(">B")
@@ -686,34 +680,25 @@ def _encode_envelope(value: Envelope, out: bytearray) -> None:
 _ENCODERS[Envelope] = _encode_envelope
 
 
-# -- the hop header: OnionPacket's fixed layout --------------------------------
+# -- the packet: the origin's case in one pass ---------------------------------
 #
-# Nearly every frame on the live plane is a relay hop, an OnionPacket under
-# one sealed layer: packet tag ▸ Envelope tag ▸ fingerprint (bytes8) ▸
-# OnionLayer tag ▸ next_ip (int) ▸ inner slice ▸ message slice ▸ category
-# (str8) ▸ sent_at (float).  The packet's codec writes and reads that layout
-# in one pass.  Anything off it — an RSA blob, a u16 category, an int
-# sent_at, a malformed frame — goes to the planned field readers, so every
-# accepted frame, decoded value and WireError is the plan's.
+# An origin's packet is a built onion's blob and a message object; its
+# fields are written in one pass.  Any other packet — a relay's, holding
+# slices — goes to the planned encoder, which writes the same bytes.
 
 _PACKET_TAG = _TAG_OF_CLASS[OnionPacket]
 _TAGGED_F64 = struct.Struct(">Bd")
-_decode_planned_packet = _DECODERS[_PACKET_TAG]
+_encode_planned_packet = _ENCODERS[OnionPacket]
 
 
 def _encode_packet(packet: OnionPacket, out: bytearray) -> None:
+    blob, message = packet.blob, packet.message
+    if type(blob) is not Envelope or type(message) is WireSlice:
+        _encode_planned_packet(packet, out)
+        return
     out.append(_PACKET_TAG)
-    blob = packet.blob
-    if type(blob) is WireSlice:
-        out += blob.raw  # a relay's peeled blob: the layer as it arrived
-    else:
-        _encode_value(blob, out)
-    message = packet.message
-    if type(message) is WireSlice:
-        out += _pack_len(len(message.raw), "slice")
-        out += message.raw
-    else:
-        _encode_opaque(message, out)
+    _encode_value(blob, out)
+    _encode_opaque(message, out)
     category = packet.category
     raw = category.encode("utf-8") if type(category) is str else None
     if raw is not None and len(raw) <= 0xFF:
@@ -728,6 +713,22 @@ def _encode_packet(packet: OnionPacket, out: bytearray) -> None:
     else:
         _encode_value(sent_at, out)
 
+
+_ENCODERS[OnionPacket] = _encode_packet
+
+
+# -- a hop, read where its fields sit and spliced from the frame ---------------
+#
+# Nearly every frame on the live plane is a relay hop, an OnionPacket under
+# one sealed layer: packet tag ▸ Envelope tag ▸ fingerprint (bytes8) ▸
+# OnionLayer tag ▸ next_ip (int) ▸ inner slice ▸ message slice ▸ category
+# (str8) ▸ sent_at (float).  A relay reads the hop header, peels the outer
+# layer and forwards the rest; decoding that frame into objects only to
+# encode them again writes the bytes it read: the onward body is the packet
+# tag, then the inbound frame from the inner slice through sent_at.  So a
+# live relay reads the layout's offsets once (read_hop) and splices the
+# onward frame (relay_frame); an owner's frame is decoded from the same
+# read.  A frame off the layout is read by the planned decoder.
 
 def _hop_layout(buf: bytes, offset: int) -> tuple[int, ...] | None:
     """Where the fields of the packet at ``offset`` sit, read as the fixed
@@ -764,60 +765,6 @@ def _hop_layout(buf: bytes, offset: int) -> tuple[int, ...] | None:
     return fingerprint_end, next_ip, inner_at, message_at, category_at, sent_at_at, sent_at
 
 
-def _hop_packet(
-    buf: bytes,
-    offset: int,
-    layout: tuple[int, ...],
-    category: str | None = None,
-) -> OnionPacket:
-    """The packet a :func:`_hop_layout` read describes; the caller may pass
-    the category text it already read."""
-    fingerprint_end, next_ip, inner_at, message_at, category_at, sent_at_at, sent_at = layout
-    inner = WireSlice(buf[inner_at : message_at - _LEN_PREFIX])
-    if category is None:
-        category = buf[category_at + 2 : sent_at_at].decode("utf-8")
-    # Envelope and OnionLayer built as _class_decoder builds them.
-    layer = _new_object(OnionLayer)
-    layer.__dict__.update(next_ip=next_ip, inner=inner)
-    envelope = _new_object(Envelope)
-    envelope.__dict__.update(fingerprint=buf[offset + 3 : fingerprint_end], payload=layer)
-    return OnionPacket(envelope, WireSlice(buf[message_at:category_at]), category, sent_at)
-
-
-def _read_hop_header(buf: bytes, offset: int) -> tuple[Any, int] | None:
-    """The packet at ``offset`` read as the fixed layout; None off it."""
-    layout = _hop_layout(buf, offset)
-    if layout is None:
-        return None
-    return _hop_packet(buf, offset, layout), layout[5] + _TAGGED_F64.size
-
-
-def _decode_packet(buf: bytes, offset: int, depth: int) -> tuple[Any, int]:
-    if depth < _MAX_NESTING - 2:  # packet ▸ Envelope ▸ OnionLayer
-        try:
-            read = _read_hop_header(buf, offset)
-        except (IndexError, struct.error, UnicodeDecodeError):
-            read = None
-        if read is not None:
-            return read
-    return _decode_planned_packet(buf, offset, depth)
-
-
-_ENCODERS[OnionPacket] = _encode_packet
-_DECODERS[_PACKET_TAG] = _decode_packet
-
-
-# -- a relay's hop, spliced from the frame it arrived in -----------------------
-#
-# A relay reads the hop header, peels the outer layer and forwards the rest.
-# Decoding that frame into objects only to encode them again writes the
-# bytes it read: the onward body is the packet tag, then the inbound frame
-# from the inner slice through sent_at.  So a live relay reads the layout's
-# offsets once (read_hop) and splices the onward frame (relay_frame); an
-# owner's frame, or any frame a relay cannot splice, is decoded from the
-# same read.
-
-
 class Hop(NamedTuple):
     """A frame whose whole body is one packet of the fixed hop layout:
     read, nothing built (:func:`read_hop`)."""
@@ -828,8 +775,8 @@ class Hop(NamedTuple):
     next_ip: int  # the hop the outer layer names
     category: str
     #: Whether the blob under the outer layer is sealed itself (the inner
-    #: slice opens like an ``Envelope``: ``WireSlice.layers() >= 1``), so
-    #: the packet holds two layers or more and a relay may splice it.
+    #: slice opens like an ``Envelope``: ``_SEALED_HEAD``), so the
+    #: packet holds two layers or more and a relay may splice it.
     sealed: bool
 
 
@@ -850,8 +797,8 @@ def read_hop(frame: bytes) -> Hop | None:
     """``frame`` read as one packet of the fixed hop layout.
 
     None when the frame is anything else — a bad header, another value,
-    a field off the layout, trailing data: :func:`decode` reads those and
-    raises or falls back exactly as it always has.  Of the blob under the
+    a field off the layout, trailing data: :func:`decode` reads those
+    with the planned decoder, and raises as it does.  Of the blob under the
     outer layer only its first two bytes are read: whether it is sealed.
     """
     try:
@@ -866,13 +813,8 @@ def read_hop(frame: bytes) -> Hop | None:
         category = _CATEGORY_OF.get(text) or text.decode("utf-8")
     except (IndexError, struct.error, UnicodeDecodeError):
         return None
-    # The inner slice ends at the message's length prefix; a slice of
-    # fewer than two bytes is not sealed.
-    sealed = (
-        message_at - _LEN_PREFIX - inner_at >= 2
-        and frame[inner_at] == _ENVELOPE_TAG
-        and frame[inner_at + 1] == _T_BYTES8
-    )
+    # The inner slice ends at the message's length prefix.
+    sealed = frame.startswith(_SEALED_HEAD, inner_at, message_at - _LEN_PREFIX)
     return _new_hop(
         Hop,
         (frame, layout, frame[_BODY_AT + 3 : fingerprint_end], next_ip, category, sealed),
@@ -884,10 +826,10 @@ def relay_frame(hop: Hop) -> tuple[bytes, WireSlice]:
 
     The bytes are those :func:`encode` writes for the packet
     ``OnionRouter.handle`` forwards — ``header | packet tag |
-    frame[inner … sent_at] | zero pad`` — padded to the same count-down
-    size: the inbound frame less one sealed layer, which is
-    :data:`LAYER_STEP_BYTES` whenever the inner slice is sealed itself
-    (``hop.sealed``), the only hops a relay splices.
+    frame[inner … sent_at] | zero pad`` — padded to the size
+    :func:`onward_size` gives a packet whose inner slice is sealed itself
+    (``hop.sealed``, the only hops a relay splices): the inbound frame
+    less :data:`LAYER_STEP_BYTES`.
     """
     frame, layout = hop.frame, hop.layout
     end = layout[5] + _TAGGED_F64.size
@@ -932,11 +874,23 @@ def decode(frame: bytes | bytearray, hop: Hop | None = None) -> Any:
     magic, version, length, or any malformed field.  Opaque positions come
     back as :class:`WireSlice`; their contents are checked when unpacked.
     ``hop`` is :func:`read_hop`'s read of ``frame`` when the caller made
-    one: the packet is built from it, not read again.
+    one: the packet is built from it, not read again.  A packet's
+    ``nbytes`` is its frame's body and pad: the frame was padded to the
+    packet's wire size.
     """
     if hop is not None:
         buf = hop.frame
-        value = _hop_packet(buf, _BODY_AT, hop.layout, hop.category)
+        _, next_ip, inner_at, message_at, category_at, _, sent_at = hop.layout
+        # Envelope and OnionLayer built as _class_decoder builds them.
+        layer = _new_object(OnionLayer)
+        layer.__dict__.update(
+            next_ip=next_ip, inner=WireSlice(buf[inner_at : message_at - _LEN_PREFIX])
+        )
+        envelope = _new_object(Envelope)
+        envelope.__dict__.update(fingerprint=hop.fingerprint, payload=layer)
+        value = OnionPacket(
+            envelope, WireSlice(buf[message_at:category_at]), hop.category, sent_at
+        )
     else:
         buf = bytes(frame)
         if len(buf) < FRAME_OVERHEAD:
@@ -953,13 +907,5 @@ def decode(frame: bytes | bytearray, hop: Hop | None = None) -> Any:
             raise WireError("malformed frame: body has trailing data")
         if type(value) is not OnionPacket:
             return value
-    # The one read of the blob's depth on the live plane: a relay splices
-    # by the layer step, the owner needs the message's size.
-    depth = _onion_depth(value.blob)
-    # The frame was padded to wire_size(packet): what the blob does not
-    # account for is the sealed message's modelled size.  Both ride on
-    # the packet too, so the relay's packet_size(inner, value) counts
-    # down instead of reading the slices again.
-    value.message.size = value.message_bytes = len(buf) - FRAME_OVERHEAD - _depth_field(depth)
-    value.layers = depth if type(value.blob) is Envelope else 0
+    value.nbytes = len(buf) - FRAME_OVERHEAD
     return value

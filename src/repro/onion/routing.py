@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.crypto.backend import CipherBackend, PrivateKey
-from repro.crypto.simulated import Envelope
 from repro.errors import OnionError, OnionPeelError
 from repro.net.messages import NetMessage
 from repro.net.network import P2PNetwork
@@ -40,12 +39,12 @@ class OnionPacket:
     message: Any
     category: str
     sent_at: float
-    # What :func:`repro.core.wire.packet_size` remembers so the next relay
-    # need not walk the onion again: the message's wire size and the
-    # blob's sealed layers (0 = not counted).  Plain attributes, not
-    # dataclass fields — never encoded, compared or printed.
-    message_bytes = 0
-    layers = 0
+    # The packet's modelled wire size (0 = not known): set where a packet
+    # is made — the origin's send, decode (its frame's length), each
+    # relay's peel (counted down by repro.core.wire.onward_size) — so no
+    # hop walks the onion.  A plain attribute, not a dataclass field:
+    # never encoded, compared or printed.
+    nbytes = 0
 
 
 class OnionRouter:
@@ -54,19 +53,12 @@ class OnionRouter:
     def __init__(self, network: P2PNetwork, backend: CipherBackend) -> None:
         # Bound once per router, not per hop; function-scope because
         # repro.core imports this package.
-        from repro.core.wire import (
-            BLOB_FIELD_BYTES,
-            LAYER_STEP_BYTES,
-            WireSlice,
-            packet_size,
-            relay_frame,
-        )
+        from repro.core.wire import WireSlice, first_hop_size, onward_size, relay_frame
 
         self._wire_slice = WireSlice
-        self._size_of = packet_size
+        self._first_hop_size = first_hop_size
+        self._onward_size = onward_size
         self._relay_frame = relay_frame
-        self._blob_field = BLOB_FIELD_BYTES
-        self._layer_step = LAYER_STEP_BYTES
         self.network = network
         self.backend = backend
         self._keys: dict[int, PrivateKey] = {}
@@ -106,15 +98,8 @@ class OnionRouter:
             category=category,
             sent_at=self.network.engine.now,
         )
-        # A built onion knows its depth; packet_size walks any other.
-        packet.layers = onion.layers
-        self.network.send(
-            sender_ip,
-            onion.first_hop,
-            packet,
-            category=category,
-            size_bytes=self._size_of(packet),
-        )
+        packet.nbytes = size = self._first_hop_size(onion, message)
+        self.network.send(sender_ip, onion.first_hop, packet, category=category, size_bytes=size)
 
     # -- receiving (wired into node dispatchers) ---------------------------
 
@@ -155,16 +140,7 @@ class OnionRouter:
         # Forward the peeled packet one hop inward.
         category = packet.category
         inner = OnionPacket(blob, packet.message, category, packet.sent_at)
-        layers = packet.layers
-        if layers > 1:
-            # packet_size(inner, packet)'s count-down, in place, by the rule
-            # a live relay splices with (relay_frame): the message is the
-            # same and the blob one sealed layer, LAYER_STEP_BYTES, thinner.
-            size = inner.message_bytes = packet.message_bytes
-            size += self._blob_field[layers] - self._layer_step
-            inner.layers = layers - 1 if type(blob) is Envelope else 0
-        else:
-            size = self._size_of(inner, packet)
+        inner.nbytes = size = self._onward_size(packet, blob)
         self.network.send(here, int(next_ip), inner, category=category, size_bytes=size)
         return True
 

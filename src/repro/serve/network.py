@@ -60,10 +60,14 @@ class ServeNetwork(P2PNetwork):
         self.transport = transport
         self.frames_sent = 0
         self.frames_received = 0
-        #: Inbound frames dropped as malformed before any handler ran.
-        self.frames_rejected = 0
         #: The onion router of each node whose handler is its ``handle``.
         self._relays: dict[int, OnionRouter] = {}
+
+    @property
+    def frames_rejected(self) -> int:
+        """Inbound frames dropped as malformed before any handler ran: here
+        or by the transport, which keeps the one counter."""
+        return self.transport.frames_rejected
 
     @property
     def faults(self) -> None:
@@ -158,7 +162,7 @@ class ServeNetwork(P2PNetwork):
         ``frames_rejected``; no protocol handler has run on it.
         """
         if not (0 <= frame.src < self.n and 0 <= frame.dst < self.n):
-            self.frames_rejected += 1
+            self.transport.frames_rejected += 1
             return
         if not self.alive[frame.dst]:
             return
@@ -185,7 +189,7 @@ class ServeNetwork(P2PNetwork):
                 )
             )
         except WireError:
-            self.frames_rejected += 1
+            self.transport.frames_rejected += 1
         else:
             self.frames_received += 1
 

@@ -100,6 +100,10 @@ class Transport(abc.ABC):
         self.frames_posted = 0
         self.bytes_posted = 0
         self.frames_delivered = 0
+        #: Inbound frames dropped as malformed, by the transport (a stream
+        #: body that is no frame) or at the network edge
+        #: (``ServeNetwork.frames_rejected`` reads this counter).
+        self.frames_rejected = 0
 
     @abc.abstractmethod
     async def start(self, node_ids: Sequence[int]) -> None:
@@ -168,11 +172,14 @@ def _tcp_pack(frame: Frame) -> bytes:
 
 
 def _tcp_unpack(body: bytes) -> Frame:
-    src, dst, sent_at, cat_len = _TCP_HEAD.unpack_from(body, 0)
-    offset = _TCP_HEAD.size
-    category = body[offset : offset + cat_len].decode("utf-8")
-    payload = body[offset + cat_len :]
-    return Frame(src, dst, category, sent_at, payload)
+    """The frame a stream body carries; WireError when it carries none."""
+    try:
+        src, dst, sent_at, cat_len = _TCP_HEAD.unpack_from(body, 0)
+        offset = _TCP_HEAD.size
+        category = body[offset : offset + cat_len].decode("utf-8")
+    except (struct.error, UnicodeDecodeError) as exc:
+        raise WireError(f"malformed stream frame: {exc}") from None
+    return Frame(src, dst, category, sent_at, body[offset + cat_len :])
 
 
 class TcpLoopbackTransport(Transport):
@@ -222,7 +229,12 @@ class TcpLoopbackTransport(Transport):
                     head = await stream.readexactly(4)
                     (length,) = struct.unpack(">I", head)
                     body = await stream.readexactly(length)
-                    self._inboxes[ip].put(_tcp_unpack(body))
+                    try:
+                        frame = _tcp_unpack(body)
+                    except WireError:
+                        self.frames_rejected += 1  # dropped; the stream reads on
+                        continue
+                    self._inboxes[ip].put(frame)
             except (asyncio.IncompleteReadError, ConnectionResetError):
                 pass
             finally:

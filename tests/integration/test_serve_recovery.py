@@ -15,7 +15,7 @@ import copy
 import numpy as np
 
 from repro.core.config import HiRepConfig
-from repro.core.wire import WireSlice, encode
+from repro.core.wire import WireSlice, _blob_field, encode
 from repro.onion.onion import OnionLayer, build_onion
 from repro.onion.routing import OnionPacket
 from repro.serve import LoadGenerator, ServeSystem, build_trace
@@ -170,8 +170,9 @@ def test_a_relay_layer_naming_no_node_is_dropped_not_a_crash():
         backend, relay, owner = system.backend, system.peers[6].keys, system.peers[9].keys
         inner = build_onion(backend, owner.ap, owner.sr, 9, [], seq=1).blob
         forged = backend.encrypt(relay.ap, OnionLayer(10_000, inner))
-        message = WireSlice(b"\x05\x00\x09\xff", size=64)
-        frame = encode(OnionPacket(forged, message, "trust_query", 0.0))
+        packet = OnionPacket(forged, WireSlice(b"\x05\x00\x09\xff"), "trust_query", 0.0)
+        packet.nbytes = _blob_field(forged) + 64  # a sealed message modelled at 64 bytes
+        frame = encode(packet)
         dropped = system.router.dropped
 
         async def scenario():
@@ -207,8 +208,9 @@ def test_bad_frames_mid_load_are_rejected_not_crashes():
             only the owner's unpack can tell."""
             keys = system.peers[owner].keys
             onion = build_onion(system.backend, keys.ap, keys.sr, owner, [], seq=1)
-            junk = WireSlice(b"\x05\x00\x09\xff", size=64)
-            return encode(OnionPacket(onion.blob, junk, "trust_query", 0.0))
+            packet = OnionPacket(onion.blob, WireSlice(b"\x05\x00\x09\xff"), "trust_query", 0.0)
+            packet.nbytes = _blob_field(onion.blob) + 64  # junk modelled at 64 bytes
+            return encode(packet)
 
         valid = sealed_junk(5)
         bad_frames = (

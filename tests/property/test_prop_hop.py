@@ -22,9 +22,9 @@ endpoint call ``(ip, message, sent_at, now)``, the errors raised,
 generator states.
 
 Shown to fail under each of these seeded mutations: the count-down
-indexing the inbound depth instead of one less, taken from ``layers >
-0``, dropping the onward ``message_bytes`` or not counting ``layers``
-down; the onward packet stamped with ``now`` for ``sent_at``; ``send``
+(``onward_size``) a step short or long or taken without its sealed test,
+the onward packet's ``nbytes`` or the first packet's not carried; the
+onward packet stamped with ``now`` for ``sent_at``; ``send``
 checking ``dst`` before the sender's liveness, skipping the ``src``
 bounds check, or letting ``dst == n`` through; a default size of 0; the
 FIFO horizon ignored; an offline destination reserving its link; the link
@@ -39,16 +39,17 @@ fresh delivered outcome per call, a ``WireSlice`` that encodes the
 marker or refuses every string, a depth table without length prefixes,
 and ``alive`` left writable or copied.  Survivors, all equivalent here:
 dropping the router's liveness re-check (a handler only runs for an
-online node), the onward ``layers`` set without the ``Envelope`` test
-(every blob this kernel forwards is one; a live relay's onward packet is
-encoded, and the attribute does not travel), ``>=`` for ``>`` in the
+online node), the count-down's test that an ``Envelope`` was peeled and
+its trade of blob fields (every inbound blob here is an ``Envelope``,
+and a forged core's field equals a one-layer blob's; the RSA cases of
+``test_prop_relay_splice.py`` kill both), ``>=`` for ``>`` in the
 horizon (a tie gives the same time), and two depth-table growths that the
 64-byte block padding absorbs (without the IP's 4 bytes, or from the
 field with its 2-byte prefix).
 
 A second property pins the depth a built onion carries (``Onion.layers``):
 for generated paths under both backends, a built and a resealed onion
-carry ``_onion_depth(blob)`` on the simulated backend and nothing under
+carry the walked depth of their blob on the simulated backend and nothing under
 RSA (whose depth stays the length model), a decoded one carries nothing,
 and the size ``OnionRouter.send`` charges the first hop — and
 ``onion_size`` — equal the walked ``wire_size`` for all of them.
@@ -64,8 +65,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.messages import SignedResult, TransactionReport, TrustValueRequest
-from repro.core.wire import _onion_depth, decode, encode, onion_size, wire_size
+from repro.core.wire import SEAL_BLOCK_BYTES, _depth_field, decode, encode, onion_size, wire_size
 from repro.crypto.backend import get_backend
+from repro.crypto.simulated import Envelope
 from repro.crypto.keys import PeerKeys
 from repro.errors import NetworkError, OnionPeelError
 from repro.net.faults import Bisection, FaultPlane, LatencySpike, MessageLoss
@@ -84,6 +86,20 @@ RSA_KEYS = [PeerKeys.generate(RSA, np.random.default_rng(4006 + i)) for i in ran
 
 
 # ------------------------------------------------------------------ the oracle
+
+
+def onion_depth(blob: Any) -> int:
+    """Sealed layers in an onion blob, walked to the core; an RSA blob's
+    depth is estimated from its length, and anything else counts one."""
+    depth, current = 0, blob
+    while isinstance(current, Envelope):
+        depth += 1
+        if not isinstance(current.payload, OnionLayer):
+            break
+        current = current.payload.inner
+    if depth:
+        return depth
+    return max(1, len(current) // (2 * SEAL_BLOCK_BYTES)) if type(current) is bytes else 1
 
 
 @dataclass(frozen=True)
@@ -153,7 +169,8 @@ class OracleNetwork(P2PNetwork):
 
 
 class OracleRouter(OnionRouter):
-    """``handle`` as it stood: keyword packets, ``is_online``, ``packet_size`` per hop."""
+    """``handle`` as it stood: keyword packets, ``is_online``, and each onward
+    packet sized from its blob's full depth and its message."""
 
     def handle(self, msg):
         if not isinstance(msg.payload, OnionPacket):
@@ -192,7 +209,7 @@ class OracleRouter(OnionRouter):
             int(outcome.next_ip),
             inner,
             category=packet.category,
-            size_bytes=self._size_of(inner, packet),
+            size_bytes=_depth_field(onion_depth(inner.blob)) + wire_size(inner.message),
         )
         return True
 
@@ -423,7 +440,7 @@ def test_first_hop_size_reads_the_depth_a_build_records(rsa, relays, seq, bump, 
     resealed = reseal(backend, built, keys[0].sr, seq + bump)
     decoded = decode(encode(resealed))
     onions = (built, resealed, decoded)
-    depth = 0 if rsa else _onion_depth(built.blob)
+    depth = 0 if rsa else onion_depth(built.blob)
     assert depth in (0, len(relays) + 1)
     assert [o.layers for o in onions] == [depth, depth, 0]
     net = P2PNetwork(ring_lattice(MAX_N, k=1), np.random.default_rng(seq))

@@ -4,10 +4,12 @@
 is an onion router to ``OnionRouter.relay`` before decoding it; a relay
 hop is forwarded as ``relay_frame``'s splice of the inbound bytes.  The
 oracle is the path every relay took before: ``decode`` the frame, let
-``OnionRouter.handle`` peel the packet as objects, ``encode(inner,
-packet_size(inner, packet))`` the onward one — :class:`DecodingNetwork`
-and :class:`DecodingRouter` keep it, with the one rule both paths gained:
-a layer naming no node is dropped, not sent.
+``OnionRouter.handle`` peel the packet as objects and ``encode`` the
+onward one — :class:`DecodingNetwork` and :class:`DecodingRouter` keep
+it, with the one rule both paths gained: a layer naming no node is
+dropped, not sent.  The oracle sizes each onward packet from first
+principles, walking both blobs to full depth (:func:`blob_field`), never
+from the size the packet carries.
 
 Hypothesis draws one frame: an onion of 0–6 relays on the simulated or
 the RSA backend (a real one, or forged around a marker, junk, a sealed
@@ -23,14 +25,20 @@ endpoint call, ``delivered`` / ``dropped``, ``frames_received`` /
 ``frames_rejected`` / ``frames_sent``, the counter's categories, and every
 exception raised.
 
-Shown to fail under each of these seeded mutations of the splice: a pad
-one byte short; the depth count-down off by one (``layers - 2``); the
-fingerprint check skipped; the splice taken for a marker inner (the
-``layers < 2`` test dropped) or for an owner's layer (``next_ip < 0``
-not tested); ``read_hop`` accepting a body with trailing data; and
-``_forwards`` without its bounds test.  The drawn cases alone kill each
-at five hypothesis seeds of five, the owner's layer at three; the
-explicit examples kill every one.
+Shown to fail under each of these seeded mutations of the splice and of
+the count-down rule (``onward_size``): the step one byte short or long;
+a pad one byte short; the sealed test dropped from the rule, or from the
+splice (``hop.sealed``: a marker inner spliced); the rule's test that an
+``Envelope`` was peeled dropped (an RSA layer around a lookalike inner);
+the rule's trade of blob fields dropped; ``nbytes`` not carried off the
+frame by ``decode``; the fingerprint check skipped; the splice taken for
+an owner's layer (``next_ip < 0`` not tested); ``read_hop`` accepting a
+body with trailing data; and ``_forwards`` without its bounds test.  The
+drawn cases alone kill each at five hypothesis seeds of five, the
+owner's layer at three and the ``Envelope`` test at two; the full run,
+explicit examples included, kills every one.  ``handle`` not setting
+the onward packet's ``nbytes`` survives here — the next hop reads it off
+the frame — and is killed by ``test_prop_hop.py``.
 """
 
 from __future__ import annotations
@@ -45,13 +53,20 @@ from hypothesis import strategies as st
 from repro.core.messages import SignedResult, TransactionReport, TrustValueRequest
 from repro.core.wire import (
     _ENVELOPE_TAG,
+    _LAYER_TAG,
+    _T_BYTES8,
+    _T_INT,
     FRAME_OVERHEAD,
+    SEAL_BLOCK_BYTES,
     WireSlice,
+    _depth_field,
     _encode_value,
     decode,
     encode,
+    wire_size,
 )
 from repro.crypto.backend import get_backend
+from repro.crypto.simulated import Envelope
 from repro.crypto.keys import PeerKeys
 from repro.errors import NetworkError, OnionPeelError, UnknownNodeError, WireError
 from repro.net.messages import Category, NetMessage
@@ -81,9 +96,45 @@ MAX_FRAMES = 40  # a case's frames, the first included
 # ------------------------------------------------------------------ the oracle
 
 
+def slice_layers(raw: bytes) -> int:
+    """Sealed onion layers nested in an encoded blob, read off the headers
+    (``Envelope`` ▸ fingerprint ▸ ``OnionLayer`` ▸ next_ip ▸ length of the
+    next slice) without opening anything."""
+    layers = offset = 0
+    try:
+        while raw[offset] == _ENVELOPE_TAG and raw[offset + 1] == _T_BYTES8:
+            layers += 1
+            offset += 3 + raw[offset + 2]
+            if raw[offset] != _LAYER_TAG or raw[offset + 1] != _T_INT:
+                break
+            offset += 3 + raw[offset + 2] + 2
+    except IndexError:
+        pass
+    return layers
+
+
+def blob_field(blob: Any) -> int:
+    """The wire field of an onion blob at its full depth, walked through
+    every object layer and then every header of a slice; an RSA blob's
+    depth is estimated from its length, and anything else counts one."""
+    depth, current = 0, blob
+    while isinstance(current, Envelope):
+        depth += 1
+        if not isinstance(current.payload, OnionLayer):
+            break
+        current = current.payload.inner
+    if isinstance(current, WireSlice):
+        depth += slice_layers(current.raw)
+    if not depth:
+        depth = max(1, len(current) // (2 * SEAL_BLOCK_BYTES)) if type(current) is bytes else 1
+    return _depth_field(depth)
+
+
 class DecodingRouter(OnionRouter):
     """``handle`` as every relay ran it: peel the decoded packet, size the
-    onward one with ``packet_size``, encode it through ``network.send``."""
+    onward one from its blob's full depth and the message's size (the
+    inbound frame less the inbound blob), encode it through
+    ``network.send``."""
 
     def handle(self, msg: NetMessage) -> bool:
         if not isinstance(msg.payload, OnionPacket):
@@ -111,12 +162,13 @@ class DecodingRouter(OnionRouter):
             self.dropped += 1
             return True
         inner = OnionPacket(outcome.inner, packet.message, packet.category, packet.sent_at)
+        message_bytes = msg.size_bytes - FRAME_OVERHEAD - blob_field(packet.blob)
         self.network.send(
             here,
             int(outcome.next_ip),
             inner,
             category=packet.category,
-            size_bytes=self._size_of(inner, packet),
+            size_bytes=blob_field(outcome.inner) + message_bytes,
         )
         return True
 
@@ -148,7 +200,7 @@ class DecodingNetwork(ServeNetwork):
 
     def deliver_frame(self, frame):
         if not (0 <= frame.src < self.n and 0 <= frame.dst < self.n):
-            self.frames_rejected += 1
+            self.transport.frames_rejected += 1
             return
         if not self.alive[frame.dst]:
             return
@@ -168,7 +220,7 @@ class DecodingNetwork(ServeNetwork):
                 )
             )
         except WireError:
-            self.frames_rejected += 1
+            self.transport.frames_rejected += 1
         else:
             self.frames_received += 1
 
@@ -185,6 +237,7 @@ class Posts:
 
     def __init__(self) -> None:
         self.frames: list[Frame] = []
+        self.frames_rejected = 0
 
     def post(self, frame: Frame) -> None:
         self.frames.append(frame)
@@ -295,8 +348,10 @@ MESSAGES = [
         SIM_KEYS[1].sp,
         build_onion(SIM, SIM_KEYS[1].ap, SIM_KEYS[1].sr, 1, [(2, SIM_KEYS[2].ap)], 1),
     ),
-    WireSlice(b"\x05\x00\x09\xff", size=64),  # sealed junk: only its owner can tell
+    WireSlice(b"\x05\x00\x09\xff"),  # sealed junk: only its owner can tell
 ]
+#: The modelled size of the sealed junk, which cannot be sized by opening it.
+JUNK_BYTES = 64
 
 
 def onion_frame(
@@ -323,7 +378,9 @@ def onion_frame(
             **{f"lookalike{i}": slice_ for i, slice_ in enumerate(LOOKALIKES)},
         }[core]
         onion = forged_onion(backend, keys, owner, relays, OnionLayer(next_ip, inner))
-    return onion.first_hop, encode(OnionPacket(onion.blob, message, category, sent_at))
+    message_bytes = JUNK_BYTES if type(message) is WireSlice else wire_size(message)
+    packet = OnionPacket(onion.blob, message, category, sent_at)
+    return onion.first_hop, encode(packet, blob_field(onion.blob) + message_bytes)
 
 
 def simple(at: int, frame: bytes) -> Case:
@@ -369,6 +426,7 @@ def cases(draw) -> Case:
 @example(case=simple(*onion_frame(False, 0, [1, 2], "sealed", -1)))  # an owner's layer
 @example(case=simple(*onion_frame(False, 0, [1, 2], "marker", 4)))  # a fake onion naming a node
 @example(case=simple(*onion_frame(False, 0, [1], "lookalike0", 3)))  # an inner that looks sealed
+@example(case=replace(simple(*onion_frame(True, 0, [1], "lookalike0", 3)), rsa=True))  # …on RSA
 @example(case=simple(*onion_frame(False, 0, [1, 2], "sealed", 10_000)))  # naming no node
 @example(case=replace(simple(*RELAYED), at=4))  # misrouted
 @example(case=simple(RELAYED[0], trailing(RELAYED[1])))  # trailing data

@@ -166,7 +166,8 @@ def message_shapes(nonce: int, relays: int) -> list:
 def test_relays_forward_sealed_and_the_owner_reads_the_original(
     relays, nonce, sent_at, category
 ):
-    """Hop by hop: decode → peel → re-encode, for every shape × depth."""
+    """Hop by hop: decode → peel → re-encode, for every shape × depth; each
+    frame is as long as the same hop built from objects."""
     for message in message_shapes(nonce, relays):
         packet = OnionPacket(
             blob=onion_of(3, relays).blob,
@@ -174,11 +175,12 @@ def test_relays_forward_sealed_and_the_owner_reads_the_original(
             category=category,
             sent_at=sent_at,
         )
+        as_objects = packet
         path = list(range(3 + relays, 2, -1))  # entry relay … owner (KEYS[3])
         with mock.patch.object(WireSlice, "unpack", autospec=True) as opened:
             for here in path:
                 frame = encode(packet)
-                assert len(frame) == wire_size(packet) + FRAME_OVERHEAD
+                assert len(frame) == wire_size(as_objects) + FRAME_OVERHEAD
                 inbound = decode(frame)
                 assert type(inbound.message) is WireSlice  # still sealed
                 outcome = peel(BACKEND, KEYS[here].ar, inbound.blob)
@@ -190,6 +192,10 @@ def test_relays_forward_sealed_and_the_owner_reads_the_original(
                     message=inbound.message,
                     category=inbound.category,
                     sent_at=inbound.sent_at,
+                )
+                packet.nbytes = wire.onward_size(inbound, outcome.inner)  # as a relay does
+                as_objects = OnionPacket(
+                    peel(BACKEND, KEYS[here].ar, as_objects.blob).inner, message, category, sent_at
                 )
             assert here == 3 and outcome.delivered
             assert opened.call_count == 0  # no hop materialised anything
@@ -206,22 +212,22 @@ def test_decode_never_crashes_on_garbage(data):
         pass  # the only acceptable failure mode
 
 
-# -- the hop header against the plan ------------------------------------------
+# -- the hop reader against the plan ------------------------------------------
 #
-# OnionPacket's codec is a fixed layout with the planned field readers as
-# its fallback.  The oracle is the codec every other class has: the encoder
-# and decoder planned from _WIRE_CLASSES, installed in its place.
+# A packet is decoded by the planned readers, or built from read_hop's read
+# of its frame; it is encoded in one pass at the origin.  The oracles are
+# decode(frame) without the read, and the encoder planned from
+# _WIRE_CLASSES, installed in place of the origin's.
 
 
 @contextmanager
 def planned_packet_codec():
-    tag = wire._TAG_OF_CLASS[OnionPacket]
-    fixed = wire._ENCODERS[OnionPacket], wire._DECODERS[tag]
-    wire._ENCODERS[OnionPacket], wire._DECODERS[tag] = wire._planned(OnionPacket)
+    origin = wire._ENCODERS[OnionPacket]
+    wire._ENCODERS[OnionPacket], _ = wire._planned(OnionPacket)
     try:
         yield
     finally:
-        wire._ENCODERS[OnionPacket], wire._DECODERS[tag] = fixed
+        wire._ENCODERS[OnionPacket] = origin
 
 
 def canonical(value):
@@ -238,16 +244,17 @@ def canonical(value):
     return value
 
 
-def outcome(frame):
-    """What decoding ``frame`` and opening everything in it comes to; any
-    exception but WireError propagates."""
+def outcome(frame, hop=None):
+    """What decoding ``frame`` (from ``hop``, read_hop's read of it, if
+    given) and opening everything in it comes to; any exception but
+    WireError propagates."""
     try:
-        value = decode(frame)
+        value = decode(frame, hop)
         opened = canonical(value)
     except WireError as exc:
         return ("WireError", str(exc))
     if type(value) is OnionPacket:
-        return opened, value.layers, value.message_bytes, value.message.size
+        return opened, value.nbytes
     return opened
 
 
@@ -279,9 +286,10 @@ def test_mutated_valid_frames_raise_only_wire_error(
     frame, flips, cut, garbage, splice_at
 ):
     """Byte flips, truncation and spliced garbage on frames that got past
-    the header — where 64 random bytes almost never reach.  Both codecs
-    raise nothing but WireError, and the hop header's gives what the plan
-    gives: the same value and sizes, or the same WireError."""
+    the header — where 64 random bytes almost never reach.  Decoding
+    raises nothing but WireError, and a frame read_hop reads decodes from
+    that read to what the plan gives: the same value and size, or the
+    same WireError."""
     data = bytearray(frame)
     for position, byte in flips:
         data[position % len(data)] = byte
@@ -292,9 +300,11 @@ def test_mutated_valid_frames_raise_only_wire_error(
         data[3:7] = (len(data) - FRAME_OVERHEAD).to_bytes(4, "big")
     if cut is not None:
         del data[cut % (len(data) + 1) :]
-    with planned_packet_codec():
-        expected = outcome(bytes(data))
-    assert outcome(bytes(data)) == expected
+    frame = bytes(data)
+    expected = outcome(frame)
+    hop = wire.read_hop(frame)
+    if hop is not None:
+        assert outcome(frame, hop) == expected
 
 
 RSA = get_backend("rsa")
@@ -356,13 +366,12 @@ def test_hop_header_codec_matches_the_planned_codec(
         frame = encode(packet)
         with planned_packet_codec():
             assert encode(packet) == frame
-            expected = outcome(frame)
-        with mock.patch.object(
-            wire, "_decode_planned_packet", wraps=wire._decode_planned_packet
-        ) as planned:
-            assert outcome(frame) == expected
-        # On the layout the fixed reader answers alone.
-        assert planned.called != on_layout
+        hop = wire.read_hop(frame)
+        # On the layout, and only there, the hop is read, and decoding from
+        # the read gives what the plan gives.
+        assert (hop is not None) == on_layout
+        if hop is not None:
+            assert outcome(frame, hop) == outcome(frame)
 
 
 @pytest.mark.parametrize("nested", [9, 10])
@@ -374,9 +383,9 @@ def test_hop_header_keeps_the_nesting_limit(nested):
         packet = OnionPacket(packet, "m", "c", 0.5)
     frame = encode(packet)
     with planned_packet_codec():
-        expected = outcome(frame)
-    assert outcome(frame) == expected
-    assert (expected[0] == "WireError") == (nested == 10)
+        assert encode(packet) == frame
+    assert wire.read_hop(frame) is None  # a packet is no sealed layer
+    assert (outcome(frame)[0] == "WireError") == (nested == 10)
 
 
 # -- sealed values: encoded once ----------------------------------------------
@@ -518,10 +527,33 @@ PREFIXED = [
 @example(raw=bytes([wire._ENVELOPE_TAG, wire._T_BYTES8]), message="ping")
 @settings(max_examples=300, deadline=None)
 def test_read_hop_reads_a_sealed_inner_as_its_depth_walk_does(raw, message):
-    """``read_hop`` looks at two bytes of the inner slice where the depth
-    walk reads every header; both must call the same inners sealed, even
-    where the bytes after the slice would pass for a sealed head."""
+    """``read_hop`` and the count-down (``onward_size``) look at two bytes
+    of the inner slice where the depth walk reads every header; all must
+    call the same inners sealed, even where the bytes after the slice
+    would pass for a sealed head."""
     outer = BACKEND.encrypt(KEYS[1].ap, OnionLayer(3, WireSlice(raw)))
-    hop = wire.read_hop(encode(OnionPacket(outer, message, "trust_query", 0.0)))
+    frame = encode(OnionPacket(outer, message, "trust_query", 0.0))
+    hop = wire.read_hop(frame)
     assert hop is not None
-    assert hop.sealed == (WireSlice(raw).layers() >= 1)
+    sealed = slice_layers(raw) >= 1
+    assert hop.sealed == sealed
+    inbound = decode(frame, hop)
+    counted = wire.onward_size(inbound, inbound.blob.payload.inner)
+    assert (counted == inbound.nbytes - wire.LAYER_STEP_BYTES) == sealed
+
+
+def slice_layers(raw):
+    """Sealed onion layers nested in an encoded blob, read off the headers
+    (``Envelope`` ▸ fingerprint ▸ ``OnionLayer`` ▸ next_ip ▸ length of the
+    next slice) without opening anything: the full depth walk."""
+    layers = offset = 0
+    try:
+        while raw[offset] == wire._ENVELOPE_TAG and raw[offset + 1] == wire._T_BYTES8:
+            layers += 1
+            offset += 3 + raw[offset + 2]
+            if raw[offset] != wire._LAYER_TAG or raw[offset + 1] != wire._T_INT:
+                break
+            offset += 3 + raw[offset + 2] + 2
+    except IndexError:
+        pass
+    return layers

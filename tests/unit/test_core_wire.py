@@ -15,9 +15,11 @@ from repro.core.wire import (
     BLOB_FIELD_BYTES,
     LAYER_STEP_BYTES,
     SEAL_BLOCK_BYTES,
+    FRAME_OVERHEAD,
     decode,
     encode,
-    packet_size,
+    first_hop_size,
+    onward_size,
     wire_size,
 )
 from repro.crypto.backend import get_backend
@@ -124,39 +126,46 @@ def _peel_chain(backend, keys, first, here):
 @pytest.mark.parametrize("name", ["simulated", "rsa"])
 @pytest.mark.parametrize("relays", [0, 1, 4])
 def test_packet_size_is_wire_size_at_every_hop(rng, name, relays):
-    """The router's carried sizing against the walk it replaces (the RSA
-    blob, whose depth is only estimated, is walked every hop)."""
+    """The size a packet carries, charged at the origin and counted down
+    each peel, against the walk of the packet (the RSA blob, whose depth is
+    only estimated, is measured from its length every hop)."""
     backend = get_backend(name)
     keys = [PeerKeys.generate(backend, rng) for _ in range(7)]
     onion = make_onion(backend, keys, relays)
-    first = OnionPacket(onion.blob, make_request(backend, keys, relays=2), "c", 0.0)
-    assert packet_size(first) == wire_size(first)
-    assert first.layers == (relays + 1 if name == "simulated" else 0)
+    message = make_request(backend, keys, relays=2)
+    first = OnionPacket(onion.blob, message, "c", 0.0)
+    assert onion.layers == (relays + 1 if name == "simulated" else 0)
+    first.nbytes = first_hop_size(onion, message)
+    assert first.nbytes == wire_size(OnionPacket(onion.blob, message, "c", 0.0))
     hops = 0
     for inner, outer in _peel_chain(backend, keys, first, onion.first_hop):
-        assert packet_size(inner, outer) == wire_size(inner)
+        size = onward_size(outer, inner.blob)
+        assert size == wire_size(inner)  # inner carries no size yet: walked
+        inner.nbytes = size
         hops += 1
     assert hops == relays
 
 
 def test_packet_size_measures_what_it_cannot_count_down_to(setup):
     """Under a single layer there is no valid blob: a forged layer naming
-    a next hop over junk is sized by the walk, as before."""
+    a next hop over junk trades the layer's field for the junk's, as the
+    walk sizes it."""
     backend, keys = setup
     message = make_request(backend, keys)
     outer = OnionPacket(backend.encrypt(keys[1].ap, OnionLayer(2, "junk")), message, "c", 0.0)
-    packet_size(outer)
-    assert outer.layers == 1
+    outer.nbytes = wire_size(outer)
     inner = OnionPacket("junk", message, "c", 0.0)
-    assert packet_size(inner, outer) == wire_size(inner)
-    # Neither attribute is a wire field: frames and equality do not see them.
+    assert onward_size(outer, "junk") == wire_size(inner)
+    # The size is not a wire field: equality does not see it, and the frame
+    # only as its padding.
     assert encode(outer) == encode(OnionPacket(outer.blob, message, "c", 0.0))
     assert outer == OnionPacket(outer.blob, message, "c", 0.0)
-    # decode() counts both from the frame itself, whatever the sender held,
-    # so a live relay's packet_size(inner, inbound) counts down from them.
-    outer.layers = 5
-    inbound = decode(encode(outer))
-    assert (inbound.layers, inbound.message_bytes) == (1, wire_size(message))
+    # decode() reads it off the frame itself, so a live relay's
+    # onward_size(inbound, blob) counts down from it.
+    frame = encode(outer)
+    inbound = decode(frame)
+    assert inbound.nbytes == len(frame) - FRAME_OVERHEAD == outer.nbytes
+    assert onward_size(inbound, inbound.blob.payload.inner) == wire_size(inner)
 
 
 def test_blob_field_by_depth_is_the_size_model(setup):
@@ -165,8 +174,10 @@ def test_blob_field_by_depth_is_the_size_model(setup):
     backend, keys = setup
     expected = [18, 68, 132, 196, 260, 324, 388]
     for relays, field in enumerate(expected[1:]):  # depth = relays + 1
-        packet = OnionPacket(make_onion(backend, keys, relays).blob, None, "c", 0.0)
-        assert packet_size(packet) == field + DEFAULT_MESSAGE_BYTES
+        onion = make_onion(backend, keys, relays)
+        packet = OnionPacket(onion.blob, None, "c", 0.0)
+        assert wire_size(packet) == field + DEFAULT_MESSAGE_BYTES
+        assert first_hop_size(onion, None) == field + DEFAULT_MESSAGE_BYTES
     assert BLOB_FIELD_BYTES[: len(expected)] == expected
 
 

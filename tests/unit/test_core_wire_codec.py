@@ -244,10 +244,16 @@ def test_malformed_slice_surfaces_only_when_its_owner_unpacks_it(setup):
     backend, keys = setup
     packet = OnionPacket(
         blob=make_onion(backend, keys).blob,
-        message=WireSlice(b"\x05\x00\x02\xff\xfe", size=128),
+        message=WireSlice(b"\x05\x00\x02\xff\xfe"),
         category="c",
         sent_at=0.0,
     )
-    relayed = decode(encode(packet))  # a relay's view: header only, no error
+    # The junk cannot be sized by unpacking it: the packet carries its size,
+    # a sealed message modelled at 128 bytes.
+    packet.nbytes = wire._blob_field(packet.blob) + 128
+    frame = encode(packet)
+    assert len(frame) == packet.nbytes + FRAME_OVERHEAD
+    relayed = decode(frame)  # a relay's view: header only, no error
+    assert relayed.nbytes == packet.nbytes
     with pytest.raises(WireError):
         relayed.message.unpack()

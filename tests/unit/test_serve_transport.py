@@ -3,9 +3,13 @@
 import asyncio
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from repro.errors import WireError
+from repro.net.topology import ring_lattice
+from repro.serve.engine import WallEngine
+from repro.serve.network import ServeNetwork
 from repro.serve.supervisor import Supervisor
 from repro.serve.transport import (
     TRANSPORT_NAMES,
@@ -88,6 +92,38 @@ def test_tcp_rejects_unknown_destination():
         await transport.stop()
 
     run(scenario())
+
+
+def test_tcp_drops_and_counts_bodies_that_are_no_frame():
+    """A 3-byte body and one whose category is not UTF-8, then a fleet
+    frame, on one connection: both are dropped and counted where the fleet
+    reads its rejections, the connection reads on, and nothing reaches
+    the loop's exception handler."""
+    bad_category = b"\x00" * 16 + b"\x00\x02" + b"\xff\xfe"  # src, dst, sent_at, length
+
+    async def scenario():
+        transport = TcpLoopbackTransport()
+        network = ServeNetwork(
+            ring_lattice(4, k=1), np.random.default_rng(1), engine=WallEngine(), transport=transport
+        )
+        handled = []
+        asyncio.get_running_loop().set_exception_handler(lambda loop, ctx: handled.append(ctx))
+        await transport.start(range(4))
+        _, writer = await asyncio.open_connection("127.0.0.1", transport.ports[1])
+        for body in (b"abc", bad_category):
+            writer.write(len(body).to_bytes(4, "big") + body)
+        writer.write(_tcp_pack(make_frame(dst=1)))
+        await writer.drain()
+        got = await asyncio.wait_for(transport.get(1), timeout=5.0)
+        writer.close()
+        await writer.wait_closed()
+        await transport.stop()
+        return got, transport.frames_rejected, network.frames_rejected, handled
+
+    got, rejected, seen_by_network, handled = run(scenario())
+    assert got == make_frame(dst=1)
+    assert rejected == seen_by_network == 2
+    assert handled == []
 
 
 def test_tcp_brings_up_one_port_per_node():
