@@ -43,22 +43,8 @@ def whitewash_provider(system: HiRepSystem, provider: int) -> WhitewashOutcome:
     appears.  Agents keep their reports about the dead identity; the new
     identity starts from scratch.
     """
-    peer = system.peers[provider]
-    old_id = peer.node_id
     new_keys = PeerKeys.generate(system.backend, system.world.rng_keys)
-    peer.adopt_keys(new_keys)
-    system.router.register_node(provider, new_keys.ar)
-    from repro.crypto.nonce import NonceRegistry
-    from repro.onion.handshake import HandshakeResponder
-
-    system.relay_registry.register(
-        provider,
-        HandshakeResponder(
-            system.backend, new_keys.ap, new_keys.ar, provider, NonceRegistry(peer.rng)
-        ),
-    )
-    truth = system.truth_by_id.pop(old_id)
-    system.truth_by_id[new_keys.node_id] = truth
+    old_id = system.wiring.rekey(provider, new_keys)
     return WhitewashOutcome(
         provider=provider, old_node_id=old_id, new_node_id=new_keys.node_id
     )

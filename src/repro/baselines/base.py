@@ -19,7 +19,6 @@ from repro.core.runtime import TransactionRuntime
 from repro.core.semantics import rate
 from repro.core.world import World
 from repro.net.flooding import flood_bfs
-from repro.net.latency import LatencyModel
 from repro.net.messages import Category
 
 __all__ = ["BaselineSystem"]
@@ -34,14 +33,9 @@ class BaselineSystem(TransactionRuntime):
     per-query traffic in :class:`~repro.core.runtime.Estimate`.
     """
 
-    def __init__(
-        self,
-        config: HiRepConfig | None = None,
-        *,
-        latency_model: LatencyModel | None = None,
-    ) -> None:
+    def __init__(self, config: HiRepConfig | None = None) -> None:
         config = config or HiRepConfig()
-        super().__init__(config, World.from_config(config, latency_model))
+        super().__init__(config, World.from_config(config))
         self.malicious = self.world.malicious_peer
 
     def _rate(self, peer: int, truth: float) -> float:

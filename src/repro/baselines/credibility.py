@@ -34,7 +34,6 @@ from repro.core.semantics import (
     consistency_bit,
     ewma_step,
 )
-from repro.net.latency import LatencyModel
 
 __all__ = ["CredibilityVotingSystem"]
 
@@ -42,13 +41,8 @@ __all__ = ["CredibilityVotingSystem"]
 class CredibilityVotingSystem(BaselineSystem):
     """Flooding poll with per-voter credibility EWMA at each requestor."""
 
-    def __init__(
-        self,
-        config: HiRepConfig | None = None,
-        *,
-        latency_model: LatencyModel | None = None,
-    ) -> None:
-        super().__init__(config, latency_model=latency_model)
+    def __init__(self, config: HiRepConfig | None = None) -> None:
+        super().__init__(config)
         n = self.config.network_size
         # credibility[requestor][voter] — learned independently per peer,
         # like hiREP's expertise; prior 1.0 is the paper's initial

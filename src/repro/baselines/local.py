@@ -23,7 +23,6 @@ import numpy as np
 from repro.baselines.base import BaselineSystem
 from repro.core.config import HiRepConfig
 from repro.core.runtime import Estimate
-from repro.net.latency import LatencyModel
 
 __all__ = ["LocalReputationSystem"]
 
@@ -31,13 +30,8 @@ __all__ = ["LocalReputationSystem"]
 class LocalReputationSystem(BaselineSystem):
     """Trust from first-hand history only."""
 
-    def __init__(
-        self,
-        config: HiRepConfig | None = None,
-        *,
-        latency_model: LatencyModel | None = None,
-    ) -> None:
-        super().__init__(config, latency_model=latency_model)
+    def __init__(self, config: HiRepConfig | None = None) -> None:
+        super().__init__(config)
         # history[peer][provider] -> list of observed outcomes
         self._history: list[dict[int, list[float]]] = [
             dict() for _ in range(self.config.network_size)

@@ -26,7 +26,6 @@ from repro.baselines.base import BaselineSystem
 from repro.core.runtime import Estimate
 from repro.core.config import HiRepConfig
 from repro.net.flooding import flood_bfs
-from repro.net.latency import LatencyModel
 from repro.net.messages import Category
 
 __all__ = ["TrustMeSystem"]
@@ -37,13 +36,8 @@ class TrustMeSystem(BaselineSystem):
 
     THAS_PER_PEER = 3
 
-    def __init__(
-        self,
-        config: HiRepConfig | None = None,
-        *,
-        latency_model: LatencyModel | None = None,
-    ) -> None:
-        super().__init__(config, latency_model=latency_model)
+    def __init__(self, config: HiRepConfig | None = None) -> None:
+        super().__init__(config)
         n = self.config.network_size
         # Bootstrap-server assignment: uniform random THAs per peer (never
         # the peer itself).

@@ -49,6 +49,7 @@ import numpy as np
 
 from repro.campaigns.scorecard import cell_metrics
 from repro.campaigns.specs import ScenarioSpec
+from repro.errors import ConfigError
 
 __all__ = ["campaign_cell"]
 
@@ -127,6 +128,10 @@ def campaign_cell(scenario: dict, system: str, seed: int) -> dict:
 
     # -- config -------------------------------------------------------------
     try:
+        if system == "serve":
+            # A live fleet's actors outlive this call, and churn and faults
+            # have no live-plane counterpart (docs/scaling.md).
+            raise ConfigError("serve is not a campaign target; use 'hirep' or 'hirep-array'")
         cfg = workload.build_config(int(seed), spec.topology)
         # The attack's config component depends on whether protocol-level
         # hooks will also attach; that capability is static per system

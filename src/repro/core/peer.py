@@ -434,7 +434,10 @@ class HiRepPeer:
                 if ip >= 0 and not self.network.is_online(ip):
                     self.agent_list.park_offline(agent.node_id)
         # 4. signed transaction reports through the onion of each surviving
-        #    agent that answered (3c(o+1) trust messages per transaction)
+        #    agent that answered.  Per leg a transaction costs asked·(o+1)
+        #    requests, answered·(o+1) responses and (o+1) reports per
+        #    answerer still listed here; it is exactly 3c(o+1) only when
+        #    every asked agent answers and none is evicted or parked above.
         reports: list[TransactionReport] = []
         if report:
             answered = {aid for aid, _v in result.responses}

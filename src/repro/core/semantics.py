@@ -15,8 +15,8 @@ ordering, the weighted vote aggregation and the hirep-θ eviction rule —
 lives here, in one place, expressed both as scalar steps (object kernel)
 and as vectorized equivalents (array kernel).  The baselines
 (``repro.baselines``) rate, weigh and learn through the same functions.
-Keeping a single source of truth is what makes the kernel-parity suite
-(``tests/integration/test_kernel_parity.py``) meaningful: both kernels
+Keeping a single source of truth is what makes the generated executor
+test (``tests/property/test_prop_executors.py``) meaningful: both kernels
 literally execute the same arithmetic, so final trust vectors agree
 bit-for-bit and estimates agree to float tolerance.
 

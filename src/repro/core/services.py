@@ -81,6 +81,21 @@ class Wiring:
     agent_quality: dict[int, bool]
     truth_by_id: dict[NodeID, float] = field(default_factory=dict)
 
+    def rekey(self, ip: int, keys: PeerKeys) -> NodeID:
+        """Peer ``ip`` takes on ``keys``; the onion router, the handshake
+        responder and the truth oracle follow the new identity.  Returns
+        the old nodeID."""
+        peer = self.peers[ip]
+        old_id = peer.node_id
+        peer.adopt_keys(keys)
+        self.router.register_node(ip, keys.ar)
+        self.relay_registry.register(
+            ip,
+            HandshakeResponder(self.backend, keys.ap, keys.ar, ip, NonceRegistry(peer.rng)),
+        )
+        self.truth_by_id[keys.node_id] = self.truth_by_id.pop(old_id)
+        return old_id
+
 
 def build_wiring(
     config: HiRepConfig,
@@ -396,20 +411,9 @@ class KeyRotationService:
         material and the simulation wiring (onion router key, handshake
         responder, truth oracle) follow the identity.
         """
-        wiring = self.wiring
-        peer = wiring.peers[ip]
-        old_node_id = peer.node_id
-        new_keys = peer.keys.rotated(wiring.backend, self.world.rng_keys)
+        peer = self.wiring.peers[ip]
+        new_keys = peer.keys.rotated(self.wiring.backend, self.world.rng_keys)
         peer.announce_key_update(new_keys)
         self.network.run()  # deliver announcements under the old identity
-        peer.adopt_keys(new_keys)
-        wiring.router.register_node(ip, new_keys.ar)
-        wiring.relay_registry.register(
-            ip,
-            HandshakeResponder(
-                wiring.backend, new_keys.ap, new_keys.ar, ip, NonceRegistry(peer.rng)
-            ),
-        )
-        truth = wiring.truth_by_id.pop(old_node_id)
-        wiring.truth_by_id[new_keys.node_id] = truth
+        self.wiring.rekey(ip, new_keys)
         return new_keys

@@ -37,7 +37,6 @@ from repro.crypto.backend import get_backend
 from repro.crypto.hashing import NodeID
 from repro.crypto.keys import PeerKeys
 from repro.net.churn import ChurnModel
-from repro.net.latency import LatencyModel
 
 __all__ = ["HiRepSystem"]
 
@@ -49,7 +48,6 @@ class HiRepSystem(HiRepRuntime):
         self,
         config: HiRepConfig | None = None,
         *,
-        latency_model: LatencyModel | None = None,
         churn: ChurnModel | None = None,
         model_factory: ModelFactory | None = None,
         topology=None,
@@ -70,7 +68,7 @@ class HiRepSystem(HiRepRuntime):
         traffic flows.
         """
         config = config or HiRepConfig()
-        world = World.from_config(config, latency_model, topology=topology)
+        world = World.from_config(config, topology=topology)
         super().__init__(config, world)
         self.churn = churn
 

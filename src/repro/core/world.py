@@ -17,7 +17,6 @@ import numpy as np
 
 from repro.core.config import HiRepConfig
 from repro.core.trust_models import QualityDrivenModel, TrustModel
-from repro.net.latency import LatencyModel
 from repro.net.network import P2PNetwork
 from repro.net.substrate import Substrate
 from repro.net.topology import Topology, topology_for_degree
@@ -47,7 +46,6 @@ class World:
     def from_config(
         cls,
         config: HiRepConfig,
-        latency_model: LatencyModel | None = None,
         topology: Topology | None = None,
         network_factory: "Callable[..., Substrate] | None" = None,
     ) -> "World":
@@ -92,10 +90,7 @@ class World:
             )
         make_network = network_factory if network_factory is not None else P2PNetwork
         network = make_network(
-            topology,
-            rng_net,
-            latency_model=latency_model,
-            model_transmission=config.model_transmission,
+            topology, rng_net, model_transmission=config.model_transmission
         )
         truth = (
             rng_truth.random(config.network_size) >= config.untrusted_peer_fraction

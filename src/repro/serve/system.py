@@ -39,7 +39,6 @@ from repro.core.services import MaintenanceService, QueryService, build_wiring
 from repro.core.world import World
 from repro.crypto.backend import get_backend
 from repro.errors import ConfigError
-from repro.net.latency import LatencyModel
 from repro.obs.capture import current_plane
 from repro.obs.plane import TelemetryPlane
 from repro.serve.engine import WallEngine
@@ -72,7 +71,6 @@ class ServeSystem(HiRepRuntime):
         config: HiRepConfig | None = None,
         *,
         transport: Transport | str = "inproc",
-        latency_model: LatencyModel | None = None,
         checkpoint_every: int = 32,
         **unsupported: object,
     ) -> None:
@@ -105,7 +103,6 @@ class ServeSystem(HiRepRuntime):
         )
         world = World.from_config(
             config,
-            latency_model,
             network_factory=functools.partial(
                 ServeNetwork, engine=self.engine, transport=self.transport
             ),

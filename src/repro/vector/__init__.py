@@ -14,7 +14,7 @@ Both kernels execute the *same* protocol semantics — the shared update
 rules live in :mod:`repro.core.semantics` — and the array kernel mirrors
 the object kernel's RNG stream discipline draw for draw, so
 churn-free runs agree outcome-for-outcome (see
-``tests/integration/test_kernel_parity.py`` and ``docs/scaling.md``).
+``tests/property/test_prop_executors.py`` and ``docs/scaling.md``).
 """
 
 from repro.vector.network import ArrayNetwork

@@ -75,7 +75,6 @@ from repro.core.world import ModelFactory, World
 from repro.crypto.hashing import NodeID
 from repro.crypto.nonce import NonceRegistry
 from repro.errors import ConfigError
-from repro.net.latency import LatencyModel
 from repro.net.messages import Category, DEFAULT_MESSAGE_BYTES
 from repro.onion.handshake import HANDSHAKE_MESSAGES
 from repro.onion.onion import circuit_usable, draw_relays
@@ -98,7 +97,6 @@ class ArrayHiRepSystem(HiRepRuntime):
         self,
         config: HiRepConfig | None = None,
         *,
-        latency_model: LatencyModel | None = None,
         churn=None,
         model_factory: ModelFactory | None = None,
         topology=None,
@@ -119,7 +117,7 @@ class ArrayHiRepSystem(HiRepRuntime):
         if bootstrap_mode not in ("protocol", "seeded"):
             raise ConfigError(f"unknown bootstrap_mode {bootstrap_mode!r}")
         world = World.from_config(
-            config, latency_model, topology=topology, network_factory=ArrayNetwork
+            config, topology=topology, network_factory=ArrayNetwork
         )
         super().__init__(config, world)
         self.churn = churn

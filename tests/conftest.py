@@ -4,11 +4,19 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, settings
 
 from repro.core.config import HiRepConfig
 from repro.core.system import HiRepSystem
 from repro.crypto.backend import get_backend
 from repro.crypto.keys import PeerKeys
+
+# Example budgets of tests/property/test_prop_executors.py, picked by
+# HIREP_EXECUTORS_PROFILE: "executors" in tier-1, "executors-sweep" in CI.
+settings.register_profile(
+    "executors", max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+settings.register_profile("executors-sweep", settings.get_profile("executors"), max_examples=150)
 
 
 @pytest.fixture

@@ -4,21 +4,22 @@ With the in-process transport, a serialized load (one transaction at a
 time, drained between transactions), and the same seed, the service
 plane makes the same RNG draws as the discrete-event simulator — so
 per-transaction outcomes must match field for field (wall-clock response
-times excepted).  A second guard pins TCP loopback against in-process:
-the transport must never change protocol behavior.  A third pins the
-bytes of every frame a serialized run posts.
+times excepted); the comparison is the generated executor test's ``check``
+(tests/property/test_prop_executors.py).  A second guard pins TCP loopback
+against in-process: the transport must never change protocol behavior.  A
+third pins the bytes of every frame a serialized run posts.
 """
 
+import dataclasses
 import hashlib
-import math
 
 import pytest
 
 from repro.core.config import HiRepConfig
-from repro.core.system import HiRepSystem
 from repro.serve import ServeSystem
 from repro.serve.engine import WallEngine
 from repro.serve.transport import InProcessTransport
+from tests.property.test_prop_executors import case, check
 
 TRANSACTIONS = 10
 
@@ -42,19 +43,9 @@ def config():
 
 
 def test_serve_matches_simulator_transaction_for_transaction(config):
-    sim = HiRepSystem(config)
-    sim_outcomes = [sim.run_transaction() for _ in range(TRANSACTIONS)]
-
-    with ServeSystem(config, transport="inproc") as serve:
-        assert serve.drain_per_tx  # serialized mode: drained accounting
-        serve_outcomes = [serve.run_transaction() for _ in range(TRANSACTIONS)]
-
-    for sim_out, serve_out in zip(sim_outcomes, serve_outcomes):
-        assert outcome_key(sim_out) == outcome_key(serve_out)
-        # Estimates differ only by float summation order, if at all.
-        assert sim_out.estimate == pytest.approx(serve_out.estimate, abs=1e-9)
-        assert sim_out.truth == serve_out.truth
-        assert not math.isnan(serve_out.response_time_ms)
+    ran = check(case(dataclasses.asdict(config), transactions=TRANSACTIONS))
+    assert set(ran) == {"hirep", "hirep-array", "serve"}
+    assert ran["serve"].drain_per_tx  # serialized mode: drained accounting
 
 
 def test_tcp_loopback_matches_inproc(config):

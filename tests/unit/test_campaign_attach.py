@@ -11,7 +11,7 @@ import pytest
 from repro.attacks.dos import _agent_popularity
 from repro.campaigns.attach import attach_attack
 from repro.campaigns.cells import campaign_cell
-from repro.campaigns.specs import AttackSpec, ScenarioSpec, WorkloadSpec
+from repro.campaigns.specs import AttackSpec, ChurnSpec, ScenarioSpec, WorkloadSpec
 from repro.core.config import HiRepConfig
 from repro.core.registry import build_system
 from repro.errors import ConfigError
@@ -64,6 +64,22 @@ def cell(
     payload = campaign_cell(scenario.to_dict(), system, 5)
     assert payload["cell_error"] is None, payload["cell_error"]
     return payload
+
+
+def test_serve_cell_is_refused_before_anything_is_built(monkeypatch):
+    """A live fleet is not a campaign target (docs/scaling.md): a churn cell
+    on ``serve`` fails at the config stage, before anything is built."""
+    built = []
+    monkeypatch.setattr("repro.core.registry.build_system", lambda *a, **k: built.append(a))
+    workload = WorkloadSpec(network_size=24, transactions=8)
+    scenario = ScenarioSpec(name="churned", workload=workload, churn=ChurnSpec(leave_prob=0.1))
+    payload = campaign_cell(scenario.to_dict(), "serve", 5)
+    assert payload["scorecard"] is None and built == []
+    assert payload["cell_error"] == {
+        "stage": "config",
+        "type": "ConfigError",
+        "message": "serve is not a campaign target; use 'hirep' or 'hirep-array'",
+    }
 
 
 class TestValidation:

@@ -4,7 +4,8 @@ Nine registered systems share `TransactionRuntime.run_transaction`; each
 owns only its operator.  These tests fail the moment a system grows its
 own copy of the cycle again, and pin the properties the shared template
 guarantees by construction (provider validation everywhere, one pair
-draw and one agent-population draw for the three hiREP executors).
+draw and one agent-population draw for the three hiREP executors, compared
+by the generated executor test's ``check``).
 """
 
 import numpy as np
@@ -16,6 +17,7 @@ from repro.core.runtime import Estimate, TransactionRuntime
 from repro.errors import SimulationError
 from repro.net.churn import ChurnModel, ChurnStats
 from repro.serve.system import ServeSystem
+from tests.property.test_prop_executors import case, check
 
 HIREP_EXECUTORS = ("hirep", "hirep-array", "serve")
 
@@ -140,12 +142,8 @@ def test_explicit_requestor_must_exist_and_be_online(name, bad, built):
 
 
 @pytest.mark.parametrize("seed", [3, 7, 2006])
-def test_hirep_executors_share_pair_sequence_and_agent_population(seed, built):
-    pairs, quality = {}, {}
-    for name in HIREP_EXECUTORS:
-        system = built(name, small(seed))
-        pairs[name] = [(o.requestor, o.provider) for o in system.run(8)]
-        quality[name] = system.agent_quality
-    assert pairs["hirep"] == pairs["hirep-array"] == pairs["serve"]
-    assert quality["hirep"] == quality["hirep-array"] == quality["serve"]
-    assert False in quality["hirep"].values() and True in quality["hirep"].values()
+def test_hirep_executors_share_pair_sequence_and_agent_population(seed):
+    ran = check(case(dict(network_size=24, seed=seed), transactions=8))
+    assert set(ran) == set(HIREP_EXECUTORS)
+    quality = ran["hirep"].agent_quality
+    assert False in quality.values() and True in quality.values()
