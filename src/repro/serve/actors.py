@@ -1,33 +1,42 @@
-"""Node actors: one asyncio task per fleet member.
+"""Node actors: one inbox consumer per fleet member.
 
-An actor is deliberately thin — an inbox loop that pulls frames off the
-transport and feeds them to the network edge, where the registered
-protocol handler (the onion router → dispatcher → peer/agent stack) does
-the actual work synchronously.  All protocol state mutation therefore
-happens inside the single event loop, one frame at a time per node, which
-is exactly the actor model's serialization guarantee.
+An actor is deliberately thin — the consumer its node's transport inbox
+hands each frame to.  It feeds the frame to the network edge, where the
+registered protocol handler (the onion router → dispatcher → peer/agent
+stack) does the actual work synchronously.  The inbox drains into it from
+one event-loop callback per wake (:class:`~repro.serve.transport._Inbox`),
+so a node costs no task, future or coroutine per frame.  All protocol
+state mutation therefore happens inside the single event loop, one frame
+at a time per node, which is exactly the actor model's serialization
+guarantee.
 
 A malformed frame never gets this far: the network edge drops it and
-counts it (``ServeNetwork.frames_rejected``).  What terminates the loop
-is an exception raised by a protocol handler, or a cancelled task; the
-:class:`~repro.serve.supervisor.Supervisor` notices the dead task and
-restarts the actor, recovering agent state from its last checkpoint.  The inbox itself lives in the transport, so frames that
-arrive while an actor is down are processed after the restart, not lost.
+counts it (``ServeNetwork.frames_rejected``).  What ends a drain early is
+an exception raised by a protocol handler: the inbox stops there, and
+the actor detaches and keeps the exception (:attr:`NodeActor.failure`), as
+:meth:`~NodeActor.crash` does with a ``CancelledError``.  The
+:class:`~repro.serve.supervisor.Supervisor` notices the failed actor and
+restarts it, recovering agent state from its last checkpoint.
+The inbox itself lives in the transport, so frames that arrive while an
+actor is down are processed after the restart, in posting order, not lost.
 """
 
 from __future__ import annotations
 
 import asyncio
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.serve.network import ServeNetwork
-from repro.serve.transport import Transport
+from repro.serve.transport import Frame, Transport
+
+if TYPE_CHECKING:
+    from repro.serve.transport import _Inbox
 
 __all__ = ["NodeActor"]
 
 
 class NodeActor:
-    """Inbox loop for one node; see the module docstring."""
+    """Inbox consumer for one node; see the module docstring."""
 
     def __init__(
         self, ip: int, network: ServeNetwork, transport: Transport
@@ -39,40 +48,50 @@ class NodeActor:
         #: in ServeSystem) clear-then-await it to sleep until progress.
         self.activity = asyncio.Event()
         self.frames_handled = 0
-        self.task: Optional[asyncio.Task[None]] = None
-        #: Set before a deliberate shutdown so the supervisor's monitor
-        #: does not treat the completed task as a crash.
-        self.stopping = False
+        #: Why the actor is down, with its traceback — the handler's
+        #: exception, or a ``CancelledError`` after :meth:`crash` — until
+        #: it is started again.
+        self.failure: Optional[BaseException] = None
         #: Supervisor hook, called after each handled frame (checkpoints).
         self.on_frame: Optional[Callable[["NodeActor"], None]] = None
+        self._inbox: Optional[_Inbox] = None
 
-    def start(self, loop: asyncio.AbstractEventLoop) -> None:
-        """(Re)spawn the inbox task on ``loop``."""
-        self.stopping = False
-        self.task = loop.create_task(self._run(), name=f"hirep-actor-{self.ip}")
+    def start(self) -> None:
+        """(Re)attach to the node's inbox; frames already waiting there
+        are handled first, in posting order."""
+        self.failure = None
+        self._inbox = self.transport.attach(self.ip, self._handle, self._detach)
 
-    async def _run(self) -> None:
-        while True:
-            frame = await self.transport.get(self.ip)
-            try:
-                self.network.deliver_frame(frame)
-            finally:
-                # Wake waiters even when handling raised — the crash is
-                # progress too (the supervisor reacts to it).
-                self.frames_handled += 1
-                self.activity.set()
-            if self.on_frame is not None:
-                self.on_frame(self)
+    def _handle(self, frame: Frame) -> None:
+        try:
+            # Looked up per frame, not once at start: tracers wrap the class.
+            self.network.deliver_frame(frame)
+        finally:
+            # Wake waiters even when handling raised — the crash is
+            # progress too (the supervisor reacts to it).
+            self.frames_handled += 1
+            self.activity.set()
+        if self.on_frame is not None:
+            self.on_frame(self)
+
+    def _detach(self, failure: Optional[BaseException]) -> None:
+        if self._inbox is not None:
+            self._inbox.detach()
+            self._inbox = None
+            self.failure = failure
 
     def crash(self) -> None:
-        """Kill the actor task without marking it as a deliberate stop.
+        """Take the actor down as a process death would.
 
-        Used by tests and chaos tooling to simulate a process death; the
-        supervisor will detect and restart it.
+        Used by tests and chaos tooling; the supervisor will detect and
+        restart it.
         """
-        if self.task is not None:
-            self.task.cancel()
+        self._detach(asyncio.CancelledError())
+
+    def stop(self) -> None:
+        """Detach for a deliberate shutdown: no failure, no restart."""
+        self._detach(None)
 
     @property
     def alive(self) -> bool:
-        return self.task is not None and not self.task.done()
+        return self._inbox is not None

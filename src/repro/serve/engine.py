@@ -29,6 +29,14 @@ class WallEngine:
     def __init__(self, clock: WallClock | None = None) -> None:
         self.clock = clock if clock is not None else WallClock()
         self.events_run = 0
+        #: Run after each timer fires (the fleet's quiescence check).
+        self.on_fire: Callable[[], None] | None = None
+        self._armed: set[Any] = set()
+
+    @property
+    def timers_armed(self) -> int:
+        """Timers armed and neither fired nor cancelled yet."""
+        return len(self._armed)
 
     @property
     def now(self) -> float:
@@ -42,10 +50,15 @@ class WallEngine:
         loop = asyncio.get_running_loop()
 
         def fire() -> None:
+            self._armed.discard(handle)
             self.events_run += 1
             action()
+            if self.on_fire is not None:
+                self.on_fire()
 
-        return loop.call_later(max(0.0, delay) / 1000.0, fire)
+        handle = loop.call_later(max(0.0, delay) / 1000.0, fire)
+        self._armed.add(handle)
+        return handle
 
     def schedule(self, time: float, action: Callable[[], None]) -> Any:
         """Arm ``action`` for an absolute engine time (ms)."""
@@ -54,6 +67,7 @@ class WallEngine:
     def cancel(self, handle: Any) -> None:
         """Cancel a timer handle returned by :meth:`schedule_in`."""
         handle.cancel()
+        self._armed.discard(handle)
 
     def run(self, until: float | None = None) -> int:
         """No-op: wall time advances on its own; deliveries are actor-driven."""

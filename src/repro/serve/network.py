@@ -151,7 +151,7 @@ class ServeNetwork(P2PNetwork):
     def deliver_frame(self, frame: Frame) -> None:
         """Decode an inbound frame and hand it to the registered handler.
 
-        Called from the destination's actor loop.  Offline destinations
+        Called from the destination actor's inbox drain.  Offline destinations
         drop the frame on the floor (cost already charged at send time),
         matching the simulator's delivery semantics.  At a node whose
         handler is an onion router, a frame read as a relay hop goes to

@@ -1,13 +1,13 @@
 """Fleet supervision: bring-up, crash detection, restart with recovery.
 
 The supervisor owns one :class:`~repro.serve.actors.NodeActor` per node.
-Its monitor coroutine polls for actor tasks that finished without being
+Its monitor coroutine polls for actors that went down without being
 asked to stop — a crash — and restarts them.  For nodes hosting a
 reputation agent, restart means *state recovery*: the agent's durable
 state (public-key list, report log, replay nonces, stats, trust model) is
-restored from the most recent checkpoint, then a fresh actor resumes the
-same transport inbox, so frames that arrived while the node was down are
-processed instead of lost.
+restored from the most recent checkpoint, then the actor re-attaches to
+the same transport inbox, so frames that arrived while the node was down
+are processed instead of lost.
 
 Checkpoints are taken at bring-up, after bootstrap, and every
 ``checkpoint_every`` frames an agent-hosting actor handles — the classic
@@ -108,13 +108,11 @@ class Supervisor:
         #: (ip, reason) tuples, for telemetry and tests.
         self.incidents: list[tuple[int, str]] = []
         self._monitor_task: asyncio.Task[None] | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
 
     # -- lifecycle -----------------------------------------------------------
 
     async def start(self) -> None:
         """Bring up the transport, one actor per node, and the monitor."""
-        self._loop = asyncio.get_running_loop()
         node_ids = list(range(self.network.n))
         await self.transport.start(node_ids)
         for ip in node_ids:
@@ -122,27 +120,21 @@ class Supervisor:
             if ip in self.wiring.agents:
                 actor.on_frame = self._on_agent_frame
             self.actors[ip] = actor
-            actor.start(self._loop)
+            actor.start()
         self.checkpoint_all()
-        self._monitor_task = self._loop.create_task(
+        self._monitor_task = asyncio.get_running_loop().create_task(
             self._monitor(), name="hirep-supervisor"
         )
 
     async def stop(self) -> None:
-        """Deliberate shutdown: no restarts, cancel everything, stop transport."""
+        """Deliberate shutdown: no restarts, detach every actor, stop transport."""
         if self._monitor_task is not None:
             self._monitor_task.cancel()
             with contextlib.suppress(asyncio.CancelledError):
                 await self._monitor_task
             self._monitor_task = None
         for actor in self.actors.values():
-            actor.stopping = True
-            if actor.task is not None:
-                actor.task.cancel()
-        for actor in self.actors.values():
-            if actor.task is not None:
-                with contextlib.suppress(asyncio.CancelledError, Exception):
-                    await actor.task
+            actor.stop()
         await self.transport.stop()
 
     # -- checkpoints ---------------------------------------------------------
@@ -217,15 +209,13 @@ class Supervisor:
         while True:
             await asyncio.sleep(self.poll_interval_s)
             for ip, actor in self.actors.items():
-                if actor.stopping or actor.task is None or not actor.task.done():
+                failure = actor.failure
+                if failure is None:
                     continue
-                exc = None
-                if not actor.task.cancelled():
-                    exc = actor.task.exception()
-                reason = type(exc).__name__ if exc is not None else "cancelled"
+                cancelled = isinstance(failure, asyncio.CancelledError)
+                reason = "cancelled" if cancelled else type(failure).__name__
                 self.crashes_detected += 1
                 self.incidents.append((ip, reason))
                 self.restore_agent(ip)
-                assert self._loop is not None
-                actor.start(self._loop)
+                actor.start()
                 self.restarts += 1

@@ -15,7 +15,8 @@ The transaction cycle *is* the simulator's:
 the one awaited step.  The only structural difference is *how* the query
 reaches quiescence: the DES drains an event queue, the service plane
 awaits the requestor actor's activity until every outstanding request is
-answered (or a wall-clock window closes).  With a serialized load (one
+answered or nothing is left to arrive — no frame in flight and no timer
+armed, the live form of an empty event queue.  With a serialized load (one
 transaction at a time) the two backends make identical RNG draws, which
 is what the determinism-guard test pins.
 
@@ -41,6 +42,7 @@ from repro.crypto.backend import get_backend
 from repro.errors import ConfigError
 from repro.obs.capture import current_plane
 from repro.obs.plane import TelemetryPlane
+from repro.serve.actors import NodeActor
 from repro.serve.engine import WallEngine
 from repro.serve.network import ServeNetwork
 from repro.serve.supervisor import Supervisor
@@ -48,8 +50,8 @@ from repro.serve.transport import Transport, make_transport
 
 __all__ = ["ServeSystem"]
 
-#: How long one query waits for the last trust response before finishing
-#: with whatever arrived.
+#: How long one query may wait for its last trust response.  A query ends
+#: sooner once nothing is left to arrive; this bounds only a hung fleet.
 QUERY_WINDOW_MS = 5_000.0
 #: How long the post-settlement wait for transport quiescence may take when
 #: draining per transaction.
@@ -77,8 +79,8 @@ class ServeSystem(HiRepRuntime):
         """Build the fleet (not yet running; see :meth:`up`).
 
         ``checkpoint_every`` is how many frames an agent-hosting actor
-        handles between checkpoints.  One query waits at most
-        :data:`QUERY_WINDOW_MS` for its last trust response, and a
+        handles between checkpoints.  One query waits until it is answered
+        or the fleet is quiet, at most :data:`QUERY_WINDOW_MS`, and a
         per-transaction drain at most :data:`DRAIN_WINDOW_MS` for transport
         quiescence.  The fleet reports to the open
         :func:`~repro.obs.capture.capture` window's plane if there is
@@ -129,6 +131,9 @@ class ServeSystem(HiRepRuntime):
         #: message deltas match the simulator's drained accounting.
         self.drain_per_tx = True
         self.lost_transactions = 0
+        #: Actors of requestors in :meth:`_await_responses`, in arrival order.
+        self._waiting: list[NodeActor] = []
+        self.transport.on_quiet = self.engine.on_fire = self._wake_if_quiet
         self._loop: asyncio.AbstractEventLoop | None = None
         plane = current_plane() or TelemetryPlane(flight_spans=False)
         plane.attach(self)
@@ -216,22 +221,47 @@ class ServeSystem(HiRepRuntime):
         )
 
     async def _await_responses(self, peer: HiRepPeer) -> None:
-        """Sleep until every outstanding request is answered (or window ends)."""
+        """Sleep until every outstanding request is answered, or nothing is
+        left to arrive (:meth:`_quiet`, seen twice a loop turn apart, as
+        :meth:`drain` sees it), or the window for a hung fleet closes."""
         actor = self.supervisor.actors[peer.ip]
         deadline = self.engine.now + QUERY_WINDOW_MS
-        while peer.awaiting_responses():
-            remaining = deadline - self.engine.now
-            if remaining <= 0.0:
-                break
-            actor.activity.clear()
-            if not peer.awaiting_responses():  # answered between check and clear
-                break
-            try:
-                await asyncio.wait_for(
-                    actor.activity.wait(), timeout=remaining / 1000.0
-                )
-            except asyncio.TimeoutError:
-                break
+        self._waiting.append(actor)
+        try:
+            while peer.awaiting_responses():
+                remaining = deadline - self.engine.now
+                if remaining <= 0.0:
+                    break
+                actor.activity.clear()
+                if not peer.awaiting_responses():  # answered between check and clear
+                    break
+                if self._quiet():
+                    await asyncio.sleep(0)
+                    if self._quiet():
+                        break
+                    continue
+                try:
+                    await asyncio.wait_for(
+                        actor.activity.wait(), timeout=remaining / 1000.0
+                    )
+                except asyncio.TimeoutError:
+                    break
+        finally:
+            self._waiting.remove(actor)
+            peer.disarm_deadline()  # the query settles next
+
+    def _quiet(self) -> bool:
+        """Nothing left to arrive: no frame in flight and no timer armed —
+        the live counterpart of the simulator's empty event queue."""
+        return self.transport.in_flight() == 0 and not self.engine.timers_armed
+
+    def _wake_if_quiet(self) -> None:
+        """Pulse every waiting requestor once the fleet goes quiet.  On a
+        path where every request is answered, the fleet is quiet only
+        after each answer has pulsed its requestor already."""
+        if self._waiting and self._quiet():
+            for actor in self._waiting:
+                actor.activity.set()
 
     async def drain(self) -> bool:
         """Await transport quiescence (no frames posted but undelivered).

@@ -1,9 +1,9 @@
 """Pluggable transports carrying encoded protocol frames between actors.
 
 A transport moves :class:`Frame` objects — (src, dst, category, sent_at,
-encoded payload) — from a synchronous ``post()`` at the network edge to an
-awaitable per-node ``get()`` in the destination's actor loop.  Two
-implementations:
+encoded payload) — from a synchronous ``post()`` at the network edge to a
+per-node inbox, which hands its frames to the attached consumer (the
+node's actor) from one event-loop callback per wake.  Two implementations:
 
 * :class:`InProcessTransport` — one inbox per node; zero copies, the
   fastest fabric, and the determinism-guard reference.
@@ -12,9 +12,11 @@ implementations:
   length-prefixed on the stream, so every protocol byte genuinely crosses
   the host's loopback stack.
 
-Every inbox and outbox is an :class:`_Inbox`: a deque with at most one
-waiting consumer, woken in exactly the order an ``asyncio`` queue would
-wake it.  Both transports keep posted/delivered counters, so
+Every inbox is an :class:`_Inbox`: a deque whose drain is queued with
+``loop.call_soon`` at the point where an ``asyncio`` queue would wake its
+waiting getter, so the event loop runs the same callbacks in the same
+order.  The TCP outboxes are :class:`_Outbox` es, drained by one awaiting
+sender task each.  Both transports keep posted/delivered counters, so
 ``in_flight()`` gives an exact quiescence signal (a frame counts as in
 flight from ``post`` until an actor has pulled it from its inbox).
 """
@@ -27,7 +29,7 @@ import contextlib
 import struct
 from collections import deque
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from repro.errors import WireError
 
@@ -57,13 +59,76 @@ class Frame:
 
 
 class _Inbox:
-    """Unbounded frame FIFO drained by one consumer task at a time.
+    """A node's frame FIFO and the drain that empties it into its consumer.
+
+    ``put`` appends and, when a consumer is attached and no drain is
+    queued or running, queues :meth:`_drain` with ``loop.call_soon``: one
+    ready-queue entry, where an asyncio queue's ``put_nowait`` would queue
+    its waiting getter's wakeup.  The drain counts each frame delivered as
+    it leaves the deque and hands it to the consumer, in posting order,
+    until the deque is empty; then it runs the transport's ``on_quiet``
+    if nothing is left in flight.  A consumer that raises ends the drain:
+    the inbox detaches it and passes the exception to ``on_failure``.
+    Detached, the inbox keeps what arrives for the next consumer, whose
+    drain is queued at once if frames are waiting.
+    """
+
+    __slots__ = ("_items", "_handle", "_transport", "_loop", "_consumer", "_on_failure")
+
+    def __init__(self, transport: Transport, loop: asyncio.AbstractEventLoop) -> None:
+        self._items: deque[Frame] = deque()
+        #: The queued or running drain; None while the consumer is idle.
+        self._handle: asyncio.Handle | None = None
+        self._transport = transport
+        self._loop = loop
+        self._consumer: Callable[[Frame], None] | None = None
+        self._on_failure: Callable[[Exception], None] | None = None
+
+    def put(self, frame: Frame) -> None:
+        self._items.append(frame)
+        if self._handle is None and self._consumer is not None:
+            self._handle = self._loop.call_soon(self._drain)
+
+    def attach(
+        self, consumer: Callable[[Frame], None], on_failure: Callable[[Exception], None]
+    ) -> None:
+        if self._consumer is not None:
+            raise RuntimeError("inbox already has a consumer")
+        self._consumer = consumer
+        self._on_failure = on_failure
+        if self._items:
+            self._handle = self._loop.call_soon(self._drain)
+
+    def detach(self) -> None:
+        self._consumer = None
+        if self._handle is not None:
+            self._handle.cancel()
+            self._handle = None
+
+    def _drain(self) -> None:
+        items = self._items
+        transport = self._transport
+        consumer = self._consumer
+        try:
+            while items and self._consumer is consumer:
+                transport.frames_delivered += 1
+                consumer(items.popleft())  # type: ignore[misc]
+        except Exception as exc:
+            on_failure = self._on_failure
+            self.detach()
+            assert on_failure is not None
+            on_failure(exc)
+        else:
+            self._handle = None
+        if transport.on_quiet is not None and transport.in_flight() == 0:
+            transport.on_quiet()
+
+
+class _Outbox:
+    """Unbounded frame FIFO drained by one awaiting task (a TCP sender).
 
     ``put`` appends and wakes the waiting consumer with ``set_result``,
-    as an asyncio queue's ``put_nowait`` wakes its first getter, so the
-    event loop runs the same callbacks in the same order.  A consumer
-    cancelled while waiting leaves the frames where they are for the next
-    one (an actor restarted by the supervisor).
+    as an asyncio queue's ``put_nowait`` wakes its first getter.
     """
 
     __slots__ = ("_items", "_loop", "_waiter")
@@ -82,7 +147,7 @@ class _Inbox:
     async def get(self) -> Frame:
         while not self._items:
             if self._waiter is not None:
-                raise RuntimeError("inbox already has a waiting consumer")
+                raise RuntimeError("outbox already has a waiting consumer")
             self._waiter = self._loop.create_future()
             try:
                 await self._waiter
@@ -104,6 +169,10 @@ class Transport(abc.ABC):
         #: body that is no frame) or at the network edge
         #: (``ServeNetwork.frames_rejected`` reads this counter).
         self.frames_rejected = 0
+        #: Run after a drain that leaves nothing in flight: the fleet's
+        #: quiescence signal (``ServeSystem`` sets it).
+        self.on_quiet: Callable[[], None] | None = None
+        self._inboxes: dict[int, _Inbox] = {}
 
     @abc.abstractmethod
     async def start(self, node_ids: Sequence[int]) -> None:
@@ -113,9 +182,18 @@ class Transport(abc.ABC):
     def post(self, frame: Frame) -> None:
         """Enqueue a frame for delivery (synchronous, never blocks)."""
 
-    @abc.abstractmethod
-    async def get(self, ip: int) -> Frame:
-        """Await the next inbound frame addressed to node ``ip``."""
+    def attach(
+        self,
+        ip: int,
+        consumer: Callable[[Frame], None],
+        on_failure: Callable[[Exception], None],
+    ) -> _Inbox:
+        """Hand node ``ip``'s frames to ``consumer``, one call per frame in
+        posting order, until it raises (see :class:`_Inbox`) or the
+        returned inbox is detached."""
+        inbox = self._inboxes[ip]
+        inbox.attach(consumer, on_failure)
+        return inbox
 
     @abc.abstractmethod
     async def stop(self) -> None:
@@ -135,13 +213,9 @@ class InProcessTransport(Transport):
 
     name = "inproc"
 
-    def __init__(self) -> None:
-        super().__init__()
-        self._inboxes: dict[int, _Inbox] = {}
-
     async def start(self, node_ids: Sequence[int]) -> None:
         loop = asyncio.get_running_loop()
-        self._inboxes = {ip: _Inbox(loop) for ip in node_ids}
+        self._inboxes = {ip: _Inbox(self, loop) for ip in node_ids}
 
     def post(self, frame: Frame) -> None:
         inbox = self._inboxes.get(frame.dst)
@@ -149,11 +223,6 @@ class InProcessTransport(Transport):
             raise WireError(f"no inbox for destination node {frame.dst}")
         self._count_post(frame)
         inbox.put(frame)
-
-    async def get(self, ip: int) -> Frame:
-        frame = await self._inboxes[ip].get()
-        self.frames_delivered += 1
-        return frame
 
     async def stop(self) -> None:
         self._inboxes = {}
@@ -197,16 +266,20 @@ class TcpLoopbackTransport(Transport):
         super().__init__()
         self.ports: dict[int, int] = {}
         self._servers: dict[int, asyncio.AbstractServer] = {}
-        self._inboxes: dict[int, _Inbox] = {}
-        self._outboxes: dict[int, _Inbox] = {}
+        self._outboxes: dict[int, _Outbox] = {}
+        #: The local ends of the senders' connections, as their peers see them.
+        self._own_ends: set[tuple[str, int]] = set()
+        #: Frames read off a connection this transport did not open.  No
+        #: ``post`` counted them, so each is in flight from the read on.
+        self.frames_foreign = 0
         self._senders: dict[int, asyncio.Task[None]] = {}
         self._reader_tasks: set[asyncio.Task[None]] = set()
 
     async def start(self, node_ids: Sequence[int]) -> None:
         loop = asyncio.get_running_loop()
         for ip in node_ids:
-            self._inboxes[ip] = _Inbox(loop)
-            self._outboxes[ip] = _Inbox(loop)
+            self._inboxes[ip] = _Inbox(self, loop)
+            self._outboxes[ip] = _Outbox(loop)
             server = await asyncio.start_server(
                 self._make_reader(ip), "127.0.0.1", 0
             )
@@ -224,6 +297,7 @@ class TcpLoopbackTransport(Transport):
             task = asyncio.current_task()
             if task is not None:
                 self._reader_tasks.add(task)
+            own = None
             try:
                 while True:
                     head = await stream.readexactly(4)
@@ -234,6 +308,10 @@ class TcpLoopbackTransport(Transport):
                     except WireError:
                         self.frames_rejected += 1  # dropped; the stream reads on
                         continue
+                    if own is None:  # a sender writes only once it is known
+                        own = writer.get_extra_info("peername") in self._own_ends
+                    if not own:
+                        self.frames_foreign += 1
                     self._inboxes[ip].put(frame)
             except (asyncio.IncompleteReadError, ConnectionResetError):
                 pass
@@ -255,6 +333,7 @@ class TcpLoopbackTransport(Transport):
                     _, writer = await asyncio.open_connection(
                         "127.0.0.1", self.ports[dst]
                     )
+                    self._own_ends.add(writer.get_extra_info("sockname"))
                 writer.write(_tcp_pack(frame))
                 await writer.drain()
         except asyncio.CancelledError:
@@ -272,10 +351,8 @@ class TcpLoopbackTransport(Transport):
         self._count_post(frame)
         outbox.put(frame)
 
-    async def get(self, ip: int) -> Frame:
-        frame = await self._inboxes[ip].get()
-        self.frames_delivered += 1
-        return frame
+    def in_flight(self) -> int:
+        return super().in_flight() + self.frames_foreign
 
     async def stop(self) -> None:
         for task in self._senders.values():

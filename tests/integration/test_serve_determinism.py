@@ -13,10 +13,11 @@ third pins the bytes of every frame a serialized run posts.
 import dataclasses
 import hashlib
 
+import numpy as np
 import pytest
 
 from repro.core.config import HiRepConfig
-from repro.serve import ServeSystem
+from repro.serve import LoadGenerator, ServeSystem, build_trace
 from repro.serve.engine import WallEngine
 from repro.serve.transport import InProcessTransport
 from tests.property.test_prop_executors import case, check
@@ -96,3 +97,30 @@ def test_posted_frames_are_byte_identical_to_the_pin(monkeypatch):
             system.run_transaction()
         assert system.transport.frames_posted == 3_600
     assert digest.hexdigest() == FRAME_DIGEST
+
+
+#: SHA-256 over every frame a two-client ``LoadGenerator`` run posts:
+#: pooled trace, 32 peers, seed 2006, clock pinned.  The serialized pin
+#: above cannot see a change in how two clients' frames interleave.
+CONCURRENT_FRAME_DIGEST = "beca8f4a3fdf3d67ec86153dff572254d9430cb409dbcbead64c542b2d4b6933"
+
+
+def test_concurrently_posted_frames_are_byte_identical_to_the_pin(monkeypatch):
+    """As the serialized pin, but two transactions in flight at once: the
+    order in which the event loop runs actors is part of what is hashed."""
+    digest = hashlib.sha256()
+    post = InProcessTransport.post
+
+    def recording_post(self, frame):
+        digest.update(repr((frame.src, frame.dst, frame.category, frame.sent_at)).encode())
+        digest.update(frame.payload)
+        post(self, frame)
+
+    monkeypatch.setattr(WallEngine, "now", property(lambda self: 1000.0))
+    monkeypatch.setattr(InProcessTransport, "post", recording_post)
+    with ServeSystem(HiRepConfig(network_size=32, seed=2006), transport="inproc") as system:
+        trace = build_trace("pooled", 32, 20, np.random.default_rng(2006))
+        report = LoadGenerator(system, trace, concurrency=2).run()
+        assert (report.completed, report.lost) == (20, 0)
+        assert system.transport.frames_posted == 3_600
+    assert digest.hexdigest() == CONCURRENT_FRAME_DIGEST

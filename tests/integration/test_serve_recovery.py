@@ -20,7 +20,7 @@ from repro.onion.onion import OnionLayer, build_onion
 from repro.onion.routing import OnionPacket
 from repro.serve import LoadGenerator, ServeSystem, build_trace
 from repro.serve import supervisor as supervisor_module
-from repro.serve.transport import Frame
+from repro.serve.transport import Frame, _tcp_pack
 
 
 def test_kill_and_restart_mid_load_loses_nothing():
@@ -244,3 +244,32 @@ def test_bad_frames_mid_load_are_rejected_not_crashes():
         metrics = system.telemetry.collect()
         assert metrics["serve.frames_rejected"] == len(bad_frames)
         assert metrics["serve.lost_transactions"] == 0
+
+
+def test_a_frame_from_a_foreign_connection_leaves_the_fleet_quiescent():
+    """A frame written to a TCP node port on a connection the transport did
+    not open was never posted; it is in flight from the read until an
+    actor pulls it, so the count never goes below zero and a drain ends."""
+    with ServeSystem(HiRepConfig(network_size=16, seed=5), transport="tcp") as system:
+        transport = system.transport
+
+        async def scenario():
+            _, writer = await asyncio.open_connection("127.0.0.1", transport.ports[3])
+            writer.write(_tcp_pack(Frame(0, 3, "trust_query", 0.0, b"hR\x01junk")))
+            await writer.drain()
+            for _ in range(500):
+                if system.network.frames_rejected:
+                    break
+                await asyncio.sleep(0.002)
+            in_flight = transport.in_flight()
+            quiescent = await system.drain()
+            writer.close()
+            await writer.wait_closed()
+            return in_flight, quiescent
+
+        assert system._loop is not None
+        in_flight, quiescent = system._loop.run_until_complete(scenario())
+        assert system.network.frames_rejected == 1  # junk payload, dropped at the edge
+        assert in_flight >= 0 and transport.in_flight() == 0
+        assert quiescent
+        assert system.run_transaction().answered > 0  # and the fleet runs on

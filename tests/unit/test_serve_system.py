@@ -2,6 +2,7 @@
 
 import asyncio
 import math
+import time
 
 import pytest
 
@@ -124,3 +125,56 @@ def test_explicit_pair_matches_request(small):
     with ServeSystem(small) as system:
         outcome = system.run_transaction(3, 7)
         assert (outcome.requestor, outcome.provider) == (3, 7)
+
+
+def test_a_query_held_by_an_offline_node_ends_when_the_fleet_is_quiet():
+    """Node 5 goes offline after bootstrap and drops the frames routed
+    through it, so some agents never answer.  The query ends once nothing
+    is left to arrive, as the simulator's ends on an empty event queue,
+    with the simulator's counts — not after the 5 s window for a hung
+    fleet."""
+    config = HiRepConfig(network_size=24, seed=11)
+    outcomes = {}
+    for name in ("hirep", "serve"):
+        system = build_system(name, config)
+        try:
+            system.bootstrap()  # the fleet's up() already has
+            system.network.set_online(5, False)
+            t0 = time.perf_counter()
+            outcome = system.run_transaction(0, provider=7)
+            elapsed_s = time.perf_counter() - t0
+        finally:
+            if isinstance(system, ServeSystem):
+                system.down()
+        outcomes[name] = (outcome.answered, outcome.asked, outcome.trust_messages)
+    assert outcomes["serve"] == outcomes["hirep"]
+    answered, asked, _ = outcomes["serve"]
+    assert 0 < answered < asked
+    assert elapsed_s < 1.0  # serve's
+
+
+def test_a_query_waits_out_its_armed_deadlines_before_it_is_quiet():
+    """With ``query_timeout_ms`` set, an armed deadline is something left
+    to arrive: the query retries at 40 and 120 ms, strikes out at 280 ms
+    (timeout × 2^k per attempt, two retries), and only then ends."""
+    config = HiRepConfig(network_size=24, seed=11, query_timeout_ms=40.0)
+    with ServeSystem(config) as system:
+        system.network.set_online(5, False)
+        t0 = time.perf_counter()
+        outcome = system.run_transaction(0, provider=7)
+        elapsed_s = time.perf_counter() - t0
+        requestor = system.peers[0]
+        assert outcome.answered < outcome.asked
+        assert requestor.retries_sent > 0 and requestor.queries_timed_out == 1
+        assert 0.28 <= elapsed_s < 1.0
+        assert system.engine.timers_armed == 0
+
+
+def test_an_answered_query_leaves_no_deadline_armed():
+    """An answered query's deadline is disarmed as the query settles: left
+    armed, the stale timer would count as something left to arrive."""
+    config = HiRepConfig(network_size=24, seed=11, query_timeout_ms=60_000.0)
+    with ServeSystem(config) as system:
+        outcome = system.run_transaction(0, provider=7)
+        assert outcome.answered == outcome.asked > 0
+        assert system.engine.timers_armed == 0

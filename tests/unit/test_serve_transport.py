@@ -8,6 +8,7 @@ import pytest
 
 from repro.errors import WireError
 from repro.net.topology import ring_lattice
+from repro.serve.actors import NodeActor
 from repro.serve.engine import WallEngine
 from repro.serve.network import ServeNetwork
 from repro.serve.supervisor import Supervisor
@@ -32,6 +33,24 @@ def run(coro):
 
 def make_frame(src=0, dst=1, payload=b"hR\x01\x00\x00\x00\x00"):
     return Frame(src=src, dst=dst, category="trust_request", sent_at=2.5, payload=payload)
+
+
+def recording_actors(transport, ips):
+    """Start an actor on each of ``ips`` whose network records each frame it
+    is handed as ``(ip, frame)``, in handling order; returns that record."""
+    handled = []
+    for ip in ips:
+        network = SimpleNamespace(deliver_frame=lambda f, ip=ip: handled.append((ip, f)))
+        NodeActor(ip, network, transport).start()
+    return handled
+
+
+async def until(condition):
+    for _ in range(1000):
+        if condition():
+            return
+        await asyncio.sleep(0.001)
+    raise AssertionError("fleet made no progress")
 
 
 def test_make_transport_names():
@@ -59,17 +78,23 @@ def test_post_get_and_in_flight(name):
         transport = make_transport(name)
         await transport.start(range(4))
         assert transport.in_flight() == 0
-        for dst in (1, 2, 1):
-            transport.post(make_frame(dst=dst))
-        assert transport.frames_posted == 3
-        got = [await transport.get(1), await transport.get(1), await transport.get(2)]
+        for dst, tag in ((1, 0), (2, 1), (1, 2)):
+            transport.post(make_frame(dst=dst, payload=bytes([tag])))
+        assert transport.frames_posted == 3 and transport.in_flight() == 3
+        got = recording_actors(transport, range(4))
+        await until(lambda: len(got) == 3)
         assert transport.in_flight() == 0
         await transport.stop()
         return got
 
     got = run(scenario())
-    assert [f.dst for f in got] == [1, 1, 2]
-    assert all(f.category == "trust_request" and f.sent_at == 2.5 for f in got)
+    assert all(ip == f.dst for ip, f in got)  # each frame reached its own dst's actor
+    assert all(f.category == "trust_request" and f.sent_at == 2.5 for _, f in got)
+    handled = [(ip, f.payload[0]) for ip, f in got]
+    if name == "inproc":
+        assert handled == [(1, 0), (1, 2), (2, 1)]
+    else:  # frames to two nodes cross two connections, in either order
+        assert sorted(handled) == [(1, 0), (1, 2), (2, 1)]
 
 
 def test_inproc_rejects_unknown_destination():
@@ -109,19 +134,20 @@ def test_tcp_drops_and_counts_bodies_that_are_no_frame():
         handled = []
         asyncio.get_running_loop().set_exception_handler(lambda loop, ctx: handled.append(ctx))
         await transport.start(range(4))
+        got = recording_actors(transport, [1])
         _, writer = await asyncio.open_connection("127.0.0.1", transport.ports[1])
         for body in (b"abc", bad_category):
             writer.write(len(body).to_bytes(4, "big") + body)
         writer.write(_tcp_pack(make_frame(dst=1)))
         await writer.drain()
-        got = await asyncio.wait_for(transport.get(1), timeout=5.0)
+        await until(lambda: got)
         writer.close()
         await writer.wait_closed()
         await transport.stop()
         return got, transport.frames_rejected, network.frames_rejected, handled
 
     got, rejected, seen_by_network, handled = run(scenario())
-    assert got == make_frame(dst=1)
+    assert got == [(1, make_frame(dst=1))]
     assert rejected == seen_by_network == 2
     assert handled == []
 
@@ -145,8 +171,8 @@ def test_counters_track_bytes():
         await transport.start(range(2))
         transport.post(make_frame(payload=b"x" * 40))
         transport.post(make_frame(payload=b"y" * 60))
-        await transport.get(1)
-        await transport.get(1)
+        recording_actors(transport, [1])
+        await asyncio.sleep(0)
         await transport.stop()
         return transport
 
@@ -155,34 +181,31 @@ def test_counters_track_bytes():
     assert transport.frames_delivered == 2
 
 
-def test_frames_posted_to_a_crashed_actor_wait_for_its_restart_in_order():
-    """A crash cancels the actor's waiter; what is posted meanwhile stays in
-    the inbox, and the restarted actor handles it first, in posting order."""
-    handled = []
-    network = SimpleNamespace(n=3, deliver_frame=handled.append)
+def crash_scenario(deliver_frame):
+    """Three nodes under a fast-polling supervisor whose network hands
+    each frame to ``deliver_frame``."""
     transport = InProcessTransport()
+    network = SimpleNamespace(n=3, deliver_frame=deliver_frame)
     supervisor = Supervisor(
         SimpleNamespace(agents={}), network, transport, poll_interval_s=0.001
     )
+    return transport, supervisor
 
-    def frames(dst, tags):
-        return [make_frame(dst=dst, payload=bytes([tag])) for tag in tags]
 
-    async def until(condition):
-        for _ in range(1000):
-            if condition():
-                return
-            await asyncio.sleep(0.001)
-        raise AssertionError("fleet made no progress")
+def frames(dst, tags):
+    return [make_frame(dst=dst, payload=bytes([tag])) for tag in tags]
+
+
+def test_frames_posted_to_a_crashed_actor_wait_for_its_restart_in_order():
+    """What is posted to a crashed actor stays in its inbox, and the
+    restarted actor handles it first, in posting order."""
+    handled = []
+    transport, supervisor = crash_scenario(handled.append)
 
     async def scenario():
         await supervisor.start()
-        await asyncio.sleep(0)  # every actor is now parked on its inbox
-        waiter = transport._inboxes[1]._waiter
-        assert waiter is not None
         supervisor.kill(1)
         supervisor.kill(2)  # crashed with nothing posted to it
-        assert waiter.cancelled()
         for frame in frames(1, range(5)) + frames(0, [9]) + frames(1, [5, 6]):
             transport.post(frame)
         await asyncio.sleep(0)
@@ -195,7 +218,39 @@ def test_frames_posted_to_a_crashed_actor_wait_for_its_restart_in_order():
         await supervisor.stop()
 
     run(scenario())
-    assert [ip for ip, _ in supervisor.incidents] == [1, 2]
+    assert supervisor.incidents == [(1, "cancelled"), (2, "cancelled")]
     by_node = {ip: [f.payload[0] for f in handled if f.dst == ip] for ip in range(3)}
     assert by_node == {0: [9], 1: [0, 1, 2, 3, 4, 5, 6, 8], 2: [7]}
+    assert transport.in_flight() == 0
+
+
+def test_a_handler_that_raises_mid_drain_leaves_the_rest_to_the_restart():
+    """Node 1's handler raises on its third frame: the actor goes down
+    there, and the frames queued behind it go to the restarted actor, in
+    posting order, with those posted while it was down after them."""
+    handled = []
+
+    def deliver_frame(frame):
+        handled.append(frame)
+        if frame.dst == 1 and frame.payload[0] == 2:
+            raise ValueError("handler bug")
+
+    transport, supervisor = crash_scenario(deliver_frame)
+
+    async def scenario():
+        await supervisor.start()
+        for frame in frames(1, range(6)) + frames(0, [9]):
+            transport.post(frame)
+        await asyncio.sleep(0)
+        assert not supervisor.actors[1].alive
+        assert [f.payload[0] for f in handled] == [0, 1, 2, 9]
+        transport.post(frames(1, [6])[0])
+        await until(lambda: supervisor.restarts == 1 and len(handled) == 8)
+        await supervisor.stop()
+
+    run(scenario())
+    assert supervisor.incidents == [(1, "ValueError")]
+    assert supervisor.actors[1].frames_handled == 7
+    by_node = {ip: [f.payload[0] for f in handled if f.dst == ip] for ip in range(3)}
+    assert by_node == {0: [9], 1: [0, 1, 2, 3, 4, 5, 6], 2: []}
     assert transport.in_flight() == 0
