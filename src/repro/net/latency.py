@@ -108,18 +108,20 @@ class LatencyMap:
     def __init__(self, model: LatencyModel, rng: np.random.Generator) -> None:
         self._model = model
         self._rng = rng
-        self._cache: dict[tuple[int, int], float] = {}
+        #: ``(min, max)`` pair → latency; read directly by the one per-hop
+        #: caller (``P2PNetwork.send``), which falls back to :meth:`between`.
+        self.memo: dict[tuple[int, int], float] = {}
 
     def between(self, u: int, v: int) -> float:
         """One-way latency between nodes ``u`` and ``v`` (symmetric)."""
         if u == v:
             return 0.0
         key = (u, v) if u < v else (v, u)
-        value = self._cache.get(key)
+        value = self.memo.get(key)
         if value is None:
             value = self._model.sample(self._rng)
-            self._cache[key] = value
+            self.memo[key] = value
         return value
 
     def __len__(self) -> int:
-        return len(self._cache)
+        return len(self.memo)

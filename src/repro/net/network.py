@@ -146,7 +146,10 @@ class P2PNetwork(Substrate):
             now,
         )
         if count:
-            self.counter.count(category)
+            # MessageCounter.count(category), inlined: n = 1 needs no check.
+            counter = self.counter
+            counter.by_category[category] += 1
+            counter.total += 1
         for observer in self.observers:
             observer(msg)
         extra_latency = 0.0
@@ -161,7 +164,13 @@ class P2PNetwork(Substrate):
             if extra_latency > 0.0:
                 for fault_observer in self.fault_observers:
                     fault_observer("delay", msg, extra_latency)
-        arrival = now + self.latency.between(src, dst) + extra_latency
+        # The latency memo read directly; a miss (and src == dst, never
+        # memoized) goes through between(), which draws on first use.
+        latency = self.latency
+        hop_ms = latency.memo.get((src, dst) if src < dst else (dst, src))
+        if hop_ms is None:
+            hop_ms = latency.between(src, dst)
+        arrival = now + hop_ms + extra_latency
         if self.model_transmission:
             # transmission_ms(bandwidth, size) and the FIFO horizon, inlined.
             transmit = (msg.size_bytes * 8.0) / self._kbps[dst]
@@ -177,7 +186,7 @@ class P2PNetwork(Substrate):
                 done = arrival + transmit
         else:
             done = arrival
-        self.engine.schedule(done, lambda: self._deliver(msg))
+        self.engine.schedule(done, self._deliver, msg)
         return msg
 
     def _deliver(self, msg: NetMessage) -> None:

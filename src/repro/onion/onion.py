@@ -164,7 +164,8 @@ def peel(backend: CipherBackend, ar: PrivateKey, blob: Any) -> PeelOutcome:
     next_ip, inner = layer.next_ip, layer.inner
     # A sealed inner is a relay layer's: no Envelope equals the marker, so
     # it is not asked (a live relay's inner is a slice, which refuses the
-    # marker string off its first byte).
+    # marker string off its first byte).  OnionRouter.handle applies this
+    # rule inline, once per hop; test_onion_onion.py holds the two together.
     if next_ip < 0 or (type(inner) is not Envelope and inner == _FAKE_ONION):
         return _DELIVERED
     return _new_outcome(PeelOutcome, (False, next_ip, inner))

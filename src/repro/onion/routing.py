@@ -18,10 +18,11 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.crypto.backend import CipherBackend, PrivateKey
-from repro.errors import OnionError, OnionPeelError
+from repro.crypto.simulated import Envelope
+from repro.errors import OnionError
 from repro.net.messages import NetMessage
 from repro.net.network import P2PNetwork
-from repro.onion.onion import Onion, peel
+from repro.onion.onion import _FAKE_ONION, Onion, OnionLayer
 
 if TYPE_CHECKING:
     from repro.core.wire import Hop
@@ -109,22 +110,27 @@ class OnionRouter:
         Returns True when consumed (so node dispatchers can fall through to
         other protocol handlers otherwise).
         """
-        if not isinstance(msg.payload, OnionPacket):
-            return False
         packet = msg.payload
+        if not isinstance(packet, OnionPacket):
+            return False
         here = msg.dst
         ar = self._keys.get(here)
         if ar is None:
             self.dropped += 1
             return True
+        # peel(), inlined (this runs once per hop): the same layer check
+        # and delivered rule, without the outcome tuple.
         try:
-            delivered, next_ip, blob = peel(self.backend, ar, packet.blob)
-        except OnionPeelError:
+            layer = self.backend.decrypt(ar, packet.blob)
+        except Exception:
+            layer = None
+        if not isinstance(layer, OnionLayer):
             # Misrouted or tampered onion: silently dropped, like a relay
             # that cannot decrypt would do.
             self.dropped += 1
             return True
-        if delivered:
+        next_ip, blob = layer.next_ip, layer.inner
+        if next_ip < 0 or (type(blob) is not Envelope and blob == _FAKE_ONION):
             # Over a real wire the message travelled sealed; only here, at
             # its owner, is it opened (a malformed one raises WireError).
             message = packet.message

@@ -166,8 +166,9 @@ class Transport(abc.ABC):
         self.bytes_posted = 0
         self.frames_delivered = 0
         #: Inbound frames dropped as malformed, by the transport (a stream
-        #: body that is no frame) or at the network edge
-        #: (``ServeNetwork.frames_rejected`` reads this counter).
+        #: body that is no frame, or a frame read off another node's port)
+        #: or at the network edge (``ServeNetwork.frames_rejected`` reads
+        #: this counter).
         self.frames_rejected = 0
         #: Run after a drain that leaves nothing in flight: the fleet's
         #: quiescence signal (``ServeSystem`` sets it).
@@ -307,6 +308,11 @@ class TcpLoopbackTransport(Transport):
                         frame = _tcp_unpack(body)
                     except WireError:
                         self.frames_rejected += 1  # dropped; the stream reads on
+                        continue
+                    if frame.dst != ip:
+                        # Addressed to another node: running it here would
+                        # run that node's handler outside its actor.
+                        self.frames_rejected += 1
                         continue
                     if own is None:  # a sender writes only once it is known
                         own = writer.get_extra_info("peername") in self._own_ends

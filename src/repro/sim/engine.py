@@ -1,11 +1,14 @@
 """Discrete-event simulation engine.
 
 :class:`SimEngine` is the clock, the queue and the loop: a ``heapq`` of
-``[time, seq, action]`` entries ordered by ``(time, seq)``, where ``seq``
-is the scheduling order — equal timestamps fire first-scheduled-first, so
-the execution order is deterministic regardless of heap internals.
-Callbacks schedule further events through :meth:`SimEngine.schedule`
-(absolute time) or :meth:`SimEngine.schedule_in` (relative delay).
+``[time, seq, action, arg]`` entries ordered by ``(time, seq)``, where
+``seq`` is the scheduling order — equal timestamps fire
+first-scheduled-first, so the execution order is deterministic regardless
+of heap internals.  Callbacks schedule further events through
+:meth:`SimEngine.schedule` (absolute time) or :meth:`SimEngine.schedule_in`
+(relative delay).  An entry may carry one argument for its action
+(``schedule(time, action, arg)`` fires ``action(arg)``), so a caller that
+schedules a bound method per message builds no closure for it.
 
 The engine keeps no per-event bookkeeping other than an event counter —
 metric collection is the responsibility of the components that schedule
@@ -22,8 +25,11 @@ from repro.errors import SimulationError
 __all__ = ["SimEngine"]
 
 #: What ``schedule`` returns and ``cancel`` takes: the heap entry itself,
-#: ``[time, seq, action]``; ``action`` is None once fired or cancelled.
+#: ``[time, seq, action, arg]``; ``action`` is None once fired or cancelled.
 Handle = list[Any]
+
+#: ``arg`` of an entry whose action takes no argument.
+_NO_ARG: Any = object()
 
 
 class SimEngine:
@@ -61,13 +67,16 @@ class SimEngine:
         """Number of scheduled events not yet fired or cancelled."""
         return self._live
 
-    def schedule(self, time: float, action: Callable[[], Any]) -> Handle:
-        """Schedule ``action`` at absolute simulation time ``time``."""
+    def schedule(
+        self, time: float, action: Callable[..., Any], arg: Any = _NO_ARG
+    ) -> Handle:
+        """Schedule ``action()`` — or ``action(arg)`` when ``arg`` is given —
+        at absolute simulation time ``time``."""
         if time < self.now:
             raise SimulationError(
                 f"cannot schedule into the past: now={self.now!r}, time={time!r}"
             )
-        entry: Handle = [float(time), self._seq, action]
+        entry: Handle = [float(time), self._seq, action, arg]
         self._seq += 1
         self._live += 1
         heappush(self._heap, entry)
@@ -103,6 +112,7 @@ class SimEngine:
             raise SimulationError("engine is not reentrant: run() called from a callback")
         self._running = True
         heap = self._heap
+        no_arg = _NO_ARG
         before = self.events_processed
         try:
             while heap:
@@ -117,7 +127,11 @@ class SimEngine:
                 self._live -= 1
                 self.now = entry[0]
                 self.events_processed += 1
-                action()
+                arg = entry[3]
+                if arg is no_arg:
+                    action()
+                else:
+                    action(arg)
         finally:
             self._running = False
         if until is not None and until > self.now:

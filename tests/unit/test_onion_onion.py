@@ -8,6 +8,7 @@ from repro.core.wire import WireSlice, decode, encode
 from repro.crypto.keys import PeerKeys
 from repro.crypto.simulated import Envelope
 from repro.errors import OnionPeelError
+from repro.net.messages import NetMessage
 from repro.net.network import P2PNetwork
 from repro.net.topology import ring_lattice
 from repro.onion.onion import (
@@ -18,7 +19,7 @@ from repro.onion.onion import (
     draw_relays,
     peel,
 )
-from repro.onion.routing import OnionPacket
+from repro.onion.routing import OnionPacket, OnionRouter
 from repro.vector.network import ArrayNetwork
 
 
@@ -164,6 +165,64 @@ class TestDeliveredRule:
         assert not junked.delivered and junked.next_ip == 4
         onward = self.as_decoded(relayed.inner) if decoded else relayed.inner
         assert peel(sim_backend, owner.ar, onward).delivered
+
+    @pytest.mark.parametrize("decoded", [False, True], ids=["object", "live"])
+    @pytest.mark.parametrize(
+        "case, expected",
+        [
+            ("core", "delivered"),
+            ("forged", "delivered"),
+            ("relay", ("forwarded", 0)),
+            ("junk", ("forwarded", 4)),
+            ("misrouted", "dropped"),
+            ("no-layer", "dropped"),
+        ],
+    )
+    def test_peel_and_the_routers_hop_apply_one_rule(
+        self, sim_backend, owner, rng, case, expected, decoded
+    ):
+        """``OnionRouter.handle`` peels in place; on every layer — each as
+        an ``Envelope`` and as a decoded ``WireSlice`` — it delivers,
+        forwards (to the same next hop) or drops exactly when ``peel``
+        does."""
+        relay = PeerKeys.generate(sim_backend, rng)
+        onion = build_onion(sim_backend, owner.ap, owner.sr, 0, [(1, relay.ap)], seq=1)
+        blob, key = {
+            "core": (
+                sim_backend.encrypt(owner.ap, OnionLayer(next_ip=-1, inner="__fake_onion__")),
+                owner,
+            ),
+            "forged": (
+                sim_backend.encrypt(owner.ap, OnionLayer(next_ip=3, inner="__fake_onion__")),
+                owner,
+            ),
+            "relay": (onion.blob, relay),
+            "junk": (sim_backend.encrypt(relay.ap, OnionLayer(next_ip=4, inner="junk")), relay),
+            "misrouted": (onion.blob, owner),
+            "no-layer": (sim_backend.encrypt(owner.ap, "not a layer"), owner),
+        }[case]
+        packet = OnionPacket(blob, "m", "trust_query", 0.0)
+        if decoded:
+            packet = decode(encode(packet))
+        try:
+            outcome = peel(sim_backend, key.ar, packet.blob)
+            by_peel = "delivered" if outcome.delivered else ("forwarded", outcome.next_ip)
+        except OnionPeelError:
+            by_peel = "dropped"
+
+        network = relay_network()
+        router = OnionRouter(network, sim_backend)
+        arrived, sent = [], []
+        router.register_node(5, key.ar, lambda message, sent_at: arrived.append(message))
+        network.observers.append(lambda msg: sent.append(msg.dst))
+        assert router.handle(NetMessage(2, 5, packet)) is True
+        answers = (
+            ["delivered"] * router.delivered
+            + [("forwarded", dst) for dst in sent]
+            + ["dropped"] * router.dropped
+        )
+        assert answers == [by_peel] == [expected]
+        assert arrived == (["m"] if expected == "delivered" else [])
 
     def test_outcome_is_an_immutable_named_tuple(self, sim_backend, owner):
         blob = sim_backend.encrypt(owner.ap, OnionLayer(next_ip=2, inner="junk"))

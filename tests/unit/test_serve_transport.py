@@ -152,6 +152,38 @@ def test_tcp_drops_and_counts_bodies_that_are_no_frame():
     assert handled == []
 
 
+def test_tcp_refuses_a_frame_read_off_another_nodes_port():
+    """A frame naming node 3, written to node 1's port, is dropped and
+    counted where the fleet reads its rejections: neither node's actor
+    handles it (node 1's would run node 3's handler), and nothing is
+    left in flight."""
+
+    async def scenario():
+        transport = TcpLoopbackTransport()
+        await transport.start(range(4))
+        network = SimpleNamespace(deliver_frame=lambda f: None)
+        actors = [NodeActor(ip, network, transport) for ip in (1, 3)]
+        for actor in actors:
+            actor.start()
+        _, writer = await asyncio.open_connection("127.0.0.1", transport.ports[1])
+        writer.write(_tcp_pack(make_frame(src=0, dst=3)))
+        await writer.drain()
+        await until(
+            lambda: transport.frames_rejected or any(a.frames_handled for a in actors)
+        )
+        await asyncio.sleep(0.01)  # time for a frame put in an inbox to be handled
+        seen = [a.frames_handled for a in actors], transport.frames_rejected, transport.in_flight()
+        writer.close()
+        await writer.wait_closed()
+        await transport.stop()
+        return seen
+
+    handled, rejected, in_flight = run(scenario())
+    assert handled == [0, 0]
+    assert rejected == 1
+    assert in_flight == 0
+
+
 def test_tcp_brings_up_one_port_per_node():
     async def scenario():
         transport = TcpLoopbackTransport()

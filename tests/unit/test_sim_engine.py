@@ -192,3 +192,66 @@ def test_run_usable_again_after_a_callback_raises():
         engine.run()
     assert engine.run() == 1
     assert log == [2]
+
+
+# -- entries that carry their action's argument --------------------------------
+
+
+def test_equal_time_entries_with_and_without_an_argument_fire_in_scheduling_order():
+    engine = SimEngine()
+    log = []
+    engine.schedule(3.0, log.append, "a")
+    engine.schedule(3.0, lambda: log.append("b"))
+    engine.schedule(3.0, log.append, None)  # None is an argument like any other
+    engine.schedule(1.0, log.append, "first")
+    engine.schedule(3.0, lambda: log.append("d"))
+    engine.schedule(3.0, log.append, "e")
+    assert engine.run() == 6
+    assert log == ["first", "a", "b", None, "d", "e"]
+
+
+def test_cancel_an_entry_that_carries_an_argument():
+    engine = SimEngine()
+    log = []
+    handle = engine.schedule(1.0, log.append, "cancelled")
+    engine.schedule(1.0, log.append, "kept")
+    engine.cancel(handle)
+    engine.cancel(handle)  # idempotent
+    assert len(engine) == 1
+    assert engine.run() == 1
+    assert log == ["kept"]
+    assert engine.events_processed == 1
+
+
+def test_len_counts_entries_that_carry_an_argument():
+    engine = SimEngine()
+    log = []
+    engine.schedule(1.0, log.append, 1)
+    engine.schedule(2.0, lambda: None)
+    engine.schedule(3.0, log.append, 3)
+    assert len(engine) == 3
+    engine.run(until=2.0)
+    assert len(engine) == 1
+    engine.run()
+    assert len(engine) == 0
+    assert log == [1, 3]
+
+
+def test_engine_usable_after_an_action_with_an_argument_raises():
+    engine = SimEngine()
+    log = []
+
+    def boom(arg):
+        raise RuntimeError(arg)
+
+    engine.schedule(1.0, boom, "boom")
+    engine.schedule(2.0, log.append, 2)
+    with pytest.raises(RuntimeError, match="boom"):
+        engine.run()
+    assert engine.now == 1.0
+    assert len(engine) == 1
+    assert engine.run() == 1
+    assert log == [2]
+    engine.schedule(3.0, log.append, 3)  # the reentrancy guard was released
+    assert engine.run() == 1
+    assert log == [2, 3]
