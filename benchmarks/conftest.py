@@ -61,8 +61,10 @@ def scale() -> dict:
             # of the committed baseline's three samples at 512811d (602 / 593
             # / 593 tx/s) — the array floors' slack; before it an object-
             # kernel regression showed only as a rise in the speed-up.  The
-            # sessions at eb5aee7 / a0754f5 read 217 / 270 tx/s on a slower
-            # host; the floor is not lowered to follow them
+            # three sessions at 7f6f936 (a relay hop without helper calls;
+            # one host) read 563 / 785 / 471 tx/s: 11x under their median is
+            # 51, under 54, so the floor stays.  It is never lowered to
+            # follow a slower host
             "kernel": dict(sizes=(1000, 10_000), transactions=100, object_floor_tx_per_sec=54.0),
             # floor: 11x under the median of the three 100k samples at
             # 4d6e346 (4 545 / 4 381 / 2 894 tx/s; 50-transaction runs swing

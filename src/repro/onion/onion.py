@@ -82,9 +82,6 @@ class PeelOutcome(NamedTuple):
 
 #: Every owner's peel comes to the same outcome; it is built once.
 _DELIVERED = PeelOutcome(True, None, None)
-#: A relay's outcome is built by ``tuple.__new__`` directly: the same
-#: ``PeelOutcome``, without the NamedTuple's Python-level ``__new__``.
-_new_outcome = tuple.__new__
 
 
 def build_onion(
@@ -168,7 +165,7 @@ def peel(backend: CipherBackend, ar: PrivateKey, blob: Any) -> PeelOutcome:
     # rule inline, once per hop; test_onion_onion.py holds the two together.
     if next_ip < 0 or (type(inner) is not Envelope and inner == _FAKE_ONION):
         return _DELIVERED
-    return _new_outcome(PeelOutcome, (False, next_ip, inner))
+    return PeelOutcome(False, next_ip, inner)
 
 
 def draw_relays(
