@@ -65,7 +65,15 @@ def scale() -> dict:
             # one host) read 563 / 785 / 471 tx/s: 11x under their median is
             # 51, under 54, so the floor stays.  It is never lowered to
             # follow a slower host
-            "kernel": dict(sizes=(1000, 10_000), transactions=100, object_floor_tx_per_sec=54.0),
+            # array_transactions: an array cell timed over 100 transactions
+            # (~15 ms at N=10k) swung by a third between sessions on one
+            # host (5 283 / 7 303 / 6 827 tx/s at 7f6f936), enough to move
+            # the speed-up ratio across the CI's 8x floor; 1 000 of them
+            # take ~0.15 s.  The object cells stay at 100
+            "kernel": dict(
+                sizes=(1000, 10_000), transactions=100, array_transactions=1000,
+                object_floor_tx_per_sec=54.0,
+            ),
             # floor: 11x under the median of the three 100k samples at
             # 4d6e346 (4 545 / 4 381 / 2 894 tx/s; 50-transaction runs swing
             # that much) and 7x under the lowest — CI-runner slack, as 300
@@ -95,7 +103,9 @@ def scale() -> dict:
         "traffic_bound": dict(network_size=150, transactions=10),
         "robustness": dict(network_size=150),
         "ablations": dict(network_size=150),
-        "kernel": dict(sizes=(1000,), transactions=60, object_floor_tx_per_sec=54.0),
+        "kernel": dict(
+            sizes=(1000,), transactions=60, array_transactions=1000, object_floor_tx_per_sec=54.0
+        ),
         "kernel_smoke": dict(network_size=20_000, transactions=30, floor_tx_per_sec=100.0),
         "kernel_churn": dict(
             network_size=20_000, transactions=200, churn=(0.01, 0.2), floor_tx_per_sec=100.0

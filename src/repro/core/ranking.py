@@ -23,7 +23,6 @@ padding).  Ranking and selection run on the block and name the winners by
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -32,20 +31,27 @@ from repro.errors import ConfigError
 
 __all__ = ["rank_within_list", "reply_block", "select_agents"]
 
+#: The low half of a sort key: the cell (or place) it names.
+_LOW = 0xFFFFFFFF
+
 
 def reply_block(
-    id_rows: Sequence[Sequence[int]], weight_rows: Sequence[Sequence[float]]
+    ids: Sequence[int], weights: Sequence[float], lens: Sequence[int]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pad ragged per-reply columns into an ``(ids, weights, lens)`` block."""
-    lens = np.array([len(row) for row in id_rows], dtype=np.int64)
-    if lens.tolist() != [len(row) for row in weight_rows]:
+    """Pad flat reply columns into an ``(ids, weights, lens)`` block.
+
+    ``ids`` and ``weights`` hold the replies' cells back to back, reply
+    ``r`` contributing the next ``lens[r]`` of them.
+    """
+    if len(ids) != len(weights) or len(ids) != sum(lens) or min(lens, default=0) < 0:
         raise ConfigError("each reply needs one weight per agent id")
+    lens = np.array(lens, dtype=np.int64)
     valid = np.arange(lens.max(initial=0)) < lens[:, None]
-    ids = np.full(valid.shape, -1, dtype=np.int64)
-    weights = np.zeros(valid.shape, dtype=np.float64)
-    ids[valid] = list(chain.from_iterable(id_rows))
-    weights[valid] = list(chain.from_iterable(weight_rows))
-    return ids, weights, lens
+    block_ids = np.full(valid.shape, -1, dtype=np.int64)
+    block_weights = np.zeros(valid.shape, dtype=np.float64)
+    block_ids[valid] = np.fromiter(ids, np.int64, len(ids))
+    block_weights[valid] = np.fromiter(weights, np.float64, len(ids))
+    return block_ids, block_weights, lens
 
 
 def rank_within_list(weights: np.ndarray, lens: np.ndarray, n: int) -> np.ndarray:
@@ -54,19 +60,21 @@ def rank_within_list(weights: np.ndarray, lens: np.ndarray, n: int) -> np.ndarra
     Equal weights keep their list order.  Returns the block of ranks,
     ``-1`` in padding cells.  An agent duplicated inside one list holds a
     rank per cell; the merge keeps its best.
+
+    A cell's rank is ``max(n - at, 0)``, ``at`` being its place in the
+    row's stable descending order (the inverse of that order).  A NaN
+    weight, which no executor produces, sorts after the padding: its cell
+    still gets a rank (0 unless the row is shorter than ``n``), and
+    padding cells always read ``-1``.
     """
     if n < 1:
         raise ConfigError(f"requestor must want at least one agent, got {n}")
-    position = np.arange(weights.shape[1])
-    valid = position < np.asarray(lens)[:, None]
-    # Stable descending sort, padding last: sorted position j of a row is
-    # one of its valid cells exactly when j < len.
+    valid = np.arange(weights.shape[1]) < np.asarray(lens)[:, None]
+    # Stable descending sort, padding last: a valid cell's place in it is
+    # below the row's length.
     order = np.where(valid, -weights, np.inf).argsort(axis=1, kind="stable")
-    ranks = np.empty(order.shape, dtype=np.int64)
-    ranks[np.arange(len(order))[:, None], order] = np.where(
-        valid, np.maximum(n - position, 0), -1
-    )
-    return ranks
+    at = order.argsort(axis=1)
+    return np.where(valid, np.maximum(n - at, 0), -1)
 
 
 def select_agents(
@@ -83,7 +91,8 @@ def select_agents(
     ----------
     ids, ranks:
         The replies' agent-id block and :func:`rank_within_list`'s ranks
-        for it.
+        for it.  Ids must fit in 32 bits, signed: the sorts below key a
+        cell by its id in the high half of a 64-bit word.
     merge:
         ``"max"`` is the paper's rule; ``"mean"`` averages an agent's ranks
         across lists (used only by the ablation study).
@@ -99,11 +108,13 @@ def select_agents(
     cells = (ranks >= 0).ravel().nonzero()[0]  # row-major: first-appearance order
     if cells.size == 0:
         return cells, cells
-    # Group the cells by agent: a stable sort keeps each agent's cells in
-    # block order, so a group starts at the agent's first appearance.
-    cell_ids = ids.ravel()[cells]
-    by = cell_ids.argsort(kind="stable")
-    agent_ids, by = cell_ids[by], cells[by]
+    # Group the cells by agent.  The keys ``(id << 32) | cell`` are
+    # distinct, so sorting them orders the cells as a stable sort of the
+    # ids would: each agent's cells in block order, a group starting at
+    # the agent's first appearance.
+    key = np.left_shift(ids.ravel()[cells], 32, dtype=np.int64) | cells
+    key.sort()
+    agent_ids, by = key >> 32, key & _LOW
     group = np.concatenate(([True], agent_ids[1:] != agent_ids[:-1]))
     starts = group.nonzero()[0]
     first = by[starts]
@@ -120,5 +131,12 @@ def select_agents(
     order = np.arange(first.size)
     rng.shuffle(order)
     shuffled = first.argsort()[order]
-    top = shuffled[(-final[shuffled]).argsort(kind="stable")[:n]]
+    if merge == "max":
+        # Integer finals: ``(-final << 32) | place`` keys are distinct and
+        # sort as the stable descending sort would.
+        key = np.left_shift(-final[shuffled], 32) | np.arange(shuffled.size)
+        key.sort()
+        top = shuffled[key[:n] & _LOW]
+    else:
+        top = shuffled[(-final[shuffled]).argsort(kind="stable")[:n]]
     return divmod(first[top], ids.shape[1])

@@ -23,7 +23,6 @@ seeds reproduce the pre-refactor runs bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Callable, Sequence
 
 from repro.core.agent import ReputationAgent
@@ -279,30 +278,32 @@ class MaintenanceService:
         counter.count(Category.AGENT_DISCOVERY_REPLY, outcome.reply_messages)
         if not outcome.responders:
             return 0
-        # The replies as columns.  NodeIDs are coded to per-round integers
-        # in first-appearance order, so a forged id stays its own candidate
-        # whatever ip it claims.
+        # The replies as flat columns.  NodeIDs are coded to per-round
+        # integers in first-appearance order, so a forged id stays its own
+        # candidate whatever ip it claims.
         sources = [
             shared[node] if listed else (offers[node],)
             for node, listed in zip(outcome.responders, outcome.shared_list)
         ]
-        node_ids, weight_rows = [], []
+        id_rows, node_ids, weights, lens = [], [], [], []
         for source in sources:
             if isinstance(source, TrustedAgentList):
                 row_ids, row_weights = source.columns()
             else:
                 row_ids = [entry.agent_node_id for entry in source]
                 row_weights = [entry.weight for entry in source]
-            node_ids.append(row_ids)
-            weight_rows.append(row_weights)
-        code = {nid: i for i, nid in enumerate(dict.fromkeys(chain(*node_ids)))}
-        code_rows = [list(map(code.__getitem__, row)) for row in node_ids]
-        ids, weights, lens = reply_block(code_rows, weight_rows)
+            id_rows.append(row_ids)
+            node_ids += row_ids
+            weights += row_weights
+            lens.append(len(row_ids))
+        code: dict[NodeID, int] = {}
+        codes = [code.setdefault(nid, len(code)) for nid in node_ids]
+        ids, weights, lens = reply_block(codes, weights, lens)
         ranks = rank_within_list(weights, lens, wanted)
         replies, rows = select_agents(ids, ranks, wanted, peer.rng)
         # Entry objects for the winners only.
         selected = [
-            sources[r].shared_entry(node_ids[r][row])
+            sources[r].shared_entry(id_rows[r][row])
             if isinstance(sources[r], TrustedAgentList)
             else sources[r][row]
             for r, row in zip(replies.tolist(), rows.tolist())

@@ -117,7 +117,9 @@ def ablate_merge(network_size: int, seed: int) -> Series:
     attack_list = [0.0] + [1.0] * len(poor_ips)
     lists = [honest_list] + [attack_list] * 10
     wanted = 2
-    ids, weights, lens = reply_block([agents] * len(lists), lists)
+    ids, weights, lens = reply_block(
+        agents * len(lists), [w for lst in lists for w in lst], [len(agents)] * len(lists)
+    )
     ranks = rank_within_list(weights, lens, wanted)
     rng = np.random.default_rng(seed)
     picked = {}

@@ -246,12 +246,15 @@ class VectorTrustState:
             raise ConfigError(f"peer {p} adopts agents without onion ids")
         live = self.live
         m = int(live.len[p])
-        new = np.flatnonzero(~(hosts[:, None] == live.ip[p, :m]).any(axis=1))
-        # First occurrence of each host, in order, up to the free rows.
-        if len(set(hosts[new].tolist())) < new.size:
-            new = new[np.sort(np.unique(hosts[new], return_index=True)[1])]
-        new = new[: self.capacity - m]
-        k = int(new.size)
+        # First occurrence of each unlisted host, in order, up to the free rows.
+        listed = set(live.ip[p, :m].tolist())
+        new = []
+        for i, host in enumerate(hosts.tolist()):
+            if host not in listed:
+                listed.add(host)
+                new.append(i)
+        del new[self.capacity - m :]
+        k = len(new)
         if k == 0:
             return 0
         live.ip[p, m : m + k] = hosts[new]

@@ -290,7 +290,7 @@ class ArrayHiRepSystem(HiRepRuntime):
             cfg.tokens,
             cfg.ttl,
             rng=self._peer_rngs[p],
-            has_list=lambda node: st.live_len[node] > 0,
+            has_list=memoryview(st.live_len).__getitem__,  # a length, as an int
             self_offer=self._self_offer,
             online=self.network.alive.__getitem__,
         )

@@ -36,6 +36,13 @@ equal ``bit_generator.state``, so no later draw on the stream can move.
     compare and boolean index per rebuild) is the oracle.  Generated
     liveness masks over 3–40 nodes with the owner online, offline, alone
     online and everyone offline, ``count`` from 0 to past the pool.
+(e) The §3.4.1 flood's one-token remainder,
+    :func:`~repro.core.discovery.discover_agent_lists`' ``rng.integers(0,
+    k)``, is ``rng.choice(k, size=1, replace=False)`` — the call it
+    replaces, kept as the oracle — for ``k`` from 1 to 4 096, past the
+    largest degree of a Table 1 topology (50 at N = 1 000, 167 at 10⁴, 492
+    at 10⁵), with foreign draws interleaved that leave half a word in the
+    generator's carry.
 
 Shown to fail under each of these seeded mutations: (a) the batch added to
 ``_issued`` as a set union (``issued.update(dict.fromkeys(set(draws)))``)
@@ -49,7 +56,11 @@ rater's ranges not swapped (``use_good = trustable``); (c) a plain
 elements; (d) picks not stepped over the owner (``online[picks]``);
 stepped from the slot after (``picks > slot``); ``searchsorted(..., side="right")``; the pool
 one short whether or not the owner is online (``pool_len = len(online) -
-1``); an offline owner's insertion point kept as its slot.
+1``); an offline owner's insertion point kept as its slot; (e)
+``rng.integers(0, k - 1)``, ``rng.integers(0, k, endpoint=True)``,
+``int(rng.random() * k)`` and the choice over ``k + 1``
+(``rng.integers(1, k + 1) - 1`` and an ``int32`` dtype survive: they make
+the same bounded draw).
 """
 
 import numpy as np
@@ -226,3 +237,28 @@ def test_draw_relays_is_the_draw_from_a_built_pool(seed, alive, owner, only_owne
     assert relays == _draw_from_a_built_pool(network, owner, count, twin)
     assert rng.bit_generator.state == twin.bit_generator.state
     assert all(type(relay) is int for relay in relays)
+
+
+FOREIGN = st.one_of(
+    st.tuples(st.just("int32"), st.integers(1, 2**32)),
+    st.tuples(st.just("double"), st.just(0)),
+    st.tuples(st.just("shuffle"), st.integers(0, 9)),
+)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    draws=st.lists(
+        st.tuples(st.integers(1, 4096), st.lists(FOREIGN, max_size=2)),
+        min_size=1,
+        max_size=10,
+    ),
+)
+@settings(max_examples=400, deadline=None)
+def test_one_token_remainder_is_the_choice_of_one(seed, draws):
+    rng, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+    for k, foreign in draws:
+        for op, arg in foreign:
+            assert repr(foreign_draw(rng, op, arg)) == repr(foreign_draw(oracle, op, arg))
+        assert rng.integers(0, k) == oracle.choice(k, size=1, replace=False)[0]
+        assert rng.bit_generator.state == oracle.bit_generator.state

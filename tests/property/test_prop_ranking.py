@@ -43,8 +43,9 @@ def oracle_select(lists, n, rng, merge):
 
 def block(lists):
     return reply_block(
-        [[agent for agent, _ in lst] for lst in lists],
-        [[weight for _, weight in lst] for lst in lists],
+        [agent for lst in lists for agent, _ in lst],
+        [weight for lst in lists for _, weight in lst],
+        [len(lst) for lst in lists],
     )
 
 
