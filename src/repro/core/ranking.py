@@ -44,7 +44,7 @@ def reply_block(
     ``r`` contributing the next ``lens[r]`` of them.
     """
     if len(ids) != len(weights) or len(ids) != sum(lens) or min(lens, default=0) < 0:
-        raise ConfigError("each reply needs one weight per agent id")
+        raise ConfigError("reply columns need one weight per id and lens >= 0 that cover them")
     lens = np.array(lens, dtype=np.int64)
     valid = np.arange(lens.max(initial=0)) < lens[:, None]
     block_ids = np.full(valid.shape, -1, dtype=np.int64)
@@ -63,9 +63,10 @@ def rank_within_list(weights: np.ndarray, lens: np.ndarray, n: int) -> np.ndarra
 
     A cell's rank is ``max(n - at, 0)``, ``at`` being its place in the
     row's stable descending order (the inverse of that order).  A NaN
-    weight, which no executor produces, sorts after the padding: its cell
-    still gets a rank (0 unless the row is shorter than ``n``), and
-    padding cells always read ``-1``.
+    weight, which no executor produces, sorts after the padding, so its
+    cell is ranked by that place and padding cells still read ``-1``
+    (writing ranks through the order instead would hand a padding cell
+    the NaN's rank).
     """
     if n < 1:
         raise ConfigError(f"requestor must want at least one agent, got {n}")
@@ -118,25 +119,25 @@ def select_agents(
     group = np.concatenate(([True], agent_ids[1:] != agent_ids[:-1]))
     starts = group.nonzero()[0]
     first = by[starts]
+    # Random tie-break: shuffle the candidates (held in first-appearance
+    # order, never hash or id order), then sort by final rank descending,
+    # equal finals in shuffled order.
+    order = np.arange(first.size)
+    rng.shuffle(order)
+    shuffled = first.argsort()[order]
     if merge == "max":
         final = np.maximum.reduceat(ranks.ravel()[by], starts)
+        # Integer finals: the keys ``(-final << 32) | place`` are distinct
+        # and sort as a stable descending sort of the finals would.
+        key = np.left_shift(-final[shuffled], 32) | np.arange(shuffled.size)
+        key.sort()
+        top = shuffled[key[:n] & _LOW]
     else:
         # One rank per (list, agent): a duplicate counts once, at its best.
         pairs = group | (np.diff(by // ids.shape[1], prepend=-1) != 0)
         best = np.maximum.reduceat(ranks.ravel()[by], pairs.nonzero()[0])
         agent = group.cumsum()[pairs] - 1
         final = np.bincount(agent, weights=best) / np.bincount(agent)
-    # Random tie-break: shuffle the candidates (held in first-appearance
-    # order, never hash or id order), then stable-sort by rank descending.
-    order = np.arange(first.size)
-    rng.shuffle(order)
-    shuffled = first.argsort()[order]
-    if merge == "max":
-        # Integer finals: ``(-final << 32) | place`` keys are distinct and
-        # sort as the stable descending sort would.
-        key = np.left_shift(-final[shuffled], 32) | np.arange(shuffled.size)
-        key.sort()
-        top = shuffled[key[:n] & _LOW]
-    else:
+        # Fractional finals take the stable sort itself.
         top = shuffled[(-final[shuffled]).argsort(kind="stable")[:n]]
     return divmod(first[top], ids.shape[1])
