@@ -7,16 +7,28 @@ under churn (the legs that walk onion snapshots).  Every cell appends a
 machine-readable row to the session's ``BENCH_kernel.json`` (see
 ``kernel_records`` in conftest) — the artifact CI uploads and the scaling
 docs quote.
+
+Each row also records the host slowdown sampled around its build and its
+bootstrap (``build_slowdown`` / ``bootstrap_slowdown``) by the e2e
+benchmark's calibration loop, ``benchmarks/e2e/harness.host_slowdown``:
+a fixed pure-Python loop's time over its 5.6 ms reference.  Seconds
+divided by it are *calibrated* seconds, what the piece takes at
+reference host speed; CI asserts its set-up ceilings on those.
 """
 
 from __future__ import annotations
 
 import gc
+import sys
+from pathlib import Path
 
 from repro import build_system
 from repro.net.churn import ChurnModel
 from repro.obs.clock import WallClock
 from repro.workloads.scenarios import default_config
+
+sys.path.insert(0, str(Path(__file__).resolve().parent / "e2e"))
+from harness import host_slowdown  # noqa: E402  (benchmarks/e2e is no package)
 
 
 def _measure(backend: str, network_size: int, transactions: int, **opts) -> dict:
@@ -26,12 +38,16 @@ def _measure(backend: str, network_size: int, transactions: int, **opts) -> dict
     # (+1.3 s on the 100k cell after the N=10k object-kernel cell).
     gc.collect()
     clock = WallClock()
+    before_build = host_slowdown(clock)
+    clock.reset()
     system = build_system(backend, cfg, **opts)
     build_s = clock.now / 1000.0
 
+    before_bootstrap = host_slowdown(clock)
     clock.reset()
     system.bootstrap()
     bootstrap_s = clock.now / 1000.0
+    after_bootstrap = host_slowdown(clock)
 
     system.reset_metrics()
     msgs_before = system.counter.total
@@ -45,6 +61,8 @@ def _measure(backend: str, network_size: int, transactions: int, **opts) -> dict
         "transactions": transactions,
         "build_s": round(build_s, 4),
         "bootstrap_s": round(bootstrap_s, 4),
+        "build_slowdown": round((before_build + before_bootstrap) / 2.0, 4),
+        "bootstrap_slowdown": round((before_bootstrap + after_bootstrap) / 2.0, 4),
         "run_s": round(run_s, 4),
         "tx_per_sec": transactions / run_s if run_s else float("inf"),
         "msgs_per_sec": (system.counter.total - msgs_before) / run_s

@@ -15,12 +15,13 @@ centralises that policy behind three entry points keyed on an
   agent take-downs and forged reports), returning an
   :class:`AttackHandle` describing what actually attached.
 
-Attachment degrades by capability, not by crashing: systems without the
-hiREP hooks (``discovery_list_hook``, peer key material) get the
-population-level interpretation of the same attack — ``fraction`` of the
-participants malicious, the reading Fig. 7 already uses for the voting
-baseline — and the handle records ``level="config"`` so scorecards can
-tell protocol-level pressure from the fallback.
+Attachment degrades by capability, not by crashing: a system whose
+executor does not support ``protocol_attacks`` in
+:data:`~repro.core.registry.CAPABILITIES` (the array kernel, and every
+baseline) gets the population-level interpretation of the same attack —
+``fraction`` of the participants malicious, the reading Fig. 7 already
+uses for the voting baseline — and the handle records ``level="config"``
+so scorecards can tell protocol-level pressure from the fallback.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from typing import TYPE_CHECKING, Any, Callable, Sequence
 import numpy as np
 
 from repro.campaigns.specs import AttackSpec
+from repro.core.registry import supports
 from repro.errors import ConfigError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -44,7 +46,6 @@ __all__ = [
     "attack_build_opts",
     "attack_config",
     "compromised_nodes",
-    "supports_protocol_attacks",
 ]
 
 #: seed offset for the attack plane's own generator — like the fault
@@ -70,11 +71,6 @@ class AttackHandle:
     level: str = "none"  # "protocol" | "config" | "none"
     events: list[tuple[int, Callable[[Any], None]]] = field(default_factory=list)
     detail: dict = field(default_factory=dict)
-
-
-def supports_protocol_attacks(system: Any) -> bool:
-    """Does ``system`` expose the hiREP hooks protocol attacks need?"""
-    return hasattr(system, "discovery_list_hook") and hasattr(system, "peers")
 
 
 def compromised_nodes(
@@ -202,7 +198,7 @@ def attach_attack(
         # Collusion lives entirely in the config (attacker ratios); by the
         # time a system exists the colluders are already in place.
         return AttackHandle(spec=spec, level="protocol", detail={"mechanism": "config"})
-    if not supports_protocol_attacks(system):
+    if not supports(system.executor, "protocol_attacks"):
         return AttackHandle(
             spec=spec,
             level="config",

@@ -49,7 +49,6 @@ import numpy as np
 
 from repro.campaigns.scorecard import cell_metrics
 from repro.campaigns.specs import ScenarioSpec
-from repro.errors import ConfigError
 
 __all__ = ["campaign_cell"]
 
@@ -117,9 +116,8 @@ def campaign_cell(scenario: dict, system: str, seed: int) -> dict:
         attack_config,
         attack_rng,
         attach_attack,
-        supports_protocol_attacks,
     )
-    from repro.core.registry import build_system
+    from repro.core.registry import build_system, refuse, supports
     from repro.net.faults import FaultPlane
 
     workload = spec.workload
@@ -128,16 +126,12 @@ def campaign_cell(scenario: dict, system: str, seed: int) -> dict:
 
     # -- config -------------------------------------------------------------
     try:
-        if system == "serve":
-            # A live fleet's actors outlive this call, and churn and faults
-            # have no live-plane counterpart (docs/scaling.md).
-            raise ConfigError("serve is not a campaign target; use 'hirep' or 'hirep-array'")
+        # A live fleet's actors outlive this call (docs/scaling.md).
+        refuse(system, "campaign")
         cfg = workload.build_config(int(seed), spec.topology)
         # The attack's config component depends on whether protocol-level
-        # hooks will also attach; that capability is static per system
-        # kind, so decide it from the name and let attach_attack's own
-        # runtime probe be the guard for foreign "hirep" registrations.
-        protocol = system == "hirep"
+        # hooks will also attach (the system's row of CAPABILITIES).
+        protocol = supports(system, "protocol_attacks")
         attacked_cfg = attack_config(spec.attack, cfg, protocol=protocol)
         build_opts = attack_build_opts(spec.attack, protocol=protocol)
     except Exception as exc:
@@ -146,12 +140,6 @@ def campaign_cell(scenario: dict, system: str, seed: int) -> dict:
     # -- build + attach ------------------------------------------------------
     try:
         instance = build_system(system, attacked_cfg, **build_opts)
-        if protocol and not supports_protocol_attacks(instance):
-            # A registry kind named "hirep" without the hooks — rebuild
-            # under the population-level interpretation instead.
-            attacked_cfg = attack_config(spec.attack, cfg, protocol=False)
-            instance = build_system(system, attacked_cfg)
-
         models = spec.fault.build_models(workload.network_size, exclude=exclude)
         plane = FaultPlane(models, seed=int(seed) + 17) if models else None
         if plane is not None:

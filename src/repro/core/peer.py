@@ -21,7 +21,6 @@ as the paper describes:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
 
 import numpy as np
 
@@ -82,8 +81,6 @@ class PendingQuery:
     attempt: int = 0
     retries_sent: int = 0
     timed_out: bool = False
-    #: The engine handle of the current attempt's deadline, once armed.
-    deadline: Any = None
 
 
 class HiRepPeer:
@@ -280,22 +277,9 @@ class HiRepPeer:
         delay = self.config.query_timeout_ms * (
             self.RETRY_BACKOFF_FACTOR ** pending.attempt
         )
-        pending.deadline = self.network.engine.schedule_in(
+        self.network.engine.schedule_in(
             delay, lambda: self._on_query_deadline(pending)
         )
-
-    def disarm_deadline(self) -> None:
-        """Cancel the in-flight query's armed deadline, if any.
-
-        For a caller that settles the query next: the deadline would only
-        fire stale.  The DES never calls this (its ``run()`` drains the
-        stale event as before); the live plane does, so a stale timer does
-        not keep its fleet from looking quiet.
-        """
-        pending = self._pending
-        if pending is not None and pending.deadline is not None:
-            self.network.engine.cancel(pending.deadline)
-            pending.deadline = None
 
     def _on_query_deadline(self, pending: PendingQuery) -> None:
         """Deadline fired: retry the silent agents or strike them out."""

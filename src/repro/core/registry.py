@@ -11,6 +11,12 @@ The bundled systems are one ``name → (module, class, summary)`` table,
 imported lazily — the target module is loaded only when its name is first
 built — so importing this module stays cheap and free of circular imports.
 
+What each hiREP executor refuses is one table, :data:`CAPABILITIES`:
+:meth:`SystemRegistry.build` refuses a build option or config field from
+it before the target module is imported, and
+:meth:`FaultPlane.install <repro.net.faults.FaultPlane.install>` and the
+campaign cell read the same rows through :func:`refuse` / :func:`supports`.
+
 Adding a backend (full recipe in ``docs/architecture.md``)::
 
     from repro.core.registry import register_system
@@ -35,15 +41,64 @@ if TYPE_CHECKING:
     from repro.core.interface import ReputationSystem
 
 __all__ = [
+    "CAPABILITIES",
     "DEFAULT_REGISTRY",
     "SystemRegistry",
     "build_system",
+    "refuse",
     "register_system",
+    "supports",
     "system_names",
 ]
 
 #: (config, **opts) -> a ReputationSystem implementation.
 SystemBuilder = Callable[..., "ReputationSystem"]
+
+#: What each hiREP executor refuses (docs/scaling.md, "Capability matrix").
+#: ``churn``, ``topology`` and ``model_factory`` are build options,
+#: ``timeout`` a set ``query_timeout_ms``, ``fault`` a
+#: :class:`~repro.net.faults.FaultPlane`, ``campaign`` a campaign cell and
+#: ``protocol_attacks`` the attacks that hook into the protocol (the rest
+#: fall back to their population-level reading).  ``serve`` refuses a
+#: timeout because its clock is the host's: the same milliseconds would
+#: run another retry schedule than the simulators' modelled time.  A name
+#: outside the table is no hiREP executor: it is refused nothing here and
+#: supports no protocol-level attack.
+CAPABILITIES: dict[str, frozenset[str]] = {
+    "hirep": frozenset(),
+    "hirep-array": frozenset({"fault", "timeout", "protocol_attacks"}),
+    "serve": frozenset(
+        {"churn", "topology", "model_factory", "fault", "timeout", "campaign",
+         "protocol_attacks"}
+    ),
+}
+
+#: The capabilities that are build options of the same name.
+_BUILD_OPTIONS = ("churn", "topology", "model_factory")
+
+#: How a refusal names each capability.
+_LABELS = {
+    "churn": "churn=",
+    "topology": "topology=",
+    "model_factory": "model_factory=",
+    "timeout": "query_timeout_ms",
+    "fault": "fault planes",
+    "campaign": "campaign cells",
+    "protocol_attacks": "protocol-level attacks",
+}
+
+
+def supports(name: str, capability: str) -> bool:
+    """Is ``name`` a hiREP executor that takes ``capability``?"""
+    return name in CAPABILITIES and capability not in CAPABILITIES[name]
+
+
+def refuse(name: str | None, capability: str) -> None:
+    """Raise :class:`ConfigError` if ``name`` refuses ``capability``,
+    naming the executors that take it."""
+    if capability in CAPABILITIES.get(name, ()):
+        use = " or ".join(repr(n) for n in CAPABILITIES if supports(n, capability))
+        raise ConfigError(f"{name} does not support {_LABELS[capability]}; use {use}")
 
 
 class SystemRegistry:
@@ -89,8 +144,20 @@ class SystemRegistry:
         (:func:`~repro.core.collector.collector_paused`), after any full
         collection earlier pauses have made due
         (:func:`~repro.core.collector.collect_if_due`).
+
+        A build option or config field ``name`` refuses in
+        :data:`CAPABILITIES` raises :class:`ConfigError` before anything is
+        imported or drawn; a refused option passed as ``None`` is dropped.
         """
         self._require(name)
+        refused = CAPABILITIES.get(name, frozenset())
+        if "timeout" in refused and config is not None:
+            if config.query_timeout_ms is not None:
+                refuse(name, "timeout")
+        for option in _BUILD_OPTIONS:
+            if option in refused and option in opts:
+                if opts.pop(option) is not None:
+                    refuse(name, option)
         collect_if_due()
         with collector_paused():
             system = self._builders[name](config, **opts)

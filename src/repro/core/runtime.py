@@ -39,6 +39,7 @@ import numpy as np
 from repro.core.collector import collector_paused
 from repro.core.config import HiRepConfig
 from repro.core.interface import Outcome
+from repro.core.registry import refuse
 from repro.core.semantics import TRUST_TRAFFIC_CATEGORIES
 from repro.core.world import World
 from repro.errors import SimulationError
@@ -170,6 +171,9 @@ class TransactionRuntime:
 
     #: Optional liveness churn, stepped once at the top of every cycle.
     churn: ChurnModel | None = None
+    #: This system's row of :data:`repro.core.registry.CAPABILITIES`
+    #: (None for the baselines, which have none).
+    executor: str | None = None
     #: The one :class:`~repro.obs.plane.TelemetryPlane` listening to this
     #: system (set by its ``attach``).  Unattached, telemetry costs one
     #: ``is None`` test in :meth:`begin` and one in :meth:`finish`.
@@ -178,6 +182,10 @@ class TransactionRuntime:
     def __init__(
         self, config: HiRepConfig, world: World
     ) -> None:
+        # build_system refuses this before anything is drawn; a system
+        # constructed directly is refused here, not left to mis-simulate.
+        if config.query_timeout_ms is not None:
+            refuse(self.executor, "timeout")
         self.config = config
         self.world = world
         self.network = world.network

@@ -44,6 +44,8 @@ __all__ = ["HiRepSystem"]
 class HiRepSystem(HiRepRuntime):
     """A full hiREP deployment over a simulated unstructured P2P network."""
 
+    executor = "hirep"
+
     def __init__(
         self,
         config: HiRepConfig | None = None,

@@ -336,7 +336,11 @@ class FaultPlane:
         self._installed_on: "P2PNetwork | None" = None
 
     def install(self, network: "P2PNetwork") -> "FaultPlane":
-        """Attach to ``network`` (idempotent on the same network)."""
+        """Attach to ``network`` (idempotent on the same network); an
+        executor that refuses fault planes raises :class:`ConfigError`."""
+        from repro.core.registry import refuse
+
+        refuse(network.executor, "fault")
         if self._installed_on is network:
             return self
         if self._installed_on is not None:

@@ -46,6 +46,11 @@ __all__ = ["Substrate"]
 class Substrate:
     """Bandwidth vector + agent-capable mask + liveness mask over a topology."""
 
+    #: The hiREP executor whose network this is, as
+    #: :data:`~repro.core.registry.CAPABILITIES` names it; None where the
+    #: table refuses nothing (the simulator's network).
+    executor: str | None = None
+
     def __init__(
         self,
         topology: Topology,

@@ -14,8 +14,9 @@ Every frame, encoded or spliced, leaves through :meth:`send_encoded`.
 Observers keep working — they hook the send path before the frame is
 posted, exactly where the simulator hooks them.  A frame the codec
 refuses is dropped and counted, never raised into the actor.  Fault
-planes are refused: the live send path has no fault hook (actor
-kill/restart goes through the supervisor instead).
+planes are refused (``serve``'s row of
+:data:`~repro.core.registry.CAPABILITIES`): the live send path has no
+fault hook (actor kill/restart goes through the supervisor instead).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Any
 import numpy as np
 
 from repro.core.wire import decode, encode, read_hop
-from repro.errors import ConfigError, NetworkError, UnknownNodeError, WireError
+from repro.errors import NetworkError, UnknownNodeError, WireError
 from repro.net.latency import LatencyModel
 from repro.net.messages import Category, NetMessage
 from repro.net.network import Handler, P2PNetwork
@@ -39,6 +40,8 @@ __all__ = ["ServeNetwork"]
 
 class ServeNetwork(P2PNetwork):
     """P2PNetwork whose delivery rides a real transport, not the DES queue."""
+
+    executor = "serve"
 
     def __init__(
         self,
@@ -68,18 +71,6 @@ class ServeNetwork(P2PNetwork):
         """Inbound frames dropped as malformed before any handler ran: here
         or by the transport, which keeps the one counter."""
         return self.transport.frames_rejected
-
-    @property
-    def faults(self) -> None:
-        return None
-
-    @faults.setter
-    def faults(self, plane: object) -> None:
-        if plane is not None:
-            raise ConfigError(
-                "the live fleet (serve) does not support fault planes; "
-                "build the object kernel ('hirep') for fault-injection runs"
-            )
 
     def register_handler(self, index: int, handler: Handler) -> None:
         """Attach ``index``'s handler.  When it is an onion router's

@@ -15,10 +15,19 @@ The transaction cycle *is* the simulator's:
 the one awaited step.  The only structural difference is *how* the query
 reaches quiescence: the DES drains an event queue, the service plane
 awaits the requestor actor's activity until every outstanding request is
-answered or nothing is left to arrive — no frame in flight and no timer
-armed, the live form of an empty event queue.  With a serialized load (one
-transaction at a time) the two backends make identical RNG draws, which
-is what the determinism-guard test pins.
+answered or nothing is left to arrive — no frame in flight, the live form
+of an empty event queue.  With a serialized load (one transaction at a
+time) the two backends make identical RNG draws, which is what the
+determinism-guard test pins.
+
+What the fleet refuses is ``serve``'s row of
+:data:`~repro.core.registry.CAPABILITIES`, raised by
+:func:`~repro.core.registry.build_system` before the fleet is built:
+churn, a custom topology or model factory, and a set
+``query_timeout_ms`` — a deadline on the host's clock would run another
+retry schedule than the simulators' modelled milliseconds, so the fleet
+arms none.  ``FaultPlane.install`` refuses a fault plane from the same
+row: the live send path has no fault hook.
 
 A fleet always reports to a :class:`~repro.obs.plane.TelemetryPlane`
 (``system.telemetry``) through the runtime's shared begin/finish seam:
@@ -39,7 +48,6 @@ from repro.core.runtime import Estimate, HiRepRuntime, Ticket
 from repro.core.services import MaintenanceService, QueryService, build_wiring
 from repro.core.world import World
 from repro.crypto.backend import get_backend
-from repro.errors import ConfigError
 from repro.obs.capture import current_plane
 from repro.obs.plane import TelemetryPlane
 from repro.serve.actors import NodeActor
@@ -57,16 +65,11 @@ QUERY_WINDOW_MS = 5_000.0
 #: draining per transaction.
 DRAIN_WINDOW_MS = 5_000.0
 
-#: Build options other hiREP executors take, and which of them to use.
-_UNSUPPORTED = {
-    "churn": "'hirep' or 'hirep-array'",
-    "topology": "'hirep' or 'hirep-array'",
-    "model_factory": "'hirep' or 'hirep-array'",
-}
-
 
 class ServeSystem(HiRepRuntime):
     """A live hiREP fleet: asyncio actors over a real transport."""
+
+    executor = "serve"
 
     def __init__(
         self,
@@ -74,7 +77,6 @@ class ServeSystem(HiRepRuntime):
         *,
         transport: Transport | str = "inproc",
         checkpoint_every: int = 32,
-        **unsupported: object,
     ) -> None:
         """Build the fleet (not yet running; see :meth:`up`).
 
@@ -85,19 +87,8 @@ class ServeSystem(HiRepRuntime):
         quiescence.  The fleet reports to the open
         :func:`~repro.obs.capture.capture` window's plane if there is
         one, else to a plane of its own (one event per send, three spans
-        per transaction, no per-message flight spans).  The simulators'
-        build options (``churn``, ``topology``, ``model_factory``) have no
-        live-plane counterpart and raise :class:`~repro.errors.ConfigError`.
+        per transaction, no per-message flight spans).
         """
-        for name, value in unsupported.items():
-            if name not in _UNSUPPORTED:
-                raise TypeError(
-                    f"ServeSystem() got an unexpected keyword argument {name!r}"
-                )
-            if value is not None:
-                raise ConfigError(
-                    f"serve does not support {name}=; use {_UNSUPPORTED[name]}"
-                )
         config = config or HiRepConfig()
         self.engine = WallEngine()
         self.transport: Transport = (
@@ -133,7 +124,7 @@ class ServeSystem(HiRepRuntime):
         self.lost_transactions = 0
         #: Actors of requestors in :meth:`_await_responses`, in arrival order.
         self._waiting: list[NodeActor] = []
-        self.transport.on_quiet = self.engine.on_fire = self._wake_if_quiet
+        self.transport.on_quiet = self._wake_if_quiet
         self._loop: asyncio.AbstractEventLoop | None = None
         plane = current_plane() or TelemetryPlane(flight_spans=False)
         plane.attach(self)
@@ -248,12 +239,11 @@ class ServeSystem(HiRepRuntime):
                     break
         finally:
             self._waiting.remove(actor)
-            peer.disarm_deadline()  # the query settles next
 
     def _quiet(self) -> bool:
-        """Nothing left to arrive: no frame in flight and no timer armed —
-        the live counterpart of the simulator's empty event queue."""
-        return self.transport.in_flight() == 0 and not self.engine.timers_armed
+        """Nothing left to arrive: no frame in flight — the live
+        counterpart of the simulator's empty event queue."""
+        return self.transport.in_flight() == 0
 
     def _wake_if_quiet(self) -> None:
         """Pulse every waiting requestor once the fleet goes quiet.  On a

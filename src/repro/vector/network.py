@@ -13,15 +13,15 @@ What it deliberately does *not* model:
   transaction liveness is static in both kernels, so hop accounting is
   pure arithmetic).  There is no event engine.
 * **Fault planes.**  Installing one raises
-  :class:`~repro.errors.ConfigError` — campaign cells surface this as a
-  structured ``cell_error`` instead of silently mis-simulating.
+  :class:`~repro.errors.ConfigError` (``hirep-array``'s row of
+  :data:`~repro.core.registry.CAPABILITIES`) — campaign cells surface this
+  as a structured ``cell_error`` instead of silently mis-simulating.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Iterable
 
-from repro.errors import ConfigError
 from repro.net.substrate import Substrate
 
 __all__ = ["ArrayNetwork"]
@@ -29,6 +29,8 @@ __all__ = ["ArrayNetwork"]
 
 class ArrayNetwork(Substrate):
     """The per-node store standing in for a full DES network."""
+
+    executor = "hirep-array"
 
     #: Fired exactly once, immediately *before* the first node ever goes
     #: offline — the array kernel starts tracking per-row onion snapshots
@@ -42,17 +44,3 @@ class ArrayNetwork(Substrate):
         self._had_offline = True
         if self.on_first_offline is not None:
             self.on_first_offline()
-
-    # -- unsupported surfaces ------------------------------------------------
-
-    @property
-    def faults(self) -> None:
-        return None
-
-    @faults.setter
-    def faults(self, plane: object) -> None:
-        if plane is not None:
-            raise ConfigError(
-                "the array kernel (hirep-array) does not support fault planes; "
-                "build the object kernel ('hirep') for fault-injection runs"
-            )

@@ -44,10 +44,12 @@ mask (see ``_send_leg``).  Response *times* are the one metric
 the array kernel only approximates (there is no event engine); they are
 excluded from parity and documented in ``docs/scaling.md``.
 
-Unsupported surfaces fail loudly with :class:`~repro.errors.ConfigError`:
-fault planes (refused by :attr:`ArrayNetwork.faults
-<repro.vector.network.ArrayNetwork.faults>`) and the query-timeout/retry
-plane both require the object kernel's event engine.
+Fault planes and the query-timeout/retry plane both need the object
+kernel's event engine.  ``hirep-array``'s row of
+:data:`~repro.core.registry.CAPABILITIES` refuses them:
+:func:`~repro.core.registry.build_system` (or the constructor, called
+directly) raises :class:`~repro.errors.ConfigError` for a set
+``query_timeout_ms``, and ``FaultPlane.install`` for a plane.
 """
 
 from __future__ import annotations
@@ -93,6 +95,8 @@ def _nid(ip: int) -> NodeID:
 class ArrayHiRepSystem(HiRepRuntime):
     """hiREP on the array kernel: one deployment, state as numpy arrays."""
 
+    executor = "hirep-array"
+
     def __init__(
         self,
         config: HiRepConfig | None = None,
@@ -110,10 +114,6 @@ class ArrayHiRepSystem(HiRepRuntime):
         where protocol bootstrap, not steady state, would dominate.
         """
         config = config or HiRepConfig()
-        if config.query_timeout_ms is not None:
-            raise ConfigError(
-                "hirep-array does not model query timeouts/retries; use 'hirep'"
-            )
         if bootstrap_mode not in ("protocol", "seeded"):
             raise ConfigError(f"unknown bootstrap_mode {bootstrap_mode!r}")
         world = World.from_config(

@@ -4,7 +4,7 @@
 protocol on the same RNG streams.  A draw (config, churn, message loss,
 query timeout, transactions, requestor) runs on every executor that does
 not refuse it with a ``ConfigError`` at build or ``FaultPlane.install``;
-the refusals must be :data:`REFUSES`, docs/scaling.md's capability rows.
+the refusals must be the registry's :data:`~repro.core.registry.CAPABILITIES`.
 Every pair that ran it must agree on each outcome (estimates to 1e-9:
 votes are summed in arrival order; ``response_time_ms`` is not compared),
 the counters, churn statistics, agent population and final trusted rows,
@@ -29,15 +29,13 @@ from hypothesis import strategies as st
 
 from repro import build_system
 from repro.core.config import HiRepConfig
+from repro.core.registry import CAPABILITIES
 from repro.errors import ConfigError
 from repro.net.churn import ChurnModel
 from repro.net.faults import FaultPlane, MessageLoss
 from repro.net.messages import Category
 
-EXECUTORS = ("hirep", "hirep-array", "serve")
-
-#: What each executor refuses (docs/scaling.md, "Capability matrix").
-REFUSES = {"hirep": set(), "hirep-array": {"fault", "timeout"}, "serve": {"churn", "fault"}}
+EXECUTORS = tuple(CAPABILITIES)
 
 #: The three legs of a trust transaction, in protocol order.
 LEGS = (Category.TRUST_QUERY, Category.TRUST_RESPONSE, Category.TRANSACTION_REPORT)
@@ -58,8 +56,6 @@ configs = st.fixed_dictionaries(
         "untrusted_peer_fraction": st.sampled_from([0.1, 0.5, 0.9]),
         "backup_cache_size": st.integers(min_value=0, max_value=10),
         "topology_kind": st.sampled_from(["power_law", "random", "small_world"]),
-        # Long enough that no deadline fires while every node is up, so the
-        # simulator's clock and the fleet's wall clock see the same run.
         "query_timeout_ms": st.sampled_from([None, 60_000.0]),
         "seed": st.integers(min_value=0, max_value=2**31),
     }
@@ -203,7 +199,7 @@ def check(case) -> dict:
     try:
         for name in EXECUTORS:
             system = launch(name, case)
-            assert (system is None) == bool(needs & REFUSES[name]), name
+            assert (system is None) == bool(needs & CAPABILITIES[name]), name
             if system is not None:
                 ran[name] = system
                 run_case(system, case)

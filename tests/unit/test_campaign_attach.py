@@ -78,7 +78,7 @@ def test_serve_cell_is_refused_before_anything_is_built(monkeypatch):
     assert payload["cell_error"] == {
         "stage": "config",
         "type": "ConfigError",
-        "message": "serve is not a campaign target; use 'hirep' or 'hirep-array'",
+        "message": "serve does not support campaign cells; use 'hirep' or 'hirep-array'",
     }
 
 

@@ -13,13 +13,14 @@ import pytest
 
 from repro import build_system, system_names
 from repro.core.config import HiRepConfig
+from repro.core.registry import CAPABILITIES
 from repro.core.runtime import Estimate, TransactionRuntime
 from repro.errors import SimulationError
 from repro.net.churn import ChurnModel, ChurnStats
 from repro.serve.system import ServeSystem
 from tests.property.test_prop_executors import case, check
 
-HIREP_EXECUTORS = ("hirep", "hirep-array", "serve")
+HIREP_EXECUTORS = tuple(CAPABILITIES)
 
 
 def small(seed: int = 11) -> HiRepConfig:

@@ -1,6 +1,5 @@
 """Unit tests for the serve plane: engine, fleet lifecycle, registry."""
 
-import asyncio
 import math
 import time
 
@@ -27,23 +26,6 @@ def test_wall_engine_advances_monotonically():
     assert 0.0 <= a <= b
 
 
-def test_wall_engine_schedules_on_running_loop():
-    engine = WallEngine()
-    fired = []
-
-    async def scenario():
-        engine.schedule_in(1.0, lambda: fired.append(engine.now))
-        await asyncio.sleep(0.05)
-
-    loop = asyncio.new_event_loop()
-    try:
-        loop.run_until_complete(scenario())
-    finally:
-        loop.close()
-    assert len(fired) == 1
-    assert engine.events_run == 1
-
-
 def test_registry_exposes_serve():
     assert "serve" in system_names()
 
@@ -64,6 +46,16 @@ def test_simulator_build_options_are_rejected_loudly(small, option, supported_by
     assert not build_system("serve", small, **{option: None}).running
     with pytest.raises(TypeError, match="no_such_option"):
         build_system("serve", small, no_such_option=1)
+
+
+def test_a_query_timeout_is_refused(small):
+    """A deadline on the host's clock would run another retry schedule than
+    the simulators' modelled milliseconds, so the fleet refuses one and
+    names the executor that takes it."""
+    with pytest.raises(ConfigError, match="query_timeout_ms; use 'hirep'$"):
+        build_system("serve", small.with_(query_timeout_ms=500.0))
+    with pytest.raises(ConfigError, match="query_timeout_ms"):  # built directly
+        ServeSystem(small.with_(query_timeout_ms=500.0))
 
 
 def test_fault_planes_are_refused(small):
@@ -151,30 +143,3 @@ def test_a_query_held_by_an_offline_node_ends_when_the_fleet_is_quiet():
     answered, asked, _ = outcomes["serve"]
     assert 0 < answered < asked
     assert elapsed_s < 1.0  # serve's
-
-
-def test_a_query_waits_out_its_armed_deadlines_before_it_is_quiet():
-    """With ``query_timeout_ms`` set, an armed deadline is something left
-    to arrive: the query retries at 40 and 120 ms, strikes out at 280 ms
-    (timeout × 2^k per attempt, two retries), and only then ends."""
-    config = HiRepConfig(network_size=24, seed=11, query_timeout_ms=40.0)
-    with ServeSystem(config) as system:
-        system.network.set_online(5, False)
-        t0 = time.perf_counter()
-        outcome = system.run_transaction(0, provider=7)
-        elapsed_s = time.perf_counter() - t0
-        requestor = system.peers[0]
-        assert outcome.answered < outcome.asked
-        assert requestor.retries_sent > 0 and requestor.queries_timed_out == 1
-        assert 0.28 <= elapsed_s < 1.0
-        assert system.engine.timers_armed == 0
-
-
-def test_an_answered_query_leaves_no_deadline_armed():
-    """An answered query's deadline is disarmed as the query settles: left
-    armed, the stale timer would count as something left to arrive."""
-    config = HiRepConfig(network_size=24, seed=11, query_timeout_ms=60_000.0)
-    with ServeSystem(config) as system:
-        outcome = system.run_transaction(0, provider=7)
-        assert outcome.answered == outcome.asked > 0
-        assert system.engine.timers_armed == 0

@@ -287,10 +287,12 @@ def test_network_first_offline_fires_once():
 
 
 def test_network_rejects_fault_planes():
+    from repro.net.faults import FaultPlane, MessageLoss
+
     net = make_network()
-    net.faults = None  # explicit None is the no-op the builder uses
-    with pytest.raises(ConfigError):
-        net.faults = object()
+    with pytest.raises(ConfigError, match="fault planes; use 'hirep'$"):
+        FaultPlane([MessageLoss(0.1)]).install(net)
+    assert not hasattr(net, "faults")
 
 
 # ---------------------------------------------------------------- system guards
@@ -303,7 +305,7 @@ def test_array_system_rejects_unsupported_options():
     cfg = default_config(network_size=40, seed=3).with_(
         trusted_agents=6, refill_threshold=4, agents_queried=3, onion_relays=2
     )
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="query_timeout_ms; use 'hirep'$"):
         ArrayHiRepSystem(cfg.with_(query_timeout_ms=50.0))
     with pytest.raises(ConfigError):
         ArrayHiRepSystem(cfg, bootstrap_mode="magic")
