@@ -1,8 +1,8 @@
 """SRV001: no blocking call in a ``repro.serve`` coroutine body.
 
-The service plane runs every actor, the supervisor monitor, and the load
-generator on one asyncio event loop.  A single synchronous blocking call
-— ``time.sleep``, a blocking socket constructor/connect, ``subprocess``,
+The service plane runs every actor, the supervisor's restarts, and the
+load generator on one asyncio event loop.  A single synchronous blocking
+call — ``time.sleep``, a blocking socket constructor/connect, ``subprocess``,
 disk I/O — stalls the whole fleet: no actor makes progress, wall-clock
 latency spans inflate, and the quiescence drain can deadlock against the
 very frame it is waiting for.  Await instead (``asyncio.sleep``,

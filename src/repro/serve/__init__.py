@@ -6,8 +6,8 @@ exact ``repro.core.messages`` protocol objects — serialized through the
 real codec in :mod:`repro.core.wire` — over pluggable transports (an
 in-process asyncio-queue fabric, or TCP loopback sockets).  A
 :class:`~repro.serve.supervisor.Supervisor` brings the fleet up from a
-registry-built system config, watches the actors, and restarts crashed
-ones from state checkpoints; a
+registry-built system config and, called by an actor's failure,
+restarts that actor from state checkpoints; a
 :class:`~repro.serve.load.LoadGenerator` replays workload traces at
 configurable concurrency and arrival rate while the
 :mod:`repro.obs` plane captures wall-clock latency and message-cost
@@ -15,14 +15,13 @@ telemetry.  The ``hirep-serve`` CLI fronts all of it.
 
 Because the served stack reuses the whole protocol kernel (peers,
 agents, onion router, dispatcher) unchanged — only the network edge and
-the clock differ — a serialized in-process run reproduces the
-simulator's transaction outcomes for the same seed.  See
-``docs/serving.md``.
+the clock (a :class:`~repro.obs.clock.WallClock`) differ — a serialized
+in-process run reproduces the simulator's transaction outcomes for the
+same seed.  See ``docs/serving.md``.
 """
 
 from __future__ import annotations
 
-from repro.serve.engine import WallEngine
 from repro.serve.load import LoadGenerator, LoadReport, build_trace
 from repro.serve.network import ServeNetwork
 from repro.serve.supervisor import Supervisor
@@ -45,7 +44,6 @@ __all__ = [
     "Supervisor",
     "TcpLoopbackTransport",
     "Transport",
-    "WallEngine",
     "build_trace",
     "make_transport",
 ]

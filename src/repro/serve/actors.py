@@ -13,10 +13,10 @@ guarantee.
 A malformed frame never gets this far: the network edge drops it and
 counts it (``ServeNetwork.frames_rejected``).  What ends a drain early is
 an exception raised by a protocol handler: the inbox stops there, and
-the actor detaches and keeps the exception (:attr:`NodeActor.failure`), as
-:meth:`~NodeActor.crash` does with a ``CancelledError``.  The
-:class:`~repro.serve.supervisor.Supervisor` notices the failed actor and
-restarts it, recovering agent state from its last checkpoint.
+the actor detaches and hands the exception to its
+:attr:`~NodeActor.on_failure` hook, as :meth:`~NodeActor.crash` does with
+a ``CancelledError``.  The :class:`~repro.serve.supervisor.Supervisor`'s
+hook restarts it, recovering agent state from its last checkpoint.
 The inbox itself lives in the transport, so frames that arrive while an
 actor is down are processed after the restart, in posting order, not lost.
 """
@@ -48,18 +48,17 @@ class NodeActor:
         #: in ServeSystem) clear-then-await it to sleep until progress.
         self.activity = asyncio.Event()
         self.frames_handled = 0
-        #: Why the actor is down, with its traceback — the handler's
-        #: exception, or a ``CancelledError`` after :meth:`crash` — until
-        #: it is started again.
-        self.failure: Optional[BaseException] = None
         #: Supervisor hook, called after each handled frame (checkpoints).
         self.on_frame: Optional[Callable[["NodeActor"], None]] = None
+        #: Supervisor hook, called with the actor and why it went down —
+        #: the handler's exception, or a ``CancelledError`` after
+        #: :meth:`crash` — each time it fails (not on :meth:`stop`).
+        self.on_failure: Optional[Callable[["NodeActor", BaseException], None]] = None
         self._inbox: Optional[_Inbox] = None
 
     def start(self) -> None:
         """(Re)attach to the node's inbox; frames already waiting there
         are handled first, in posting order."""
-        self.failure = None
         self._inbox = self.transport.attach(self.ip, self._handle, self._detach)
 
     def _handle(self, frame: Frame) -> None:
@@ -78,13 +77,13 @@ class NodeActor:
         if self._inbox is not None:
             self._inbox.detach()
             self._inbox = None
-            self.failure = failure
+            if failure is not None and self.on_failure is not None:
+                self.on_failure(self, failure)
 
     def crash(self) -> None:
         """Take the actor down as a process death would.
 
-        Used by tests and chaos tooling; the supervisor will detect and
-        restart it.
+        Used by tests and chaos tooling; the supervisor restarts it.
         """
         self._detach(asyncio.CancelledError())
 

@@ -31,8 +31,8 @@ from repro.net.latency import LatencyModel
 from repro.net.messages import Category, NetMessage
 from repro.net.network import Handler, P2PNetwork
 from repro.net.topology import Topology
+from repro.obs.clock import WallClock
 from repro.onion.routing import OnionRouter
-from repro.serve.engine import WallEngine
 from repro.serve.transport import Frame, Transport
 
 __all__ = ["ServeNetwork"]
@@ -48,7 +48,7 @@ class ServeNetwork(P2PNetwork):
         topology: Topology,
         rng: np.random.Generator,
         *,
-        engine: WallEngine,
+        engine: WallClock,
         transport: Transport,
         latency_model: LatencyModel | None = None,
         model_transmission: bool = True,

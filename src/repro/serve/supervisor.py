@@ -1,13 +1,15 @@
 """Fleet supervision: bring-up, crash detection, restart with recovery.
 
 The supervisor owns one :class:`~repro.serve.actors.NodeActor` per node.
-Its monitor coroutine polls for actors that went down without being
-asked to stop — a crash — and restarts them.  For nodes hosting a
-reputation agent, restart means *state recovery*: the agent's durable
-state (public-key list, report log, replay nonces, stats, trust model) is
-restored from the most recent checkpoint, then the actor re-attaches to
-the same transport inbox, so frames that arrived while the node was down
-are processed instead of lost.
+An actor that goes down without being asked to stop — a crash — calls
+the supervisor's failure hook, which records the incident and queues the
+restart on the event loop's next turn (``loop.call_soon``): nothing
+polls.  For nodes hosting a reputation agent, restart means *state
+recovery*: the agent's durable state (public-key list, report log,
+replay nonces, stats, trust model) is restored from the most recent
+checkpoint, then the actor re-attaches to the same transport inbox, so
+frames that arrived while the node was down are processed instead of
+lost.
 
 Checkpoints are taken at bring-up, after bootstrap, and every
 ``checkpoint_every`` frames an agent-hosting actor handles — the classic
@@ -21,7 +23,6 @@ restore cuts them back.
 from __future__ import annotations
 
 import asyncio
-import contextlib
 import copy
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
@@ -56,7 +57,6 @@ class AgentCheckpoint:
     subjects: int
     stats: Any = field(repr=False)
     model: Any = field(repr=False)
-    frames_handled: int = 0
 
     def rewound(self) -> tuple[dict, dict]:
         """The report log and nonce journal as they stood at the
@@ -71,7 +71,7 @@ class AgentCheckpoint:
         return log, journal
 
 
-def _checkpoint_of(agent: ReputationAgent, frames_handled: int) -> AgentCheckpoint:
+def _checkpoint_of(agent: ReputationAgent) -> AgentCheckpoint:
     return AgentCheckpoint(
         public_key_list=dict(agent.public_key_list),
         report_log=agent.report_log,
@@ -80,12 +80,24 @@ def _checkpoint_of(agent: ReputationAgent, frames_handled: int) -> AgentCheckpoi
         subjects=len(agent.report_log),
         stats=copy.copy(agent.stats),
         model=copy.deepcopy(agent.model),
-        frames_handled=frames_handled,
+    )
+
+
+def _blank_like(agent: ReputationAgent, model: Any) -> ReputationAgent:
+    """A fresh agent on ``agent``'s node, keys, backend, stream and oracle,
+    with its own copy of ``model`` and no history."""
+    return ReputationAgent(
+        ip=agent.ip,
+        keys=agent.keys,
+        backend=agent.backend,
+        model=copy.deepcopy(model),
+        rng=agent.rng,
+        truth_oracle=agent.truth_oracle,
     )
 
 
 class Supervisor:
-    """Start, watch, and heal the actor fleet; see the module docstring."""
+    """Start the actor fleet and heal its crashes; see the module docstring."""
 
     def __init__(
         self,
@@ -94,45 +106,39 @@ class Supervisor:
         transport: Transport,
         *,
         checkpoint_every: int = 32,
-        poll_interval_s: float = 0.02,
     ) -> None:
         self.wiring = wiring
         self.network = network
         self.transport = transport
         self.checkpoint_every = max(1, checkpoint_every)
-        self.poll_interval_s = poll_interval_s
         self.actors: dict[int, NodeActor] = {}
         self.checkpoints: dict[int, AgentCheckpoint] = {}
         self.crashes_detected = 0
         self.restarts = 0
         #: (ip, reason) tuples, for telemetry and tests.
         self.incidents: list[tuple[int, str]] = []
-        self._monitor_task: asyncio.Task[None] | None = None
+        #: The fleet's loop while it runs; restarts are queued on it.
+        self._loop: asyncio.AbstractEventLoop | None = None
 
     # -- lifecycle -----------------------------------------------------------
 
     async def start(self) -> None:
-        """Bring up the transport, one actor per node, and the monitor."""
+        """Bring up the transport and one actor per node."""
+        self._loop = asyncio.get_running_loop()
         node_ids = list(range(self.network.n))
         await self.transport.start(node_ids)
         for ip in node_ids:
             actor = NodeActor(ip, self.network, self.transport)
             if ip in self.wiring.agents:
                 actor.on_frame = self._on_agent_frame
+            actor.on_failure = self._on_failure
             self.actors[ip] = actor
             actor.start()
         self.checkpoint_all()
-        self._monitor_task = asyncio.get_running_loop().create_task(
-            self._monitor(), name="hirep-supervisor"
-        )
 
     async def stop(self) -> None:
         """Deliberate shutdown: no restarts, detach every actor, stop transport."""
-        if self._monitor_task is not None:
-            self._monitor_task.cancel()
-            with contextlib.suppress(asyncio.CancelledError):
-                await self._monitor_task
-            self._monitor_task = None
+        self._loop = None
         for actor in self.actors.values():
             actor.stop()
         await self.transport.stop()
@@ -141,11 +147,8 @@ class Supervisor:
 
     def checkpoint_agent(self, ip: int) -> None:
         agent = self.wiring.agents.get(ip)
-        if agent is None:
-            return
-        actor = self.actors.get(ip)
-        handled = actor.frames_handled if actor is not None else 0
-        self.checkpoints[ip] = _checkpoint_of(agent, handled)
+        if agent is not None:
+            self.checkpoints[ip] = _checkpoint_of(agent)
 
     def checkpoint_all(self) -> None:
         for ip in self.wiring.agents:
@@ -166,14 +169,7 @@ class Supervisor:
         crashed = self.wiring.agents.get(ip)
         if snapshot is None or crashed is None:
             return False
-        restored = ReputationAgent(
-            ip=crashed.ip,
-            keys=crashed.keys,
-            backend=crashed.backend,
-            model=copy.deepcopy(snapshot.model),
-            rng=crashed.rng,
-            truth_oracle=crashed.truth_oracle,
-        )
+        restored = _blank_like(crashed, snapshot.model)
         restored.public_key_list = dict(snapshot.public_key_list)
         # The crashed instance is done with them: the restored one carries
         # on appending, so the checkpoint's lengths stay its history.
@@ -182,7 +178,7 @@ class Supervisor:
         self.wiring.agents[ip] = restored
         return True
 
-    # -- chaos + monitor -----------------------------------------------------
+    # -- chaos + recovery ----------------------------------------------------
 
     def kill(self, ip: int, *, amnesia: bool = True) -> None:
         """Simulate a crash of node ``ip``'s actor.
@@ -191,31 +187,24 @@ class Supervisor:
         is wiped too — the honest model of a process death — so the only
         road back is the supervisor's checkpoint.
         """
-        actor = self.actors[ip]
-        actor.crash()
+        self.actors[ip].crash()
         agent = self.wiring.agents.get(ip)
         if amnesia and agent is not None:
-            blank = ReputationAgent(
-                ip=agent.ip,
-                keys=agent.keys,
-                backend=agent.backend,
-                model=copy.deepcopy(agent.model),
-                rng=agent.rng,
-                truth_oracle=agent.truth_oracle,
-            )
-            self.wiring.agents[ip] = blank
+            self.wiring.agents[ip] = _blank_like(agent, agent.model)
 
-    async def _monitor(self) -> None:
-        while True:
-            await asyncio.sleep(self.poll_interval_s)
-            for ip, actor in self.actors.items():
-                failure = actor.failure
-                if failure is None:
-                    continue
-                cancelled = isinstance(failure, asyncio.CancelledError)
-                reason = "cancelled" if cancelled else type(failure).__name__
-                self.crashes_detected += 1
-                self.incidents.append((ip, reason))
-                self.restore_agent(ip)
-                actor.start()
-                self.restarts += 1
+    def _on_failure(self, actor: NodeActor, failure: BaseException) -> None:
+        """Record the crash and queue the restart for the loop's next turn:
+        after the caller is done (``kill`` installs its blank agent first)."""
+        cancelled = isinstance(failure, asyncio.CancelledError)
+        reason = "cancelled" if cancelled else type(failure).__name__
+        self.crashes_detected += 1
+        self.incidents.append((actor.ip, reason))
+        if self._loop is not None:
+            self._loop.call_soon(self._restart, actor)
+
+    def _restart(self, actor: NodeActor) -> None:
+        if self._loop is None:  # the fleet stopped meanwhile
+            return
+        self.restore_agent(actor.ip)
+        actor.start()
+        self.restarts += 1

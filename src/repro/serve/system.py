@@ -4,10 +4,10 @@ Construction follows :class:`~repro.core.system.HiRepSystem` draw for
 draw — same :class:`~repro.core.world.World` streams, same
 :func:`~repro.core.services.build_wiring` — except the network edge is a
 :class:`~repro.serve.network.ServeNetwork` posting encoded frames on a
-real transport, and the clock is the host's
-(:class:`~repro.serve.engine.WallEngine`).  A
-:class:`~repro.serve.supervisor.Supervisor` runs one actor per node on a
-private asyncio loop.
+real transport, and the engine is the host's clock
+(:class:`~repro.obs.clock.WallClock`, which has the ``now`` the kernel
+reads).  A :class:`~repro.serve.supervisor.Supervisor` runs one actor per
+node on a private asyncio loop.
 
 The transaction cycle *is* the simulator's:
 :meth:`~repro.core.runtime.TransactionRuntime.begin` and
@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import asyncio
 import functools
-from typing import Any
+from typing import Any, Callable
 
 from repro.core.config import HiRepConfig
 from repro.core.interface import Outcome
@@ -49,21 +49,18 @@ from repro.core.services import MaintenanceService, QueryService, build_wiring
 from repro.core.world import World
 from repro.crypto.backend import get_backend
 from repro.obs.capture import current_plane
+from repro.obs.clock import WallClock
 from repro.obs.plane import TelemetryPlane
-from repro.serve.actors import NodeActor
-from repro.serve.engine import WallEngine
 from repro.serve.network import ServeNetwork
 from repro.serve.supervisor import Supervisor
 from repro.serve.transport import Transport, make_transport
 
 __all__ = ["ServeSystem"]
 
-#: How long one query may wait for its last trust response.  A query ends
-#: sooner once nothing is left to arrive; this bounds only a hung fleet.
-QUERY_WINDOW_MS = 5_000.0
-#: How long the post-settlement wait for transport quiescence may take when
-#: draining per transaction.
-DRAIN_WINDOW_MS = 5_000.0
+#: How long one wait — a query's for its last trust response, a drain's for
+#: quiescence — may take.  Both end sooner once nothing is in flight; this
+#: bounds only a hung fleet (frames counted in flight that never arrive).
+WAIT_WINDOW_MS = 5_000.0
 
 
 class ServeSystem(HiRepRuntime):
@@ -82,15 +79,15 @@ class ServeSystem(HiRepRuntime):
 
         ``checkpoint_every`` is how many frames an agent-hosting actor
         handles between checkpoints.  One query waits until it is answered
-        or the fleet is quiet, at most :data:`QUERY_WINDOW_MS`, and a
-        per-transaction drain at most :data:`DRAIN_WINDOW_MS` for transport
-        quiescence.  The fleet reports to the open
-        :func:`~repro.obs.capture.capture` window's plane if there is
-        one, else to a plane of its own (one event per send, three spans
-        per transaction, no per-message flight spans).
+        or the fleet is quiet, and a per-transaction drain until the fleet
+        is quiet, each at most :data:`WAIT_WINDOW_MS`.  The fleet reports
+        to the open :func:`~repro.obs.capture.capture` window's plane if
+        there is one, else to a plane of its own (one event per send,
+        three spans per transaction, no per-message flight spans).
         """
         config = config or HiRepConfig()
-        self.engine = WallEngine()
+        #: The engine seam's clock: the host's, in milliseconds (``now``).
+        self.engine = WallClock()
         self.transport: Transport = (
             make_transport(transport) if isinstance(transport, str) else transport
         )
@@ -122,8 +119,8 @@ class ServeSystem(HiRepRuntime):
         #: message deltas match the simulator's drained accounting.
         self.drain_per_tx = True
         self.lost_transactions = 0
-        #: Actors of requestors in :meth:`_await_responses`, in arrival order.
-        self._waiting: list[NodeActor] = []
+        #: The events of everything in :meth:`_wait`, in arrival order.
+        self._waiting: list[asyncio.Event] = []
         self.transport.on_quiet = self._wake_if_quiet
         self._loop: asyncio.AbstractEventLoop | None = None
         plane = current_plane() or TelemetryPlane(flight_spans=False)
@@ -138,7 +135,7 @@ class ServeSystem(HiRepRuntime):
         return self._loop is not None
 
     def up(self) -> None:
-        """Start the fleet: transport, actors, monitor, then bootstrap."""
+        """Start the fleet: transport, actors, then bootstrap."""
         if self._loop is not None:
             return
         self._loop = asyncio.new_event_loop()
@@ -213,69 +210,50 @@ class ServeSystem(HiRepRuntime):
 
     async def _await_responses(self, peer: HiRepPeer) -> None:
         """Sleep until every outstanding request is answered, or nothing is
-        left to arrive (:meth:`_quiet`, seen twice a loop turn apart, as
-        :meth:`drain` sees it), or the window for a hung fleet closes."""
+        left to arrive, or the window for a hung fleet closes."""
         actor = self.supervisor.actors[peer.ip]
-        deadline = self.engine.now + QUERY_WINDOW_MS
-        self._waiting.append(actor)
-        try:
-            while peer.awaiting_responses():
-                remaining = deadline - self.engine.now
-                if remaining <= 0.0:
-                    break
-                actor.activity.clear()
-                if not peer.awaiting_responses():  # answered between check and clear
-                    break
-                if self._quiet():
-                    await asyncio.sleep(0)
-                    if self._quiet():
-                        break
-                    continue
-                try:
-                    await asyncio.wait_for(
-                        actor.activity.wait(), timeout=remaining / 1000.0
-                    )
-                except asyncio.TimeoutError:
-                    break
-        finally:
-            self._waiting.remove(actor)
-
-    def _quiet(self) -> bool:
-        """Nothing left to arrive: no frame in flight — the live
-        counterpart of the simulator's empty event queue."""
-        return self.transport.in_flight() == 0
-
-    def _wake_if_quiet(self) -> None:
-        """Pulse every waiting requestor once the fleet goes quiet.  On a
-        path where every request is answered, the fleet is quiet only
-        after each answer has pulsed its requestor already."""
-        if self._waiting and self._quiet():
-            for actor in self._waiting:
-                actor.activity.set()
+        await self._wait(actor.activity, peer.awaiting_responses)
 
     async def drain(self) -> bool:
         """Await transport quiescence (no frames posted but undelivered).
 
-        Returns True on quiescence, False if ``DRAIN_WINDOW_MS`` elapsed
-        first.  Two consecutive idle observations are required so a frame
-        mid-handoff between queues cannot fake quiescence.
+        Returns True on quiescence, False if :data:`WAIT_WINDOW_MS` elapsed
+        first.
         """
-        deadline = self.engine.now + DRAIN_WINDOW_MS
-        idle = 0
-        spins = 0
-        while self.engine.now < deadline:
-            if self.transport.in_flight() == 0:
-                idle += 1
-                if idle >= 2:
-                    return True
-                await asyncio.sleep(0)
-            else:
-                idle = 0
-                spins += 1
-                # Yield-only spinning is fine in-process; ease off once
-                # frames are clearly in kernel buffers (TCP).
-                await asyncio.sleep(0 if spins < 200 else 0.001)
-        return False
+        return await self._wait(asyncio.Event(), lambda: True)
+
+    async def _wait(self, event: asyncio.Event, pending: Callable[[], bool]) -> bool:
+        """Sleep on ``event`` while ``pending()`` holds and frames are in
+        flight; False when :data:`WAIT_WINDOW_MS` runs out first.
+
+        One observation of quiet is enough: the fleet arms no timers, so
+        once nothing is in flight nothing more can arrive.  Every handled
+        frame pulses its actor's ``activity``, and :meth:`_wake_if_quiet`
+        sets every waiting event when the fleet goes quiet.
+        """
+        deadline = self.engine.now + WAIT_WINDOW_MS
+        self._waiting.append(event)
+        try:
+            while pending() and self.transport.in_flight():
+                remaining = deadline - self.engine.now
+                if remaining <= 0.0:
+                    return False
+                event.clear()
+                try:
+                    await asyncio.wait_for(event.wait(), timeout=remaining / 1000.0)
+                except asyncio.TimeoutError:
+                    return False
+            return True
+        finally:
+            self._waiting.remove(event)
+
+    def _wake_if_quiet(self) -> None:
+        """Set every waiting event once the fleet goes quiet.  On a path
+        where every request is answered, the fleet is quiet only after
+        each answer has pulsed its requestor already."""
+        if self._waiting and self.transport.in_flight() == 0:
+            for event in self._waiting:
+                event.set()
 
     # ------------------------------------------------------------------
     # Telemetry

@@ -17,8 +17,8 @@ import numpy as np
 import pytest
 
 from repro.core.config import HiRepConfig
+from repro.obs.clock import WallClock
 from repro.serve import LoadGenerator, ServeSystem, build_trace
-from repro.serve.engine import WallEngine
 from repro.serve.transport import InProcessTransport
 from tests.property.test_prop_executors import case, check
 
@@ -90,7 +90,7 @@ def test_posted_frames_are_byte_identical_to_the_pin(monkeypatch):
         digest.update(frame.payload)
         post(self, frame)
 
-    monkeypatch.setattr(WallEngine, "now", property(lambda self: 1000.0))
+    monkeypatch.setattr(WallClock, "now", property(lambda self: 1000.0))
     monkeypatch.setattr(InProcessTransport, "post", recording_post)
     with ServeSystem(HiRepConfig(network_size=32, seed=2006), transport="inproc") as system:
         for _ in range(20):
@@ -116,7 +116,7 @@ def test_concurrently_posted_frames_are_byte_identical_to_the_pin(monkeypatch):
         digest.update(frame.payload)
         post(self, frame)
 
-    monkeypatch.setattr(WallEngine, "now", property(lambda self: 1000.0))
+    monkeypatch.setattr(WallClock, "now", property(lambda self: 1000.0))
     monkeypatch.setattr(InProcessTransport, "post", recording_post)
     with ServeSystem(HiRepConfig(network_size=32, seed=2006), transport="inproc") as system:
         trace = build_trace("pooled", 32, 20, np.random.default_rng(2006))

@@ -2,9 +2,9 @@
 
 The acceptance scenario for the service plane's fault story: kill an
 agent actor with amnesia (blank in-memory state) while a load run is in
-flight, and require that the monitor notices the crash, restores the
-agent from its last checkpoint, restarts the actor on the same inbox,
-and the load run completes with zero lost transactions.  Malformed
+flight, and require that the supervisor, called by the crash, restores
+the agent from its last checkpoint, restarts the actor on the same
+inbox, and the load run completes with zero lost transactions.  Malformed
 frames are the other half: the network edge drops and counts them, and no
 actor ever restarts over one.
 """
@@ -38,7 +38,7 @@ def test_kill_and_restart_mid_load_loses_nothing():
             kill_task = asyncio.get_running_loop().create_task(killer())
             report = await generator.run_async()
             await kill_task
-            # Give the monitor a beat to finish the restart cycle.
+            # The crash queued its restart on the loop: give it a turn.
             for _ in range(50):
                 if system.supervisor.restarts >= 1:
                     break
@@ -119,9 +119,9 @@ def test_restore_after_many_reports_is_the_last_checkpoint(monkeypatch):
     at_checkpoint = {}
     checkpoint_of = supervisor_module._checkpoint_of
 
-    def copying(agent, frames_handled):
+    def copying(agent):
         at_checkpoint[agent.ip] = agent_state(agent)
-        return checkpoint_of(agent, frames_handled)
+        return checkpoint_of(agent)
 
     monkeypatch.setattr(supervisor_module, "_checkpoint_of", copying)
     with ServeSystem(HiRepConfig(network_size=16, seed=13)) as system:
@@ -152,7 +152,7 @@ def test_restore_after_many_reports_is_the_last_checkpoint(monkeypatch):
         assert agent_state(restored) == at_checkpoint[victim]
         assert type(restored._seen_report_nonces) is dict
 
-        # The restored agent logs on (the monitor restarts its actor), and
+        # The restored agent logs on (the supervisor restarts its actor), and
         # a later crash comes back to whichever checkpoint is the last then.
         for _ in range(10):
             system.run_transaction()
@@ -179,8 +179,7 @@ def test_a_relay_layer_naming_no_node_is_dropped_not_a_crash():
             system.transport.post(
                 Frame(src=0, dst=6, category="trust_query", sent_at=0.0, payload=frame)
             )
-            assert await system.drain()
-            await asyncio.sleep(0.1)  # a beat for the monitor to see a crash
+            assert await system.drain()  # a crash is counted as it happens
 
         assert system._loop is not None
         system._loop.run_until_complete(scenario())

@@ -9,7 +9,7 @@ from repro.errors import NetworkError, UnknownNodeError
 from repro.net.network import P2PNetwork
 from repro.net.substrate import Substrate
 from repro.net.topology import ring_lattice
-from repro.serve.engine import WallEngine
+from repro.obs.clock import WallClock
 from repro.serve.network import ServeNetwork
 from repro.serve.transport import make_transport
 from repro.vector.network import ArrayNetwork
@@ -19,7 +19,7 @@ N = 10
 
 def serve_network(topology, rng):
     return ServeNetwork(
-        topology, rng, engine=WallEngine(), transport=make_transport("inproc")
+        topology, rng, engine=WallClock(), transport=make_transport("inproc")
     )
 
 

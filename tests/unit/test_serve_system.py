@@ -1,5 +1,6 @@
 """Unit tests for the serve plane: engine, fleet lifecycle, registry."""
 
+import asyncio
 import math
 import time
 
@@ -10,8 +11,10 @@ from repro.core.registry import build_system, system_names
 from repro.errors import ConfigError
 from repro.net.churn import ChurnModel
 from repro.net.faults import FaultPlane, MessageLoss
-from repro.serve.engine import WallEngine
+from repro.obs.clock import WallClock
+from repro.serve import system as system_module
 from repro.serve.system import ServeSystem
+from repro.serve.transport import Frame
 
 
 @pytest.fixture
@@ -20,7 +23,7 @@ def small():
 
 
 def test_wall_engine_advances_monotonically():
-    engine = WallEngine()
+    engine = WallClock()
     a = engine.now
     b = engine.now
     assert 0.0 <= a <= b
@@ -143,3 +146,34 @@ def test_a_query_held_by_an_offline_node_ends_when_the_fleet_is_quiet():
     answered, asked, _ = outcomes["serve"]
     assert 0 < answered < asked
     assert elapsed_s < 1.0  # serve's
+
+
+def test_quiet_alone_ends_a_query_that_is_never_fully_answered(monkeypatch):
+    """With the window for a hung fleet ten minutes long, a query that some
+    agents never answer (node 5 is offline and drops what is routed
+    through it) still ends at once, twice over: nothing in flight ends
+    the wait.  A guard of 30 s stands in for the window."""
+    monkeypatch.setattr(system_module, "WAIT_WINDOW_MS", 600_000.0)
+    with ServeSystem(HiRepConfig(network_size=24, seed=11)) as system:
+        system.network.set_online(5, False)
+        assert system._loop is not None
+        for _ in range(2):
+            outcome = system._loop.run_until_complete(
+                asyncio.wait_for(system.run_transaction_async(0, provider=7), 30.0)
+            )
+            assert 0 < outcome.answered < outcome.asked
+            assert outcome.response_time_ms < 5_000.0
+            assert system.transport.in_flight() == 0
+
+
+def test_a_drain_gives_up_when_the_window_closes_first(small, monkeypatch):
+    """A frame posted to a stopped actor stays in flight, so the fleet
+    never goes quiet and the drain reports False at the window."""
+    monkeypatch.setattr(system_module, "WAIT_WINDOW_MS", 50.0)
+    with ServeSystem(small) as system:
+        system.supervisor.actors[3].stop()
+        system.transport.post(Frame(0, 3, "trust_query", 0.0, b""))
+        assert system._loop is not None
+        assert system._loop.run_until_complete(system.drain()) is False
+        assert system.transport.in_flight() == 1
+        assert system.supervisor.restarts == 0

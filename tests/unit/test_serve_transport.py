@@ -8,8 +8,8 @@ import pytest
 
 from repro.errors import WireError
 from repro.net.topology import ring_lattice
+from repro.obs.clock import WallClock
 from repro.serve.actors import NodeActor
-from repro.serve.engine import WallEngine
 from repro.serve.network import ServeNetwork
 from repro.serve.supervisor import Supervisor
 from repro.serve.transport import (
@@ -129,7 +129,7 @@ def test_tcp_drops_and_counts_bodies_that_are_no_frame():
     async def scenario():
         transport = TcpLoopbackTransport()
         network = ServeNetwork(
-            ring_lattice(4, k=1), np.random.default_rng(1), engine=WallEngine(), transport=transport
+            ring_lattice(4, k=1), np.random.default_rng(1), engine=WallClock(), transport=transport
         )
         handled = []
         asyncio.get_running_loop().set_exception_handler(lambda loop, ctx: handled.append(ctx))
@@ -214,13 +214,11 @@ def test_counters_track_bytes():
 
 
 def crash_scenario(deliver_frame):
-    """Three nodes under a fast-polling supervisor whose network hands
-    each frame to ``deliver_frame``."""
+    """Three nodes under a supervisor whose network hands each frame to
+    ``deliver_frame``."""
     transport = InProcessTransport()
     network = SimpleNamespace(n=3, deliver_frame=deliver_frame)
-    supervisor = Supervisor(
-        SimpleNamespace(agents={}), network, transport, poll_interval_s=0.001
-    )
+    supervisor = Supervisor(SimpleNamespace(agents={}), network, transport)
     return transport, supervisor
 
 
@@ -238,10 +236,10 @@ def test_frames_posted_to_a_crashed_actor_wait_for_its_restart_in_order():
         await supervisor.start()
         supervisor.kill(1)
         supervisor.kill(2)  # crashed with nothing posted to it
+        assert not supervisor.actors[1].alive
         for frame in frames(1, range(5)) + frames(0, [9]) + frames(1, [5, 6]):
             transport.post(frame)
         await asyncio.sleep(0)
-        assert not supervisor.actors[1].alive
         assert [f.dst for f in handled] == [0]
         await until(lambda: supervisor.restarts == 2 and len(handled) == 8)
         for frame in frames(2, [7]) + frames(1, [8]):
@@ -286,3 +284,44 @@ def test_a_handler_that_raises_mid_drain_leaves_the_rest_to_the_restart():
     by_node = {ip: [f.payload[0] for f in handled if f.dst == ip] for ip in range(3)}
     assert by_node == {0: [9], 1: [0, 1, 2, 3, 4, 5, 6], 2: []}
     assert transport.in_flight() == 0
+
+
+def test_a_killed_actor_is_back_after_one_loop_turn():
+    """The crash itself queues the restart: one yield to the loop and the
+    actor is up again, counted once."""
+    transport, supervisor = crash_scenario(lambda frame: None)
+
+    async def scenario():
+        await supervisor.start()
+        supervisor.kill(1)
+        assert not supervisor.actors[1].alive and supervisor.restarts == 0
+        await asyncio.sleep(0)
+        assert supervisor.actors[1].alive
+        assert (supervisor.crashes_detected, supervisor.restarts) == (1, 1)
+        await supervisor.stop()
+
+    run(scenario())
+    assert supervisor.incidents == [(1, "cancelled")]
+
+
+def test_an_actor_whose_handler_raised_is_back_after_one_loop_turn():
+    """As a kill: the turn that runs the failing handler queues the
+    restart, and the next turn has the actor up again."""
+
+    def deliver_frame(frame):
+        raise ValueError("handler bug")
+
+    transport, supervisor = crash_scenario(deliver_frame)
+
+    async def scenario():
+        await supervisor.start()
+        transport.post(make_frame(dst=1))
+        await asyncio.sleep(0)
+        assert not supervisor.actors[1].alive and supervisor.restarts == 0
+        await asyncio.sleep(0)
+        assert supervisor.actors[1].alive
+        assert (supervisor.crashes_detected, supervisor.restarts) == (1, 1)
+        await supervisor.stop()
+
+    run(scenario())
+    assert supervisor.incidents == [(1, "ValueError")]
