@@ -12,7 +12,12 @@ CI-size; set ``HIREP_BENCH_SCALE=paper`` for the paper's 1000-peer runs.
 Every suite also reports its headline numbers through the session-scoped
 ``perf`` fixture (:class:`PerfSink`), which stamps the
 :class:`repro.perf.PerfReport` envelope (schema version, scale) uniformly
-and writes one machine-readable artifact per run:
+and writes one machine-readable artifact per run.  The gated suites time
+each piece with the ``timed`` fixture and record *calibrated* values:
+seconds divided by the host slowdown sampled around the piece by the e2e
+benchmark's calibration loop (``benchmarks/e2e/harness.host_slowdown``,
+a fixed pure-Python loop over its 5.6 ms reference), rates derived from
+those seconds, and the slowdowns beside them as ungated metrics.
 
 * ``BENCH_perf.json`` (``HIREP_BENCH_PERF_OUT``) — every report of the
   session, the file ``hirep-obs record`` ingests;
@@ -26,12 +31,17 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from pathlib import Path
 
 import pytest
 
+from repro.obs.clock import WallClock
 from repro.perf.history import PerfHistory
 from repro.perf.report import PERF_SCHEMA, PerfReport, current_git_sha
+
+sys.path.insert(0, str(Path(__file__).resolve().parent / "e2e"))
+from harness import host_slowdown  # noqa: E402  (benchmarks/e2e is no package)
 
 PAPER = os.environ.get("HIREP_BENCH_SCALE", "small") == "paper"
 
@@ -57,37 +67,12 @@ def scale() -> dict:
             "traffic_bound": dict(network_size=300, transactions=40),
             "robustness": dict(network_size=250),
             "ablations": dict(network_size=250),
-            # object_floor: the object kernel at N=1000, 11x under the median
-            # of the committed baseline's three samples at 512811d (602 / 593
-            # / 593 tx/s) — the array floors' slack; before it an object-
-            # kernel regression showed only as a rise in the speed-up.  The
-            # three sessions at 7f6f936 (a relay hop without helper calls;
-            # one host) read 563 / 785 / 471 tx/s: 11x under their median is
-            # 51, under 54, so the floor stays.  It is never lowered to
-            # follow a slower host
-            # array_transactions: an array cell timed over 100 transactions
-            # (~15 ms at N=10k) swung by a third between sessions on one
-            # host (5 283 / 7 303 / 6 827 tx/s at 7f6f936), enough to move
-            # the speed-up ratio across the CI's 8x floor; 1 000 of them
-            # take ~0.15 s.  The object cells stay at 100
-            "kernel": dict(
-                sizes=(1000, 10_000), transactions=100, array_transactions=1000,
-                object_floor_tx_per_sec=54.0,
-            ),
-            # floor: 11x under the median of the three 100k samples at
-            # 4d6e346 (4 545 / 4 381 / 2 894 tx/s; 50-transaction runs swing
-            # that much) and 7x under the lowest — CI-runner slack, as 300
-            # was 12x under the 3 700 it last guarded; the three at 512811d
-            # (5 579 / 5 433 / 5 191) sit 13x over it
-            "kernel_smoke": dict(network_size=100_000, transactions=50, floor_tx_per_sec=400.0),
-            # floor: 11x under the lowest of the three churn samples at
-            # 0f5adf2 (2 748 / 2 908 / 2 898 tx/s, one 2 000-transaction
-            # round each, first departure included) — the slack the 100k
-            # floor above carries under its median; the three at 512811d
-            # (2 932 / 3 423 / 3 230) sit 12x over it
+            # array cells run ~10x faster, so they are timed over 1 000
+            # transactions (~0.1 s), the object cells over 100
+            "kernel": dict(sizes=(1000, 10_000), transactions=100, array_transactions=1000),
+            "kernel_smoke": dict(network_size=100_000, transactions=1000),
             "kernel_churn": dict(
-                network_size=20_000, transactions=2000, churn=(0.01, 0.2),
-                floor_tx_per_sec=250.0,
+                network_size=20_000, transactions=2000, churn=(0.01, 0.2)
             ),
         }
     return {
@@ -103,14 +88,30 @@ def scale() -> dict:
         "traffic_bound": dict(network_size=150, transactions=10),
         "robustness": dict(network_size=150),
         "ablations": dict(network_size=150),
-        "kernel": dict(
-            sizes=(1000,), transactions=60, array_transactions=1000, object_floor_tx_per_sec=54.0
-        ),
-        "kernel_smoke": dict(network_size=20_000, transactions=30, floor_tx_per_sec=100.0),
-        "kernel_churn": dict(
-            network_size=20_000, transactions=200, churn=(0.01, 0.2), floor_tx_per_sec=100.0
-        ),
+        "kernel": dict(sizes=(1000,), transactions=60, array_transactions=1000),
+        "kernel_smoke": dict(network_size=20_000, transactions=30),
+        "kernel_churn": dict(network_size=20_000, transactions=200, churn=(0.01, 0.2)),
     }
+
+
+@pytest.fixture(scope="session")
+def timed():
+    """``timed(fn, *args, **kwargs)`` runs ``fn`` once and returns
+    ``(result, seconds, slowdown)``: the host slowdown is the mean of one
+    sample right before ``fn`` and one right after, and ``seconds`` is
+    the wall time divided by it, what ``fn`` takes at reference host
+    speed."""
+    clock = WallClock()
+
+    def run(fn, *args, **kwargs):
+        before = host_slowdown(clock)
+        clock.reset()
+        result = fn(*args, **kwargs)
+        wall_s = clock.now / 1000.0
+        slowdown = (before + host_slowdown(clock)) / 2.0
+        return result, wall_s / slowdown, slowdown
+
+    return run
 
 
 class PerfSink:
@@ -200,18 +201,11 @@ def kernel_records(perf):
     yield records
     if not records:
         return
-    _METRIC_KEYS = (
-        "build_s",
-        "bootstrap_s",
-        "run_s",
-        "tx_per_sec",
-        "msgs_per_sec",
-        "state_bytes_per_peer",
-    )
+    cell = ("backend", "network_size", "transactions", "opts")
     for row in records:
         perf.record(
             "kernel",
-            {k: row[k] for k in _METRIC_KEYS if k in row},
+            {k: v for k, v in row.items() if k not in cell},
             backend=row["backend"],
             network_size=row["network_size"],
             transactions=row.get("transactions"),

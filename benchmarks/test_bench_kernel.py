@@ -8,75 +8,66 @@ machine-readable row to the session's ``BENCH_kernel.json`` (see
 ``kernel_records`` in conftest) — the artifact CI uploads and the scaling
 docs quote.
 
-Each row also records the host slowdown sampled around its build and its
-bootstrap (``build_slowdown`` / ``bootstrap_slowdown``) by the e2e
-benchmark's calibration loop, ``benchmarks/e2e/harness.host_slowdown``:
-a fixed pure-Python loop's time over its 5.6 ms reference.  Seconds
-divided by it are *calibrated* seconds, what the piece takes at
-reference host speed; CI asserts its set-up ceilings on those.
+Each cell is measured :data:`REPEATS` times, each time on a fresh system,
+and each piece (build, bootstrap, run) keeps its fastest time.  Every
+time is calibrated by conftest's ``timed``, so a row holds calibrated
+seconds and rates with the host slowdown of each piece beside them
+(``build_slowdown`` / ``bootstrap_slowdown`` / ``run_slowdown``).  Their
+speed is bounded only by ``hirep-obs gate`` over those rows.
 """
 
 from __future__ import annotations
 
 import gc
-import sys
-from pathlib import Path
 
 from repro import build_system
 from repro.net.churn import ChurnModel
-from repro.obs.clock import WallClock
 from repro.workloads.scenarios import default_config
 
-sys.path.insert(0, str(Path(__file__).resolve().parent / "e2e"))
-from harness import host_slowdown  # noqa: E402  (benchmarks/e2e is no package)
+
+#: Measurements per cell, each on a fresh system; each piece keeps its
+#: fastest.  On a shared host one calibrated run of a piece reads up to
+#: ~1.4x its median, the fastest of three up to ~1.3x.
+REPEATS = 3
 
 
-def _measure(backend: str, network_size: int, transactions: int, **opts) -> dict:
-    cfg = default_config(network_size=network_size, seed=2006)
-    # The previous cell's system is cyclic garbage until a full collection;
-    # left alone it is collected during this cell's build and billed to it
-    # (+1.3 s on the 100k cell after the N=10k object-kernel cell).
+def _measure_once(timed, backend: str, cfg, transactions: int, opts: dict) -> dict:
+    """``(calibrated seconds, slowdown)`` of each piece of one measurement."""
+    # The previous system is cyclic garbage until a full collection; left
+    # alone it is collected during this build and billed to it (+1.3 s on
+    # the 100k cell after the N=10k object-kernel cell).
     gc.collect()
-    clock = WallClock()
-    before_build = host_slowdown(clock)
-    clock.reset()
-    system = build_system(backend, cfg, **opts)
-    build_s = clock.now / 1000.0
-
-    before_bootstrap = host_slowdown(clock)
-    clock.reset()
-    system.bootstrap()
-    bootstrap_s = clock.now / 1000.0
-    after_bootstrap = host_slowdown(clock)
-
+    system, *build = timed(build_system, backend, cfg, **opts)
+    _, *bootstrap = timed(system.bootstrap)
     system.reset_metrics()
     msgs_before = system.counter.total
-    clock.reset()
-    system.run(transactions)
-    run_s = clock.now / 1000.0
-
-    row = {
-        "backend": backend,
-        "network_size": network_size,
-        "transactions": transactions,
-        "build_s": round(build_s, 4),
-        "bootstrap_s": round(bootstrap_s, 4),
-        "build_slowdown": round((before_build + before_bootstrap) / 2.0, 4),
-        "bootstrap_slowdown": round((before_bootstrap + after_bootstrap) / 2.0, 4),
-        "run_s": round(run_s, 4),
-        "tx_per_sec": transactions / run_s if run_s else float("inf"),
-        "msgs_per_sec": (system.counter.total - msgs_before) / run_s
-        if run_s
-        else float("inf"),
-    }
+    _, *run = timed(system.run, transactions)
+    once = {"build": build, "bootstrap": bootstrap, "run": run}
+    once["msgs"] = system.counter.total - msgs_before
     if hasattr(system, "state_nbytes"):
-        row["state_bytes_per_peer"] = system.state_nbytes() / network_size
+        once["state_bytes_per_peer"] = system.state_nbytes() / cfg.network_size
+    return once
+
+
+def _measure(timed, backend: str, network_size: int, transactions: int, **opts) -> dict:
+    cfg = default_config(network_size=network_size, seed=2006)
+    runs = [_measure_once(timed, backend, cfg, transactions, opts) for _ in range(REPEATS)]
+    row = {"backend": backend, "network_size": network_size, "transactions": transactions}
+    for piece in ("build", "bootstrap", "run"):
+        seconds, slowdown = min(once[piece] for once in runs)
+        row[f"{piece}_s"] = round(seconds, 4)
+        row[f"{piece}_slowdown"] = round(slowdown, 4)
+    run_s = min(once["run"] for once in runs)[0]
+    row["tx_per_sec"] = transactions / run_s
+    row["msgs_per_sec"] = runs[0]["msgs"] / run_s  # one seed: every run sends the same
+    if "state_bytes_per_peer" in runs[0]:
+        row["state_bytes_per_peer"] = runs[0]["state_bytes_per_peer"]
     if opts:
         row["opts"] = {k: str(v) for k, v in opts.items()}
     return row
 
 
-def test_bench_kernel_object_vs_array(benchmark, run_once, scale, kernel_records):
+def test_bench_kernel_object_vs_array(benchmark, run_once, scale, kernel_records, timed):
     params = scale["kernel"]
 
     # The array kernel runs ~10x faster, so it is timed over more
@@ -87,7 +78,7 @@ def test_bench_kernel_object_vs_array(benchmark, run_once, scale, kernel_records
         rows = []
         for n in params["sizes"]:
             for backend, transactions in cells:
-                rows.append(_measure(backend, n, transactions))
+                rows.append(_measure(timed, backend, n, transactions))
         return rows
 
     rows = run_once(sweep)
@@ -98,27 +89,18 @@ def test_bench_kernel_object_vs_array(benchmark, run_once, scale, kernel_records
     for n in params["sizes"]:
         speedup = by_backend[("hirep-array", n)] / by_backend[("hirep", n)]
         benchmark.extra_info[f"speedup_n{n}"] = round(speedup, 2)
-        # The array kernel exists to be faster; the floor under the
-        # committed ~12x-at-N=10k baseline is asserted by the CI
-        # kernel-sweep job, which runs at paper scale on a quiet machine.
+        # The array kernel exists to be faster; the CI kernel-sweep job
+        # asserts the 8x floor at N=10k, at paper scale.
         assert speedup > 1.0, f"array kernel slower at N={n}: {speedup:.2f}x"
-    # The speed-up floor cannot see the object kernel getting slower (the
-    # ratio rises), so it has an absolute floor of its own.
-    object_tx = by_backend[("hirep", 1000)]
-    benchmark.extra_info["object_tx_per_sec_n1000"] = round(object_tx, 1)
-    assert object_tx >= params["object_floor_tx_per_sec"], (
-        f"object kernel below throughput floor at N=1000: "
-        f"{object_tx:.1f} < {params['object_floor_tx_per_sec']}"
-    )
 
 
-def test_bench_kernel_array_scale_smoke(benchmark, run_once, scale, kernel_records):
+def test_bench_kernel_array_scale_smoke(benchmark, run_once, scale, kernel_records, timed):
     """Large-N smoke: seeded bootstrap, then steady-state throughput."""
     params = scale["kernel_smoke"]
     n = params["network_size"]
 
     row = run_once(
-        _measure, backend="hirep-array", network_size=n,
+        _measure, timed=timed, backend="hirep-array", network_size=n,
         transactions=params["transactions"], bootstrap_mode="seeded",
     )
     kernel_records.append(row)
@@ -126,13 +108,9 @@ def test_bench_kernel_array_scale_smoke(benchmark, run_once, scale, kernel_recor
     benchmark.extra_info["state_bytes_per_peer"] = round(
         row["state_bytes_per_peer"], 1
     )
-    assert row["tx_per_sec"] >= params["floor_tx_per_sec"], (
-        f"array kernel below throughput floor at N={n}: "
-        f"{row['tx_per_sec']:.1f} < {params['floor_tx_per_sec']}"
-    )
 
 
-def test_bench_kernel_array_under_churn(benchmark, run_once, scale, kernel_records):
+def test_bench_kernel_array_under_churn(benchmark, run_once, scale, kernel_records, timed):
     """The `churn-array` shape of benchmarks/e2e: liveness flips before every
     transaction, so every leg bills hops through tracked onion snapshots,
     agents rebuild circuits and offline rows are parked.  The first
@@ -141,7 +119,7 @@ def test_bench_kernel_array_under_churn(benchmark, run_once, scale, kernel_recor
     n = params["network_size"]
 
     row = run_once(
-        _measure, backend="hirep-array", network_size=n,
+        _measure, timed=timed, backend="hirep-array", network_size=n,
         transactions=params["transactions"], bootstrap_mode="seeded",
         churn=ChurnModel(*params["churn"]),
     )
@@ -149,10 +127,6 @@ def test_bench_kernel_array_under_churn(benchmark, run_once, scale, kernel_recor
     benchmark.extra_info["tx_per_sec"] = round(row["tx_per_sec"], 1)
     benchmark.extra_info["state_bytes_per_peer"] = round(
         row["state_bytes_per_peer"], 1
-    )
-    assert row["tx_per_sec"] >= params["floor_tx_per_sec"], (
-        f"array kernel below throughput floor under churn at N={n}: "
-        f"{row['tx_per_sec']:.1f} < {params['floor_tx_per_sec']}"
     )
     # A tracked snapshot is a 4-byte id (1 862 B/peer at Table 1 sizes);
     # copied paths read 3 633.

@@ -9,7 +9,7 @@ Usage::
     hirep-obs flame     BUNDLE --top 20 --collapsed out/flame.txt
     hirep-obs record    BENCH_perf.json --history .perf-history
     hirep-obs trend     --history .perf-history --suite kernel
-    hirep-obs gate      --history .perf-history --tolerance 0.25 --exit-code
+    hirep-obs gate      --history .perf-history --exit-code
 
 ``BUNDLE`` is a bundle directory — either one written directly with
 :func:`repro.obs.bundle.write_bundle` or a content-addressed directory an
@@ -26,8 +26,8 @@ report files (one :class:`~repro.perf.report.PerfReport` object, a list,
 or an envelope with a ``"reports"`` list — the shape
 ``benchmarks/conftest.py`` writes, and what ``record`` ingests).
 ``flame`` renders a bundle's ``profile.json`` (:mod:`repro.obs.prof`).
-``gate`` checks the newest report of every (suite, backend, N) series
-against the rolling median of prior runs.  ``diff`` and ``gate`` always
+``gate`` checks the newest report of every series (suite, backend, N,
+options, scale) against the rolling median of prior runs.  ``diff`` and ``gate`` always
 print their findings and exit non-zero only under ``--exit-code``.  An
 input file that is not JSON, or not the record it should be, prints one
 ``hirep-obs: ...`` line and exits 2.
@@ -235,11 +235,8 @@ def cmd_trend(args: argparse.Namespace) -> int:
     if not series:
         print("no perf history matched")
         return 0
-    for (suite, backend, network_size), reports in series.items():
-        where = suite + (f"/{backend}" if backend else "")
-        if network_size:
-            where += f" N={network_size}"
-        print(f"{where}  ({len(reports)} run(s))")
+    for key, reports in series.items():
+        print(f"{series_label(*key)}  ({len(reports)} run(s))")
         metrics = sorted({m for r in reports for m in r.metrics})
         if args.metric:
             metrics = [m for m in metrics if m in args.metric]
@@ -256,12 +253,7 @@ def cmd_trend(args: argparse.Namespace) -> int:
 
 def cmd_gate(args: argparse.Namespace) -> int:
     history = PerfHistory(args.history)
-    result = gate(
-        history,
-        window=args.window,
-        tolerance=args.tolerance,
-        suites=args.suite or None,
-    )
+    result = gate(history, suites=args.suite or None)
     print(result.render())
     if result.ok:
         return 0
@@ -519,15 +511,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gate = sub.add_parser("gate", help="flag perf regressions vs rolling baseline")
     p_gate.add_argument("--history", required=True)
-    p_gate.add_argument(
-        "--window", type=int, default=5, help="prior runs in the rolling median"
-    )
-    p_gate.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.25,
-        help="allowed fractional degradation (0.25 = 25%%)",
-    )
     p_gate.add_argument("--suite", action="append", default=[], help="gate only these")
     p_gate.add_argument(
         "--exit-code",

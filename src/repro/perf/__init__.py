@@ -5,11 +5,12 @@ Where :mod:`repro.obs` observes a single run from the inside,
 
 * :class:`PerfReport` — the one versioned schema every benchmark suite
   emits (``benchmarks/conftest.py`` is the adoption path);
-* :class:`PerfHistory` — an append-only on-disk JSONL store keyed by
-  ``(suite, backend, network_size)``, one line per recorded report;
+* :class:`PerfHistory` — an append-only on-disk JSONL store, one line
+  per recorded report, grouped into series by suite, backend, N,
+  options and scale;
 * :func:`gate` — regression detection against a rolling baseline, with
   direction-aware metric semantics (throughput up is good, memory and
-  wall-time up are bad).
+  wall-time up are bad), at one tolerance over calibrated values.
 
 A library only, below :mod:`repro.obs` in the layering: its command line
 is ``hirep-obs`` (``record`` / ``trend`` / ``diff`` / ``gate``).

@@ -1,18 +1,20 @@
 """Perf-regression gating against a rolling baseline.
 
-For every ``(suite, backend, network_size)`` series in a history, the
-most recent report is the *candidate* and the rolling baseline for each
-metric is the **median** of up to ``window`` prior records — the median,
-not the mean, so one historical outlier (a noisy CI runner) cannot move
-the bar.  Only direction-bearing metrics are gated
-(:func:`~repro.perf.report.metric_direction`); a metric with no prior
-observations simply establishes the series and passes.
+For every series in a history (one per :meth:`PerfReport.key`: suite,
+backend, N, options and scale), the most recent report is the
+*candidate* and the rolling baseline for each metric is the **median**
+of up to :data:`WINDOW` prior records — the median, not the mean, so one
+historical outlier cannot move the bar.  Only direction-bearing metrics
+are gated (:func:`~repro.perf.report.metric_direction`); a metric with no
+prior observations simply establishes the series and passes.
 
-``tolerance`` is the allowed fractional degradation.  With the default
-``0.25``: a throughput metric regresses when it drops below
-``baseline / 1.25`` and a memory/wall-time metric regresses when it
-rises above ``baseline * 1.25``.  A 2× throughput collapse or a 2×
-memory blow-up is flagged at any tolerance below 1.0.
+:data:`TOLERANCE` is the allowed fractional degradation: a throughput
+metric regresses when it drops below ``baseline / (1 + TOLERANCE)`` and
+a memory/wall-time metric when it rises above
+``baseline * (1 + TOLERANCE)``.  The benches record calibrated values
+(:mod:`repro.perf.report`), so one tolerance serves every suite; it is
+set from the spread of ten unmodified sessions on one host and flags a
+1.5x slowdown (EXPERIMENTS.md "One calibrated speed gate").
 """
 
 from __future__ import annotations
@@ -23,13 +25,35 @@ from repro.errors import ConfigError
 from repro.perf.history import PerfHistory
 from repro.perf.report import PerfReport, metric_direction
 
-__all__ = ["GateFinding", "GateResult", "gate", "rolling_median", "series_label"]
+__all__ = [
+    "TOLERANCE",
+    "WINDOW",
+    "GateFinding",
+    "GateResult",
+    "gate",
+    "rolling_median",
+    "series_label",
+]
+
+#: Prior records in a metric's rolling median.
+WINDOW = 5
+
+#: Allowed fractional degradation of a calibrated metric.
+TOLERANCE = 0.25
 
 
-def series_label(suite: str, backend: str, network_size: int) -> str:
-    """``suite/backend@N=n`` for one history series key."""
-    where = suite + (f"/{backend}" if backend else "")
-    return where + (f"@N={network_size}" if network_size else "")
+def series_label(
+    suite: str,
+    backend: str,
+    network_size: int,
+    opts: tuple[tuple[str, str], ...],
+    scale: str,
+) -> str:
+    """``suite/backend N=n k=v … (scale)`` for one history series key."""
+    label = suite + (f"/{backend}" if backend else "")
+    label += f" N={network_size}" if network_size else ""
+    label += "".join(f" {k}={v}" for k, v in opts)
+    return label + (f" ({scale})" if scale else "")
 
 
 def rolling_median(values: list[float]) -> float:
@@ -44,9 +68,7 @@ def rolling_median(values: list[float]) -> float:
 class GateFinding:
     """One metric of one series that degraded past tolerance."""
 
-    suite: str
-    backend: str
-    network_size: int
+    series: str  # :func:`series_label` of the series
     metric: str
     direction: str
     value: float
@@ -57,9 +79,8 @@ class GateFinding:
 
     def render(self) -> str:
         arrow = "v" if self.direction == "higher" else "^"
-        where = series_label(self.suite, self.backend, self.network_size)
         return (
-            f"{where}: {self.metric} {arrow} {self.factor:.2f}x worse "
+            f"{self.series}: {self.metric} {arrow} {self.factor:.2f}x worse "
             f"({self.value:g} vs rolling baseline {self.baseline:g} "
             f"over {self.samples} run(s))"
         )
@@ -72,8 +93,6 @@ class GateResult:
     findings: list[GateFinding] = field(default_factory=list)
     checked: int = 0  # gated (metric, series) pairs with a baseline
     established: int = 0  # series/metrics seen for the first time
-    window: int = 0
-    tolerance: float = 0.0
 
     @property
     def ok(self) -> bool:
@@ -82,8 +101,8 @@ class GateResult:
     def render(self) -> str:
         lines = [
             f"perf gate: {self.checked} metric(s) checked against a rolling "
-            f"median of <= {self.window} prior run(s), tolerance "
-            f"{self.tolerance:.0%}, {self.established} newly established"
+            f"median of <= {WINDOW} prior run(s), tolerance "
+            f"{TOLERANCE:.0%}, {self.established} newly established"
         ]
         if self.findings:
             lines.append(f"REGRESSIONS ({len(self.findings)}):")
@@ -104,21 +123,11 @@ def _degradation(direction: str, value: float, baseline: float) -> float:
     return baseline / value if direction == "higher" else value / baseline
 
 
-def gate(
-    history: PerfHistory,
-    *,
-    window: int = 5,
-    tolerance: float = 0.25,
-    suites: list[str] | None = None,
-) -> GateResult:
+def gate(history: PerfHistory, *, suites: list[str] | None = None) -> GateResult:
     """Gate the newest report of every series against its rolling baseline."""
-    if window < 1:
-        raise ConfigError(f"gate window must be >= 1: {window}")
-    if tolerance <= 0:
-        raise ConfigError(f"gate tolerance must be positive: {tolerance}")
-    result = GateResult(window=window, tolerance=tolerance)
-    for (suite, backend, network_size), series in history.series().items():
-        if suites is not None and suite not in suites:
+    result = GateResult()
+    for key, series in history.series().items():
+        if suites is not None and key[0] not in suites:
             continue
         *prior, candidate = series
         for metric, value in sorted(candidate.metrics.items()):
@@ -126,7 +135,7 @@ def gate(
             if direction is None:
                 continue
             observed = [
-                r.metrics[metric] for r in prior[-window:] if metric in r.metrics
+                r.metrics[metric] for r in prior[-WINDOW:] if metric in r.metrics
             ]
             if not observed:
                 result.established += 1
@@ -134,12 +143,10 @@ def gate(
             result.checked += 1
             baseline = rolling_median(observed)
             factor = _degradation(direction, value, baseline)
-            if factor > 1.0 + tolerance:
+            if factor > 1.0 + TOLERANCE:
                 result.findings.append(
                     GateFinding(
-                        suite=suite,
-                        backend=backend,
-                        network_size=network_size,
+                        series=series_label(*key),
                         metric=metric,
                         direction=direction,
                         value=value,
@@ -148,12 +155,12 @@ def gate(
                         samples=len(observed),
                     )
                 )
-    result.findings.sort(key=lambda f: (-f.factor, f.suite, f.metric))
+    result.findings.sort(key=lambda f: (-f.factor, f.series, f.metric))
     return result
 
 
 def latest_by_key(reports: list[PerfReport]) -> dict[tuple, PerfReport]:
-    """The newest report per (suite, backend, N) key, for diffing."""
+    """The newest report per series key, for diffing."""
     out: dict[tuple, PerfReport] = {}
     for report in reports:
         out[report.key()] = report

@@ -92,9 +92,9 @@ class PerfHistory:
                 out.append(report)
         return out
 
-    def series(self) -> dict[tuple[str, str, int], list[PerfReport]]:
-        """Reports grouped by key, each group in recording order."""
-        grouped: dict[tuple[str, str, int], list[PerfReport]] = {}
+    def series(self) -> dict[tuple, list[PerfReport]]:
+        """Reports grouped by :meth:`PerfReport.key`, each group in recording order."""
+        grouped: dict[tuple, list[PerfReport]] = {}
         for report in self.records():
             grouped.setdefault(report.key(), []).append(report)
         return dict(sorted(grouped.items()))

@@ -12,6 +12,13 @@ Metric *direction* is a naming convention, not per-report metadata:
 ``*_per_sec`` and ``*speedup*`` metrics are better when higher;
 ``*_s`` / ``*_ms`` / ``*_kb`` / ``*_mb`` / ``*_bytes*`` metrics are
 better when lower; anything else is informational and never gated.
+
+Since schema 2 the gated suites (``kernel``, ``kernel-speedup`` and the
+``serve-*`` suites) record *calibrated* values: each timed piece's
+seconds divided by the host slowdown sampled around it
+(``benchmarks/conftest.py`` ``timed``), rates derived from those
+seconds, and the slowdowns as ungated ``*slowdown`` metrics.  Schema 1
+rows held raw wall times, so the two are never read side by side.
 """
 
 from __future__ import annotations
@@ -24,8 +31,8 @@ from repro.errors import ConfigError
 
 __all__ = ["PERF_SCHEMA", "PerfReport", "current_git_sha", "metric_direction"]
 
-#: Bump when the on-disk report shape changes incompatibly.
-PERF_SCHEMA = 1
+#: Bump when the on-disk report shape or a metric's meaning changes.
+PERF_SCHEMA = 2
 
 
 def metric_direction(name: str) -> str | None:
@@ -91,9 +98,17 @@ class PerfReport:
         self.metrics = clean
         self.opts = {str(k): str(v) for k, v in self.opts.items()}
 
-    def key(self) -> tuple[str, str, int]:
-        """The history grouping key: (suite, backend, network size)."""
-        return (self.suite, self.backend or "", self.network_size or 0)
+    def key(self) -> tuple[str, str, int, tuple[tuple[str, str], ...], str]:
+        """The history grouping key: suite, backend, network size, options
+        and scale, so two cells that differ in any of them never share a
+        series."""
+        return (
+            self.suite,
+            self.backend or "",
+            self.network_size or 0,
+            tuple(sorted(self.opts.items())),
+            self.scale or "",
+        )
 
     def to_dict(self) -> dict[str, Any]:
         return {

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from repro.obs.cli import main
+from repro.perf.gate import TOLERANCE
 from repro.perf.history import PerfHistory
 from repro.perf.report import PerfReport
 
@@ -147,13 +148,16 @@ def test_gate_cli_flags_2x_regression(tmp_path, capsys):
 
 
 def test_gate_cli_tolerance_and_suite_filters(tmp_path):
-    history = PerfHistory(tmp_path / "h")
-    for value in (100.0, 100.0, 80.0):
-        history.record(report(value))
-    args = ["gate", "--history", str(tmp_path / "h"), "--exit-code"]
-    assert main(args) == 0  # 1.25x right at the default bar
-    assert main([*args, "--tolerance", "0.1"]) == 1
-    assert main([*args, "--tolerance", "0.1", "--suite", "serve"]) == 0
+    for name, candidate in (("in", 1.01), ("out", 0.99)):
+        history = PerfHistory(tmp_path / name)
+        for value in (100.0, 100.0, 100.0 / (1.0 + TOLERANCE) * candidate):
+            history.record(report(value))
+    args = ["gate", "--exit-code", "--history"]
+    assert main([*args, str(tmp_path / "in")]) == 0
+    assert main([*args, str(tmp_path / "out")]) == 1
+    assert main([*args, str(tmp_path / "out"), "--suite", "serve"]) == 0
+    with pytest.raises(SystemExit):  # one tolerance: no knob to loosen it
+        main([*args, str(tmp_path / "out"), "--tolerance", "4.0"])
 
 
 # ---------------------------------------------------------------- flame

@@ -11,7 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigError
-from repro.perf.gate import gate, latest_by_key, rolling_median
+from repro.perf.gate import TOLERANCE, WINDOW, gate, latest_by_key, rolling_median
 from repro.perf.history import PerfHistory
 from repro.perf.report import PERF_SCHEMA, PerfReport, metric_direction
 
@@ -68,8 +68,8 @@ def test_metric_direction_naming_convention():
 
 
 def test_report_key_defaults():
-    assert report(backend=None, n=None, x=1.0).key() == ("kernel", "", 0)
-    assert report(x=1.0).key() == ("kernel", "hirep-array", 1000)
+    assert report(backend=None, n=None, x=1.0).key() == ("kernel", "", 0, (), "")
+    assert report(x=1.0).key() == ("kernel", "hirep-array", 1000, (), "")
 
 
 # ---------------------------------------------------------------- PerfHistory
@@ -91,10 +91,37 @@ def test_history_series_groups_by_key(tmp_path):
     history.record(report(backend="hirep-array", n=10_000, tx_per_sec=50.0))
     series = history.series()
     assert set(series) == {
-        ("kernel", "hirep", 1000),
-        ("kernel", "hirep-array", 1000),
-        ("kernel", "hirep-array", 10_000),
+        ("kernel", "hirep", 1000, (), ""),
+        ("kernel", "hirep-array", 1000, (), ""),
+        ("kernel", "hirep-array", 10_000, (), ""),
     }
+
+
+def test_cells_that_differ_in_options_or_scale_are_separate_series(tmp_path):
+    # A small-scale kernel session times the 20 000-peer seeded smoke cell
+    # (~10 000 tx/s) and the 20 000-peer churn cell (~4 700 tx/s): one
+    # series would gate the churn row against the smoke rows, 2.13x worse.
+    history = PerfHistory(tmp_path)
+    smoke = {"bootstrap_mode": "seeded"}
+    churn = {"bootstrap_mode": "seeded", "churn": "ChurnModel(0.01, 0.2)"}
+    for _ in range(3):
+        for opts, tx_per_sec in ((smoke, 10_000.0), (churn, 4_700.0)):
+            history.record(
+                PerfReport(
+                    suite="kernel", metrics={"tx_per_sec": tx_per_sec},
+                    backend="hirep-array", network_size=20_000, opts=opts, scale="small",
+                )
+            )
+    history.record(
+        PerfReport(
+            suite="kernel", metrics={"tx_per_sec": 4_700.0}, backend="hirep-array",
+            network_size=20_000, opts=smoke, scale="paper",
+        )
+    )
+    assert len(history.series()) == 3
+    result = gate(history)
+    assert result.ok, result.render()
+    assert result.checked == 2 and result.established == 1
 
 
 def test_history_lines_are_append_only_and_diffable(tmp_path):
@@ -170,10 +197,15 @@ def test_gate_flags_2x_memory_regression(tmp_path):
 
 
 def test_gate_tolerance_is_the_bar(tmp_path):
-    # 1.2x slower: inside the default 25% tolerance, outside a 10% one
-    history = _seeded_history(tmp_path, [100.0, 100.0, 100.0, 83.0])
-    assert gate(history).ok
-    assert not gate(history, tolerance=0.1).ok
+    # just inside the tolerance passes, just outside it is flagged
+    inside = 100.0 / (1.0 + TOLERANCE) * 1.01
+    outside = 100.0 / (1.0 + TOLERANCE) * 0.99
+    assert gate(_seeded_history(tmp_path / "in", [100.0, 100.0, 100.0, inside])).ok
+    assert not gate(_seeded_history(tmp_path / "out", [100.0, 100.0, 100.0, outside])).ok
+    assert gate(_seeded_history(tmp_path / "s_in", [1.0, 1.0, 1.0 + TOLERANCE * 0.99], "run_s")).ok
+    assert not gate(
+        _seeded_history(tmp_path / "s_out", [1.0, 1.0, 1.0 + TOLERANCE * 1.01], "run_s")
+    ).ok
 
 
 def test_gate_first_run_establishes_series(tmp_path):
@@ -192,13 +224,14 @@ def test_gate_median_resists_one_outlier(tmp_path):
 
 
 def test_gate_window_limits_lookback(tmp_path):
-    # ancient fast runs age out of a window of 2: baseline is the median
-    # of [10, 10] = 10, and a candidate at 9 passes despite the old 1000s
-    history = _seeded_history(
-        tmp_path, [1000.0, 1000.0, 1000.0, 10.0, 10.0, 9.0]
-    )
-    assert gate(history, window=2).ok
-    assert not gate(history, window=5).ok
+    # runs older than the window age out: the baseline is the median of
+    # the last WINDOW runs (all 10), and a candidate at 9 passes despite
+    # the older 1000s; with two 10s the 1000s are the window's median
+    assert WINDOW == 5
+    history = _seeded_history(tmp_path / "aged", [1000.0] * 3 + [10.0] * WINDOW + [9.0])
+    assert gate(history).ok
+    history = _seeded_history(tmp_path / "kept", [1000.0] * 3 + [10.0] * 2 + [9.0])
+    assert not gate(history).ok
 
 
 def test_gate_ignores_directionless_metrics(tmp_path):
@@ -215,14 +248,6 @@ def test_gate_suites_filter(tmp_path):
     history.record(report(suite="serve", tx_per_sec=50.0))
     assert gate(history, suites=["serve"]).ok
     assert not gate(history, suites=["kernel"]).ok
-
-
-def test_gate_validates_knobs(tmp_path):
-    history = _seeded_history(tmp_path, [1.0, 1.0])
-    with pytest.raises(ConfigError, match="window"):
-        gate(history, window=0)
-    with pytest.raises(ConfigError, match="tolerance"):
-        gate(history, tolerance=0.0)
 
 
 def test_gate_vanished_throughput_is_infinitely_worse(tmp_path):
