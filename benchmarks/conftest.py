@@ -68,7 +68,8 @@ def scale() -> dict:
             "robustness": dict(network_size=250),
             "ablations": dict(network_size=250),
             # array cells run ~10x faster, so they are timed over 1 000
-            # transactions (~0.1 s), the object cells over 100
+            # transactions (~0.1 s), the object cells over 100; so is the
+            # 100k cell (50 transactions took ~4 ms, too short to gate)
             "kernel": dict(sizes=(1000, 10_000), transactions=100, array_transactions=1000),
             "kernel_smoke": dict(network_size=100_000, transactions=1000),
             "kernel_churn": dict(

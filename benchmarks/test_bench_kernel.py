@@ -26,13 +26,14 @@ from repro.workloads.scenarios import default_config
 
 
 #: Measurements per cell, each on a fresh system; each piece keeps its
-#: fastest.  On a shared host one calibrated run of a piece reads up to
-#: ~1.4x its median, the fastest of three up to ~1.3x.
+#: fastest.  On a shared host one calibrated run of a piece read up to
+#: 1.45x its median over six sessions, the fastest of three 1.32x.
 REPEATS = 3
 
 
 def _measure_once(timed, backend: str, cfg, transactions: int, opts: dict) -> dict:
-    """``(calibrated seconds, slowdown)`` of each piece of one measurement."""
+    """``[calibrated seconds, slowdown]`` of each piece of one measurement,
+    with its message count and state bytes."""
     # The previous system is cyclic garbage until a full collection; left
     # alone it is collected during this build and billed to it (+1.3 s on
     # the 100k cell after the N=10k object-kernel cell).
@@ -53,11 +54,11 @@ def _measure(timed, backend: str, network_size: int, transactions: int, **opts) 
     cfg = default_config(network_size=network_size, seed=2006)
     runs = [_measure_once(timed, backend, cfg, transactions, opts) for _ in range(REPEATS)]
     row = {"backend": backend, "network_size": network_size, "transactions": transactions}
-    for piece in ("build", "bootstrap", "run"):
-        seconds, slowdown = min(once[piece] for once in runs)
+    fastest = {piece: min(once[piece] for once in runs) for piece in ("build", "bootstrap", "run")}
+    for piece, (seconds, slowdown) in fastest.items():
         row[f"{piece}_s"] = round(seconds, 4)
         row[f"{piece}_slowdown"] = round(slowdown, 4)
-    run_s = min(once["run"] for once in runs)[0]
+    run_s = fastest["run"][0]
     row["tx_per_sec"] = transactions / run_s
     row["msgs_per_sec"] = runs[0]["msgs"] / run_s  # one seed: every run sends the same
     if "state_bytes_per_peer" in runs[0]:

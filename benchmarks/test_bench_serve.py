@@ -10,7 +10,7 @@ transactions, not a fleet build.  Every bench runs under conftest's
 ``timed``, and its rate is recorded calibrated: the fastest round's
 seconds divided by the host slowdown sampled around the bench, which is
 recorded beside it as ``slowdown``.  On a shared host the fastest round
-reads within ~1.2x across sessions, the median round within ~1.6x.
+read up to 1.17x its median over six sessions, the median round 1.51x.
 """
 
 from __future__ import annotations

@@ -38,7 +38,9 @@ __all__ = [
 #: Prior records in a metric's rolling median.
 WINDOW = 5
 
-#: Allowed fractional degradation of a calibrated metric.
+#: Allowed fractional degradation of a calibrated metric: the smallest
+#: 0.05 step over the worst factor (1.22x) of ten unmodified sessions on
+#: one host; a mutant that adds half as much work again reads >= 1.31x.
 TOLERANCE = 0.25
 
 
