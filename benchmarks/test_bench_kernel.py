@@ -13,7 +13,8 @@ and each piece (build, bootstrap, run) keeps its fastest time.  Every
 time is calibrated by conftest's ``timed``, so a row holds calibrated
 seconds and rates with the host slowdown of each piece beside them
 (``build_slowdown`` / ``bootstrap_slowdown`` / ``run_slowdown``).  Their
-speed is bounded only by ``hirep-obs gate`` over those rows.
+speed is bounded by ``hirep-obs gate`` over those rows and by the CI
+kernel-sweep job's set-up ceilings on the same calibrated seconds.
 """
 
 from __future__ import annotations

@@ -49,7 +49,7 @@ from repro.errors import ConfigError
 from repro.obs.bundle import Bundle, load_bundle
 from repro.obs.prof import PROFILE_FILENAME, profile_chrome_trace_obj, write_flamegraph
 from repro.obs.slo import render_slo
-from repro.perf.gate import gate, latest_by_key, series_label
+from repro.perf.gate import TOLERANCE, gate, latest_by_key, series_label
 from repro.perf.history import PerfHistory
 from repro.perf.report import PerfReport, current_git_sha, metric_direction
 from repro.sim.stats import summarize
@@ -253,7 +253,7 @@ def cmd_trend(args: argparse.Namespace) -> int:
 
 def cmd_gate(args: argparse.Namespace) -> int:
     history = PerfHistory(args.history)
-    result = gate(history, suites=args.suite or None)
+    result = gate(history, tolerance=args.tolerance, suites=args.suite or None)
     print(result.render())
     if result.ok:
         return 0
@@ -511,6 +511,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gate = sub.add_parser("gate", help="flag perf regressions vs rolling baseline")
     p_gate.add_argument("--history", required=True)
+    p_gate.add_argument(
+        "--tolerance",
+        type=float,
+        default=TOLERANCE,
+        help="allowed fractional degradation (default %(default)s: one host)",
+    )
     p_gate.add_argument("--suite", action="append", default=[], help="gate only these")
     p_gate.add_argument(
         "--exit-code",

@@ -10,7 +10,7 @@ Where :mod:`repro.obs` observes a single run from the inside,
   options and scale;
 * :func:`gate` — regression detection against a rolling baseline, with
   direction-aware metric semantics (throughput up is good, memory and
-  wall-time up are bad), at one tolerance over calibrated values.
+  wall-time up are bad), over calibrated values.
 
 A library only, below :mod:`repro.obs` in the layering: its command line
 is ``hirep-obs`` (``record`` / ``trend`` / ``diff`` / ``gate``).

@@ -9,12 +9,14 @@ are gated (:func:`~repro.perf.report.metric_direction`); a metric with no
 prior observations simply establishes the series and passes.
 
 :data:`TOLERANCE` is the allowed fractional degradation: a throughput
-metric regresses when it drops below ``baseline / (1 + TOLERANCE)`` and
+metric regresses when it drops below ``baseline / (1 + tolerance)`` and
 a memory/wall-time metric when it rises above
-``baseline * (1 + TOLERANCE)``.  The benches record calibrated values
-(:mod:`repro.perf.report`), so one tolerance serves every suite; it is
-set from the spread of ten unmodified sessions on one host and flags a
-1.5x slowdown (EXPERIMENTS.md "One calibrated speed gate").
+``baseline * (1 + tolerance)``.  The benches record calibrated values
+(:mod:`repro.perf.report`), so one tolerance serves every suite of a
+history recorded on one host; it is set from the spread of seventeen
+unmodified sessions on one host and still flags a 1.5x slowdown
+(EXPERIMENTS.md "One calibrated speed gate").  A history whose baseline
+came from another host passes its own, looser ``tolerance``.
 """
 
 from __future__ import annotations
@@ -38,10 +40,12 @@ __all__ = [
 #: Prior records in a metric's rolling median.
 WINDOW = 5
 
-#: Allowed fractional degradation of a calibrated metric: the smallest
-#: 0.05 step over the worst factor (1.22x) of ten unmodified sessions on
-#: one host; a mutant that adds half as much work again reads >= 1.31x.
-TOLERANCE = 0.25
+#: Allowed fractional degradation of a calibrated metric on one host:
+#: the smallest 0.05 step over the worst factor (1.39x, a baseline row
+#: against the other four) of seventeen unmodified sessions and the
+#: baseline's own; a mutant that adds half as much work again reads
+#: 1.43-1.61x on its most sensitive row.
+TOLERANCE = 0.40
 
 
 def series_label(
@@ -95,6 +99,7 @@ class GateResult:
     findings: list[GateFinding] = field(default_factory=list)
     checked: int = 0  # gated (metric, series) pairs with a baseline
     established: int = 0  # series/metrics seen for the first time
+    tolerance: float = TOLERANCE
 
     @property
     def ok(self) -> bool:
@@ -104,7 +109,7 @@ class GateResult:
         lines = [
             f"perf gate: {self.checked} metric(s) checked against a rolling "
             f"median of <= {WINDOW} prior run(s), tolerance "
-            f"{TOLERANCE:.0%}, {self.established} newly established"
+            f"{self.tolerance:.0%}, {self.established} newly established"
         ]
         if self.findings:
             lines.append(f"REGRESSIONS ({len(self.findings)}):")
@@ -125,9 +130,16 @@ def _degradation(direction: str, value: float, baseline: float) -> float:
     return baseline / value if direction == "higher" else value / baseline
 
 
-def gate(history: PerfHistory, *, suites: list[str] | None = None) -> GateResult:
+def gate(
+    history: PerfHistory,
+    *,
+    tolerance: float = TOLERANCE,
+    suites: list[str] | None = None,
+) -> GateResult:
     """Gate the newest report of every series against its rolling baseline."""
-    result = GateResult()
+    if tolerance <= 0:
+        raise ConfigError(f"gate tolerance must be positive: {tolerance}")
+    result = GateResult(tolerance=tolerance)
     for key, series in history.series().items():
         if suites is not None and key[0] not in suites:
             continue
@@ -145,7 +157,7 @@ def gate(history: PerfHistory, *, suites: list[str] | None = None) -> GateResult
             result.checked += 1
             baseline = rolling_median(observed)
             factor = _degradation(direction, value, baseline)
-            if factor > 1.0 + TOLERANCE:
+            if factor > 1.0 + tolerance:
                 result.findings.append(
                     GateFinding(
                         series=series_label(*key),

@@ -208,6 +208,12 @@ def test_gate_tolerance_is_the_bar(tmp_path):
     ).ok
 
 
+def test_gate_validates_knobs(tmp_path):
+    history = _seeded_history(tmp_path, [1.0, 1.0])
+    with pytest.raises(ConfigError, match="tolerance"):
+        gate(history, tolerance=0.0)
+
+
 def test_gate_first_run_establishes_series(tmp_path):
     history = _seeded_history(tmp_path, [100.0])
     result = gate(history)
@@ -218,7 +224,7 @@ def test_gate_first_run_establishes_series(tmp_path):
 
 def test_gate_median_resists_one_outlier(tmp_path):
     # one historically absurd run must not move the bar: the median of
-    # [100, 100, 10_000] is 100, so a candidate at 90 stays within 25%
+    # [100, 100, 10_000] is 100, so a candidate at 90 stays within tolerance
     history = _seeded_history(tmp_path, [100.0, 100.0, 10_000.0, 90.0])
     assert gate(history).ok
 
