@@ -12,18 +12,15 @@ CI-size; set ``HIREP_BENCH_SCALE=paper`` for the paper's 1000-peer runs.
 Every suite also reports its headline numbers through the session-scoped
 ``perf`` fixture (:class:`PerfSink`), which stamps the
 :class:`repro.perf.PerfReport` envelope (schema version, scale) uniformly
-and writes one machine-readable artifact per run.  The gated suites time
+and writes the session's one artifact, ``BENCH_perf.json``: the file
+``hirep-obs gate`` checks against the committed baseline
+(``tests/data/perf_baseline``) and ``hirep-obs record`` appends to a
+history.  The gated suites time
 each piece with the ``timed`` fixture and record *calibrated* values:
 seconds divided by the host slowdown sampled around the piece by the e2e
 benchmark's calibration loop (``benchmarks/e2e/harness.host_slowdown``,
 a fixed pure-Python loop over its 5.6 ms reference), rates derived from
 those seconds, and the slowdowns beside them as ungated metrics.
-
-* ``BENCH_perf.json`` (``HIREP_BENCH_PERF_OUT``) — every report of the
-  session, the file ``hirep-obs record`` ingests;
-* when ``HIREP_PERF_HISTORY`` names a directory, the reports are also
-  appended straight into that history so ``hirep-obs gate`` can check
-  them against the rolling baseline.
 """
 
 from __future__ import annotations
@@ -37,22 +34,15 @@ from pathlib import Path
 import pytest
 
 from repro.obs.clock import WallClock
-from repro.perf.history import PerfHistory
-from repro.perf.report import PERF_SCHEMA, PerfReport, current_git_sha
+from repro.perf.report import PERF_SCHEMA, PerfReport
 
 sys.path.insert(0, str(Path(__file__).resolve().parent / "e2e"))
 from harness import host_slowdown  # noqa: E402  (benchmarks/e2e is no package)
 
 PAPER = os.environ.get("HIREP_BENCH_SCALE", "small") == "paper"
 
-#: Where the kernel-throughput records land (overridable for CI artifacts).
-KERNEL_BENCH_OUT = os.environ.get("HIREP_BENCH_KERNEL_OUT", "BENCH_kernel.json")
-
 #: Where the session's PerfReport envelope lands.
-PERF_BENCH_OUT = os.environ.get("HIREP_BENCH_PERF_OUT", "BENCH_perf.json")
-
-#: Optional append-only history root; CI sets this to feed ``hirep-obs gate``.
-PERF_HISTORY = os.environ.get("HIREP_PERF_HISTORY")
+PERF_BENCH_OUT = "BENCH_perf.json"
 
 
 @pytest.fixture(scope="session")
@@ -164,7 +154,7 @@ class PerfSink:
 
 @pytest.fixture(scope="session")
 def perf():
-    """Session perf sink; flushed to disk (and history) at exit."""
+    """Session perf sink; written to :data:`PERF_BENCH_OUT` at exit."""
     sink = PerfSink("paper" if PAPER else "small")
     yield sink
     if not sink.reports:
@@ -175,34 +165,23 @@ def perf():
         "reports": [report.to_dict() for report in sink.reports],
     }
     Path(PERF_BENCH_OUT).write_text(json.dumps(payload, indent=2) + "\n")
-    if PERF_HISTORY:
-        sha = current_git_sha()
-        history = PerfHistory(PERF_HISTORY)
-        for report in sink.reports:
-            if report.git_sha is None:
-                report.git_sha = sha
-            history.record(report)
 
 
 @pytest.fixture(scope="session")
 def kernel_records(perf):
-    """Collects per-(backend, N) throughput rows; written as JSON at exit.
+    """Collects per-(backend, N) throughput rows; recorded at exit.
 
     ``benchmarks/test_bench_kernel.py`` appends one dict per measured cell
-    (backend, network_size, tx/sec, msgs/sec, ...).  At session end the
-    rows — plus array-over-object speedups (both ``tx_per_sec`` and
-    ``msgs_per_sec``) for every network size both backends covered — are
-    written to :data:`KERNEL_BENCH_OUT` so CI can upload a
-    machine-readable artifact alongside pytest-benchmark's own output.
-    Each row is also recorded through the :class:`PerfSink` (suite
-    ``kernel``; the speedups as suite ``kernel-speedup``) so the kernel
-    numbers land in the gated perf history too.
+    (backend, network_size, tx/sec, msgs/sec, ...).  At session end each
+    row is recorded through the :class:`PerfSink` as suite ``kernel``, and
+    the array-over-object speedups (``tx_per_sec`` and ``msgs_per_sec``)
+    for every network size both backends covered as suite
+    ``kernel-speedup``.
     """
     records: list[dict] = []
     yield records
-    if not records:
-        return
     cell = ("backend", "network_size", "transactions", "opts")
+    by_size: dict[int, dict[str, dict]] = {}
     for row in records:
         perf.record(
             "kernel",
@@ -212,35 +191,18 @@ def kernel_records(perf):
             transactions=row.get("transactions"),
             **row.get("opts", {}),
         )
-    by_size: dict[int, dict[str, dict]] = {}
-    for row in records:
         by_size.setdefault(row["network_size"], {})[row["backend"]] = row
-    speedups: dict[str, dict[str, float]] = {
-        "tx_per_sec": {},
-        "msgs_per_sec": {},
-    }
     for size, backends in sorted(by_size.items()):
         if "hirep" not in backends or "hirep-array" not in backends:
             continue
-        for metric in speedups:
+        speedups = {}
+        for metric in ("tx_per_sec", "msgs_per_sec"):
             base = backends["hirep"].get(metric)
             fast = backends["hirep-array"].get(metric)
             if base and fast and math.isfinite(base) and math.isfinite(fast):
-                speedups[metric][str(size)] = fast / base
-        cell = {
-            f"speedup_{metric}": values[str(size)]
-            for metric, values in speedups.items()
-            if str(size) in values
-        }
-        if cell:
-            perf.record("kernel-speedup", cell, network_size=size)
-    payload = {
-        "scale": "paper" if PAPER else "small",
-        "results": records,
-        "speedup_tx_per_sec": speedups["tx_per_sec"],
-        "speedup_msgs_per_sec": speedups["msgs_per_sec"],
-    }
-    Path(KERNEL_BENCH_OUT).write_text(json.dumps(payload, indent=2) + "\n")
+                speedups[f"speedup_{metric}"] = fast / base
+        if speedups:
+            perf.record("kernel-speedup", speedups, network_size=size)
 
 
 @pytest.fixture

@@ -3,10 +3,10 @@
 Measures steady-state transaction throughput (bootstrap excluded from the
 timed span) for both registry backends at matched network sizes, plus an
 array-only large-N smoke using the seeded bootstrap and an array-only cell
-under churn (the legs that walk onion snapshots).  Every cell appends a
-machine-readable row to the session's ``BENCH_kernel.json`` (see
-``kernel_records`` in conftest) — the artifact CI uploads and the scaling
-docs quote.
+under churn (the legs that walk onion snapshots).  Every cell records a
+``kernel`` report in the session's ``BENCH_perf.json`` (see
+``kernel_records`` in conftest) — the artifact CI gates and uploads and
+the scaling docs quote.
 
 Each cell is measured :data:`REPEATS` times, each time on a fresh system,
 and each piece (build, bootstrap, run) keeps its fastest time.  Every

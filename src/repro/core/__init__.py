@@ -31,8 +31,6 @@ from repro.core.services import (
 from repro.core.expertise import ExpertiseTracker, consistent
 from repro.core.messages import (
     AgentListEntry,
-    AgentListReply,
-    AgentListRequest,
     SignedResult,
     TransactionReport,
     TrustRequestBody,
@@ -63,8 +61,6 @@ __all__ = [
     "ExpertiseTracker",
     "consistent",
     "AgentListEntry",
-    "AgentListReply",
-    "AgentListRequest",
     "SignedResult",
     "TransactionReport",
     "TrustRequestBody",

@@ -10,9 +10,10 @@ Message shapes follow the paper exactly:
 * transaction report   — ``(SR_p(result, nonce), nodeID_p)``: the outcome
   signed with the reporter's private signature key, located in the agent's
   public-key list by nodeID;
-* agent-list request   — ``{R_al, token, TTL}`` (Fig. 4);
-* agent-list reply     — the responder's trusted-agent list (or its own
-  nodeID when it has none).
+* agent-list entry     — one row of a trusted-agent list,
+  ``{weight, nodeID, Onion, SP}`` (§3.4.1); discovery hands lists of them
+  between peers in process and bills the flood's messages by count, so no
+  agent-list message is framed.
 
 The dataclasses carry *sealed/signed* fields as opaque values produced by a
 cipher backend; nothing here depends on which backend sealed them.
@@ -20,7 +21,7 @@ cipher backend; nothing here depends on which backend sealed them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from repro.crypto.backend import PublicKey
@@ -35,8 +36,6 @@ __all__ = [
     "SignedResult",
     "TransactionReport",
     "AgentListEntry",
-    "AgentListRequest",
-    "AgentListReply",
     "KeyUpdateAnnouncement",
 ]
 
@@ -140,22 +139,3 @@ class AgentListEntry:
     agent_ip: int = -1
     """Transport hint used by the simulation to address the agent; real
     deployments reach agents through their onions only."""
-
-
-@dataclass
-class AgentListRequest:
-    """``{R_al, token, TTL}``; tokens are consumed by repliers (Fig. 4)."""
-
-    requestor_ip: int
-    tokens: int
-    ttl: int
-    request_id: int = 0
-
-
-@dataclass(frozen=True)
-class AgentListReply:
-    """A responder's list, or its own identity when it has no list yet."""
-
-    responder_ip: int
-    entries: tuple[AgentListEntry, ...] = field(default_factory=tuple)
-    self_entry: AgentListEntry | None = None

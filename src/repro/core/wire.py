@@ -50,9 +50,6 @@ from types import UnionType
 from typing import Any, Callable, NamedTuple, Union, get_args, get_origin, get_type_hints
 
 from repro.core.messages import (
-    AgentListEntry,
-    AgentListReply,
-    AgentListRequest,
     KeyUpdateAnnouncement,
     SignedResult,
     TransactionReport,
@@ -254,20 +251,6 @@ _REPORT_BYTES = (
 _KEY_UPDATE_BYTES = (
     _field(_NODE_ID_BYTES) + _field(_PUBLIC_KEY_BYTES) + _field(_SIGNATURE_BYTES)
 )
-_ENTRY_BYTES = (
-    _field(_VALUE_BYTES) + _field(_NODE_ID_BYTES) + _field(_PUBLIC_KEY_BYTES) + _IP_BYTES
-)
-
-
-def _entry_size(entry: AgentListEntry) -> int:
-    return _ENTRY_BYTES + onion_size(entry.agent_onion)
-
-
-def _reply_size(reply: AgentListReply) -> int:
-    size = _field(_IP_BYTES) + sum(_entry_size(entry) for entry in reply.entries)
-    if reply.self_entry is not None:
-        size += _entry_size(reply.self_entry)
-    return size
 
 
 #: Every composite type the codec understands, in tag order (tag is
@@ -290,9 +273,6 @@ _WIRE_CLASSES: dict[type, Callable[[Any], int] | None] = {
     SignedResult: None,
     TransactionReport: lambda m: _REPORT_BYTES,
     KeyUpdateAnnouncement: lambda m: _KEY_UPDATE_BYTES,
-    AgentListEntry: _entry_size,
-    AgentListRequest: None,
-    AgentListReply: _reply_size,
 }
 #: The positions a relay forwards unopened (§3.3): sent length-prefixed,
 #: decoded to a :class:`WireSlice`.
@@ -377,11 +357,12 @@ _U8 = struct.Struct(">B")
 _U16 = struct.Struct(">H")
 _F64 = struct.Struct(">d")
 _U16_MAX = 0xFFFF
-#: Composite levels in the deepest legal message (AgentListReply ▸ tuple ▸
-#: AgentListEntry ▸ Onion ▸ Envelope ▸ OnionLayer; opaque positions end
-#: the descent).  Twice that is refused.
-_DEEPEST_LEGAL = 6
-_MAX_NESTING = 2 * _DEEPEST_LEGAL
+#: Composite levels in the deepest legal message (TrustValueRequest ▸
+#: Onion ▸ Envelope ▸ OnionLayer; opaque positions end the descent).
+_DEEPEST_LEGAL = 4
+#: Composite levels past which hostile input is refused: three times the
+#: deepest legal message.
+_MAX_NESTING = 12
 
 _new_object = object.__new__
 _Encoder = Callable[[Any, bytearray], None]

@@ -9,7 +9,7 @@ Usage::
     hirep-obs flame     BUNDLE --top 20 --collapsed out/flame.txt
     hirep-obs record    BENCH_perf.json --history .perf-history
     hirep-obs trend     --history .perf-history --suite kernel
-    hirep-obs gate      --history .perf-history --exit-code
+    hirep-obs gate      BENCH_perf.json --history tests/data/perf_baseline
 
 ``BUNDLE`` is a bundle directory — either one written directly with
 :func:`repro.obs.bundle.write_bundle` or a content-addressed directory an
@@ -26,10 +26,12 @@ report files (one :class:`~repro.perf.report.PerfReport` object, a list,
 or an envelope with a ``"reports"`` list — the shape
 ``benchmarks/conftest.py`` writes, and what ``record`` ingests).
 ``flame`` renders a bundle's ``profile.json`` (:mod:`repro.obs.prof`).
-``gate`` checks the newest report of every series (suite, backend, N,
-options, scale) against the rolling median of prior runs.  ``diff`` and ``gate`` always
-print their findings and exit non-zero only under ``--exit-code``.  An
-input file that is not JSON, or not the record it should be, prints one
+``gate`` checks each report of a session's report files against the
+rolling median of its series (suite, backend, N, options, scale) in a
+baseline history, names every baseline series of a gated suite that the
+session lacks, and exits 1 on any finding.  ``diff`` always prints its
+findings and exits non-zero only under ``--exit-code``.  An input file
+that is missing, not JSON, or not the record it should be, prints one
 ``hirep-obs: ...`` line and exits 2.
 
 Everything prints deterministically: categories, names, and metric keys
@@ -183,6 +185,8 @@ def cmd_timeline(args: argparse.Namespace) -> int:
 def _read_json(path: Path) -> Any:
     try:
         return json.loads(path.read_text())
+    except OSError as exc:
+        raise ConfigError(f"{path}: {exc.strerror}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: not JSON ({exc})") from None
 
@@ -252,12 +256,15 @@ def cmd_trend(args: argparse.Namespace) -> int:
 
 
 def cmd_gate(args: argparse.Namespace) -> int:
-    history = PerfHistory(args.history)
-    result = gate(history, tolerance=args.tolerance, suites=args.suite or None)
+    session = [r for file in args.session for r in _load_report_objs(Path(file))]
+    result = gate(
+        session,
+        PerfHistory(args.history),
+        tolerance=args.tolerance,
+        suites=args.suite or None,
+    )
     print(result.render())
-    if result.ok:
-        return 0
-    return 1 if args.exit_code else 0
+    return 0 if result.ok else 1
 
 
 # -- diff --------------------------------------------------------------------
@@ -509,20 +516,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_tr.add_argument("--last", type=int, default=8, help="series tail length")
     p_tr.set_defaults(func=cmd_trend)
 
-    p_gate = sub.add_parser("gate", help="flag perf regressions vs rolling baseline")
-    p_gate.add_argument("--history", required=True)
+    p_gate = sub.add_parser("gate", help="check a perf session against a baseline history")
+    p_gate.add_argument("session", nargs="+", help="the session's report file(s)")
+    p_gate.add_argument("--history", required=True, help="baseline history root")
     p_gate.add_argument(
         "--tolerance",
         type=float,
         default=TOLERANCE,
         help="allowed fractional degradation (default %(default)s: one host)",
     )
-    p_gate.add_argument("--suite", action="append", default=[], help="gate only these")
-    p_gate.add_argument(
-        "--exit-code",
-        action="store_true",
-        help="exit 1 on any regression (for CI)",
-    )
+    p_gate.add_argument("--suite", action="append", default=[], help="default: the session's")
     p_gate.set_defaults(func=cmd_gate)
 
     return parser

@@ -8,9 +8,10 @@ Where :mod:`repro.obs` observes a single run from the inside,
 * :class:`PerfHistory` — an append-only on-disk JSONL store, one line
   per recorded report, grouped into series by suite, backend, N,
   options and scale;
-* :func:`gate` — regression detection against a rolling baseline, with
-  direction-aware metric semantics (throughput up is good, memory and
-  wall-time up are bad), over calibrated values.
+* :func:`gate` — regression detection of one session's reports against
+  the rolling median of a baseline history, with direction-aware metric
+  semantics (throughput up is good, memory and wall-time up are bad),
+  over calibrated values; a baseline series the session lacks fails.
 
 A library only, below :mod:`repro.obs` in the layering: its command line
 is ``hirep-obs`` (``record`` / ``trend`` / ``diff`` / ``gate``).

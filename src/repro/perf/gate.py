@@ -1,22 +1,26 @@
-"""Perf-regression gating against a rolling baseline.
+"""Perf-regression gating of one session against a committed baseline.
 
-For every series in a history (one per :meth:`PerfReport.key`: suite,
-backend, N, options and scale), the most recent report is the
-*candidate* and the rolling baseline for each metric is the **median**
-of up to :data:`WINDOW` prior records — the median, not the mean, so one
-historical outlier cannot move the bar.  Only direction-bearing metrics
-are gated (:func:`~repro.perf.report.metric_direction`); a metric with no
-prior observations simply establishes the series and passes.
+A *session* is the reports one benchmark run wrote (``BENCH_perf.json``);
+the *baseline* is a :class:`~repro.perf.history.PerfHistory`.  Each
+session report is checked against its series in the baseline (one per
+:meth:`PerfReport.key`: suite, backend, N, options and scale): the bar
+for each metric is the **median** of the series' last :data:`WINDOW`
+rows — the median, not the mean, so one outlier row cannot move it.
+Only direction-bearing metrics are gated
+(:func:`~repro.perf.report.metric_direction`).  A series only the
+session has establishes itself and passes; a baseline series of a gated
+suite that the session did not record is a finding, so a bench that
+stops recording cannot leave its rows ungated.
 
 :data:`TOLERANCE` is the allowed fractional degradation: a throughput
 metric regresses when it drops below ``baseline / (1 + tolerance)`` and
 a memory/wall-time metric when it rises above
 ``baseline * (1 + tolerance)``.  The benches record calibrated values
 (:mod:`repro.perf.report`), so one tolerance serves every suite of a
-history recorded on one host; it is set from the spread of seventeen
+baseline recorded on one host; it is set from the spread of seventeen
 unmodified sessions on one host and still flags a 1.5x slowdown
-(EXPERIMENTS.md "One calibrated speed gate").  A history whose baseline
-came from another host passes its own, looser ``tolerance``.
+(EXPERIMENTS.md "One calibrated speed gate").  A session on another
+host passes its own, looser ``tolerance``.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ __all__ = [
     "series_label",
 ]
 
-#: Prior records in a metric's rolling median.
+#: Baseline rows in a metric's rolling median.
 WINDOW = 5
 
 #: Allowed fractional degradation of a calibrated metric on one host:
@@ -94,27 +98,33 @@ class GateFinding:
 
 @dataclass
 class GateResult:
-    """Outcome of one gate pass over a history."""
+    """Outcome of gating one session against a baseline."""
 
     findings: list[GateFinding] = field(default_factory=list)
+    #: :func:`series_label` of each baseline series of a gated suite
+    #: that the session did not record
+    missing: list[str] = field(default_factory=list)
     checked: int = 0  # gated (metric, series) pairs with a baseline
     established: int = 0  # series/metrics seen for the first time
     tolerance: float = TOLERANCE
 
     @property
     def ok(self) -> bool:
-        return not self.findings
+        return not self.findings and not self.missing
 
     def render(self) -> str:
         lines = [
             f"perf gate: {self.checked} metric(s) checked against a rolling "
-            f"median of <= {WINDOW} prior run(s), tolerance "
+            f"median of <= {WINDOW} baseline run(s), tolerance "
             f"{self.tolerance:.0%}, {self.established} newly established"
         ]
+        if self.missing:
+            lines.append(f"MISSING FROM SESSION ({len(self.missing)}):")
+            lines += [f"  {label}" for label in self.missing]
         if self.findings:
             lines.append(f"REGRESSIONS ({len(self.findings)}):")
             lines += [f"  {f.render()}" for f in self.findings]
-        else:
+        elif not self.missing:
             lines.append("no regressions")
         return "\n".join(lines)
 
@@ -131,32 +141,41 @@ def _degradation(direction: str, value: float, baseline: float) -> float:
 
 
 def gate(
-    history: PerfHistory,
+    session: list[PerfReport],
+    baseline: PerfHistory,
     *,
     tolerance: float = TOLERANCE,
     suites: list[str] | None = None,
 ) -> GateResult:
-    """Gate the newest report of every series against its rolling baseline."""
+    """Gate each session report against the rolling median of its series
+    in ``baseline``.  The gated suites are ``suites``, or every suite the
+    session recorded."""
     if tolerance <= 0:
         raise ConfigError(f"gate tolerance must be positive: {tolerance}")
+    candidates: dict[tuple, PerfReport] = {}
+    for report in session:
+        if report.key() in candidates:
+            raise ConfigError(f"two session reports for {series_label(*report.key())}")
+        candidates[report.key()] = report
+    gated = set(suites) if suites is not None else {key[0] for key in candidates}
+    history = {key: rows for key, rows in baseline.series().items() if key[0] in gated}
     result = GateResult(tolerance=tolerance)
-    for key, series in history.series().items():
-        if suites is not None and key[0] not in suites:
+    result.missing = [series_label(*key) for key in history if key not in candidates]
+    for key, candidate in sorted(candidates.items()):
+        if key[0] not in gated:
             continue
-        *prior, candidate = series
+        prior = history.get(key, [])[-WINDOW:]
         for metric, value in sorted(candidate.metrics.items()):
             direction = metric_direction(metric)
             if direction is None:
                 continue
-            observed = [
-                r.metrics[metric] for r in prior[-WINDOW:] if metric in r.metrics
-            ]
+            observed = [r.metrics[metric] for r in prior if metric in r.metrics]
             if not observed:
                 result.established += 1
                 continue
             result.checked += 1
-            baseline = rolling_median(observed)
-            factor = _degradation(direction, value, baseline)
+            baseline_value = rolling_median(observed)
+            factor = _degradation(direction, value, baseline_value)
             if factor > 1.0 + tolerance:
                 result.findings.append(
                     GateFinding(
@@ -164,7 +183,7 @@ def gate(
                         metric=metric,
                         direction=direction,
                         value=value,
-                        baseline=baseline,
+                        baseline=baseline_value,
                         factor=factor,
                         samples=len(observed),
                     )

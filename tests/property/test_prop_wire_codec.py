@@ -14,9 +14,6 @@ from hypothesis import strategies as st
 
 from repro.core.agent import ReputationAgent
 from repro.core.messages import (
-    AgentListEntry,
-    AgentListReply,
-    AgentListRequest,
     KeyUpdateAnnouncement,
     TrustRequestBody,
     TrustResponseBody,
@@ -60,54 +57,6 @@ def test_response_body_round_trips(subject, trust, nonce):
     )
 
 
-@given(
-    requestor_ip=st.integers(min_value=0, max_value=2**31 - 1),
-    tokens=st.integers(min_value=0, max_value=255),
-    ttl=st.integers(min_value=0, max_value=255),
-    request_id=nonces,
-)
-@settings(max_examples=80)
-def test_agent_list_request_round_trips(requestor_ip, tokens, ttl, request_id):
-    message = AgentListRequest(
-        requestor_ip=requestor_ip, tokens=tokens, ttl=ttl, request_id=request_id
-    )
-    assert decode(encode(message)) == message
-
-
-@given(
-    relays=st.integers(min_value=0, max_value=6),
-    weights=st.lists(
-        st.floats(min_value=0.0, max_value=1.0), min_size=0, max_size=6
-    ),
-    responder_ip=st.integers(min_value=0, max_value=100),
-)
-@settings(max_examples=40)
-def test_agent_list_reply_round_trips_and_sizes(relays, weights, responder_ip):
-    relay_keys = [(i + 1, KEYS[i + 1].ap) for i in range(relays)]
-    onion = build_onion(
-        BACKEND, KEYS[0].ap, KEYS[0].sr, 0, relay_keys, seq=relays
-    )
-    entries = tuple(
-        AgentListEntry(
-            weight=w,
-            agent_node_id=KEYS[i % len(KEYS)].node_id,
-            agent_onion=onion,
-            agent_sp=KEYS[i % len(KEYS)].sp,
-            agent_ip=i,
-        )
-        for i, w in enumerate(weights)
-    )
-    reply = AgentListReply(responder_ip=responder_ip, entries=entries)
-    frame = encode(reply)
-    assert decode(frame) == reply
-    # The frame is padded up to the §4 size model; equality holds whenever
-    # the model dominates the structural minimum (every realistic reply —
-    # a degenerate entries=() reply has a 6-byte model, below the minimum).
-    assert len(frame) >= wire_size(reply) + FRAME_OVERHEAD
-    if entries:
-        assert len(frame) == wire_size(reply) + FRAME_OVERHEAD
-
-
 def onion_of(owner: int, relays: int, seq: int = 1):
     """An onion to KEYS[owner] through relays owner+1 … owner+relays."""
     relay_keys = [(owner + i, KEYS[owner + i].ap) for i in range(1, relays + 1)]
@@ -119,13 +68,6 @@ def onion_of(owner: int, relays: int, seq: int = 1):
 def message_shapes(nonce: int, relays: int) -> list:
     """Every protocol message shape that can ride an onion."""
     onion = onion_of(0, relays, seq=nonce % 1000)
-    entry = AgentListEntry(
-        weight=0.5,
-        agent_node_id=KEYS[2].node_id,
-        agent_onion=onion,
-        agent_sp=KEYS[2].sp,
-        agent_ip=2,
-    )
     return [
         TrustValueRequest(
             sealed_body=BACKEND.encrypt(
@@ -150,8 +92,6 @@ def message_shapes(nonce: int, relays: int) -> list:
             new_sp=KEYS[1].sp,
             signature=BACKEND.sign(KEYS[0].sr, "rotate"),
         ),
-        AgentListRequest(requestor_ip=3, tokens=2, ttl=4, request_id=nonce),
-        AgentListReply(responder_ip=1, entries=(entry, entry), self_entry=entry),
         TrustRequestBody(subject=KEYS[2].node_id, nonce=nonce),
     ]
 

@@ -4,8 +4,6 @@ import pytest
 
 from repro.core.agent import ReputationAgent
 from repro.core.messages import (
-    AgentListEntry,
-    AgentListReply,
     KeyUpdateAnnouncement,
     TrustRequestBody,
     TrustValueRequest,
@@ -82,24 +80,6 @@ def test_key_update_size(setup):
         signature=backend.sign(keys[0].sr, "x"),
     )
     assert 100 < wire_size(ann) < 300
-
-
-def test_agent_list_reply_scales_with_entries(setup):
-    backend, keys = setup
-    onion = make_onion(backend, keys, 2)
-
-    def entry(i):
-        return AgentListEntry(
-            weight=1.0,
-            agent_node_id=keys[i].node_id,
-            agent_onion=onion,
-            agent_sp=keys[i].sp,
-            agent_ip=i,
-        )
-
-    small = AgentListReply(responder_ip=1, entries=(entry(1),))
-    big = AgentListReply(responder_ip=1, entries=tuple(entry(i) for i in range(1, 9)))
-    assert wire_size(big) > 4 * wire_size(small)
 
 
 def test_onion_packet_includes_inner_message(setup):

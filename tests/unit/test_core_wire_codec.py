@@ -4,9 +4,6 @@ import pytest
 
 from repro.core.agent import ReputationAgent
 from repro.core.messages import (
-    AgentListEntry,
-    AgentListReply,
-    AgentListRequest,
     KeyUpdateAnnouncement,
     TransactionReport,
     TrustRequestBody,
@@ -67,13 +64,6 @@ def all_messages(backend, keys):
         agent_sp=keys[6].sp,
         agent_onion=onion,
     )
-    entry = AgentListEntry(
-        weight=0.5,
-        agent_node_id=keys[6].node_id,
-        agent_onion=onion,
-        agent_sp=keys[6].sp,
-        agent_ip=6,
-    )
     return [
         TrustRequestBody(subject=keys[5].node_id, nonce=2**63),
         request,
@@ -84,16 +74,6 @@ def all_messages(backend, keys):
             new_sp=keys[1].sp,
             signature=backend.sign(keys[0].sr, "x"),
         ),
-        entry,
-        AgentListEntry(
-            weight=1.0,
-            agent_node_id=keys[3].node_id,
-            agent_onion=None,
-            agent_sp=keys[3].sp,
-        ),
-        AgentListRequest(requestor_ip=4, tokens=3, ttl=2, request_id=17),
-        AgentListReply(responder_ip=1, entries=(entry, entry)),
-        AgentListReply(responder_ip=2, self_entry=entry),
         OnionPacket(blob=onion.blob, message=request, category="c", sent_at=1.5),
     ]
 
@@ -206,10 +186,10 @@ def test_decode_rejects_a_tag_that_cannot_fill_a_typed_field():
     assert decode(frame_of(b"\x21\x09\x01k\x00")).payload is None
 
 
-def test_nesting_cap_is_twice_the_deepest_legal_message(setup, monkeypatch):
+def test_nesting_cap_is_three_times_the_deepest_legal_message(setup, monkeypatch):
     backend, keys = setup
     frames = [encode(m) for m in all_messages(backend, keys)]
-    assert wire._MAX_NESTING == 2 * wire._DEEPEST_LEGAL
+    assert wire._MAX_NESTING == 3 * wire._DEEPEST_LEGAL
     monkeypatch.setattr(wire, "_MAX_NESTING", wire._DEEPEST_LEGAL)
     for frame in frames:
         decode(frame)

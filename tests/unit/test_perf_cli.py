@@ -1,8 +1,9 @@
 """hirep-obs on perf records: record/trend/diff/gate/flame, exit codes.
 
-``diff`` and ``gate`` always print their findings, but a non-zero exit
-needs ``--exit-code`` — so interactive use never fails a shell and CI
-opts in explicitly.
+``diff`` always prints its findings, but a non-zero exit needs
+``--exit-code`` — so interactive use never fails a shell.  ``gate``
+checks a session's report files against a baseline history and exits 1
+on any finding.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from repro.perf.report import PerfReport
 GOLDEN_CAMPAIGN = (
     Path(__file__).resolve().parents[1] / "data" / "mini_campaign_golden.json"
 )
+BASELINE = Path(__file__).resolve().parents[1] / "data" / "perf_baseline"
 
 
 def write_report_file(path: Path, *reports: PerfReport) -> Path:
@@ -128,37 +130,73 @@ def test_diff_reads_history_dirs(tmp_path, capsys):
 # ---------------------------------------------------------------- gate
 
 
-def test_gate_cli_clean_history(tmp_path, capsys):
+def _gate_args(tmp_path, baseline: list[float], session: float) -> list[str]:
     history = PerfHistory(tmp_path / "h")
-    for value in (100.0, 101.0, 99.0):
+    for value in baseline:
         history.record(report(value))
-    code = main(["gate", "--history", str(tmp_path / "h"), "--exit-code"])
-    assert code == 0
+    file = write_report_file(tmp_path / "BENCH_perf.json", report(session))
+    return ["gate", str(file), "--history", str(history.root)]
+
+
+def test_gate_cli_clean_history(tmp_path, capsys):
+    assert main(_gate_args(tmp_path, [100.0, 101.0], 99.0)) == 0
     assert "no regressions" in capsys.readouterr().out
 
 
 def test_gate_cli_flags_2x_regression(tmp_path, capsys):
-    history = PerfHistory(tmp_path / "h")
-    for value in (1000.0, 1005.0, 995.0, 500.0):
-        history.record(report(value))
-    # without --exit-code: report, exit 0 (the diff semantics)
-    assert main(["gate", "--history", str(tmp_path / "h")]) == 0
+    # a finding exits 1: there is no flag to opt in
+    assert main(_gate_args(tmp_path, [1000.0, 1005.0, 995.0], 500.0)) == 1
     assert "REGRESSIONS" in capsys.readouterr().out
-    assert main(["gate", "--history", str(tmp_path / "h"), "--exit-code"]) == 1
+
+
+def test_gate_cli_has_no_exit_code_flag(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main([*_gate_args(tmp_path, [100.0], 100.0), "--exit-code"])
+    assert exc.value.code == 2
+
+
+def test_gate_cli_refuses_a_duplicated_session_key(tmp_path, capsys):
+    args = _gate_args(tmp_path, [100.0], 100.0)
+    write_report_file(tmp_path / "BENCH_perf.json", report(100.0), report(90.0))
+    assert main(args) == 2
+    assert "two session reports" in capsys.readouterr().err
+
+
+def test_gate_cli_missing_session_file_exits_2(tmp_path, capsys):
+    PerfHistory(tmp_path / "h").record(report(100.0))
+    missing = str(tmp_path / "BENCH_perf.json")
+    assert main(["gate", missing, "--history", str(tmp_path / "h")]) == 2
+    assert capsys.readouterr().err.startswith(f"hirep-obs: {missing}: ")
 
 
 def test_gate_cli_tolerance_and_suite_filters(tmp_path):
     for name, candidate in (("in", 1.01), ("out", 0.99)):
-        history = PerfHistory(tmp_path / name)
-        for value in (100.0, 100.0, 100.0 / (1.0 + TOLERANCE) * candidate):
-            history.record(report(value))
-    args = ["gate", "--exit-code", "--history"]
-    assert main([*args, str(tmp_path / "in")]) == 0
-    assert main([*args, str(tmp_path / "out")]) == 1
-    assert main([*args, str(tmp_path / "out"), "--suite", "serve"]) == 0
-    # a baseline from another host is gated at a looser bar of its own
-    assert main([*args, str(tmp_path / "out"), "--tolerance", "4.0"]) == 0
-    assert main([*args, str(tmp_path / "in"), "--tolerance", "0.1"]) == 1
+        (tmp_path / name).mkdir()
+        args = _gate_args(tmp_path / name, [100.0, 100.0], 100.0 / (1.0 + TOLERANCE) * candidate)
+        assert main(args) == (0 if name == "in" else 1)
+        assert main([*args, "--suite", "serve"]) == 0
+        # a session from another host is gated at a looser bar of its own
+        assert main([*args, "--tolerance", "4.0"]) == 0
+        assert main([*args, "--tolerance", "0.1"]) == 1
+
+
+def test_gate_cli_committed_baseline_passes_its_newest_rows(tmp_path, capsys):
+    """CI's contract, offline: a session of the committed baseline's
+    newest row of every series passes it, with no suite named; without
+    the serve-load row, gated on serve-load (as a serve bench that stopped
+    recording would leave it), it fails and names the series."""
+    baseline = PerfHistory(BASELINE)
+    assert len(baseline.suites()) == 7
+    newest = [rows[-1] for rows in baseline.series().values()]
+    full = write_report_file(tmp_path / "full.json", *newest)
+    assert main(["gate", str(full), "--history", str(BASELINE)]) == 0
+    assert "43 metric(s) checked" in capsys.readouterr().out  # all 13 series
+    lacking = write_report_file(
+        tmp_path / "lacking.json", *(r for r in newest if r.suite != "serve-load")
+    )
+    assert main(["gate", str(lacking), "--history", str(BASELINE), "--suite", "serve-load"]) == 1
+    out = capsys.readouterr().out
+    assert "MISSING FROM SESSION (1):\n  serve-load N=32 concurrency=4 (small)" in out
 
 
 # ---------------------------------------------------------------- flame

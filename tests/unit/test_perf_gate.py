@@ -1,8 +1,9 @@
 """repro.perf: report schema, history store, rolling-baseline gate.
 
-The acceptance contract for the perf observatory: an injected 2x
-throughput collapse and a 2x memory blow-up in a synthetic history must
-both be flagged by ``gate()``, while a clean (within-noise) history
+The acceptance contract for the perf observatory: a session with an
+injected 2x throughput collapse or a 2x memory blow-up against a
+synthetic baseline must be flagged by ``gate()``, and so must a session
+that lacks a baseline series, while a clean (within-noise) session
 passes.
 """
 
@@ -104,22 +105,19 @@ def test_cells_that_differ_in_options_or_scale_are_separate_series(tmp_path):
     history = PerfHistory(tmp_path)
     smoke = {"bootstrap_mode": "seeded"}
     churn = {"bootstrap_mode": "seeded", "churn": "ChurnModel(0.01, 0.2)"}
-    for _ in range(3):
-        for opts, tx_per_sec in ((smoke, 10_000.0), (churn, 4_700.0)):
-            history.record(
-                PerfReport(
-                    suite="kernel", metrics={"tx_per_sec": tx_per_sec},
-                    backend="hirep-array", network_size=20_000, opts=opts, scale="small",
-                )
-            )
-    history.record(
-        PerfReport(
-            suite="kernel", metrics={"tx_per_sec": 4_700.0}, backend="hirep-array",
-            network_size=20_000, opts=smoke, scale="paper",
+
+    def cell(opts, tx_per_sec, scale="small"):
+        return PerfReport(
+            suite="kernel", metrics={"tx_per_sec": tx_per_sec},
+            backend="hirep-array", network_size=20_000, opts=opts, scale=scale,
         )
-    )
-    assert len(history.series()) == 3
-    result = gate(history)
+
+    for _ in range(3):
+        history.record(cell(smoke, 10_000.0))
+        history.record(cell(churn, 4_700.0))
+    assert len(history.series()) == 2
+    session = [cell(smoke, 10_000.0), cell(churn, 4_700.0), cell(smoke, 4_700.0, "paper")]
+    result = gate(session, history)
     assert result.ok, result.render()
     assert result.checked == 2 and result.established == 1
 
@@ -155,7 +153,6 @@ def test_latest_by_key_takes_newest():
 
 # ---------------------------------------------------------------- gate
 
-
 def _seeded_history(tmp_path, values: list[float], metric: str = "tx_per_sec"):
     history = PerfHistory(tmp_path)
     for value in values:
@@ -163,19 +160,22 @@ def _seeded_history(tmp_path, values: list[float], metric: str = "tx_per_sec"):
     return history
 
 
+def _gate(tmp_path, values: list[float], metric: str = "tx_per_sec", **kwargs):
+    """Gate a one-report session holding ``values[-1]`` against a
+    baseline of the values before it."""
+    history = _seeded_history(tmp_path, values[:-1], metric)
+    return gate([report(**{metric: values[-1]})], history, **kwargs)
+
+
 def test_gate_clean_history_passes(tmp_path):
-    history = _seeded_history(tmp_path, [100.0, 102.0, 98.0, 101.0, 99.0])
-    result = gate(history)
+    result = _gate(tmp_path, [100.0, 102.0, 98.0, 101.0, 99.0])
     assert result.ok
     assert result.checked == 1
-    assert result.findings == []
+    assert result.findings == [] and result.missing == []
 
 
 def test_gate_flags_2x_throughput_regression(tmp_path):
-    history = _seeded_history(
-        tmp_path, [1000.0, 1010.0, 990.0, 1005.0, 995.0, 500.0]
-    )
-    result = gate(history)
+    result = _gate(tmp_path, [1000.0, 1010.0, 990.0, 1005.0, 995.0, 500.0])
     assert not result.ok
     (finding,) = result.findings
     assert finding.metric == "tx_per_sec"
@@ -185,10 +185,7 @@ def test_gate_flags_2x_throughput_regression(tmp_path):
 
 
 def test_gate_flags_2x_memory_regression(tmp_path):
-    history = _seeded_history(
-        tmp_path, [1000.0, 980.0, 1020.0, 2000.0], metric="rss_peak_kb"
-    )
-    result = gate(history)
+    result = _gate(tmp_path, [1000.0, 980.0, 1020.0, 2000.0], metric="rss_peak_kb")
     assert not result.ok
     (finding,) = result.findings
     assert finding.metric == "rss_peak_kb"
@@ -200,65 +197,81 @@ def test_gate_tolerance_is_the_bar(tmp_path):
     # just inside the tolerance passes, just outside it is flagged
     inside = 100.0 / (1.0 + TOLERANCE) * 1.01
     outside = 100.0 / (1.0 + TOLERANCE) * 0.99
-    assert gate(_seeded_history(tmp_path / "in", [100.0, 100.0, 100.0, inside])).ok
-    assert not gate(_seeded_history(tmp_path / "out", [100.0, 100.0, 100.0, outside])).ok
-    assert gate(_seeded_history(tmp_path / "s_in", [1.0, 1.0, 1.0 + TOLERANCE * 0.99], "run_s")).ok
-    assert not gate(
-        _seeded_history(tmp_path / "s_out", [1.0, 1.0, 1.0 + TOLERANCE * 1.01], "run_s")
-    ).ok
+    assert _gate(tmp_path / "in", [100.0, 100.0, 100.0, inside]).ok
+    assert not _gate(tmp_path / "out", [100.0, 100.0, 100.0, outside]).ok
+    assert _gate(tmp_path / "s_in", [1.0, 1.0, 1.0 + TOLERANCE * 0.99], "run_s").ok
+    assert not _gate(tmp_path / "s_out", [1.0, 1.0, 1.0 + TOLERANCE * 1.01], "run_s").ok
 
 
 def test_gate_validates_knobs(tmp_path):
-    history = _seeded_history(tmp_path, [1.0, 1.0])
     with pytest.raises(ConfigError, match="tolerance"):
-        gate(history, tolerance=0.0)
+        _gate(tmp_path, [1.0, 1.0], tolerance=0.0)
 
 
 def test_gate_first_run_establishes_series(tmp_path):
-    history = _seeded_history(tmp_path, [100.0])
-    result = gate(history)
+    result = _gate(tmp_path, [100.0])
     assert result.ok
     assert result.checked == 0
     assert result.established == 1
 
 
+def test_gate_flags_a_baseline_series_the_session_lacks(tmp_path):
+    history = _seeded_history(tmp_path, [100.0, 100.0])
+    history.record(report(n=10_000, tx_per_sec=50.0))
+    result = gate([report(tx_per_sec=100.0)], history)
+    assert not result.ok
+    assert result.findings == []
+    assert result.missing == ["kernel/hirep-array N=10000"]
+    assert "MISSING FROM SESSION (1):\n  kernel/hirep-array N=10000" in result.render()
+
+
+def test_gate_refuses_two_session_reports_of_one_series(tmp_path):
+    history = _seeded_history(tmp_path, [100.0])
+    with pytest.raises(ConfigError, match="two session reports for kernel/hirep-array N=1000"):
+        gate([report(tx_per_sec=100.0), report(tx_per_sec=90.0)], history)
+
+
 def test_gate_median_resists_one_outlier(tmp_path):
     # one historically absurd run must not move the bar: the median of
-    # [100, 100, 10_000] is 100, so a candidate at 90 stays within tolerance
-    history = _seeded_history(tmp_path, [100.0, 100.0, 10_000.0, 90.0])
-    assert gate(history).ok
+    # [100, 100, 10_000] is 100, so a session at 90 stays within tolerance
+    assert _gate(tmp_path, [100.0, 100.0, 10_000.0, 90.0]).ok
 
 
 def test_gate_window_limits_lookback(tmp_path):
-    # runs older than the window age out: the baseline is the median of
-    # the last WINDOW runs (all 10), and a candidate at 9 passes despite
+    # baseline rows older than the window age out: the bar is the median
+    # of the last WINDOW rows (all 10), and a session at 9 passes despite
     # the older 1000s; with two 10s the 1000s are the window's median
     assert WINDOW == 5
-    history = _seeded_history(tmp_path / "aged", [1000.0] * 3 + [10.0] * WINDOW + [9.0])
-    assert gate(history).ok
-    history = _seeded_history(tmp_path / "kept", [1000.0] * 3 + [10.0] * 2 + [9.0])
-    assert not gate(history).ok
+    assert _gate(tmp_path / "aged", [1000.0] * 3 + [10.0] * WINDOW + [9.0]).ok
+    assert not _gate(tmp_path / "kept", [1000.0] * 3 + [10.0] * 2 + [9.0]).ok
 
 
 def test_gate_ignores_directionless_metrics(tmp_path):
-    history = PerfHistory(tmp_path)
-    for value in (0.1, 0.1, 10.0):
-        history.record(report(hirep_mse=value))
-    result = gate(history)
+    result = _gate(tmp_path, [0.1, 0.1, 10.0], metric="hirep_mse")
     assert result.ok
     assert result.checked == 0
 
 
 def test_gate_suites_filter(tmp_path):
-    history = _seeded_history(tmp_path, [1000.0, 1000.0, 10.0])
+    history = _seeded_history(tmp_path, [1000.0, 1000.0])
     history.record(report(suite="serve", tx_per_sec=50.0))
-    assert gate(history, suites=["serve"]).ok
-    assert not gate(history, suites=["kernel"]).ok
+    session = [report(tx_per_sec=10.0), report(suite="serve", tx_per_sec=50.0)]
+    assert gate(session, history, suites=["serve"]).ok
+    assert not gate(session, history, suites=["kernel"]).ok
+
+
+def test_gate_default_suites_are_the_sessions(tmp_path):
+    history = _seeded_history(tmp_path, [1000.0, 1000.0])
+    history.record(report(suite="serve", tx_per_sec=50.0))
+    # the baseline's serve series is not gated: the session recorded no serve
+    assert gate([report(tx_per_sec=1000.0)], history).ok
+    # ...until a suite is named, and then its series must be in the session
+    result = gate([report(tx_per_sec=1000.0)], history, suites=["kernel", "serve"])
+    assert result.missing == ["serve/hirep-array N=1000"]
 
 
 def test_gate_vanished_throughput_is_infinitely_worse(tmp_path):
-    history = _seeded_history(tmp_path, [100.0, 100.0, 0.0])
-    (finding,) = gate(history).findings
+    (finding,) = _gate(tmp_path, [100.0, 100.0, 0.0]).findings
     assert finding.factor == float("inf")
 
 
@@ -270,7 +283,7 @@ def test_rolling_median_lower_of_two():
 
 
 def test_gate_render_mentions_counts(tmp_path):
-    history = _seeded_history(tmp_path, [100.0, 100.0, 40.0])
-    text = gate(history).render()
+    text = _gate(tmp_path, [100.0, 100.0, 40.0]).render()
     assert "REGRESSIONS (1)" in text
     assert "tx_per_sec" in text
+
